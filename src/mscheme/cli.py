@@ -9,7 +9,6 @@ runs on identical input; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 
@@ -37,7 +36,7 @@ from .tutte import charpoly_identity, tutte_delcon, tutte_direct
 def _echo(args: argparse.Namespace) -> str:
     return f"command: {args.command} " + " ".join(
         f"{k}={v}" for k, v in sorted(vars(args).items())
-        if k not in ("command", "func", "seed") and v is not None)
+        if k not in ("command", "func") and v is not None)
 
 
 def cmd_check(args) -> int:
@@ -138,6 +137,10 @@ def cmd_construct(args) -> int:
     from .toric import layers_poset
 
     print(_echo(args))
+    arity = {"uniform": 2, "linear": 1, "toric": 1}.get(args.kind, len(args.args))
+    if len(args.args) != arity or (args.kind == "uniform" and not all(
+            a.lstrip("-").isdigit() for a in args.args)):
+        raise MalformedInput(f"construct {args.kind}: bad arguments {args.args}")
     poset_doc = None
     if args.kind == "uniform":
         r, n = int(args.args[0]), int(args.args[1])
@@ -235,8 +238,6 @@ def make_parser() -> argparse.ArgumentParser:
         prog="mscheme",
         description="Exact engine for matroid schemes, geometric posets, "
                     "and toric arrangements.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized generators (reproducibility)")
     parser.add_argument("--cap-atoms", type=int, default=20,
                         help="atom cap for the exhaustive geometric sweep")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -287,8 +288,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     started = time.monotonic()
     try:
         code = args.func(args)

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
 from .polynomials import BivariatePolynomial
-from .poset import build_poset, compute_rank, verify_simplicial
+from .poset import build_poset, compute_rank, transitive_reduction, verify_simplicial
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
 from .tutte import X_MINUS_1, Y_MINUS_1, tutte_direct
 
@@ -339,12 +339,9 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     def orbit_leq(a, b) -> bool:
         return any(face_image(g, reps[a]) <= reps[b] for g in G.elements)
 
-    covers = []
-    for a, b in itertools.product(names, names):
-        if a != b and orbit_leq(a, b):
-            if not any(c != a and c != b and orbit_leq(a, c) and orbit_leq(c, b)
-                       for c in names):
-                covers.append((a, b))
+    up = [sum(1 << j for j, b in enumerate(names) if b != a and orbit_leq(a, b))
+          for a in names]
+    covers = [(names[i], names[j]) for i, j in transitive_reduction(up)]
     sp = verify_simplicial(compute_rank(build_poset(names, covers)))
     scheme = validate_scheme(sp, rho_g)
 

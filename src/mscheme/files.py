@@ -85,6 +85,8 @@ def parse_poset_doc(doc: dict, path="<doc>") -> tuple[Poset, dict]:
     rho = {}
     try:
         for row in rows:
+            if not isinstance(row["id"], str):
+                raise MalformedInput(f"{path}: element id {row['id']!r} is not a string")
             ids.append(row["id"])
             rho[row["id"]] = int(row["rho"])
         covers = [(a, b) for a, b in _require(doc, "covers", path)]
@@ -155,10 +157,21 @@ def load_semimatroid(path) -> Semimatroid:
 
 
 def load_group(path) -> FiniteGroup:
-    doc = _load_json(path)
+    return _parse_group(_load_json(path), path)
+
+
+def _parse_group(doc, path) -> FiniteGroup:
+    """A group document, from its own file or inline in an action file."""
+    if not isinstance(doc, dict):
+        raise MalformedInput(f"{path}: group must be an object")
     elements = _require(doc, "elements", path)
     table = _require(doc, "table", path)
-    if len(table) != len(elements) or any(len(r) != len(elements) for r in table):
+    try:
+        shape_ok = (len(table) == len(elements)
+                    and all(len(r) == len(elements) for r in table))
+    except TypeError:
+        shape_ok = False
+    if not shape_ok:
         raise MalformedInput(f"{path}: multiplication table shape mismatch")
     mul = {(g, h): table[i][j]
            for i, g in enumerate(elements) for j, h in enumerate(elements)}
@@ -170,11 +183,7 @@ def load_action(path, group: FiniteGroup | None = None) -> GroupAction:
     if group is None:
         if "group" not in doc:
             raise MalformedInput(f"{path}: no group given inline or alongside")
-        gdoc = doc["group"]
-        elements = gdoc["elements"]
-        mul = {(g, h): gdoc["table"][i][j]
-               for i, g in enumerate(elements) for j, h in enumerate(elements)}
-        group = FiniteGroup(elements, mul)
+        group = _parse_group(doc["group"], f"{path} (inline group)")
     points = _require(doc, "points", path)
     rows = _require(doc, "rows", path)
     if len(rows) != len(group.elements) or any(len(r) != len(points) for r in rows):
@@ -201,16 +210,6 @@ def load_arrangement(path) -> ToricArrangement:
     except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"{path}: bad character row ({exc})") from None
     return ToricArrangement(n, chars)
-
-
-def arrangement_to_doc(arr: ToricArrangement, comment: str | None = None) -> dict:
-    doc = {}
-    if comment:
-        doc["comment"] = comment
-    doc["n"] = arr.n
-    doc["characters"] = [{"alpha": list(c.alpha), "phase": str(c.phase)}
-                         for c in arr.characters]
-    return doc
 
 
 def load_matrix(path) -> tuple[list[list[int]], list | None]:

@@ -23,6 +23,7 @@ from .poset import (
     find_isomorphism,
     is_geometric_lattice,
     iter_isomorphisms,
+    transitive_reduction,
     verify_simplicial,
 )
 from .scheme import (
@@ -125,18 +126,11 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     assert len(set(ids)) == len(ids), "pair identifiers collide"
     n = len(pairs)
     up = [0] * n  # strict up-sets as bitmasks
-    down = [0] * n
     for i, (I, x) in enumerate(pairs):
         for j, (J, y) in enumerate(pairs):
             if i != j and I <= J and p.leq(x, y):
                 up[i] |= 1 << j
-                down[j] |= 1 << i
-    covers = []
-    for i in range(n):
-        mask = up[i]
-        for j in range(n):
-            if mask >> j & 1 and not (up[i] & down[j]):
-                covers.append((ids[i], ids[j]))
+    covers = [(ids[i], ids[j]) for i, j in transitive_reduction(up)]
 
     sp = verify_simplicial(compute_rank(build_poset(ids, covers)))
     rho = {ids[i]: rp.rank[pairs[i][1]] for i in range(n)}

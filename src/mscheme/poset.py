@@ -71,9 +71,6 @@ class Poset:
     def _ids(self, mask: int) -> tuple:
         return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
-    def up_set(self, e) -> tuple:
-        return self._ids(self.above[self.idx(e)])
-
     def down_set(self, e) -> tuple:
         return self._ids(self.below[self.idx(e)])
 
@@ -118,34 +115,49 @@ class Poset:
             common &= self.below[self.idx(t)]
         return self.maximal_of_mask(common)
 
-    def subposet(self, keep, *, covers_restrict: bool = False) -> "Poset":
-        """Induced subposet on ``keep`` (kept in declaration order).
+    def subposet(self, keep: int, *, covers_restrict: bool = False) -> "Poset":
+        """Induced subposet on the bitmask ``keep`` (kept in declaration
+        order), its covers found by :func:`transitive_reduction`.
 
-        With ``covers_restrict=True`` the original covers are reused, which
-        is valid exactly when ``keep`` is an order ideal or filter.
+        With ``covers_restrict=True`` the parent's covers between kept
+        elements are reused, which is valid exactly when ``keep`` is an
+        order ideal or filter: everything between two kept elements is then
+        kept, so no cover is bridged.
         """
-        keep = [e for e in self.elements if e in set(keep)]
+        els = self.elements
         if covers_restrict:
-            kept = set(keep)
-            covers = [(a, b) for a, b in self.covers if a in kept and b in kept]
-            return _assemble(keep, covers)
-        kidx = [self.idx(e) for e in keep]
-        covers = []
-        for ai, a in zip(kidx, keep):
-            for bi, b in zip(kidx, keep):
-                if ai != bi and self.above[ai] >> bi & 1:
-                    # cover iff nothing kept strictly between
-                    between = self.above[ai] & self.below[bi]
-                    if not any(mi != ai and mi != bi and between >> mi & 1
-                               for mi in kidx):
-                        covers.append((a, b))
-        return _assemble(keep, covers)
-
-    def dual(self) -> "Poset":
-        return _assemble(self.elements, [(b, a) for a, b in self.covers])
+            idx = self.index
+            covers = [(a, b) for a, b in self.covers
+                      if keep >> idx[a] & 1 and keep >> idx[b] & 1]
+        else:
+            up = [self.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0
+                  for i in range(len(els))]
+            covers = [(els[i], els[j]) for i, j in transitive_reduction(up)]
+        return _assemble(self._ids(keep), covers)
 
     def __repr__(self):
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
+
+
+def transitive_reduction(up) -> list:
+    """Cover pairs (i, j) of a strict order given by its strict up-set
+    bitmasks ``up``, in row-major order: j covers i iff j is in up[i] and in
+    no up[k] with k in up[i] (Aho, Garey and Ullman, 1972)."""
+    covers = []
+    for i, mask in enumerate(up):
+        implied = 0
+        for j in _bits(mask):
+            implied |= up[j]
+        covers += [(i, j) for j in _bits(mask & ~implied)]
+    return covers
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _assemble(elements, covers) -> Poset:
@@ -272,26 +284,41 @@ def lower_bound_maxima(p: Poset, T) -> frozenset:
 
 class RankedPoset:
     """A bounded-below poset with a rank function: rank(bottom) = 0 and every
-    cover raises rank by exactly one (both verified at construction)."""
+    cover raises rank by exactly one.
+
+    Without ``rank`` the rank function is derived, with it the given labels
+    are verified; both in one bottom-up sweep of the covers.  The first
+    cover in sweep order that breaks the rule is reported as two chains
+    from the bottom, each following first-reach parents."""
 
     __slots__ = ("poset", "rank", "bottom")
 
-    def __init__(self, poset: Poset, rank: dict):
+    def __init__(self, poset: Poset, rank: dict | None = None):
         minima = poset.minimal_elements()
         if len(minima) != 1:
             raise NotBoundedBelow(minima)
         self.poset = poset
-        self.rank = dict(rank)
         self.bottom = minima[0]
-        if self.rank.get(self.bottom) != 0:
+        els = poset.elements
+        n = len(els)
+        if rank is None:
+            r = [None] * n
+            r[poset.index[self.bottom]] = 0
+        elif rank.get(self.bottom) != 0:
             raise NotRanked(self.bottom, (self.bottom,), (self.bottom,))
-        chains = {self.bottom: (self.bottom,)}
-        for a, b in _cover_sweep(poset):
-            if b not in chains and a in chains:
-                chains[b] = chains[a] + (b,)
-        for a, b in poset.covers:
-            if self.rank[b] != self.rank[a] + 1:
-                raise NotRanked(b, chains.get(b, (b,)), chains.get(a, (a,)) + (b,))
+        else:
+            r = [rank[e] for e in els]
+        parent = [-1] * n
+        for i in _topo_order(n, poset.covers_up):
+            for j in poset.covers_up[i]:
+                if parent[j] < 0:
+                    parent[j] = i
+                    if rank is None:
+                        r[j] = r[i] + 1
+                if r[j] != r[i] + 1:
+                    raise NotRanked(els[j], _chain(els, parent, j),
+                                    _chain(els, parent, i) + (els[j],))
+        self.rank = dict(zip(els, r))
 
     @property
     def elements(self):
@@ -307,39 +334,26 @@ class RankedPoset:
         """Closed interval [lo, hi] re-ranked to start at 0."""
         p = self.poset
         mask = p.above[p.idx(lo)] & p.below[p.idx(hi)]
-        keep = p._ids(mask)
         base = self.rank[lo]
-        return RankedPoset(p.subposet(keep),
-                           {e: self.rank[e] - base for e in keep})
+        return RankedPoset(p.subposet(mask),
+                           {e: self.rank[e] - base for e in p._ids(mask)})
 
     def __repr__(self):
         return f"RankedPoset({len(self.elements)} elements, max rank {self.max_rank()})"
 
 
-def _cover_sweep(poset: Poset):
-    """Covers in an order where lower endpoints appear bottom-up."""
-    order = _topo_order(len(poset.elements), [list(c) for c in poset.covers_up])
-    pos = {i: k for k, i in enumerate(order)}
-    return sorted(poset.covers, key=lambda ab: pos[poset.idx(ab[0])])
+def _chain(els, parent, i) -> tuple:
+    """Ids from the bottom up to index i along first-reach parents."""
+    out = []
+    while i >= 0:
+        out.append(els[i])
+        i = parent[i]
+    return tuple(reversed(out))
 
 
 def compute_rank(p: Poset) -> RankedPoset:
     """Verify unique minimum and gradedness; derive the rank function."""
-    minima = p.minimal_elements()
-    if len(minima) != 1:
-        raise NotBoundedBelow(minima)
-    bottom = minima[0]
-    rank = {bottom: 0}
-    chains = {bottom: (bottom,)}
-    for a, b in _cover_sweep(p):
-        if a not in rank:  # unreachable from bottom would mean several minima
-            continue
-        if b not in rank:
-            rank[b] = rank[a] + 1
-            chains[b] = chains[a] + (b,)
-        elif rank[b] != rank[a] + 1:
-            raise NotRanked(b, chains[b], chains[a] + (b,))
-    return RankedPoset(p, rank)
+    return RankedPoset(p)
 
 
 # --- simplicial posets --------------------------------------------------------

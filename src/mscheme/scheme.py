@@ -152,10 +152,25 @@ def validate_scheme(sp: SimplicialPoset, rho: dict) -> MatroidScheme:
     return MatroidScheme(sp, rho, _checked=True)
 
 
-def _scheme_unchecked(sp: SimplicialPoset, rho: dict) -> MatroidScheme:
-    """Internal constructor for results of theorem-backed operations
-    (deletion, contraction, restriction); property tests re-validate."""
-    return MatroidScheme(sp, rho, _checked=True)
+def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
+    """The minor of m on the order ideal or filter ``keep`` (a bitmask), with
+    rho lowered by ``shift``: the one constructor behind localization,
+    deletion, contraction, restriction and the Tutte recursion.
+
+    An ideal or filter keeps everything between two kept elements, so
+    :meth:`Poset.subposet` reuses the parent's covers instead of running a
+    transitive reduction.  The minor is ranked and re-verified simplicial,
+    but not re-validated against M1-M5: the operations are theorem-backed
+    and the property tests re-validate."""
+    sub = m.poset.subposet(keep, covers_restrict=True)
+    sp = verify_simplicial(compute_rank(sub))
+    return MatroidScheme(sp, {e: m.rho[e] - shift for e in sub.elements},
+                         _checked=True)
+
+
+def _full(p: Poset) -> int:
+    """Bitmask of every element of p."""
+    return (1 << len(p.elements)) - 1
 
 
 def scheme_rank(m: MatroidScheme) -> int:
@@ -168,10 +183,7 @@ def scheme_rank(m: MatroidScheme) -> int:
 def localization(m: MatroidScheme, x) -> MatroidScheme:
     """The matroid on the Boolean down-set of x with the restricted labels."""
     p = m.poset
-    keep = p.down_set(x)
-    sub = p.subposet(keep, covers_restrict=True)
-    sp = verify_simplicial(compute_rank(sub))
-    return _scheme_unchecked(sp, {e: m.rho[e] for e in keep})
+    return _sub_scheme(m, p.below[p.idx(x)])
 
 
 def closure(m: MatroidScheme, x):
@@ -198,7 +210,7 @@ def flats(m: MatroidScheme) -> RankedPoset:
     closure of the bottom element."""
     if m._flats_cache is None:
         closed = [e for e in m.elements if closure(m, e) == e]
-        sub = m.poset.subposet(closed)
+        sub = m.poset.subposet(sum(1 << m.poset.idx(e) for e in closed))
         m._flats_cache = RankedPoset(sub, {e: m.rho[e] for e in closed})
     return m._flats_cache
 
@@ -349,10 +361,7 @@ def delete(m: MatroidScheme, a) -> MatroidScheme:
     if a not in set(m.atoms()):
         raise NotAnAtom(f"{a!r} is not an atom")
     p = m.poset
-    keep = [e for e in m.elements if not p.leq(a, e)]
-    sub = p.subposet(keep, covers_restrict=True)
-    sp = verify_simplicial(compute_rank(sub))
-    out = _scheme_unchecked(sp, {e: m.rho[e] for e in keep})
+    out = _sub_scheme(m, _full(p) & ~p.above[p.idx(a)])
     expected = scheme_rank(m) - (1 if a in isthmuses(m) else 0)
     assert scheme_rank(out) == expected, "deletion rank rule violated"
     return out
@@ -362,12 +371,7 @@ def contract(m: MatroidScheme, x) -> MatroidScheme:
     """Scheme on the up-set of x, re-rooted at x, with rho shifted down by
     rho(x); original identifiers are kept."""
     p = m.poset
-    p.idx(x)
-    keep = [e for e in m.elements if p.leq(x, e)]
-    sub = p.subposet(keep, covers_restrict=True)
-    sp = verify_simplicial(compute_rank(sub))
-    base = m.rho[x]
-    return _scheme_unchecked(sp, {e: m.rho[e] - base for e in keep})
+    return _sub_scheme(m, p.above[p.idx(x)], m.rho[x])
 
 
 def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
@@ -378,10 +382,11 @@ def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
     for a in atom_set:
         if a not in atoms:
             raise NotAnAtom(f"{a!r} is not an atom")
-    keep = [e for e in m.elements if m.s.support[e] <= atom_set]
-    sub = m.poset.subposet(keep, covers_restrict=True)
-    sp = verify_simplicial(compute_rank(sub))
-    out = _scheme_unchecked(sp, {e: m.rho[e] for e in keep})
+    p = m.poset
+    keep = _full(p)
+    for a in atoms - atom_set:
+        keep &= ~p.above[p.idx(a)]
+    out = _sub_scheme(m, keep)
     if len(m.elements) <= _RESTRICT_CROSSCHECK_LIMIT:
         alt = m
         for a in m.atoms():

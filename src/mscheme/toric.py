@@ -29,7 +29,7 @@ from .errors import (
     NotInArrangement,
 )
 from .geometric import pair_id, scheme_from_geometric, validate_geometric
-from .poset import build_poset, compute_rank
+from .poset import build_poset, compute_rank, transitive_reduction
 from .scheme import contract, delete, localization, scheme_isomorphism
 
 
@@ -286,19 +286,6 @@ def ambient_layer(n: int) -> Layer:
     return Layer(n, (), ())
 
 
-def _canonical_layer(n, gen_rows, gen_phases) -> Layer:
-    """Re-express a (saturated-lattice, phases-on-generators) pair on the
-    canonical HNF basis."""
-    sat = saturate([list(r) for r in gen_rows])
-    helper = Layer(n, tuple(tuple(r) for r in gen_rows), tuple(gen_phases))
-    phases = []
-    for row in sat:
-        ph = helper.phase_of(row)
-        assert ph is not None, "canonical basis row outside generated lattice"
-        phases.append(ph)
-    return Layer(n, tuple(tuple(r) for r in sat), tuple(phases))
-
-
 def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
     """All layers of the intersection with one hypersurface.
 
@@ -415,17 +402,9 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
 
     ordered = sorted(layers.values(), key=lambda L: (L.rank, L.layer_id))
     ids = [L.layer_id for L in ordered]
-    leq = {}
-    for a in ordered:
-        for b in ordered:
-            leq[(a.layer_id, b.layer_id)] = a.contains(b)
-    covers = []
-    for a in ids:
-        for b in ids:
-            if a != b and leq[(a, b)]:
-                if not any(c != a and c != b and leq[(a, c)] and leq[(c, b)]
-                           for c in ids):
-                    covers.append((a, b))
+    up = [sum(1 << j for j, b in enumerate(ordered) if j != i and a.contains(b))
+          for i, a in enumerate(ordered)]
+    covers = [(ids[i], ids[j]) for i, j in transitive_reduction(up)]
     rp = compute_rank(build_poset(ids, covers))
     for L in ordered:
         assert rp.rank[L.layer_id] == L.rank, "poset rank differs from lattice rank"
@@ -575,9 +554,9 @@ def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrR
     if not direct:
         # layer-poset comparison: sublayers of the hypersurface, re-ranked
         fp = full.geometric.ranked
-        keep = [e for e in fp.elements if fp.poset.leq(atom_layer, e)]
-        sub = RankedPoset(fp.poset.subposet(keep, covers_restrict=True),
-                          {e: fp.rank[e] - 1 for e in keep})
+        above = fp.poset.above[fp.poset.idx(atom_layer)]
+        sub = RankedPoset(fp.poset.subposet(above, covers_restrict=True),
+                          {e: fp.rank[e] - 1 for e in fp.poset._ids(above)})
         iso_restr = find_isomorphism(restricted.geometric.ranked, sub)
 
     if layer.layer_id not in full.layers:

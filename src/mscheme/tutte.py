@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from .errors import HasLoops
 from .polynomials import BivariatePolynomial, UnivariatePolynomial, one_minus_t
-from .poset import characteristic_polynomial, compute_rank, mobius, verify_simplicial
+from .poset import characteristic_polynomial, mobius
 from .scheme import (
     MatroidScheme,
+    _full,
+    _sub_scheme,
     bases,
     closure,
     flats,
@@ -47,8 +49,11 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
     Pivot rule: the first atom in declaration order that is neither loop nor
     isthmus splits as T(M-a) + T(M/a); with none left, loops contribute a
     factor y via contraction and isthmuses split as (x-1)T(M-a) + T(M/a).
-    The base case (a single element) returns 1.  Sub-schemes repeat across
-    branches, so results are memoized on the exact serialized form.
+    The base case (a single element) returns 1.  Both sub-schemes come from
+    ``scheme._sub_scheme``: the deletion keeps the order ideal of elements
+    not above a and the contraction the filter above a, so each reuses the
+    parent's covers.  Sub-schemes repeat across branches, so results are
+    memoized on ``MatroidScheme.serialize_key()``.
 
     Contracting a valid scheme can leave the class (the rank-3 two-top
     fixture contracted by an atom violates the atom-exchange axiom), so the
@@ -63,41 +68,38 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
     cases above: an atom is a loop iff rho(a) = 0 and an isthmus iff
     deleting it lowers the maximum label.
     """
-    return _delcon(m.s, m.rho, {})
+    return _delcon(m, {})
 
 
-def _delcon(sp, rho: dict, memo: dict) -> BivariatePolynomial:
-    p = sp.poset
-    key = (p.elements, p.covers, tuple(rho[e] for e in p.elements))
+def _delcon(m: MatroidScheme, memo: dict) -> BivariatePolynomial:
+    key = m.serialize_key()
     if key in memo:
         return memo[key]
-    if len(p.elements) == 1:
+    if len(m.elements) == 1:
         result = BivariatePolynomial.constant(1)
         memo[key] = result
         return result
 
+    p = m.poset
+    rho = m.rho
     r = max(rho.values())
-    atoms = sp.atoms()
-    kept = {a: [e for e in p.elements if not p.leq(a, e)] for a in atoms}
+    atoms = m.atoms()
+    kept = {a: _full(p) & ~p.above[p.idx(a)] for a in atoms}
     is_loop = {a: rho[a] == 0 for a in atoms}
-    drops = {a: max(rho[e] for e in kept[a]) < r for a in atoms}
+    drops = {a: max(rho[e] for e in p._ids(kept[a])) < r for a in atoms}
     pivot = next((a for a in atoms if not is_loop[a] and not drops[a]), None)
     if pivot is None:
         pivot = next((a for a in atoms if is_loop[a]), None)
     if pivot is None:
         pivot = next(a for a in atoms if drops[a])
 
-    keep_d = kept[pivot]
-    sub_d = verify_simplicial(compute_rank(p.subposet(keep_d, covers_restrict=True)))
-    rho_d = {e: rho[e] for e in keep_d}
-    t_d = _delcon(sub_d, rho_d, memo)
-    r_d = max(rho_d.values())
+    m_d = _sub_scheme(m, kept[pivot])
+    t_d = _delcon(m_d, memo)
+    r_d = max(m_d.rho.values())
 
-    keep_c = [e for e in p.elements if p.leq(pivot, e)]
-    sub_c = verify_simplicial(compute_rank(p.subposet(keep_c, covers_restrict=True)))
-    rho_c = {e: rho[e] - rho[pivot] for e in keep_c}
-    t_c = _delcon(sub_c, rho_c, memo)
-    r_c = max(rho_c.values())
+    m_c = _sub_scheme(m, p.above[p.idx(pivot)], rho[pivot])
+    t_c = _delcon(m_c, memo)
+    r_c = max(m_c.rho.values())
 
     result = ((X_MINUS_1 ** (r - r_d)) * t_d
               + (X_MINUS_1 ** (r - rho[pivot] - r_c))

@@ -177,3 +177,31 @@ def test_fixture_env_override(tmp_path, monkeypatch, isth):
     monkeypatch.setenv(files.FIXTURE_ENV, str(tmp_path))
     m = files.load_scheme(files.resolve_input("isth.json"))
     assert "bottom" in m.elements
+
+
+def test_construct_uniform_needs_two_arguments(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["construct", "uniform", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and "input error:" in err and "Traceback" not in err
+
+
+def test_invariants_rejects_non_string_ids(capsys, tmp_path):
+    path = tmp_path / "int_ids.json"
+    files.dump_doc({"elements": [{"id": 0, "rho": 0}, {"id": 1, "rho": 1}],
+                    "covers": [[0, 1]]}, path)
+    code = main(["invariants", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "not a string" in err
+
+
+def test_inline_group_shape_faults_are_input_errors(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    action = json.loads(files.fixture_path("t2_trivial.json").read_text())
+    for group in ({"elements": ["e", "g"], "table": [["e", "g"]]},
+                  {"table": [["e", "g"], ["g", "e"]]}):
+        path = tmp_path / "action.json"
+        files.dump_doc(dict(action, group=group), path)
+        code = main(["construct", "dowling", "-n", "2", "--action", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "input error:" in err and "inline group" in err

@@ -29,6 +29,7 @@ from mscheme import (
     verify_simplicial,
 )
 from mscheme.polynomials import UnivariatePolynomial
+from mscheme.poset import transitive_reduction
 
 
 def boolean_lattice(n):
@@ -105,6 +106,10 @@ def test_compute_rank_rejects_unequal_chains():
     with pytest.raises(NotRanked) as exc:
         compute_rank(p)
     assert len(exc.value.chain_a) != len(exc.value.chain_b)
+    # covers are swept bottom-up; "t" is first reached through "c"
+    assert exc.value.element == "t"
+    assert exc.value.chain_a == ("0", "c", "t")
+    assert exc.value.chain_b == ("0", "a", "b", "t")
 
 
 def test_compute_rank_rejects_two_minima():
@@ -230,3 +235,28 @@ def test_find_isomorphism_respects_labels(cw_r, notgeom_poset):
     rp = cw_r.s.ranked
     assert find_isomorphism(rp, rp, cw_r.rho, notgeom_poset.rank) is None
     assert find_isomorphism(rp, rp, cw_r.rho, cw_r.rho) is not None
+
+
+def _row_major(p, covers):
+    return sorted(covers, key=lambda c: (p.idx(c[0]), p.idx(c[1])))
+
+
+def test_transitive_reduction_recovers_corpus_covers(corpus):
+    fixtures = {e.name for e in corpus.entries if e.origin == "fixture"}
+    for e in corpus.entries:
+        p = e.scheme.poset
+        up = [mask & ~(1 << i) for i, mask in enumerate(p.above)]
+        got = [(p.elements[i], p.elements[j]) for i, j in transitive_reduction(up)]
+        assert got == _row_major(p, p.covers), e.name
+        # hand-written fixture files list their covers in any order
+        if e.name.split("__")[0] not in fixtures:
+            assert got == list(p.covers), e.name
+
+
+def test_flats_subposet_covers_match_brute_force(corpus):
+    for name, m in corpus.schemes():
+        p = m.poset
+        closed = flats(m).elements
+        want = [(a, b) for a in closed for b in closed
+                if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b) for c in closed)]
+        assert list(flats(m).poset.covers) == _row_major(p, want), name
