@@ -12,6 +12,7 @@ import itertools
 
 from .errors import (
     AxiomViolation,
+    MalformedInput,
     NotComplexInvariant,
     NotRankInvariant,
     NotTranslative,
@@ -64,6 +65,9 @@ class Matroid:
 
 
 def uniform_matroid(r: int, n: int) -> Matroid:
+    """U(r, n) on the ground set e1..en; refuses r outside [0, n]."""
+    if not 0 <= r <= n:
+        raise MalformedInput(f"uniform matroid U({r},{n}) needs 0 <= r <= n")
     ground = [f"e{i}" for i in range(1, n + 1)]
     rank = {}
     for k in range(n + 1):

@@ -89,7 +89,13 @@ def parse_poset_doc(doc: dict, path="<doc>") -> tuple[Poset, dict]:
                 raise MalformedInput(f"{path}: element id {row['id']!r} is not a string")
             ids.append(row["id"])
             rho[row["id"]] = int(row["rho"])
-        covers = [(a, b) for a, b in _require(doc, "covers", path)]
+        covers = []
+        for a, b in _require(doc, "covers", path):
+            for end in (a, b):
+                if not isinstance(end, str) or end not in rho:
+                    raise MalformedInput(
+                        f"{path}: cover endpoint {end!r} is not an element id")
+            covers.append((a, b))
     except (TypeError, KeyError, ValueError) as exc:
         raise MalformedInput(f"{path}: bad element/cover row ({exc})") from None
     return build_poset(ids, covers), rho

@@ -36,8 +36,6 @@ from .poset import (
     verify_simplicial,
 )
 
-_RESTRICT_CROSSCHECK_LIMIT = 64
-
 
 class MatroidScheme:
     """A validated simplicial poset with rank labels.
@@ -191,15 +189,16 @@ def closure(m: MatroidScheme, x):
     theorem for valid schemes and is asserted here)."""
     if m._closure is None:
         p = m.poset
+        els = m.elements
+        same_rho = {}
+        for i, e in enumerate(els):
+            same_rho[m.rho[e]] = same_rho.get(m.rho[e], 0) | 1 << i
         cl = {}
-        for e in m.elements:
-            mask = 0
-            for i, f in enumerate(m.elements):
-                if p.above[p.idx(e)] >> i & 1 and m.rho[f] == m.rho[e]:
-                    mask |= 1 << i
-            tops = p._ids(p.maximal_of_mask(mask))
-            assert len(tops) == 1, f"closure of {e!r} not unique: {tops}"
-            cl[e] = tops[0]
+        for i, e in enumerate(els):
+            top = p.maximal_of_mask(p.above[i] & same_rho[m.rho[e]])
+            assert not top & (top - 1), \
+                f"closure of {e!r} not unique: {p._ids(top)}"
+            cl[e] = els[top.bit_length() - 1]
         m._closure = cl
     m.poset.idx(x)
     return m._closure[x]
@@ -215,25 +214,25 @@ def flats(m: MatroidScheme) -> RankedPoset:
     return m._flats_cache
 
 
+def _independent_mask(m: MatroidScheme) -> int:
+    """Bitmask of the elements x with rho(x) = |x|."""
+    return sum(1 << i for i, x in enumerate(m.elements) if m.rho[x] == m.size(x))
+
+
 def independence(m: MatroidScheme) -> frozenset:
-    return frozenset(x for x in m.elements if m.rho[x] == m.size(x))
+    return frozenset(m.poset._ids(_independent_mask(m)))
 
 
 def bases(m: MatroidScheme) -> frozenset:
-    ind = independence(m)
+    """Maximal independent elements."""
     p = m.poset
-    return frozenset(x for x in ind
-                     if not any(y != x and p.leq(x, y) for y in ind))
+    return frozenset(p._ids(p.maximal_of_mask(_independent_mask(m))))
 
 
 def circuits(m: MatroidScheme) -> frozenset:
-    dep = [x for x in m.elements if m.rho[x] < m.size(x)]
+    """Minimal dependent elements."""
     p = m.poset
-    out = frozenset(x for x in dep
-                    if not any(y != x and p.leq(y, x) for y in dep))
-    for c in out:
-        assert m.rho[c] == m.size(c) - 1, f"circuit {c!r} has rho != |c|-1"
-    return out
+    return frozenset(p._ids(p.minimal_of_mask(_full(p) & ~_independent_mask(m))))
 
 
 # --- independence cryptomorphism ------------------------------------------------
@@ -264,11 +263,9 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
                        and _join_inside(p, x, a, ind)
                        for a in atoms):
                 raise AxiomViolation("I3", (x, y))
-    max_ind_below = {}
-    for x in els:
-        below = [z for z in p.down_set(x) if z in ind]
-        max_ind_below[x] = [z for z in below
-                            if not any(w != z and p.leq(z, w) for w in below)]
+    ind_mask = sum(1 << p.index[x] for x in ind)
+    max_ind_below = {x: p._ids(p.maximal_of_mask(p.below[i] & ind_mask))
+                     for i, x in enumerate(els)}
     for x in els:  # I4
         for y in els:
             for z in max_ind_below[x]:
@@ -324,27 +321,19 @@ def _isthmus_conditions(m: MatroidScheme, a) -> tuple:
 
 
 def loops(m: MatroidScheme) -> frozenset:
-    """Atoms of rank zero, classified by all three equivalent conditions
-    (their agreement is asserted)."""
-    out = []
-    for a in m.atoms():
-        conds = _loop_conditions(m, a)
-        assert len(set(conds)) == 1, f"loop conditions disagree on {a!r}: {conds}"
-        if conds[0]:
-            out.append(a)
-    return frozenset(out)
+    """Atoms of rank zero.  The two other characterizations of a loop are
+    checked by :func:`check_derived_axioms`."""
+    return frozenset(a for a in m.atoms() if m.rho[a] == 0)
 
 
 def isthmuses(m: MatroidScheme) -> frozenset:
-    """Atoms below every basis, classified by all three equivalent
-    conditions (their agreement is asserted)."""
-    out = []
-    for a in m.atoms():
-        conds = _isthmus_conditions(m, a)
-        assert len(set(conds)) == 1, f"isthmus conditions disagree on {a!r}: {conds}"
-        if conds[0]:
-            out.append(a)
-    return frozenset(out)
+    """Atoms below every basis.  The two other characterizations of an
+    isthmus are checked by :func:`check_derived_axioms`."""
+    p = m.poset
+    below_all = _full(p)
+    for b in bases(m):
+        below_all &= p.below[p.idx(b)]
+    return frozenset(a for a in m.atoms() if below_all >> p.idx(a) & 1)
 
 
 def is_simple(m: MatroidScheme) -> bool:
@@ -356,15 +345,12 @@ def is_simple(m: MatroidScheme) -> bool:
 # --- deletion, contraction, restriction ---------------------------------------------
 
 def delete(m: MatroidScheme, a) -> MatroidScheme:
-    """Scheme on the elements not above the atom a; the rank drops by one
-    exactly when a is an isthmus (asserted)."""
+    """Scheme on the elements not above the atom a (its rank is one less
+    exactly when a is an isthmus)."""
     if a not in set(m.atoms()):
         raise NotAnAtom(f"{a!r} is not an atom")
     p = m.poset
-    out = _sub_scheme(m, _full(p) & ~p.above[p.idx(a)])
-    expected = scheme_rank(m) - (1 if a in isthmuses(m) else 0)
-    assert scheme_rank(out) == expected, "deletion rank rule violated"
-    return out
+    return _sub_scheme(m, _full(p) & ~p.above[p.idx(a)])
 
 
 def contract(m: MatroidScheme, x) -> MatroidScheme:
@@ -375,8 +361,8 @@ def contract(m: MatroidScheme, x) -> MatroidScheme:
 
 
 def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
-    """Scheme on the order ideal of elements supported on the given atoms;
-    equals iterated deletion (cross-checked on small inputs)."""
+    """Scheme on the order ideal of elements supported on the given atoms
+    (the same scheme as deleting the other atoms one by one)."""
     atoms = set(m.atoms())
     atom_set = set(atom_set)
     for a in atom_set:
@@ -386,14 +372,7 @@ def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
     keep = _full(p)
     for a in atoms - atom_set:
         keep &= ~p.above[p.idx(a)]
-    out = _sub_scheme(m, keep)
-    if len(m.elements) <= _RESTRICT_CROSSCHECK_LIMIT:
-        alt = m
-        for a in m.atoms():
-            if a not in atom_set:
-                alt = delete(alt, a)
-        assert out == alt, "restriction disagrees with iterated deletion"
-    return out
+    return _sub_scheme(m, keep)
 
 
 def check_loop_del_contr(m: MatroidScheme, a) -> dict:
@@ -449,8 +428,8 @@ class DerivedAxiomReport:
 
 
 def check_derived_axioms(m: MatroidScheme) -> DerivedAxiomReport:
-    """Brute-force re-verification of CL1-CL4, B1-B2, C1-C3, the three rank
-    facts, local flats, the closure-join lemma, and the loop/isthmus
+    """Brute-force re-verification of CL1-CL4, B1-B2, C1-C3, rho(c) = |c| - 1
+    on circuits, the three rank facts, local flats, the closure-join lemma, and the loop/isthmus
     three-way equivalences.
 
     On corrupted input the closure operator or the flats poset may not even
@@ -462,7 +441,7 @@ def check_derived_axioms(m: MatroidScheme) -> DerivedAxiomReport:
     except (AssertionError, MschemeError) as exc:
         rep.record("CL_STRUCTURE", False, (repr(exc),))
     for name in ("CL_STRUCTURE", "CL1", "CL2", "CL3", "CL4", "B1", "B2",
-                 "C1", "C2", "C3", "RK1", "RK2", "RK3", "LOCALFLATS",
+                 "C1", "C2", "C3", "C_RANK", "RK1", "RK2", "RK3", "LOCALFLATS",
                  "CLOSURE2", "LOOP_EQUIV", "ISTHMUS_EQUIV"):
         rep.results.setdefault(name, (True, None))
     return rep
@@ -522,6 +501,8 @@ def _check_derived(m: MatroidScheme, rep: DerivedAxiomReport) -> None:
                 if p.leq(a, meet):
                     ok = any(p.leq(z, u) and not p.leq(a, z) for z in cs)
                     rep.record("C3", ok, (x, y, u, a))
+    for c in cs:
+        rep.record("C_RANK", m.rho[c] == m.size(c) - 1, (c,))
 
     for x in els:  # rank facts
         for a in atoms:

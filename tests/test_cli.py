@@ -186,6 +186,26 @@ def test_construct_uniform_needs_two_arguments(capsys, tmp_path, monkeypatch):
     assert code == 2 and "input error:" in err and "Traceback" not in err
 
 
+def test_construct_uniform_refuses_rank_outside_ground_size(capsys, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for r, n in (("3", "2"), ("-1", "3")):
+        code = main(["construct", "uniform", r, n])
+        err = capsys.readouterr().err
+        assert code == 2 and "input error:" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cover_endpoints_must_be_element_ids(capsys, tmp_path):
+    path = tmp_path / "bad_covers.json"
+    for covers in ([[0, 1]], [[["0"], "1"]]):
+        files.dump_doc({"elements": [{"id": "0", "rho": 0}, {"id": "1", "rho": 1}],
+                        "covers": covers}, path)
+        code = main(["invariants", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "input error:" in err and "Traceback" not in err
+
+
 def test_invariants_rejects_non_string_ids(capsys, tmp_path):
     path = tmp_path / "int_ids.json"
     files.dump_doc({"elements": [{"id": 0, "rho": 0}, {"id": 1, "rho": 1}],

@@ -8,6 +8,7 @@ from mscheme import (
     AxiomViolation,
     FiniteGroup,
     GroupAction,
+    MalformedInput,
     Matroid,
     NotTranslative,
     Semimatroid,
@@ -50,6 +51,13 @@ def swap4(z2, semi4):
 def test_uniform_matroids():
     assert str(tutte_direct(scheme_from_matroid(uniform_matroid(1, 2)))) == "x + y"
     assert str(tutte_direct(scheme_from_matroid(uniform_matroid(2, 3)))) == "x^2 + x + y"
+
+
+def test_uniform_matroid_refuses_rank_outside_ground_size():
+    assert scheme_rank(scheme_from_matroid(uniform_matroid(0, 0))) == 0
+    for r, n in ((3, 2), (-1, 3)):
+        with pytest.raises(MalformedInput):
+            uniform_matroid(r, n)
 
 
 def test_matroid_axiom_violations():

@@ -1,6 +1,7 @@
 """Scheme axioms, closure/flats, independence cryptomorphism, minors."""
 
 import itertools
+import random
 
 import pytest
 
@@ -246,6 +247,32 @@ def test_restrict(isth, nonpos):
     assert sorted(r2.rho[e] for e in r2.elements) == [0, 1, 1, 2, 2]
     with pytest.raises(NotAnAtom):
         restrict(isth, ["zz"])
+
+
+def test_deletion_rank_rule(corpus):
+    """Deleting an atom lowers the rank by one exactly when the atom is an
+    isthmus."""
+    for name, m in corpus.schemes():
+        iths = isthmuses(m)
+        r = scheme_rank(m)
+        for a in m.atoms():
+            assert scheme_rank(delete(m, a)) == r - (a in iths), (name, a)
+
+
+def test_restriction_is_iterated_deletion(corpus):
+    """Restricting to an atom set equals deleting the other atoms one by one
+    (no atoms, all atoms and one seeded random subset per scheme)."""
+    rng = random.Random(20240814)
+    for name, m in corpus.schemes():
+        if len(m.elements) > 64:
+            continue
+        atoms = m.atoms()
+        for kept in ((), atoms, tuple(a for a in atoms if rng.random() < 0.5)):
+            alt = m
+            for a in atoms:
+                if a not in kept:
+                    alt = delete(alt, a)
+            assert restrict(m, kept) == alt, (name, kept)
 
 
 def test_delete_commutes(cw_l, dow_nontriv):
