@@ -151,20 +151,18 @@ def cmd_construct(args) -> int:
         out = scheme_from_matroid(linear_matroid(matrix, names))
         default = f"constructed_{_stem(args.args[0])}.json"
     elif args.kind == "dowling":
-        action = files.load_action(files.resolve_input(args.action),
-                                   files.load_group(files.resolve_input(args.group))
-                                   if args.group else None)
-        gp, out = dowling_poset(int(args.n), action, atom_cap=args.cap_atoms)
+        n = _required(args.n, "-n")
+        if not n.isdigit():
+            raise MalformedInput(f"construct dowling: -n must be a ground size, not {n!r}")
+        gp, out = dowling_poset(int(n), _load_action(args), atom_cap=args.cap_atoms)
         print(f"geometric certificate: {len(gp.elements)} elements, "
               f"{len(gp.atoms())} atoms, rank {gp.ranked.max_rank()}")
         poset_doc = files.ranked_poset_to_doc(gp.ranked)
         default = f"constructed_dowling_{args.n}.json"
     elif args.kind == "quotient":
-        sm = files.load_semimatroid(files.resolve_input(args.semimatroid))
-        action = files.load_action(files.resolve_input(args.action),
-                                   files.load_group(files.resolve_input(args.group))
-                                   if args.group else None)
-        result = quotient_scheme(sm, action)
+        sm = files.load_semimatroid(
+            files.resolve_input(_required(args.semimatroid, "--semimatroid")))
+        result = quotient_scheme(sm, _load_action(args))
         out = result.scheme
         print(f"quotient tutte: {result.tutte_action}")
         default = f"constructed_quotient_{_stem(args.semimatroid)}.json"
@@ -186,6 +184,12 @@ def cmd_construct(args) -> int:
         files.dump_doc(poset_doc, poset_dest)
         print(f"wrote: {poset_dest}")
     return 0
+
+
+def _load_action(args):
+    """The --action file, over the --group file when one is given."""
+    group = files.load_group(files.resolve_input(args.group)) if args.group else None
+    return files.load_action(files.resolve_input(_required(args.action, "--action")), group)
 
 
 def _stem(path: str) -> str:

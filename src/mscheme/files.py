@@ -22,7 +22,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import MalformedInput
+from .errors import MalformedInput, MschemeError
 from .constructions import FiniteGroup, GroupAction, Semimatroid
 from .poset import Poset, RankedPoset, build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, validate_scheme
@@ -206,16 +206,18 @@ def load_action(path, group: FiniteGroup | None = None) -> GroupAction:
 # --- arrangements and matrices ---------------------------------------------------------
 
 def load_arrangement(path) -> ToricArrangement:
+    """Any fault in n or a character, down to a duplicate, is MalformedInput."""
     doc = _load_json(path)
-    n = int(_require(doc, "n", path))
-    chars = []
+    n = _require(doc, "n", path)
+    rows = _require(doc, "characters", path)
     try:
-        for row in _require(doc, "characters", path):
-            chars.append(Character(tuple(int(a) for a in row["alpha"]),
-                                   Fraction(str(row["phase"]))))
+        return ToricArrangement(int(n), [
+            Character(tuple(int(a) for a in row["alpha"]), Fraction(str(row["phase"])))
+            for row in rows])
     except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
-        raise MalformedInput(f"{path}: bad character row ({exc})") from None
-    return ToricArrangement(n, chars)
+        raise MalformedInput(f"{path}: bad n or character row ({exc})") from None
+    except MschemeError as exc:
+        raise MalformedInput(f"{path}: {exc}") from None
 
 
 def load_matrix(path) -> tuple[list[list[int]], list | None]:

@@ -13,11 +13,14 @@ the flats poset of a unique simple scheme, reconstructed here explicitly.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .errors import AtomCapExceeded, AxiomViolation, NotSimple
 from .poset import (
     RankedPoset,
+    _bits,
     build_poset,
     compute_rank,
     find_isomorphism,
@@ -28,6 +31,7 @@ from .poset import (
 )
 from .scheme import (
     MatroidScheme,
+    _joinable,
     closure,
     flats,
     is_simple,
@@ -81,15 +85,21 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
     if len(atoms) > atom_cap:
         raise AtomCapExceeded(len(atoms), atom_cap)
     top_rank = max((rp.rank[mx] for mx in p.maximal_elements()), default=0)
-    for x in p.elements:  # G2
-        for size in range(rp.rank[x] + 1, top_rank + 1):
-            for A in itertools.combinations(atoms, size):
-                for y in p._ids(p.join_mask(A)):
-                    if rp.rank[y] != size:
-                        continue
-                    if not any(not p.leq(a, x) and p.join_mask((a, x))
-                               for a in A):
-                        raise AxiomViolation("G2", (x, frozenset(A), y))
+    els = p.elements
+    r = [rp.rank[e] for e in els]
+    atom_idx = [p.index[a] for a in atoms]
+    joinable = _joinable(p)
+    for i, x in enumerate(els):  # G2
+        # the atoms a with a not<= x and join(a, x) nonempty
+        good = sum(1 << a for a in atom_idx) & ~p.below[i] & joinable[i]
+        for size in range(r[i] + 1, top_rank + 1):
+            for A in itertools.combinations(atom_idx, size):
+                if sum(1 << a for a in A) & good:
+                    continue
+                common = functools.reduce(operator.and_, (p.above[a] for a in A))
+                for y in _bits(p.minimal_of_mask(common)):
+                    if r[y] == size:
+                        raise AxiomViolation("G2", (x, frozenset(els[a] for a in A), els[y]))
     return GeometricPoset(rp, _checked=True)
 
 

@@ -65,9 +65,6 @@ class Poset:
     def leq(self, a, b) -> bool:
         return bool(self.above[self.idx(a)] >> self.idx(b) & 1)
 
-    def lt(self, a, b) -> bool:
-        return a != b and self.leq(a, b)
-
     def _ids(self, mask: int) -> tuple:
         return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
@@ -143,13 +140,7 @@ def transitive_reduction(up) -> list:
     """Cover pairs (i, j) of a strict order given by its strict up-set
     bitmasks ``up``, in row-major order: j covers i iff j is in up[i] and in
     no up[k] with k in up[i] (Aho, Garey and Ullman, 1972)."""
-    covers = []
-    for i, mask in enumerate(up):
-        implied = 0
-        for j in _bits(mask):
-            implied |= up[j]
-        covers += [(i, j) for j in _bits(mask & ~implied)]
-    return covers
+    return [(i, j) for i, mask in enumerate(up) for j in _bits(mask & ~_union(up, mask))]
 
 
 def _bits(mask: int):
@@ -160,8 +151,16 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _union(masks, sel: int) -> int:
+    """OR of masks[i] over the set bits i of sel."""
+    out = 0
+    for i in _bits(sel):
+        out |= masks[i]
+    return out
+
+
 def _assemble(elements, covers) -> Poset:
-    """Build a Poset from already-validated Hasse data."""
+    """Build a Poset from Hasse data over known ids; a cycle raises CycleDetected."""
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     covers_up = [[] for _ in range(n)]
@@ -171,7 +170,7 @@ def _assemble(elements, covers) -> Poset:
         covers_dn[index[b]].append(index[a])
 
     order = _topo_order(n, covers_up)
-    if order is None:  # pragma: no cover - callers pass acyclic data
+    if order is None:
         raise CycleDetected(_find_cycle(elements, covers_up, index))
     above = [1 << i for i in range(n)]
     for i in reversed(order):
@@ -234,36 +233,26 @@ def build_poset(elements, covers) -> Poset:
     """Validating constructor: rejects duplicate ids, unknown ids, cycles,
     and covers implied by transitivity (the Hasse condition)."""
     elements = list(elements)
-    seen = set()
-    for e in elements:
-        if e in seen:
+    index = {}
+    for i, e in enumerate(elements):
+        if index.setdefault(e, i) != i:
             raise DuplicateIdentifier(f"duplicate element id {e!r}")
-        seen.add(e)
-    index = {e: i for i, e in enumerate(elements)}
     covers = [tuple(c) for c in covers]
     cover_set = set()
-    n = len(elements)
-    covers_up = [[] for _ in range(n)]
     for a, b in covers:
-        if a not in index:
-            raise UnknownIdentifier(f"cover references unknown element {a!r}")
-        if b not in index:
-            raise UnknownIdentifier(f"cover references unknown element {b!r}")
+        for end in (a, b):
+            if end not in index:
+                raise UnknownIdentifier(f"cover references unknown element {end!r}")
         if a == b:
             raise CycleDetected([a, b])
         if (a, b) in cover_set:
             raise NonHasseCover((a, b), "duplicate cover pair")
         cover_set.add((a, b))
-        covers_up[index[a]].append(index[b])
-
-    if _topo_order(n, covers_up) is None:
-        raise CycleDetected(_find_cycle(elements, covers_up, index))
 
     p = _assemble(elements, covers)
     for a, b in covers:
-        between = p.above[index[a]] & p.below[index[b]]
-        between &= ~(1 << index[a]) & ~(1 << index[b])
-        if between:
+        i, j = index[a], index[b]
+        if p.above[i] & p.below[j] & ~(1 << i | 1 << j):
             raise NonHasseCover((a, b))
     return p
 
@@ -360,12 +349,12 @@ def compute_rank(p: Poset) -> RankedPoset:
 
 class SimplicialPoset:
     """Bounded-below ranked poset whose every down-set is a Boolean lattice
-    on its atoms.  ``support[x]`` is the set of atoms below x; the rank of x
-    equals ``len(support[x])``."""
+    on its atoms.  ``support[i]`` is the bitmask of the atoms below element
+    i; the rank of an element equals the number of atoms below it."""
 
     __slots__ = ("ranked", "support")
 
-    def __init__(self, ranked: RankedPoset, support: dict):
+    def __init__(self, ranked: RankedPoset, support: tuple):
         self.ranked = ranked
         self.support = support
 
@@ -386,7 +375,7 @@ class SimplicialPoset:
 
     def size(self, x) -> int:
         """Number of atoms below x (the simplicial rank of x)."""
-        return len(self.support[x])
+        return self.support[self.poset.idx(x)].bit_count()
 
     def __repr__(self):
         return f"SimplicialPoset({len(self.elements)} elements, {len(self.atoms())} atoms)"
@@ -397,29 +386,17 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
     map y -> atoms(y): it must be a rank-preserving bijection onto all
     subsets, which forces an order isomorphism."""
     p = rp.poset
-    atoms = rp.atoms()
-    atom_bit = {a: 1 << i for i, a in enumerate(atoms)}
-    supp_bits = {}
-    for e in p.elements:
-        bits = 0
-        for a in atoms:
-            if p.leq(a, e):
-                bits |= atom_bit[a]
-        supp_bits[e] = bits
-    for x in p.elements:
-        down = p.down_set(x)
-        k = bin(supp_bits[x]).count("1")
+    els = p.elements
+    atoms = sum(1 << i for i, e in enumerate(els) if rp.rank[e] == 1)
+    support = tuple(down & atoms for down in p.below)
+    for i, (x, down) in enumerate(zip(els, p.below)):
+        k = support[i].bit_count()
         if rp.rank[x] != k:
             raise NotSimplicial(x, f"rank {rp.rank[x]} != {k} atoms below")
-        if len(down) != 2 ** k:
-            raise NotSimplicial(x, f"|down-set| = {len(down)} != 2^{k}")
-        seen = set()
-        for y in down:
-            if supp_bits[y] in seen:
-                raise NotSimplicial(x, "two elements share the same atom set")
-            seen.add(supp_bits[y])
-    support = {e: frozenset(a for a in atoms if atom_bit[a] & supp_bits[e])
-               for e in p.elements}
+        if down.bit_count() != 2 ** k:
+            raise NotSimplicial(x, f"|down-set| = {down.bit_count()} != 2^{k}")
+        if len({support[y] for y in _bits(down)}) != 2 ** k:
+            raise NotSimplicial(x, "two elements share the same atom set")
     return SimplicialPoset(rp, support)
 
 
@@ -429,10 +406,11 @@ def complement(sp: SimplicialPoset, x, a):
     p = sp.poset
     if not p.leq(a, x):
         raise NotBelow(f"{a!r} is not below {x!r}")
-    target = sp.support[x] - sp.support[a]
-    for y in p.down_set(x):
+    i = p.idx(x)
+    target = sp.support[i] & ~sp.support[p.idx(a)]
+    for y in _bits(p.below[i]):
         if sp.support[y] == target:
-            return y
+            return p.elements[y]
     raise AssertionError(f"no complement of {a!r} in down-set of {x!r}")  # pragma: no cover
 
 
@@ -497,23 +475,24 @@ def is_geometric_lattice(rp) -> LatticeCheck:
             return LatticeCheck(False, "ranked", (exc.element,))
     p = rp.poset
     els = p.elements
-    for a, b in itertools.combinations(els, 2):
-        if bin(p.join_mask((a, b))).count("1") != 1:
-            return LatticeCheck(False, "lattice", (a, b, "join"))
-        if bin(p.meet_mask((a, b))).count("1") != 1:
-            return LatticeCheck(False, "lattice", (a, b, "meet"))
-    join = {}
-    meet = {}
-    for a, b in itertools.combinations(els, 2):
-        join[(a, b)] = p._ids(p.join_mask((a, b)))[0]
-        meet[(a, b)] = p._ids(p.meet_mask((a, b)))[0]
-    for a, b in itertools.combinations(els, 2):
-        if rp.rank[a] + rp.rank[b] < rp.rank[join[(a, b)]] + rp.rank[meet[(a, b)]]:
-            return LatticeCheck(False, "semimodular", (a, b))
-    for x in els:
-        below_atoms = [a for a in rp.atoms() if p.leq(a, x)]
-        j = p._ids(p.join_mask(below_atoms))
-        if j != (x,):
+    r = [rp.rank[e] for e in els]
+    pairs = []  # (i, j, join, meet) as indices
+    for i, j in itertools.combinations(range(len(els)), 2):
+        join = p.minimal_of_mask(p.above[i] & p.above[j])
+        meet = p.maximal_of_mask(p.below[i] & p.below[j])
+        for kind, m in (("join", join), ("meet", meet)):
+            if m.bit_count() != 1:
+                return LatticeCheck(False, "lattice", (els[i], els[j], kind))
+        pairs.append((i, j, join.bit_length() - 1, meet.bit_length() - 1))
+    for i, j, u, m in pairs:
+        if r[i] + r[j] < r[u] + r[m]:
+            return LatticeCheck(False, "semimodular", (els[i], els[j]))
+    atoms = sum(1 << i for i, k in enumerate(r) if k == 1)
+    for i, x in enumerate(els):
+        common = (1 << len(els)) - 1
+        for a in _bits(p.below[i] & atoms):
+            common &= p.above[a]
+        if p.minimal_of_mask(common) != 1 << i:
             return LatticeCheck(False, "atomic", (x,))
     return LatticeCheck(True)
 

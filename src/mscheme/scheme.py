@@ -12,8 +12,10 @@ satisfying:
   M5  rho(x) < rho(y) implies some atom a <= y, a not below x,
       with join(x,a) nonempty
 
-Axiom checking is O(|S|^2 * joins) brute force; violations report the first
-offending tuple in declaration order, checked in axiom order M1..M5.
+The axioms are checked exhaustively on the poset's index bitmasks: M3 takes
+one join and meet per joinable pair, M1, M2, M4 and M5 one mask per element.
+Violations report the first offending tuple in declaration order, checked in
+axiom order M1..M5.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .poset import (
     Poset,
     RankedPoset,
     SimplicialPoset,
+    _bits,
+    _union,
     complement,
     compute_rank,
     verify_simplicial,
@@ -101,6 +105,21 @@ def _meet_of_joinable(p: Poset, a, b):
     return ids[0]
 
 
+def _less_than(values) -> list:
+    """``lt[k]``: bitmask of the i with ``values[i] < k``; ``lt[-1]`` has all."""
+    lt = [0] * (max(values, default=0) + 2)
+    for i, v in enumerate(values):
+        lt[v + 1] |= 1 << i
+    return list(itertools.accumulate(lt, int.__or__))
+
+
+def _joinable(p: Poset) -> list:
+    """``joinable[i]``: bitmask of the elements sharing an upper bound with
+    element i, the OR of ``below[u]`` over the maximal u in ``above[i]``."""
+    tops = p.maximal_of_mask(_full(p))
+    return [_union(p.below, up & tops) for up in p.above]
+
+
 def validate_scheme(sp: SimplicialPoset, rho: dict) -> MatroidScheme:
     """Exhaustively check M1-M5; return the scheme or raise the first
     violation in axiom order with a deterministic witness."""
@@ -109,44 +128,39 @@ def validate_scheme(sp: SimplicialPoset, rho: dict) -> MatroidScheme:
     for e in els:
         if e not in rho:
             raise UnknownIdentifier(f"rho undefined on {e!r}")
-
-    for x in els:  # M1
-        if not 0 <= rho[x] <= sp.size(x):
-            raise AxiomViolation("M1", (x,), f"rho={rho[x]}, |x|={sp.size(x)}")
-    for x in els:  # M2
-        for y in els:
-            if p.lt(x, y) and rho[x] > rho[y]:
-                raise AxiomViolation("M2", (x, y))
-    join_cache = {}
-    for x, y in itertools.combinations(els, 2):
-        join_cache[(x, y)] = p._ids(p.join_mask((x, y)))
-    for x, y in itertools.combinations(els, 2):  # M3
-        ups = join_cache[(x, y)]
-        if not ups:
-            continue
-        m = _meet_of_joinable(p, x, y)
-        for u in ups:
-            if rho[x] + rho[y] < rho[u] + rho[m]:
-                raise AxiomViolation("M3", (x, y, u, m))
-    for x in els:  # M4
-        for y in els:
-            if x == y:
-                continue
-            key = (x, y) if (x, y) in join_cache else (y, x)
-            if join_cache[key]:
-                continue
-            for l in p._ids(p.meet_mask((x, y))):
-                if rho[x] == rho[l]:
-                    raise AxiomViolation("M4", (x, y, l))
-    atoms = sp.atoms()
-    atom_join = {(x, a): bool(p.join_mask((x, a))) for x in els for a in atoms}
-    for x in els:  # M5
-        for y in els:
-            if rho[x] >= rho[y]:
-                continue
-            if not any(p.leq(a, y) and not p.leq(a, x) and atom_join[(x, a)]
-                       for a in atoms):
-                raise AxiomViolation("M5", (x, y))
+    r = [rho[e] for e in els]
+    above, below = p.above, p.below
+    for i, x in enumerate(els):  # M1
+        k = sp.support[i].bit_count()
+        if not 0 <= r[i] <= k:
+            raise AxiomViolation("M1", (x,), f"rho={r[i]}, |x|={k}")
+    lt = _less_than(r)
+    for i, x in enumerate(els):  # M2
+        bad = above[i] & lt[r[i]]
+        if bad:
+            raise AxiomViolation("M2", (x, els[next(_bits(bad))]))
+    joinable = _joinable(p)
+    for i, x in enumerate(els):  # M3
+        for j in _bits(joinable[i] >> (i + 1) << (i + 1)):
+            # the meet of a joinable pair is unique in a simplicial poset
+            m = p.maximal_of_mask(below[i] & below[j]).bit_length() - 1
+            for u in _bits(p.minimal_of_mask(above[i] & above[j])):
+                if r[i] + r[j] < r[u] + r[m]:
+                    raise AxiomViolation("M3", (x, els[j], els[u], els[m]))
+    for i, x in enumerate(els):  # M4
+        # by M2, one l in `same` below y puts a maximal common lower bound there
+        same = below[i] & lt[r[i] + 1] & ~lt[r[i]]
+        bad = _union(above, same) & ~joinable[i]
+        if bad:
+            j = next(_bits(bad))
+            meet = p.maximal_of_mask(below[i] & below[j]) & same
+            raise AxiomViolation("M4", (x, els[j], els[next(_bits(meet))]))
+    atoms = sum(s for i, s in enumerate(sp.support) if s == 1 << i)  # an atom is its own support
+    for i, x in enumerate(els):  # M5
+        reach = _union(above, atoms & ~below[i] & joinable[i])
+        bad = lt[-1] & ~lt[r[i] + 1] & ~reach
+        if bad:
+            raise AxiomViolation("M5", (x, els[next(_bits(bad))]))
     return MatroidScheme(sp, rho, _checked=True)
 
 
@@ -190,12 +204,10 @@ def closure(m: MatroidScheme, x):
     if m._closure is None:
         p = m.poset
         els = m.elements
-        same_rho = {}
-        for i, e in enumerate(els):
-            same_rho[m.rho[e]] = same_rho.get(m.rho[e], 0) | 1 << i
+        lt = _less_than([m.rho[e] for e in els])
         cl = {}
         for i, e in enumerate(els):
-            top = p.maximal_of_mask(p.above[i] & same_rho[m.rho[e]])
+            top = p.maximal_of_mask(p.above[i] & lt[m.rho[e] + 1] & ~lt[m.rho[e]])
             assert not top & (top - 1), \
                 f"closure of {e!r} not unique: {p._ids(top)}"
             cl[e] = els[top.bit_length() - 1]
@@ -247,35 +259,29 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
             raise UnknownIdentifier(f"unknown element {x!r} in independence set")
     if not ind:
         raise AxiomViolation("I1", ())
-    for y in els:  # I2
-        if y in ind:
-            for x in p.down_set(y):
-                if x not in ind:
-                    raise AxiomViolation("I2", (x, y))
-    atoms = sp.atoms()
-    for x in els:  # I3
-        if x not in ind:
-            continue
-        for y in els:
-            if y not in ind or sp.size(x) >= sp.size(y):
-                continue
-            if not any(p.leq(a, y) and not p.leq(a, x)
-                       and _join_inside(p, x, a, ind)
-                       for a in atoms):
-                raise AxiomViolation("I3", (x, y))
+    above, below = p.above, p.below
     ind_mask = sum(1 << p.index[x] for x in ind)
-    max_ind_below = {x: p._ids(p.maximal_of_mask(p.below[i] & ind_mask))
-                     for i, x in enumerate(els)}
-    for x in els:  # I4
-        for y in els:
-            for z in max_ind_below[x]:
-                if p.leq(z, y) and not p.join_mask((x, y)):
-                    raise AxiomViolation("I4", (x, y, z))
-
-
-def _join_inside(p: Poset, x, a, ind) -> bool:
-    ups = p._ids(p.join_mask((x, a)))
-    return bool(ups) and all(u in ind for u in ups)
+    for j in _bits(ind_mask):  # I2
+        bad = below[j] & ~ind_mask
+        if bad:
+            raise AxiomViolation("I2", (els[next(_bits(bad))], els[j]))
+    atoms = sum(s for i, s in enumerate(sp.support) if s == 1 << i)
+    size = [s.bit_count() for s in sp.support]
+    lt = _less_than(size)
+    joinable = _joinable(p)
+    for i in _bits(ind_mask):  # I3
+        # the atoms a not below x whose (nonempty) join with x is independent
+        inside = sum(1 << a for a in _bits(atoms & ~below[i] & joinable[i])
+                     if not p.minimal_of_mask(above[i] & above[a]) & ~ind_mask)
+        bad = ind_mask & ~lt[size[i] + 1] & ~_union(above, inside)
+        if bad:
+            raise AxiomViolation("I3", (els[i], els[next(_bits(bad))]))
+    for i, x in enumerate(els):  # I4
+        tops = p.maximal_of_mask(below[i] & ind_mask)
+        bad = _union(above, tops) & ~joinable[i]
+        if bad:
+            j = next(_bits(bad))
+            raise AxiomViolation("I4", (x, els[j], els[next(_bits(tops & below[j]))]))
 
 
 def scheme_from_independence(sp: SimplicialPoset, ind) -> MatroidScheme:
@@ -285,9 +291,7 @@ def scheme_from_independence(sp: SimplicialPoset, ind) -> MatroidScheme:
     validate_independence(sp, ind)
     ind = set(ind)
     p = sp.poset
-    rho = {}
-    for x in p.elements:
-        rho[x] = max(sp.size(z) for z in p.down_set(x) if z in ind)
+    rho = {x: max(sp.size(z) for z in p.down_set(x) if z in ind) for x in p.elements}
     m = validate_scheme(sp, rho)
     assert independence(m) == frozenset(ind), "independence poset mismatch"
     return m

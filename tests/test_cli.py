@@ -225,3 +225,31 @@ def test_inline_group_shape_faults_are_input_errors(capsys, tmp_path, monkeypatc
         code = main(["construct", "dowling", "-n", "2", "--action", str(path)])
         err = capsys.readouterr().err
         assert code == 2 and "input error:" in err and "inline group" in err
+
+
+def test_construct_option_faults_are_input_errors(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    action = ["--group", "z2.json", "--action", "t2_trivial.json"]
+    for argv in (["dowling", *action],
+                 ["dowling", "-n", "abc", *action],
+                 ["dowling", "-n", "-1", *action],
+                 ["dowling", "-n", "2", "--group", "z2.json"],
+                 ["quotient", "--group", "z2.json", "--action", "z2_swap.json"],
+                 ["quotient", "--semimatroid", "semi4.json", "--group", "z2.json"]):
+        code = main(["construct", *argv])
+        err = capsys.readouterr().err
+        assert code == 2 and "input error:" in err and "Traceback" not in err, argv
+    assert not list(tmp_path.iterdir())
+
+
+def test_arrangement_faults_are_input_errors(capsys, tmp_path):
+    """A file that cannot be read as an arrangement exits 2, not 1."""
+    path = tmp_path / "arr.json"
+    for n, alphas in (("x", []), (2, [[0, 0]]), (2, [[2, 4]]),
+                      (2, [[1, 1], [-1, -1]]), (2, [[1, 1, 1]])):
+        files.dump_doc({"n": n, "characters": [{"alpha": a, "phase": "0"}
+                                               for a in alphas]}, path)
+        code = main(["construct", "toric", str(path), "--out", str(tmp_path / "o.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and "input error:" in captured.err, (n, alphas)
+        assert "Traceback" not in captured.err and "error:" not in captured.out

@@ -292,3 +292,136 @@ def test_check_loop_del_contr(loop_scheme, qfix2, isth):
     # and indeed the deletion and contraction by the isthmus differ
     from mscheme import scheme_isomorphism
     assert scheme_isomorphism(delete(isth, "a"), contract(isth, "a")) is None
+
+
+# --- witness referee: the validators against the definitions ----------------
+
+REFEREE_SIZE_LIMIT = 80
+
+
+def _in_order(p, ids):
+    return sorted(ids, key=p.index.get)
+
+
+def _atom_count(sp, x):
+    return sum(sp.poset.leq(a, x) for a in sp.atoms())
+
+
+def first_violation(sp, rho):
+    """(axiom, witness) of the first M1-M5 failure in axiom order, then
+    declaration order, or None; transcribed from the definitions."""
+    p = sp.poset
+    els = p.elements
+    atoms = sp.atoms()
+    for x in els:
+        if not 0 <= rho[x] <= _atom_count(sp, x):
+            return "M1", (x,)
+    for x in els:
+        for y in els:
+            if x != y and p.leq(x, y) and rho[x] > rho[y]:
+                return "M2", (x, y)
+    for x, y in itertools.combinations(els, 2):
+        ups = _in_order(p, upper_bound_minima(p, [x, y]))
+        if ups:
+            # a joinable pair has one meet in a simplicial poset
+            (m,) = lower_bound_maxima(p, [x, y])
+            for u in ups:
+                if rho[x] + rho[y] < rho[u] + rho[m]:
+                    return "M3", (x, y, u, m)
+    for x in els:
+        for y in els:
+            if x != y and not upper_bound_minima(p, [x, y]):
+                for l in _in_order(p, lower_bound_maxima(p, [x, y])):
+                    if rho[x] == rho[l]:
+                        return "M4", (x, y, l)
+    for x in els:
+        for y in els:
+            if rho[x] < rho[y] and not any(
+                    p.leq(a, y) and not p.leq(a, x)
+                    and upper_bound_minima(p, [x, a]) for a in atoms):
+                return "M5", (x, y)
+    return None
+
+
+def first_independence_violation(sp, ind):
+    """(axiom, witness) of the first I1-I4 failure, or None; transcribed
+    from the definitions."""
+    p = sp.poset
+    els = p.elements
+    atoms = sp.atoms()
+    if not ind:
+        return "I1", ()
+    for y in els:
+        if y in ind:
+            for x in els:
+                if p.leq(x, y) and x not in ind:
+                    return "I2", (x, y)
+    for x in els:
+        for y in els:
+            if (x in ind and y in ind
+                    and _atom_count(sp, x) < _atom_count(sp, y)
+                    and not any(p.leq(a, y) and not p.leq(a, x)
+                                and upper_bound_minima(p, [x, a])
+                                and upper_bound_minima(p, [x, a]) <= ind
+                                for a in atoms)):
+                return "I3", (x, y)
+    for x in els:
+        below = [z for z in els if z in ind and p.leq(z, x)]
+        tops = [z for z in below
+                if not any(w != z and p.leq(z, w) for w in below)]
+        for y in els:
+            if not upper_bound_minima(p, [x, y]):
+                for z in tops:
+                    if p.leq(z, y):
+                        return "I4", (x, y, z)
+    return None
+
+
+def _raised(validator, *args):
+    try:
+        validator(*args)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def _independence_corruptions(rng, m):
+    """The independence set itself, then sets that keep or break I2: one
+    basis dropped, one circuit added, the down-closure of a random subset
+    and a random subset."""
+    p = m.poset
+    ind = set(independence(m))
+    yield ind
+    bs = _in_order(p, bases(m))
+    yield ind - {rng.choice(bs)}
+    cs = _in_order(p, circuits(m))
+    if cs:
+        yield ind | {rng.choice(cs)}
+    picked = [e for e in m.elements if rng.random() < 0.3]
+    yield {x for e in picked for x in p.down_set(e)}
+    yield set(picked)
+
+
+def test_validators_match_definition_witnesses(corpus):
+    """On seeded corruptions of every corpus scheme up to
+    REFEREE_SIZE_LIMIT elements, validate_scheme and validate_independence
+    raise the first (axiom, witness) of the definitions."""
+    rng = random.Random(20240814)
+    seen = set()
+    for name, m in corpus.schemes():
+        if len(m.elements) > REFEREE_SIZE_LIMIT:
+            continue
+        sp = m.s
+        for e in [None] + rng.sample(m.elements, min(4, len(m.elements))):
+            rho = dict(m.rho)
+            if e is not None:
+                rho[e] += rng.choice((-1, 1))
+            expected = first_violation(sp, rho)
+            assert _raised(validate_scheme, sp, rho) == expected, (name, e)
+            seen.add(expected and expected[0])
+        for ind in _independence_corruptions(rng, m):
+            expected = first_independence_violation(sp, ind)
+            assert _raised(validate_independence, sp, ind) == expected, \
+                (name, sorted(ind, key=m.poset.index.get))
+            seen.add(expected and expected[0])
+    assert {"M1", "M2", "M3", "M4", "M5", "I1", "I2", "I3", "I4"} <= seen, seen
