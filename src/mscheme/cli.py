@@ -294,6 +294,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        if args.cap_atoms < 0:
+            raise MalformedInput(f"--cap-atoms must be at least 0, not {args.cap_atoms}")
         code = args.func(args)
     except MalformedInput as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
 from .polynomials import BivariatePolynomial
-from .poset import build_poset, compute_rank, transitive_reduction, verify_simplicial
+from .poset import build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
 from .tutte import X_MINUS_1, Y_MINUS_1, tutte_direct
 
@@ -340,12 +340,11 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
         assert len(ranks) == 1, f"rho not constant on orbit {name}"
         rho_g[name] = ranks.pop()
 
-    def orbit_leq(a, b) -> bool:
-        return any(face_image(g, reps[a]) <= reps[b] for g in G.elements)
-
-    up = [sum(1 << j for j, b in enumerate(names) if b != a and orbit_leq(a, b))
-          for a in names]
-    covers = [(names[i], names[j]) for i, j in transitive_reduction(up)]
+    # the orbits of the face covers (f - v, f): all faces of an orbit have
+    # one size, so an orbit order step of one vertex is a cover
+    pos = {name: k for k, name in enumerate(names)}
+    covers = sorted({(orbit_of[f - {v}], orbit_of[f]) for f in sm.faces for v in f},
+                    key=lambda c: (pos[c[0]], pos[c[1]]))
     sp = verify_simplicial(compute_rank(build_poset(names, covers)))
     scheme = validate_scheme(sp, rho_g)
 

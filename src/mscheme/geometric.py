@@ -26,7 +26,6 @@ from .poset import (
     find_isomorphism,
     is_geometric_lattice,
     iter_isomorphisms,
-    transitive_reduction,
     verify_simplicial,
 )
 from .scheme import (
@@ -112,42 +111,41 @@ def pair_id(atom_set, x) -> str:
 def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     """The simple scheme whose elements are pairs (I, x) with I a set of
     atoms and x minimal above I, ordered by containment-and-order, with
-    rho(I, x) the rank of x.  The result is validated, asserted simple, and
-    its flats poset is asserted isomorphic to the input via the embedding
-    x -> (atoms below x, x)."""
+    rho(I, x) the rank of x.  The covers of (I, x) are the (I + a, y) with
+    a an atom not in I and y minimal above x and a: the join of I + a in
+    the geometric lattice below y.  The result is validated, asserted
+    simple, and its flats poset is asserted isomorphic to the input via the
+    embedding x -> (atoms below x, x)."""
     rp = gp.ranked
     p = rp.poset
-    atoms = rp.atoms()
-    atoms_below = {x: tuple(a for a in atoms if p.leq(a, x)) for x in p.elements}
+    els = p.elements
+    above, below = p.above, p.below
+    atoms = sum(1 << p.index[a] for a in rp.atoms())
 
-    pairs = []  # (atom frozenset, poset element)
-    for x in p.elements:
-        candidates = atoms_below[x]
-        strict_below = [y for y in p.down_set(x) if y != x]
+    index = {}  # (atom mask I, poset index x) -> pair index
+    for x in range(len(els)):
+        candidates = list(_bits(below[x] & atoms))
         for size in range(len(candidates) + 1):
             for combo in itertools.combinations(candidates, size):
-                cset = set(combo)
-                # x is a minimal upper bound of I iff nothing below x
-                # already bounds I
-                if not any(cset <= set(atoms_below[y]) for y in strict_below):
-                    pairs.append((frozenset(combo), x))
-
-    ids = [pair_id(i, x) for i, x in pairs]
+                # x is minimal above I iff nothing else below x bounds I
+                if functools.reduce(operator.and_, (above[a] for a in combo), below[x]) == 1 << x:
+                    index[(sum(1 << a for a in combo), x)] = len(index)
+    pairs = list(index)
+    ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     assert len(set(ids)) == len(ids), "pair identifiers collide"
-    n = len(pairs)
-    up = [0] * n  # strict up-sets as bitmasks
-    for i, (I, x) in enumerate(pairs):
-        for j, (J, y) in enumerate(pairs):
-            if i != j and I <= J and p.leq(x, y):
-                up[i] |= 1 << j
-    covers = [(ids[i], ids[j]) for i, j in transitive_reduction(up)]
+    covers = sorted((k, index[(I | 1 << a, y)])
+                    for k, (I, x) in enumerate(pairs)
+                    for a in _bits(atoms & ~I)
+                    for y in _bits(p.minimal_of_mask(above[x] & above[a])))
+    covers = [(ids[i], ids[j]) for i, j in covers]
 
     sp = verify_simplicial(compute_rank(build_poset(ids, covers)))
-    rho = {ids[i]: rp.rank[pairs[i][1]] for i in range(n)}
+    rho = {pid: rp.rank[els[x]] for pid, (_, x) in zip(ids, pairs)}
     m = validate_scheme(sp, rho)
     assert is_simple(m), "scheme built from a geometric poset must be simple"
 
-    embed = {x: pair_id(atoms_below[x], x) for x in p.elements}
+    embed = {x: pair_id([els[a] for a in _bits(below[i] & atoms)], x)
+             for i, x in enumerate(els)}
     fl = flats(m)
     assert sorted(embed.values()) == sorted(fl.elements), \
         "flats of the built scheme do not match the input poset"

@@ -112,24 +112,14 @@ class Poset:
             common &= self.below[self.idx(t)]
         return self.maximal_of_mask(common)
 
-    def subposet(self, keep: int, *, covers_restrict: bool = False) -> "Poset":
+    def subposet(self, keep: int) -> "Poset":
         """Induced subposet on the bitmask ``keep`` (kept in declaration
-        order), its covers found by :func:`transitive_reduction`.
-
-        With ``covers_restrict=True`` the parent's covers between kept
-        elements are reused, which is valid exactly when ``keep`` is an
-        order ideal or filter: everything between two kept elements is then
-        kept, so no cover is bridged.
-        """
-        els = self.elements
-        if covers_restrict:
-            idx = self.index
-            covers = [(a, b) for a, b in self.covers
-                      if keep >> idx[a] & 1 and keep >> idx[b] & 1]
-        else:
-            up = [self.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0
-                  for i in range(len(els))]
-            covers = [(els[i], els[j]) for i, j in transitive_reduction(up)]
+        order).  ``keep`` must be convex (an order ideal, a filter or an
+        interval): everything between two kept elements is then kept, so
+        the parent's covers between kept elements are its covers."""
+        idx = self.index
+        covers = [(a, b) for a, b in self.covers
+                  if keep >> idx[a] & 1 and keep >> idx[b] & 1]
         return _assemble(self._ids(keep), covers)
 
     def __repr__(self):

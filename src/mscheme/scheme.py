@@ -12,8 +12,9 @@ satisfying:
   M5  rho(x) < rho(y) implies some atom a <= y, a not below x,
       with join(x,a) nonempty
 
-The axioms are checked exhaustively on the poset's index bitmasks: M3 takes
-one join and meet per joinable pair, M1, M2, M4 and M5 one mask per element.
+The axioms are checked exhaustively on the poset's index bitmasks: M3 reads
+the join and meet of each joinable pair from masks of the elements with a
+given number of atoms below, M1, M2, M4 and M5 take one mask per element.
 Violations report the first offending tuple in declaration order, checked in
 axiom order M1..M5.
 """
@@ -33,10 +34,12 @@ from .poset import (
     Poset,
     RankedPoset,
     SimplicialPoset,
+    _assemble,
     _bits,
     _union,
     complement,
     compute_rank,
+    transitive_reduction,
     verify_simplicial,
 )
 
@@ -130,21 +133,26 @@ def validate_scheme(sp: SimplicialPoset, rho: dict) -> MatroidScheme:
             raise UnknownIdentifier(f"rho undefined on {e!r}")
     r = [rho[e] for e in els]
     above, below = p.above, p.below
+    supp = sp.support
+    size = [k.bit_count() for k in supp]
     for i, x in enumerate(els):  # M1
-        k = sp.support[i].bit_count()
-        if not 0 <= r[i] <= k:
-            raise AxiomViolation("M1", (x,), f"rho={r[i]}, |x|={k}")
+        if not 0 <= r[i] <= size[i]:
+            raise AxiomViolation("M1", (x,), f"rho={r[i]}, |x|={size[i]}")
     lt = _less_than(r)
     for i, x in enumerate(els):  # M2
         bad = above[i] & lt[r[i]]
         if bad:
             raise AxiomViolation("M2", (x, els[next(_bits(bad))]))
     joinable = _joinable(p)
+    # sized[k]: the elements with k atoms below
+    sized = [b & ~a for a, b in itertools.pairwise(_less_than(size))]
     for i, x in enumerate(els):  # M3
         for j in _bits(joinable[i] >> (i + 1) << (i + 1)):
-            # the meet of a joinable pair is unique in a simplicial poset
-            m = p.maximal_of_mask(below[i] & below[j]).bit_length() - 1
-            for u in _bits(p.minimal_of_mask(above[i] & above[j])):
+            # in a simplicial poset a joinable pair has one meet, the common
+            # lower bound with |supp[i] & supp[j]| atoms, and its joins are
+            # the common upper bounds with |supp[i] | supp[j]| atoms
+            m = (below[i] & below[j] & sized[(supp[i] & supp[j]).bit_count()]).bit_length() - 1
+            for u in _bits(above[i] & above[j] & sized[(supp[i] | supp[j]).bit_count()]):
                 if r[i] + r[j] < r[u] + r[m]:
                     raise AxiomViolation("M3", (x, els[j], els[u], els[m]))
     for i, x in enumerate(els):  # M4
@@ -169,12 +177,10 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     rho lowered by ``shift``: the one constructor behind localization,
     deletion, contraction, restriction and the Tutte recursion.
 
-    An ideal or filter keeps everything between two kept elements, so
-    :meth:`Poset.subposet` reuses the parent's covers instead of running a
-    transitive reduction.  The minor is ranked and re-verified simplicial,
-    but not re-validated against M1-M5: the operations are theorem-backed
-    and the property tests re-validate."""
-    sub = m.poset.subposet(keep, covers_restrict=True)
+    The minor is ranked and re-verified simplicial, but not re-validated
+    against M1-M5: the operations are theorem-backed and the property tests
+    re-validate."""
+    sub = m.poset.subposet(keep)
     sp = verify_simplicial(compute_rank(sub))
     return MatroidScheme(sp, {e: m.rho[e] - shift for e in sub.elements},
                          _checked=True)
@@ -218,11 +224,16 @@ def closure(m: MatroidScheme, x):
 
 def flats(m: MatroidScheme) -> RankedPoset:
     """Subposet of closed elements, ranked by rho and bounded below by the
-    closure of the bottom element."""
+    closure of the bottom element.  The closed elements need not be convex,
+    so their covers come from a transitive reduction."""
     if m._flats_cache is None:
-        closed = [e for e in m.elements if closure(m, e) == e]
-        sub = m.poset.subposet(sum(1 << m.poset.idx(e) for e in closed))
-        m._flats_cache = RankedPoset(sub, {e: m.rho[e] for e in closed})
+        p = m.poset
+        els = p.elements
+        keep = sum(1 << i for i, e in enumerate(els) if closure(m, e) == e)
+        up = [p.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0
+              for i in range(len(els))]
+        sub = _assemble(p._ids(keep), [(els[i], els[j]) for i, j in transitive_reduction(up)])
+        m._flats_cache = RankedPoset(sub, {e: m.rho[e] for e in sub.elements})
     return m._flats_cache
 
 

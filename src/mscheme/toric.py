@@ -29,7 +29,7 @@ from .errors import (
     NotInArrangement,
 )
 from .geometric import pair_id, scheme_from_geometric, validate_geometric
-from .poset import build_poset, compute_rank, transitive_reduction
+from .poset import build_poset, compute_rank
 from .scheme import contract, delete, localization, scheme_isomorphism
 
 
@@ -270,14 +270,6 @@ class Layer:
         total = sum((c * p for c, p in zip(coeffs, self.phases)), Fraction(0))
         return _parse_phase(total)
 
-    def contains(self, other: "Layer") -> bool:
-        """Point-set containment (other inside self): every basis row of
-        self must lie in other's lattice with the matching phase."""
-        for row, ph in zip(self.basis, self.phases):
-            if other.phase_of(row) != ph:
-                return False
-        return True
-
     def __repr__(self):
         return f"Layer({self.layer_id})"
 
@@ -348,6 +340,8 @@ class ToricArrangement:
     __slots__ = ("n", "characters")
 
     def __init__(self, n: int, characters):
+        if n < 0:
+            raise DimensionMismatch(f"torus rank {n} is negative")
         self.n = n
         chars = []
         seen = set()
@@ -386,15 +380,21 @@ class LayersResult:
 def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersResult:
     """Breadth-first closure of the ambient layer under intersection with
     every hypersurface, ordered by reverse inclusion, certified geometric,
-    with the simple scheme attached."""
+    with the simple scheme attached.  The covers are the intersection steps
+    that cut a layer down: layers are saturated, so a piece of L meet H_c
+    other than L has rank(L) + 1, and a layer M of rank(L) + 1 inside L is a
+    piece of L meet H_c for any H_c that contains M but not L."""
     start = ambient_layer(arr.n)
     layers = {start.layer_id: start}
+    steps = set()
     frontier = [start]
     while frontier:
         new = []
         for layer in frontier:
             for c in arr.characters:
                 for piece in intersect_layer(layer, c):
+                    if piece.rank > layer.rank:
+                        steps.add((layer.layer_id, piece.layer_id))
                     if piece.layer_id not in layers:
                         layers[piece.layer_id] = piece
                         new.append(piece)
@@ -402,9 +402,8 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
 
     ordered = sorted(layers.values(), key=lambda L: (L.rank, L.layer_id))
     ids = [L.layer_id for L in ordered]
-    up = [sum(1 << j for j, b in enumerate(ordered) if j != i and a.contains(b))
-          for i, a in enumerate(ordered)]
-    covers = [(ids[i], ids[j]) for i, j in transitive_reduction(up)]
+    pos = {lid: k for k, lid in enumerate(ids)}
+    covers = sorted(steps, key=lambda c: (pos[c[0]], pos[c[1]]))
     rp = compute_rank(build_poset(ids, covers))
     for L in ordered:
         assert rp.rank[L.layer_id] == L.rank, "poset rank differs from lattice rank"
@@ -417,12 +416,10 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
         pieces = intersect_layer(start, c)
         assert len(pieces) == 1, "a primitive hypersurface is a single layer"
         atom_of[c.canonical_key()] = pieces[0].layer_id
-    atoms_below = {}
     p = rp.poset
-    for L in ordered:
-        atoms_below[L.layer_id] = [a for a in rp.atoms() if p.leq(a, L.layer_id)]
-    scheme_element_of = {
-        L.layer_id: pair_id(atoms_below[L.layer_id], L.layer_id) for L in ordered}
+    atoms = sum(1 << p.index[a] for a in rp.atoms())
+    scheme_element_of = {lid: pair_id(p._ids(p.below[k] & atoms), lid)
+                         for k, lid in enumerate(ids)}
     return LayersResult(gp, scheme, dict(zip(ids, ordered)), atom_of,
                         scheme_element_of)
 
@@ -555,7 +552,7 @@ def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrR
         # layer-poset comparison: sublayers of the hypersurface, re-ranked
         fp = full.geometric.ranked
         above = fp.poset.above[fp.poset.idx(atom_layer)]
-        sub = RankedPoset(fp.poset.subposet(above, covers_restrict=True),
+        sub = RankedPoset(fp.poset.subposet(above),
                           {e: fp.rank[e] - 1 for e in fp.poset._ids(above)})
         iso_restr = find_isomorphism(restricted.geometric.ranked, sub)
 

@@ -95,6 +95,25 @@ def _random_arrangement(rng: random.Random, n: int, count: int) -> ToricArrangem
     return ToricArrangement(n, chars)
 
 
+def dowling_inputs() -> list:
+    """(label, n, action) of the corpus Dowling posets."""
+    z1 = cyclic_group(1)
+    z2 = cyclic_group(2)
+    one, two = ["+1"], ["+1", "-1"]
+    swap2 = GroupAction(z2, two, {("e", "+1"): "+1", ("e", "-1"): "-1",
+                                  ("g", "+1"): "-1", ("g", "-1"): "+1"})
+    return [
+        ("d1_triv", 1, trivial_action(z2, two)),
+        ("d1_swap", 1, swap2),
+        ("d2_triv", 2, trivial_action(z2, two)),
+        ("d2_swap", 2, swap2),
+        ("d2_point", 2, trivial_action(z2, one)),
+        ("d3_plain", 3, trivial_action(z1, one)),
+        ("d3_colors", 3, trivial_action(z1, two)),
+        ("d3_group", 3, trivial_action(z2, one)),
+    ]
+
+
 def build_corpus(seed: int = 0) -> Corpus:
     rng = random.Random(seed)
     corpus = Corpus()
@@ -120,22 +139,7 @@ def build_corpus(seed: int = 0) -> Corpus:
         corpus.add(f"linear_{label}", scheme_from_matroid(linear_matroid(mat)),
                    "linear")
 
-    z1 = cyclic_group(1)
-    z2 = cyclic_group(2)
-    one, two = ["+1"], ["+1", "-1"]
-    swap2 = GroupAction(z2, two, {("e", "+1"): "+1", ("e", "-1"): "-1",
-                                  ("g", "+1"): "-1", ("g", "-1"): "+1"})
-    dowlings = [
-        ("d1_triv", 1, trivial_action(z2, two)),
-        ("d1_swap", 1, swap2),
-        ("d2_triv", 2, trivial_action(z2, two)),
-        ("d2_swap", 2, swap2),
-        ("d2_point", 2, trivial_action(z2, one)),
-        ("d3_plain", 3, trivial_action(z1, one)),
-        ("d3_colors", 3, trivial_action(z1, two)),
-        ("d3_group", 3, trivial_action(z2, one)),
-    ]
-    for label, n, act in dowlings:
+    for label, n, act in dowling_inputs():
         _, scheme = dowling_poset(n, act)
         corpus.add(f"dowling_{label}", scheme, "dowling")
 

@@ -49,6 +49,11 @@ def test_check_exit_codes(capsys, tmp_path):
     code, out = run_cli(capsys, "check", "geometric", "notgeom.json")
     assert code == 1 and "G2" in out
 
+    code = main(["--cap-atoms", "-1", "check", "geometric", "notgeom.json"])
+    captured = capsys.readouterr()
+    assert code == 2 and "input error:" in captured.err and "Traceback" not in captured.err
+    assert not captured.out
+
     code, out = run_cli(capsys, "check", "semimatroid", "semi4.json")
     assert code == 0 and "valid semimatroid" in out
 
@@ -230,13 +235,14 @@ def test_inline_group_shape_faults_are_input_errors(capsys, tmp_path, monkeypatc
 def test_construct_option_faults_are_input_errors(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     action = ["--group", "z2.json", "--action", "t2_trivial.json"]
-    for argv in (["dowling", *action],
-                 ["dowling", "-n", "abc", *action],
-                 ["dowling", "-n", "-1", *action],
-                 ["dowling", "-n", "2", "--group", "z2.json"],
-                 ["quotient", "--group", "z2.json", "--action", "z2_swap.json"],
-                 ["quotient", "--semimatroid", "semi4.json", "--group", "z2.json"]):
-        code = main(["construct", *argv])
+    for argv in (["construct", "dowling", *action],
+                 ["construct", "dowling", "-n", "abc", *action],
+                 ["construct", "dowling", "-n", "-1", *action],
+                 ["construct", "dowling", "-n", "2", "--group", "z2.json"],
+                 ["construct", "quotient", "--group", "z2.json", "--action", "z2_swap.json"],
+                 ["construct", "quotient", "--semimatroid", "semi4.json", "--group", "z2.json"],
+                 ["--cap-atoms", "-1", "construct", "toric", "toric1.json"]):
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 2 and "input error:" in err and "Traceback" not in err, argv
     assert not list(tmp_path.iterdir())
@@ -246,7 +252,7 @@ def test_arrangement_faults_are_input_errors(capsys, tmp_path):
     """A file that cannot be read as an arrangement exits 2, not 1."""
     path = tmp_path / "arr.json"
     for n, alphas in (("x", []), (2, [[0, 0]]), (2, [[2, 4]]),
-                      (2, [[1, 1], [-1, -1]]), (2, [[1, 1, 1]])):
+                      (2, [[1, 1], [-1, -1]]), (2, [[1, 1, 1]]), (-1, [])):
         files.dump_doc({"n": n, "characters": [{"alpha": a, "phase": "0"}
                                                for a in alphas]}, path)
         code = main(["construct", "toric", str(path), "--out", str(tmp_path / "o.json")])

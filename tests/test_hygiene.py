@@ -1,0 +1,56 @@
+"""Source hygiene of the package, read with the stdlib ``ast`` module: no
+module imports a name it never uses, and every private module-level
+function or class is referenced somewhere in the package."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import mscheme
+
+SRC = Path(mscheme.__file__).parent
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(tree) -> Counter:
+    """Occurrences of each identifier, attribute name and imported name."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, unused
+
+
+def test_private_definitions_are_referenced():
+    total = sum((_names(tree) for tree in MODULES.values()), Counter())
+    unreferenced = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    # references from the definition's own body do not count
+                    and total[node.name] == _names(node)[node.name]):
+                unreferenced.append(f"{name}: {node.name}")
+    assert not unreferenced, unreferenced
