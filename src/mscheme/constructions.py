@@ -13,6 +13,7 @@ import itertools
 from .errors import (
     AxiomViolation,
     MalformedInput,
+    MschemeError,
     NotComplexInvariant,
     NotRankInvariant,
     NotTranslative,
@@ -35,9 +36,38 @@ def set_id(members) -> str:
 
 # --- classical matroids -----------------------------------------------------------
 
+def _rank_steps_hold(table: list) -> bool:
+    """True iff r(X) <= r(X+e) and r(X+e) + r(X+f) >= r(X+e+f) + r(X)
+    wherever those sets are in the family: ``table`` is a rank function
+    indexed by subset bitmask, None off a down-closed family.
+
+    Every set of the family spans a Boolean lattice inside it, where these
+    one-element steps imply monotonicity and submodularity for every pair
+    (Schrijver, *Combinatorial Optimization*, Thm 44.1)."""
+    steps = [1 << e for e in range(len(table).bit_length() - 1)]
+    for X, rx in enumerate(table):
+        if rx is None:
+            continue
+        ups = [X | b for b in steps if not X & b and table[X | b] is not None]
+        for k, Y in enumerate(ups):
+            gain = table[Y] - rx
+            if gain < 0:
+                return False
+            for Z in ups[k + 1:]:
+                top = table[Y | Z]
+                if top is not None and gain + table[Z] < top:
+                    return False
+    return True
+
+
 class Matroid:
     """A ground set with a rank function on all subsets, validated against
-    the three rank axioms (bounds, monotonicity, submodularity)."""
+    the three rank axioms: bounds (R1), monotonicity (R2) and
+    submodularity (R3).
+
+    R2 and R3 are checked on one-element steps, O(n^2 2^n) work.  Only when
+    a step fails do the sweeps over all pairs of subsets run, to name the
+    first witness."""
 
     __slots__ = ("ground", "rank")
 
@@ -45,19 +75,26 @@ class Matroid:
         self.ground = tuple(ground)
         self.rank = {frozenset(k): v for k, v in rank.items()}
         n = len(self.ground)
+        table = [None] * (1 << n)
+        for k in range(n + 1):
+            for combo in itertools.combinations(range(n), k):
+                X = frozenset(self.ground[i] for i in combo)
+                if X not in self.rank:
+                    raise AxiomViolation("R1", (set_id(X),), "rank undefined")
+                if not 0 <= self.rank[X] <= len(X):
+                    raise AxiomViolation("R1", (set_id(X),))
+                table[sum(1 << i for i in combo)] = self.rank[X]
+        if _rank_steps_hold(table):
+            return
         subsets = [frozenset(c) for r in range(n + 1)
                    for c in itertools.combinations(self.ground, r)]
-        for X in subsets:
-            if X not in self.rank:
-                raise AxiomViolation("R1", (set_id(X),), "rank undefined")
-            if not 0 <= self.rank[X] <= len(X):
-                raise AxiomViolation("R1", (set_id(X),))
         for X, Y in itertools.product(subsets, subsets):
             if X <= Y and self.rank[X] > self.rank[Y]:
                 raise AxiomViolation("R2", (set_id(X), set_id(Y)))
         for X, Y in itertools.combinations(subsets, 2):
             if self.rank[X] + self.rank[Y] < self.rank[X | Y] + self.rank[X & Y]:
                 raise AxiomViolation("R3", (set_id(X), set_id(Y)))
+        raise MschemeError("R2/R3 fail on a one-element step but on no pair of subsets")
 
     def __repr__(self):
         full = self.rank[frozenset(self.ground)]
@@ -132,7 +169,11 @@ def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
 
 class Semimatroid:
     """A finite simplicial complex with a rank function satisfying the five
-    semimatroid axioms (checked exhaustively at construction)."""
+    semimatroid axioms, checked at construction.
+
+    S2 (monotonicity) and S3 (submodularity where the union is a face) are
+    checked on one-element steps between faces.  Only when a step fails do
+    the sweeps over all pairs of faces run, to name the first witness."""
 
     __slots__ = ("vertices", "faces", "rank")
 
@@ -160,13 +201,19 @@ class Semimatroid:
         for X in faces:  # S1
             if not 0 <= self.rank[X] <= len(X):
                 raise AxiomViolation("S1", (set_id(X),))
-        for X, Y in itertools.product(faces, faces):  # S2
-            if X <= Y and self.rank[X] > self.rank[Y]:
-                raise AxiomViolation("S2", (set_id(X), set_id(Y)))
-        for X, Y in itertools.combinations(faces, 2):  # S3
-            if X | Y in self.faces:
-                if self.rank[X] + self.rank[Y] < self.rank[X | Y] + self.rank[X & Y]:
-                    raise AxiomViolation("S3", (set_id(X), set_id(Y)))
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        table = [None] * (1 << len(self.vertices))
+        for X in faces:
+            table[sum(bit[v] for v in X)] = self.rank[X]
+        if not _rank_steps_hold(table):
+            for X, Y in itertools.product(faces, faces):  # S2
+                if X <= Y and self.rank[X] > self.rank[Y]:
+                    raise AxiomViolation("S2", (set_id(X), set_id(Y)))
+            for X, Y in itertools.combinations(faces, 2):  # S3
+                if X | Y in self.faces:
+                    if self.rank[X] + self.rank[Y] < self.rank[X | Y] + self.rank[X & Y]:
+                        raise AxiomViolation("S3", (set_id(X), set_id(Y)))
+            raise MschemeError("S2/S3 fail on a one-element step but on no pair of faces")
         for X, Y in itertools.product(faces, faces):  # S4
             if self.rank[X] == self.rank[X & Y] and X | Y not in self.faces:
                 raise AxiomViolation("S4", (set_id(X), set_id(Y)))

@@ -66,7 +66,13 @@ class Poset:
         return bool(self.above[self.idx(a)] >> self.idx(b) & 1)
 
     def _ids(self, mask: int) -> tuple:
-        return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)
+        els = self.elements
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(els[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def down_set(self, e) -> tuple:
         return self._ids(self.below[self.idx(e)])

@@ -16,6 +16,7 @@ parameterizing over it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,7 +243,7 @@ class Layer:
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
+    @functools.cached_property
     def layer_id(self) -> str:
         return _layer_id(self.basis, self.phases)
 

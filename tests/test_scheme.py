@@ -8,6 +8,7 @@ import pytest
 from mscheme import (
     AxiomViolation,
     MatroidScheme,
+    MschemeError,
     NotALoop,
     NotAnAtom,
     bases,
@@ -425,3 +426,61 @@ def test_validators_match_definition_witnesses(corpus):
                 (name, sorted(ind, key=m.poset.index.get))
             seen.add(expected and expected[0])
     assert {"M1", "M2", "M3", "M4", "M5", "I1", "I2", "I3", "I4"} <= seen, seen
+
+
+def diamonds(p):
+    """Every (l, u, v, w) with u before v, both covering l and covered by w;
+    read off the Hasse diagram."""
+    out = []
+    for w in p.elements:
+        lower = [u for u, t in p.covers if t == w]
+        for u, v in itertools.combinations(lower, 2):
+            for l, t in p.covers:
+                if t == u and (l, v) in p.covers:
+                    out.append((l, u, v, w))
+    return out
+
+
+def test_diamond_corruptions_match_definition_witnesses(corpus):
+    """In every corpus scheme up to REFEREE_SIZE_LIMIT elements, take the
+    rho nudged by +-1 at one element that keep M1 and M2 and break the
+    fewest diamonds (rho(u) + rho(v) < rho(w) + rho(l)): validate_scheme
+    raises the first M3 witness of the definitions.  In many schemes the
+    fewest is a single diamond."""
+    rng = random.Random(20240815)
+    checked = single = 0
+    for name, m in corpus.schemes():
+        if len(m.elements) > REFEREE_SIZE_LIMIT:
+            continue
+        sp, p = m.s, m.poset
+        dias = diamonds(p)
+        by_count = {}
+        for e, d in itertools.product(m.elements, (-1, 1)):
+            rho = dict(m.rho)
+            rho[e] += d
+            if (not 0 <= rho[e] <= _atom_count(sp, e)
+                    or any(rho[a] > rho[b] for a, b in p.covers)):
+                continue
+            broken = sum(rho[u] + rho[v] < rho[w] + rho[l] for l, u, v, w in dias)
+            if broken:
+                by_count.setdefault(broken, []).append(rho)
+        if not by_count:
+            continue
+        fewest = by_count[min(by_count)]
+        single += min(by_count) == 1
+        for rho in rng.sample(fewest, min(2, len(fewest))):
+            expected = first_violation(sp, rho)
+            assert expected[0] == "M3", (name, expected)
+            assert _raised(validate_scheme, sp, rho) == expected, name
+            checked += 1
+    assert checked >= 100 and single >= 20, (checked, single)
+
+
+def test_m3_sweep_without_witness_is_an_error(monkeypatch, cw_l):
+    """A diamond check that fails where the pair sweep finds nothing raises
+    an error, not an assertion, so it holds under ``python -O``."""
+    import mscheme.scheme
+    monkeypatch.setattr(mscheme.scheme, "_diamonds_hold", lambda *args: False)
+    with pytest.raises(MschemeError) as exc:
+        validate_scheme(cw_l.s, cw_l.rho)
+    assert not isinstance(exc.value, AxiomViolation)
