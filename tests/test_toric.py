@@ -1,5 +1,8 @@
 """Integer lattice algebra and the toric-arrangement engine."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from mscheme import (
     Character,
     DimensionMismatch,
+    Layer,
     MschemeError,
     NotInArrangement,
     NotALayer,
@@ -233,3 +237,152 @@ def test_layer_canonicalization_from_alternative_generators(toric1):
     via_12 = intersect_layer(intersect_layer(ambient_layer(2), c1)[0], c2)
     via_21 = intersect_layer(intersect_layer(ambient_layer(2), c2)[0], c1)
     assert sorted(L.layer_id for L in via_12) == sorted(L.layer_id for L in via_21)
+
+
+# --- referees for the layer enumeration ------------------------------------------------
+#
+# The reference below is the rational-arithmetic enumeration the engine
+# used before its phase work moved to integers: saturation as a double
+# integer kernel, the generators expressed over it by back-substitution,
+# and the extension system solved over Q/Z with Fractions.
+
+def _frac(t):
+    return t - (t.numerator // t.denominator)
+
+
+def _reference_express(basis, alpha):
+    residue = list(alpha)
+    coeffs = []
+    for row in basis:
+        pivot_col = next(i for i, v in enumerate(row) if v)
+        q, r = divmod(residue[pivot_col], row[pivot_col])
+        if r:
+            return None
+        coeffs.append(q)
+        residue = [a - q * b for a, b in zip(residue, row)]
+    return None if any(residue) else coeffs
+
+
+def _reference_saturate(matrix):
+    if not matrix:
+        return []
+    cols = len(matrix[0])
+    orthogonal = integer_kernel(matrix)
+    if not orthogonal:
+        basis = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    else:
+        basis = integer_kernel(orthogonal)
+    h, _ = hnf(basis)
+    return [row for row in h if any(row)]
+
+
+def _reference_solve(cmat, gen_phases):
+    """Phase tuples phi with C * phi = gen_phases over Q/Z, in the order of
+    the Smith enumeration; None when the system is inconsistent."""
+    d, u, v = snf(cmat)
+    k = len(cmat[0])
+    rhs = [sum((u[i][j] * gen_phases[j] for j in range(len(gen_phases))), Fraction(0))
+           for i in range(len(cmat))]
+    if any(rhs[i] != rhs[i].numerator // rhs[i].denominator
+           for i in range(k, len(cmat))):
+        return None
+    choice_sets = []
+    for i in range(k):
+        di = d[i][i]
+        assert di != 0
+        choice_sets.append([_frac(rhs[i] / di + Fraction(j, di)) for j in range(di)])
+    out = []
+    for combo in itertools.product(*choice_sets):
+        phi = [sum((Fraction(v[i][j]) * combo[j] for j in range(k)), Fraction(0))
+               for i in range(k)]
+        out.append(tuple(_frac(p) for p in phi))
+    return out
+
+
+def _reference_intersect(layer, c):
+    coeffs = _reference_express(layer.basis, c.alpha)
+    if coeffs is not None:
+        known = _frac(sum((x * p for x, p in zip(coeffs, layer.phases)), Fraction(0)))
+        return [layer] if known == c.phase else []
+    gen_rows = [list(r) for r in layer.basis] + [list(c.alpha)]
+    sat = _reference_saturate(gen_rows)
+    cmat = [_reference_express(sat, row) for row in gen_rows]
+    assert None not in cmat
+    phases = _reference_solve(cmat, list(layer.phases) + [c.phase])
+    out = [Layer(layer.n, tuple(tuple(r) for r in sat), ph) for ph in phases]
+    return sorted(out, key=lambda L: L.layer_id)
+
+
+def _random_character(rng, n):
+    while True:
+        alpha = [rng.randint(-3, 3) for _ in range(n)]
+        if any(alpha) and math.gcd(*alpha) == 1:
+            den = rng.randint(1, 6)
+            return Character(tuple(alpha), Fraction(rng.randrange(den), den))
+
+
+def _random_layer(rng, n):
+    """A layer reached from the ambient torus by up to n - 1 random
+    characters, each step taking a random piece."""
+    layer = ambient_layer(n)
+    for _ in range(rng.randint(0, n - 1)):
+        pieces = _reference_intersect(layer, _random_character(rng, n))
+        if pieces:
+            layer = rng.choice(pieces)
+    return layer
+
+
+def _lattice_character(rng, layer, clash):
+    """A primitive character of the layer's lattice, with the phase the
+    layer gives it or, with ``clash``, a different one."""
+    while True:
+        alpha = [0] * layer.n
+        for row in layer.basis:
+            x = rng.randint(-2, 2)
+            alpha = [a + x * b for a, b in zip(alpha, row)]
+        if any(alpha):
+            g = math.gcd(*alpha)
+            alpha = tuple(a // g for a in alpha)
+            break
+    coeffs = _reference_express(layer.basis, alpha)
+    phase = _frac(sum((x * p for x, p in zip(coeffs, layer.phases)), Fraction(0)))
+    if clash:
+        phase = _frac(phase + Fraction(1, rng.randint(2, 6)))
+    return Character(alpha, phase)
+
+
+def test_intersect_layer_matches_rational_reference():
+    rng = random.Random(20261018)
+    several = matching = clashing = 0
+    for case in range(900):
+        n = 2 + case % 3
+        layer = _random_layer(rng, n)
+        roll = rng.random()
+        if layer.rank and roll < 0.2:
+            clash = roll < 0.1
+            c = _lattice_character(rng, layer, clash)
+        else:
+            c = _random_character(rng, n)
+        expected = _reference_intersect(layer, c)
+        assert intersect_layer(layer, c) == expected, (layer, c)
+        if len(expected) > 1:
+            several += 1
+        if _reference_express(layer.basis, c.alpha) is not None:
+            if expected:
+                matching += 1
+            else:
+                clashing += 1
+    assert several >= 50 and matching >= 20 and clashing >= 20, \
+        (several, matching, clashing)
+
+
+def test_saturate_matches_double_kernel():
+    rng = random.Random(7)
+    for case in range(2400):
+        cols = 2 + case % 3
+        rows = [[rng.randint(-5, 5) for _ in range(cols)]
+                for _ in range(rng.randint(1, cols))]
+        if rng.random() < 0.3:  # a dependent row, scaled
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([x * a + y * b for a, b in zip(rows[0], rows[-1])])
+        assert saturate(rows) == _reference_saturate(rows), rows
