@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateIdentifier,
     HasLoops,
+    InvariantBroken,
     MalformedInput,
     MschemeError,
     NonHasseCover,

@@ -135,6 +135,14 @@ class NotComplexInvariant(MschemeError):
     pass
 
 
+# --- internal invariants -----------------------------------------------------
+
+class InvariantBroken(MschemeError):
+    """An exact-arithmetic invariant of the engine failed: a bug, not a
+    property of the input.  Raised explicitly so the check survives
+    ``python -O``."""
+
+
 # --- toric arrangements ----------------------------------------------------
 
 class DimensionMismatch(MschemeError):

@@ -13,6 +13,10 @@ Action file        {"group": optional inline group, "points": [str],
                     "rows": [[str]]}                        (row per group element)
 Arrangement file   {"n": int, "characters": [{"alpha": [int], "phase": "p/q"}]}
 Matrix file        {"matrix": [[int]], "names": optional [str]}
+
+A field shown as int must hold a JSON integer (a float with no fractional
+part, such as 2.0, reads as that integer); a fraction, a bool or a string
+there is MalformedInput, never truncated.
 """
 
 from __future__ import annotations
@@ -71,6 +75,17 @@ def _load_json(path) -> dict:
     return doc
 
 
+def _int(value, path, what: str) -> int:
+    """A field the format declares an integer: an int, or a float with no
+    fractional part.  A bool, a fraction or any other value is
+    MalformedInput, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedInput(f"{path}: {what} {value!r} is not an integer")
+    return value
+
+
 def _require(doc: dict, key: str, path):
     if key not in doc:
         raise MalformedInput(f"{path}: missing key {key!r}")
@@ -88,7 +103,7 @@ def parse_poset_doc(doc: dict, path="<doc>") -> tuple[Poset, dict]:
             if not isinstance(row["id"], str):
                 raise MalformedInput(f"{path}: element id {row['id']!r} is not a string")
             ids.append(row["id"])
-            rho[row["id"]] = int(row["rho"])
+            rho[row["id"]] = _int(row["rho"], path, "rho")
         covers = []
         for a, b in _require(doc, "covers", path):
             for end in (a, b):
@@ -156,7 +171,7 @@ def load_semimatroid(path) -> Semimatroid:
         for row in _require(doc, "faces", path):
             members = frozenset(row["members"])
             faces.append(members)
-            rank[members] = int(row["rho"])
+            rank[members] = _int(row["rho"], path, "rho")
     except (TypeError, KeyError, ValueError) as exc:
         raise MalformedInput(f"{path}: bad face row ({exc})") from None
     return Semimatroid(vertices, faces, rank)
@@ -211,11 +226,14 @@ def load_arrangement(path) -> ToricArrangement:
     n = _require(doc, "n", path)
     rows = _require(doc, "characters", path)
     try:
-        return ToricArrangement(int(n), [
-            Character(tuple(int(a) for a in row["alpha"]), Fraction(str(row["phase"])))
+        return ToricArrangement(_int(n, path, "n"), [
+            Character(tuple(_int(a, path, "alpha entry") for a in row["alpha"]),
+                      Fraction(str(row["phase"])))
             for row in rows])
     except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"{path}: bad n or character row ({exc})") from None
+    except MalformedInput:
+        raise
     except MschemeError as exc:
         raise MalformedInput(f"{path}: {exc}") from None
 
@@ -224,7 +242,7 @@ def load_matrix(path) -> tuple[list[list[int]], list | None]:
     doc = _load_json(path)
     matrix = _require(doc, "matrix", path)
     try:
-        matrix = [[int(v) for v in row] for row in matrix]
+        matrix = [[_int(v, path, "matrix entry") for v in row] for row in matrix]
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: bad matrix ({exc})") from None
     return matrix, doc.get("names")

@@ -8,6 +8,16 @@ integer sublattice in canonical row Hermite normal form together with the
 phases its basis rows must take; saturation makes the component connected
 and the canonical form makes equality componentwise.
 
+Intersecting a layer with a hypersurface has two halves.  The lattice half
+depends only on the layer's basis and the character vector: whether alpha
+already lies in the lattice, the saturation of lattice + Z alpha (one
+Smith form that tracks V^-1, then the HNF), and the Smith form of the
+generators expressed over it.  ``layers_poset`` computes it once per
+(basis, alpha) in each call.  The phase half runs on integers: the phases
+over one common denominator, one Fraction per output phase.  The exact
+invariants on this path raise InvariantBroken, so they hold under
+``python -O``.
+
 Real and elliptic coefficient groups are out of scope: real factors make
 the poset infinite in translation and elliptic curves change component
 counts, so the module states the circle-group restriction instead of
@@ -20,11 +30,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .constructions import Matroid, linear_matroid
 from .errors import (
     DimensionMismatch,
+    InvariantBroken,
     MschemeError,
     NotALayer,
     NotInArrangement,
@@ -82,14 +93,17 @@ def hnf(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     return m, u
 
 
-def snf(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+def snf(matrix: list[list[int]], inverse: bool = False):
     """Smith normal form D = U*M*V with unimodular U, V and divisibility
-    d1 | d2 | ... along the diagonal."""
+    d1 | d2 | ... along the diagonal.  Returns (D, U, V), or with
+    ``inverse`` (D, U, V, V^-1): each column step on V is mirrored by the
+    inverse row step on V^-1."""
     m = [list(r) for r in matrix]
     rows = len(m)
     cols = len(m[0]) if m else 0
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    vinv = [list(r) for r in v] if inverse else None
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -100,6 +114,8 @@ def snf(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        if inverse:
+            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, q):
         m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
@@ -110,6 +126,8 @@ def snf(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        if inverse:
+            vinv[src] = [a - q * b for a, b in zip(vinv[src], vinv[dst])]
 
     t = 0
     while t < min(rows, cols):
@@ -145,7 +163,7 @@ def snf(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list
             add_row(bad[0], t, 1)
             continue
         t += 1
-    return m, u, v
+    return (m, u, v, vinv) if inverse else (m, u, v)
 
 
 def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
@@ -166,19 +184,15 @@ def saturate(matrix: list[list[int]]) -> list[list[int]]:
     """Canonical HNF basis of the saturation of the row lattice: the set of
     integer vectors lying in the rational row span.
 
-    Computed as a double integer kernel: the vectors orthogonal to
-    everything orthogonal to the rows.  Kernels of integer matrices are
-    saturated, so no division step is needed.
+    With D = U*M*V of rank r, the rows of M span the same rational space as
+    the first r rows of V^-1, and those rows extend to a basis of Z^n, so
+    their integer span is already saturated: one Smith form, then the HNF.
     """
     if not matrix:
         return []
-    cols = len(matrix[0])
-    orthogonal = integer_kernel(matrix)
-    if not orthogonal:
-        basis = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    else:
-        basis = integer_kernel(orthogonal)
-    h, _ = hnf(basis)
+    d, _, _, vinv = snf(matrix, inverse=True)
+    r = sum(1 for i in range(min(len(d), len(vinv))) if d[i][i])
+    h, _ = hnf(vinv[:r])
     return [row for row in h if any(row)]
 
 
@@ -224,6 +238,24 @@ class Character:
         return f"Character{self.label}"
 
 
+def _express(basis, alpha) -> list[int] | None:
+    """Integer coordinates of alpha over the rows of an HNF basis, or None
+    when alpha is outside their lattice.  Back-substitution along the pivot
+    columns, verified exactly."""
+    residue = list(alpha)
+    coeffs = []
+    for row in basis:
+        pivot_col = next(i for i, v in enumerate(row) if v)
+        q, r = divmod(residue[pivot_col], row[pivot_col])
+        if r:
+            return None
+        coeffs.append(q)
+        residue = [a - q * b for a, b in zip(residue, row)]
+    if any(residue):
+        return None
+    return coeffs
+
+
 def _layer_id(basis, phases) -> str:
     rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in basis)
     phs = ",".join(str(p) for p in phases)
@@ -249,20 +281,8 @@ class Layer:
 
     def express(self, alpha) -> list[int] | None:
         """Integer coordinates of alpha over the basis rows, or None when
-        alpha is outside the lattice.  Back-substitution along the HNF pivot
-        columns, verified exactly."""
-        residue = list(alpha)
-        coeffs = []
-        for row in self.basis:
-            pivot_col = next(i for i, v in enumerate(row) if v)
-            q, r = divmod(residue[pivot_col], row[pivot_col])
-            if r:
-                return None
-            coeffs.append(q)
-            residue = [a - q * b for a, b in zip(residue, row)]
-        if any(residue):
-            return None
-        return coeffs
+        alpha is outside the lattice."""
+        return _express(self.basis, alpha)
 
     def phase_of(self, alpha) -> Fraction | None:
         coeffs = self.express(alpha)
@@ -279,6 +299,69 @@ def ambient_layer(n: int) -> Layer:
     return Layer(n, (), ())
 
 
+class _Smith:
+    """The Smith data of an extension system C * phi = g over Q/Z, with C
+    of full column rank k, prepared for integer phases.
+
+    With D = U*C*V, the solutions are phi = V*w, where w_i ranges over
+    ((U*g)_i + t_i) / d_i for t_i in [0, d_i), and rows k and up of U*g
+    must be integral.  Over one denominator L = lcm(d_i) this is
+    phi = (V' * (U*g) + V' * t) / L with V'[i][j] = V[i][j] * L / d_j, so
+    ``offsets`` holds V' * t for every t, in product order."""
+
+    __slots__ = ("u", "lcm", "scaled", "offsets")
+
+    def __init__(self, cmat: list[list[int]]):
+        d, u, v = snf(cmat)
+        k = len(cmat[0])
+        diag = [d[i][i] if i < len(d) else 0 for i in range(k)]
+        if not all(diag):
+            raise InvariantBroken("saturated system must have full column rank")
+        big = 1
+        for di in diag:
+            big = lcm(big, di)
+        scaled = [[v[i][j] * (big // diag[j]) for j in range(k)] for i in range(k)]
+        self.u = u
+        self.lcm = big
+        self.scaled = scaled
+        self.offsets = [[sum(a * b for a, b in zip(row, t)) for row in scaled]
+                        for t in itertools.product(*(range(di) for di in diag))]
+
+    def solve(self, phases) -> list[tuple[Fraction, ...]]:
+        """Every phi with C * phi = phases over Q/Z, one tuple per piece.
+        The phases go over their common denominator q as integers g, so
+        phi = (V' * (U*g) + q * V' * t) / (q * L)."""
+        q = 1
+        for p in phases:
+            q = lcm(q, p.denominator)
+        g = [p.numerator * (q // p.denominator) for p in phases]
+        rhs = [sum(a * b for a, b in zip(row, g)) for row in self.u]
+        if any(r % q for r in rhs[len(self.scaled):]):
+            raise InvariantBroken("inconsistent extension system")
+        base = [sum(a * b for a, b in zip(row, rhs)) for row in self.scaled]
+        big = q * self.lcm
+        return [tuple(Fraction((b + q * o) % big, big) for b, o in zip(base, off))
+                for off in self.offsets]
+
+
+def _extension(basis, alpha):
+    """The lattice half of intersecting a layer with basis ``basis`` with
+    the hypersurfaces of character ``alpha``: None when alpha lies in the
+    lattice, else the saturated basis of lattice + Z alpha and the Smith
+    data of the generators expressed over it.  Phases play no part."""
+    if _express(basis, alpha) is not None:
+        return None
+    gen_rows = list(basis) + [alpha]
+    sat = tuple(tuple(r) for r in saturate(gen_rows))
+    cmat = []
+    for row in gen_rows:
+        coeffs = _express(sat, row)
+        if coeffs is None:
+            raise InvariantBroken("generator not expressible over its saturation")
+        cmat.append(coeffs)
+    return sat, _Smith(cmat)
+
+
 def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
     """All layers of the intersection with one hypersurface.
 
@@ -290,44 +373,12 @@ def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
     """
     if len(c.alpha) != layer.n:
         raise DimensionMismatch(f"character in rank {len(c.alpha)}, layer in {layer.n}")
-    known = layer.phase_of(c.alpha)
-    if known is not None:
-        return [layer] if known == c.phase else []
-
-    gen_rows = [list(r) for r in layer.basis] + [list(c.alpha)]
-    gen_phases = list(layer.phases) + [c.phase]
-    sat = saturate(gen_rows)
-    # express the generators over the saturated basis: C * sat = gen_rows
-    sat_layer = Layer(layer.n, tuple(tuple(r) for r in sat),
-                      tuple(Fraction(0) for _ in sat))
-    cmat = []
-    for row in gen_rows:
-        coeffs = sat_layer.express(row)
-        assert coeffs is not None
-        cmat.append(coeffs)
-    d, u, v = snf(cmat)
-    k = len(sat)
-    # solve C * phi = gen_phases over Q/Z: w = V^{-1} phi, D w = U * gen_phases
-    rhs = []
-    for i in range(len(cmat)):
-        rhs.append(sum((u[i][j] * gen_phases[j] for j in range(len(gen_phases))),
-                       Fraction(0)))
-    choice_sets = []
-    for i in range(k):
-        di = d[i][i] if i < len(d) else 0
-        assert di != 0, "saturated system must have full column rank"
-        base = rhs[i] / di
-        choice_sets.append([_parse_phase(base + Fraction(j, di)) for j in range(di)])
-    for i in range(k, len(cmat)):
-        assert rhs[i] == rhs[i].numerator // rhs[i].denominator, \
-            "inconsistent extension system"
-    out = []
-    for combo in itertools.product(*choice_sets):
-        # phi = V w
-        phi = [sum((Fraction(v[i][j]) * combo[j] for j in range(k)), Fraction(0))
-               for i in range(k)]
-        phases = tuple(_parse_phase(p) for p in phi)
-        out.append(Layer(layer.n, tuple(tuple(r) for r in sat), phases))
+    ext = _extension(layer.basis, c.alpha)
+    if ext is None:
+        return [layer] if layer.phase_of(c.alpha) == c.phase else []
+    sat, smith = ext
+    out = [Layer(layer.n, sat, phases)
+           for phases in smith.solve(layer.phases + (c.phase,))]
     return sorted(out, key=lambda L: L.layer_id)
 
 
@@ -388,18 +439,26 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     start = ambient_layer(arr.n)
     layers = {start.layer_id: start}
     steps = set()
+    extensions = {}  # (basis, alpha) -> _extension, for this call only
     frontier = [start]
     while frontier:
         new = []
         for layer in frontier:
             for c in arr.characters:
-                for piece in intersect_layer(layer, c):
-                    if piece.rank > layer.rank:
-                        steps.add((layer.layer_id, piece.layer_id))
+                key = (layer.basis, c.alpha)
+                if key not in extensions:
+                    extensions[key] = _extension(*key)
+                ext = extensions[key]
+                if ext is None:  # the piece is the layer itself, or nothing
+                    continue
+                sat, smith = ext
+                for phases in smith.solve(layer.phases + (c.phase,)):
+                    piece = Layer(arr.n, sat, phases)
+                    steps.add((layer.layer_id, piece.layer_id))
                     if piece.layer_id not in layers:
                         layers[piece.layer_id] = piece
                         new.append(piece)
-        frontier = sorted(new, key=lambda L: L.layer_id)
+        frontier = new
 
     ordered = sorted(layers.values(), key=lambda L: (L.rank, L.layer_id))
     ids = [L.layer_id for L in ordered]

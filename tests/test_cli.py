@@ -46,6 +46,21 @@ def test_check_exit_codes(capsys, tmp_path):
     code, _ = run_cli(capsys, "check", "scheme", "no_such_file.json")
     assert code == 2
 
+    # integer fields are refused, not truncated: a fraction, a bool
+    for rho in (1.9, True):
+        doc = json.loads(files.fixture_path("isth.json").read_text())
+        doc["elements"][1]["rho"] = rho
+        files.dump_doc(doc, bad)
+        code = main(["check", "scheme", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2 and "input error:" in err and "not an integer" in err, rho
+    semi = json.loads(files.fixture_path("semi4.json").read_text())
+    semi["faces"][1]["rho"] = 0.5
+    files.dump_doc(semi, bad)
+    code = main(["check", "semimatroid", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2 and "input error:" in err and "not an integer" in err
+
     code, out = run_cli(capsys, "check", "geometric", "notgeom.json")
     assert code == 1 and "G2" in out
 
@@ -232,16 +247,23 @@ def test_inline_group_shape_faults_are_input_errors(capsys, tmp_path, monkeypatc
         assert code == 2 and "input error:" in err and "inline group" in err
 
 
-def test_construct_option_faults_are_input_errors(capsys, tmp_path, monkeypatch):
+def test_construct_option_faults_are_input_errors(capsys, tmp_path, monkeypatch,
+                                                 tmp_path_factory):
     monkeypatch.chdir(tmp_path)
     action = ["--group", "z2.json", "--action", "t2_trivial.json"]
+    inputs = tmp_path_factory.mktemp("inputs")
+    matrices = []
+    for k, matrix in enumerate(([[1.5, 0, 1], [0, 1, 1]], [[True, 0], [0, 1]])):
+        matrices.append(inputs / f"matrix{k}.json")
+        files.dump_doc({"matrix": matrix}, matrices[-1])
     for argv in (["construct", "dowling", *action],
                  ["construct", "dowling", "-n", "abc", *action],
                  ["construct", "dowling", "-n", "-1", *action],
                  ["construct", "dowling", "-n", "2", "--group", "z2.json"],
                  ["construct", "quotient", "--group", "z2.json", "--action", "z2_swap.json"],
                  ["construct", "quotient", "--semimatroid", "semi4.json", "--group", "z2.json"],
-                 ["--cap-atoms", "-1", "construct", "toric", "toric1.json"]):
+                 ["--cap-atoms", "-1", "construct", "toric", "toric1.json"],
+                 *(["construct", "linear", str(m)] for m in matrices)):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2 and "input error:" in err and "Traceback" not in err, argv
@@ -252,7 +274,8 @@ def test_arrangement_faults_are_input_errors(capsys, tmp_path):
     """A file that cannot be read as an arrangement exits 2, not 1."""
     path = tmp_path / "arr.json"
     for n, alphas in (("x", []), (2, [[0, 0]]), (2, [[2, 4]]),
-                      (2, [[1, 1], [-1, -1]]), (2, [[1, 1, 1]]), (-1, [])):
+                      (2, [[1, 1], [-1, -1]]), (2, [[1, 1, 1]]), (-1, []),
+                      (2.7, []), (True, []), (2, [[1.5, 0]]), (2, [[True, 0]])):
         files.dump_doc({"n": n, "characters": [{"alpha": a, "phase": "0"}
                                                for a in alphas]}, path)
         code = main(["construct", "toric", str(path), "--out", str(tmp_path / "o.json")])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mscheme import (
     Character,
     DimensionMismatch,
+    InvariantBroken,
     Layer,
     MschemeError,
     NotInArrangement,
@@ -30,6 +31,7 @@ from mscheme import (
     snf,
     verify_thm_arr,
 )
+from mscheme.toric import _Smith
 from grid_oracle import check_arrangement
 
 
@@ -386,3 +388,43 @@ def test_saturate_matches_double_kernel():
             x, y = rng.randint(-3, 3), rng.randint(-3, 3)
             rows.append([x * a + y * b for a, b in zip(rows[0], rows[-1])])
         assert saturate(rows) == _reference_saturate(rows), rows
+
+
+def test_integer_solve_matches_rational_reference_on_overdetermined_systems():
+    """Extension systems with more equations than unknowns, so rows k and
+    up of U * g carry the consistency condition; an inconsistent right-hand
+    side is an InvariantBroken, a consistent one gives the reference's
+    pieces in the same order."""
+    rng = random.Random(11)
+    consistent = inconsistent = 0
+    for case in range(400):
+        k = 1 + case % 3
+        while True:
+            cmat = [[rng.randint(-3, 3) for _ in range(k)]
+                    for _ in range(k + rng.randint(0, 2))]
+            if all(snf(cmat)[0][i][i] for i in range(k)):
+                break
+        if rng.random() < 0.6:  # phases of an actual solution
+            phi = [Fraction(rng.randrange(6), rng.randint(1, 6)) for _ in range(k)]
+            g = [_frac(sum((a * p for a, p in zip(row, phi)), Fraction(0)))
+                 for row in cmat]
+        else:
+            g = [Fraction(rng.randrange(6), 6) for _ in cmat]
+        expected = _reference_solve(cmat, g)
+        if expected is None:
+            inconsistent += 1
+            with pytest.raises(InvariantBroken, match="inconsistent extension system"):
+                _Smith(cmat).solve(g)
+        else:
+            consistent += 1
+            assert _Smith(cmat).solve(g) == expected, (cmat, g)
+    assert consistent >= 100 and inconsistent >= 50, (consistent, inconsistent)
+
+
+def test_invariant_checks_raise_not_assert():
+    """The checks on the extension path are explicit raises, so they hold
+    under ``python -O``."""
+    with pytest.raises(InvariantBroken, match="inconsistent extension system"):
+        _Smith([[1], [1]]).solve([Fraction(0), Fraction(1, 2)])
+    with pytest.raises(InvariantBroken, match="full column rank"):
+        _Smith([[1, 2], [2, 4]])
