@@ -9,6 +9,12 @@ A geometric poset is a bounded-below ranked poset in which
 
 Geometric posets are exactly the flats posets of matroid schemes; each is
 the flats poset of a unique simple scheme, reconstructed here explicitly.
+
+G1 is checked once on the masks of the whole poset, with no interval
+sub-poset built; the maximal intervals are swept through
+``is_geometric_lattice`` only when that check fails, to name the first
+witness.  G2 enumerates, for each x, only the atom sets that can fail it:
+sets of the atoms below x or sharing no upper bound with x.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ import functools
 import itertools
 import operator
 
-from .errors import AtomCapExceeded, AxiomViolation, NotSimple
+from .errors import AtomCapExceeded, AxiomViolation, InvariantBroken, NotSimple
 from .poset import (
+    Poset,
     RankedPoset,
     _bits,
     build_poset,
@@ -30,6 +37,7 @@ from .poset import (
 )
 from .scheme import (
     MatroidScheme,
+    _full,
     _joinable,
     closure,
     flats,
@@ -69,32 +77,78 @@ class GeometricPoset:
         return f"GeometricPoset({len(self.elements)} elements)"
 
 
+def _g1_holds(p: Poset, r: list, joinable: list) -> bool:
+    """True iff every maximal interval [bottom, mx] of the poset p, ranked
+    by ``r``, is a geometric lattice, read on the masks of the whole poset
+    in one pass over the incomparable pairs that share an upper bound.
+
+    Lattice: ``below[mx]`` is a down-set, so the minimal upper bounds of a
+    pair inside [bottom, mx] are those of the whole poset below mx; no
+    maximal element may lie above two of them.  A finite poset with a top
+    in which every pair has one minimal upper bound is a lattice.
+
+    Semimodular: two elements of rank k above a common element m of rank
+    k - 1 are upper covers of m and meet in m in every interval holding
+    both, where their join is one of their minimal upper bounds.  A finite
+    lattice is semimodular iff such joins cover both (Stanley, EC1,
+    Prop. 3.3.2), so each minimal upper bound must have rank k + 1.
+
+    Atomic: x is the join of its atoms iff no lower cover of x has the same
+    atoms below it."""
+    above, below = p.above, p.below
+    level = [0] * (max(r) + 2)  # level[k]: the elements of rank k
+    for i, k in enumerate(r):
+        level[k] |= 1 << i
+    tops = p.maximal_of_mask(_full(p))
+    for i, partners in enumerate(joinable):
+        for j in _bits((partners & ~(above[i] | below[i])) >> (i + 1) << (i + 1)):
+            common = above[i] & above[j]
+            low = common & -common
+            if above[low.bit_length() - 1] == common:  # the join, read off at once
+                minimal = low
+            else:
+                minimal = p.minimal_of_mask(common)
+                seen = 0
+                for u in _bits(minimal):
+                    if above[u] & tops & seen:
+                        return False
+                    seen |= above[u] & tops
+            k = r[i]
+            if k == r[j] and below[i] & below[j] & level[k - 1] and minimal & ~level[k + 1]:
+                return False
+    return all(below[x] & level[1] != below[y] & level[1]
+               for x, dn in enumerate(p.covers_dn) for y in dn)
+
+
 def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> GeometricPoset:
-    """Check G1 on every maximal down-set and G2 by brute force over
-    elements, atom subsets of size at most the top rank, and minimal upper
-    bounds.  The exponential G2 sweep is refused above ``atom_cap`` atoms."""
+    """Check G1 on the masks of the whole poset, sweeping the maximal
+    intervals through ``is_geometric_lattice`` only to name the first
+    witness, then G2 by brute force over elements x, the sets of atoms
+    that fail the G2 condition for x (those below x or sharing no upper
+    bound with it) of sizes up to the top rank, and minimal upper bounds.
+    The exponential G2 sweep is refused above ``atom_cap`` atoms."""
     p = rp.poset
-    for mx in p.maximal_elements():  # G1
-        interval = rp.interval(rp.bottom, mx)
-        check = is_geometric_lattice(interval)
-        if not check:
-            raise AxiomViolation("G1", (mx, check.condition, check.witness))
+    els = p.elements
+    r = [rp.rank[e] for e in els]
+    joinable = _joinable(p)
+    if not _g1_holds(p, r, joinable):
+        for mx in p.maximal_elements():  # G1, swept only to name the first witness
+            check = is_geometric_lattice(rp.interval(rp.bottom, mx))
+            if not check:
+                raise AxiomViolation("G1", (mx, check.condition, check.witness))
+        raise InvariantBroken("G1 fails on the masks but on no maximal interval")
 
     atoms = rp.atoms()
     if len(atoms) > atom_cap:
         raise AtomCapExceeded(len(atoms), atom_cap)
     top_rank = max((rp.rank[mx] for mx in p.maximal_elements()), default=0)
-    els = p.elements
-    r = [rp.rank[e] for e in els]
     atom_idx = [p.index[a] for a in atoms]
-    joinable = _joinable(p)
     for i, x in enumerate(els):  # G2
-        # the atoms a with a not<= x and join(a, x) nonempty
-        good = sum(1 << a for a in atom_idx) & ~p.below[i] & joinable[i]
-        for size in range(r[i] + 1, top_rank + 1):
-            for A in itertools.combinations(atom_idx, size):
-                if sum(1 << a for a in A) & good:
-                    continue
+        # a set meeting the atoms a with a not<= x and join(a, x) nonempty
+        # satisfies G2 for x, so only sets of the other atoms can fail
+        bad = [a for a in atom_idx if p.below[i] >> a & 1 or not joinable[i] >> a & 1]
+        for size in range(r[i] + 1, min(top_rank, len(bad)) + 1):
+            for A in itertools.combinations(bad, size):
                 common = functools.reduce(operator.and_, (p.above[a] for a in A))
                 for y in _bits(p.minimal_of_mask(common)):
                     if r[y] == size:

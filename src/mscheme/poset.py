@@ -12,7 +12,6 @@ deterministic tie-break for all search iteration and reported witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     CycleDetected,
@@ -443,17 +442,31 @@ def characteristic_polynomial(rp: RankedPoset) -> UnivariatePolynomial:
 
 # --- geometric lattice recognition ---------------------------------------------
 
-@dataclass(frozen=True)
 class LatticeCheck:
     """Outcome of is_geometric_lattice: ok, or the violated condition with a
     witness."""
 
-    ok: bool
-    condition: str | None = None
-    witness: tuple | None = None
+    __slots__ = ("ok", "condition", "witness")
+
+    def __init__(self, ok: bool, condition: str | None = None, witness: tuple | None = None):
+        self.ok = ok
+        self.condition = condition
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.condition, self.witness) == (other.ok, other.condition, other.witness)
+
+    def __hash__(self):
+        return hash((self.ok, self.condition, self.witness))
 
     def __bool__(self):
         return self.ok
+
+    def __repr__(self):
+        return (f"LatticeCheck(ok={self.ok!r}, condition={self.condition!r}, "
+                f"witness={self.witness!r})")
 
 
 def is_geometric_lattice(rp) -> LatticeCheck:

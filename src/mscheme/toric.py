@@ -14,9 +14,10 @@ already lies in the lattice, the saturation of lattice + Z alpha (one
 Smith form that tracks V^-1, then the HNF), and the Smith form of the
 generators expressed over it.  ``layers_poset`` computes it once per
 (basis, alpha) in each call.  The phase half runs on integers: the phases
-over one common denominator, one Fraction per output phase.  The exact
-invariants on this path raise InvariantBroken, so they hold under
-``python -O``.
+over one common denominator, one Fraction per output phase.  Every exact
+invariant in this module raises InvariantBroken, so it holds under
+``python -O``.  Characters and layers are plain slotted classes, so
+importing the module loads no ``dataclasses``.
 
 Real and elliptic coefficient groups are out of scope: real factors make
 the poset infinite in translation and elliptic curves change component
@@ -26,9 +27,7 @@ parameterizing over it.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -203,15 +202,23 @@ def _parse_phase(value) -> Fraction:
     return t - (t.numerator // t.denominator)  # reduce into [0, 1)
 
 
-@dataclass(frozen=True)
+def _entry(value) -> int:
+    """A character entry: an int, or a float with no fractional part.  A
+    bool or any other value is refused, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MschemeError(f"character entry {value!r} is not an integer")
+    return value
+
+
 class Character:
     """A primitive integer vector with a rational phase in [0, 1)."""
 
-    alpha: tuple[int, ...]
-    phase: Fraction
+    __slots__ = ("alpha", "phase")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
+    def __init__(self, alpha, phase):
+        self.alpha = tuple(_entry(a) for a in alpha)
         if not self.alpha or all(a == 0 for a in self.alpha):
             raise MschemeError("character vector must be nonzero")
         g = 0
@@ -221,7 +228,15 @@ class Character:
             raise MschemeError(
                 f"character {self.alpha} is not primitive (content {g}); "
                 "non-primitive input is an error, not auto-normalized")
-        object.__setattr__(self, "phase", _parse_phase(self.phase))
+        self.phase = _parse_phase(phase)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.phase) == (other.alpha, other.phase)
+
+    def __hash__(self):
+        return hash((self.alpha, self.phase))
 
     def canonical_key(self) -> tuple:
         """Sign-normalized key: negating the vector negates the phase."""
@@ -256,28 +271,31 @@ def _express(basis, alpha) -> list[int] | None:
     return coeffs
 
 
-def _layer_id(basis, phases) -> str:
-    rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in basis)
-    phs = ",".join(str(p) for p in phases)
-    return f"[{rows}]|[{phs}]"
-
-
-@dataclass(frozen=True)
 class Layer:
     """A saturated sublattice (canonical triangular basis) plus the rational
     phases of its basis rows; one connected component of an intersection."""
 
-    n: int
-    basis: tuple[tuple[int, ...], ...]
-    phases: tuple[Fraction, ...]
+    __slots__ = ("n", "basis", "phases", "layer_id")
+
+    def __init__(self, n: int, basis: tuple[tuple[int, ...], ...],
+                 phases: tuple[Fraction, ...]):
+        self.n = n
+        self.basis = basis
+        self.phases = phases
+        rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in basis)
+        self.layer_id = f"[{rows}]|[{','.join(map(str, phases))}]"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.basis, self.phases) == (other.n, other.basis, other.phases)
+
+    def __hash__(self):
+        return hash((self.n, self.basis, self.phases))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    @functools.cached_property
-    def layer_id(self) -> str:
-        return _layer_id(self.basis, self.phases)
 
     def express(self, alpha) -> list[int] | None:
         """Integer coordinates of alpha over the basis rows, or None when
@@ -466,7 +484,8 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     covers = sorted(steps, key=lambda c: (pos[c[0]], pos[c[1]]))
     rp = compute_rank(build_poset(ids, covers))
     for L in ordered:
-        assert rp.rank[L.layer_id] == L.rank, "poset rank differs from lattice rank"
+        if rp.rank[L.layer_id] != L.rank:
+            raise InvariantBroken("poset rank differs from lattice rank")
     kwargs = {} if atom_cap is None else {"atom_cap": atom_cap}
     gp = validate_geometric(rp, **kwargs)
     scheme = scheme_from_geometric(gp)
@@ -474,7 +493,8 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     atom_of = {}
     for c in arr.characters:
         pieces = intersect_layer(start, c)
-        assert len(pieces) == 1, "a primitive hypersurface is a single layer"
+        if len(pieces) != 1:
+            raise InvariantBroken("a primitive hypersurface is a single layer")
         atom_of[c.canonical_key()] = pieces[0].layer_id
     p = rp.poset
     atoms = sum(1 << p.index[a] for a in rp.atoms())
@@ -509,8 +529,9 @@ def _unimodular_inverse(mat: list[list[int]]) -> list[list[int]]:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     inv = [[x for x in row[size:]] for row in a]
     out = [[int(x) for x in row] for row in inv]
-    assert all(Fraction(o) == x for row_o, row_x in zip(out, inv)
-               for o, x in zip(row_o, row_x)), "inverse is not integral"
+    if any(Fraction(o) != x for row_o, row_x in zip(out, inv)
+           for o, x in zip(row_o, row_x)):
+        raise InvariantBroken("inverse is not integral")
     return out
 
 
@@ -525,7 +546,8 @@ def arr_restrict(arr: ToricArrangement, c: Character) -> ToricArrangement:
     # U * alpha^T = e1 => basis matrix W = (U^{-1})^T has first row alpha
     _, u = hnf([[a] for a in c.alpha])
     w = [list(col) for col in zip(*_unimodular_inverse(u))]
-    assert w[0] == list(c.alpha), "unimodular completion lost the character"
+    if w[0] != list(c.alpha):
+        raise InvariantBroken("unimodular completion lost the character")
     u_t = [list(col) for col in zip(*u)]
 
     chars = {}
@@ -542,7 +564,8 @@ def arr_restrict(arr: ToricArrangement, c: Character) -> ToricArrangement:
         if content == 0:
             # parallel hypersurface: empty intersection with the chosen one
             # (a coincident one would be a duplicate, which is rejected)
-            assert phase != 0, "duplicate hypersurface survived validation"
+            if phase == 0:
+                raise InvariantBroken("duplicate hypersurface survived validation")
             continue
         gamma = tuple(b // content for b in beta_rest)
         for j in range(content):

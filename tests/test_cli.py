@@ -282,3 +282,37 @@ def test_arrangement_faults_are_input_errors(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 2 and "input error:" in captured.err, (n, alphas)
         assert "Traceback" not in captured.err and "error:" not in captured.out
+
+
+def _ranked_doc(ranks, covers):
+    return {"elements": [{"id": e, "rho": r} for e, r in ranks],
+            "covers": [list(c) for c in covers]}
+
+
+G1_CASES = {
+    # two minimal upper bounds of a, b under the one top
+    "bowtie": (_ranked_doc([("0", 0), ("a", 1), ("b", 1), ("c", 2), ("d", 2), ("t", 3)],
+                           [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
+                            ("b", "c"), ("b", "d"), ("c", "t"), ("d", "t")]),
+               "witness: (t, lattice, (a, b, join))"),
+    # the join of the atoms a, b has rank 3
+    "nonsemi": (_ranked_doc([("0", 0), ("a", 1), ("b", 1), ("c", 1), ("x", 2), ("y", 2), ("t", 3)],
+                            [("0", "a"), ("0", "b"), ("0", "c"), ("a", "x"), ("c", "x"),
+                             ("b", "y"), ("c", "y"), ("x", "t"), ("y", "t")]),
+                "witness: (t, semimodular, (a, b))"),
+    # y lies above a single atom
+    "nonatomic": (_ranked_doc([("0", 0), ("a", 1), ("b", 1), ("x", 2), ("y", 2)],
+                              [("0", "a"), ("0", "b"), ("a", "x"), ("b", "x"), ("a", "y")]),
+                  "witness: (y, atomic, (y))"),
+}
+
+
+def test_check_geometric_names_g1_witnesses(capsys, tmp_path):
+    for name, (doc, witness) in G1_CASES.items():
+        path = tmp_path / f"{name}.json"
+        files.dump_doc(doc, path)
+        code, out = run_cli(capsys, "check", "geometric", str(path))
+        lines = [line for line in out.splitlines() if not line.startswith("elapsed:")]
+        assert code == 1, name
+        assert lines == [f"command: check cap_atoms=20 kind=geometric path={path}",
+                         "verdict: violation of G1", witness], name

@@ -1,8 +1,12 @@
 """Source hygiene of the package, read with the stdlib ``ast`` module: no
-module imports a name it never uses, and every private module-level
-function or class is referenced somewhere in the package."""
+module imports a name it never uses, every private module-level function
+or class is referenced somewhere in the package, and the number of
+``assert`` statements, which ``python -O`` strips, does not grow.  A
+subprocess checks that the CLI imports no ``dataclasses``."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -54,3 +58,22 @@ def test_private_definitions_are_referenced():
                     and total[node.name] == _names(node)[node.name]):
                 unreferenced.append(f"{name}: {node.name}")
     assert not unreferenced, unreferenced
+
+
+# the internal checks still written as ``assert``; lower it as they become
+# explicit raises, never raise it
+ASSERT_CEILING = 19
+
+
+def test_assert_statements_do_not_grow():
+    count = sum(isinstance(node, ast.Assert)
+                for tree in MODULES.values() for node in ast.walk(tree))
+    assert count <= ASSERT_CEILING, count
+
+
+def test_cli_import_loads_no_dataclasses():
+    probe = ("import sys, mscheme.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, cwd=SRC.parent).stdout
+    assert out.strip() == "[]", out

@@ -31,7 +31,7 @@ from mscheme import (
     snf,
     verify_thm_arr,
 )
-from mscheme.toric import _Smith
+from mscheme.toric import _Smith, _unimodular_inverse
 from grid_oracle import check_arrangement
 
 
@@ -119,6 +119,18 @@ def test_character_validation():
         Character((2, 4), Fraction(0))  # not primitive: error, not normalized
     c = Character((1, -1), Fraction(5, 2))
     assert c.phase == Fraction(1, 2)  # reduced into [0, 1)
+    # entries are refused, not truncated: a fraction, a bool
+    for bad in ((1.5, 0), (True, 0)):
+        with pytest.raises(MschemeError, match="not an integer"):
+            Character(bad, Fraction(0))
+    assert Character((2.0, 1), Fraction(0)) == Character((2, 1), Fraction(0))
+    assert repr(Character((2.0, 1), Fraction(0))) == "Character(2,1)@0"
+
+
+def test_unimodular_inverse_refuses_a_non_integral_inverse():
+    assert _unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    with pytest.raises(InvariantBroken, match="not integral"):
+        _unimodular_inverse([[2]])
 
 
 def test_duplicate_characters_rejected():
