@@ -12,6 +12,7 @@ import itertools
 
 from .errors import (
     AxiomViolation,
+    InvariantBroken,
     MalformedInput,
     MschemeError,
     NotComplexInvariant,
@@ -23,7 +24,7 @@ from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
 from .polynomials import BivariatePolynomial
 from .poset import build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
-from .tutte import X_MINUS_1, Y_MINUS_1, tutte_direct
+from .tutte import X_MINUS_1, Y_MINUS_1
 
 SEMIMATROID_VERTEX_CAP = 12
 DOWLING_SIZE_CAP = 10_000
@@ -327,8 +328,8 @@ def trivial_action(group: FiniteGroup, points) -> GroupAction:
 class QuotientResult:
     """Outcome of a finite-group semimatroid quotient: the quotient scheme,
     the orbit map on faces, the orbit-multiplicity table m_G, and the
-    group-action Tutte polynomial (asserted equal to the Tutte polynomial of
-    the quotient scheme)."""
+    group-action Tutte polynomial, which equals the Tutte polynomial of the
+    quotient scheme."""
 
     __slots__ = ("scheme", "orbit_of", "m_g", "tutte_action")
 
@@ -346,7 +347,8 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     result is validated as a scheme.  m_G(A) counts the orbits of faces
     whose atom-orbit set is A, and the group-action Tutte polynomial
     sum over A of m_G(A) (x-1)^(rank - rho(A)) (y-1)^(|A| - rho(A))
-    must match the Tutte polynomial of the quotient (asserted).
+    equals the Tutte polynomial of the quotient.  Faces over one atom-orbit
+    set A of different rank raise ``InvariantBroken``.
     """
     G = action.group
     if set(action.points) != set(sm.vertices):
@@ -381,11 +383,7 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
 
     names = list(orbit_members)
     reps = {name: orbit_members[name][0] for name in names}
-    rho_g = {}
-    for name in names:
-        ranks = {sm.rank[mem] for mem in orbit_members[name]}
-        assert len(ranks) == 1, f"rho not constant on orbit {name}"
-        rho_g[name] = ranks.pop()
+    rho_g = {name: sm.rank[reps[name]] for name in names}  # rank-invariant, checked above
 
     # the orbits of the face covers (f - v, f): all faces of an orbit have
     # one size, so an orbit order step of one vertex is a cover
@@ -410,15 +408,14 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
                 continue
             orbits_here = {orbit_of[f] for f in matching}
             ranks = {sm.rank[f] for f in matching}
-            assert len(ranks) == 1, f"rho not constant on central sets over {aset}"
+            if len(ranks) != 1:
+                raise InvariantBroken(f"rho not constant on central sets over {sorted(aset)}")
             m_g[aset] = len(orbits_here)
             rho_a = ranks.pop()
             tutte_action = tutte_action + (
                 (X_MINUS_1 ** (semirank - rho_a))
                 * (Y_MINUS_1 ** (size - rho_a)) * len(orbits_here))
 
-    assert tutte_direct(scheme) == tutte_action, \
-        "quotient Tutte polynomial differs from the group-action form"
     return QuotientResult(scheme, orbit_of, m_g, tutte_action)
 
 
@@ -533,9 +530,6 @@ def dowling_geometric(n: int, action: GroupAction, *,
     covers = sorted(set(covers))
     poset = build_poset([ids[el] for el in order], covers)
     rp = compute_rank(poset)
-    for beta, z in order:
-        assert rp.rank[ids[(beta, z)]] == n - len(beta), \
-            "computed rank differs from n - block count"
     return validate_geometric(rp, **({} if atom_cap is None else {"atom_cap": atom_cap}))
 
 

@@ -42,7 +42,6 @@ from .scheme import (
     closure,
     flats,
     is_simple,
-    validate_scheme,
 )
 
 DEFAULT_ATOM_CAP = 20
@@ -167,9 +166,10 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     atoms and x minimal above I, ordered by containment-and-order, with
     rho(I, x) the rank of x.  The covers of (I, x) are the (I + a, y) with
     a an atom not in I and y minimal above x and a: the join of I + a in
-    the geometric lattice below y.  The result is validated, asserted
-    simple, and its flats poset is asserted isomorphic to the input via the
-    embedding x -> (atoms below x, x)."""
+    the geometric lattice below y.  The certificate is trusted, not
+    re-checked: for a geometric poset the result is a simple scheme whose
+    flats are the input via x -> (atoms below x, x).  Colliding pair ids
+    raise ``DuplicateIdentifier``."""
     rp = gp.ranked
     p = rp.poset
     els = p.elements
@@ -186,7 +186,6 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
                     index[(sum(1 << a for a in combo), x)] = len(index)
     pairs = list(index)
     ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
-    assert len(set(ids)) == len(ids), "pair identifiers collide"
     covers = sorted((k, index[(I | 1 << a, y)])
                     for k, (I, x) in enumerate(pairs)
                     for a in _bits(atoms & ~I)
@@ -195,18 +194,7 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
 
     sp = verify_simplicial(compute_rank(build_poset(ids, covers)))
     rho = {pid: rp.rank[els[x]] for pid, (_, x) in zip(ids, pairs)}
-    m = validate_scheme(sp, rho)
-    assert is_simple(m), "scheme built from a geometric poset must be simple"
-
-    embed = {x: pair_id([els[a] for a in _bits(below[i] & atoms)], x)
-             for i, x in enumerate(els)}
-    fl = flats(m)
-    assert sorted(embed.values()) == sorted(fl.elements), \
-        "flats of the built scheme do not match the input poset"
-    # a bijection that maps the covers onto the covers is an order isomorphism
-    assert {(embed[a], embed[b]) for a, b in p.covers} == set(fl.poset.covers), \
-        "embedding into flats is not an order isomorphism"
-    return m
+    return MatroidScheme(sp, rho, _checked=True)
 
 
 def simplification(m: MatroidScheme) -> MatroidScheme:
@@ -244,4 +232,4 @@ def check_uniqueness(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
             return psi
     if find_isomorphism(f1, f2) is None:
         return None
-    raise AssertionError("flats posets isomorphic but no lift verified")  # pragma: no cover
+    raise InvariantBroken("flats posets isomorphic but no lift verified")  # pragma: no cover

@@ -16,6 +16,7 @@ import itertools
 from .errors import (
     CycleDetected,
     DuplicateIdentifier,
+    InvariantBroken,
     NonHasseCover,
     NotBelow,
     NotBoundedBelow,
@@ -406,7 +407,7 @@ def complement(sp: SimplicialPoset, x, a):
     for y in _bits(p.below[i]):
         if sp.support[y] == target:
             return p.elements[y]
-    raise AssertionError(f"no complement of {a!r} in down-set of {x!r}")  # pragma: no cover
+    raise InvariantBroken(f"no complement of {a!r} in down-set of {x!r}")  # pragma: no cover
 
 
 # --- Möbius function and characteristic polynomial ----------------------------

@@ -30,9 +30,11 @@ import itertools
 
 from .errors import (
     AxiomViolation,
+    InvariantBroken,
     MschemeError,
     NotALoop,
     NotAnAtom,
+    RankNotConstantOnMax,
     UnknownIdentifier,
 )
 from .poset import (
@@ -106,10 +108,11 @@ class MatroidScheme:
 
 def _meet_of_joinable(p: Poset, a, b):
     """The unique maximal lower bound of {a, b}; callers guarantee
-    join(a,b) is nonempty, which forces uniqueness in a simplicial poset."""
-    mm = p.meet_mask((a, b))
-    ids = p._ids(mm)
-    assert len(ids) == 1, f"meet of joinable pair {(a, b)} not unique"
+    join(a,b) is nonempty, which forces uniqueness in a simplicial poset
+    (``InvariantBroken`` otherwise)."""
+    ids = p._ids(p.meet_mask((a, b)))
+    if len(ids) != 1:
+        raise InvariantBroken(f"meet of joinable pair {(a, b)} not unique")
     return ids[0]
 
 
@@ -216,9 +219,11 @@ def _full(p: Poset) -> int:
 
 
 def scheme_rank(m: MatroidScheme) -> int:
-    """rho of any maximal element, after asserting constancy on max(S)."""
-    values = {m.rho[u] for u in m.poset.maximal_elements()}
-    assert len(values) == 1, f"rho not constant on maximal elements: {values}"
+    """rho of any maximal element; ``RankNotConstantOnMax`` if it varies."""
+    maxima = m.poset.maximal_elements()
+    values = {m.rho[u] for u in maxima}
+    if len(values) != 1:
+        raise RankNotConstantOnMax(tuple((u, m.rho[u]) for u in maxima))
     return values.pop()
 
 
@@ -229,8 +234,8 @@ def localization(m: MatroidScheme, x) -> MatroidScheme:
 
 
 def closure(m: MatroidScheme, x):
-    """The unique maximal element above x with the same rho (uniqueness is a
-    theorem for valid schemes and is asserted here)."""
+    """The unique maximal element above x with the same rho (a theorem for
+    valid schemes; ``InvariantBroken`` otherwise)."""
     if m._closure is None:
         p = m.poset
         els = m.elements
@@ -238,8 +243,8 @@ def closure(m: MatroidScheme, x):
         cl = {}
         for i, e in enumerate(els):
             top = p.maximal_of_mask(p.above[i] & lt[m.rho[e] + 1] & ~lt[m.rho[e]])
-            assert not top & (top - 1), \
-                f"closure of {e!r} not unique: {p._ids(top)}"
+            if top & (top - 1):
+                raise InvariantBroken(f"closure of {e!r} not unique: {p._ids(top)}")
             cl[e] = els[top.bit_length() - 1]
         m._closure = cl
     m.poset.idx(x)
@@ -321,14 +326,15 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
 
 def scheme_from_independence(sp: SimplicialPoset, ind) -> MatroidScheme:
     """Validate I1-I4, then build rho(x) = max size of an independent element
-    below x and validate the result as a scheme whose independence poset
-    equals the input (asserted)."""
+    below x and validate the result as a scheme; raises ``InvariantBroken``
+    if its independence poset differs from the input."""
     validate_independence(sp, ind)
     ind = set(ind)
     p = sp.poset
     rho = {x: max(sp.size(z) for z in p.down_set(x) if z in ind) for x in p.elements}
     m = validate_scheme(sp, rho)
-    assert independence(m) == frozenset(ind), "independence poset mismatch"
+    if independence(m) != frozenset(ind):
+        raise InvariantBroken("independence poset mismatch")
     return m
 
 
@@ -416,19 +422,22 @@ def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
 
 def check_loop_del_contr(m: MatroidScheme, a) -> dict:
     """For a loop a, produce and verify the isomorphism between the
-    contraction by a and the deletion of a via z -> complement of a in z."""
+    contraction by a and the deletion of a via z -> complement of a in z
+    (``InvariantBroken`` if it is not one)."""
     if a not in loops(m):
         raise NotALoop(f"{a!r} is not a loop")
     p = m.poset
     up = [z for z in m.elements if p.leq(a, z)]
     deleted = [e for e in m.elements if not p.leq(a, e)]
     phi = {z: complement(m.s, z, a) for z in up}
-    assert sorted(phi.values(), key=p.idx) == sorted(deleted, key=p.idx), \
-        "complement map is not a bijection onto the deletion"
+    if sorted(phi.values(), key=p.idx) != sorted(deleted, key=p.idx):
+        raise InvariantBroken("complement map is not a bijection onto the deletion")
     for z, w in itertools.product(up, up):
-        assert p.leq(z, w) == p.leq(phi[z], phi[w]), "complement map not an order iso"
+        if p.leq(z, w) != p.leq(phi[z], phi[w]):
+            raise InvariantBroken("complement map not an order iso")
     for z in up:
-        assert m.rho[z] - m.rho[a] == m.rho[phi[z]], "complement map not rank preserving"
+        if m.rho[z] - m.rho[a] != m.rho[phi[z]]:
+            raise InvariantBroken("complement map not rank preserving")
     return phi
 
 
@@ -477,7 +486,7 @@ def check_derived_axioms(m: MatroidScheme) -> DerivedAxiomReport:
     rep = DerivedAxiomReport()
     try:
         _check_derived(m, rep)
-    except (AssertionError, MschemeError) as exc:
+    except MschemeError as exc:
         rep.record("CL_STRUCTURE", False, (repr(exc),))
     for name in ("CL_STRUCTURE", "CL1", "CL2", "CL3", "CL4", "B1", "B2",
                  "C1", "C2", "C3", "C_RANK", "RK1", "RK2", "RK3", "LOCALFLATS",

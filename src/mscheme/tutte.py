@@ -12,7 +12,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
-from .errors import HasLoops
+from .errors import HasLoops, InvariantBroken
 from .polynomials import BivariatePolynomial, UnivariatePolynomial, one_minus_t
 from .poset import characteristic_polynomial, mobius
 from .scheme import (
@@ -109,13 +109,15 @@ def _delcon(m: MatroidScheme, memo: dict) -> BivariatePolynomial:
 
 
 def tutte_point_checks(m: MatroidScheme) -> tuple[int, int]:
-    """(T(1,1), T(2,2)), asserted equal to the basis count and the element
-    count respectively."""
+    """(T(1,1), T(2,2)), checked equal to the basis count and the element
+    count respectively (``InvariantBroken`` otherwise)."""
     t = tutte_direct(m)
     at_11 = t(1, 1)
     at_22 = t(2, 2)
-    assert at_11 == len(bases(m)), f"T(1,1)={at_11} != |B|={len(bases(m))}"
-    assert at_22 == len(m.elements), f"T(2,2)={at_22} != |S|={len(m.elements)}"
+    if at_11 != len(bases(m)):
+        raise InvariantBroken(f"T(1,1)={at_11} != |B|={len(bases(m))}")
+    if at_22 != len(m.elements):
+        raise InvariantBroken(f"T(2,2)={at_22} != |S|={len(m.elements)}")
     return at_11, at_22
 
 
@@ -123,7 +125,7 @@ def charpoly_identity(m: MatroidScheme) -> UnivariatePolynomial:
     """Characteristic polynomial of the flats poset, computed via Moebius
     summation AND via (-1)^rank * T(1-t, 0); the two must agree, and the
     Moebius values must match the signed count of elements closing to each
-    flat (all asserted).  Requires a loopless scheme."""
+    flat (``InvariantBroken`` otherwise).  Requires a loopless scheme."""
     lps = sorted(loops(m), key=m.poset.idx)
     if lps:
         raise HasLoops(lps)
@@ -132,10 +134,11 @@ def charpoly_identity(m: MatroidScheme) -> UnivariatePolynomial:
     rk = scheme_rank(m)
     t = tutte_direct(m)
     chi_tutte = t.substitute(one_minus_t(), 0) * ((-1) ** rk)
-    assert chi_mobius == chi_tutte, (
-        f"chi via Moebius {chi_mobius} != chi via Tutte {chi_tutte}")
+    if chi_mobius != chi_tutte:
+        raise InvariantBroken(f"chi via Moebius {chi_mobius} != chi via Tutte {chi_tutte}")
     mu = mobius(fl)
     for w in fl.elements:
         signed = sum((-1) ** m.size(u) for u in m.elements if closure(m, u) == w)
-        assert signed == mu[w], f"signed closure count at {w!r}: {signed} != mu={mu[w]}"
+        if signed != mu[w]:
+            raise InvariantBroken(f"signed closure count at {w!r}: {signed} != mu={mu[w]}")
     return chi_mobius

@@ -92,7 +92,7 @@ def test_criterion_02_characteristic_polynomial(dow_triv, dow_nontriv):
         via_mobius = characteristic_polynomial(flats(m))
         via_tutte = tutte_direct(m).substitute(one_minus_t(), 0) * (
             (-1) ** scheme_rank(m))
-        both = charpoly_identity(m)  # asserts the two routes agree internally
+        both = charpoly_identity(m)  # raises InvariantBroken unless the two routes agree
         assert str(via_mobius) == str(via_tutte) == str(both) == "t^2 - 6*t + 8"
     ok(2, "chi = t^2 - 6*t + 8 for both partition fixtures via Moebius and Tutte")
 
@@ -185,7 +185,7 @@ def test_criterion_06_cryptomorphism_round_trips(corpus):
 def test_criterion_07_point_checks(corpus, nonpos):
     assert tutte_point_checks(nonpos) == (2, 12)
     for name, m in corpus.schemes():
-        t11, t22 = tutte_point_checks(m)  # asserts |B| and |S| internally
+        t11, t22 = tutte_point_checks(m)  # raises InvariantBroken unless they are |B| and |S|
         assert t11 == len(bases(m)) and t22 == len(m.elements)
     ok(7, f"T(1,1) = |B| and T(2,2) = |S| on all {len(corpus)} corpus schemes")
 
@@ -215,7 +215,8 @@ def test_criterion_09_quotient_identities(qfix2):
     sm = files.load_semimatroid(files.fixture_path("semi4.json"))
     grp = files.load_group(files.fixture_path("z2.json"))
     act = files.load_action(files.fixture_path("z2_swap.json"), grp)
-    res = quotient_scheme(sm, act)  # asserts T_{M/G} == T_{G act M} internally
+    res = quotient_scheme(sm, act)
+    # T_{G act M} == T_{M/G}
     assert str(res.tutte_action) == "x^2 + 1"
     assert str(tutte_direct(res.scheme)) == "x^2 + 1"
     assert res.m_g[frozenset({"G·{a1}", "G·{b1}"})] == 2
@@ -247,7 +248,7 @@ def test_criterion_10_property_suite(corpus):
             assert tutte_delcon(reordered) == direct, name
             pivot_checked += 1
             if not loops(m):
-                charpoly_identity(m)  # asserts both routes and Moebius counts
+                charpoly_identity(m)  # checks both routes and the Moebius counts
                 chi_checked += 1
     assert derived >= 100 and pivot_checked >= 100 and chi_checked >= 80
     ok(10, f"derived axioms, geometric flats, pivot-order independence and "

@@ -120,6 +120,25 @@ def test_transform_simplify(capsys, tmp_path):
     assert code == 0 and "result: 3 elements" in out
 
 
+def test_transform_simplify_reports_colliding_pair_ids(capsys, tmp_path):
+    """With a "|" in the ids, the pairs ({p,q}, r|s) and ({p,q|r}, s) of the
+    simplification share the id (p,q|r|s): a verdict, not a traceback."""
+    tops = {"r|s": ("p", "q"), "s": ("p", "q|r"), "u": ("q", "q|r")}
+    doc = {"elements": [{"id": e, "rho": r} for e, r in
+                        [("0", 0), ("p", 1), ("q", 1), ("q|r", 1),
+                         ("r|s", 2), ("s", 2), ("u", 2), ("t", 3)]],
+           "covers": [["0", a] for a in ("p", "q", "q|r")]
+           + [[a, x] for x, pair in tops.items() for a in pair]
+           + [[x, "t"] for x in tops]}
+    path = tmp_path / "pipes.json"
+    path.write_text(json.dumps(doc))
+    code = main(["transform", "simplify", str(path), "--out", str(tmp_path / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "verdict: duplicate element id '(p,q|r|s)'" in captured.out.splitlines()
+    assert "Traceback" not in captured.err
+
+
 def test_transform_contract_bottom_is_identity(capsys, tmp_path, isth):
     out_file = tmp_path / "same.json"
     code, _ = run_cli(capsys, "transform", "contract", "isth.json",

@@ -34,6 +34,8 @@ from mscheme import (
 from mscheme import files
 from mscheme.constructions import quotient_subset_identities, set_id
 
+from generators import dowling_inputs
+
 
 @pytest.fixture(scope="module")
 def z2():
@@ -218,6 +220,14 @@ def test_partition_poset_rank_one(color_actions):
     assert len(gp.elements) == 3  # bottom plus one atom per color
     assert scheme_rank(scheme) == 1
     assert len(scheme.elements) == 3
+
+
+def test_partition_poset_rank_is_n_minus_block_count():
+    for label, n, act in dowling_inputs():
+        gp = dowling_geometric(n, act)
+        for x in gp.elements:
+            blocks = x.split("|")[0].count("{")  # "[{block}+{block}|points]"
+            assert gp.rank[x] == n - blocks, (label, x)
 
 
 def test_partition_poset_closed_intervals_are_geometric_lattices(color_actions):

@@ -19,6 +19,7 @@ from mscheme import (
     quotient_scheme,
     scheme_from_geometric,
     trivial_action,
+    tutte_direct,
     validate_geometric,
 )
 from mscheme.geometric import pair_id
@@ -88,6 +89,8 @@ def test_geometric_pair_covers_are_pair_order_covers(corpus):
 
 
 def test_quotient_covers_are_orbit_order_covers():
+    """The orbit order's covers, and the quotient's Tutte polynomial against
+    the group-action Tutte polynomial."""
     grp = files.load_group(files.fixture_path("z2.json"))
     sm4 = files.load_semimatroid(files.fixture_path("semi4.json"))
     sm4c = files.load_semimatroid(files.fixture_path("semi4c.json"))
@@ -109,3 +112,4 @@ def test_quotient_covers_are_orbit_order_covers():
 
         m = result.scheme
         assert list(m.poset.covers) == _reduced(m.elements, leq), name
+        assert tutte_direct(m) == result.tutte_action, name

@@ -15,9 +15,12 @@ from mscheme import (
     build_poset,
     check_uniqueness,
     compute_rank,
+    dowling_geometric,
     flats,
     find_isomorphism,
     is_geometric_lattice,
+    is_simple,
+    layers_poset,
     scheme_from_geometric,
     scheme_isomorphism,
     simplification,
@@ -26,6 +29,9 @@ from mscheme import (
     verify_simplicial,
     validate_scheme,
 )
+from mscheme.geometric import pair_id
+
+from generators import dowling_inputs
 from test_poset import boolean_lattice
 
 
@@ -112,6 +118,37 @@ def test_round_trips(cw_l, cw_r, isth, dow_triv, dow_nontriv, qfix):
         from mscheme import is_simple
         if is_simple(m):
             assert scheme_isomorphism(rebuilt, m) is not None
+
+
+def _certified_inputs(corpus):
+    """(label, geometric poset, the scheme built from it) for every corpus
+    flats poset, every corpus Dowling input and every corpus toric
+    arrangement."""
+    for name, m in corpus.schemes():
+        gp = validate_geometric(flats(m))
+        yield name, gp, scheme_from_geometric(gp)
+    for label, n, act in dowling_inputs():
+        gp = dowling_geometric(n, act)
+        yield label, gp, scheme_from_geometric(gp)
+    for label, arr in corpus.arrangements:
+        result = layers_poset(arr)
+        yield label, result.geometric, result.scheme
+
+
+def test_scheme_from_geometric_is_the_simple_scheme_of_its_input(corpus):
+    """The theorem scheme_from_geometric trusts its certificate for: the
+    scheme is valid and simple, and x -> (atoms below x, x) is a bijection
+    onto its flats that maps the input's covers onto the flats' covers, so
+    an order isomorphism."""
+    for name, gp, m in _certified_inputs(corpus):
+        assert validate_scheme(m.s, m.rho) == m, name
+        assert is_simple(m), name
+        p = gp.poset
+        embed = {x: pair_id([a for a in gp.atoms() if p.leq(a, x)], x)
+                 for x in p.elements}
+        fl = flats(m)
+        assert sorted(embed.values()) == sorted(fl.elements), name
+        assert {(embed[a], embed[b]) for a, b in p.covers} == set(fl.poset.covers), name
 
 
 def test_atom_cap_guard():

@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with the stdlib ``ast`` module: no
 module imports a name it never uses, every private module-level function
-or class is referenced somewhere in the package, and the number of
-``assert`` statements, which ``python -O`` strips, does not grow.  A
-subprocess checks that the CLI imports no ``dataclasses``."""
+or class is referenced somewhere in the package, and no internal check
+is an ``assert`` statement, which ``python -O`` strips, or a bare
+``raise AssertionError``.  A subprocess checks that the CLI imports no
+``dataclasses``."""
 
 import ast
 import subprocess
@@ -60,15 +61,20 @@ def test_private_definitions_are_referenced():
     assert not unreferenced, unreferenced
 
 
-# the internal checks still written as ``assert``; lower it as they become
-# explicit raises, never raise it
-ASSERT_CEILING = 19
+def _is_assertion(node) -> bool:
+    """An ``assert`` statement or a ``raise AssertionError[(...)]``."""
+    if isinstance(node, ast.Assert):
+        return True
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
-def test_assert_statements_do_not_grow():
-    count = sum(isinstance(node, ast.Assert)
-                for tree in MODULES.values() for node in ast.walk(tree))
-    assert count <= ASSERT_CEILING, count
+def test_no_assert_statements():
+    found = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree) if _is_assertion(node)]
+    assert not found, found
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -7,10 +7,12 @@ import pytest
 
 from mscheme import (
     AxiomViolation,
+    InvariantBroken,
     MatroidScheme,
     MschemeError,
     NotALoop,
     NotAnAtom,
+    RankNotConstantOnMax,
     bases,
     check_derived_axioms,
     check_loop_del_contr,
@@ -35,6 +37,7 @@ from mscheme import (
     compute_rank,
     build_poset,
 )
+from mscheme.scheme import _meet_of_joinable
 
 
 def make_scheme(elements, covers, rho):
@@ -100,6 +103,12 @@ def test_scheme_rank(isth, nonpos, loop_scheme):
     singleton = make_scheme(["0"], [], {"0": 0})
     assert scheme_rank(singleton) == 0
     assert scheme_rank(loop_scheme) == 0
+
+
+def test_scheme_rank_refuses_ranks_that_vary_on_max(isth):
+    broken = MatroidScheme(isth.s, {**isth.rho, "u": 1}, _checked=True)
+    with pytest.raises(RankNotConstantOnMax, match=r"\(\('u', 1\), \('v', 2\)\)"):
+        scheme_rank(broken)
 
 
 def test_localization(isth, nonpos):
@@ -187,6 +196,20 @@ def test_derived_axioms_catch_corruption(isth):
     broken.rho["u"] = 1
     report = check_derived_axioms(broken)
     assert not report.ok
+
+
+def test_closure_and_meet_checks_raise_not_assert(isth):
+    """Where uniqueness fails, closure and the meet of a joinable pair raise
+    InvariantBroken, which check_derived_axioms reports as CL_STRUCTURE
+    also under ``python -O``."""
+    level = MatroidScheme(isth.s, dict.fromkeys(isth.elements, 0), _checked=True)
+    with pytest.raises(InvariantBroken, match="closure of '0' not unique"):
+        closure(level, "0")
+    assert check_derived_axioms(level).failures()["CL_STRUCTURE"]
+    bowtie = build_poset(["0", "a", "b", "u", "v"], [
+        ("0", "a"), ("0", "b"), ("a", "u"), ("b", "u"), ("a", "v"), ("b", "v")])
+    with pytest.raises(InvariantBroken, match="not unique"):
+        _meet_of_joinable(bowtie, "u", "v")
 
 
 def test_loops_and_isthmuses(isth, nonpos, loop_scheme):
@@ -293,6 +316,27 @@ def test_check_loop_del_contr(loop_scheme, qfix2, isth):
     # and indeed the deletion and contraction by the isthmus differ
     from mscheme import scheme_isomorphism
     assert scheme_isomorphism(delete(isth, "a"), contract(isth, "a")) is None
+
+
+def test_loop_del_contr_checks_raise_not_assert(monkeypatch, loop_scheme, qfix2):
+    """The three checks of check_loop_del_contr are explicit raises, so they
+    hold under ``python -O``."""
+    import mscheme.scheme
+    relabelled = MatroidScheme(loop_scheme.s, {"0": 1, "a": 0}, _checked=True)
+    with pytest.raises(InvariantBroken, match="rank preserving"):
+        check_loop_del_contr(relabelled, "a")
+    p = qfix2.poset
+    lp = min(loops(qfix2), key=p.idx)
+    phi = check_loop_del_contr(qfix2, lp)
+    top = max(phi, key=p.idx)
+    swapped = {**phi, lp: phi[top], top: phi[lp]}  # still a bijection
+    with monkeypatch.context() as mp:
+        mp.setattr(mscheme.scheme, "complement", lambda s, z, a: s.bottom)
+        with pytest.raises(InvariantBroken, match="bijection"):
+            check_loop_del_contr(qfix2, lp)
+    monkeypatch.setattr(mscheme.scheme, "complement", lambda s, z, a: swapped[z])
+    with pytest.raises(InvariantBroken, match="order iso"):
+        check_loop_del_contr(qfix2, lp)
 
 
 # --- witness referee: the validators against the definitions ----------------

@@ -6,6 +6,7 @@ import pytest
 from mscheme import (
     BivariatePolynomial,
     HasLoops,
+    InvariantBroken,
     bases,
     build_poset,
     charpoly_identity,
@@ -101,6 +102,26 @@ def test_charpoly_identity(isth, dow_triv, dow_nontriv):
     assert str(charpoly_identity(isth)) == "t^2 - 2*t + 2"
     assert str(charpoly_identity(dow_triv)) == "t^2 - 6*t + 8"
     assert str(charpoly_identity(dow_nontriv)) == "t^2 - 6*t + 8"
+
+
+def test_point_and_charpoly_checks_raise_not_assert(monkeypatch, isth):
+    """The checks of tutte_point_checks and charpoly_identity are explicit
+    raises, so they hold under ``python -O``."""
+    import mscheme.tutte
+    with monkeypatch.context() as mp:
+        mp.setattr(mscheme.tutte, "bases", lambda m: frozenset())
+        with pytest.raises(InvariantBroken, match=r"T\(1,1\)=2 != \|B\|=0"):
+            tutte_point_checks(isth)
+    with monkeypatch.context() as mp:
+        # right at (1, 1) and wrong at (2, 2): isth has 2 bases, 5 elements
+        mp.setattr(mscheme.tutte, "tutte_direct", lambda m: BivariatePolynomial.constant(2))
+        with pytest.raises(InvariantBroken, match=r"T\(2,2\)=2 != \|S\|=5"):
+            tutte_point_checks(isth)
+        with pytest.raises(InvariantBroken, match="chi via Moebius"):
+            charpoly_identity(isth)
+    monkeypatch.setattr(mscheme.tutte, "mobius", lambda fl: dict.fromkeys(fl.elements, 0))
+    with pytest.raises(InvariantBroken, match="signed closure count at '0'"):
+        charpoly_identity(isth)
 
 
 def test_charpoly_rejects_loops(qfix2):
