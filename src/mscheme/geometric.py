@@ -226,9 +226,10 @@ def check_uniqueness(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
             psi[x] = candidates[0]
         if not ok or sorted(psi.values(), key=p2.idx) != list(m2.elements):
             continue
-        if all(m1.rho[x] == m2.rho[psi[x]] for x in m1.elements) and all(
-                p1.leq(x, y) == p2.leq(psi[x], psi[y])
-                for x in m1.elements for y in m1.elements):
+        # psi is a bijection here, so it is an order isomorphism iff it
+        # maps the covers onto the covers
+        if (all(m1.rho[x] == m2.rho[psi[x]] for x in m1.elements)
+                and {(psi[a], psi[b]) for a, b in p1.covers} == set(p2.covers)):
             return psi
     if find_isomorphism(f1, f2) is None:
         return None

@@ -12,6 +12,7 @@ deterministic tie-break for all search iteration and reported witnesses.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .errors import (
     CycleDetected,
@@ -513,53 +514,74 @@ def iter_isomorphisms(p: RankedPoset, q: RankedPoset,
                       p_labels: dict | None = None,
                       q_labels: dict | None = None):
     """Yield every rank-respecting (and label-respecting, when given) poset
-    isomorphism p -> q as an id -> id dict.  Backtracking with
-    (rank, label, down-degree, up-degree, down-set size) signatures."""
+    isomorphism p -> q as an id -> id dict whose items are in placement
+    order.
+
+    Backtracking on element indices.  Each element is signed by (rank,
+    label, lower-cover count, upper-cover count, down-set size, up-set
+    size), and p and q must have the same signatures with multiplicity.
+    p's elements are placed in (rank, index) order, so the lower covers of
+    the next element e are placed already.  Its candidates, tried in index
+    order, are the unused q elements of e's signature that cover every
+    image of e's lower covers.  Such a candidate has as many lower covers
+    as e, so its lower-cover mask is exactly the image of e's.  All
+    elements of lower rank are placed, so this is the same as agreeing on
+    the order with every placed element, and a rank-preserving bijection
+    that maps lower covers onto lower covers is an order isomorphism.  The
+    search keeps its own stack, so deep posets do not meet the recursion
+    limit."""
     pp, qq = p.poset, q.poset
-    if len(pp) != len(qq):
+    n = len(pp)
+    if n != len(qq):
         return
-    if p_labels is None:
-        p_labels = {}
-    if q_labels is None:
-        q_labels = {}
-
-    def sig(poset, ranked, labels, e):
-        i = poset.idx(e)
-        return (ranked.rank[e], labels.get(e),
-                len(poset.covers_dn[i]), len(poset.covers_up[i]),
-                bin(poset.below[i]).count("1"), bin(poset.above[i]).count("1"))
-
-    p_sig = {e: sig(pp, p, p_labels, e) for e in pp.elements}
-    q_sig = {e: sig(qq, q, q_labels, e) for e in qq.elements}
-    from collections import Counter
-    if Counter(p_sig.values()) != Counter(q_sig.values()):
+    p_sig, q_sig = _signatures(p, p_labels), _signatures(q, q_labels)
+    if Counter(p_sig) != Counter(q_sig):
         return
+    q_class = {}
+    for f, s in enumerate(q_sig):
+        q_class[s] = q_class.get(s, 0) | 1 << f
 
-    order = sorted(pp.elements, key=lambda e: (p.rank[e], pp.idx(e)))
-    mapping: dict = {}
-    used: set = set()
+    p_els, q_els, p_dn = pp.elements, qq.elements, pp.covers_dn
+    q_up = [sum(1 << f for f in c) for c in qq.covers_up]
+    order = sorted(range(n), key=lambda i: p.rank[p_els[i]])
+    phi = [-1] * n
 
-    def extend(k):
-        if k == len(order):
-            yield dict(mapping)
-            return
-        e = order[k]
-        for f in qq.elements:
-            if f in used or q_sig[f] != p_sig[e]:
-                continue
-            ok = True
-            for e2, f2 in mapping.items():
-                if pp.leq(e, e2) != qq.leq(f, f2) or pp.leq(e2, e) != qq.leq(f2, f):
-                    ok = False
-                    break
-            if ok:
-                mapping[e] = f
-                used.add(f)
-                yield from extend(k + 1)
-                used.remove(f)
-                del mapping[e]
+    def admissible(i, used):
+        cand = q_class[p_sig[i]] & ~used
+        for j in p_dn[i]:
+            cand &= q_up[phi[j]]
+        return cand
 
-    yield from extend(0)
+    used = 0
+    left = [admissible(order[0], 0)]  # candidates not yet tried, per depth
+    while left:
+        k = len(left) - 1
+        i = order[k]
+        if phi[i] >= 0:
+            used ^= 1 << phi[i]
+            phi[i] = -1
+        cand = left[k]
+        if not cand:
+            left.pop()
+            continue
+        low = cand & -cand
+        left[k] = cand ^ low
+        phi[i] = low.bit_length() - 1
+        used |= low
+        if k + 1 < n:
+            left.append(admissible(order[k + 1], used))
+        else:
+            yield {p_els[j]: q_els[phi[j]] for j in order}
+
+
+def _signatures(rp: RankedPoset, labels: dict | None) -> list:
+    """Per index: (rank, label, lower covers, upper covers, down-set size,
+    up-set size)."""
+    p, rank = rp.poset, rp.rank
+    labels = labels or {}
+    return [(rank[e], labels.get(e), len(dn), len(up), below.bit_count(), above.bit_count())
+            for e, dn, up, below, above
+            in zip(p.elements, p.covers_dn, p.covers_up, p.below, p.above)]
 
 
 def find_isomorphism(p: RankedPoset, q: RankedPoset,

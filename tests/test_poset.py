@@ -2,12 +2,15 @@
 Moebius/characteristic, geometric-lattice recognition, isomorphism."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 from mscheme import (
     CycleDetected,
     DuplicateIdentifier,
+    GroupAction,
     NonHasseCover,
     NotBoundedBelow,
     NotRanked,
@@ -18,9 +21,13 @@ from mscheme import (
     characteristic_polynomial,
     complement,
     compute_rank,
+    cyclic_group,
+    dowling_poset,
     find_isomorphism,
     flats,
     is_geometric_lattice,
+    iter_isomorphisms,
+    linear_matroid,
     lower_bound_maxima,
     mobius,
     scheme_from_matroid,
@@ -235,6 +242,162 @@ def test_find_isomorphism_respects_labels(cw_r, notgeom_poset):
     rp = cw_r.s.ranked
     assert find_isomorphism(rp, rp, cw_r.rho, notgeom_poset.rank) is None
     assert find_isomorphism(rp, rp, cw_r.rho, cw_r.rho) is not None
+
+
+# Isomorphisms enumerated per pair by the referees below.
+ISO_CAP = 24
+# Corpus schemes up to this size are searched by the referees: the ``leq``
+# transcription takes seconds on some larger ones.
+ISO_REFEREE_SIZE = 40
+
+
+def _signature_of(rp, labels):
+    """Element -> (rank, label, lower covers, upper covers, down-set size,
+    up-set size), the signature the search matches."""
+    p, labels = rp.poset, labels or {}
+    return {e: (rp.rank[e], labels.get(e), len(p.covers_dn[i]), len(p.covers_up[i]),
+                p.below[i].bit_count(), p.above[i].bit_count())
+            for i, e in enumerate(p.elements)}
+
+
+def _signatures(rp, labels):
+    return Counter(_signature_of(rp, labels).values())
+
+
+def _leq_isomorphisms(p, q, p_labels=None, q_labels=None):
+    """Transcription of the search before it ran on cover masks: place p's
+    elements in (rank, index) order and admit a candidate of the same
+    signature when ``leq`` agrees in both directions with every placed
+    pair."""
+    pp, qq = p.poset, q.poset
+    if len(pp) != len(qq):
+        return
+    p_sig, q_sig = _signature_of(p, p_labels), _signature_of(q, q_labels)
+    if Counter(p_sig.values()) != Counter(q_sig.values()):
+        return
+    order = sorted(pp.elements, key=lambda e: (p.rank[e], pp.idx(e)))
+    mapping = {}
+
+    def extend(k):
+        if k == len(order):
+            yield dict(mapping)
+            return
+        e = order[k]
+        for f in qq.elements:
+            if f in mapping.values() or q_sig[f] != p_sig[e]:
+                continue
+            if all(pp.leq(e, e2) == qq.leq(f, f2) and pp.leq(e2, e) == qq.leq(f2, f)
+                   for e2, f2 in mapping.items()):
+                mapping[e] = f
+                yield from extend(k + 1)
+                del mapping[e]
+
+    yield from extend(0)
+
+
+def _relabelled(rp, labels, rng):
+    """An isomorphic copy of rp with fresh ids, shuffled declaration order
+    and shuffled covers, and labels carried over when given."""
+    p = rp.poset
+    names = [f"r{i}" for i in range(len(p))]
+    rng.shuffle(names)
+    rename = dict(zip(p.elements, names))
+    order = list(p.elements)
+    rng.shuffle(order)
+    covers = [(rename[a], rename[b]) for a, b in p.covers]
+    rng.shuffle(covers)
+    copy = compute_rank(build_poset([rename[e] for e in order], covers))
+    return copy, None if labels is None else {rename[e]: v for e, v in labels.items()}
+
+
+def _twisted(rp, rng):
+    """Swap the upper ends of two covers a < b, c < d between the same
+    ranks: a < d, c < b keeps every rank and every cover degree.  None when
+    the drawn covers do not allow it."""
+    covers = list(rp.poset.covers)
+    i, j = rng.sample(range(len(covers)), 2)
+    (a, b), (c, d) = covers[i], covers[j]
+    if (rp.rank[a] != rp.rank[c] or a == c or b == d
+            or (a, d) in covers or (c, b) in covers):
+        return None
+    covers[i], covers[j] = (a, d), (c, b)
+    return compute_rank(build_poset(rp.elements, covers))
+
+
+def _same_search(p, q, p_labels=None, q_labels=None):
+    """The capped search result, asserted equal to the transcription's in
+    order, item order of each dict included."""
+    got = [list(phi.items()) for phi in
+           itertools.islice(iter_isomorphisms(p, q, p_labels, q_labels), ISO_CAP)]
+    want = [list(phi.items()) for phi in
+            itertools.islice(_leq_isomorphisms(p, q, p_labels, q_labels), ISO_CAP)]
+    assert got == want
+    return got
+
+
+def _referee_schemes(corpus):
+    return [(e.name, e.scheme) for e in corpus.entries
+            if len(e.scheme.elements) <= ISO_REFEREE_SIZE]
+
+
+def test_isomorphisms_to_relabelled_copies_match_leq_search(corpus):
+    rng = random.Random("iso-referee")
+    for name, m in _referee_schemes(corpus):
+        rp = m.s.ranked
+        q, q_rho = _relabelled(rp, m.rho, rng)
+        assert _same_search(rp, q, m.rho, q_rho), name
+        fl = flats(m)
+        fq, _ = _relabelled(fl, None, rng)
+        assert _same_search(fl, fq), name
+
+
+def test_isomorphisms_to_twisted_copies_match_leq_search(corpus):
+    """Pairs of equal size that are mostly not isomorphic: a twisted copy
+    often keeps every signature, so only the order check tells it apart."""
+    rng = random.Random("iso-twist")
+    pruned = 0
+    for name, m in _referee_schemes(corpus):
+        rp = m.s.ranked
+        if len(rp.poset.covers) < 2:
+            continue
+        for _ in range(16):
+            twisted = _twisted(rp, rng)
+            if twisted is None:
+                continue
+            q, q_rho = _relabelled(twisted, m.rho, rng)
+            for labels in ((m.rho, q_rho), (None, None)):
+                found = _same_search(rp, q, *labels)
+                pruned += not found and _signatures(rp, labels[0]) == _signatures(q, labels[1])
+    assert pruned >= 30
+
+
+def test_searches_on_large_symmetric_schemes_find_isomorphisms():
+    """The Dowling scheme of rank 2 over Z3 rotating three points, and a
+    128-element linear scheme, against relabelled copies."""
+    z3 = cyclic_group(3)
+    g, pts = z3.elements, ["p0", "p1", "p2"]
+    rot3 = GroupAction(z3, pts, {(g[i], pts[j]): pts[(i + j) % 3]
+                                 for i in range(3) for j in range(3)})
+    linear = linear_matroid([[2, 0, 0, -1, -1, 2, 2], [2, 1, 1, -2, 2, 1, 0],
+                             [0, 2, -2, 2, -1, -2, 0]])
+    rng = random.Random("iso-large")
+    for m in (dowling_poset(2, rot3)[1], scheme_from_matroid(linear)):
+        q, q_rho = _relabelled(m.s.ranked, m.rho, rng)
+        phi = find_isomorphism(m.s.ranked, q, m.rho, q_rho)
+        assert phi is not None
+        assert sorted(phi) == sorted(m.elements)
+        assert sorted(phi.values()) == sorted(q.elements)
+        assert all(m.rho[e] == q_rho[phi[e]] for e in m.elements)
+        p, qq = m.poset, q.poset
+        assert all(p.leq(a, b) == qq.leq(phi[a], phi[b])
+                   for a in m.elements for b in m.elements)
+
+
+def test_search_is_not_bounded_by_the_recursion_limit():
+    rp = scheme_from_matroid(uniform_matroid(5, 10)).s.ranked
+    assert len(rp.elements) == 1024
+    phi = find_isomorphism(rp, rp)
+    assert phi is not None and len(phi) == 1024
 
 
 def _row_major(p, covers):
