@@ -112,7 +112,6 @@ from .toric import (
     arr_localize,
     arr_restrict,
     hnf,
-    integer_kernel,
     intersect_layer,
     layers_poset,
     saturate,

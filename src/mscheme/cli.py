@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Commands: check, invariants, transform, construct, export, iso.
-Exit codes are a stable contract: 0 success/valid, 1 semantic failure,
-2 malformed input.  All verdict output on stdout is byte-identical across
-runs on identical input; timing goes to stderr.
+Exit codes are a stable contract: 0 success/valid, 1 semantic failure or
+a broken stdout pipe, 2 malformed input.  All verdict output on stdout is
+byte-identical across runs on identical input; timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -289,19 +290,32 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    try:
+        if args.cap_atoms < 0:
+            raise MalformedInput(f"--cap-atoms must be at least 0, not {args.cap_atoms}")
+        return args.func(args)
+    except MalformedInput as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except MschemeError as exc:
+        print(f"error: {exc}")
+        return 1
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        if args.cap_atoms < 0:
-            raise MalformedInput(f"--cap-atoms must be at least 0, not {args.cap_atoms}")
-        code = args.func(args)
-    except MalformedInput as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        code = 2
-    except MschemeError as exc:
-        print(f"error: {exc}")
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone: what is still buffered goes to
+        # devnull, so the flush at interpreter exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         code = 1
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

@@ -233,4 +233,4 @@ def check_uniqueness(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
             return psi
     if find_isomorphism(f1, f2) is None:
         return None
-    raise InvariantBroken("flats posets isomorphic but no lift verified")  # pragma: no cover
+    raise InvariantBroken("flats posets isomorphic but no lift verified")

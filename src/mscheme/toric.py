@@ -9,14 +9,13 @@ phases its basis rows must take; saturation makes the component connected
 and the canonical form makes equality componentwise.
 
 Intersecting a layer with a hypersurface has two halves.  The lattice half
-depends only on the layer's basis and the character vector: whether alpha
-already lies in the lattice, the saturation of lattice + Z alpha (one
-Smith form that tracks V^-1, then the HNF), and the Smith form of the
-generators expressed over it.  ``layers_poset`` computes it once per
-(basis, alpha) in each call.  The phase half runs on integers: the phases
-over one common denominator, one Fraction per output phase.  Every exact
-invariant in this module raises InvariantBroken, so it holds under
-``python -O``.  Characters and layers are plain slotted classes, so
+depends only on the layer's basis B and the character vector: one Smith
+form per distinct B completes it to a unimodular W, and one Hermite form
+per (B, alpha) gives the saturated lattice and the number g of pieces (see
+``_Cut``); ``layers_poset`` caches both in each call.  The phase half runs
+on integers over one common denominator, one Fraction per output phase.
+Every exact invariant in this module raises InvariantBroken, so it holds
+under ``python -O``.  Characters and layers are plain slotted classes, so
 importing the module loads no ``dataclasses``.
 
 Real and elliptic coefficient groups are out of scope: real factors make
@@ -27,7 +26,6 @@ parameterizing over it.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -92,17 +90,14 @@ def hnf(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     return m, u
 
 
-def snf(matrix: list[list[int]], inverse: bool = False):
+def snf(matrix: list[list[int]]):
     """Smith normal form D = U*M*V with unimodular U, V and divisibility
-    d1 | d2 | ... along the diagonal.  Returns (D, U, V), or with
-    ``inverse`` (D, U, V, V^-1): each column step on V is mirrored by the
-    inverse row step on V^-1."""
+    d1 | d2 | ... along the diagonal.  Returns (D, U, V)."""
     m = [list(r) for r in matrix]
     rows = len(m)
     cols = len(m[0]) if m else 0
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    vinv = [list(r) for r in v] if inverse else None
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -113,8 +108,6 @@ def snf(matrix: list[list[int]], inverse: bool = False):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        if inverse:
-            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, q):
         m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
@@ -125,8 +118,6 @@ def snf(matrix: list[list[int]], inverse: bool = False):
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
-        if inverse:
-            vinv[src] = [a - q * b for a, b in zip(vinv[src], vinv[dst])]
 
     t = 0
     while t < min(rows, cols):
@@ -162,37 +153,25 @@ def snf(matrix: list[list[int]], inverse: bool = False):
             add_row(bad[0], t, 1)
             continue
         t += 1
-    return (m, u, v, vinv) if inverse else (m, u, v)
-
-
-def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
-    """Basis of { v : M v = 0 } as columns-of-V for zero diagonal entries."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if matrix else 0
-    if rows == 0:
-        return [[int(i == j) for j in range(cols)] for i in range(cols)]
-    d, _, v = snf(matrix)
-    out = []
-    for j in range(cols):
-        if j >= rows or d[j][j] == 0:
-            out.append([v[i][j] for i in range(cols)])
-    return out
+    return m, u, v
 
 
 def saturate(matrix: list[list[int]]) -> list[list[int]]:
     """Canonical HNF basis of the saturation of the row lattice: the set of
     integer vectors lying in the rational row span.
 
-    With D = U*M*V of rank r, the rows of M span the same rational space as
-    the first r rows of V^-1, and those rows extend to a basis of Z^n, so
-    their integer span is already saturated: one Smith form, then the HNF.
+    With D = U*M*V of rank r, row i < r of U*M = D*V^-1 is d_i times row i
+    of V^-1.  Those rows of V^-1 span the rational row space and extend to a
+    basis of Z^n, so their integer span is already saturated: one Smith
+    form, then the HNF.
     """
     if not matrix:
         return []
-    d, _, _, vinv = snf(matrix, inverse=True)
-    r = sum(1 for i in range(min(len(d), len(vinv))) if d[i][i])
-    h, _ = hnf(vinv[:r])
-    return [row for row in h if any(row)]
+    d, u, _ = snf(matrix)
+    um = [[sum(a * b for a, b in zip(row, col)) for col in zip(*matrix)] for row in u]
+    h, _ = hnf([[x // d[i][i] for x in um[i]]
+                for i in range(min(len(d), len(d[0]))) if d[i][i]])
+    return h
 
 
 # --- characters and layers -----------------------------------------------------------
@@ -253,24 +232,6 @@ class Character:
         return f"Character{self.label}"
 
 
-def _express(basis, alpha) -> list[int] | None:
-    """Integer coordinates of alpha over the rows of an HNF basis, or None
-    when alpha is outside their lattice.  Back-substitution along the pivot
-    columns, verified exactly."""
-    residue = list(alpha)
-    coeffs = []
-    for row in basis:
-        pivot_col = next(i for i, v in enumerate(row) if v)
-        q, r = divmod(residue[pivot_col], row[pivot_col])
-        if r:
-            return None
-        coeffs.append(q)
-        residue = [a - q * b for a, b in zip(residue, row)]
-    if any(residue):
-        return None
-    return coeffs
-
-
 class Layer:
     """A saturated sublattice (canonical triangular basis) plus the rational
     phases of its basis rows; one connected component of an intersection."""
@@ -299,8 +260,18 @@ class Layer:
 
     def express(self, alpha) -> list[int] | None:
         """Integer coordinates of alpha over the basis rows, or None when
-        alpha is outside the lattice."""
-        return _express(self.basis, alpha)
+        alpha is outside the lattice.  Back-substitution along the pivot
+        columns, verified exactly."""
+        residue = list(alpha)
+        coeffs = []
+        for row in self.basis:
+            pivot_col = next(i for i, v in enumerate(row) if v)
+            q, r = divmod(residue[pivot_col], row[pivot_col])
+            if r:
+                return None
+            coeffs.append(q)
+            residue = [a - q * b for a, b in zip(residue, row)]
+        return None if any(residue) else coeffs
 
     def phase_of(self, alpha) -> Fraction | None:
         coeffs = self.express(alpha)
@@ -317,67 +288,74 @@ def ambient_layer(n: int) -> Layer:
     return Layer(n, (), ())
 
 
-class _Smith:
-    """The Smith data of an extension system C * phi = g over Q/Z, with C
-    of full column rank k, prepared for integer phases.
+def _completion(n: int, basis) -> tuple[tuple[int, ...], ...]:
+    """The columns of W^-1 for a unimodular W whose first r rows are the
+    basis, so that alpha * W^-1 gives alpha's coordinates over W.
 
-    With D = U*C*V, the solutions are phi = V*w, where w_i ranges over
-    ((U*g)_i + t_i) / d_i for t_i in [0, d_i), and rows k and up of U*g
-    must be integral.  Over one denominator L = lcm(d_i) this is
-    phi = (V' * (U*g) + V' * t) / L with V'[i][j] = V[i][j] * L / d_j, so
-    ``offsets`` holds V' * t for every t, in product order."""
+    With D = U*B*V, every diagonal entry of D is 1 because the lattice is
+    saturated, so B is U^-1 times the first r rows of V^-1: W is
+    diag(U^-1, I) * V^-1 and W^-1 = V * diag(U, I).  One Smith form per
+    basis."""
+    r = len(basis)
+    if not r:
+        return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    d, u, v = snf([list(row) for row in basis])
+    if any(d[i][i] != 1 for i in range(r)):
+        raise InvariantBroken(f"layer basis {basis} is not saturated")
+    head = [tuple(sum(v[i][k] * u[k][j] for k in range(r)) for i in range(n))
+            for j in range(r)]
+    return tuple(head) + tuple(tuple(row[j] for row in v) for j in range(r, n))
 
-    __slots__ = ("u", "lcm", "scaled", "offsets")
 
-    def __init__(self, cmat: list[list[int]]):
-        d, u, v = snf(cmat)
-        k = len(cmat[0])
-        diag = [d[i][i] if i < len(d) else 0 for i in range(k)]
-        if not all(diag):
-            raise InvariantBroken("saturated system must have full column rank")
-        big = 1
-        for di in diag:
-            big = lcm(big, di)
-        scaled = [[v[i][j] * (big // diag[j]) for j in range(k)] for i in range(k)]
-        self.u = u
-        self.lcm = big
-        self.scaled = scaled
-        self.offsets = [[sum(a * b for a, b in zip(row, t)) for row in scaled]
-                        for t in itertools.product(*(range(di) for di in diag))]
+class _Cut:
+    """The lattice half of cutting a layer (basis B of rank r, phases phi)
+    with the hypersurfaces of a character alpha outside its lattice.
 
-    def solve(self, phases) -> list[tuple[Fraction, ...]]:
-        """Every phi with C * phi = phases over Q/Z, one tuple per piece.
-        The phases go over their common denominator q as integers g, so
-        phi = (V' * (U*g) + q * V' * t) / (q * L)."""
+    With c = alpha * W^-1, alpha = c[:r]*B + g*beta where g = gcd(c[r:]) > 0
+    and beta = (alpha - c[:r]*B)/g is primitive modulo the lattice, so the
+    saturation of lattice + Z alpha is lattice + Z beta; with T*[B; beta] = H
+    in Hermite form, ``sat`` is H.  A point with phases phi on B and theta
+    on alpha has phase (theta - c[:r]*phi + k)/g on beta for one k in
+    [0, g): the multiplicity g of the arithmetic matroid is the number of
+    pieces.  Over the denominator q*g, with Phi, Theta the numerators over
+    q, the phases on H are T*[g*Phi; Theta - c[:r]*Phi + k*q], that is
+    ``mix`` * [Phi; Theta] plus k*q times ``shift``, the last column of T."""
+
+    __slots__ = ("sat", "mix", "shift", "g")
+
+    def __init__(self, basis, alpha, c, g):
+        r = len(basis)
+        head = c[:r]
+        beta = [(a - sum(h * row[i] for h, row in zip(head, basis))) // g
+                for i, a in enumerate(alpha)]
+        h, t = hnf([list(row) for row in basis] + [beta])
+        self.sat = tuple(tuple(row) for row in h)
+        self.mix = [[g * t_i[j] - t_i[r] * head[j] for j in range(r)] + [t_i[r]]
+                    for t_i in t]
+        self.shift = [t_i[r] for t_i in t]
+        self.g = g
+
+    def pieces(self, phases) -> list[tuple[Fraction, ...]]:
+        """The phases of every piece, given the layer's phases followed by
+        the character's; one tuple per k."""
         q = 1
         for p in phases:
             q = lcm(q, p.denominator)
-        g = [p.numerator * (q // p.denominator) for p in phases]
-        rhs = [sum(a * b for a, b in zip(row, g)) for row in self.u]
-        if any(r % q for r in rhs[len(self.scaled):]):
-            raise InvariantBroken("inconsistent extension system")
-        base = [sum(a * b for a, b in zip(row, rhs)) for row in self.scaled]
-        big = q * self.lcm
-        return [tuple(Fraction((b + q * o) % big, big) for b, o in zip(base, off))
-                for off in self.offsets]
+        nums = [p.numerator * (q // p.denominator) for p in phases]
+        base = [sum(a * b for a, b in zip(row, nums)) for row in self.mix]
+        big = q * self.g
+        return [tuple(Fraction((b + kq * s) % big, big)
+                      for b, s in zip(base, self.shift))
+                for kq in range(0, big, q)]
 
 
-def _extension(basis, alpha):
-    """The lattice half of intersecting a layer with basis ``basis`` with
-    the hypersurfaces of character ``alpha``: None when alpha lies in the
-    lattice, else the saturated basis of lattice + Z alpha and the Smith
-    data of the generators expressed over it.  Phases play no part."""
-    if _express(basis, alpha) is not None:
-        return None
-    gen_rows = list(basis) + [alpha]
-    sat = tuple(tuple(r) for r in saturate(gen_rows))
-    cmat = []
-    for row in gen_rows:
-        coeffs = _express(sat, row)
-        if coeffs is None:
-            raise InvariantBroken("generator not expressible over its saturation")
-        cmat.append(coeffs)
-    return sat, _Smith(cmat)
+def _cut(basis, inverse, alpha) -> _Cut | None:
+    """The cut by character alpha of a layer with this basis and
+    completion ``inverse`` (see ``_completion``), or None when alpha lies
+    in the lattice.  Phases play no part."""
+    c = [sum(a * w for a, w in zip(alpha, col)) for col in inverse]
+    g = gcd(*c[len(basis):])
+    return _Cut(basis, alpha, c, g) if g else None
 
 
 def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
@@ -385,18 +363,16 @@ def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
 
     If alpha already lies in the layer's lattice the constraint is either
     redundant (one layer) or contradictory (none).  Otherwise the lattice
-    grows by alpha and the phase assignment extends to the saturation in
-    exactly [saturation : lattice + Z alpha] ways, enumerated via the Smith
-    normal form.
+    grows to its saturation and the phases extend in g ways (see
+    ``_Cut``).
     """
     if len(c.alpha) != layer.n:
         raise DimensionMismatch(f"character in rank {len(c.alpha)}, layer in {layer.n}")
-    ext = _extension(layer.basis, c.alpha)
-    if ext is None:
+    cut = _cut(layer.basis, _completion(layer.n, layer.basis), c.alpha)
+    if cut is None:
         return [layer] if layer.phase_of(c.alpha) == c.phase else []
-    sat, smith = ext
-    out = [Layer(layer.n, sat, phases)
-           for phases in smith.solve(layer.phases + (c.phase,))]
+    out = [Layer(layer.n, cut.sat, phases)
+           for phases in cut.pieces(layer.phases + (c.phase,))]
     return sorted(out, key=lambda L: L.layer_id)
 
 
@@ -457,21 +433,24 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     start = ambient_layer(arr.n)
     layers = {start.layer_id: start}
     steps = set()
-    extensions = {}  # (basis, alpha) -> _extension, for this call only
+    completions = {}  # basis -> _completion, for this call only
+    cuts = {}  # (basis, alpha) -> _cut, for this call only
     frontier = [start]
     while frontier:
         new = []
         for layer in frontier:
+            basis = layer.basis
             for c in arr.characters:
-                key = (layer.basis, c.alpha)
-                if key not in extensions:
-                    extensions[key] = _extension(*key)
-                ext = extensions[key]
-                if ext is None:  # the piece is the layer itself, or nothing
+                key = (basis, c.alpha)
+                if key not in cuts:
+                    if basis not in completions:
+                        completions[basis] = _completion(arr.n, basis)
+                    cuts[key] = _cut(basis, completions[basis], c.alpha)
+                cut = cuts[key]
+                if cut is None:  # the piece is the layer itself, or nothing
                     continue
-                sat, smith = ext
-                for phases in smith.solve(layer.phases + (c.phase,)):
-                    piece = Layer(arr.n, sat, phases)
+                for phases in cut.pieces(layer.phases + (c.phase,)):
+                    piece = Layer(arr.n, cut.sat, phases)
                     steps.add((layer.layer_id, piece.layer_id))
                     if piece.layer_id not in layers:
                         layers[piece.layer_id] = piece
@@ -491,11 +470,10 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     scheme = scheme_from_geometric(gp)
 
     atom_of = {}
-    for c in arr.characters:
-        pieces = intersect_layer(start, c)
-        if len(pieces) != 1:
-            raise InvariantBroken("a primitive hypersurface is a single layer")
-        atom_of[c.canonical_key()] = pieces[0].layer_id
+    for c in arr.characters:  # a primitive alpha cuts the torus in one piece
+        cut = cuts[((), c.alpha)]
+        (phases,) = cut.pieces((c.phase,))
+        atom_of[c.canonical_key()] = Layer(arr.n, cut.sat, phases).layer_id
     p = rp.poset
     atoms = sum(1 << p.index[a] for a in rp.atoms())
     scheme_element_of = {lid: pair_id(p._ids(p.below[k] & atoms), lid)

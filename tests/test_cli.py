@@ -1,8 +1,14 @@
 """File formats and the command-line front end: round trips, exit codes,
 deterministic reports."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mscheme
 from mscheme import files
 from mscheme.cli import main
 
@@ -335,3 +341,49 @@ def test_check_geometric_names_g1_witnesses(capsys, tmp_path):
         assert code == 1, name
         assert lines == [f"command: check cap_atoms=20 kind=geometric path={path}",
                          "verdict: violation of G1", witness], name
+
+
+class _GoneReader(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its descriptor is a scratch file, which the handler may redirect."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_1_without_traceback(monkeypatch, tmp_path, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _GoneReader(fd))
+        code = main(["iso", "notgeom.json", "notgeom.json"])
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("elapsed: ")
+
+
+def test_closed_stdout_pipe_leaves_no_message_at_exit():
+    """With the read end closed before the process starts, every write to
+    stdout fails: at the first print when stdout is unbuffered (``-u``),
+    at the last flush when it is buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for flags in ([], ["-u"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run(
+                [sys.executable, *flags, "-m", "mscheme.cli", "check", "scheme", "isth.json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=env, cwd=Path(mscheme.__file__).parents[1])
+        finally:
+            os.close(write_end)
+        assert run.returncode == 1, (flags, run.stderr)
+        assert run.stderr.startswith("elapsed: ") and "Exception" not in run.stderr, \
+            (flags, run.stderr)

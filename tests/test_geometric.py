@@ -103,6 +103,28 @@ def test_check_uniqueness(cw_l, dow_triv, dow_nontriv):
     assert ident is not None
 
 
+def test_check_uniqueness_rejects_a_wrong_lift(monkeypatch, nonpos):
+    """Swapping the two tops u, v of ``nonpos`` is a rank-preserving
+    bijection of its flats but no isomorphism.  Each element still has
+    exactly one lift candidate, so only the final rho and cover check can
+    reject the lift; the real search then finds an isomorphism, and the
+    mismatch is an InvariantBroken."""
+    import mscheme.geometric
+    f = flats(nonpos)
+    swap = {"u": "v", "v": "u"}
+    wrong = {e: swap.get(e, e) for e in f.elements}
+    assert {(wrong[a], wrong[b]) for a, b in f.poset.covers} != set(f.poset.covers)
+    monkeypatch.setattr(mscheme.geometric, "iter_isomorphisms",
+                        lambda f1, f2: iter([wrong]))
+    with pytest.raises(InvariantBroken, match="no lift verified"):
+        check_uniqueness(nonpos, nonpos)
+    # after the rejected lift, the identity's lift is the one returned
+    ident = {e: e for e in f.elements}
+    monkeypatch.setattr(mscheme.geometric, "iter_isomorphisms",
+                        lambda f1, f2: iter([wrong, ident]))
+    assert check_uniqueness(nonpos, nonpos) == {e: e for e in nonpos.elements}
+
+
 def test_check_uniqueness_requires_simple(cw_r, cw_l):
     with pytest.raises(NotSimple):
         check_uniqueness(cw_r, cw_l)

@@ -3,12 +3,16 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mscheme
 from mscheme import (
     Character,
     DimensionMismatch,
@@ -23,7 +27,6 @@ from mscheme import (
     arr_localize,
     arr_restrict,
     hnf,
-    integer_kernel,
     intersect_layer,
     layers_poset,
     saturate,
@@ -31,8 +34,10 @@ from mscheme import (
     snf,
     verify_thm_arr,
 )
-from mscheme.toric import _Smith, _unimodular_inverse
+from mscheme.toric import _completion, _cut, _unimodular_inverse
 from grid_oracle import check_arrangement
+
+SRC = Path(mscheme.__file__).parents[1]
 
 
 def test_snf_of_diagonal_pair():
@@ -103,6 +108,18 @@ def test_normal_form_properties(m):
     rows = [r for r in h if any(r)]
     if rows:
         assert hnf(rows)[0] == rows
+
+
+def integer_kernel(matrix):
+    """Basis of { v : M v = 0 }: the columns of V at the zero diagonal
+    entries of the Smith form D = U*M*V."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    if rows == 0:
+        return [[int(i == j) for j in range(cols)] for i in range(cols)]
+    d, _, v = snf(matrix)
+    return [[v[i][j] for i in range(cols)]
+            for j in range(cols) if j >= rows or d[j][j] == 0]
 
 
 @given(small_matrix)
@@ -402,41 +419,53 @@ def test_saturate_matches_double_kernel():
         assert saturate(rows) == _reference_saturate(rows), rows
 
 
-def test_integer_solve_matches_rational_reference_on_overdetermined_systems():
-    """Extension systems with more equations than unknowns, so rows k and
-    up of U * g carry the consistency condition; an inconsistent right-hand
-    side is an InvariantBroken, a consistent one gives the reference's
-    pieces in the same order."""
-    rng = random.Random(11)
-    consistent = inconsistent = 0
-    for case in range(400):
-        k = 1 + case % 3
-        while True:
-            cmat = [[rng.randint(-3, 3) for _ in range(k)]
-                    for _ in range(k + rng.randint(0, 2))]
-            if all(snf(cmat)[0][i][i] for i in range(k)):
-                break
-        if rng.random() < 0.6:  # phases of an actual solution
-            phi = [Fraction(rng.randrange(6), rng.randint(1, 6)) for _ in range(k)]
-            g = [_frac(sum((a * p for a, p in zip(row, phi)), Fraction(0)))
-                 for row in cmat]
+def test_cut_matches_rational_reference():
+    """The per-basis completion and the per-key cut against the rational
+    reference: W has the basis as its first rows and is unimodular, the
+    cut is None exactly when alpha lies in the lattice, and otherwise its
+    saturated basis is the double-kernel saturation, g is the number of
+    pieces and the pieces are the reference's phases."""
+    rng = random.Random(20261019)
+    several = in_lattice = 0
+    for case in range(900):
+        n = 2 + case % 3
+        layer = _random_layer(rng, n)
+        roll = rng.random()
+        if layer.rank and roll < 0.2:
+            c = _lattice_character(rng, layer, clash=roll < 0.1)
         else:
-            g = [Fraction(rng.randrange(6), 6) for _ in cmat]
-        expected = _reference_solve(cmat, g)
-        if expected is None:
-            inconsistent += 1
-            with pytest.raises(InvariantBroken, match="inconsistent extension system"):
-                _Smith(cmat).solve(g)
-        else:
-            consistent += 1
-            assert _Smith(cmat).solve(g) == expected, (cmat, g)
-    assert consistent >= 100 and inconsistent >= 50, (consistent, inconsistent)
+            c = _random_character(rng, n)
+        inverse = _completion(n, layer.basis)
+        w = _unimodular_inverse([list(row) for row in zip(*inverse)])
+        assert [tuple(row) for row in w[:layer.rank]] == list(layer.basis)
+        cut = _cut(layer.basis, inverse, c.alpha)
+        if _reference_express(layer.basis, c.alpha) is not None:
+            in_lattice += 1
+            assert cut is None, (layer, c)
+            continue
+        gen_rows = [list(r) for r in layer.basis] + [list(c.alpha)]
+        sat = _reference_saturate(gen_rows)
+        assert cut.sat == tuple(tuple(r) for r in sat), (layer, c)
+        cmat = [_reference_express(sat, row) for row in gen_rows]
+        expected = _reference_solve(cmat, list(layer.phases) + [c.phase])
+        got = cut.pieces(layer.phases + (c.phase,))
+        assert cut.g == len(got) and sorted(got) == sorted(expected), (layer, c)
+        if cut.g > 1:
+            several += 1
+    assert several >= 50 and in_lattice >= 20, (several, in_lattice)
 
 
 def test_invariant_checks_raise_not_assert():
-    """The checks on the extension path are explicit raises, so they hold
-    under ``python -O``."""
-    with pytest.raises(InvariantBroken, match="inconsistent extension system"):
-        _Smith([[1], [1]]).solve([Fraction(0), Fraction(1, 2)])
-    with pytest.raises(InvariantBroken, match="full column rank"):
-        _Smith([[1, 2], [2, 4]])
+    """A layer basis that is not saturated, or not of full rank, is an
+    explicit InvariantBroken from the completion, so the check holds under
+    ``python -O`` as well."""
+    for basis in (((2, 0),), ((1, 1), (0, 2)), ((1, 0), (2, 0))):
+        with pytest.raises(InvariantBroken, match="not saturated"):
+            _completion(2, basis)
+    code = ("from mscheme.errors import InvariantBroken\n"
+            "from mscheme.toric import _completion\n"
+            "try:\n    _completion(2, ((2, 0),))\n"
+            "except InvariantBroken:\n    print('raised')\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=60, cwd=SRC)
+    assert run.stdout == "raised\n", run.stderr
