@@ -32,22 +32,37 @@ from .polynomials import UnivariatePolynomial
 class Poset:
     """Immutable finite poset.
 
-    ``elements`` is the declaration-order tuple of identifiers, ``covers``
-    the tuple of (lower, upper) cover pairs.  ``above[i]`` / ``below[i]``
-    are reflexive reachability bitmasks over element indices.
+    ``elements`` is the declaration-order tuple of identifiers and ``pairs``
+    the tuple of (lower, upper) cover pairs as element indices; ``covers``
+    gives them as identifiers, in the same order.  ``order`` is a linear
+    extension (every element after its lower covers).  ``above[i]`` /
+    ``below[i]`` are reflexive reachability bitmasks over element indices.
     """
 
-    __slots__ = ("elements", "covers", "index", "above", "below",
-                 "covers_up", "covers_dn")
+    __slots__ = ("elements", "pairs", "order", "index", "above", "below",
+                 "covers_up", "covers_dn", "_covers")
 
-    def __init__(self, elements, covers, above, below, covers_up, covers_dn):
+    def __init__(self, elements, pairs, order, above, below, covers_up, covers_dn,
+                 covers=None):
         self.elements = tuple(elements)
-        self.covers = tuple(covers)
+        self.pairs = tuple(pairs)
+        self.order = tuple(order)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.above = tuple(above)
         self.below = tuple(below)
         self.covers_up = tuple(covers_up)
         self.covers_dn = tuple(covers_dn)
+        self._covers = covers
+
+    @property
+    def covers(self) -> tuple:
+        """The cover pairs as identifiers: kept from the constructor's
+        input, or formed from ``pairs`` on first read (a sub-poset inside
+        a recursion is never written out, so it never pays for them)."""
+        if self._covers is None:
+            els = self.elements
+            self._covers = tuple((els[i], els[j]) for i, j in self.pairs)
+        return self._covers
 
     # -- queries ------------------------------------------------------------
 
@@ -120,17 +135,22 @@ class Poset:
         return self.maximal_of_mask(common)
 
     def subposet(self, keep: int) -> "Poset":
-        """Induced subposet on the bitmask ``keep`` (kept in declaration
-        order).  ``keep`` must be convex (an order ideal, a filter or an
-        interval): everything between two kept elements is then kept, so
-        the parent's covers between kept elements are its covers."""
-        idx = self.index
-        covers = [(a, b) for a, b in self.covers
-                  if keep >> idx[a] & 1 and keep >> idx[b] & 1]
-        return _assemble(self._ids(keep), covers)
+        """Induced subposet on the bitmask ``keep``, kept in declaration
+        order with the parent's covers in the parent's order.  ``keep`` must
+        be convex (an order ideal, a filter or an interval): everything
+        between two kept elements is then kept, so the parent's covers
+        between kept elements are its covers.  The parent's linear
+        extension restricted to ``keep`` is one of the subposet."""
+        new = {}
+        for i in _bits(keep):
+            new[i] = len(new)
+        pairs = [(new[i], new[j]) for i, j in self.pairs if i in new and j in new]
+        order = [new[i] for i in self.order if i in new]
+        els = self.elements
+        return _closed([els[i] for i in new], pairs, order, *_adjacency(len(new), pairs))
 
     def __repr__(self):
-        return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
+        return f"Poset({len(self.elements)} elements, {len(self.pairs)} covers)"
 
 
 def transitive_reduction(up) -> list:
@@ -159,16 +179,30 @@ def _union(masks, sel: int) -> int:
 def _assemble(elements, covers) -> Poset:
     """Build a Poset from Hasse data over known ids; a cycle raises CycleDetected."""
     index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    covers_up = [[] for _ in range(n)]
-    covers_dn = [[] for _ in range(n)]
-    for a, b in covers:
-        covers_up[index[a]].append(index[b])
-        covers_dn[index[b]].append(index[a])
-
-    order = _topo_order(n, covers_up)
+    pairs = [(index[a], index[b]) for a, b in covers]
+    covers_up, covers_dn = _adjacency(len(elements), pairs)
+    order = _topo_order(len(elements), covers_up)
     if order is None:
         raise CycleDetected(_find_cycle(elements, covers_up, index))
+    return _closed(elements, pairs, order, covers_up, covers_dn, tuple(covers))
+
+
+def _adjacency(n, pairs):
+    """Upper and lower cover lists per index, in the order of ``pairs``."""
+    covers_up = [[] for _ in range(n)]
+    covers_dn = [[] for _ in range(n)]
+    for i, j in pairs:
+        covers_up[i].append(j)
+        covers_dn[j].append(i)
+    return covers_up, covers_dn
+
+
+def _closed(elements, pairs, order, covers_up, covers_dn, covers=None) -> Poset:
+    """The Poset of index cover pairs with the linear extension ``order``
+    and the cover lists of ``_adjacency`` (and the id cover pairs, when
+    known): reachability is swept down the order for the up-sets and up it
+    for the down-sets."""
+    n = len(elements)
     above = [1 << i for i in range(n)]
     for i in reversed(order):
         for j in covers_up[i]:
@@ -177,8 +211,8 @@ def _assemble(elements, covers) -> Poset:
     for i in order:
         for j in covers_dn[i]:
             below[i] |= below[j]
-    return Poset(elements, covers, above, below,
-                 [tuple(c) for c in covers_up], [tuple(c) for c in covers_dn])
+    return Poset(elements, pairs, order, above, below,
+                 [tuple(c) for c in covers_up], [tuple(c) for c in covers_dn], covers)
 
 
 def _topo_order(n, covers_up):
@@ -295,7 +329,7 @@ class RankedPoset:
         else:
             r = [rank[e] for e in els]
         parent = [-1] * n
-        for i in _topo_order(n, poset.covers_up):
+        for i in poset.order:
             for j in poset.covers_up[i]:
                 if parent[j] < 0:
                     parent[j] = i
@@ -381,18 +415,33 @@ class SimplicialPoset:
 def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
     """Check every down-set against the subset lattice of its atoms via the
     map y -> atoms(y): it must be a rank-preserving bijection onto all
-    subsets, which forces an order isomorphism."""
+    subsets, which forces an order isomorphism.
+
+    With rank(x) = |atoms(x)| and |down(x)| = 2^rank(x), the map is onto
+    iff it is one-to-one, so the last check asks whether two elements of
+    down(x) share an atom set.  Two elements y != y' lie in a common
+    down-set exactly where their up-sets meet, so one pass that ORs the
+    up-sets seen per atom set marks every such x, in time linear in the
+    number of elements.  Elements are checked in declaration order, each
+    against rank, then size, then that mark."""
     p = rp.poset
     els = p.elements
-    atoms = sum(1 << i for i, e in enumerate(els) if rp.rank[e] == 1)
+    rank = rp.rank
+    atoms = sum(1 << i for i, e in enumerate(els) if rank[e] == 1)
     support = tuple(down & atoms for down in p.below)
+    seen = {}  # atom set -> OR of the up-sets of the elements with it
+    clash = 0
+    for s, up in zip(support, p.above):
+        prev = seen.get(s, 0)
+        clash |= up & prev
+        seen[s] = prev | up
     for i, (x, down) in enumerate(zip(els, p.below)):
         k = support[i].bit_count()
-        if rp.rank[x] != k:
-            raise NotSimplicial(x, f"rank {rp.rank[x]} != {k} atoms below")
-        if down.bit_count() != 2 ** k:
+        if rank[x] != k:
+            raise NotSimplicial(x, f"rank {rank[x]} != {k} atoms below")
+        if down.bit_count() != 1 << k:
             raise NotSimplicial(x, f"|down-set| = {down.bit_count()} != 2^{k}")
-        if len({support[y] for y in _bits(down)}) != 2 ** k:
+        if clash >> i & 1:
             raise NotSimplicial(x, "two elements share the same atom set")
     return SimplicialPoset(rp, support)
 

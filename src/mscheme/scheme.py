@@ -88,7 +88,8 @@ class MatroidScheme:
         return self.s.size(x)
 
     def serialize_key(self) -> tuple:
-        """Exact-form key used for memoization of recursive algorithms."""
+        """Exact-form key: the elements, the covers and the labels in
+        declaration order, the data ``==`` compares; ``hash`` reads it."""
         return (self.elements, self.poset.covers,
                 tuple(self.rho[e] for e in self.elements))
 

@@ -431,7 +431,7 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     other than L has rank(L) + 1, and a layer M of rank(L) + 1 inside L is a
     piece of L meet H_c for any H_c that contains M but not L."""
     start = ambient_layer(arr.n)
-    layers = {start.layer_id: start}
+    layers = {(start.basis, start.phases): start}  # one Layer, one id string each
     steps = set()
     completions = {}  # basis -> _completion, for this call only
     cuts = {}  # (basis, alpha) -> _cut, for this call only
@@ -450,11 +450,11 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
                 if cut is None:  # the piece is the layer itself, or nothing
                     continue
                 for phases in cut.pieces(layer.phases + (c.phase,)):
-                    piece = Layer(arr.n, cut.sat, phases)
-                    steps.add((layer.layer_id, piece.layer_id))
-                    if piece.layer_id not in layers:
-                        layers[piece.layer_id] = piece
+                    piece = layers.get((cut.sat, phases))
+                    if piece is None:
+                        piece = layers[cut.sat, phases] = Layer(arr.n, cut.sat, phases)
                         new.append(piece)
+                    steps.add((layer.layer_id, piece.layer_id))
         frontier = new
 
     ordered = sorted(layers.values(), key=lambda L: (L.rank, L.layer_id))
@@ -473,7 +473,7 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     for c in arr.characters:  # a primitive alpha cuts the torus in one piece
         cut = cuts[((), c.alpha)]
         (phases,) = cut.pieces((c.phase,))
-        atom_of[c.canonical_key()] = Layer(arr.n, cut.sat, phases).layer_id
+        atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
     p = rp.poset
     atoms = sum(1 << p.index[a] for a in rp.atoms())
     scheme_element_of = {lid: pair_id(p._ids(p.below[k] & atoms), lid)

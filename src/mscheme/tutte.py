@@ -52,8 +52,9 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
     The base case (a single element) returns 1.  Both sub-schemes come from
     ``scheme._sub_scheme``: the deletion keeps the order ideal of elements
     not above a and the contraction the filter above a, so each reuses the
-    parent's covers.  Sub-schemes repeat across branches, so results are
-    memoized on ``MatroidScheme.serialize_key()``.
+    parent's covers.  The two children partition their parent's elements,
+    so no two nodes of the recursion have the same element set and nothing
+    is memoized.
 
     Contracting a valid scheme can leave the class (the rank-3 two-top
     fixture contracted by an atom violates the atom-exchange axiom), so the
@@ -68,44 +69,43 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
     cases above: an atom is a loop iff rho(a) = 0 and an isthmus iff
     deleting it lowers the maximum label.
     """
-    return _delcon(m, {})
+    return _delcon(m)
 
 
-def _delcon(m: MatroidScheme, memo: dict) -> BivariatePolynomial:
-    key = m.serialize_key()
-    if key in memo:
-        return memo[key]
+def _delcon(m: MatroidScheme) -> BivariatePolynomial:
     if len(m.elements) == 1:
-        result = BivariatePolynomial.constant(1)
-        memo[key] = result
-        return result
+        return BivariatePolynomial.constant(1)
 
     p = m.poset
     rho = m.rho
     r = max(rho.values())
-    atoms = m.atoms()
-    kept = {a: _full(p) & ~p.above[p.idx(a)] for a in atoms}
-    is_loop = {a: rho[a] == 0 for a in atoms}
-    drops = {a: max(rho[e] for e in p._ids(kept[a])) < r for a in atoms}
-    pivot = next((a for a in atoms if not is_loop[a] and not drops[a]), None)
+    top = sum(1 << i for i, e in enumerate(m.elements) if rho[e] == r)
+    # an atom is an isthmus iff every element of the top label lies above it
+    pivot = loop = isthmus = None
+    for a in m.atoms():
+        if rho[a] == 0:
+            if loop is None:
+                loop = a
+        elif top & ~p.above[p.index[a]]:
+            pivot = a
+            break
+        elif isthmus is None:
+            isthmus = a
     if pivot is None:
-        pivot = next((a for a in atoms if is_loop[a]), None)
-    if pivot is None:
-        pivot = next(a for a in atoms if drops[a])
+        pivot = isthmus if loop is None else loop
+    up = p.above[p.index[pivot]]
 
-    m_d = _sub_scheme(m, kept[pivot])
-    t_d = _delcon(m_d, memo)
+    m_d = _sub_scheme(m, _full(p) & ~up)
+    t_d = _delcon(m_d)
     r_d = max(m_d.rho.values())
 
-    m_c = _sub_scheme(m, p.above[p.idx(pivot)], rho[pivot])
-    t_c = _delcon(m_c, memo)
+    m_c = _sub_scheme(m, up, rho[pivot])
+    t_c = _delcon(m_c)
     r_c = max(m_c.rho.values())
 
-    result = ((X_MINUS_1 ** (r - r_d)) * t_d
-              + (X_MINUS_1 ** (r - rho[pivot] - r_c))
-              * (Y_MINUS_1 ** (1 - rho[pivot])) * t_c)
-    memo[key] = result
-    return result
+    return ((X_MINUS_1 ** (r - r_d)) * t_d
+            + (X_MINUS_1 ** (r - rho[pivot] - r_c))
+            * (Y_MINUS_1 ** (1 - rho[pivot])) * t_c)
 
 
 def tutte_point_checks(m: MatroidScheme) -> tuple[int, int]:
@@ -137,8 +137,10 @@ def charpoly_identity(m: MatroidScheme) -> UnivariatePolynomial:
     if chi_mobius != chi_tutte:
         raise InvariantBroken(f"chi via Moebius {chi_mobius} != chi via Tutte {chi_tutte}")
     mu = mobius(fl)
+    signed = dict.fromkeys(fl.elements, 0)
+    for u in m.elements:
+        signed[closure(m, u)] += (-1) ** m.size(u)
     for w in fl.elements:
-        signed = sum((-1) ** m.size(u) for u in m.elements if closure(m, u) == w)
-        if signed != mu[w]:
-            raise InvariantBroken(f"signed closure count at {w!r}: {signed} != mu={mu[w]}")
+        if signed[w] != mu[w]:
+            raise InvariantBroken(f"signed closure count at {w!r}: {signed[w]} != mu={mu[w]}")
     return chi_mobius

@@ -36,7 +36,7 @@ from mscheme import (
     verify_simplicial,
 )
 from mscheme.polynomials import UnivariatePolynomial
-from mscheme.poset import transitive_reduction
+from mscheme.poset import RankedPoset, transitive_reduction
 
 
 def boolean_lattice(n):
@@ -137,6 +137,100 @@ def test_verify_simplicial_rejects_bowtie():
     with pytest.raises(NotSimplicial) as exc:
         verify_simplicial(rp)
     assert exc.value.element == "u"
+
+
+def _set_verify_simplicial(rp):
+    """Transcription of ``verify_simplicial`` before the up-set clash rule:
+    the third check counts the distinct atom sets over each down-set."""
+    p = rp.poset
+    els = p.elements
+    atoms = sum(1 << i for i, e in enumerate(els) if rp.rank[e] == 1)
+    support = tuple(down & atoms for down in p.below)
+    for i, (x, down) in enumerate(zip(els, p.below)):
+        k = support[i].bit_count()
+        if rp.rank[x] != k:
+            raise NotSimplicial(x, f"rank {rp.rank[x]} != {k} atoms below")
+        if down.bit_count() != 2 ** k:
+            raise NotSimplicial(x, f"|down-set| = {down.bit_count()} != 2^{k}")
+        if len({support[y] for y in range(len(els)) if down >> y & 1}) != 2 ** k:
+            raise NotSimplicial(x, "two elements share the same atom set")
+    return support
+
+
+def _simplicial_verdict(verify, rp):
+    try:
+        out = verify(rp)
+    except NotSimplicial as exc:
+        return type(exc), exc.element, str(exc)
+    return getattr(out, "support", out)
+
+
+def _relabelled_rank(rp, x, value):
+    """rp with the rank label of x replaced; RankedPoset itself refuses
+    labels that break a cover, so the label is set behind its back."""
+    bad = object.__new__(RankedPoset)
+    bad.poset, bad.bottom = rp.poset, rp.bottom
+    bad.rank = {**rp.rank, x: value}
+    return bad
+
+
+def _corruptions(rp, rng):
+    """Ranked posets near rp that are mostly not simplicial: a cover
+    dropped, a rank label moved, a twin of y (same lower covers) added under
+    an upper cover u of y, and the same twin with a sibling of y cut from u
+    so that u keeps 2^rank elements below it."""
+    p = rp.poset
+    els, covers = list(p.elements), list(p.covers)
+    out = []
+    if covers:
+        dropped = covers[:]
+        del dropped[rng.randrange(len(dropped))]
+        try:
+            out.append(compute_rank(build_poset(els, dropped)))
+        except (NotBoundedBelow, NotRanked):
+            pass
+    x = rng.choice(els)
+    out.append(_relabelled_rank(rp, x, rp.rank[x] + rng.choice((-1, 1))))
+    pairs = [(y, u) for y, u in covers if rp.rank[y] >= 1]
+    if pairs:
+        y, u = rng.choice(pairs)
+        twin = [(lo, "twin") for lo, hi in covers if hi == y] + [("twin", u)]
+        out.append(compute_rank(build_poset(els + ["twin"], covers + twin)))
+        siblings = [s for s, hi in covers if hi == u and s != y]
+        if siblings:
+            cut = (rng.choice(siblings), u)
+            kept = [c for c in covers if c != cut]
+            out.append(compute_rank(build_poset(els + ["twin"], kept + twin)))
+    return out
+
+
+def test_verify_simplicial_matches_down_set_transcription(corpus):
+    """Same verdict, element and message as the per-down-set check on every
+    corpus poset and its flats, and on seeded corruptions of each."""
+    rng = random.Random("simplicial-referee")
+    reasons = Counter()
+    for name, m in corpus.schemes():
+        for rp in (m.s.ranked, flats(m)):
+            for case in [rp] + _corruptions(rp, rng):
+                got = _simplicial_verdict(verify_simplicial, case)
+                assert got == _simplicial_verdict(_set_verify_simplicial, case), name
+                if isinstance(got, tuple) and got[0] is NotSimplicial:
+                    reasons[got[2].split("(")[-1].split(" ")[0]] += 1
+    # every check is reached: rank, size, and the shared atom set
+    assert reasons["rank"] and reasons["|down-set|"] and reasons["two"], reasons
+
+
+def test_verify_simplicial_rejects_shared_atom_set():
+    """Three atoms, two rank-2 elements over {a, b} and none over {b, c}:
+    the top has 3 atoms and 8 elements below, so only the third check
+    fails, at the top."""
+    p = build_poset(["0", "a", "b", "c", "ab", "ab2", "ac", "t"],
+                    [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("b", "ab"),
+                     ("a", "ab2"), ("b", "ab2"), ("a", "ac"), ("c", "ac"),
+                     ("ab", "t"), ("ab2", "t"), ("ac", "t")])
+    with pytest.raises(NotSimplicial, match="two elements share the same atom set") as exc:
+        verify_simplicial(compute_rank(p))
+    assert exc.value.element == "t"
 
 
 def test_complement(isth):
@@ -424,3 +518,39 @@ def test_flats_subposet_covers_match_brute_force(corpus):
                 if a != b and p.leq(a, b)
                 and not any(c not in (a, b) and p.leq(a, c) and p.leq(c, b) for c in closed)]
         assert list(flats(m).poset.covers) == _row_major(p, want), name
+
+
+def _convex_sets(p, rng):
+    """Masks of order ideals, filters and intervals of p: the principal
+    ideal, the principal filter and the deletion ideal (nothing above x) of
+    up to 16 elements x, and a sample of intervals."""
+    full = (1 << len(p)) - 1
+    for i in rng.sample(range(len(p)), min(len(p), 16)):
+        yield p.below[i]
+        yield p.above[i]
+        yield full & ~p.above[i]
+    for _ in range(12):
+        lo, hi = rng.randrange(len(p)), rng.randrange(len(p))
+        if p.above[lo] >> hi & 1:
+            yield p.above[lo] & p.below[hi]
+
+
+def test_subposet_matches_build_poset(corpus):
+    """``subposet`` sweeps the parent's linear extension; ``build_poset`` of
+    the same ids and covers sorts its own.  Reachability, covers, cover
+    lists and derived ranks must agree on the corpus posets and flats."""
+    rng = random.Random("subposet-referee")
+    for name, m in corpus.schemes():
+        for p in (m.poset, flats(m).poset):
+            for keep in _convex_sets(p, rng):
+                sub = p.subposet(keep)
+                ids = [e for i, e in enumerate(p.elements) if keep >> i & 1]
+                kept = set(ids)
+                covers = [(a, b) for a, b in p.covers if a in kept and b in kept]
+                want = build_poset(ids, covers)
+                assert sub.elements == want.elements, name
+                assert sub.covers == want.covers, name
+                for attr in ("above", "below", "covers_up", "covers_dn"):
+                    assert getattr(sub, attr) == getattr(want, attr), (name, attr)
+                if len(sub.minimal_elements()) == 1:
+                    assert compute_rank(sub).rank == compute_rank(want).rank, name

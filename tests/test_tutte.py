@@ -4,6 +4,7 @@ checks, and the characteristic-polynomial identity."""
 import pytest
 
 from mscheme import (
+    AxiomViolation,
     BivariatePolynomial,
     HasLoops,
     InvariantBroken,
@@ -20,6 +21,7 @@ from mscheme import (
     validate_scheme,
     verify_simplicial,
 )
+from mscheme.scheme import _sub_scheme
 
 
 def poly(s: str) -> BivariatePolynomial:
@@ -139,3 +141,89 @@ def test_pivot_order_independence(isth, cw_l, dow_nontriv):
             verify_simplicial(compute_rank(build_poset(rev, p.covers))),
             m.rho)
         assert tutte_delcon(reordered) == tutte_delcon(m) == tutte_direct(m)
+
+
+def _memo_delcon(m, memo, pivots):
+    """Transcription of ``_delcon`` as it was with its memo: results keyed on
+    ``serialize_key``, and each atom's deletion scanned for the top label.
+    Appends each pivot to ``pivots`` before recursing, and returns the
+    polynomial with the number of memo hits."""
+    key = m.serialize_key()
+    if key in memo:
+        return memo[key], 1
+    if len(m.elements) == 1:
+        memo[key] = BivariatePolynomial.constant(1)
+        return memo[key], 0
+
+    p = m.poset
+    rho = m.rho
+    r = max(rho.values())
+    atoms = m.atoms()
+    full = (1 << len(p.elements)) - 1
+    kept = {a: full & ~p.above[p.idx(a)] for a in atoms}
+    is_loop = {a: rho[a] == 0 for a in atoms}
+    drops = {a: max(rho[e] for e in p._ids(kept[a])) < r for a in atoms}
+    pivot = next((a for a in atoms if not is_loop[a] and not drops[a]), None)
+    if pivot is None:
+        pivot = next((a for a in atoms if is_loop[a]), None)
+    if pivot is None:
+        pivot = next(a for a in atoms if drops[a])
+    pivots.append(pivot)
+
+    m_d = _sub_scheme(m, kept[pivot])
+    t_d, hits_d = _memo_delcon(m_d, memo, pivots)
+    r_d = max(m_d.rho.values())
+
+    m_c = _sub_scheme(m, p.above[p.idx(pivot)], rho[pivot])
+    t_c, hits_c = _memo_delcon(m_c, memo, pivots)
+    r_c = max(m_c.rho.values())
+
+    x1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1})
+    y1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1})
+    result = ((x1 ** (r - r_d)) * t_d
+              + (x1 ** (r - rho[pivot] - r_c)) * (y1 ** (1 - rho[pivot])) * t_c)
+    memo[key] = result
+    return result, hits_d + hits_c
+
+
+def _pivots_of_delcon(monkeypatch, m):
+    """``tutte_delcon(m)`` and its pivots in the order chosen.  Each node
+    asks ``_sub_scheme`` for its deletion first, the ideal of the elements
+    not above the pivot, so the pivot is the minimum of what that leaves
+    out."""
+    import mscheme.tutte
+    pivots = []
+
+    def recording(node, keep, shift=0):
+        p = node.poset
+        if keep >> p.index[node.bottom] & 1:
+            left_out = (1 << len(p.elements)) - 1 & ~keep
+            (pivot,) = p._ids(p.minimal_of_mask(left_out))
+            pivots.append(pivot)
+        return _sub_scheme(node, keep, shift)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mscheme.tutte, "_sub_scheme", recording)
+        return tutte_delcon(m), pivots
+
+
+def test_delcon_matches_memoized_transcription(monkeypatch, corpus, nonpos):
+    """Same polynomial and same pivots as the recursion with its memo, on
+    every corpus scheme and on the contractions of the two-top fixture that
+    leave the class; the memo never hits, since the two children of a node
+    partition its elements."""
+    left_class = []
+    for a in nonpos.atoms():
+        minor = contract(nonpos, a)
+        try:
+            validate_scheme(minor.s, minor.rho)
+        except AxiomViolation:
+            left_class.append((f"nonpos/{a}", minor))
+    assert left_class
+    for name, m in corpus.schemes() + left_class:
+        want_pivots = []
+        want, hits = _memo_delcon(m, {}, want_pivots)
+        got, got_pivots = _pivots_of_delcon(monkeypatch, m)
+        assert got == want, name
+        assert got_pivots == want_pivots, name
+        assert hits == 0, name
