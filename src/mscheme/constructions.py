@@ -21,10 +21,9 @@ from .errors import (
     SizeCapExceeded,
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
-from .polynomials import BivariatePolynomial
-from .poset import build_poset, compute_rank, verify_simplicial
+from .poset import _bits, _certified, build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
-from .tutte import X_MINUS_1, Y_MINUS_1
+from .tutte import _expand
 
 SEMIMATROID_VERTEX_CAP = 12
 DOWLING_SIZE_CAP = 10_000
@@ -156,14 +155,22 @@ def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
 
 def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
     """The scheme on the Boolean lattice of the ground set with the matroid
-    rank labels."""
-    subsets = [frozenset(c) for r in range(len(mat.ground) + 1)
-               for c in itertools.combinations(mat.ground, r)]
-    ids = {X: set_id(X) for X in subsets}
-    covers = [(ids[X], ids[X | {e}])
-              for X in subsets for e in mat.ground if e not in X]
-    sp = verify_simplicial(compute_rank(build_poset([ids[X] for X in subsets], covers)))
-    return validate_scheme(sp, {ids[X]: mat.rank[X] for X in subsets})
+    rank labels, certified: the subset X has rank |X| and the singletons
+    in X as its atoms, and M1-M5 on a Boolean lattice follow from the rank
+    axioms R1-R3 that ``Matroid`` checked (every pair is joinable, with
+    union and intersection as join and meet)."""
+    ground = mat.ground
+    n = len(ground)
+    masks = [sum(1 << i for i in c) for r in range(n + 1)
+             for c in itertools.combinations(range(n), r)]
+    pos = {X: k for k, X in enumerate(masks)}
+    subsets = [frozenset(ground[i] for i in _bits(X)) for X in masks]
+    ids = [set_id(X) for X in subsets]
+    covers = [(k, pos[X | 1 << e]) for k, X in enumerate(masks)
+              for e in range(n) if not X >> e & 1]
+    # the singleton {e} is element 1 + e
+    sp = _certified(ids, covers, [X.bit_count() for X in masks], [X << 1 for X in masks])
+    return MatroidScheme(sp, {i: mat.rank[X] for i, X in zip(ids, subsets)}, _checked=True)
 
 
 # --- semimatroids -----------------------------------------------------------------
@@ -397,7 +404,7 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     atom_orbits = [nm for nm in names if len(reps[nm]) == 1]
     semirank = sm.max_rank()
     m_g = {}
-    tutte_action = BivariatePolynomial()
+    counts = {}  # (x-1, y-1) exponents -> orbit count
     for size in range(len(atom_orbits) + 1):
         for A in itertools.combinations(atom_orbits, size):
             aset = frozenset(A)
@@ -412,11 +419,10 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
                 raise InvariantBroken(f"rho not constant on central sets over {sorted(aset)}")
             m_g[aset] = len(orbits_here)
             rho_a = ranks.pop()
-            tutte_action = tutte_action + (
-                (X_MINUS_1 ** (semirank - rho_a))
-                * (Y_MINUS_1 ** (size - rho_a)) * len(orbits_here))
+            key = (semirank - rho_a, size - rho_a)
+            counts[key] = counts.get(key, 0) + len(orbits_here)
 
-    return QuotientResult(scheme, orbit_of, m_g, tutte_action)
+    return QuotientResult(scheme, orbit_of, m_g, _expand(counts))
 
 
 # --- Dowling posets ------------------------------------------------------------------------
@@ -471,6 +477,8 @@ def dowling_geometric(n: int, action: GroupAction, *,
     points into the point set.  Rank is n minus the number of blocks.
     Covers: merging two blocks with a group twist, or resolving one block
     through an equivariant map (determined by the image of the identity).
+    Each cover removes one block, so the poset is built with that rank
+    as given, not derived; ``validate_geometric`` is its certificate.
     """
     G = action.group
     T = action.points
@@ -527,9 +535,10 @@ def dowling_geometric(n: int, action: GroupAction, *,
                 new_z = tuple(sorted(z + extra))
                 covers.append((here, _element_id(tuple(sorted(rest)), new_z)))
 
-    covers = sorted(set(covers))
-    poset = build_poset([ids[el] for el in order], covers)
-    rp = compute_rank(poset)
+    names = [ids[el] for el in order]
+    pos = {name: k for k, name in enumerate(names)}
+    pairs = [(pos[a], pos[b]) for a, b in sorted(set(covers))]
+    rp = _certified(names, pairs, [n - len(beta) for beta, _ in order])
     return validate_geometric(rp, **({} if atom_cap is None else {"atom_cap": atom_cap}))
 
 

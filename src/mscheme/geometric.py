@@ -28,12 +28,11 @@ from .poset import (
     Poset,
     RankedPoset,
     _bits,
-    build_poset,
-    compute_rank,
+    _certified,
+    _union,
     find_isomorphism,
     is_geometric_lattice,
     iter_isomorphisms,
-    verify_simplicial,
 )
 from .scheme import (
     MatroidScheme,
@@ -161,6 +160,17 @@ def pair_id(atom_set, x) -> str:
     return f"({','.join(sorted(atom_set))}|{x})"
 
 
+def _escaped_pair_id(atom_set, x) -> str:
+    """``pair_id`` with "\\", "," and "|" escaped inside every id, so the
+    unescaped "|" splits the atoms from x and the unescaped "," splits
+    the atoms: distinct pairs get distinct ids.  (The empty atom set and
+    the one atom "" both print as nothing before the "|", but only the
+    bottom pairs with the empty set and only the atom "" with {""}.)"""
+    def esc(s):
+        return s.replace("\\", "\\\\").replace(",", "\\,").replace("|", "\\|")
+    return pair_id(map(esc, atom_set), esc(x))
+
+
 def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     """The simple scheme whose elements are pairs (I, x) with I a set of
     atoms and x minimal above I, ordered by containment-and-order, with
@@ -168,8 +178,12 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     a an atom not in I and y minimal above x and a: the join of I + a in
     the geometric lattice below y.  The certificate is trusted, not
     re-checked: for a geometric poset the result is a simple scheme whose
-    flats are the input via x -> (atoms below x, x).  Colliding pair ids
-    raise ``DuplicateIdentifier``."""
+    flats are the input via x -> (atoms below x, x), and its poset is
+    built as certified, with rank |I| and atoms ({a}, a) for a in I.
+
+    Pairs are named by ``pair_id`` when those names are distinct, and
+    otherwise all by ``_escaped_pair_id``, which is injective: ids that
+    hold "," or "|" can make two plain names agree."""
     rp = gp.ranked
     p = rp.poset
     els = p.elements
@@ -186,13 +200,21 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
                     index[(sum(1 << a for a in combo), x)] = len(index)
     pairs = list(index)
     ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
+    if len(set(ids)) != len(ids):
+        ids = [_escaped_pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
+    # joins[x][a]: the y minimal above x and the atom a, shared by the pairs of x
+    joins = [{a: tuple(_bits(p.minimal_of_mask(above[x] & above[a]))) for a in _bits(atoms)}
+             for x in range(len(els))]
     covers = sorted((k, index[(I | 1 << a, y)])
                     for k, (I, x) in enumerate(pairs)
                     for a in _bits(atoms & ~I)
-                    for y in _bits(p.minimal_of_mask(above[x] & above[a])))
-    covers = [(ids[i], ids[j]) for i, j in covers]
+                    for y in joins[x][a])
 
-    sp = verify_simplicial(compute_rank(build_poset(ids, covers)))
+    single = [0] * len(els)  # poset atom a -> bit of the scheme atom ({a}, a)
+    for a in _bits(atoms):
+        single[a] = 1 << index[(1 << a, a)]
+    sp = _certified(ids, covers, [I.bit_count() for I, _ in pairs],
+                    [_union(single, I) for I, _ in pairs])
     rho = {pid: rp.rank[els[x]] for pid, (_, x) in zip(ids, pairs)}
     return MatroidScheme(sp, rho, _checked=True)
 

@@ -288,6 +288,31 @@ def build_poset(elements, covers) -> Poset:
     return p
 
 
+def _certified(elements, pairs, rank, support=None):
+    """The RankedPoset, or with ``support`` the SimplicialPoset, that a
+    construction certifies: ``pairs`` are its index cover pairs in cover
+    order, ``rank[i]`` is the rank of element i and ``support[i]`` the
+    bitmask of the atoms below it.
+
+    Nothing is re-derived: no Hasse check, no rank sweep, no simplicial
+    pass.  Every cover raises the rank by one, so sorting by rank gives
+    the linear extension.  A repeated id still raises
+    ``DuplicateIdentifier``, as in ``build_poset``."""
+    order = sorted(range(len(elements)), key=rank.__getitem__)
+    p = _closed(elements, pairs, order, *_adjacency(len(elements), pairs))
+    if len(p.index) != len(p.elements):
+        seen = set()
+        for e in p.elements:
+            if e in seen:
+                raise DuplicateIdentifier(f"duplicate element id {e!r}")
+            seen.add(e)
+    rp = RankedPoset.__new__(RankedPoset)
+    rp.poset = p
+    rp.rank = dict(zip(p.elements, rank))
+    rp.bottom = p.elements[order[0]]
+    return rp if support is None else SimplicialPoset(rp, tuple(support))
+
+
 # --- joins and meets as operations ------------------------------------------
 
 def upper_bound_minima(p: Poset, T) -> frozenset:

@@ -59,7 +59,7 @@ class MatroidScheme:
     covers, same labels.
     """
 
-    __slots__ = ("s", "rho", "_closure", "_flats_cache")
+    __slots__ = ("s", "rho", "_closure", "_flats_cache", "_tutte")
 
     def __init__(self, s: SimplicialPoset, rho: dict, *, _checked: bool = False):
         if not _checked:
@@ -68,6 +68,7 @@ class MatroidScheme:
         self.rho = dict(rho)
         self._closure = None
         self._flats_cache = None
+        self._tutte = None
 
     @property
     def poset(self) -> Poset:
@@ -207,7 +208,11 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
 
     The minor is ranked and re-verified simplicial, but not re-validated
     against M1-M5: the operations are theorem-backed and the property tests
-    re-validate."""
+    re-validate.  Unlike the constructions it does not build through
+    ``poset._certified``, though an ideal keeps its ranks and supports and
+    a filter shifts them: the benchmark's tracer test counts one
+    ``verify_simplicial`` per Tutte sub-scheme, so the switch waits for the
+    Tutte recursion to run on the root's masks."""
     sub = m.poset.subposet(keep)
     sp = verify_simplicial(compute_rank(sub))
     return MatroidScheme(sp, {e: m.rho[e] - shift for e in sub.elements},

@@ -37,8 +37,8 @@ from .errors import (
     NotALayer,
     NotInArrangement,
 )
-from .geometric import pair_id, scheme_from_geometric, validate_geometric
-from .poset import build_poset, compute_rank
+from .geometric import scheme_from_geometric, validate_geometric
+from .poset import _certified
 from .scheme import contract, delete, localization, scheme_isomorphism
 
 
@@ -429,7 +429,10 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     with the simple scheme attached.  The covers are the intersection steps
     that cut a layer down: layers are saturated, so a piece of L meet H_c
     other than L has rank(L) + 1, and a layer M of rank(L) + 1 inside L is a
-    piece of L meet H_c for any H_c that contains M but not L."""
+    piece of L meet H_c for any H_c that contains M but not L.  So the
+    poset is built with the lattice ranks as given, not derived, and
+    ``validate_geometric`` is its certificate.  ``scheme_element_of``
+    names each layer's flat by its id in the scheme."""
     start = ambient_layer(arr.n)
     layers = {(start.basis, start.phases): start}  # one Layer, one id string each
     steps = set()
@@ -460,11 +463,7 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     ordered = sorted(layers.values(), key=lambda L: (L.rank, L.layer_id))
     ids = [L.layer_id for L in ordered]
     pos = {lid: k for k, lid in enumerate(ids)}
-    covers = sorted(steps, key=lambda c: (pos[c[0]], pos[c[1]]))
-    rp = compute_rank(build_poset(ids, covers))
-    for L in ordered:
-        if rp.rank[L.layer_id] != L.rank:
-            raise InvariantBroken("poset rank differs from lattice rank")
+    rp = _certified(ids, sorted((pos[a], pos[b]) for a, b in steps), [L.rank for L in ordered])
     kwargs = {} if atom_cap is None else {"atom_cap": atom_cap}
     gp = validate_geometric(rp, **kwargs)
     scheme = scheme_from_geometric(gp)
@@ -474,12 +473,15 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
         cut = cuts[((), c.alpha)]
         (phases,) = cut.pieces((c.phase,))
         atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
-    p = rp.poset
-    atoms = sum(1 << p.index[a] for a in rp.atoms())
-    scheme_element_of = {lid: pair_id(p._ids(p.below[k] & atoms), lid)
-                         for k, lid in enumerate(ids)}
+    # the scheme's pairs (I, x) come in blocks of x in layer order, and in
+    # each block only the flat (atoms below x, x) has no upper cover of
+    # the same rho: every other misses an atom a below x, and (I + a, x)
+    # covers it
+    sp = scheme.poset
+    r = [scheme.rho[e] for e in sp.elements]
+    flat = [e for e, k, up in zip(sp.elements, r, sp.covers_up) if all(r[j] != k for j in up)]
     return LayersResult(gp, scheme, dict(zip(ids, ordered)), atom_of,
-                        scheme_element_of)
+                        dict(zip(ids, flat)))
 
 
 def arr_delete(arr: ToricArrangement, c: Character) -> ToricArrangement:

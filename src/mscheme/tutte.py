@@ -12,6 +12,8 @@ floating point anywhere.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import HasLoops, InvariantBroken
 from .polynomials import BivariatePolynomial, UnivariatePolynomial, one_minus_t
 from .poset import characteristic_polynomial, mobius
@@ -26,21 +28,30 @@ from .scheme import (
     scheme_rank,
 )
 
-X_MINUS_1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1})
-Y_MINUS_1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1})
+
+def _expand(counts: dict) -> BivariatePolynomial:
+    """The sum of c (x-1)^i (y-1)^j over the items ((i, j), c) of
+    ``counts``, expanded once with binomial coefficients."""
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), c in counts.items():
+        for a in range(i + 1):
+            ca = c * comb(i, a) * (-1) ** (i - a)
+            for b in range(j + 1):
+                out[a, b] = out.get((a, b), 0) + ca * comb(j, b) * (-1) ** (j - b)
+    return BivariatePolynomial(out)
 
 
 def tutte_direct(m: MatroidScheme) -> BivariatePolynomial:
-    """Direct summation over all elements, grouped by exponent pair."""
-    rk = scheme_rank(m)
-    counts: dict[tuple[int, int], int] = {}
-    for w in m.elements:
-        key = (rk - m.rho[w], m.size(w) - m.rho[w])
-        counts[key] = counts.get(key, 0) + 1
-    total = BivariatePolynomial()
-    for (i, j), c in sorted(counts.items()):
-        total = total + (X_MINUS_1**i) * (Y_MINUS_1**j) * c
-    return total
+    """Direct summation over all elements, grouped by exponent pair;
+    computed once per scheme."""
+    if m._tutte is None:
+        rk = scheme_rank(m)
+        counts: dict[tuple[int, int], int] = {}
+        for w in m.elements:
+            key = (rk - m.rho[w], m.size(w) - m.rho[w])
+            counts[key] = counts.get(key, 0) + 1
+        m._tutte = _expand(counts)
+    return m._tutte
 
 
 def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
@@ -67,19 +78,27 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
     where r, r_del, r_con are the maximum labels of the object and of the
     two sub-objects.  On valid schemes this reduces exactly to the three
     cases above: an atom is a loop iff rho(a) = 0 and an isthmus iff
-    deleting it lowers the maximum label.
+    deleting it lowers the maximum label.  So T is a sum of
+    (x-1)^i (y-1)^j over the leaves, with (i, j) the exponents gathered on
+    the way down; the recursion counts the leaves per (i, j) and the sum is
+    expanded once at the end.
     """
-    return _delcon(m)
+    counts: dict[tuple[int, int], int] = {}
+    _delcon(m, counts, 0, 0)
+    return _expand(counts)
 
 
-def _delcon(m: MatroidScheme) -> BivariatePolynomial:
+def _delcon(m: MatroidScheme, counts: dict, i: int, j: int) -> None:
+    """Add 1 at (i, j) of ``counts`` for each leaf below m, reached with
+    the exponents (i, j) of (x-1) and (y-1)."""
     if len(m.elements) == 1:
-        return BivariatePolynomial.constant(1)
+        counts[i, j] = counts.get((i, j), 0) + 1
+        return
 
     p = m.poset
     rho = m.rho
     r = max(rho.values())
-    top = sum(1 << i for i, e in enumerate(m.elements) if rho[e] == r)
+    top = sum(1 << k for k, e in enumerate(m.elements) if rho[e] == r)
     # an atom is an isthmus iff every element of the top label lies above it
     pivot = loop = isthmus = None
     for a in m.atoms():
@@ -96,16 +115,10 @@ def _delcon(m: MatroidScheme) -> BivariatePolynomial:
     up = p.above[p.index[pivot]]
 
     m_d = _sub_scheme(m, _full(p) & ~up)
-    t_d = _delcon(m_d)
-    r_d = max(m_d.rho.values())
+    _delcon(m_d, counts, i + r - max(m_d.rho.values()), j)
 
     m_c = _sub_scheme(m, up, rho[pivot])
-    t_c = _delcon(m_c)
-    r_c = max(m_c.rho.values())
-
-    return ((X_MINUS_1 ** (r - r_d)) * t_d
-            + (X_MINUS_1 ** (r - rho[pivot] - r_c))
-            * (Y_MINUS_1 ** (1 - rho[pivot])) * t_c)
+    _delcon(m_c, counts, i + r - rho[pivot] - max(m_c.rho.values()), j + 1 - rho[pivot])
 
 
 def tutte_point_checks(m: MatroidScheme) -> tuple[int, int]:

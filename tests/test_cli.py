@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import mscheme
-from mscheme import files
+from mscheme import files, scheme_isomorphism
 from mscheme.cli import main
 
 
@@ -126,9 +126,10 @@ def test_transform_simplify(capsys, tmp_path):
     assert code == 0 and "result: 3 elements" in out
 
 
-def test_transform_simplify_reports_colliding_pair_ids(capsys, tmp_path):
+def test_transform_simplify_escapes_colliding_pair_ids(capsys, tmp_path):
     """With a "|" in the ids, the pairs ({p,q}, r|s) and ({p,q|r}, s) of the
-    simplification share the id (p,q|r|s): a verdict, not a traceback."""
+    simplification would both be named (p,q|r|s), so every pair id of that
+    scheme escapes "\\", "," and "|" inside the ids it joins."""
     tops = {"r|s": ("p", "q"), "s": ("p", "q|r"), "u": ("q", "q|r")}
     doc = {"elements": [{"id": e, "rho": r} for e, r in
                         [("0", 0), ("p", 1), ("q", 1), ("q|r", 1),
@@ -138,11 +139,16 @@ def test_transform_simplify_reports_colliding_pair_ids(capsys, tmp_path):
            + [[x, "t"] for x in tops]}
     path = tmp_path / "pipes.json"
     path.write_text(json.dumps(doc))
-    code = main(["transform", "simplify", str(path), "--out", str(tmp_path / "x.json")])
+    out_file = tmp_path / "x.json"
+    code = main(["transform", "simplify", str(path), "--out", str(out_file)])
     captured = capsys.readouterr()
-    assert code == 1
-    assert "verdict: duplicate element id '(p,q|r|s)'" in captured.out.splitlines()
+    assert code == 0
+    assert "result: 8 elements, rank 3" in captured.out.splitlines()
     assert "Traceback" not in captured.err
+    m = files.load_scheme(out_file)
+    assert m.elements == ("(|0)", "(p|p)", "(q|q)", "(q\\|r|q\\|r)", "(p,q|r\\|s)",
+                          "(p,q\\|r|s)", "(q,q\\|r|u)", "(p,q,q\\|r|t)")
+    assert scheme_isomorphism(m, files.load_scheme(path)) is not None
 
 
 def test_transform_contract_bottom_is_identity(capsys, tmp_path, isth):

@@ -15,6 +15,8 @@ from mscheme import (
     NotTranslative,
     Semimatroid,
     SizeCapExceeded,
+    build_poset,
+    compute_rank,
     cyclic_group,
     dowling_geometric,
     dowling_poset,
@@ -223,11 +225,14 @@ def test_partition_poset_rank_one(color_actions):
 
 
 def test_partition_poset_rank_is_n_minus_block_count():
+    """The rank derived from the covers, which the construction gives as
+    n minus the number of blocks without deriving it."""
     for label, n, act in dowling_inputs():
         gp = dowling_geometric(n, act)
+        derived = compute_rank(build_poset(gp.elements, gp.poset.covers)).rank
         for x in gp.elements:
             blocks = x.split("|")[0].count("{")  # "[{block}+{block}|points]"
-            assert gp.rank[x] == n - blocks, (label, x)
+            assert derived[x] == n - blocks, (label, x)
 
 
 def test_partition_poset_closed_intervals_are_geometric_lattices(color_actions):

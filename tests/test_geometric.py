@@ -173,6 +173,23 @@ def test_scheme_from_geometric_is_the_simple_scheme_of_its_input(corpus):
         assert {(embed[a], embed[b]) for a, b in p.covers} == set(fl.poset.covers), name
 
 
+def test_scheme_from_geometric_escapes_colliding_pair_ids():
+    """Atoms "a,b", "c" and "a", "b,c" under one rank-2 flat x: the plain
+    ids of ({a,b; c}, x) and ({a; b,c}, x) are both (a,b,c|x), so every
+    pair id of the scheme escapes "\\", "," and "|" inside the ids."""
+    atoms = ["a,b", "c", "a", "b,c"]
+    rp = compute_rank(build_poset(["0", *atoms, "x"],
+                                  [("0", a) for a in atoms] + [(a, "x") for a in atoms]))
+    assert pair_id(["a,b", "c"], "x") == pair_id(["a", "b,c"], "x")
+    m = scheme_from_geometric(validate_geometric(rp))
+    assert len(set(m.elements)) == len(m.elements) == 16
+    assert {"(|0)", "(a\\,b|a\\,b)", "(a\\,b,c|x)", "(a,b\\,c|x)"} <= set(m.elements)
+    derived = verify_simplicial(compute_rank(build_poset(m.elements, m.poset.covers)))
+    assert derived.support == m.s.support and derived.ranked.rank == m.s.ranked.rank
+    assert validate_scheme(m.s, m.rho) == m
+    assert is_simple(m)
+
+
 def test_atom_cap_guard():
     rp = compute_rank(boolean_lattice(3))
     with pytest.raises(AtomCapExceeded):

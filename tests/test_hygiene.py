@@ -2,8 +2,10 @@
 module imports a name it never uses, every private module-level function
 or class is referenced somewhere in the package, and no internal check
 is an ``assert`` statement, which ``python -O`` strips, or a bare
-``raise AssertionError``.  A subprocess checks that the CLI imports no
-``dataclasses``."""
+``raise AssertionError``, and the validating path (``build_poset``,
+``compute_rank``, ``verify_simplicial``, ``validate_scheme``) is called
+only where the input carries no certificate.  A subprocess checks that
+the CLI imports no ``dataclasses``."""
 
 import ast
 import subprocess
@@ -74,6 +76,39 @@ def _is_assertion(node) -> bool:
 def test_no_assert_statements():
     found = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
              for node in ast.walk(tree) if _is_assertion(node)]
+    assert not found, found
+
+
+VALIDATING = ("build_poset", "compute_rank", "verify_simplicial", "validate_scheme")
+# (module, top-level definition) that may call the validating path: the
+# file boundary, minors (until the Tutte recursion runs on the root's
+# masks), and constructions that no theorem certifies
+VALIDATING_CALLERS = {
+    ("scheme.py", "_sub_scheme"),
+    ("scheme.py", "scheme_from_independence"),
+    ("constructions.py", "scheme_from_semimatroid"),
+    ("constructions.py", "quotient_scheme"),
+    ("poset.py", "is_geometric_lattice"),
+}
+
+
+def test_validating_path_only_on_uncertified_input():
+    """Constructions hand ``poset._certified`` their own ranks and
+    supports; only the allowed callers (``files.py`` as a whole, and the
+    definitions themselves) run the validating path."""
+    found = []
+    for name, tree in MODULES.items():
+        if name == "files.py":
+            continue
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            if owner in VALIDATING or (name, owner) in VALIDATING_CALLERS:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called in VALIDATING:
+                        found.append(f"{name}:{node.lineno} {owner} calls {called}")
     assert not found, found
 
 

@@ -1,6 +1,8 @@
 """Tutte polynomial: pinned exact values, two-algorithm agreement, point
 checks, and the characteristic-polynomial identity."""
 
+import random
+
 import pytest
 
 from mscheme import (
@@ -14,14 +16,17 @@ from mscheme import (
     compute_rank,
     contract,
     delete,
+    scheme_from_matroid,
     scheme_rank,
     tutte_delcon,
     tutte_direct,
     tutte_point_checks,
+    uniform_matroid,
     validate_scheme,
     verify_simplicial,
 )
 from mscheme.scheme import _sub_scheme
+from mscheme.tutte import _expand
 
 
 def poly(s: str) -> BivariatePolynomial:
@@ -124,6 +129,40 @@ def test_point_and_charpoly_checks_raise_not_assert(monkeypatch, isth):
     monkeypatch.setattr(mscheme.tutte, "mobius", lambda fl: dict.fromkeys(fl.elements, 0))
     with pytest.raises(InvariantBroken, match="signed closure count at '0'"):
         charpoly_identity(isth)
+
+
+def test_expand_matches_polynomial_arithmetic():
+    """``_expand`` against the powers of x - 1 and y - 1 multiplied out, on
+    seeded counts (zero and negative ones included)."""
+    rng = random.Random(20240818)
+    x1 = BivariatePolynomial({(1, 0): 1, (0, 0): -1})
+    y1 = BivariatePolynomial({(0, 1): 1, (0, 0): -1})
+    for _ in range(300):
+        counts = {(rng.randint(0, 6), rng.randint(0, 6)): rng.randint(-4, 4)
+                  for _ in range(rng.randint(0, 6))}
+        want = BivariatePolynomial()
+        for (i, j), c in counts.items():
+            want = want + (x1 ** i) * (y1 ** j) * c
+        assert _expand(counts) == want, counts
+
+
+def test_tutte_direct_is_summed_once_per_scheme(monkeypatch):
+    """``tutte_point_checks`` and ``charpoly_identity`` reuse the scheme's
+    ``tutte_direct``."""
+    import mscheme.tutte
+    m = scheme_from_matroid(uniform_matroid(2, 4))
+    sums = []
+
+    def counted(counts):
+        sums.append(counts)
+        return _expand(counts)
+
+    monkeypatch.setattr(mscheme.tutte, "_expand", counted)
+    t = tutte_direct(m)
+    assert tutte_point_checks(m) == (6, 16)
+    assert str(charpoly_identity(m)) == "t^2 - 4*t + 3"
+    assert tutte_direct(m) is t
+    assert len(sums) == 1
 
 
 def test_charpoly_rejects_loops(qfix2):
