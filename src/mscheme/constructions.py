@@ -26,6 +26,7 @@ from .scheme import MatroidScheme, circuits, flats, independence, validate_schem
 from .tutte import _expand
 
 SEMIMATROID_VERTEX_CAP = 12
+MATROID_SIZE_CAP = 16  # ground set of `construct uniform`/`linear`: 2^n subsets
 DOWLING_SIZE_CAP = 10_000
 
 

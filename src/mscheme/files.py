@@ -105,7 +105,10 @@ def parse_poset_doc(doc: dict, path="<doc>") -> tuple[Poset, dict]:
             ids.append(row["id"])
             rho[row["id"]] = _int(row["rho"], path, "rho")
         covers = []
-        for a, b in _require(doc, "covers", path):
+        for cover in _require(doc, "covers", path):
+            if not isinstance(cover, list) or len(cover) != 2:
+                raise MalformedInput(f"{path}: cover {cover!r} is not a pair [lo, hi]")
+            a, b = cover
             for end in (a, b):
                 if not isinstance(end, str) or end not in rho:
                     raise MalformedInput(

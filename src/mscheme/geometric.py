@@ -171,15 +171,64 @@ def _escaped_pair_id(atom_set, x) -> str:
     return pair_id(map(esc, atom_set), esc(x))
 
 
+def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list]:
+    """The pairs (I, x) of ``scheme_from_geometric``, as (atom mask, poset
+    index) in element order, and its index cover pairs in cover order.
+
+    The covers of (I, x) are the (I + a, y) with a an atom not in I and y
+    minimal above x and a, which is y = x when a <= x and otherwise an
+    upper cover of x above a: in the geometric lattice below y the join of
+    x with an atom outside it covers x (Stanley, EC1, Prop. 3.3.2).  Every
+    pair (I, x) with a the largest atom of I is reached this way from
+    exactly one pair of I - a, its join below x, so a depth-first walk
+    from (empty, bottom) that adds only atoms above those of I meets each
+    pair once, and in lexicographic order of I.  Pairs are numbered by x,
+    then |I|, then that order, and the covers of each pair come out in
+    the order of their upper ends, so no edge is sorted.  The walk's
+    tables are freed when this returns, before the scheme's poset is
+    built."""
+    below = p.below
+    steps = []  # steps[x]: (y, bit of a) for every step (I, x) -> (I + a, y), by y then a
+    grow = []  # grow[x]: the same steps as (bit of a, y), by a then y, descending
+    for x, ups in enumerate(p.covers_up):
+        own = below[x] & atoms
+        moves = [(x, 1 << a) for a in _bits(own)]
+        moves += [(y, 1 << a) for y in ups for a in _bits(below[y] & atoms & ~own)]
+        moves.sort()
+        steps.append(moves)
+        grow.append(sorted(((bit, y) for y, bit in moves), reverse=True))
+
+    found = [[] for _ in below]  # found[x]: the atom sets I of the pairs (I, x), in walk order
+    stack = [(0, bottom)]
+    while stack:
+        I, x = stack.pop()
+        found[x].append(I)
+        for bit, y in grow[x]:
+            if bit <= I:  # a is at most the largest atom of I
+                break
+            stack.append((I | bit, y))
+
+    pairs = []
+    pos = []  # pos[x]: atom set I -> index of the pair (I, x)
+    for x, sets in enumerate(found):
+        sets.sort(key=int.bit_count)  # stable: lexicographic within each size
+        pos.append({I: len(pairs) + k for k, I in enumerate(sets)})
+        pairs += [(I, x) for I in sets]
+    covers = [(k, pos[y][I | bit])
+              for k, (I, x) in enumerate(pairs)
+              for y, bit in steps[x] if not I & bit]
+    return pairs, covers
+
+
 def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     """The simple scheme whose elements are pairs (I, x) with I a set of
     atoms and x minimal above I, ordered by containment-and-order, with
-    rho(I, x) the rank of x.  The covers of (I, x) are the (I + a, y) with
-    a an atom not in I and y minimal above x and a: the join of I + a in
-    the geometric lattice below y.  The certificate is trusted, not
-    re-checked: for a geometric poset the result is a simple scheme whose
-    flats are the input via x -> (atoms below x, x), and its poset is
-    built as certified, with rank |I| and atoms ({a}, a) for a in I.
+    rho(I, x) the rank of x.  The certificate is trusted, not re-checked:
+    for a geometric poset the result is a simple scheme whose flats are
+    the input via x -> (atoms below x, x), and its poset is built as
+    certified, with rank |I| and atoms ({a}, a) for a in I.  The pairs and
+    their covers come from one walk up from (empty, bottom), with no atom
+    subset enumerated (see ``_walk``).
 
     Pairs are named by ``pair_id`` when those names are distinct, and
     otherwise all by ``_escaped_pair_id``, which is injective: ids that
@@ -187,32 +236,15 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     rp = gp.ranked
     p = rp.poset
     els = p.elements
-    above, below = p.above, p.below
-    atoms = sum(1 << p.index[a] for a in rp.atoms())
-
-    index = {}  # (atom mask I, poset index x) -> pair index
-    for x in range(len(els)):
-        candidates = list(_bits(below[x] & atoms))
-        for size in range(len(candidates) + 1):
-            for combo in itertools.combinations(candidates, size):
-                # x is minimal above I iff nothing else below x bounds I
-                if functools.reduce(operator.and_, (above[a] for a in combo), below[x]) == 1 << x:
-                    index[(sum(1 << a for a in combo), x)] = len(index)
-    pairs = list(index)
+    pairs, covers = _walk(p, sum(1 << p.index[a] for a in rp.atoms()), p.index[rp.bottom])
     ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     if len(set(ids)) != len(ids):
         ids = [_escaped_pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
-    # joins[x][a]: the y minimal above x and the atom a, shared by the pairs of x
-    joins = [{a: tuple(_bits(p.minimal_of_mask(above[x] & above[a]))) for a in _bits(atoms)}
-             for x in range(len(els))]
-    covers = sorted((k, index[(I | 1 << a, y)])
-                    for k, (I, x) in enumerate(pairs)
-                    for a in _bits(atoms & ~I)
-                    for y in joins[x][a])
 
     single = [0] * len(els)  # poset atom a -> bit of the scheme atom ({a}, a)
-    for a in _bits(atoms):
-        single[a] = 1 << index[(1 << a, a)]
+    for k, (I, x) in enumerate(pairs):
+        if I == 1 << x:
+            single[x] = 1 << k
     sp = _certified(ids, covers, [I.bit_count() for I, _ in pairs],
                     [_union(single, I) for I, _ in pairs])
     rho = {pid: rp.rank[els[x]] for pid, (_, x) in zip(ids, pairs)}

@@ -183,7 +183,7 @@ def _assemble(elements, covers) -> Poset:
     covers_up, covers_dn = _adjacency(len(elements), pairs)
     order = _topo_order(len(elements), covers_up)
     if order is None:
-        raise CycleDetected(_find_cycle(elements, covers_up, index))
+        raise CycleDetected(_find_cycle(elements, covers_up))
     return _closed(elements, pairs, order, covers_up, covers_dn, tuple(covers))
 
 
@@ -232,31 +232,28 @@ def _topo_order(n, covers_up):
     return order if len(order) == n else None
 
 
-def _find_cycle(elements, covers_up, index):
-    n = len(elements)
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    stack = []
-
-    def dfs(i):
-        state[i] = 1
-        stack.append(i)
-        for j in covers_up[i]:
-            if state[j] == 1:
-                k = stack.index(j)
-                return [elements[m] for m in stack[k:]] + [elements[j]]
-            if state[j] == 0:
-                found = dfs(j)
-                if found:
-                    return found
-        stack.pop()
-        state[i] = 2
-        return None
-
-    for i in range(n):
-        if state[i] == 0:
-            found = dfs(i)
-            if found:
-                return found
+def _find_cycle(elements, covers_up):
+    """The first cycle a depth-first walk in index order meets, as ids from
+    its first element back to it; the walk keeps its own stack, so a long
+    cycle cannot exhaust the interpreter's recursion limit."""
+    state = [0] * len(elements)  # 0 unseen, 1 on the path, 2 done
+    for root in range(len(elements)):
+        if state[root]:
+            continue
+        state[root] = 1
+        path, todo = [root], [iter(covers_up[root])]
+        while todo:
+            for j in todo[-1]:
+                if state[j] == 1:
+                    return [elements[m] for m in path[path.index(j):]] + [elements[j]]
+                if state[j] == 0:
+                    state[j] = 1
+                    path.append(j)
+                    todo.append(iter(covers_up[j]))
+                    break
+            else:
+                state[path.pop()] = 2
+                todo.pop()
     return [elements[0], elements[0]]  # pragma: no cover
 
 

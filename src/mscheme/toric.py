@@ -12,8 +12,10 @@ Intersecting a layer with a hypersurface has two halves.  The lattice half
 depends only on the layer's basis B and the character vector: one Smith
 form per distinct B completes it to a unimodular W, and one Hermite form
 per (B, alpha) gives the saturated lattice and the number g of pieces (see
-``_Cut``); ``layers_poset`` caches both in each call.  The phase half runs
-on integers over one common denominator, one Fraction per output phase.
+``_Cut``); ``_closure`` caches both in each call.  The phase half runs
+on integers over one common denominator and gives reduced (num, den)
+pairs; ``_closure`` keys its layers on them and builds Fractions once
+per distinct layer.
 Every exact invariant in this module raises InvariantBroken, so it holds
 under ``python -O``.  Characters and layers are plain slotted classes, so
 importing the module loads no ``dataclasses``.
@@ -335,18 +337,32 @@ class _Cut:
         self.shift = [t_i[r] for t_i in t]
         self.g = g
 
-    def pieces(self, phases) -> list[tuple[Fraction, ...]]:
-        """The phases of every piece, given the layer's phases followed by
-        the character's; one tuple per k."""
+    def pieces(self, phases) -> list[tuple[tuple[int, int], ...]]:
+        """The phases of every piece, one tuple per k, given the layer's
+        phases followed by the character's.  Each phase, given and
+        returned, is a reduced pair (num, den) of ints with
+        0 <= num < den: pairs hash and compare as tuples, and a caller
+        builds a Fraction only for a layer it keeps."""
         q = 1
-        for p in phases:
-            q = lcm(q, p.denominator)
-        nums = [p.numerator * (q // p.denominator) for p in phases]
+        for _, d in phases:
+            q = lcm(q, d)
+        nums = [n * (q // d) for n, d in phases]
         base = [sum(a * b for a, b in zip(row, nums)) for row in self.mix]
         big = q * self.g
-        return [tuple(Fraction((b + kq * s) % big, big)
-                      for b, s in zip(base, self.shift))
-                for kq in range(0, big, q)]
+        out = []
+        for kq in range(0, big, q):
+            piece = []
+            for b, s in zip(base, self.shift):
+                num = (b + kq * s) % big
+                k = gcd(num, big)
+                piece.append((num // k, big // k))
+            out.append(tuple(piece))
+        return out
+
+
+def _fractions(phases) -> tuple[Fraction, ...]:
+    """The Fractions of reduced (num, den) phase pairs."""
+    return tuple(Fraction(n, d) for n, d in phases)
 
 
 def _cut(basis, inverse, alpha) -> _Cut | None:
@@ -371,8 +387,8 @@ def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
     cut = _cut(layer.basis, _completion(layer.n, layer.basis), c.alpha)
     if cut is None:
         return [layer] if layer.phase_of(c.alpha) == c.phase else []
-    out = [Layer(layer.n, cut.sat, phases)
-           for phases in cut.pieces(layer.phases + (c.phase,))]
+    given = tuple((t.numerator, t.denominator) for t in layer.phases + (c.phase,))
+    out = [Layer(layer.n, cut.sat, _fractions(phases)) for phases in cut.pieces(given)]
     return sorted(out, key=lambda L: L.layer_id)
 
 
@@ -423,6 +439,49 @@ class LayersResult:
         self.scheme_element_of = scheme_element_of
 
 
+def _closure(arr: ToricArrangement):
+    """The layers of ``arr``, breadth first from the ambient layer, with the
+    intersection steps (layer id, piece id) and each hypersurface's atom
+    layer id by canonical key.  Its tables, keyed on the reduced phase
+    pairs of ``_Cut.pieces``, are freed before the poset is built."""
+    start = ambient_layer(arr.n)
+    layers = {(start.basis, ()): start}  # (basis, phase pairs) -> its one Layer
+    steps = set()
+    completions = {}  # basis -> _completion, for this call only
+    cuts = {}  # (basis, alpha) -> _cut, for this call only
+    hypersurfaces = [(c.alpha, (c.phase.numerator, c.phase.denominator))
+                     for c in arr.characters]
+    frontier = [((), start)]
+    while frontier:
+        new = []
+        for phases, layer in frontier:
+            basis = layer.basis
+            for alpha, t in hypersurfaces:
+                key = (basis, alpha)
+                if key not in cuts:
+                    if basis not in completions:
+                        completions[basis] = _completion(arr.n, basis)
+                    cuts[key] = _cut(basis, completions[basis], alpha)
+                cut = cuts[key]
+                if cut is None:  # the piece is the layer itself, or nothing
+                    continue
+                for cut_phases in cut.pieces(phases + (t,)):
+                    piece = layers.get((cut.sat, cut_phases))
+                    if piece is None:
+                        piece = Layer(arr.n, cut.sat, _fractions(cut_phases))
+                        layers[cut.sat, cut_phases] = piece
+                        new.append((cut_phases, piece))
+                    steps.add((layer.layer_id, piece.layer_id))
+        frontier = new
+
+    atom_of = {}
+    for c, (alpha, t) in zip(arr.characters, hypersurfaces):
+        cut = cuts[((), alpha)]  # a primitive alpha cuts the torus in one piece
+        (phases,) = cut.pieces((t,))
+        atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
+    return list(layers.values()), steps, atom_of
+
+
 def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersResult:
     """Breadth-first closure of the ambient layer under intersection with
     every hypersurface, ordered by reverse inclusion, certified geometric,
@@ -433,34 +492,8 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     poset is built with the lattice ranks as given, not derived, and
     ``validate_geometric`` is its certificate.  ``scheme_element_of``
     names each layer's flat by its id in the scheme."""
-    start = ambient_layer(arr.n)
-    layers = {(start.basis, start.phases): start}  # one Layer, one id string each
-    steps = set()
-    completions = {}  # basis -> _completion, for this call only
-    cuts = {}  # (basis, alpha) -> _cut, for this call only
-    frontier = [start]
-    while frontier:
-        new = []
-        for layer in frontier:
-            basis = layer.basis
-            for c in arr.characters:
-                key = (basis, c.alpha)
-                if key not in cuts:
-                    if basis not in completions:
-                        completions[basis] = _completion(arr.n, basis)
-                    cuts[key] = _cut(basis, completions[basis], c.alpha)
-                cut = cuts[key]
-                if cut is None:  # the piece is the layer itself, or nothing
-                    continue
-                for phases in cut.pieces(layer.phases + (c.phase,)):
-                    piece = layers.get((cut.sat, phases))
-                    if piece is None:
-                        piece = layers[cut.sat, phases] = Layer(arr.n, cut.sat, phases)
-                        new.append(piece)
-                    steps.add((layer.layer_id, piece.layer_id))
-        frontier = new
-
-    ordered = sorted(layers.values(), key=lambda L: (L.rank, L.layer_id))
+    found, steps, atom_of = _closure(arr)
+    ordered = sorted(found, key=lambda L: (L.rank, L.layer_id))
     ids = [L.layer_id for L in ordered]
     pos = {lid: k for k, lid in enumerate(ids)}
     rp = _certified(ids, sorted((pos[a], pos[b]) for a, b in steps), [L.rank for L in ordered])
@@ -468,11 +501,6 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     gp = validate_geometric(rp, **kwargs)
     scheme = scheme_from_geometric(gp)
 
-    atom_of = {}
-    for c in arr.characters:  # a primitive alpha cuts the torus in one piece
-        cut = cuts[((), c.alpha)]
-        (phases,) = cut.pieces((c.phase,))
-        atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
     # the scheme's pairs (I, x) come in blocks of x in layer order, and in
     # each block only the flat (atoms below x, x) has no upper cover of
     # the same rho: every other misses an atom a below x, and (I + a, x)

@@ -11,6 +11,7 @@ from pathlib import Path
 import mscheme
 from mscheme import files, scheme_isomorphism
 from mscheme.cli import main
+from mscheme.errors import MalformedInput
 
 
 def run_cli(capsys, *argv):
@@ -247,14 +248,61 @@ def test_construct_uniform_refuses_rank_outside_ground_size(capsys, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+def test_construct_matroids_cap_ground_sets_at_16(capsys, tmp_path, monkeypatch):
+    """`construct uniform` and `construct linear` hand a ground set of 16
+    elements to the constructor and refuse 17 or 40 with exit 1, the cap
+    named, before the constructor builds any of the 2^n subsets."""
+    from mscheme import constructions
+
+    reached = []
+
+    def build(*args):  # stands in for uniform_matroid and linear_matroid
+        reached.append(args)
+        raise MalformedInput("constructor reached")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(constructions, "uniform_matroid", build)
+    monkeypatch.setattr(constructions, "linear_matroid", build)
+    for n in (16, 17, 40):
+        (tmp_path / "wide.json").write_text(json.dumps({"matrix": [[1] * n]}))
+        for argv in (["uniform", "2", str(n)], ["linear", "wide.json"]):
+            del reached[:]
+            code = main(["construct", *argv])
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            if n == 16:
+                assert code == 2 and len(reached) == 1, (argv, captured)
+                assert "constructor reached" in captured.err
+            else:
+                assert code == 1 and not reached, (argv, captured)
+                assert f"error: ground set size {n} exceeds the configured cap 16" \
+                    in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
+
+
 def test_cover_endpoints_must_be_element_ids(capsys, tmp_path):
     path = tmp_path / "bad_covers.json"
-    for covers in ([[0, 1]], [[["0"], "1"]]):
+    # a two-character string is not the pair of its characters
+    for covers in ([[0, 1]], [[["0"], "1"]], ["01"], "01", [["0", "1", "1"]]):
         files.dump_doc({"elements": [{"id": "0", "rho": 0}, {"id": "1", "rho": 1}],
                         "covers": covers}, path)
         code = main(["invariants", str(path)])
         err = capsys.readouterr().err
         assert code == 2 and "input error:" in err and "Traceback" not in err
+
+
+def test_long_cover_cycle_is_reported_not_a_recursion_error(capsys, tmp_path):
+    """A 3000-element cycle of covers is named by the cycle search, which
+    keeps its own stack."""
+    n = 3000
+    path = tmp_path / "cycle.json"
+    files.dump_doc({"elements": [{"id": f"e{i}", "rho": 0} for i in range(n)],
+                    "covers": [[f"e{i}", f"e{(i + 1) % n}"] for i in range(n)]}, path)
+    code = main(["check", "scheme", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "error: cover relation contains a cycle: e0 < e1 < " in out
+    assert out.count(" < ") == n
 
 
 def test_invariants_rejects_non_string_ids(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Geometric posets and the simple-scheme equivalence."""
 
+import functools
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -14,7 +16,9 @@ from mscheme import (
     NotSimple,
     build_poset,
     check_uniqueness,
+    GroupAction,
     compute_rank,
+    cyclic_group,
     dowling_geometric,
     flats,
     find_isomorphism,
@@ -24,12 +28,14 @@ from mscheme import (
     scheme_from_geometric,
     scheme_isomorphism,
     simplification,
+    trivial_action,
     upper_bound_minima,
     validate_geometric,
     verify_simplicial,
     validate_scheme,
 )
-from mscheme.geometric import pair_id
+from mscheme.geometric import _escaped_pair_id, pair_id
+from mscheme.poset import _bits
 
 from generators import dowling_inputs
 from test_poset import boolean_lattice
@@ -171,6 +177,68 @@ def test_scheme_from_geometric_is_the_simple_scheme_of_its_input(corpus):
         fl = flats(m)
         assert sorted(embed.values()) == sorted(fl.elements), name
         assert {(embed[a], embed[b]) for a, b in p.covers} == set(fl.poset.covers), name
+
+
+def _subset_enumeration(gp):
+    """``scheme_from_geometric`` as it was before the cover walk, kept as
+    its referee: every set I of atoms below each x is tested for x
+    minimal above I, and the covers of (I, x) are the (I + a, y) with y
+    minimal above x and a, sorted.  Returns the ids, the index cover
+    pairs, the atom supports as masks and rho."""
+    rp = gp.ranked
+    p = rp.poset
+    els = p.elements
+    above, below = p.above, p.below
+    atoms = sorted(p.index[a] for a in rp.atoms())
+    index = {}  # (atom mask I, poset index x) -> pair index
+    for x in range(len(els)):
+        candidates = [a for a in atoms if below[x] >> a & 1]
+        for size in range(len(candidates) + 1):
+            for combo in itertools.combinations(candidates, size):
+                if functools.reduce(operator.and_, (above[a] for a in combo), below[x]) == 1 << x:
+                    index[(sum(1 << a for a in combo), x)] = len(index)
+    pairs = list(index)
+    names = [[els[a] for a in atoms if I >> a & 1] for I, _ in pairs]
+    ids = [pair_id(A, els[x]) for A, (_, x) in zip(names, pairs)]
+    if len(set(ids)) != len(ids):
+        ids = [_escaped_pair_id(A, els[x]) for A, (_, x) in zip(names, pairs)]
+    joins = [{a: tuple(_bits(p.minimal_of_mask(above[x] & above[a]))) for a in atoms}
+             for x in range(len(els))]
+    covers = sorted((k, index[(I | 1 << a, y)])
+                    for k, (I, x) in enumerate(pairs)
+                    for a in atoms if not I >> a & 1
+                    for y in joins[x][a])
+    support = [sum(1 << index[(1 << a, a)] for a in atoms if I >> a & 1) for I, _ in pairs]
+    rho = {pid: rp.rank[els[x]] for pid, (_, x) in zip(ids, pairs)}
+    return ids, covers, support, rho
+
+
+def _large_dowling_inputs():
+    """The n = 3 Dowling posets over Z2 with one and two points and over
+    Z3 rotating three points: 512-, 1073- and 1216-element schemes."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    g, pts = z3.elements, ["p0", "p1", "p2"]
+    rot3 = GroupAction(z3, pts, {(g[i], pts[j]): pts[(i + j) % 3]
+                                 for i in range(3) for j in range(3)})
+    for label, act in (("z2_one", trivial_action(z2, ["p0"])),
+                       ("z2_two", trivial_action(z2, ["p0", "p1"])), ("z3_rot3", rot3)):
+        yield label, dowling_geometric(3, act)
+
+
+def test_cover_walk_matches_subset_enumeration(corpus):
+    """The walk gives the pairs, ids, cover pairs, supports and rho of
+    the subset enumeration it replaced, on every corpus flats poset,
+    Dowling input and toric layer poset, and on three large Dowling
+    posets."""
+    cases = [(label, gp, m) for label, gp, m in _certified_inputs(corpus)]
+    cases += [(label, gp, scheme_from_geometric(gp)) for label, gp in _large_dowling_inputs()]
+    assert sorted(len(m.elements) for _, _, m in cases)[-3:] == [512, 1073, 1216]
+    for label, gp, m in cases:
+        ids, covers, support, rho = _subset_enumeration(gp)
+        assert m.elements == tuple(ids), label
+        assert m.poset.pairs == tuple(covers), label
+        assert m.s.support == tuple(support), label
+        assert m.rho == rho, label
 
 
 def test_scheme_from_geometric_escapes_colliding_pair_ids():

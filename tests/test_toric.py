@@ -424,7 +424,9 @@ def test_cut_matches_rational_reference():
     reference: W has the basis as its first rows and is unimodular, the
     cut is None exactly when alpha lies in the lattice, and otherwise its
     saturated basis is the double-kernel saturation, g is the number of
-    pieces and the pieces are the reference's phases."""
+    pieces and the pieces are the reference's phases.  The cut takes and
+    gives phases as (num, den) int pairs, each in lowest terms with
+    0 <= num < den."""
     rng = random.Random(20261019)
     several = in_lattice = 0
     for case in range(900):
@@ -448,7 +450,12 @@ def test_cut_matches_rational_reference():
         assert cut.sat == tuple(tuple(r) for r in sat), (layer, c)
         cmat = [_reference_express(sat, row) for row in gen_rows]
         expected = _reference_solve(cmat, list(layer.phases) + [c.phase])
-        got = cut.pieces(layer.phases + (c.phase,))
+        given = [(t.numerator, t.denominator) for t in layer.phases + (c.phase,)]
+        got = cut.pieces(given)
+        assert all(isinstance(num, int) and isinstance(den, int)
+                   and 0 <= num < den and math.gcd(num, den) == 1
+                   for piece in got for num, den in piece), (layer, c, got)
+        got = [tuple(Fraction(num, den) for num, den in piece) for piece in got]
         assert cut.g == len(got) and sorted(got) == sorted(expected), (layer, c)
         if cut.g > 1:
             several += 1
