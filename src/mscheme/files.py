@@ -16,7 +16,10 @@ Matrix file        {"matrix": [[int]], "names": optional [str]}
 
 A field shown as int must hold a JSON integer (a float with no fractional
 part, such as 2.0, reads as that integer); a fraction, a bool or a string
-there is MalformedInput, never truncated.
+there is MalformedInput, never truncated.  A field shown as [str] must
+hold a JSON array of strings, and a table of names an array of such rows
+of the stated shape; a string there is MalformedInput, never read as the
+list of its characters.
 """
 
 from __future__ import annotations
@@ -83,6 +86,25 @@ def _int(value, path, what: str) -> int:
         return int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise MalformedInput(f"{path}: {what} {value!r} is not an integer")
+    return value
+
+
+def _names(value, path, what: str) -> list:
+    """A field the format declares a list of names: a JSON array of
+    strings.  A string, a number or an array holding anything but strings
+    is MalformedInput, never iterated."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MalformedInput(f"{path}: {what} {value!r} is not a list of names")
+    return value
+
+
+def _table(value, path, what: str, rows: int, cols: int) -> list:
+    """A ``rows`` x ``cols`` table of names, as a JSON array of rows."""
+    if not isinstance(value, list) or len(value) != rows:
+        raise MalformedInput(f"{path}: {what} shape mismatch")
+    for row in value:
+        if len(_names(row, path, f"{what} row")) != cols:
+            raise MalformedInput(f"{path}: {what} shape mismatch")
     return value
 
 
@@ -167,12 +189,12 @@ def dump_doc(doc: dict, path) -> None:
 
 def load_semimatroid(path) -> Semimatroid:
     doc = _load_json(path)
-    vertices = _require(doc, "vertices", path)
+    vertices = _names(_require(doc, "vertices", path), path, "vertices")
     faces = []
     rank = {}
     try:
         for row in _require(doc, "faces", path):
-            members = frozenset(row["members"])
+            members = frozenset(_names(row["members"], path, "members"))
             faces.append(members)
             rank[members] = _int(row["rho"], path, "rho")
     except (TypeError, KeyError, ValueError) as exc:
@@ -188,15 +210,9 @@ def _parse_group(doc, path) -> FiniteGroup:
     """A group document, from its own file or inline in an action file."""
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: group must be an object")
-    elements = _require(doc, "elements", path)
-    table = _require(doc, "table", path)
-    try:
-        shape_ok = (len(table) == len(elements)
-                    and all(len(r) == len(elements) for r in table))
-    except TypeError:
-        shape_ok = False
-    if not shape_ok:
-        raise MalformedInput(f"{path}: multiplication table shape mismatch")
+    elements = _names(_require(doc, "elements", path), path, "group elements")
+    table = _table(_require(doc, "table", path), path, "multiplication table",
+                   len(elements), len(elements))
     mul = {(g, h): table[i][j]
            for i, g in enumerate(elements) for j, h in enumerate(elements)}
     return FiniteGroup(elements, mul)
@@ -208,10 +224,9 @@ def load_action(path, group: FiniteGroup | None = None) -> GroupAction:
         if "group" not in doc:
             raise MalformedInput(f"{path}: no group given inline or alongside")
         group = _parse_group(doc["group"], f"{path} (inline group)")
-    points = _require(doc, "points", path)
-    rows = _require(doc, "rows", path)
-    if len(rows) != len(group.elements) or any(len(r) != len(points) for r in rows):
-        raise MalformedInput(f"{path}: action table shape mismatch")
+    points = _names(_require(doc, "points", path), path, "points")
+    rows = _table(_require(doc, "rows", path), path, "action table",
+                  len(group.elements), len(points))
     act = {(g, p): rows[i][j]
            for i, g in enumerate(group.elements) for j, p in enumerate(points)}
     if doc.get("cofinite") is not None:
@@ -248,7 +263,8 @@ def load_matrix(path) -> tuple[list[list[int]], list | None]:
         matrix = [[_int(v, path, "matrix entry") for v in row] for row in matrix]
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: bad matrix ({exc})") from None
-    return matrix, doc.get("names")
+    names = doc.get("names")
+    return matrix, None if names is None else _names(names, path, "names")
 
 
 # --- DOT export ---------------------------------------------------------------------------

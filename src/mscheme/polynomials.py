@@ -181,14 +181,14 @@ class BivariatePolynomial:
 
     def substitute(self, x_image, y_image, var: str = "t") -> UnivariatePolynomial:
         """Evaluate at univariate polynomials (or ints), e.g. x -> 1-t, y -> 0."""
-        if isinstance(x_image, int):
-            x_image = UnivariatePolynomial.constant(x_image, var)
-        if isinstance(y_image, int):
-            y_image = UnivariatePolynomial.constant(y_image, var)
-        total = UnivariatePolynomial({}, var)
+        xs = _powers(x_image, self.x_degree(), var)
+        ys = _powers(y_image, self.y_degree(), var)
+        out: dict[int, int] = {}
         for (i, j), c in self.coeffs.items():
-            total = total + (x_image**i) * (y_image**j) * c
-        return total
+            for d1, c1 in xs[i].items():
+                for d2, c2 in ys[j].items():
+                    out[d1 + d2] = out.get(d1 + d2, 0) + c * c1 * c2
+        return UnivariatePolynomial(out, var)
 
     def x_degree(self) -> int:
         return max((i for i, _ in self.coeffs), default=0)
@@ -223,6 +223,16 @@ class BivariatePolynomial:
 
     def __repr__(self):
         return f"BivariatePolynomial({self})"
+
+
+def _powers(image, top: int, var: str) -> list:
+    """Coefficient dicts of image^0 .. image^top, each from the one before."""
+    if isinstance(image, int):
+        image = UnivariatePolynomial.constant(image, var)
+    out = [{0: 1}]
+    for _ in range(top):
+        out.append((UnivariatePolynomial(out[-1], var) * image).coeffs)
+    return out
 
 
 def one_minus_t() -> UnivariatePolynomial:

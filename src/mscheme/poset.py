@@ -303,11 +303,16 @@ def _certified(elements, pairs, rank, support=None):
             if e in seen:
                 raise DuplicateIdentifier(f"duplicate element id {e!r}")
             seen.add(e)
-    rp = RankedPoset.__new__(RankedPoset)
-    rp.poset = p
-    rp.rank = dict(zip(p.elements, rank))
-    rp.bottom = p.elements[order[0]]
+    rp = _ranked(p, dict(zip(p.elements, rank)), p.elements[order[0]])
     return rp if support is None else SimplicialPoset(rp, tuple(support))
+
+
+def _ranked(p: Poset, rank: dict, bottom) -> "RankedPoset":
+    """The RankedPoset of p with the rank labels and the bottom that the
+    caller certifies; nothing is checked."""
+    rp = RankedPoset.__new__(RankedPoset)
+    rp.poset, rp.rank, rp.bottom = p, rank, bottom
+    return rp
 
 
 # --- joins and meets as operations ------------------------------------------
@@ -485,16 +490,26 @@ def complement(sp: SimplicialPoset, x, a):
 # --- Möbius function and characteristic polynomial ----------------------------
 
 def mobius(rp: RankedPoset) -> dict:
-    """mu(bottom) = 1 and sum of mu over each down-set is zero."""
+    """mu(bottom) = 1 and sum of mu over each down-set is zero (Stanley,
+    *Enumerative Combinatorics I*, 3.7).  One sweep up the stored linear
+    extension sums mu over the strict down-set mask of each element; the
+    dict lists the elements by rank, then in declaration order."""
     p = rp.poset
-    order = sorted(p.elements, key=lambda e: rp.rank[e])
-    mu = {}
-    for w in order:
-        if w == rp.bottom:
-            mu[w] = 1
-        else:
-            mu[w] = -sum(mu[u] for u in p.down_set(w) if u != w)
-    return mu
+    els = p.elements
+    mu = [0] * len(els)
+    for i in p.order:
+        down = p.below[i] ^ (1 << i)
+        if not down:
+            mu[i] = 1
+            continue
+        total = 0
+        while down:
+            low = down & -down
+            total += mu[low.bit_length() - 1]
+            down ^= low
+        mu[i] = -total
+    rank = rp.rank
+    return {els[i]: mu[i] for i in sorted(range(len(els)), key=lambda i: rank[els[i]])}
 
 
 def characteristic_polynomial(rp: RankedPoset) -> UnivariatePolynomial:

@@ -41,11 +41,12 @@ from .poset import (
     Poset,
     RankedPoset,
     SimplicialPoset,
-    _assemble,
+    _adjacency,
     _bits,
+    _closed,
+    _ranked,
     _union,
     complement,
-    compute_rank,
     transitive_reduction,
     verify_simplicial,
 )
@@ -59,7 +60,7 @@ class MatroidScheme:
     covers, same labels.
     """
 
-    __slots__ = ("s", "rho", "_closure", "_flats_cache", "_tutte")
+    __slots__ = ("s", "rho", "_closure", "_flats_cache", "_independent", "_tutte")
 
     def __init__(self, s: SimplicialPoset, rho: dict, *, _checked: bool = False):
         if not _checked:
@@ -68,6 +69,7 @@ class MatroidScheme:
         self.rho = dict(rho)
         self._closure = None
         self._flats_cache = None
+        self._independent = None
         self._tutte = None
 
     @property
@@ -206,16 +208,22 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     rho lowered by ``shift``: the one constructor behind localization,
     deletion, contraction, restriction and the Tutte recursion.
 
-    The minor is ranked and re-verified simplicial, but not re-validated
-    against M1-M5: the operations are theorem-backed and the property tests
-    re-validate.  Unlike the constructions it does not build through
-    ``poset._certified``, though an ideal keeps its ranks and supports and
-    a filter shifts them: the benchmark's tracer test counts one
-    ``verify_simplicial`` per Tutte sub-scheme, so the switch waits for the
-    Tutte recursion to run on the root's masks."""
+    The minor inherits its ranks: its minimum is the first kept element of
+    the parent's linear extension (the parent's bottom for an ideal, the
+    element a filter stands on), and its ranks are the parent's less the
+    rank of that minimum.  It is not re-validated against M1-M5: the
+    operations are theorem-backed and the property tests re-validate.  It
+    is re-verified simplicial, which derives its supports: the benchmark's
+    tracer test counts one ``verify_simplicial`` per Tutte sub-scheme, so
+    inheriting the supports waits for the Tutte recursion to run on the
+    root's masks."""
     sub = m.poset.subposet(keep)
-    sp = verify_simplicial(compute_rank(sub))
-    return MatroidScheme(sp, {e: m.rho[e] - shift for e in sub.elements},
+    els = sub.elements
+    low = els[sub.order[0]]
+    rank = m.s.ranked.rank
+    base = rank[low]
+    rp = _ranked(sub, {e: rank[e] - base for e in els}, low)
+    return MatroidScheme(verify_simplicial(rp), {e: m.rho[e] - shift for e in els},
                          _checked=True)
 
 
@@ -242,39 +250,58 @@ def localization(m: MatroidScheme, x) -> MatroidScheme:
 def closure(m: MatroidScheme, x):
     """The unique maximal element above x with the same rho (a theorem for
     valid schemes; ``InvariantBroken`` otherwise)."""
+    p = m.poset
+    return p.elements[_closure_map(m)[p.idx(x)]]
+
+
+def _closure_map(m: MatroidScheme) -> list:
+    """Per element index, the index of its closure; computed once per
+    scheme."""
     if m._closure is None:
         p = m.poset
         els = m.elements
-        lt = _less_than([m.rho[e] for e in els])
-        cl = {}
-        for i, e in enumerate(els):
-            top = p.maximal_of_mask(p.above[i] & lt[m.rho[e] + 1] & ~lt[m.rho[e]])
+        r = [m.rho[e] for e in els]
+        lt = _less_than(r)
+        cl = []
+        for i, up in enumerate(p.above):
+            top = p.maximal_of_mask(up & lt[r[i] + 1] & ~lt[r[i]])
             if top & (top - 1):
-                raise InvariantBroken(f"closure of {e!r} not unique: {p._ids(top)}")
-            cl[e] = els[top.bit_length() - 1]
+                raise InvariantBroken(f"closure of {els[i]!r} not unique: {p._ids(top)}")
+            cl.append(top.bit_length() - 1)
         m._closure = cl
-    m.poset.idx(x)
-    return m._closure[x]
+    return m._closure
 
 
 def flats(m: MatroidScheme) -> RankedPoset:
     """Subposet of closed elements, ranked by rho and bounded below by the
     closure of the bottom element.  The closed elements need not be convex,
-    so their covers come from a transitive reduction."""
+    so their covers come from a transitive reduction of the parent's order
+    on them, and the parent's linear extension restricted to them is one of
+    theirs.  The rank check stays: a contraction that left the class may
+    have flats that are not ranked by rho."""
     if m._flats_cache is None:
         p = m.poset
-        els = p.elements
-        keep = sum(1 << i for i, e in enumerate(els) if closure(m, e) == e)
-        up = [p.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0
-              for i in range(len(els))]
-        sub = _assemble(p._ids(keep), [(els[i], els[j]) for i, j in transitive_reduction(up)])
-        m._flats_cache = RankedPoset(sub, {e: m.rho[e] for e in sub.elements})
+        cl = _closure_map(m)
+        keep = sum(1 << i for i, c in enumerate(cl) if c == i)
+        up = [p.above[i] & keep & ~(1 << i) if c == i else 0 for i, c in enumerate(cl)]
+        new = {i: k for k, i in enumerate(_bits(keep))}
+        # renumbering the kept indices in order keeps the row-major cover order
+        pairs = [(new[i], new[j]) for i, j in transitive_reduction(up)]
+        order = [new[i] for i in p.order if i in new]
+        els = p._ids(keep)
+        sub = _closed(els, pairs, order, *_adjacency(len(els), pairs))
+        m._flats_cache = RankedPoset(sub, {e: m.rho[e] for e in els})
     return m._flats_cache
 
 
 def _independent_mask(m: MatroidScheme) -> int:
-    """Bitmask of the elements x with rho(x) = |x|."""
-    return sum(1 << i for i, x in enumerate(m.elements) if m.rho[x] == m.size(x))
+    """Bitmask of the elements x with rho(x) = |x|; computed once per
+    scheme."""
+    if m._independent is None:
+        rho = m.rho
+        m._independent = sum(1 << i for i, (x, s) in enumerate(zip(m.elements, m.s.support))
+                             if rho[x] == s.bit_count())
+    return m._independent
 
 
 def independence(m: MatroidScheme) -> frozenset:
@@ -378,13 +405,14 @@ def loops(m: MatroidScheme) -> frozenset:
 
 
 def isthmuses(m: MatroidScheme) -> frozenset:
-    """Atoms below every basis.  The two other characterizations of an
-    isthmus are checked by :func:`check_derived_axioms`."""
+    """Atoms below every basis: those in the support of each.  The two
+    other characterizations of an isthmus are checked by
+    :func:`check_derived_axioms`."""
     p = m.poset
-    below_all = _full(p)
+    common = _full(p)
     for b in bases(m):
-        below_all &= p.below[p.idx(b)]
-    return frozenset(a for a in m.atoms() if below_all >> p.idx(a) & 1)
+        common &= m.s.support[p.index[b]]
+    return frozenset(p._ids(common))
 
 
 def is_simple(m: MatroidScheme) -> bool:

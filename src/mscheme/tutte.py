@@ -19,10 +19,10 @@ from .polynomials import BivariatePolynomial, UnivariatePolynomial, one_minus_t
 from .poset import characteristic_polynomial, mobius
 from .scheme import (
     MatroidScheme,
+    _closure_map,
     _full,
     _sub_scheme,
     bases,
-    closure,
     flats,
     loops,
     scheme_rank,
@@ -150,9 +150,10 @@ def charpoly_identity(m: MatroidScheme) -> UnivariatePolynomial:
     if chi_mobius != chi_tutte:
         raise InvariantBroken(f"chi via Moebius {chi_mobius} != chi via Tutte {chi_tutte}")
     mu = mobius(fl)
+    els = m.elements
     signed = dict.fromkeys(fl.elements, 0)
-    for u in m.elements:
-        signed[closure(m, u)] += (-1) ** m.size(u)
+    for c, s in zip(_closure_map(m), m.s.support):
+        signed[els[c]] += -1 if s.bit_count() & 1 else 1
     for w in fl.elements:
         if signed[w] != mu[w]:
             raise InvariantBroken(f"signed closure count at {w!r}: {signed[w]} != mu={mu[w]}")

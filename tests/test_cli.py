@@ -326,6 +326,43 @@ def test_inline_group_shape_faults_are_input_errors(capsys, tmp_path, monkeypatc
         assert code == 2 and "input error:" in err and "inline group" in err
 
 
+def test_name_list_fields_refuse_other_shapes(capsys, tmp_path, monkeypatch):
+    """A string, a number or a nested list where an action, group,
+    semimatroid or matrix document holds a list of names exits 2, never 0
+    or 1."""
+    monkeypatch.chdir(tmp_path)
+    action = json.loads(files.fixture_path("t2_trivial.json").read_text())
+    swap = json.loads(files.fixture_path("z2_swap.json").read_text())
+    group = json.loads(files.fixture_path("z2.json").read_text())
+    semi = json.loads(files.fixture_path("semi4.json").read_text())
+    cases = []
+    for rows in ([1, 2], "ab", [["e"], "ab"], [[["e"]], [["g"]]]):
+        cases.append((["construct", "dowling", "-n", "2", "--group", "z2.json"],
+                      "--action", dict(action, rows=rows)))
+    cases.append((["construct", "quotient", "--semimatroid", "semi4.json",
+                   "--group", "z2.json"], "--action", dict(swap, points="ab")))
+    for elements in ("ab", ["e", 1]):
+        cases.append((["construct", "dowling", "-n", "2", "--action", "t2_trivial.json"],
+                      "--group", dict(group, elements=elements)))
+    cases.append((["construct", "dowling", "-n", "2", "--action", "t2_trivial.json"],
+                  "--group", dict(group, table=[["e", ["g"]], ["g", "e"]])))
+    for members in ("", "a1", [["a1"]]):
+        faces = [dict(semi["faces"][0], members=members)] + semi["faces"][1:]
+        cases.append((["check", "semimatroid"], None, dict(semi, faces=faces)))
+    cases.append((["check", "semimatroid"], None, dict(semi, vertices="ab")))
+    for names in ("ab", [1, 2], [["a"], "b"], 5):
+        cases.append((["construct", "linear"], None, {"matrix": [[1, 0], [0, 1]], "names": names}))
+    for k, (argv, flag, doc) in enumerate(cases):
+        path = tmp_path / f"doc{k}.json"
+        files.dump_doc(doc, path)
+        argv = argv + ([flag, str(path)] if flag else [str(path)])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and "input error:" in captured.err, argv
+        assert "Traceback" not in captured.err and "verdict" not in captured.out, argv
+    assert {p.name for p in tmp_path.iterdir()} == {f"doc{k}.json" for k in range(len(cases))}
+
+
 def test_construct_option_faults_are_input_errors(capsys, tmp_path, monkeypatch,
                                                  tmp_path_factory):
     monkeypatch.chdir(tmp_path)

@@ -1,12 +1,15 @@
 """Bounded fuzzing of the command line.
 
-Generated scheme and poset documents go through ``cli.main`` in process:
-random small documents with wrong types, missing keys and unknown ids,
-and fixture documents with a few random edits.  Every run must end with
-exit code 0, 1 or 2, raise nothing, print no traceback, and print the
-same stdout byte for byte when it is run again on the same file.  The
-examples are derandomized and capped, so the test is the same on every
-run and takes a few seconds.
+Generated documents go through ``cli.main`` in process.  Scheme and poset
+documents are random small documents with wrong types, missing keys and
+unknown ids, or fixture documents with a few random edits.  Group,
+action, semimatroid, arrangement and matrix documents are their fixtures
+with a few edits anywhere in the JSON tree: a value replaced by a wrong
+type or by a name from the same document, a key or a list item dropped, a
+list item repeated.  Every run must end with exit code 0, 1 or 2, raise nothing,
+print no traceback, and print the same stdout byte for byte when it is run
+again on the same file.  The examples are derandomized and capped, so the
+test is the same on every run and takes a few seconds.
 """
 
 import contextlib
@@ -126,6 +129,95 @@ def test_cli_exit_codes_hold_on_generated_documents(workdir, data):
     with open(doc_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     argv = _argv(data, doc_path, out_path)
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, out, err)
+    assert "Traceback" not in err, (argv, err)
+    assert _run(argv)[:2] == (code, out), argv
+
+
+# the other document kinds: kind -> (fixtures, command lines with DOC for
+# the edited document and OUT for the output file)
+QUOTIENT = "construct quotient --semimatroid {} --group z2.json --action {} --out OUT"
+DOWLING = "construct dowling -n 2 --group {} --action {} --out OUT"
+OTHER_KINDS = {
+    "semimatroid": (("semi4", "semi4c"), (
+        "check semimatroid DOC",
+        QUOTIENT.format("DOC", "z2_swap.json"),
+        QUOTIENT.format("DOC", "z2_swap_c.json"))),
+    "group": (("z2",), (
+        DOWLING.format("DOC", "t2_trivial.json"),
+        DOWLING.format("DOC", "t2_nontrivial.json"))),
+    "action": (("t2_trivial", "t2_nontrivial", "z2_swap", "z2_swap_c"), (
+        DOWLING.format("z2.json", "DOC"),
+        QUOTIENT.format("semi4.json", "DOC"),
+        QUOTIENT.format("semi4c.json", "DOC"))),
+    "inline_action": (("t2_nontrivial",), (
+        "construct dowling -n 2 --action DOC --out OUT",)),
+    "arrangement": (("toric1",), ("construct toric DOC --out OUT",)),
+    "matrix": (("i2",), ("construct linear DOC --out OUT",)),
+}
+
+
+def _other_base(kind: str, name: str) -> dict:
+    doc = json.loads(files.fixture_path(f"{name}.json").read_text())
+    if kind == "inline_action":
+        doc["group"] = json.loads(files.fixture_path("z2.json").read_text())
+    return doc
+
+
+def _slots(node, out):
+    """Every (container, key) pair below node, depth first in document
+    order."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        out.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            _slots(node[key], out)
+    return out
+
+
+def _strings(node) -> list:
+    if isinstance(node, str):
+        return [node]
+    items = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    return [s for item in items for s in _strings(item)]
+
+
+@st.composite
+def edited_tree(draw, base):
+    """A copy of base with one to three edits anywhere in its JSON tree."""
+    doc = copy.deepcopy(base)
+    names = sorted(set(_strings(base))) or ["x"]
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        node, key = slots[draw(st.integers(0, len(slots) - 1))]
+        edit = draw(st.sampled_from(("wrong", "name", "drop", "repeat")))
+        if edit == "wrong":
+            node[key] = draw(wrong)
+        elif edit == "name":
+            node[key] = draw(st.sampled_from(names))
+        elif edit == "drop":
+            del node[key]
+        elif isinstance(node, list):
+            node.append(copy.deepcopy(node[key]))
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(OTHER_KINDS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exit_codes_hold_on_other_edited_documents(workdir, kind, data):
+    names, commands = OTHER_KINDS[kind]
+    doc = data.draw(edited_tree(_other_base(kind, data.draw(st.sampled_from(names)))),
+                    label="document")
+    doc_path, out_path = str(workdir / "other.json"), str(workdir / "other_out.json")
+    with open(doc_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    argv = [{"DOC": doc_path, "OUT": out_path}.get(w, w)
+            for w in data.draw(st.sampled_from(commands), label="command").split()]
     code, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code, out, err)
     assert "Traceback" not in err, (argv, err)

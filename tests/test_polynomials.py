@@ -85,3 +85,29 @@ def test_substitution_commutes_with_evaluation(p, t):
 def test_string_evaluates_back_to_the_polynomial(p, x, y):
     expr = str(p).replace("^", "**")
     assert eval(expr, {"x": x, "y": y}) == p(x, y)
+
+
+def _substitute_per_term(p, x_image, y_image, var="t"):
+    """Substitution as it was computed: both powers afresh for every term."""
+    if isinstance(x_image, int):
+        x_image = UnivariatePolynomial.constant(x_image, var)
+    if isinstance(y_image, int):
+        y_image = UnivariatePolynomial.constant(y_image, var)
+    total = UnivariatePolynomial({}, var)
+    for (i, j), c in p.coeffs.items():
+        total = total + (x_image**i) * (y_image**j) * c
+    return total
+
+
+univariates = st.dictionaries(st.integers(0, 3), coeff, max_size=4).map(UnivariatePolynomial)
+images = st.one_of(st.integers(-3, 3), univariates, st.just(one_minus_t()))
+
+
+@given(bivariates(), images, images)
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_per_term_expansion(p, x_image, y_image):
+    for var in ("t", "s"):
+        got = p.substitute(x_image, y_image, var)
+        want = _substitute_per_term(p, x_image, y_image, var)
+        assert got == want and got.var == want.var
+    assert p.substitute(one_minus_t(), 0) == _substitute_per_term(p, one_minus_t(), 0)
