@@ -114,7 +114,6 @@ from .toric import (
     hnf,
     intersect_layer,
     layers_poset,
-    saturate,
     snf,
     verify_thm_arr,
 )

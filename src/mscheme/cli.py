@@ -15,7 +15,7 @@ import time
 
 from . import files
 from .errors import AxiomViolation, MalformedInput, MschemeError, SizeCapExceeded
-from .geometric import simplification, validate_geometric
+from .geometric import DEFAULT_ATOM_CAP, simplification, validate_geometric
 from .poset import find_isomorphism
 from .scheme import (
     bases,
@@ -252,7 +252,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="mscheme",
         description="Exact engine for matroid schemes, geometric posets, "
                     "and toric arrangements.")
-    parser.add_argument("--cap-atoms", type=int, default=20,
+    parser.add_argument("--cap-atoms", type=int, default=DEFAULT_ATOM_CAP,
                         help="atom cap for the exhaustive geometric sweep")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,7 +20,12 @@ from .errors import (
     NotTranslative,
     SizeCapExceeded,
 )
-from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
+from .geometric import (
+    DEFAULT_ATOM_CAP,
+    GeometricPoset,
+    scheme_from_geometric,
+    validate_geometric,
+)
 from .poset import _bits, _certified, build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
 from .tutte import _expand
@@ -186,11 +191,10 @@ class Semimatroid:
 
     __slots__ = ("vertices", "faces", "rank")
 
-    def __init__(self, vertices, faces, rank: dict, *,
-                 vertex_cap: int = SEMIMATROID_VERTEX_CAP):
+    def __init__(self, vertices, faces, rank: dict):
         self.vertices = tuple(vertices)
-        if len(self.vertices) > vertex_cap:
-            raise SizeCapExceeded(len(self.vertices), vertex_cap, "vertex set")
+        if len(self.vertices) > SEMIMATROID_VERTEX_CAP:
+            raise SizeCapExceeded(len(self.vertices), SEMIMATROID_VERTEX_CAP, "vertex set")
         self.faces = frozenset(frozenset(f) for f in faces)
         self.rank = {frozenset(k): v for k, v in rank.items()}
         if frozenset() not in self.faces:
@@ -461,7 +465,7 @@ def _set_partitions(items: tuple):
 
 def dowling_poset(n: int, action: GroupAction, *,
                   size_cap: int = DOWLING_SIZE_CAP,
-                  atom_cap: int | None = None) -> tuple[GeometricPoset, MatroidScheme]:
+                  atom_cap: int = DEFAULT_ATOM_CAP) -> tuple[GeometricPoset, MatroidScheme]:
     """Certified group-colored partition poset plus its simple scheme."""
     gp = dowling_geometric(n, action, size_cap=size_cap, atom_cap=atom_cap)
     return gp, scheme_from_geometric(gp)
@@ -469,7 +473,7 @@ def dowling_poset(n: int, action: GroupAction, *,
 
 def dowling_geometric(n: int, action: GroupAction, *,
                       size_cap: int = DOWLING_SIZE_CAP,
-                      atom_cap: int | None = None) -> GeometricPoset:
+                      atom_cap: int = DEFAULT_ATOM_CAP) -> GeometricPoset:
     """The poset of partial group-colored partitions of {1..n} with leftover
     points colored by the action's point set, certified geometric.
 
@@ -540,10 +544,10 @@ def dowling_geometric(n: int, action: GroupAction, *,
     pos = {name: k for k, name in enumerate(names)}
     pairs = [(pos[a], pos[b]) for a, b in sorted(set(covers))]
     rp = _certified(names, pairs, [n - len(beta) for beta, _ in order])
-    return validate_geometric(rp, **({} if atom_cap is None else {"atom_cap": atom_cap}))
+    return validate_geometric(rp, atom_cap)
 
 
-# --- quotient identity helpers (used by tests and the CLI) -----------------------------------
+# --- quotient identity helpers (used by tests) -----------------------------------
 
 def quotient_subset_identities(sm: Semimatroid, action: GroupAction,
                                result: QuotientResult) -> dict:

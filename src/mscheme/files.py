@@ -257,14 +257,21 @@ def load_arrangement(path) -> ToricArrangement:
 
 
 def load_matrix(path) -> tuple[list[list[int]], list | None]:
+    """A ragged matrix, or a names list whose length is not the column
+    count, is MalformedInput."""
     doc = _load_json(path)
     matrix = _require(doc, "matrix", path)
     try:
         matrix = [[_int(v, path, "matrix entry") for v in row] for row in matrix]
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: bad matrix ({exc})") from None
+    cols = {len(row) for row in matrix}
+    if len(cols) > 1:
+        raise MalformedInput(f"{path}: matrix rows differ in length {sorted(cols)}")
     names = doc.get("names")
-    return matrix, None if names is None else _names(names, path, "names")
+    if names is not None and len(_names(names, path, "names")) != max(cols, default=0):
+        raise MalformedInput(f"{path}: {len(names)} names for {max(cols, default=0)} columns")
+    return matrix, names
 
 
 # --- DOT export ---------------------------------------------------------------------------

@@ -39,13 +39,6 @@ class UnivariatePolynomial:
     def constant(cls, c: int, var: str = "t") -> "UnivariatePolynomial":
         return cls({0: c}, var)
 
-    @classmethod
-    def variable(cls, var: str = "t") -> "UnivariatePolynomial":
-        return cls({1: 1}, var)
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.coeffs)
@@ -126,14 +119,6 @@ class BivariatePolynomial:
     @classmethod
     def constant(cls, c: int) -> "BivariatePolynomial":
         return cls({(0, 0): c})
-
-    @classmethod
-    def x(cls) -> "BivariatePolynomial":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def y(cls) -> "BivariatePolynomial":
-        return cls({(0, 1): 1})
 
     def __add__(self, other):
         other = self._coerce(other)

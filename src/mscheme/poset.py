@@ -315,6 +315,20 @@ def _ranked(p: Poset, rank: dict, bottom) -> "RankedPoset":
     return rp
 
 
+def _convex(rp: "RankedPoset", keep: int) -> "RankedPoset":
+    """The sub-poset of rp on the convex bitmask ``keep`` (see
+    ``Poset.subposet``), ranked from its minimum: the first kept element of
+    rp's linear extension, whose rank is subtracted from rp's.  Every cover
+    of the sub-poset is one of rp, so its ranks are inherited, not swept.
+    An empty mask has no minimum and raises ``NotBoundedBelow(())``."""
+    if not keep:
+        raise NotBoundedBelow(())
+    sub = rp.poset.subposet(keep)
+    low = sub.elements[sub.order[0]]
+    base = rp.rank[low]
+    return _ranked(sub, {e: rp.rank[e] - base for e in sub.elements}, low)
+
+
 # --- joins and meets as operations ------------------------------------------
 
 def upper_bound_minima(p: Poset, T) -> frozenset:
@@ -378,12 +392,10 @@ class RankedPoset:
         return max(self.rank.values(), default=0)
 
     def interval(self, lo, hi) -> "RankedPoset":
-        """Closed interval [lo, hi] re-ranked to start at 0."""
+        """Closed interval [lo, hi] re-ranked to start at 0; lo not below
+        hi raises ``NotBoundedBelow``."""
         p = self.poset
-        mask = p.above[p.idx(lo)] & p.below[p.idx(hi)]
-        base = self.rank[lo]
-        return RankedPoset(p.subposet(mask),
-                           {e: self.rank[e] - base for e in p._ids(mask)})
+        return _convex(self, p.above[p.idx(lo)] & p.below[p.idx(hi)])
 
     def __repr__(self):
         return f"RankedPoset({len(self.elements)} elements, max rank {self.max_rank()})"

@@ -44,9 +44,10 @@ from .poset import (
     _adjacency,
     _bits,
     _closed,
-    _ranked,
+    _convex,
     _union,
     complement,
+    find_isomorphism,
     transitive_reduction,
     verify_simplicial,
 )
@@ -208,22 +209,15 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     rho lowered by ``shift``: the one constructor behind localization,
     deletion, contraction, restriction and the Tutte recursion.
 
-    The minor inherits its ranks: its minimum is the first kept element of
-    the parent's linear extension (the parent's bottom for an ideal, the
-    element a filter stands on), and its ranks are the parent's less the
-    rank of that minimum.  It is not re-validated against M1-M5: the
-    operations are theorem-backed and the property tests re-validate.  It
-    is re-verified simplicial, which derives its supports: the benchmark's
-    tracer test counts one ``verify_simplicial`` per Tutte sub-scheme, so
-    inheriting the supports waits for the Tutte recursion to run on the
-    root's masks."""
-    sub = m.poset.subposet(keep)
-    els = sub.elements
-    low = els[sub.order[0]]
-    rank = m.s.ranked.rank
-    base = rank[low]
-    rp = _ranked(sub, {e: rank[e] - base for e in els}, low)
-    return MatroidScheme(verify_simplicial(rp), {e: m.rho[e] - shift for e in els},
+    The minor inherits its ranks through ``_convex``: its minimum is the
+    parent's bottom for an ideal and the element a filter stands on.  It is
+    not re-validated against M1-M5: the operations are theorem-backed and
+    the property tests re-validate.  It is re-verified simplicial, which
+    derives its supports: the benchmark's tracer test counts one
+    ``verify_simplicial`` per Tutte sub-scheme, so inheriting the supports
+    waits for the Tutte recursion to run on the root's masks."""
+    rp = _convex(m.s.ranked, keep)
+    return MatroidScheme(verify_simplicial(rp), {e: m.rho[e] - shift for e in rp.elements},
                          _checked=True)
 
 
@@ -479,7 +473,6 @@ def check_loop_del_contr(m: MatroidScheme, a) -> dict:
 
 def scheme_isomorphism(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
     """rho-preserving simplicial poset isomorphism, or None."""
-    from .poset import find_isomorphism
     return find_isomorphism(m1.s.ranked, m2.s.ranked, m1.rho, m2.rho)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .constructions import Matroid, linear_matroid
+from .constructions import Matroid, linear_matroid, scheme_from_matroid
 from .errors import (
     DimensionMismatch,
     InvariantBroken,
@@ -39,8 +39,8 @@ from .errors import (
     NotALayer,
     NotInArrangement,
 )
-from .geometric import scheme_from_geometric, validate_geometric
-from .poset import _certified
+from .geometric import DEFAULT_ATOM_CAP, scheme_from_geometric, validate_geometric
+from .poset import _certified, _convex, find_isomorphism
 from .scheme import contract, delete, localization, scheme_isomorphism
 
 
@@ -156,24 +156,6 @@ def snf(matrix: list[list[int]]):
             continue
         t += 1
     return m, u, v
-
-
-def saturate(matrix: list[list[int]]) -> list[list[int]]:
-    """Canonical HNF basis of the saturation of the row lattice: the set of
-    integer vectors lying in the rational row span.
-
-    With D = U*M*V of rank r, row i < r of U*M = D*V^-1 is d_i times row i
-    of V^-1.  Those rows of V^-1 span the rational row space and extend to a
-    basis of Z^n, so their integer span is already saturated: one Smith
-    form, then the HNF.
-    """
-    if not matrix:
-        return []
-    d, u, _ = snf(matrix)
-    um = [[sum(a * b for a, b in zip(row, col)) for col in zip(*matrix)] for row in u]
-    h, _ = hnf([[x // d[i][i] for x in um[i]]
-                for i in range(min(len(d), len(d[0]))) if d[i][i]])
-    return h
 
 
 # --- characters and layers -----------------------------------------------------------
@@ -482,7 +464,7 @@ def _closure(arr: ToricArrangement):
     return list(layers.values()), steps, atom_of
 
 
-def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersResult:
+def layers_poset(arr: ToricArrangement, atom_cap: int = DEFAULT_ATOM_CAP) -> LayersResult:
     """Breadth-first closure of the ambient layer under intersection with
     every hypersurface, ordered by reverse inclusion, certified geometric,
     with the simple scheme attached.  The covers are the intersection steps
@@ -497,8 +479,7 @@ def layers_poset(arr: ToricArrangement, atom_cap: int | None = None) -> LayersRe
     ids = [L.layer_id for L in ordered]
     pos = {lid: k for k, lid in enumerate(ids)}
     rp = _certified(ids, sorted((pos[a], pos[b]) for a, b in steps), [L.rank for L in ordered])
-    kwargs = {} if atom_cap is None else {"atom_cap": atom_cap}
-    gp = validate_geometric(rp, **kwargs)
+    gp = validate_geometric(rp, atom_cap)
     scheme = scheme_from_geometric(gp)
 
     # the scheme's pairs (I, x) come in blocks of x in layer order, and in
@@ -520,51 +501,23 @@ def arr_delete(arr: ToricArrangement, c: Character) -> ToricArrangement:
     return ToricArrangement(arr.n, kept)
 
 
-def _unimodular_inverse(mat: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (Gauss over fractions,
-    result converted back to ints)."""
-    size = len(mat)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-         for i, row in enumerate(mat)]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    inv = [[x for x in row[size:]] for row in a]
-    out = [[int(x) for x in row] for row in inv]
-    if any(Fraction(o) != x for row_o, row_x in zip(out, inv)
-           for o, x in zip(row_o, row_x)):
-        raise InvariantBroken("inverse is not integral")
-    return out
-
-
 def arr_restrict(arr: ToricArrangement, c: Character) -> ToricArrangement:
     """Change coordinates so the chosen hypersurface becomes the ambient
-    torus: complete alpha to a unimodular basis, translate the phases of the
-    other characters, and split non-primitive images into their connected
-    components (merging coincident ones)."""
+    torus: complete alpha to a unimodular W with first row alpha by
+    ``_completion``, read the other characters over W, translate their
+    phases, and split non-primitive images into their connected components
+    (merging coincident ones).  The result is defined up to a unimodular
+    change of coordinates and a translation of the chosen subtorus."""
     key = c.canonical_key()
     if all(x.canonical_key() != key for x in arr.characters):
         raise NotInArrangement(f"{c.label} is not a hypersurface of the arrangement")
-    # U * alpha^T = e1 => basis matrix W = (U^{-1})^T has first row alpha
-    _, u = hnf([[a] for a in c.alpha])
-    w = [list(col) for col in zip(*_unimodular_inverse(u))]
-    if w[0] != list(c.alpha):
-        raise InvariantBroken("unimodular completion lost the character")
-    u_t = [list(col) for col in zip(*u)]
+    inverse = _completion(arr.n, (c.alpha,))
 
     chars = {}
     for other in arr.characters:
         if other.canonical_key() == key:
             continue
-        coords = [sum(b * u_t[i][j] for i, b in enumerate(other.alpha))
-                  for j in range(arr.n)]
-        c0, beta_rest = coords[0], coords[1:]
+        c0, *beta_rest = [sum(a * w for a, w in zip(other.alpha, col)) for col in inverse]
         phase = _parse_phase(other.phase - c0 * c.phase)
         content = 0
         for b in beta_rest:
@@ -626,8 +579,6 @@ def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrR
     """Compute both sides of each isomorphism (arrangement-level
     delete/restrict/localize against scheme-level delete/contract/localize)
     and return the witness bijections."""
-    from .poset import RankedPoset, find_isomorphism
-
     full = layers_poset(arr)
     atom_layer = full.atom_of[c.canonical_key()]
     atom_el = full.scheme_element_of[atom_layer]
@@ -642,15 +593,12 @@ def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrR
     if not direct:
         # layer-poset comparison: sublayers of the hypersurface, re-ranked
         fp = full.geometric.ranked
-        above = fp.poset.above[fp.poset.idx(atom_layer)]
-        sub = RankedPoset(fp.poset.subposet(above),
-                          {e: fp.rank[e] - 1 for e in fp.poset._ids(above)})
+        sub = _convex(fp, fp.poset.above[fp.poset.idx(atom_layer)])
         iso_restr = find_isomorphism(restricted.geometric.ranked, sub)
 
     if layer.layer_id not in full.layers:
         raise NotALayer(f"{layer.layer_id} is not a layer of the arrangement")
     local_arr = arr_localize(arr, layer, full)
-    from .constructions import scheme_from_matroid
     local_scheme = scheme_from_matroid(local_arr)
     layer_el = full.scheme_element_of[layer.layer_id]
     iso_local = scheme_isomorphism(local_scheme, localization(full.scheme, layer_el))

@@ -328,8 +328,8 @@ def test_inline_group_shape_faults_are_input_errors(capsys, tmp_path, monkeypatc
 
 def test_name_list_fields_refuse_other_shapes(capsys, tmp_path, monkeypatch):
     """A string, a number or a nested list where an action, group,
-    semimatroid or matrix document holds a list of names exits 2, never 0
-    or 1."""
+    semimatroid or matrix document holds a list of names, or a matrix's
+    names list of the wrong length, exits 2, never 0 or 1."""
     monkeypatch.chdir(tmp_path)
     action = json.loads(files.fixture_path("t2_trivial.json").read_text())
     swap = json.loads(files.fixture_path("z2_swap.json").read_text())
@@ -350,7 +350,7 @@ def test_name_list_fields_refuse_other_shapes(capsys, tmp_path, monkeypatch):
         faces = [dict(semi["faces"][0], members=members)] + semi["faces"][1:]
         cases.append((["check", "semimatroid"], None, dict(semi, faces=faces)))
     cases.append((["check", "semimatroid"], None, dict(semi, vertices="ab")))
-    for names in ("ab", [1, 2], [["a"], "b"], 5):
+    for names in ("ab", [1, 2], [["a"], "b"], 5, ["a"], ["a", "b", "c"]):
         cases.append((["construct", "linear"], None, {"matrix": [[1, 0], [0, 1]], "names": names}))
     for k, (argv, flag, doc) in enumerate(cases):
         path = tmp_path / f"doc{k}.json"
@@ -369,7 +369,8 @@ def test_construct_option_faults_are_input_errors(capsys, tmp_path, monkeypatch,
     action = ["--group", "z2.json", "--action", "t2_trivial.json"]
     inputs = tmp_path_factory.mktemp("inputs")
     matrices = []
-    for k, matrix in enumerate(([[1.5, 0, 1], [0, 1, 1]], [[True, 0], [0, 1]])):
+    for k, matrix in enumerate(([[1.5, 0, 1], [0, 1, 1]], [[True, 0], [0, 1]],
+                                [[1, 0], [0]])):
         matrices.append(inputs / f"matrix{k}.json")
         files.dump_doc({"matrix": matrix}, matrices[-1])
     for argv in (["construct", "dowling", *action],

@@ -4,8 +4,9 @@ or class is referenced somewhere in the package, and no internal check
 is an ``assert`` statement, which ``python -O`` strips, or a bare
 ``raise AssertionError``, and the validating path (``build_poset``,
 ``compute_rank``, ``verify_simplicial``, ``validate_scheme``) is called
-only where the input carries no certificate.  A subprocess checks that
-the CLI imports no ``dataclasses``."""
+only where the input carries no certificate, and no function imports a
+package module that its own module imports at the top.  A subprocess
+checks that the CLI imports no ``dataclasses``."""
 
 import ast
 import subprocess
@@ -61,6 +62,30 @@ def test_private_definitions_are_referenced():
                     and total[node.name] == _names(node)[node.name]):
                 unreferenced.append(f"{name}: {node.name}")
     assert not unreferenced, unreferenced
+
+
+def _package_modules(node) -> set:
+    """The package modules a relative import statement reads from:
+    ``from .poset import x`` reads ``poset``, ``from . import files`` reads
+    ``files``."""
+    if not isinstance(node, ast.ImportFrom) or not node.level:
+        return set()
+    return {node.module} if node.module else {alias.name for alias in node.names}
+
+
+def test_no_function_imports_a_module_imported_at_top_level():
+    """A function-level import is kept only to load a module lazily, so one
+    from a package module that the module already imports at the top is a
+    second binding of a loaded module."""
+    found = []
+    for name, tree in MODULES.items():
+        top = set().union(*(_package_modules(node) for node in tree.body))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    for module in _package_modules(node) & top:
+                        found.append(f"{name}:{node.lineno} {fn.name} imports {module}")
+    assert not found, found
 
 
 def _is_assertion(node) -> bool:

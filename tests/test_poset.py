@@ -554,3 +554,34 @@ def test_subposet_matches_build_poset(corpus):
                     assert getattr(sub, attr) == getattr(want, attr), (name, attr)
                 if len(sub.minimal_elements()) == 1:
                     assert compute_rank(sub).rank == compute_rank(want).rank, name
+
+
+def test_interval_matches_the_validating_constructor(corpus):
+    """``interval`` inherits its ranks from the parent; the validating
+    ``RankedPoset`` sweeps them again.  On every pair of elements of the
+    corpus posets and flats of up to 32 elements, both give the same
+    elements, covers, linear extension, ranks and bottom when lo <= hi,
+    and both raise ``NotBoundedBelow`` otherwise."""
+    checked = refused = 0
+    for name, m in corpus.schemes():
+        for rp in (m.s.ranked, flats(m)):
+            p = rp.poset
+            if len(p) > 32:
+                continue
+            for lo, hi in itertools.product(p.elements, repeat=2):
+                mask = p.above[p.idx(lo)] & p.below[p.idx(hi)]
+                shifted = {e: rp.rank[e] - rp.rank[lo] for e in p._ids(mask)}
+                if not mask:
+                    for build in (lambda: rp.interval(lo, hi),
+                                  lambda: RankedPoset(p.subposet(mask), shifted)):
+                        with pytest.raises(NotBoundedBelow):
+                            build()
+                    refused += 1
+                    continue
+                got, want = rp.interval(lo, hi), RankedPoset(p.subposet(mask), shifted)
+                assert got.elements == want.elements and got.bottom == want.bottom, name
+                assert got.poset.pairs == want.poset.pairs, name
+                assert got.poset.order == want.poset.order, name
+                assert list(got.rank.items()) == list(want.rank.items()), name
+                checked += 1
+    assert checked >= 1000 and refused >= 1000, (checked, refused)

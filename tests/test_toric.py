@@ -26,15 +26,15 @@ from mscheme import (
     arr_delete,
     arr_localize,
     arr_restrict,
+    find_isomorphism,
     hnf,
     intersect_layer,
     layers_poset,
-    saturate,
     scheme_isomorphism,
     snf,
     verify_thm_arr,
 )
-from mscheme.toric import _completion, _cut, _unimodular_inverse
+from mscheme.toric import _completion, _cut
 from grid_oracle import check_arrangement
 
 SRC = Path(mscheme.__file__).parents[1]
@@ -50,7 +50,6 @@ def test_hnf_identity_and_content():
     assert h == [[1, 0], [0, 1]]
     h2, _ = hnf([[2, 4]])
     assert h2 == [[2, 4]]
-    assert saturate([[2, 4]]) == [[1, 2]]
 
 
 def test_hnf_transform_is_unimodular():
@@ -142,6 +141,29 @@ def test_character_validation():
             Character(bad, Fraction(0))
     assert Character((2.0, 1), Fraction(0)) == Character((2, 1), Fraction(0))
     assert repr(Character((2.0, 1), Fraction(0))) == "Character(2,1)@0"
+
+
+def _unimodular_inverse(mat: list[list[int]]) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix (Gauss over fractions,
+    result converted back to ints)."""
+    size = len(mat)
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+         for i, row in enumerate(mat)]
+    for col in range(size):
+        piv = next(r for r in range(col, size) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        scale = a[col][col]
+        a[col] = [x / scale for x in a[col]]
+        for r in range(size):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    inv = [[x for x in row[size:]] for row in a]
+    out = [[int(x) for x in row] for row in inv]
+    if any(Fraction(o) != x for row_o, row_x in zip(out, inv)
+           for o, x in zip(row_o, row_x)):
+        raise InvariantBroken("inverse is not integral")
+    return out
 
 
 def test_unimodular_inverse_refuses_a_non_integral_inverse():
@@ -407,18 +429,6 @@ def test_intersect_layer_matches_rational_reference():
         (several, matching, clashing)
 
 
-def test_saturate_matches_double_kernel():
-    rng = random.Random(7)
-    for case in range(2400):
-        cols = 2 + case % 3
-        rows = [[rng.randint(-5, 5) for _ in range(cols)]
-                for _ in range(rng.randint(1, cols))]
-        if rng.random() < 0.3:  # a dependent row, scaled
-            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
-            rows.append([x * a + y * b for a, b in zip(rows[0], rows[-1])])
-        assert saturate(rows) == _reference_saturate(rows), rows
-
-
 def test_cut_matches_rational_reference():
     """The per-basis completion and the per-key cut against the rational
     reference: W has the basis as its first rows and is unimodular, the
@@ -460,6 +470,76 @@ def test_cut_matches_rational_reference():
         if cut.g > 1:
             several += 1
     assert several >= 50 and in_lattice >= 20, (several, in_lattice)
+
+
+def _reference_restrict(arr, c):
+    """``arr_restrict`` with the completion it used before it shared
+    ``_completion``: the HNF transform U of alpha as a column, so that
+    (U^-1)^T has first row alpha, inverted over the rationals."""
+    key = c.canonical_key()
+    _, u = hnf([[a] for a in c.alpha])
+    w = [list(col) for col in zip(*_unimodular_inverse(u))]
+    assert w[0] == list(c.alpha)
+    u_t = [list(col) for col in zip(*u)]
+    chars = {}
+    for other in arr.characters:
+        if other.canonical_key() == key:
+            continue
+        coords = [sum(b * u_t[i][j] for i, b in enumerate(other.alpha))
+                  for j in range(arr.n)]
+        c0, beta_rest = coords[0], coords[1:]
+        phase = _frac(other.phase - c0 * c.phase)
+        content = math.gcd(*beta_rest)
+        if content == 0:
+            assert phase != 0
+            continue
+        gamma = tuple(b // content for b in beta_rest)
+        for j in range(content):
+            piece = Character(gamma, _frac(Fraction(phase + j, content)))
+            chars.setdefault(piece.canonical_key(), piece)
+    return ToricArrangement(arr.n - 1, [chars[k] for k in sorted(chars)])
+
+
+def _random_arrangement(rng, n, count):
+    """Up to ``count`` distinct primitive characters with entries in
+    [-3, 3] and phase denominators up to 4."""
+    chars = {}
+    for _ in range(count):
+        alpha = [rng.randint(-3, 3) for _ in range(n)]
+        if any(alpha) and math.gcd(*alpha) == 1:
+            den = rng.randint(1, 4)
+            c = Character(tuple(alpha), Fraction(rng.randrange(den), den))
+            chars.setdefault(c.canonical_key(), c)
+    return ToricArrangement(n, list(chars.values()))
+
+
+def test_arr_restrict_matches_the_rational_completion_up_to_isomorphism(corpus):
+    """On every corpus arrangement by each of its characters, and on random
+    arrangements by their first, the restriction agrees with the one
+    completed by the rational inverse: the same rank and number of
+    characters, and, where the coordinates differ, isomorphic layer posets
+    and schemes.  The isomorphism search runs on at most 12 characters and
+    200 layers: on hundreds of points told apart by no signature the
+    backtracking search can take seconds."""
+    cases = [(arr, c) for _, arr in corpus.arrangements for c in arr.characters]
+    rng = random.Random(20261020)
+    while len(cases) < 3000:
+        arr = _random_arrangement(rng, rng.randint(2, 4), rng.randint(2, 5))
+        if arr.characters:
+            cases.append((arr, arr.characters[0]))
+    changed = 0
+    for arr, c in cases:
+        got, expected = arr_restrict(arr, c), _reference_restrict(arr, c)
+        assert got.n == expected.n and len(got.characters) == len(expected.characters)
+        if got.characters == expected.characters or len(got.characters) > 12:
+            continue
+        ours, theirs = layers_poset(got), layers_poset(expected)
+        if len(ours.layers) > 200:
+            continue
+        changed += 1
+        assert find_isomorphism(ours.geometric.ranked, theirs.geometric.ranked), (arr, c)
+        assert scheme_isomorphism(ours.scheme, theirs.scheme), (arr, c)
+    assert changed >= 50, changed
 
 
 def test_invariant_checks_raise_not_assert():
