@@ -176,7 +176,7 @@ def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
               for e in range(n) if not X >> e & 1]
     # the singleton {e} is element 1 + e
     sp = _certified(ids, covers, [X.bit_count() for X in masks], [X << 1 for X in masks])
-    return MatroidScheme(sp, {i: mat.rank[X] for i, X in zip(ids, subsets)}, _checked=True)
+    return MatroidScheme(sp, tuple(mat.rank[X] for X in subsets), _checked=True)
 
 
 # --- semimatroids -----------------------------------------------------------------

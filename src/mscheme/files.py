@@ -147,10 +147,9 @@ def load_ranked_poset(path) -> RankedPoset:
     doc = _load_json(path)
     poset, rho = parse_poset_doc(doc, path)
     rp = compute_rank(poset)
-    if rho != rp.rank:
-        bad = next(e for e in poset.elements if rho[e] != rp.rank[e])
-        raise MalformedInput(
-            f"{path}: rho of {bad!r} is {rho[bad]} but the graded rank is {rp.rank[bad]}")
+    for e, k in zip(poset.elements, rp.ranks):
+        if rho[e] != k:
+            raise MalformedInput(f"{path}: rho of {e!r} is {rho[e]} but the graded rank is {k}")
     return rp
 
 
@@ -162,20 +161,20 @@ def load_scheme(path) -> MatroidScheme:
 
 
 def scheme_to_doc(m: MatroidScheme, comment: str | None = None) -> dict:
-    doc = {}
-    if comment:
-        doc["comment"] = comment
-    doc["elements"] = [{"id": e, "rho": m.rho[e]} for e in m.elements]
-    doc["covers"] = [[a, b] for a, b in m.poset.covers]
-    return doc
+    return _poset_doc(m.poset, m.rhos, comment)
 
 
 def ranked_poset_to_doc(rp: RankedPoset, comment: str | None = None) -> dict:
+    return _poset_doc(rp.poset, rp.ranks, comment)
+
+
+def _poset_doc(p: Poset, labels: tuple, comment: str | None) -> dict:
+    """The scheme/poset document of p, with "rho" of element i ``labels[i]``."""
     doc = {}
     if comment:
         doc["comment"] = comment
-    doc["elements"] = [{"id": e, "rho": rp.rank[e]} for e in rp.elements]
-    doc["covers"] = [[a, b] for a, b in rp.poset.covers]
+    doc["elements"] = [{"id": e, "rho": k} for e, k in zip(p.elements, labels)]
+    doc["covers"] = [[a, b] for a, b in p.covers]
     return doc
 
 
@@ -276,25 +275,30 @@ def load_matrix(path) -> tuple[list[list[int]], list | None]:
 
 # --- DOT export ---------------------------------------------------------------------------
 
+def _quoted(s: str) -> str:
+    """A DOT double-quoted string holding s: "\\" and '"' escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(m_or_rp) -> str:
     """Hasse diagram as a DOT digraph, nodes labeled "id : rho" and grouped
     into same-rank layers."""
     if isinstance(m_or_rp, MatroidScheme):
         rp = m_or_rp.s.ranked
-        label = m_or_rp.rho
+        labels = m_or_rp.rhos
     else:
         rp = m_or_rp
-        label = rp.rank
+        labels = rp.ranks
+    names = [_quoted(e) for e in rp.elements]
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
     by_rank: dict[int, list] = {}
-    for e in rp.elements:
-        by_rank.setdefault(rp.rank[e], []).append(e)
+    for name, k in zip(names, rp.ranks):
+        by_rank.setdefault(k, []).append(name)
     for r in sorted(by_rank):
-        names = " ".join(f'"{e}"' for e in by_rank[r])
-        lines.append(f"  {{ rank=same; {names} }}")
-    for e in rp.elements:
-        lines.append(f'  "{e}" [label="{e} : {label[e]}"];')
-    for a, b in rp.poset.covers:
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {{ rank=same; {' '.join(by_rank[r])} }}")
+    for e, name, k in zip(rp.elements, names, labels):
+        lines.append(f"  {name} [label={_quoted(f'{e} : {k}')}];")
+    for i, j in rp.poset.pairs:
+        lines.append(f"  {names[i]} -> {names[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -127,7 +127,7 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
     The exponential G2 sweep is refused above ``atom_cap`` atoms."""
     p = rp.poset
     els = p.elements
-    r = [rp.rank[e] for e in els]
+    r = rp.ranks
     joinable = _joinable(p)
     if not _g1_holds(p, r, joinable):
         for mx in p.maximal_elements():  # G1, swept only to name the first witness
@@ -136,11 +136,10 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
                 raise AxiomViolation("G1", (mx, check.condition, check.witness))
         raise InvariantBroken("G1 fails on the masks but on no maximal interval")
 
-    atoms = rp.atoms()
-    if len(atoms) > atom_cap:
-        raise AtomCapExceeded(len(atoms), atom_cap)
-    top_rank = max((rp.rank[mx] for mx in p.maximal_elements()), default=0)
-    atom_idx = [p.index[a] for a in atoms]
+    atom_idx = [i for i, k in enumerate(r) if k == 1]
+    if len(atom_idx) > atom_cap:
+        raise AtomCapExceeded(len(atom_idx), atom_cap)
+    top_rank = max((r[i] for i in _bits(p.maximal_of_mask(_full(p)))), default=0)
     for i, x in enumerate(els):  # G2
         # a set meeting the atoms a with a not<= x and join(a, x) nonempty
         # satisfies G2 for x, so only sets of the other atoms can fail
@@ -236,7 +235,8 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     rp = gp.ranked
     p = rp.poset
     els = p.elements
-    pairs, covers = _walk(p, sum(1 << p.index[a] for a in rp.atoms()), p.index[rp.bottom])
+    pairs, covers = _walk(p, sum(1 << i for i, k in enumerate(rp.ranks) if k == 1),
+                          p.index[rp.bottom])
     ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     if len(set(ids)) != len(ids):
         ids = [_escaped_pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
@@ -247,8 +247,7 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
             single[x] = 1 << k
     sp = _certified(ids, covers, [I.bit_count() for I, _ in pairs],
                     [_union(single, I) for I, _ in pairs])
-    rho = {pid: rp.rank[els[x]] for pid, (_, x) in zip(ids, pairs)}
-    return MatroidScheme(sp, rho, _checked=True)
+    return MatroidScheme(sp, tuple(rp.ranks[x] for _, x in pairs), _checked=True)
 
 
 def simplification(m: MatroidScheme) -> MatroidScheme:

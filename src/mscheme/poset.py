@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 
 from .errors import (
     CycleDetected,
@@ -153,6 +154,33 @@ class Poset:
         return f"Poset({len(self.elements)} elements, {len(self.pairs)} covers)"
 
 
+class LabelView(Mapping):
+    """Read-only id -> value view of ``RankedPoset.ranks`` or
+    ``MatroidScheme.rhos`` through the poset's ``index``; writes raise
+    ``TypeError``."""
+
+    __slots__ = ("_index", "_values")
+
+    def __init__(self, index: dict, values: tuple):
+        self._index, self._values = index, values
+
+    def __getitem__(self, e):
+        return self._values[self._index[e]]
+
+    def get(self, e, default=None):
+        i = self._index.get(e)
+        return default if i is None else self._values[i]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 def transitive_reduction(up) -> list:
     """Cover pairs (i, j) of a strict order given by its strict up-set
     bitmasks ``up``, in row-major order: j covers i iff j is in up[i] and in
@@ -285,17 +313,18 @@ def build_poset(elements, covers) -> Poset:
     return p
 
 
-def _certified(elements, pairs, rank, support=None):
+def _certified(elements, pairs, ranks, support=None):
     """The RankedPoset, or with ``support`` the SimplicialPoset, that a
     construction certifies: ``pairs`` are its index cover pairs in cover
-    order, ``rank[i]`` is the rank of element i and ``support[i]`` the
+    order, ``ranks[i]`` is the rank of element i and ``support[i]`` the
     bitmask of the atoms below it.
 
     Nothing is re-derived: no Hasse check, no rank sweep, no simplicial
     pass.  Every cover raises the rank by one, so sorting by rank gives
     the linear extension.  A repeated id still raises
     ``DuplicateIdentifier``, as in ``build_poset``."""
-    order = sorted(range(len(elements)), key=rank.__getitem__)
+    ranks = tuple(ranks)
+    order = sorted(range(len(elements)), key=ranks.__getitem__)
     p = _closed(elements, pairs, order, *_adjacency(len(elements), pairs))
     if len(p.index) != len(p.elements):
         seen = set()
@@ -303,15 +332,15 @@ def _certified(elements, pairs, rank, support=None):
             if e in seen:
                 raise DuplicateIdentifier(f"duplicate element id {e!r}")
             seen.add(e)
-    rp = _ranked(p, dict(zip(p.elements, rank)), p.elements[order[0]])
+    rp = _ranked(p, ranks, p.elements[order[0]])
     return rp if support is None else SimplicialPoset(rp, tuple(support))
 
 
-def _ranked(p: Poset, rank: dict, bottom) -> "RankedPoset":
-    """The RankedPoset of p with the rank labels and the bottom that the
-    caller certifies; nothing is checked."""
+def _ranked(p: Poset, ranks: tuple, bottom) -> "RankedPoset":
+    """The RankedPoset of p with the ranks by element index and the bottom
+    that the caller certifies; nothing is checked."""
     rp = RankedPoset.__new__(RankedPoset)
-    rp.poset, rp.rank, rp.bottom = p, rank, bottom
+    rp.poset, rp.ranks, rp.bottom = p, ranks, bottom
     return rp
 
 
@@ -324,9 +353,9 @@ def _convex(rp: "RankedPoset", keep: int) -> "RankedPoset":
     if not keep:
         raise NotBoundedBelow(())
     sub = rp.poset.subposet(keep)
-    low = sub.elements[sub.order[0]]
-    base = rp.rank[low]
-    return _ranked(sub, {e: rp.rank[e] - base for e in sub.elements}, low)
+    ranks = [rp.ranks[i] for i in _bits(keep)]
+    base = ranks[sub.order[0]]
+    return _ranked(sub, tuple(k - base for k in ranks), sub.elements[sub.order[0]])
 
 
 # --- joins and meets as operations ------------------------------------------
@@ -345,51 +374,32 @@ def lower_bound_maxima(p: Poset, T) -> frozenset:
 
 class RankedPoset:
     """A bounded-below poset with a rank function: rank(bottom) = 0 and every
-    cover raises rank by exactly one.
+    cover raises rank by exactly one.  ``ranks[i]`` is the rank of element
+    i; ``rank`` reads it by id.
 
-    Without ``rank`` the rank function is derived, with it the given labels
-    are verified; both in one bottom-up sweep of the covers.  The first
-    cover in sweep order that breaks the rule is reported as two chains
-    from the bottom, each following first-reach parents."""
+    Without ``rank`` (an id-keyed mapping) the rank function is derived,
+    with it the given labels are verified; see ``_graded``."""
 
-    __slots__ = ("poset", "rank", "bottom")
+    __slots__ = ("poset", "ranks", "bottom")
 
-    def __init__(self, poset: Poset, rank: dict | None = None):
-        minima = poset.minimal_elements()
-        if len(minima) != 1:
-            raise NotBoundedBelow(minima)
+    def __init__(self, poset: Poset, rank: Mapping | None = None):
+        labels = None if rank is None else [rank.get(e) for e in poset.elements]
         self.poset = poset
-        self.bottom = minima[0]
-        els = poset.elements
-        n = len(els)
-        if rank is None:
-            r = [None] * n
-            r[poset.index[self.bottom]] = 0
-        elif rank.get(self.bottom) != 0:
-            raise NotRanked(self.bottom, (self.bottom,), (self.bottom,))
-        else:
-            r = [rank[e] for e in els]
-        parent = [-1] * n
-        for i in poset.order:
-            for j in poset.covers_up[i]:
-                if parent[j] < 0:
-                    parent[j] = i
-                    if rank is None:
-                        r[j] = r[i] + 1
-                if r[j] != r[i] + 1:
-                    raise NotRanked(els[j], _chain(els, parent, j),
-                                    _chain(els, parent, i) + (els[j],))
-        self.rank = dict(zip(els, r))
+        self.ranks, self.bottom = _graded(poset, labels)
+
+    @property
+    def rank(self) -> LabelView:
+        return LabelView(self.poset.index, self.ranks)
 
     @property
     def elements(self):
         return self.poset.elements
 
     def atoms(self) -> tuple:
-        return tuple(e for e in self.elements if self.rank[e] == 1)
+        return tuple(e for e, k in zip(self.elements, self.ranks) if k == 1)
 
     def max_rank(self) -> int:
-        return max(self.rank.values(), default=0)
+        return max(self.ranks, default=0)
 
     def interval(self, lo, hi) -> "RankedPoset":
         """Closed interval [lo, hi] re-ranked to start at 0; lo not below
@@ -399,6 +409,33 @@ class RankedPoset:
 
     def __repr__(self):
         return f"RankedPoset({len(self.elements)} elements, max rank {self.max_rank()})"
+
+
+def _graded(poset: Poset, labels: list | None) -> tuple:
+    """(ranks, bottom): the ranks derived, or the ``labels`` by element
+    index verified, in one bottom-up sweep of the covers.  The first cover
+    in sweep order that breaks the rule is reported as two chains from the
+    bottom, each following first-reach parents."""
+    minima = poset.minimal_elements()
+    if len(minima) != 1:
+        raise NotBoundedBelow(minima)
+    bottom = minima[0]
+    els = poset.elements
+    n = len(els)
+    r = [0] * n if labels is None else labels
+    if r[poset.index[bottom]] != 0:
+        raise NotRanked(bottom, (bottom,), (bottom,))
+    parent = [-1] * n
+    for i in poset.order:
+        for j in poset.covers_up[i]:
+            if parent[j] < 0:
+                parent[j] = i
+                if labels is None:
+                    r[j] = r[i] + 1
+            if r[j] != r[i] + 1:
+                raise NotRanked(els[j], _chain(els, parent, j),
+                                _chain(els, parent, i) + (els[j],))
+    return tuple(r), bottom
 
 
 def _chain(els, parent, i) -> tuple:
@@ -465,8 +502,8 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
     against rank, then size, then that mark."""
     p = rp.poset
     els = p.elements
-    rank = rp.rank
-    atoms = sum(1 << i for i, e in enumerate(els) if rank[e] == 1)
+    rank = rp.ranks
+    atoms = sum(1 << i for i, k in enumerate(rank) if k == 1)
     support = tuple(down & atoms for down in p.below)
     seen = {}  # atom set -> OR of the up-sets of the elements with it
     clash = 0
@@ -476,8 +513,8 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
         seen[s] = prev | up
     for i, (x, down) in enumerate(zip(els, p.below)):
         k = support[i].bit_count()
-        if rank[x] != k:
-            raise NotSimplicial(x, f"rank {rank[x]} != {k} atoms below")
+        if rank[i] != k:
+            raise NotSimplicial(x, f"rank {rank[i]} != {k} atoms below")
         if down.bit_count() != 1 << k:
             raise NotSimplicial(x, f"|down-set| = {down.bit_count()} != 2^{k}")
         if clash >> i & 1:
@@ -520,23 +557,26 @@ def mobius(rp: RankedPoset) -> dict:
             total += mu[low.bit_length() - 1]
             down ^= low
         mu[i] = -total
-    rank = rp.rank
-    return {els[i]: mu[i] for i in sorted(range(len(els)), key=lambda i: rank[els[i]])}
+    return {els[i]: mu[i] for i in sorted(range(len(els)), key=rp.ranks.__getitem__)}
+
+
+def _top_value(p: Poset, values) -> int:
+    """``values[i]`` on every maximal element i of p, or
+    ``RankNotConstantOnMax`` with each maximal (id, value)."""
+    tops = list(_bits(p.maximal_of_mask((1 << len(p.elements)) - 1)))
+    if len({values[i] for i in tops}) != 1:
+        raise RankNotConstantOnMax(tuple((p.elements[i], values[i]) for i in tops))
+    return values[tops[0]]
 
 
 def characteristic_polynomial(rp: RankedPoset) -> UnivariatePolynomial:
     """Sum of mu(w) * t^(max_rank - rank(w)); requires rank constant on
     maximal elements."""
-    maxima = rp.poset.maximal_elements()
-    ranks = {rp.rank[m] for m in maxima}
-    if len(ranks) != 1:
-        raise RankNotConstantOnMax(tuple((m, rp.rank[m]) for m in maxima))
-    top_rank = ranks.pop()
+    top_rank = _top_value(rp.poset, rp.ranks)
     mu = mobius(rp)
     coeffs: dict[int, int] = {}
-    for w in rp.elements:
-        d = top_rank - rp.rank[w]
-        coeffs[d] = coeffs.get(d, 0) + mu[w]
+    for w, k in zip(rp.elements, rp.ranks):
+        coeffs[top_rank - k] = coeffs.get(top_rank - k, 0) + mu[w]
     return UnivariatePolynomial(coeffs)
 
 
@@ -584,7 +624,7 @@ def is_geometric_lattice(rp) -> LatticeCheck:
             return LatticeCheck(False, "ranked", (exc.element,))
     p = rp.poset
     els = p.elements
-    r = [rp.rank[e] for e in els]
+    r = rp.ranks
     pairs = []  # (i, j, join, meet) as indices
     for i, j in itertools.combinations(range(len(els)), 2):
         join = p.minimal_of_mask(p.above[i] & p.above[j])
@@ -609,8 +649,8 @@ def is_geometric_lattice(rp) -> LatticeCheck:
 # --- isomorphism search ---------------------------------------------------------
 
 def iter_isomorphisms(p: RankedPoset, q: RankedPoset,
-                      p_labels: dict | None = None,
-                      q_labels: dict | None = None):
+                      p_labels: Mapping | None = None,
+                      q_labels: Mapping | None = None):
     """Yield every rank-respecting (and label-respecting, when given) poset
     isomorphism p -> q as an id -> id dict whose items are in placement
     order.
@@ -625,9 +665,14 @@ def iter_isomorphisms(p: RankedPoset, q: RankedPoset,
     as e, so its lower-cover mask is exactly the image of e's.  All
     elements of lower rank are placed, so this is the same as agreeing on
     the order with every placed element, and a rank-preserving bijection
-    that maps lower covers onto lower covers is an order isomorphism.  The
-    search keeps its own stack, so deep posets do not meet the recursion
-    limit."""
+    that maps lower covers onto lower covers is an order isomorphism.
+
+    Candidates only shrink along a branch, so after each placement the
+    elements whose last lower cover it placed are checked ahead: if one of
+    them has no candidate left, the branch is cut before it is explored.
+    Only dead branches are cut, so the isomorphisms and their order do not
+    change.  The search keeps its own stack, so deep posets do not meet
+    the recursion limit."""
     pp, qq = p.poset, q.poset
     n = len(pp)
     if n != len(qq):
@@ -641,8 +686,13 @@ def iter_isomorphisms(p: RankedPoset, q: RankedPoset,
 
     p_els, q_els, p_dn = pp.elements, qq.elements, pp.covers_dn
     q_up = [sum(1 << f for f in c) for c in qq.covers_up]
-    order = sorted(range(n), key=lambda i: p.rank[p_els[i]])
+    order = sorted(range(n), key=p.ranks.__getitem__)
     phi = [-1] * n
+    depth = sorted(range(n), key=order.__getitem__)  # the inverse of order
+    ahead = [[] for _ in range(n)]  # ahead[k]: elements whose last lower cover is placed at k
+    for i, dn in enumerate(p_dn):
+        if dn:
+            ahead[max(map(depth.__getitem__, dn))].append(i)
 
     def admissible(i, used):
         cand = q_class[p_sig[i]] & ~used
@@ -666,25 +716,27 @@ def iter_isomorphisms(p: RankedPoset, q: RankedPoset,
         left[k] = cand ^ low
         phi[i] = low.bit_length() - 1
         used |= low
+        if not all(admissible(j, used) for j in ahead[k]):
+            continue
         if k + 1 < n:
             left.append(admissible(order[k + 1], used))
         else:
             yield {p_els[j]: q_els[phi[j]] for j in order}
 
 
-def _signatures(rp: RankedPoset, labels: dict | None) -> list:
+def _signatures(rp: RankedPoset, labels: Mapping | None) -> list:
     """Per index: (rank, label, lower covers, upper covers, down-set size,
     up-set size)."""
-    p, rank = rp.poset, rp.rank
+    p = rp.poset
     labels = labels or {}
-    return [(rank[e], labels.get(e), len(dn), len(up), below.bit_count(), above.bit_count())
-            for e, dn, up, below, above
-            in zip(p.elements, p.covers_dn, p.covers_up, p.below, p.above)]
+    return [(k, labels.get(e), len(dn), len(up), below.bit_count(), above.bit_count())
+            for e, k, dn, up, below, above
+            in zip(p.elements, rp.ranks, p.covers_dn, p.covers_up, p.below, p.above)]
 
 
 def find_isomorphism(p: RankedPoset, q: RankedPoset,
-                     p_labels: dict | None = None,
-                     q_labels: dict | None = None) -> dict | None:
+                     p_labels: Mapping | None = None,
+                     q_labels: Mapping | None = None) -> dict | None:
     """First rank- (and label-) preserving isomorphism found, or None."""
     for phi in iter_isomorphisms(p, q, p_labels, q_labels):
         return phi

@@ -34,10 +34,10 @@ from .errors import (
     MschemeError,
     NotALoop,
     NotAnAtom,
-    RankNotConstantOnMax,
     UnknownIdentifier,
 )
 from .poset import (
+    LabelView,
     Poset,
     RankedPoset,
     SimplicialPoset,
@@ -45,6 +45,9 @@ from .poset import (
     _bits,
     _closed,
     _convex,
+    _graded,
+    _ranked,
+    _top_value,
     _union,
     complement,
     find_isomorphism,
@@ -54,24 +57,29 @@ from .poset import (
 
 
 class MatroidScheme:
-    """A validated simplicial poset with rank labels.
+    """A validated simplicial poset with rank labels: ``rhos[i]`` is the
+    label of element i, and ``rho`` reads it by id.
 
     Instances are immutable; use :func:`validate_scheme` to construct one
     from unvalidated data.  Equality is exact: same element order, same
     covers, same labels.
     """
 
-    __slots__ = ("s", "rho", "_closure", "_flats_cache", "_independent", "_tutte")
+    __slots__ = ("s", "rhos", "_closure", "_flats_cache", "_independent", "_tutte")
 
-    def __init__(self, s: SimplicialPoset, rho: dict, *, _checked: bool = False):
+    def __init__(self, s: SimplicialPoset, rhos: tuple, *, _checked: bool = False):
         if not _checked:
             raise TypeError("use validate_scheme() to build a MatroidScheme")
         self.s = s
-        self.rho = dict(rho)
+        self.rhos = tuple(rhos)
         self._closure = None
         self._flats_cache = None
         self._independent = None
         self._tutte = None
+
+    @property
+    def rho(self) -> LabelView:
+        return LabelView(self.poset.index, self.rhos)
 
     @property
     def poset(self) -> Poset:
@@ -94,20 +102,16 @@ class MatroidScheme:
     def serialize_key(self) -> tuple:
         """Exact-form key: the elements, the covers and the labels in
         declaration order, the data ``==`` compares; ``hash`` reads it."""
-        return (self.elements, self.poset.covers,
-                tuple(self.rho[e] for e in self.elements))
+        return self.elements, self.poset.covers, self.rhos
 
     def __eq__(self, other):
-        return (isinstance(other, MatroidScheme)
-                and self.elements == other.elements
-                and self.poset.covers == other.poset.covers
-                and self.rho == other.rho)
+        return isinstance(other, MatroidScheme) and self.serialize_key() == other.serialize_key()
 
     def __hash__(self):
         return hash(self.serialize_key())
 
     def __repr__(self):
-        top = max(self.rho.values(), default=0)
+        top = max(self.rhos, default=0)
         return f"MatroidScheme({len(self.elements)} elements, max rho {top})"
 
 
@@ -153,15 +157,15 @@ def _diamonds_hold(p: Poset, r: list, size: list, sized: list) -> bool:
     return True
 
 
-def validate_scheme(sp: SimplicialPoset, rho: dict) -> MatroidScheme:
-    """Check M1-M5 (M3 on diamonds); return the scheme or raise the first
-    violation in axiom order with a deterministic witness."""
+def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
+    """Check M1-M5 (M3 on diamonds) on the id-keyed labels ``rho``, read
+    once into a tuple by element index; return the scheme or raise the
+    first violation in axiom order with a deterministic witness."""
     p = sp.poset
     els = p.elements
-    for e in els:
-        if e not in rho:
-            raise UnknownIdentifier(f"rho undefined on {e!r}")
-    r = [rho[e] for e in els]
+    r = tuple(map(rho.get, els))
+    if None in r:
+        raise UnknownIdentifier(f"rho undefined on {els[r.index(None)]!r}")
     above, below = p.above, p.below
     supp = sp.support
     size = [k.bit_count() for k in supp]
@@ -201,7 +205,7 @@ def validate_scheme(sp: SimplicialPoset, rho: dict) -> MatroidScheme:
         bad = lt[-1] & ~lt[r[i] + 1] & ~reach
         if bad:
             raise AxiomViolation("M5", (x, els[next(_bits(bad))]))
-    return MatroidScheme(sp, rho, _checked=True)
+    return MatroidScheme(sp, r, _checked=True)
 
 
 def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
@@ -216,9 +220,8 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     derives its supports: the benchmark's tracer test counts one
     ``verify_simplicial`` per Tutte sub-scheme, so inheriting the supports
     waits for the Tutte recursion to run on the root's masks."""
-    rp = _convex(m.s.ranked, keep)
-    return MatroidScheme(verify_simplicial(rp), {e: m.rho[e] - shift for e in rp.elements},
-                         _checked=True)
+    return MatroidScheme(verify_simplicial(_convex(m.s.ranked, keep)),
+                         tuple(m.rhos[i] - shift for i in _bits(keep)), _checked=True)
 
 
 def _full(p: Poset) -> int:
@@ -228,11 +231,7 @@ def _full(p: Poset) -> int:
 
 def scheme_rank(m: MatroidScheme) -> int:
     """rho of any maximal element; ``RankNotConstantOnMax`` if it varies."""
-    maxima = m.poset.maximal_elements()
-    values = {m.rho[u] for u in maxima}
-    if len(values) != 1:
-        raise RankNotConstantOnMax(tuple((u, m.rho[u]) for u in maxima))
-    return values.pop()
+    return _top_value(m.poset, m.rhos)
 
 
 def localization(m: MatroidScheme, x) -> MatroidScheme:
@@ -254,7 +253,7 @@ def _closure_map(m: MatroidScheme) -> list:
     if m._closure is None:
         p = m.poset
         els = m.elements
-        r = [m.rho[e] for e in els]
+        r = m.rhos
         lt = _less_than(r)
         cl = []
         for i, up in enumerate(p.above):
@@ -284,7 +283,7 @@ def flats(m: MatroidScheme) -> RankedPoset:
         order = [new[i] for i in p.order if i in new]
         els = p._ids(keep)
         sub = _closed(els, pairs, order, *_adjacency(len(els), pairs))
-        m._flats_cache = RankedPoset(sub, {e: m.rho[e] for e in els})
+        m._flats_cache = _ranked(sub, *_graded(sub, [m.rhos[i] for i in _bits(keep)]))
     return m._flats_cache
 
 
@@ -292,9 +291,8 @@ def _independent_mask(m: MatroidScheme) -> int:
     """Bitmask of the elements x with rho(x) = |x|; computed once per
     scheme."""
     if m._independent is None:
-        rho = m.rho
-        m._independent = sum(1 << i for i, (x, s) in enumerate(zip(m.elements, m.s.support))
-                             if rho[x] == s.bit_count())
+        m._independent = sum(1 << i for i, (k, s) in enumerate(zip(m.rhos, m.s.support))
+                             if k == s.bit_count())
     return m._independent
 
 
@@ -395,7 +393,8 @@ def _isthmus_conditions(m: MatroidScheme, a) -> tuple:
 def loops(m: MatroidScheme) -> frozenset:
     """Atoms of rank zero.  The two other characterizations of a loop are
     checked by :func:`check_derived_axioms`."""
-    return frozenset(a for a in m.atoms() if m.rho[a] == 0)
+    return frozenset(e for e, k, r in zip(m.elements, m.s.ranked.ranks, m.rhos)
+                     if k == 1 and r == 0)
 
 
 def isthmuses(m: MatroidScheme) -> frozenset:
@@ -429,8 +428,8 @@ def delete(m: MatroidScheme, a) -> MatroidScheme:
 def contract(m: MatroidScheme, x) -> MatroidScheme:
     """Scheme on the up-set of x, re-rooted at x, with rho shifted down by
     rho(x); original identifiers are kept."""
-    p = m.poset
-    return _sub_scheme(m, p.above[p.idx(x)], m.rho[x])
+    i = m.poset.idx(x)
+    return _sub_scheme(m, m.poset.above[i], m.rhos[i])
 
 
 def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:

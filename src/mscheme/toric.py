@@ -487,7 +487,7 @@ def layers_poset(arr: ToricArrangement, atom_cap: int = DEFAULT_ATOM_CAP) -> Lay
     # the same rho: every other misses an atom a below x, and (I + a, x)
     # covers it
     sp = scheme.poset
-    r = [scheme.rho[e] for e in sp.elements]
+    r = scheme.rhos
     flat = [e for e, k, up in zip(sp.elements, r, sp.covers_up) if all(r[j] != k for j in up)]
     return LayersResult(gp, scheme, dict(zip(ids, ordered)), atom_of,
                         dict(zip(ids, flat)))

@@ -47,8 +47,8 @@ def tutte_direct(m: MatroidScheme) -> BivariatePolynomial:
     if m._tutte is None:
         rk = scheme_rank(m)
         counts: dict[tuple[int, int], int] = {}
-        for w in m.elements:
-            key = (rk - m.rho[w], m.size(w) - m.rho[w])
+        for k, s in zip(m.rhos, m.s.support):
+            key = (rk - k, s.bit_count() - k)
             counts[key] = counts.get(key, 0) + 1
         m._tutte = _expand(counts)
     return m._tutte
@@ -96,29 +96,29 @@ def _delcon(m: MatroidScheme, counts: dict, i: int, j: int) -> None:
         return
 
     p = m.poset
-    rho = m.rho
-    r = max(rho.values())
-    top = sum(1 << k for k, e in enumerate(m.elements) if rho[e] == r)
+    rho = m.rhos
+    r = max(rho)
+    top = sum(1 << k for k, v in enumerate(rho) if v == r)
     # an atom is an isthmus iff every element of the top label lies above it
     pivot = loop = isthmus = None
-    for a in m.atoms():
+    for a in (k for k, size in enumerate(m.s.ranked.ranks) if size == 1):
         if rho[a] == 0:
             if loop is None:
                 loop = a
-        elif top & ~p.above[p.index[a]]:
+        elif top & ~p.above[a]:
             pivot = a
             break
         elif isthmus is None:
             isthmus = a
     if pivot is None:
         pivot = isthmus if loop is None else loop
-    up = p.above[p.index[pivot]]
+    up = p.above[pivot]
 
     m_d = _sub_scheme(m, _full(p) & ~up)
-    _delcon(m_d, counts, i + r - max(m_d.rho.values()), j)
+    _delcon(m_d, counts, i + r - max(m_d.rhos), j)
 
     m_c = _sub_scheme(m, up, rho[pivot])
-    _delcon(m_c, counts, i + r - rho[pivot] - max(m_c.rho.values()), j + 1 - rho[pivot])
+    _delcon(m_c, counts, i + r - rho[pivot] - max(m_c.rhos), j + 1 - rho[pivot])
 
 
 def tutte_point_checks(m: MatroidScheme) -> tuple[int, int]:

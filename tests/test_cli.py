@@ -215,6 +215,24 @@ def test_export_dot(capsys):
     assert '"a" [label="a : 1"]' in out
 
 
+def test_export_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    """Ids are written inside DOT double quotes with "\\" and '"' escaped,
+    in node names, labels and edges alike."""
+    path = tmp_path / "quoted.json"
+    files.dump_doc({"elements": [{"id": "0", "rho": 0}, {"id": 'a"b\\', "rho": 1}],
+                    "covers": [["0", 'a"b\\']]}, path)
+    code, out = run_cli(capsys, "export", "dot", str(path))
+    assert code == 0
+    assert out.splitlines()[3:] == [
+        '  { rank=same; "0" }',
+        r'  { rank=same; "a\"b\\" }',
+        '  "0" [label="0 : 0"];',
+        r'  "a\"b\\" [label="a\"b\\ : 1"];',
+        r'  "0" -> "a\"b\\";',
+        "}",
+    ]
+
+
 def test_iso_distinguishes_the_partition_fixtures(capsys):
     code, out = run_cli(capsys, "iso", "dow_triv.json", "dow_nontriv.json")
     assert code == 1 and "not isomorphic" in out

@@ -170,7 +170,8 @@ def _relabelled_rank(rp, x, value):
     labels that break a cover, so the label is set behind its back."""
     bad = object.__new__(RankedPoset)
     bad.poset, bad.bottom = rp.poset, rp.bottom
-    bad.rank = {**rp.rank, x: value}
+    i = rp.poset.index[x]
+    bad.ranks = rp.ranks[:i] + (value,) + rp.ranks[i + 1:]
     return bad
 
 

@@ -30,6 +30,8 @@ from mscheme import (
     restrict,
     scheme_from_independence,
     scheme_rank,
+    tutte_delcon,
+    tutte_direct,
     upper_bound_minima,
     validate_independence,
     validate_scheme,
@@ -43,6 +45,13 @@ from mscheme.scheme import _meet_of_joinable
 def make_scheme(elements, covers, rho):
     sp = verify_simplicial(compute_rank(build_poset(elements, covers)))
     return validate_scheme(sp, rho)
+
+
+def _relabelled(m, x, value) -> tuple:
+    """m's labels by element index with the label of x replaced, for a
+    corrupted scheme built behind the validator."""
+    i = m.poset.index[x]
+    return m.rhos[:i] + (value,) + m.rhos[i + 1:]
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +115,7 @@ def test_scheme_rank(isth, nonpos, loop_scheme):
 
 
 def test_scheme_rank_refuses_ranks_that_vary_on_max(isth):
-    broken = MatroidScheme(isth.s, {**isth.rho, "u": 1}, _checked=True)
+    broken = MatroidScheme(isth.s, _relabelled(isth, "u", 1), _checked=True)
     with pytest.raises(RankNotConstantOnMax, match=r"\(\('u', 1\), \('v', 2\)\)"):
         scheme_rank(broken)
 
@@ -192,17 +201,33 @@ def test_derived_axioms_pass(isth, cw_l, cw_r, nonpos, qfix, qfix2):
 
 def test_derived_axioms_catch_corruption(isth):
     """A deliberately corrupted label must produce a failing report."""
-    broken = MatroidScheme(isth.s, dict(isth.rho), _checked=True)
-    broken.rho["u"] = 1
+    broken = MatroidScheme(isth.s, _relabelled(isth, "u", 1), _checked=True)
     report = check_derived_axioms(broken)
     assert not report.ok
+
+
+def test_labels_are_read_only_views(isth, notgeom_poset):
+    """``rho`` and ``rank`` read the label tuples by id and refuse writes,
+    so a validated scheme stays as validated: both Tutte algorithms agree
+    and the hash is unchanged after the attempt."""
+    before = hash(isth)
+    for view in (isth.rho, isth.s.ranked.rank, notgeom_poset.rank):
+        with pytest.raises(TypeError):
+            view[next(iter(view))] = 1
+        with pytest.raises(TypeError):
+            del view[next(iter(view))]
+    assert tutte_direct(isth) == tutte_delcon(isth)
+    assert hash(isth) == before
+    assert dict(isth.rho) == dict(zip(isth.elements, isth.rhos))
+    assert list(notgeom_poset.rank.values()) == list(notgeom_poset.ranks)
+    assert isth.rho.get("missing", -1) == -1 and "missing" not in isth.rho
 
 
 def test_closure_and_meet_checks_raise_not_assert(isth):
     """Where uniqueness fails, closure and the meet of a joinable pair raise
     InvariantBroken, which check_derived_axioms reports as CL_STRUCTURE
     also under ``python -O``."""
-    level = MatroidScheme(isth.s, dict.fromkeys(isth.elements, 0), _checked=True)
+    level = MatroidScheme(isth.s, (0,) * len(isth.elements), _checked=True)
     with pytest.raises(InvariantBroken, match="closure of '0' not unique"):
         closure(level, "0")
     assert check_derived_axioms(level).failures()["CL_STRUCTURE"]
@@ -322,7 +347,7 @@ def test_loop_del_contr_checks_raise_not_assert(monkeypatch, loop_scheme, qfix2)
     """The three checks of check_loop_del_contr are explicit raises, so they
     hold under ``python -O``."""
     import mscheme.scheme
-    relabelled = MatroidScheme(loop_scheme.s, {"0": 1, "a": 0}, _checked=True)
+    relabelled = MatroidScheme(loop_scheme.s, (1, 0), _checked=True)  # "0": 1, "a": 0
     with pytest.raises(InvariantBroken, match="rank preserving"):
         check_loop_del_contr(relabelled, "a")
     p = qfix2.poset

@@ -35,7 +35,7 @@ from mscheme import (
     verify_thm_arr,
 )
 from mscheme.toric import _completion, _cut
-from grid_oracle import check_arrangement
+from grid_oracle import _solution_points, check_arrangement
 
 SRC = Path(mscheme.__file__).parents[1]
 
@@ -283,6 +283,14 @@ def test_grid_oracle_on_phased_arrangement():
     assert not stats["skipped"]
 
 
+def test_grid_oracle_checks_run_under_python_O():
+    """The oracle's checks are plain asserts in a helper module, registered
+    for assertion rewriting by the conftest, so ``python -O`` keeps them: a
+    grid denominator that misses a phase is refused."""
+    with pytest.raises(AssertionError, match="grid denominator misses a phase"):
+        _solution_points([[1]], [Fraction(1, 3)], 2, 1)
+
+
 def test_layer_canonicalization_from_alternative_generators(toric1):
     """The same point set reached through different intersection orders
     must produce the identical canonical layer."""
@@ -518,9 +526,10 @@ def test_arr_restrict_matches_the_rational_completion_up_to_isomorphism(corpus):
     arrangements by their first, the restriction agrees with the one
     completed by the rational inverse: the same rank and number of
     characters, and, where the coordinates differ, isomorphic layer posets
-    and schemes.  The isomorphism search runs on at most 12 characters and
-    200 layers: on hundreds of points told apart by no signature the
-    backtracking search can take seconds."""
+    and schemes.  The isomorphism search runs on at most 12 characters:
+    above that ``layers_poset`` refuses some arrangements by its atom cap.
+    Translates of one arrangement with hundreds of layers are searched too;
+    the search's look-ahead keeps them fast."""
     cases = [(arr, c) for _, arr in corpus.arrangements for c in arr.characters]
     rng = random.Random(20261020)
     while len(cases) < 3000:
@@ -534,12 +543,10 @@ def test_arr_restrict_matches_the_rational_completion_up_to_isomorphism(corpus):
         if got.characters == expected.characters or len(got.characters) > 12:
             continue
         ours, theirs = layers_poset(got), layers_poset(expected)
-        if len(ours.layers) > 200:
-            continue
         changed += 1
         assert find_isomorphism(ours.geometric.ranked, theirs.geometric.ranked), (arr, c)
         assert scheme_isomorphism(ours.scheme, theirs.scheme), (arr, c)
-    assert changed >= 50, changed
+    assert changed >= 90, changed
 
 
 def test_invariant_checks_raise_not_assert():
