@@ -111,6 +111,8 @@ def cmd_transform(args) -> int:
             out = restrict(m, atoms)
         else:
             out = simplification(m)
+    except MalformedInput:
+        raise
     except MschemeError as exc:
         print(f"verdict: {exc}")
         return 1
@@ -141,7 +143,7 @@ def cmd_construct(args) -> int:
     print(_echo(args))
     arity = {"uniform": 2, "linear": 1, "toric": 1}.get(args.kind, len(args.args))
     if len(args.args) != arity or (args.kind == "uniform" and not all(
-            a.lstrip("-").isdigit() for a in args.args)):
+            a.removeprefix("-").isdecimal() for a in args.args)):
         raise MalformedInput(f"construct {args.kind}: bad arguments {args.args}")
     poset_doc = None
 
@@ -162,7 +164,7 @@ def cmd_construct(args) -> int:
         default = f"constructed_{_stem(args.args[0])}.json"
     elif args.kind == "dowling":
         n = _required(args.n, "-n")
-        if not n.isdigit():
+        if not n.isdecimal():
             raise MalformedInput(f"construct dowling: -n must be a ground size, not {n!r}")
         gp, out = dowling_poset(int(n), _load_action(args), atom_cap=args.cap_atoms)
         print(f"geometric certificate: {len(gp.elements)} elements, "

@@ -485,6 +485,11 @@ def dowling_geometric(n: int, action: GroupAction, *,
     Each cover removes one block, so the poset is built with that rank
     as given, not derived; ``validate_geometric`` is its certificate.
     """
+    if n > size_cap.bit_length():
+        # the partitions of {1..n} alone number at least 2^(n-1) > size_cap;
+        # refused before the recursion over them runs n levels deep
+        raise SizeCapExceeded(1 << size_cap.bit_length(), size_cap, "partition poset",
+                              at_least=True)
     G = action.group
     T = action.points
     ground = tuple(range(1, n + 1))
@@ -510,7 +515,7 @@ def dowling_geometric(n: int, action: GroupAction, *,
                         elements.append((beta, z))
                         if len(elements) > size_cap:
                             raise SizeCapExceeded(len(elements), size_cap,
-                                                  "partition poset")
+                                                  "partition poset", at_least=True)
 
     ids = {}
     for beta, z in elements:

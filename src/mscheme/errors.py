@@ -111,10 +111,13 @@ class AtomCapExceeded(MschemeError):
 
 
 class SizeCapExceeded(MschemeError):
-    def __init__(self, count, cap, what="poset"):
+    """``at_least``: count is a lower bound, where building stopped early."""
+
+    def __init__(self, count, cap, what="poset", at_least=False):
         self.count = count
         self.cap = cap
-        super().__init__(f"{what} size {count} exceeds the configured cap {cap}")
+        size = f"at least {count}" if at_least else count
+        super().__init__(f"{what} size {size} exceeds the configured cap {cap}")
 
 
 # --- group actions / quotients ---------------------------------------------

@@ -23,7 +23,7 @@ import functools
 import itertools
 import operator
 
-from .errors import AtomCapExceeded, AxiomViolation, InvariantBroken, NotSimple
+from .errors import AtomCapExceeded, AxiomViolation, InvariantBroken, NotSimple, SizeCapExceeded
 from .poset import (
     Poset,
     RankedPoset,
@@ -44,6 +44,9 @@ from .scheme import (
 )
 
 DEFAULT_ATOM_CAP = 20
+# elements of a scheme built from a geometric poset: its poset keeps an
+# up-set and a down-set bitmask per element, about n^2 / 8 bytes in all
+ELEMENT_CAP = 1 << 16
 
 
 class GeometricPoset:
@@ -185,7 +188,8 @@ def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list]:
     then |I|, then that order, and the covers of each pair come out in
     the order of their upper ends, so no edge is sorted.  The walk's
     tables are freed when this returns, before the scheme's poset is
-    built."""
+    built.  ``SizeCapExceeded`` is raised as soon as the walk meets more
+    than ``ELEMENT_CAP`` pairs, before any cover is listed."""
     below = p.below
     steps = []  # steps[x]: (y, bit of a) for every step (I, x) -> (I + a, y), by y then a
     grow = []  # grow[x]: the same steps as (bit of a, y), by a then y, descending
@@ -199,9 +203,13 @@ def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list]:
 
     found = [[] for _ in below]  # found[x]: the atom sets I of the pairs (I, x), in walk order
     stack = [(0, bottom)]
+    met, cap = 0, ELEMENT_CAP
     while stack:
         I, x = stack.pop()
         found[x].append(I)
+        met += 1
+        if met > cap:
+            raise SizeCapExceeded(met, cap, "simple scheme", at_least=True)
         for bit, y in grow[x]:
             if bit <= I:  # a is at most the largest atom of I
                 break
@@ -227,7 +235,8 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     the input via x -> (atoms below x, x), and its poset is built as
     certified, with rank |I| and atoms ({a}, a) for a in I.  The pairs and
     their covers come from one walk up from (empty, bottom), with no atom
-    subset enumerated (see ``_walk``).
+    subset enumerated (see ``_walk``).  More than ``ELEMENT_CAP`` pairs
+    are refused with ``SizeCapExceeded`` before any of them is built.
 
     Pairs are named by ``pair_id`` when those names are distinct, and
     otherwise all by ``_escaped_pair_id``, which is injective: ids that

@@ -217,8 +217,9 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     parent's bottom for an ideal and the element a filter stands on.  It is
     not re-validated against M1-M5: the operations are theorem-backed and
     the property tests re-validate.  It is re-verified simplicial, which
-    derives its supports: the benchmark's tracer test counts one
-    ``verify_simplicial`` per Tutte sub-scheme, so inheriting the supports
+    derives its supports: one ``verify_simplicial`` per Tutte sub-scheme
+    (the recursion builds only its children of two or more elements), and
+    the benchmark's tracer test counts it, so inheriting the supports
     waits for the Tutte recursion to run on the root's masks."""
     return MatroidScheme(verify_simplicial(_convex(m.s.ranked, keep)),
                          tuple(m.rhos[i] - shift for i in _bits(keep)), _checked=True)

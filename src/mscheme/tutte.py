@@ -57,15 +57,19 @@ def tutte_direct(m: MatroidScheme) -> BivariatePolynomial:
 def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
     """Deletion-contraction recursion.
 
-    Pivot rule: the first atom in declaration order that is neither loop nor
-    isthmus splits as T(M-a) + T(M/a); with none left, loops contribute a
-    factor y via contraction and isthmuses split as (x-1)T(M-a) + T(M/a).
-    The base case (a single element) returns 1.  Both sub-schemes come from
-    ``scheme._sub_scheme``: the deletion keeps the order ideal of elements
-    not above a and the contraction the filter above a, so each reuses the
-    parent's covers.  The two children partition their parent's elements,
-    so no two nodes of the recursion have the same element set and nothing
-    is memoized.
+    Pivot rule (``_pivot``): the first atom in declaration order that is
+    neither loop nor isthmus splits as T(M-a) + T(M/a); with none left,
+    loops contribute a factor y via contraction and isthmuses split as
+    (x-1)T(M-a) + T(M/a).  The base case (a single element) returns 1.
+
+    Both children of a node are masks of the parent: the deletion keeps
+    the order ideal of elements not above a and the contraction the filter
+    above a.  A child with two or more elements is built by
+    ``scheme._sub_scheme``, which reuses the parent's covers; a one-element
+    child is a leaf and is counted from the parent's labels without being
+    built, so a scheme with |S| >= 2 elements builds |S| - 2 sub-schemes.
+    The two children partition their parent's elements, so no two nodes of
+    the recursion have the same element set and nothing is memoized.
 
     Contracting a valid scheme can leave the class (the rank-3 two-top
     fixture contracted by an atom violates the atom-exchange axiom), so the
@@ -83,42 +87,55 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
     the way down; the recursion counts the leaves per (i, j) and the sum is
     expanded once at the end.
     """
+    if len(m.elements) == 1:
+        return _expand({(0, 0): 1})
     counts: dict[tuple[int, int], int] = {}
     _delcon(m, counts, 0, 0)
     return _expand(counts)
 
 
-def _delcon(m: MatroidScheme, counts: dict, i: int, j: int) -> None:
-    """Add 1 at (i, j) of ``counts`` for each leaf below m, reached with
-    the exponents (i, j) of (x-1) and (y-1)."""
-    if len(m.elements) == 1:
-        counts[i, j] = counts.get((i, j), 0) + 1
-        return
-
+def _pivot(m: MatroidScheme, r: int) -> int:
+    """Index of the pivot atom of m, whose largest label is r: the first
+    atom that is neither loop nor isthmus, else the first loop, else the
+    first isthmus."""
     p = m.poset
     rho = m.rhos
-    r = max(rho)
     top = sum(1 << k for k, v in enumerate(rho) if v == r)
     # an atom is an isthmus iff every element of the top label lies above it
-    pivot = loop = isthmus = None
+    loop = isthmus = None
     for a in (k for k, size in enumerate(m.s.ranked.ranks) if size == 1):
         if rho[a] == 0:
             if loop is None:
                 loop = a
         elif top & ~p.above[a]:
-            pivot = a
-            break
+            return a
         elif isthmus is None:
             isthmus = a
-    if pivot is None:
-        pivot = isthmus if loop is None else loop
-    up = p.above[pivot]
+    return isthmus if loop is None else loop
 
-    m_d = _sub_scheme(m, _full(p) & ~up)
-    _delcon(m_d, counts, i + r - max(m_d.rhos), j)
 
-    m_c = _sub_scheme(m, up, rho[pivot])
-    _delcon(m_c, counts, i + r - rho[pivot] - max(m_c.rhos), j + 1 - rho[pivot])
+def _delcon(m: MatroidScheme, counts: dict, i: int, j: int) -> None:
+    """Add 1 to ``counts`` at the exponents of (x-1) and (y-1) gathered
+    down to each leaf below m, a node of two or more elements reached with
+    the exponents (i, j).  A one-element child is counted here, not
+    built."""
+    rho = m.rhos
+    r = max(rho)
+    pivot = _pivot(m, r)
+    up = m.poset.above[pivot]
+    down = _full(m.poset) & ~up
+    if down & (down - 1):
+        m_d = _sub_scheme(m, down)
+        _delcon(m_d, counts, i + r - max(m_d.rhos), j)
+    else:  # the deletion leaf {e}
+        key = (i + r - rho[down.bit_length() - 1], j)
+        counts[key] = counts.get(key, 0) + 1
+    i, j = i + r - rho[pivot], j + 1 - rho[pivot]
+    if up & (up - 1):
+        m_c = _sub_scheme(m, up, rho[pivot])
+        _delcon(m_c, counts, i - max(m_c.rhos), j)
+    else:  # the contraction leaf {pivot}
+        counts[i, j] = counts.get((i, j), 0) + 1
 
 
 def tutte_point_checks(m: MatroidScheme) -> tuple[int, int]:

@@ -166,6 +166,19 @@ def test_transform_unknown_element(capsys, tmp_path):
     assert code == 1
 
 
+def test_transform_missing_option_is_an_input_error(capsys, tmp_path):
+    """delete, contract and restrict without their option exit 2 with the
+    message on stderr, and write nothing."""
+    for op, flag in (("delete", "--atom"), ("contract", "--element"),
+                     ("restrict", "--atoms")):
+        code = main(["transform", op, "isth.json", "--out", str(tmp_path / "x.json")])
+        captured = capsys.readouterr()
+        assert code == 2, op
+        assert f"input error: missing required option {flag}" in captured.err, op
+        assert "Traceback" not in captured.err and "verdict" not in captured.out, op
+    assert not list(tmp_path.iterdir())
+
+
 def test_construct_uniform(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, "construct", "uniform", "1", "2")
@@ -191,6 +204,51 @@ def test_construct_dowling(capsys, tmp_path, monkeypatch):
     assert code == 0 and "result: 31 elements, rank 2" in out
     built = files.load_scheme(tmp_path / "constructed_dowling_2.json")
     assert built == files.load_scheme(files.fixture_path("dow_triv.json"))
+
+
+def test_construct_dowling_caps_the_scheme_elements(capsys, tmp_path, monkeypatch):
+    """The n = 4 Dowling scheme over Z2 with two points has 135,281
+    elements; ``geometric.ELEMENT_CAP`` (2^16) refuses it with exit 1 once
+    the pair walk passes the cap, before any mask is built.  The scheme's
+    poset builder is stubbed for that run, so a missing cap fails here
+    instead of building the scheme.  With the cap set below the 31
+    elements of n = 2 it refuses n = 2, and with a cap of 31 builds it."""
+    import mscheme.geometric
+
+    def unreachable(*args):
+        raise AssertionError("the scheme's poset was built past the element cap")
+
+    monkeypatch.chdir(tmp_path)
+    action = ["--group", "z2.json", "--action", "t2_trivial.json"]
+    with monkeypatch.context() as mp:
+        mp.setattr(mscheme.geometric, "_certified", unreachable)
+        code, out = run_cli(capsys, "construct", "dowling", "-n", "4", *action)
+    assert code == 1
+    assert "error: simple scheme size at least 65537 exceeds the configured cap 65536" in out
+    monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", 30)
+    code, out = run_cli(capsys, "construct", "dowling", "-n", "2", *action)
+    assert code == 1
+    assert "error: simple scheme size at least 31 exceeds the configured cap 30" in out
+    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", 31)
+    code, out = run_cli(capsys, "construct", "dowling", "-n", "2", *action)
+    assert code == 0 and "result: 31 elements, rank 2" in out
+
+
+def test_construct_dowling_refuses_large_ground_sets_up_front(capsys, tmp_path,
+                                                             monkeypatch):
+    """A ground set of n points has at least 2^(n-1) partitions, so an n
+    whose count passes the partition cap is refused before any is listed:
+    no recursion error at n = 2000, no memory error at n = 10^12."""
+    monkeypatch.chdir(tmp_path)
+    for n in ("15", "2000", "1000000000000"):
+        code = main(["construct", "dowling", "-n", n, "--group", "z2.json",
+                     "--action", "t2_trivial.json"])
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.err, n
+        assert "error: partition poset size at least 16384 exceeds the configured cap 10000" \
+            in captured.out, n
+    assert not list(tmp_path.iterdir())
 
 
 def test_construct_quotient(capsys, tmp_path, monkeypatch):

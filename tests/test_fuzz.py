@@ -10,12 +10,17 @@ list item repeated.  Every run must end with exit code 0, 1 or 2, raise nothing,
 print no traceback, and print the same stdout byte for byte when it is run
 again on the same file.  The examples are derandomized and capped, so the
 test is the same on every run and takes a few seconds.
+
+``construct`` is also fuzzed on its command line: integer arguments and
+caps that are negative, zero, huge or not integers, ranks above the
+ground size, and unknown kinds.
 """
 
 import contextlib
 import copy
 import io
 import json
+import operator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -222,3 +227,61 @@ def test_cli_exit_codes_hold_on_other_edited_documents(workdir, kind, data):
     assert code in (0, 1, 2), (argv, code, out, err)
     assert "Traceback" not in err, (argv, err)
     assert _run(argv)[:2] == (code, out), argv
+
+
+# integer words for construct: small, huge, negative and not integers at
+# all; ground sizes stay where a build is cheap (U(R, N) with N <= 8, a
+# Dowling ground set of at most 3 points) or is refused up front by a cap
+NOT_INTEGERS = ("", "x", "1.5", "1e3", "0x10", "+2", " 3", "1_0", "\u00b2", "\u0663",
+                "-", "--1", "nan")
+huge = st.integers(2 ** 16, 2 ** 70)
+
+
+def _words(ints):
+    return st.one_of(ints.map(str), st.sampled_from(NOT_INTEGERS))
+
+
+@st.composite
+def construct_argv(draw, out_path):
+    argv = []
+    if draw(st.booleans()):
+        value = draw(_words(st.one_of(st.integers(-3, 40), huge, huge.map(operator.neg))))
+        argv.append(f"--cap-atoms={value}")
+    kind = draw(st.sampled_from(("uniform", "uniform", "uniform", "dowling", "dowling",
+                                 "toric", "linear", "quotient", "bogus", "Uniform", "")))
+    argv += ["construct", kind]
+    if kind == "uniform":
+        ground = st.one_of(st.integers(-3, 8), st.integers(17, 2 ** 70), huge.map(operator.neg))
+        words = st.one_of(ground.map(str), _words(ground))
+        argv += draw(st.one_of(st.lists(words, min_size=2, max_size=2),
+                               st.lists(words, max_size=3)))
+    elif kind == "dowling":
+        n = draw(_words(st.one_of(st.integers(-3, 3), st.integers(15, 2 ** 70))))
+        argv += ["-n", n, "--group", "z2.json", "--action", "t2_trivial.json"]
+    elif kind in ("toric", "linear"):
+        argv.append("toric1.json" if kind == "toric" else "i2.json")
+    elif kind == "quotient":
+        argv += ["--semimatroid", "semi4.json", "--group", "z2.json", "--action", "z2_swap.json"]
+    return argv + ["--out", out_path]
+
+
+def _run_argv(argv):
+    """``_run``, with argparse's own refusals read as their exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_construct_exit_codes_hold_on_generated_arguments(workdir, data):
+    argv = data.draw(construct_argv(str(workdir / "constructed.json")), label="argv")
+    code, out, err = _run_argv(argv)
+    assert code in (0, 1, 2), (argv, code, out, err)
+    assert "Traceback" not in err, (argv, err)
+    assert _run_argv(argv)[:2] == (code, out), argv

@@ -14,12 +14,14 @@ from mscheme import (
     InvariantBroken,
     MschemeError,
     NotSimple,
+    SizeCapExceeded,
     build_poset,
     check_uniqueness,
     GroupAction,
     compute_rank,
     cyclic_group,
     dowling_geometric,
+    dowling_poset,
     flats,
     find_isomorphism,
     is_geometric_lattice,
@@ -82,6 +84,28 @@ def test_scheme_from_geometric_boolean_square():
     m = scheme_from_geometric(gp)
     assert len(m.elements) == 4
     assert all(m.rho[e] == m.size(e) for e in m.elements)
+
+
+def test_element_cap_bounds_every_scheme_built_from_a_geometric_poset(
+        monkeypatch, cw_r, toric1):
+    """With ``geometric.ELEMENT_CAP`` equal to the scheme's size it is
+    built; one less is refused, through ``scheme_from_geometric`` and the
+    three entry points that build with it."""
+    import mscheme.geometric
+    gp = validate_geometric(flats(cw_r))
+    builds = (lambda: scheme_from_geometric(gp),
+              lambda: simplification(cw_r),
+              lambda: layers_poset(toric1).scheme,
+              lambda: dowling_poset(2, trivial_action(cyclic_group(2), ["+1", "-1"]))[1])
+    for build in builds:
+        size = len(build().elements)
+        monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", size)
+        assert len(build().elements) == size
+        monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", size - 1)
+        with pytest.raises(SizeCapExceeded) as err:
+            build()
+        assert (err.value.count, err.value.cap) == (size, size - 1)
+        monkeypatch.undo()
 
 
 def test_scheme_from_toric_poset_matches_two_isthmus_scheme(toric1, isth):

@@ -91,7 +91,7 @@ def test_delcon_nodes_inherit_the_ranks_compute_rank_derives(monkeypatch, corpus
     for name, m in corpus.schemes() + shuffled + _left_class(nonpos):
         del nodes[:]
         tutte_delcon(m)
-        assert len(nodes) == 2 * len(m.elements) - 2, name
+        assert len(nodes) == max(len(m.elements) - 2, 0), name
         for k, node in enumerate(nodes):
             _assert_ranks_inherited(node, f"{name} node {k}")
 

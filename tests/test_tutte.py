@@ -26,7 +26,7 @@ from mscheme import (
     verify_simplicial,
 )
 from mscheme.scheme import _sub_scheme
-from mscheme.tutte import _expand
+from mscheme.tutte import _expand, _pivot
 
 
 def poly(s: str) -> BivariatePolynomial:
@@ -226,23 +226,31 @@ def _memo_delcon(m, memo, pivots):
 
 
 def _pivots_of_delcon(monkeypatch, m):
-    """``tutte_delcon(m)`` and its pivots in the order chosen.  Each node
-    asks ``_sub_scheme`` for its deletion first, the ideal of the elements
-    not above the pivot, so the pivot is the minimum of what that leaves
-    out."""
+    """``tutte_delcon(m)`` and its pivots in the order chosen, recorded
+    through ``tutte._pivot``, which every node of two or more elements
+    calls once before it recurses.  Every child that is built must be the
+    split at that pivot: the deletion, the ideal of the elements not above
+    it, or the contraction, the filter above it shifted by its label."""
     import mscheme.tutte
     pivots = []
+    chosen = {}  # id of a node -> index of its pivot; nodes stay alive below it
 
-    def recording(node, keep, shift=0):
+    def recording(node, r):
+        pivot = _pivot(node, r)
+        pivots.append(node.elements[pivot])
+        chosen[id(node)] = pivot
+        return pivot
+
+    def checking(node, keep, shift=0):
         p = node.poset
-        if keep >> p.index[node.bottom] & 1:
-            left_out = (1 << len(p.elements)) - 1 & ~keep
-            (pivot,) = p._ids(p.minimal_of_mask(left_out))
-            pivots.append(pivot)
+        up = p.above[chosen[id(node)]]
+        assert (keep, shift) in (((1 << len(p.elements)) - 1 & ~up, 0),
+                                 (up, node.rhos[chosen[id(node)]]))
         return _sub_scheme(node, keep, shift)
 
     with monkeypatch.context() as mp:
-        mp.setattr(mscheme.tutte, "_sub_scheme", recording)
+        mp.setattr(mscheme.tutte, "_pivot", recording)
+        mp.setattr(mscheme.tutte, "_sub_scheme", checking)
         return tutte_delcon(m), pivots
 
 
@@ -266,3 +274,23 @@ def test_delcon_matches_memoized_transcription(monkeypatch, corpus, nonpos):
         assert got == want, name
         assert got_pivots == want_pivots, name
         assert hits == 0, name
+
+
+@pytest.mark.parametrize("r, n", [(5, 10), (4, 11)])
+def test_delcon_matches_direct_on_large_uniform_schemes(monkeypatch, r, n):
+    """The deletion-contraction referee agrees with direct summation on
+    U(5,10) and U(4,11), 1,024 and 2,048 elements, and builds exactly
+    |S| - 2 sub-schemes: one per internal node below the root, none for
+    the |S| one-element leaves."""
+    import mscheme.tutte
+    m = scheme_from_matroid(uniform_matroid(r, n))
+    assert len(m.elements) == 2 ** n
+    built = []
+
+    def counting(node, keep, shift=0):
+        built.append(keep)
+        return _sub_scheme(node, keep, shift)
+
+    monkeypatch.setattr(mscheme.tutte, "_sub_scheme", counting)
+    assert tutte_delcon(m) == tutte_direct(m)
+    assert len(built) == len(m.elements) - 2
