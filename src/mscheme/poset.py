@@ -141,14 +141,9 @@ class Poset:
         be convex (an order ideal, a filter or an interval): everything
         between two kept elements is then kept, so the parent's covers
         between kept elements are its covers.  The parent's linear
-        extension restricted to ``keep`` is one of the subposet."""
-        new = {}
-        for i in _bits(keep):
-            new[i] = len(new)
-        pairs = [(new[i], new[j]) for i, j in self.pairs if i in new and j in new]
-        order = [new[i] for i in self.order if i in new]
-        els = self.elements
-        return _closed([els[i] for i in new], pairs, order, *_adjacency(len(new), pairs))
+        extension restricted to ``keep`` is one of the subposet.  See
+        ``_induced``, which builds it from the kept indices."""
+        return _induced(self, list(_bits(keep)))
 
     def __repr__(self):
         return f"Poset({len(self.elements)} elements, {len(self.pairs)} covers)"
@@ -344,18 +339,43 @@ def _ranked(p: Poset, ranks: tuple, bottom) -> "RankedPoset":
     return rp
 
 
-def _convex(rp: "RankedPoset", keep: int) -> "RankedPoset":
-    """The sub-poset of rp on the convex bitmask ``keep`` (see
-    ``Poset.subposet``), ranked from its minimum: the first kept element of
-    rp's linear extension, whose rank is subtracted from rp's.  Every cover
-    of the sub-poset is one of rp, so its ranks are inherited, not swept.
-    An empty mask has no minimum and raises ``NotBoundedBelow(())``."""
-    if not keep:
+def _induced(p: Poset, kept: list) -> Poset:
+    """``p.subposet`` on the ascending index list ``kept`` of a convex set:
+    one sweep of p's pairs keeps those with both ends kept and fills the
+    pairs and both cover lists together, and one sweep of p's linear
+    extension keeps its order."""
+    new = {i: k for k, i in enumerate(kept)}
+    get = new.get
+    pairs = []
+    covers_up = [[] for _ in kept]
+    covers_dn = [[] for _ in kept]
+    for i, j in p.pairs:
+        a = get(i)
+        if a is not None:
+            b = get(j)
+            if b is not None:
+                pairs.append((a, b))
+                covers_up[a].append(b)
+                covers_dn[b].append(a)
+    order = [new[i] for i in p.order if i in new]
+    els = p.elements
+    return _closed([els[i] for i in kept], pairs, order, covers_up, covers_dn)
+
+
+def _convex(rp: "RankedPoset", kept: list) -> "RankedPoset":
+    """The sub-poset of rp on the ascending index list ``kept`` of a convex
+    set (see ``Poset.subposet``), ranked from its minimum: the first kept
+    element of rp's linear extension, whose rank is subtracted from rp's.
+    Every cover of the sub-poset is one of rp, so its ranks are inherited,
+    not swept.  An empty list has no minimum and raises
+    ``NotBoundedBelow(())``."""
+    if not kept:
         raise NotBoundedBelow(())
-    sub = rp.poset.subposet(keep)
-    ranks = [rp.ranks[i] for i in _bits(keep)]
-    base = ranks[sub.order[0]]
-    return _ranked(sub, tuple(k - base for k in ranks), sub.elements[sub.order[0]])
+    sub = _induced(rp.poset, kept)
+    ranks = rp.ranks
+    first = sub.order[0]
+    base = ranks[kept[first]]
+    return _ranked(sub, tuple(ranks[i] - base for i in kept), sub.elements[first])
 
 
 # --- joins and meets as operations ------------------------------------------
@@ -405,7 +425,7 @@ class RankedPoset:
         """Closed interval [lo, hi] re-ranked to start at 0; lo not below
         hi raises ``NotBoundedBelow``."""
         p = self.poset
-        return _convex(self, p.above[p.idx(lo)] & p.below[p.idx(hi)])
+        return _convex(self, list(_bits(p.above[p.idx(lo)] & p.below[p.idx(hi)])))
 
     def __repr__(self):
         return f"RankedPoset({len(self.elements)} elements, max rank {self.max_rank()})"

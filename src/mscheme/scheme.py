@@ -213,16 +213,20 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     rho lowered by ``shift``: the one constructor behind localization,
     deletion, contraction, restriction and the Tutte recursion.
 
-    The minor inherits its ranks through ``_convex``: its minimum is the
-    parent's bottom for an ideal and the element a filter stands on.  It is
-    not re-validated against M1-M5: the operations are theorem-backed and
-    the property tests re-validate.  It is re-verified simplicial, which
-    derives its supports: one ``verify_simplicial`` per Tutte sub-scheme
-    (the recursion builds only its children of two or more elements), and
-    the benchmark's tracer test counts it, so inheriting the supports
-    waits for the Tutte recursion to run on the root's masks."""
-    return MatroidScheme(verify_simplicial(_convex(m.s.ranked, keep)),
-                         tuple(m.rhos[i] - shift for i in _bits(keep)), _checked=True)
+    The kept bits are listed once, for the sub-poset, its ranks and its
+    labels.  The minor inherits its ranks through ``_convex``: its minimum
+    is the parent's bottom for an ideal and the element a filter stands
+    on.  It is not re-validated against M1-M5: the operations are
+    theorem-backed and the property tests re-validate.  It is re-verified
+    simplicial, which derives its supports: one ``verify_simplicial`` per
+    Tutte node that needs a pivot choice (the recursion builds only its
+    children of three or more elements), and the benchmark's tracer test
+    counts it, so inheriting the supports waits for the Tutte recursion to
+    run on the root's masks."""
+    kept = list(_bits(keep))
+    rhos = m.rhos
+    return MatroidScheme(verify_simplicial(_convex(m.s.ranked, kept)),
+                         tuple(rhos[i] - shift for i in kept), _checked=True)
 
 
 def _full(p: Poset) -> int:

@@ -40,7 +40,7 @@ from .errors import (
     NotInArrangement,
 )
 from .geometric import DEFAULT_ATOM_CAP, scheme_from_geometric, validate_geometric
-from .poset import _certified, _convex, find_isomorphism
+from .poset import _bits, _certified, _convex, find_isomorphism
 from .scheme import contract, delete, localization, scheme_isomorphism
 
 
@@ -593,7 +593,7 @@ def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrR
     if not direct:
         # layer-poset comparison: sublayers of the hypersurface, re-ranked
         fp = full.geometric.ranked
-        sub = _convex(fp, fp.poset.above[fp.poset.idx(atom_layer)])
+        sub = _convex(fp, list(_bits(fp.poset.above[fp.poset.idx(atom_layer)])))
         iso_restr = find_isomorphism(restricted.geometric.ranked, sub)
 
     if layer.layer_id not in full.layers:

@@ -64,12 +64,13 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
 
     Both children of a node are masks of the parent: the deletion keeps
     the order ideal of elements not above a and the contraction the filter
-    above a.  A child with two or more elements is built by
-    ``scheme._sub_scheme``, which reuses the parent's covers; a one-element
-    child is a leaf and is counted from the parent's labels without being
-    built, so a scheme with |S| >= 2 elements builds |S| - 2 sub-schemes.
-    The two children partition their parent's elements, so no two nodes of
-    the recursion have the same element set and nothing is memoized.
+    above a.  Only a child with three or more elements needs a pivot
+    choice, so only it is built, by ``scheme._sub_scheme``, which reuses
+    the parent's covers.  A one-element child is a leaf, and a two-element
+    child {y < z} has the one atom z, whose split leaves {y} and {z}; both
+    are counted from the parent's labels without being built.  The two
+    children partition their parent's elements, so no two nodes of the
+    recursion have the same element set and nothing is memoized.
 
     Contracting a valid scheme can leave the class (the rank-3 two-top
     fixture contracted by an atom violates the atom-exchange axiom), so the
@@ -84,14 +85,10 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
     cases above: an atom is a loop iff rho(a) = 0 and an isthmus iff
     deleting it lowers the maximum label.  So T is a sum of
     (x-1)^i (y-1)^j over the leaves, with (i, j) the exponents gathered on
-    the way down; the recursion counts the leaves per (i, j) and the sum is
-    expanded once at the end.
+    the way down; ``_leaf_counts`` counts the leaves per (i, j) and the sum
+    is expanded once at the end.
     """
-    if len(m.elements) == 1:
-        return _expand({(0, 0): 1})
-    counts: dict[tuple[int, int], int] = {}
-    _delcon(m, counts, 0, 0)
-    return _expand(counts)
+    return _expand(_leaf_counts(m))
 
 
 def _pivot(m: MatroidScheme, r: int) -> int:
@@ -114,28 +111,49 @@ def _pivot(m: MatroidScheme, r: int) -> int:
     return isthmus if loop is None else loop
 
 
-def _delcon(m: MatroidScheme, counts: dict, i: int, j: int) -> None:
-    """Add 1 to ``counts`` at the exponents of (x-1) and (y-1) gathered
-    down to each leaf below m, a node of two or more elements reached with
-    the exponents (i, j).  A one-element child is counted here, not
-    built."""
-    rho = m.rhos
-    r = max(rho)
-    pivot = _pivot(m, r)
-    up = m.poset.above[pivot]
-    down = _full(m.poset) & ~up
-    if down & (down - 1):
-        m_d = _sub_scheme(m, down)
-        _delcon(m_d, counts, i + r - max(m_d.rhos), j)
-    else:  # the deletion leaf {e}
-        key = (i + r - rho[down.bit_length() - 1], j)
-        counts[key] = counts.get(key, 0) + 1
-    i, j = i + r - rho[pivot], j + 1 - rho[pivot]
-    if up & (up - 1):
-        m_c = _sub_scheme(m, up, rho[pivot])
-        _delcon(m_c, counts, i - max(m_c.rhos), j)
-    else:  # the contraction leaf {pivot}
-        counts[i, j] = counts.get((i, j), 0) + 1
+def _leaf_counts(m: MatroidScheme) -> dict:
+    """The number of leaves of the deletion-contraction recursion on m per
+    exponent pair (i, j) of (x-1) and (y-1).
+
+    The recursion runs on an explicit stack of child descriptors
+    ``(parent, keep, shift, i, j, r)``: the minor of ``parent`` on the mask
+    ``keep`` with its labels lowered by ``shift`` (rho' = rho - shift),
+    reached with the exponents (i + r - r', j) where r' is its largest
+    label.  The root is m itself (``parent`` None).  A deletion is pushed
+    above the contraction of its node, so the deletion subtree is handled
+    first and the nodes are built in the order of a recursion.  A leaf
+    {e} counts (i + r - rho'(e), j); a two-element child {y < z} counts
+    its leaves {y} and {z}, at (i + r - rho'(y), j) and
+    (i + r - rho'(z), j + 1 - rho'(z)).  Both labels are read: y and z
+    come from the order, not from their indices, and no label is assumed
+    to be 0."""
+    counts: dict[tuple[int, int], int] = {}
+    stack = [(None, _full(m.poset), 0, 0, 0, max(m.rhos))]
+    while stack:
+        parent, keep, shift, i, j, r = stack.pop()
+        src = m if parent is None else parent
+        rest = keep & (keep - 1)  # keep without its lowest bit
+        if not rest & (rest - 1):  # one or two elements: count the leaves
+            rho = src.rhos
+            z = rest.bit_length() - 1
+            y = (keep ^ rest).bit_length() - 1
+            if rest and not src.poset.above[y] >> z & 1:
+                y, z = z, y
+            key = (i + r - rho[y] + shift, j)
+            counts[key] = counts.get(key, 0) + 1
+            if rest:
+                key = (i + r - rho[z] + shift, j + 1 - rho[z] + shift)
+                counts[key] = counts.get(key, 0) + 1
+            continue
+        node = m if parent is None else _sub_scheme(parent, keep, shift)
+        rho = node.rhos
+        r_node = max(rho)
+        i += r - r_node
+        pivot = _pivot(node, r_node)
+        up = node.poset.above[pivot]
+        stack.append((node, up, rho[pivot], i, j + 1 - rho[pivot], r_node - rho[pivot]))
+        stack.append((node, _full(node.poset) & ~up, 0, i, j, r_node))
+    return counts
 
 
 def tutte_point_checks(m: MatroidScheme) -> tuple[int, int]:

@@ -1,7 +1,8 @@
 import pytest
 
-# the grid oracle checks with plain asserts; rewriting keeps them under python -O
-pytest.register_assert_rewrite("grid_oracle")
+# the grid oracle and the shared referees check with plain asserts;
+# rewriting keeps them under python -O
+pytest.register_assert_rewrite("grid_oracle", "referees")
 
 from mscheme import files
 

@@ -381,6 +381,22 @@ def test_long_cover_cycle_is_reported_not_a_recursion_error(capsys, tmp_path):
     assert out.count(" < ") == n
 
 
+def test_invariants_on_1100_parallel_atoms_is_not_a_recursion_error(tmp_path):
+    """A bottom below 1,100 atoms of label 1 is a valid rank-1 scheme whose
+    deletion-contraction chain is 1,100 deletions deep; the recursion keeps
+    its own stack, so ``invariants`` reports the Tutte polynomial."""
+    n = 1100
+    path = tmp_path / "parallel.json"
+    files.dump_doc({"elements": [{"id": "0", "rho": 0}] + [{"id": f"a{k}", "rho": 1} for k in range(n)],
+                    "covers": [["0", f"a{k}"] for k in range(n)]}, path)
+    run = subprocess.run([sys.executable, "-m", "mscheme.cli", "invariants", str(path)],
+                         capture_output=True, text=True, timeout=120,
+                         cwd=Path(mscheme.__file__).parents[1])
+    assert run.returncode == 0, run.stderr
+    assert "tutte: x + 1099\n" in run.stdout
+    assert "Traceback" not in run.stderr and "Error" not in run.stderr, run.stderr
+
+
 def test_invariants_rejects_non_string_ids(capsys, tmp_path):
     path = tmp_path / "int_ids.json"
     files.dump_doc({"elements": [{"id": 0, "rho": 0}, {"id": 1, "rho": 1}],

@@ -12,9 +12,7 @@ import random
 
 import mscheme.tutte
 from mscheme import (
-    AxiomViolation,
     RankedPoset,
-    build_poset,
     closure,
     compute_rank,
     contract,
@@ -24,11 +22,10 @@ from mscheme import (
     mobius,
     restrict,
     tutte_delcon,
-    validate_scheme,
-    verify_simplicial,
 )
 from mscheme.poset import _assemble, transitive_reduction
 from mscheme.scheme import _sub_scheme
+from referees import left_class, recursive_leaf_counts, shuffled
 
 
 def _assert_ranks_inherited(m, name):
@@ -37,37 +34,12 @@ def _assert_ranks_inherited(m, name):
     assert list(m.s.ranked.rank.items()) == list(want.rank.items()), name
 
 
-def _left_class(nonpos):
-    """The contractions of the two-top fixture that violate the axioms."""
-    out = []
-    for a in nonpos.atoms():
-        minor = contract(nonpos, a)
-        try:
-            validate_scheme(minor.s, minor.rho)
-        except AxiomViolation:
-            out.append((f"nonpos/{a}", minor))
-    assert out
-    return out
-
-
-def _shuffled(corpus, rng):
-    """The corpus schemes with their elements declared in a seeded random
-    order, so that no minimum need come first."""
-    out = []
-    for name, m in corpus.schemes():
-        order = list(m.elements)
-        rng.shuffle(order)
-        sp = verify_simplicial(compute_rank(build_poset(order, m.poset.covers)))
-        out.append((f"{name} shuffled", validate_scheme(sp, m.rho)))
-    return out
-
-
 def test_minors_inherit_the_ranks_compute_rank_derives(corpus):
     """Every deletion, contraction and localization of every corpus scheme,
     declared in its own order and in a shuffled one, and seeded
     restrictions."""
     rng = random.Random(20260101)
-    for name, m in corpus.schemes() + _shuffled(corpus, rng):
+    for name, m in corpus.schemes() + shuffled(corpus, rng):
         atoms = m.atoms()
         for a in atoms:
             _assert_ranks_inherited(delete(m, a), f"{name} - {a}")
@@ -80,6 +52,9 @@ def test_minors_inherit_the_ranks_compute_rank_derives(corpus):
 
 
 def test_delcon_nodes_inherit_the_ranks_compute_rank_derives(monkeypatch, corpus, nonpos):
+    """The recursion builds exactly the nodes of three or more elements
+    that the recursive transcription builds, in its order, and each has
+    the ranks ``compute_rank`` derives."""
     nodes = []
 
     def recording(m, keep, shift=0):
@@ -87,11 +62,15 @@ def test_delcon_nodes_inherit_the_ranks_compute_rank_derives(monkeypatch, corpus
         return nodes[-1]
 
     monkeypatch.setattr(mscheme.tutte, "_sub_scheme", recording)
-    shuffled = _shuffled(corpus, random.Random(20260102))
-    for name, m in corpus.schemes() + shuffled + _left_class(nonpos):
+    variants = shuffled(corpus, random.Random(20260102))
+    for name, m in corpus.schemes() + variants + left_class(nonpos):
         del nodes[:]
         tutte_delcon(m)
-        assert len(nodes) == max(len(m.elements) - 2, 0), name
+        built = []
+        recursive_leaf_counts(m, built)
+        want = [child.elements for _, _, child in built if len(child.elements) >= 3]
+        assert len(nodes) == len(want), name
+        assert [node.elements for node in nodes] == want, name
         for k, node in enumerate(nodes):
             _assert_ranks_inherited(node, f"{name} node {k}")
 
@@ -122,7 +101,7 @@ def _flats_by_ids(m):
 def test_mask_mobius_matches_id_transcription(corpus):
     """Same values in the same key order on every corpus flats poset and on
     every corpus scheme's own poset, also declared in a shuffled order."""
-    for name, m in corpus.schemes() + _shuffled(corpus, random.Random(20260103)):
+    for name, m in corpus.schemes() + shuffled(corpus, random.Random(20260103)):
         for rp in (flats(m), m.s.ranked):
             assert list(mobius(rp).items()) == list(_mobius_by_ids(rp).items()), name
 
@@ -130,8 +109,8 @@ def test_mask_mobius_matches_id_transcription(corpus):
 def test_flats_match_assembled_transcription(corpus, nonpos):
     """Every corpus scheme, also declared in a shuffled order, and the
     contractions that left the class."""
-    shuffled = _shuffled(corpus, random.Random(20260104))
-    for name, m in corpus.schemes() + shuffled + _left_class(nonpos):
+    variants = shuffled(corpus, random.Random(20260104))
+    for name, m in corpus.schemes() + variants + left_class(nonpos):
         got, want = flats(m), _flats_by_ids(m)
         p, q = got.poset, want.poset
         assert p.elements == q.elements, name

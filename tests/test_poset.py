@@ -36,7 +36,8 @@ from mscheme import (
     verify_simplicial,
 )
 from mscheme.polynomials import UnivariatePolynomial
-from mscheme.poset import RankedPoset, transitive_reduction
+from mscheme.poset import RankedPoset, _adjacency, _bits, _closed, _convex, _ranked, transitive_reduction
+from referees import recursive_leaf_counts
 
 
 def boolean_lattice(n):
@@ -586,3 +587,65 @@ def test_interval_matches_the_validating_constructor(corpus):
                 assert list(got.rank.items()) == list(want.rank.items()), name
                 checked += 1
     assert checked >= 1000 and refused >= 1000, (checked, refused)
+
+
+def _subposet_by_dict(p, keep):
+    """``Poset.subposet`` as it was: the kept bits listed into a dict, the
+    parent's pairs filtered by it, and the cover lists built in a second
+    sweep of the kept pairs."""
+    new = {}
+    for i in _bits(keep):
+        new[i] = len(new)
+    pairs = [(new[i], new[j]) for i, j in p.pairs if i in new and j in new]
+    order = [new[i] for i in p.order if i in new]
+    els = p.elements
+    return _closed([els[i] for i in new], pairs, order, *_adjacency(len(new), pairs))
+
+
+def _convex_by_dict(rp, keep):
+    """``poset._convex`` as it was, on a mask, with the kept bits listed
+    again for the ranks."""
+    sub = _subposet_by_dict(rp.poset, keep)
+    ranks = [rp.ranks[i] for i in _bits(keep)]
+    base = ranks[sub.order[0]]
+    return _ranked(sub, tuple(k - base for k in ranks), sub.elements[sub.order[0]])
+
+
+SUBPOSET_FIELDS = ("elements", "pairs", "order", "above", "below", "covers_up",
+                   "covers_dn", "covers")
+
+
+def test_one_sweep_subposets_match_the_transcription(corpus):
+    """``subposet`` and ``_convex`` list the kept bits once and fill the
+    pairs and both cover lists in one sweep of the parent's pairs; the
+    transcription filters and sweeps again.  Every field, the ranks and
+    the bottom must agree on each corpus scheme's principal ideals,
+    principal filters and deletion ideals (of 64 seeded elements in the
+    schemes of over 256 elements, of every element in the others), on
+    every interval of the schemes of up to 64 elements, and on every child
+    mask the Tutte recursion splits off, taken in its parent."""
+    rng = random.Random("one-sweep-subposets")
+    checked = 0
+    for name, m in corpus.schemes():
+        p = m.poset
+        full = (1 << len(p)) - 1
+        picked = range(len(p)) if len(p) <= 256 else rng.sample(range(len(p)), 64)
+        cases = [(m, mask) for i in picked
+                 for mask in (p.below[i], p.above[i], full & ~p.above[i]) if mask]
+        if len(p) <= 64:
+            cases += [(m, p.above[lo] & p.below[hi])
+                      for lo, hi in itertools.product(range(len(p)), repeat=2)
+                      if p.above[lo] >> hi & 1]
+        built = []
+        recursive_leaf_counts(m, built)
+        cases += [(parent, keep) for parent, keep, _ in built]
+        for scheme, keep in cases:
+            rp = scheme.s.ranked
+            got, want = _convex(rp, list(_bits(keep))), _convex_by_dict(rp, keep)
+            sub = rp.poset.subposet(keep)
+            for attr in SUBPOSET_FIELDS:
+                assert getattr(got.poset, attr) == getattr(want.poset, attr), (name, attr)
+                assert getattr(sub, attr) == getattr(want.poset, attr), (name, attr)
+            assert got.ranks == want.ranks and got.bottom == want.bottom, name
+            checked += 1
+    assert checked >= 10000, checked

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from mscheme import (
-    AxiomViolation,
     BivariatePolynomial,
     HasLoops,
     InvariantBroken,
@@ -25,8 +24,9 @@ from mscheme import (
     validate_scheme,
     verify_simplicial,
 )
-from mscheme.scheme import _sub_scheme
-from mscheme.tutte import _expand, _pivot
+from mscheme.scheme import MatroidScheme, _sub_scheme
+from mscheme.tutte import _expand, _leaf_counts, _pivot
+from referees import left_class, recursive_leaf_counts, shuffled
 
 
 def poly(s: str) -> BivariatePolynomial:
@@ -185,8 +185,8 @@ def test_pivot_order_independence(isth, cw_l, dow_nontriv):
 def _memo_delcon(m, memo, pivots):
     """Transcription of ``_delcon`` as it was with its memo: results keyed on
     ``serialize_key``, and each atom's deletion scanned for the top label.
-    Appends each pivot to ``pivots`` before recursing, and returns the
-    polynomial with the number of memo hits."""
+    Appends each pivot with its node's element count to ``pivots`` before
+    recursing, and returns the polynomial with the number of memo hits."""
     key = m.serialize_key()
     if key in memo:
         return memo[key], 1
@@ -207,7 +207,7 @@ def _memo_delcon(m, memo, pivots):
         pivot = next((a for a in atoms if is_loop[a]), None)
     if pivot is None:
         pivot = next(a for a in atoms if drops[a])
-    pivots.append(pivot)
+    pivots.append((pivot, len(m.elements)))
 
     m_d = _sub_scheme(m, kept[pivot])
     t_d, hits_d = _memo_delcon(m_d, memo, pivots)
@@ -227,25 +227,27 @@ def _memo_delcon(m, memo, pivots):
 
 def _pivots_of_delcon(monkeypatch, m):
     """``tutte_delcon(m)`` and its pivots in the order chosen, recorded
-    through ``tutte._pivot``, which every node of two or more elements
-    calls once before it recurses.  Every child that is built must be the
-    split at that pivot: the deletion, the ideal of the elements not above
-    it, or the contraction, the filter above it shifted by its label."""
+    through ``tutte._pivot``, which every node of three or more elements
+    calls once before its children are pushed.  Every child that is built
+    must be the split at its parent's pivot: the deletion, the ideal of
+    the elements not above it, or the contraction, the filter above it
+    shifted by its label."""
     import mscheme.tutte
     pivots = []
-    chosen = {}  # id of a node -> index of its pivot; nodes stay alive below it
+    chosen = {}  # id of a node -> (the node, held so its id is not reused, its pivot)
 
     def recording(node, r):
         pivot = _pivot(node, r)
         pivots.append(node.elements[pivot])
-        chosen[id(node)] = pivot
+        chosen[id(node)] = node, pivot
         return pivot
 
     def checking(node, keep, shift=0):
         p = node.poset
-        up = p.above[chosen[id(node)]]
+        pivot = chosen[id(node)][1]
+        up = p.above[pivot]
         assert (keep, shift) in (((1 << len(p.elements)) - 1 & ~up, 0),
-                                 (up, node.rhos[chosen[id(node)]]))
+                                 (up, node.rhos[pivot]))
         return _sub_scheme(node, keep, shift)
 
     with monkeypatch.context() as mp:
@@ -255,24 +257,17 @@ def _pivots_of_delcon(monkeypatch, m):
 
 
 def test_delcon_matches_memoized_transcription(monkeypatch, corpus, nonpos):
-    """Same polynomial and same pivots as the recursion with its memo, on
-    every corpus scheme and on the contractions of the two-top fixture that
-    leave the class; the memo never hits, since the two children of a node
-    partition its elements."""
-    left_class = []
-    for a in nonpos.atoms():
-        minor = contract(nonpos, a)
-        try:
-            validate_scheme(minor.s, minor.rho)
-        except AxiomViolation:
-            left_class.append((f"nonpos/{a}", minor))
-    assert left_class
-    for name, m in corpus.schemes() + left_class:
+    """Same polynomial as the recursion with its memo, and the same pivots
+    at its nodes of three or more elements (the others have one atom and
+    need no choice), on every corpus scheme and on the contractions of the
+    two-top fixture that leave the class; the memo never hits, since the
+    two children of a node partition its elements."""
+    for name, m in corpus.schemes() + left_class(nonpos):
         want_pivots = []
         want, hits = _memo_delcon(m, {}, want_pivots)
         got, got_pivots = _pivots_of_delcon(monkeypatch, m)
         assert got == want, name
-        assert got_pivots == want_pivots, name
+        assert got_pivots == [a for a, size in want_pivots if size >= 3], name
         assert hits == 0, name
 
 
@@ -280,8 +275,9 @@ def test_delcon_matches_memoized_transcription(monkeypatch, corpus, nonpos):
 def test_delcon_matches_direct_on_large_uniform_schemes(monkeypatch, r, n):
     """The deletion-contraction referee agrees with direct summation on
     U(5,10) and U(4,11), 1,024 and 2,048 elements, and builds exactly
-    |S| - 2 sub-schemes: one per internal node below the root, none for
-    the |S| one-element leaves."""
+    |S|/2 - 2 sub-schemes: each node below the root is a Boolean lattice,
+    and only those on two or more atoms, of four or more elements, need a
+    pivot choice; the ones on one atom and the leaves are counted."""
     import mscheme.tutte
     m = scheme_from_matroid(uniform_matroid(r, n))
     assert len(m.elements) == 2 ** n
@@ -293,4 +289,27 @@ def test_delcon_matches_direct_on_large_uniform_schemes(monkeypatch, r, n):
 
     monkeypatch.setattr(mscheme.tutte, "_sub_scheme", counting)
     assert tutte_delcon(m) == tutte_direct(m)
-    assert len(built) == len(m.elements) - 2
+    assert len(built) == len(m.elements) // 2 - 2
+
+
+SCHEME_FIXTURES = ("isth", "cw_l", "cw_r", "nonpos", "dow_triv", "dow_nontriv", "qfix", "qfix2")
+
+
+def test_leaf_counts_match_the_recursive_transcription(corpus, nonpos, fixture_scheme, isth):
+    """The explicit stack counts the same leaves per exponent pair as the
+    recursion on Python frames: on the corpus, declared in its own order
+    and in shuffled ones, on the contractions of the two-top fixture that
+    leave the class, on U(5,10) and U(4,11), and on every scheme fixture.
+
+    Every node these reach has its bottom labelled 0 (the root's bottom
+    or a contraction's pivot), so the isthmus fixture with its bottom
+    relabelled 1, which no validation admits, checks that a two-element
+    child's bottom label is read: its first deletion is {0 < b}."""
+    fixtures = [(name, fixture_scheme(name)) for name in SCHEME_FIXTURES]
+    uniform = [(f"U({r},{n})", scheme_from_matroid(uniform_matroid(r, n)))
+               for r, n in ((5, 10), (4, 11))]
+    variants = shuffled(corpus, random.Random(20260105))
+    raised = MatroidScheme(isth.s, (1,) + isth.rhos[1:], _checked=True)
+    for name, m in (corpus.schemes() + variants + left_class(nonpos) + uniform + fixtures
+                    + [("isth with rho(0) = 1", raised)]):
+        assert _leaf_counts(m) == recursive_leaf_counts(m), name
