@@ -14,8 +14,8 @@ import sys
 import time
 
 from . import files
-from .errors import AxiomViolation, MalformedInput, MschemeError, SizeCapExceeded
-from .geometric import DEFAULT_ATOM_CAP, simplification, validate_geometric
+from .errors import AxiomViolation, MalformedInput, MschemeError
+from .geometric import DEFAULT_ATOM_CAP, scheme_from_geometric, validate_geometric
 from .poset import find_isomorphism
 from .scheme import (
     bases,
@@ -110,7 +110,7 @@ def cmd_transform(args) -> int:
             atoms = _required(args.atoms, "--atoms").split(",")
             out = restrict(m, atoms)
         else:
-            out = simplification(m)
+            out = scheme_from_geometric(validate_geometric(flats(m), args.cap_atoms))
     except MalformedInput:
         raise
     except MschemeError as exc:
@@ -131,7 +131,6 @@ def _required(value, flag):
 
 def cmd_construct(args) -> int:
     from .constructions import (
-        MATROID_SIZE_CAP,
         dowling_poset,
         linear_matroid,
         quotient_scheme,
@@ -146,20 +145,12 @@ def cmd_construct(args) -> int:
             a.removeprefix("-").isdecimal() for a in args.args)):
         raise MalformedInput(f"construct {args.kind}: bad arguments {args.args}")
     poset_doc = None
-
-    def ground_set_cap(n):
-        # the matroid constructors tabulate all 2^n subsets of the ground set
-        if n > MATROID_SIZE_CAP:
-            raise SizeCapExceeded(n, MATROID_SIZE_CAP, "ground set")
-
     if args.kind == "uniform":
         r, n = int(args.args[0]), int(args.args[1])
-        ground_set_cap(n)
         out = scheme_from_matroid(uniform_matroid(r, n))
         default = f"constructed_uniform_{r}_{n}.json"
     elif args.kind == "linear":
         matrix, names = files.load_matrix(files.resolve_input(args.args[0]))
-        ground_set_cap(min(map(len, matrix), default=0))
         out = scheme_from_matroid(linear_matroid(matrix, names))
         default = f"constructed_{_stem(args.args[0])}.json"
     elif args.kind == "dowling":

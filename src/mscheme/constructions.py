@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import geometric
 from .errors import (
     AxiomViolation,
     InvariantBroken,
@@ -30,8 +31,12 @@ from .poset import _bits, _certified, build_poset, compute_rank, verify_simplici
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
 from .tutte import _expand
 
+# These two bound quadratic work, not an element table, so they stay apart
+# from ``geometric.ELEMENT_CAP``.  Vertices of a semimatroid: its up to 2^12
+# faces are swept pairwise for S4 and S5.
 SEMIMATROID_VERTEX_CAP = 12
-MATROID_SIZE_CAP = 16  # ground set of `construct uniform`/`linear`: 2^n subsets
+# Elements of a partition poset: each gets ``_certified`` masks, and G1
+# sweeps its pairs.
 DOWLING_SIZE_CAP = 10_000
 
 
@@ -107,8 +112,19 @@ class Matroid:
         return f"Matroid({len(self.ground)} elements, rank {full})"
 
 
+def _ground_set_cap(n: int) -> None:
+    """Refuse a ground set of n elements whose 2^n subsets, every one
+    tabulated by the matroid constructors, would pass
+    ``geometric.ELEMENT_CAP``."""
+    cap = geometric.ELEMENT_CAP.bit_length() - 1
+    if n > cap:
+        raise SizeCapExceeded(n, cap, "ground set")
+
+
 def uniform_matroid(r: int, n: int) -> Matroid:
-    """U(r, n) on the ground set e1..en; refuses r outside [0, n]."""
+    """U(r, n) on the ground set e1..en; refuses an n past the ground set
+    cap, then r outside [0, n]."""
+    _ground_set_cap(n)
     if not 0 <= r <= n:
         raise MalformedInput(f"uniform matroid U({r},{n}) needs 0 <= r <= n")
     ground = [f"e{i}" for i in range(1, n + 1)]
@@ -147,6 +163,7 @@ def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
     """Matroid of the columns of an integer matrix, ranks computed by exact
     fraction-free elimination."""
     cols = list(zip(*matrix)) if matrix else []
+    _ground_set_cap(len(cols))
     if names is None:
         names = [f"v{i}" for i in range(len(cols))]
     if len(names) != len(cols):
@@ -464,15 +481,13 @@ def _set_partitions(items: tuple):
 
 
 def dowling_poset(n: int, action: GroupAction, *,
-                  size_cap: int = DOWLING_SIZE_CAP,
                   atom_cap: int = DEFAULT_ATOM_CAP) -> tuple[GeometricPoset, MatroidScheme]:
     """Certified group-colored partition poset plus its simple scheme."""
-    gp = dowling_geometric(n, action, size_cap=size_cap, atom_cap=atom_cap)
+    gp = dowling_geometric(n, action, atom_cap=atom_cap)
     return gp, scheme_from_geometric(gp)
 
 
 def dowling_geometric(n: int, action: GroupAction, *,
-                      size_cap: int = DOWLING_SIZE_CAP,
                       atom_cap: int = DEFAULT_ATOM_CAP) -> GeometricPoset:
     """The poset of partial group-colored partitions of {1..n} with leftover
     points colored by the action's point set, certified geometric.
@@ -484,11 +499,14 @@ def dowling_geometric(n: int, action: GroupAction, *,
     through an equivariant map (determined by the image of the identity).
     Each cover removes one block, so the poset is built with that rank
     as given, not derived; ``validate_geometric`` is its certificate.
+    More than ``DOWLING_SIZE_CAP`` elements are refused with
+    ``SizeCapExceeded`` as soon as they are met.
     """
-    if n > size_cap.bit_length():
-        # the partitions of {1..n} alone number at least 2^(n-1) > size_cap;
+    cap = DOWLING_SIZE_CAP
+    if n > cap.bit_length():
+        # the partitions of {1..n} alone number at least 2^(n-1) > cap;
         # refused before the recursion over them runs n levels deep
-        raise SizeCapExceeded(1 << size_cap.bit_length(), size_cap, "partition poset",
+        raise SizeCapExceeded(1 << cap.bit_length(), cap, "partition poset",
                               at_least=True)
     G = action.group
     T = action.points
@@ -513,8 +531,8 @@ def dowling_geometric(n: int, action: GroupAction, *,
                     for zcolors in itertools.product(T, repeat=zsize):
                         z = tuple(zip(zset, zcolors))
                         elements.append((beta, z))
-                        if len(elements) > size_cap:
-                            raise SizeCapExceeded(len(elements), size_cap,
+                        if len(elements) > cap:
+                            raise SizeCapExceeded(len(elements), cap,
                                                   "partition poset", at_least=True)
 
     ids = {}

@@ -439,17 +439,17 @@ def contract(m: MatroidScheme, x) -> MatroidScheme:
 
 def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
     """Scheme on the order ideal of elements supported on the given atoms
-    (the same scheme as deleting the other atoms one by one)."""
-    atoms = set(m.atoms())
-    atom_set = set(atom_set)
-    for a in atom_set:
-        if a not in atoms:
-            raise NotAnAtom(f"{a!r} is not an atom")
+    (the same scheme as deleting the other atoms one by one).  The first
+    given id that is not an atom, in the order given, is named."""
     p = m.poset
-    keep = _full(p)
-    for a in atoms - atom_set:
-        keep &= ~p.above[p.idx(a)]
-    return _sub_scheme(m, keep)
+    atoms = sum(1 << i for i, k in enumerate(m.s.ranked.ranks) if k == 1)
+    kept = 0
+    for a in atom_set:
+        i = p.index.get(a)
+        if i is None or not atoms >> i & 1:
+            raise NotAnAtom(f"{a!r} is not an atom")
+        kept |= 1 << i
+    return _sub_scheme(m, _full(p) & ~_union(p.above, atoms & ~kept))
 
 
 def check_loop_del_contr(m: MatroidScheme, a) -> dict:

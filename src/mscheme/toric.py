@@ -31,13 +31,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import geometric
 from .constructions import Matroid, linear_matroid, scheme_from_matroid
 from .errors import (
+    AtomCapExceeded,
     DimensionMismatch,
     InvariantBroken,
     MschemeError,
     NotALayer,
     NotInArrangement,
+    SizeCapExceeded,
 )
 from .geometric import DEFAULT_ATOM_CAP, scheme_from_geometric, validate_geometric
 from .poset import _bits, _certified, _convex, find_isomorphism
@@ -425,7 +428,13 @@ def _closure(arr: ToricArrangement):
     """The layers of ``arr``, breadth first from the ambient layer, with the
     intersection steps (layer id, piece id) and each hypersurface's atom
     layer id by canonical key.  Its tables, keyed on the reduced phase
-    pairs of ``_Cut.pieces``, are freed before the poset is built."""
+    pairs of ``_Cut.pieces``, are freed before the poset is built.
+
+    Each layer x is the second component of a pair (I, x) of the simple
+    scheme, so more than ``geometric.ELEMENT_CAP`` layers are refused with
+    ``SizeCapExceeded`` as soon as they are met, and so is a cut whose g
+    pieces, all distinct layers, alone pass it, before any is listed."""
+    cap = geometric.ELEMENT_CAP
     start = ambient_layer(arr.n)
     layers = {(start.basis, ()): start}  # (basis, phase pairs) -> its one Layer
     steps = set()
@@ -447,11 +456,16 @@ def _closure(arr: ToricArrangement):
                 cut = cuts[key]
                 if cut is None:  # the piece is the layer itself, or nothing
                     continue
+                if cut.g > cap:
+                    raise SizeCapExceeded(cut.g, cap, "layer poset", at_least=True)
                 for cut_phases in cut.pieces(phases + (t,)):
                     piece = layers.get((cut.sat, cut_phases))
                     if piece is None:
                         piece = Layer(arr.n, cut.sat, _fractions(cut_phases))
                         layers[cut.sat, cut_phases] = piece
+                        if len(layers) > cap:
+                            raise SizeCapExceeded(len(layers), cap, "layer poset",
+                                                  at_least=True)
                         new.append((cut_phases, piece))
                     steps.add((layer.layer_id, piece.layer_id))
         frontier = new
@@ -473,7 +487,13 @@ def layers_poset(arr: ToricArrangement, atom_cap: int = DEFAULT_ATOM_CAP) -> Lay
     piece of L meet H_c for any H_c that contains M but not L.  So the
     poset is built with the lattice ranks as given, not derived, and
     ``validate_geometric`` is its certificate.  ``scheme_element_of``
-    names each layer's flat by its id in the scheme."""
+    names each layer's flat by its id in the scheme.
+
+    The atoms are the hypersurfaces, one connected layer each, so more
+    than ``atom_cap`` of them are refused with ``AtomCapExceeded`` before
+    any layer is listed."""
+    if len(arr.characters) > atom_cap:
+        raise AtomCapExceeded(len(arr.characters), atom_cap)
     found, steps, atom_of = _closure(arr)
     ordered = sorted(found, key=lambda L: (L.rank, L.layer_id))
     ids = [L.layer_id for L in ordered]

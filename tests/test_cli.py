@@ -127,6 +127,36 @@ def test_transform_simplify(capsys, tmp_path):
     assert code == 0 and "result: 3 elements" in out
 
 
+def test_transform_simplify_honours_cap_atoms(capsys, tmp_path):
+    """A bottom below 21 atoms is a simple rank-1 scheme; ``simplify``
+    sweeps its flats under ``--cap-atoms``, as ``check geometric`` does."""
+    path = tmp_path / "star21.json"
+    files.dump_doc({"elements": [{"id": "0", "rho": 0}] + [{"id": f"a{k}", "rho": 1} for k in range(21)],
+                    "covers": [["0", f"a{k}"] for k in range(21)]}, path)
+    out_file = tmp_path / "simple.json"
+    code, out = run_cli(capsys, "transform", "simplify", str(path), "--out", str(out_file))
+    assert code == 1 and "verdict: 21 atoms exceed the configured cap 20" in out
+    assert not out_file.exists()
+    code, out = run_cli(capsys, "--cap-atoms", "21", "transform", "simplify", str(path),
+                        "--out", str(out_file))
+    assert code == 0 and "result: 22 elements, rank 1" in out
+
+
+def test_transform_restrict_names_the_first_non_atom_under_every_hash_seed(tmp_path):
+    """Of the ids given to ``--atoms`` the first that is not an atom is
+    named, so stdout is the same whatever the string hash seed."""
+    outs = set()
+    for seed in "0123":
+        run = subprocess.run(
+            [sys.executable, "-m", "mscheme.cli", "transform", "restrict", "--atoms", "a,b",
+             "--out", str(tmp_path / "x.json"), "cw_l.json"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONHASHSEED": seed},
+            cwd=Path(mscheme.__file__).parents[1])
+        assert run.returncode == 1, run.stderr
+        outs.add(run.stdout)
+    assert len(outs) == 1 and "verdict: 'a' is not an atom\n" in outs.pop()
+
+
 def test_transform_simplify_escapes_colliding_pair_ids(capsys, tmp_path):
     """With a "|" in the ids, the pairs ({p,q}, r|s) and ({p,q|r}, s) of the
     simplification would both be named (p,q|r|s), so every pair id of that
@@ -251,6 +281,22 @@ def test_construct_dowling_refuses_large_ground_sets_up_front(capsys, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+def test_construct_toric_refuses_a_multiplicity_past_the_element_cap(capsys, tmp_path,
+                                                                     monkeypatch):
+    """The circles (1,0) and (1,10^6) through the identity meet in 10^6
+    points, all layers: the cut is refused from its multiplicity before
+    any piece is listed."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "far.json").write_text(json.dumps({"n": 2, "characters": [
+        {"alpha": [1, 0], "phase": "0"}, {"alpha": [1, 1000000], "phase": "0"}]}))
+    code = main(["construct", "toric", "far.json"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    assert "error: layer poset size at least 1000000 exceeds the configured cap 65536" \
+        in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json"]
+
+
 def test_construct_quotient(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, "construct", "quotient",
@@ -325,20 +371,23 @@ def test_construct_uniform_refuses_rank_outside_ground_size(capsys, tmp_path,
 
 
 def test_construct_matroids_cap_ground_sets_at_16(capsys, tmp_path, monkeypatch):
-    """`construct uniform` and `construct linear` hand a ground set of 16
-    elements to the constructor and refuse 17 or 40 with exit 1, the cap
-    named, before the constructor builds any of the 2^n subsets."""
+    """`construct uniform` and `construct linear` list the subsets of a
+    ground set of 16 elements and refuse 17 or 40 with exit 1, the cap
+    named, before any of the 2^n subsets is built."""
+    import itertools
+    import types
+
     from mscheme import constructions
 
     reached = []
 
-    def build(*args):  # stands in for uniform_matroid and linear_matroid
+    def combinations(*args):  # the first step of both constructors that builds a subset
         reached.append(args)
         raise MalformedInput("constructor reached")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(constructions, "uniform_matroid", build)
-    monkeypatch.setattr(constructions, "linear_matroid", build)
+    monkeypatch.setattr(constructions, "itertools", types.SimpleNamespace(
+        **{**vars(itertools), "combinations": combinations}))
     for n in (16, 17, 40):
         (tmp_path / "wide.json").write_text(json.dumps({"matrix": [[1] * n]}))
         for argv in (["uniform", "2", str(n)], ["linear", "wide.json"]):

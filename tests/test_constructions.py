@@ -66,6 +66,33 @@ def test_uniform_matroid_refuses_rank_outside_ground_size():
             uniform_matroid(r, n)
 
 
+def test_matroid_constructors_cap_the_ground_set(monkeypatch):
+    """``uniform_matroid`` and ``linear_matroid`` tabulate all 2^n subsets
+    of the ground set, so an n whose 2^n passes ``geometric.ELEMENT_CAP``
+    is refused before any subset is listed; the cap is read at call time."""
+    import types
+
+    import mscheme.constructions
+    import mscheme.geometric
+
+    def combinations(*args):
+        raise AssertionError("a subset was listed past the cap")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mscheme.constructions, "itertools", types.SimpleNamespace(
+            **{**vars(itertools), "combinations": combinations}))
+        for build in (lambda: uniform_matroid(1, 17), lambda: linear_matroid([[1] * 17])):
+            with pytest.raises(SizeCapExceeded) as err:
+                build()
+            assert str(err.value) == "ground set size 17 exceeds the configured cap 16"
+    monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", 15)
+    assert len(uniform_matroid(1, 3).rank) == 8
+    for build in (lambda: uniform_matroid(1, 4), lambda: linear_matroid([[1] * 4])):
+        with pytest.raises(SizeCapExceeded) as err:
+            build()
+        assert (err.value.count, err.value.cap) == (4, 3)
+
+
 def test_matroid_axiom_violations():
     with pytest.raises(AxiomViolation) as exc:
         Matroid(["a"], {frozenset(): 0, frozenset({"a"}): 2})
@@ -245,11 +272,13 @@ def test_partition_poset_closed_intervals_are_geometric_lattices(color_actions):
                 assert is_geometric_lattice(rp.interval(lo, hi))
 
 
-def test_partition_poset_cap():
+def test_partition_poset_cap(monkeypatch):
+    import mscheme.constructions
     z2 = cyclic_group(2)
     act = trivial_action(z2, ["+1", "-1"])
+    monkeypatch.setattr(mscheme.constructions, "DOWLING_SIZE_CAP", 10)
     with pytest.raises(SizeCapExceeded):
-        dowling_poset(3, act, size_cap=10)
+        dowling_poset(3, act)
 
 
 def test_construction_outputs_revalidate(color_actions, semi4, swap4):

@@ -5,8 +5,10 @@ is an ``assert`` statement, which ``python -O`` strips, or a bare
 ``raise AssertionError``, and the validating path (``build_poset``,
 ``compute_rank``, ``verify_simplicial``, ``validate_scheme``) is called
 only where the input carries no certificate, and no function imports a
-package module that its own module imports at the top.  A subprocess
-checks that the CLI imports no ``dataclasses``."""
+package module that its own module imports at the top, and the CLI
+names no size cap but the atom cap and no function takes a
+``size_cap``.  A subprocess checks that the CLI imports no
+``dataclasses``."""
 
 import ast
 import subprocess
@@ -139,6 +141,17 @@ def test_validating_path_only_on_uncertified_input():
                     called = getattr(node.func, "id", getattr(node.func, "attr", None))
                     if called in VALIDATING and called not in allowed:
                         found.append(f"{name}:{node.lineno} {owner} calls {called}")
+    assert not found, found
+
+
+def test_size_caps_live_in_the_library():
+    """The CLI names no cap constant but the atom cap behind
+    ``--cap-atoms``, and no function takes a ``size_cap``: each size guard
+    reads its constant on the loop it bounds."""
+    cli_caps = {n for n in _names(MODULES["cli.py"]) if n.endswith("_CAP")}
+    assert cli_caps <= {"DEFAULT_ATOM_CAP"}, cli_caps
+    found = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.arg) and node.arg == "size_cap"]
     assert not found, found
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import mscheme
 from mscheme import (
+    AtomCapExceeded,
     Character,
     DimensionMismatch,
     InvariantBroken,
@@ -21,6 +22,7 @@ from mscheme import (
     MschemeError,
     NotInArrangement,
     NotALayer,
+    SizeCapExceeded,
     ToricArrangement,
     ambient_layer,
     arr_delete,
@@ -213,6 +215,42 @@ def test_layers_poset_edge_cases():
         Character((1, 0), Fraction(0)), Character((1, 0), Fraction(1, 2)),
         Character((0, 1), Fraction(0))]))
     assert len(parallel.layers) == 6  # ambient + 3 subtori + 2 points
+
+
+def test_closure_caps_the_layers(monkeypatch, toric1):
+    """Every layer is the second component of a pair of the simple scheme,
+    so ``_closure`` counts layers against ``geometric.ELEMENT_CAP`` and
+    refuses one past it before the poset or the scheme is built."""
+    import mscheme.geometric
+    import mscheme.toric
+
+    def unreachable(*args):
+        raise AssertionError("built past the layer cap")
+
+    monkeypatch.setattr(mscheme.toric, "_certified", unreachable)
+    monkeypatch.setattr(mscheme.geometric, "_walk", unreachable)
+    monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", 4)  # toric1 has 5 layers
+    with pytest.raises(SizeCapExceeded) as err:
+        layers_poset(toric1)
+    assert str(err.value) == "layer poset size at least 5 exceeds the configured cap 4"
+
+
+def test_layers_poset_refuses_atoms_past_the_cap_before_the_closure(monkeypatch):
+    """The atoms of the layer poset are the hypersurfaces, one connected
+    layer each, so more than ``atom_cap`` of them are refused before any
+    layer is listed."""
+    import mscheme.toric
+
+    def closure(arr):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(mscheme.toric, "_closure", closure)
+    arr = ToricArrangement(2, [Character((1, k), Fraction(0)) for k in range(21)])
+    with pytest.raises(AtomCapExceeded) as err:
+        layers_poset(arr)
+    assert (err.value.count, err.value.cap) == (21, 20)
+    with pytest.raises(AssertionError, match="the closure ran"):
+        layers_poset(arr, atom_cap=21)
 
 
 def test_arr_delete(toric1):
