@@ -52,7 +52,6 @@ from .poset import (
     complement,
     find_isomorphism,
     transitive_reduction,
-    verify_simplicial,
 )
 
 
@@ -211,21 +210,19 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
 def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     """The minor of m on the order ideal or filter ``keep`` (a bitmask), with
     rho lowered by ``shift``: the one constructor behind localization,
-    deletion, contraction, restriction and the Tutte recursion.
+    deletion, contraction and restriction.
 
     The kept bits are listed once, for the sub-poset, its ranks and its
     labels.  The minor inherits its ranks through ``_convex``: its minimum
     is the parent's bottom for an ideal and the element a filter stands
-    on.  It is not re-validated against M1-M5: the operations are
-    theorem-backed and the property tests re-validate.  It is re-verified
-    simplicial, which derives its supports: one ``verify_simplicial`` per
-    Tutte node that needs a pivot choice (the recursion builds only its
-    children of three or more elements), and the benchmark's tracer test
-    counts it, so inheriting the supports waits for the Tutte recursion to
-    run on the root's masks."""
+    on.  It is not re-validated against M1-M5, nor re-verified simplicial:
+    the operations are theorem-backed and the property tests re-validate.
+    Each support is the minor's down-set on its rank-1 elements."""
     kept = list(_bits(keep))
+    rp = _convex(m.s.ranked, kept)
+    atoms = sum(1 << i for i, k in enumerate(rp.ranks) if k == 1)
     rhos = m.rhos
-    return MatroidScheme(verify_simplicial(_convex(m.s.ranked, kept)),
+    return MatroidScheme(SimplicialPoset(rp, tuple(down & atoms for down in rp.poset.below)),
                          tuple(rhos[i] - shift for i in kept), _checked=True)
 
 

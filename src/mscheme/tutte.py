@@ -16,12 +16,12 @@ from math import comb
 
 from .errors import HasLoops, InvariantBroken
 from .polynomials import BivariatePolynomial, UnivariatePolynomial, one_minus_t
-from .poset import characteristic_polynomial, mobius
+from .poset import _bits, characteristic_polynomial, mobius
 from .scheme import (
     MatroidScheme,
     _closure_map,
     _full,
-    _sub_scheme,
+    _less_than,
     bases,
     flats,
     loops,
@@ -62,15 +62,15 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
     loops contribute a factor y via contraction and isthmuses split as
     (x-1)T(M-a) + T(M/a).  The base case (a single element) returns 1.
 
-    Both children of a node are masks of the parent: the deletion keeps
-    the order ideal of elements not above a and the contraction the filter
-    above a.  Only a child with three or more elements needs a pivot
-    choice, so only it is built, by ``scheme._sub_scheme``, which reuses
-    the parent's covers.  A one-element child is a leaf, and a two-element
-    child {y < z} has the one atom z, whose split leaves {y} and {z}; both
-    are counted from the parent's labels without being built.  The two
-    children partition their parent's elements, so no two nodes of the
-    recursion have the same element set and nothing is memoized.
+    Every node is a convex set of m's elements, kept as a bitmask over
+    m's indices with its minimum x: the deletion at a keeps the elements
+    not above a and the contraction the filter above a, with its minimum
+    a.  Nothing is built per node; labels, order and covers are read from
+    m.  A one-element child is a leaf, and a two-element child {x < z}
+    has the one atom z, whose split leaves {x} and {z}; both are counted
+    from the labels.  The two children partition their parent's
+    elements, so no two nodes of the recursion have the same element set
+    and nothing is memoized.
 
     Contracting a valid scheme can leave the class (the rank-3 two-top
     fixture contracted by an atom violates the atom-exchange axiom), so the
@@ -81,78 +81,76 @@ def tutte_delcon(m: MatroidScheme) -> BivariatePolynomial:
           + (x-1)^((r - rho(a)) - r_con) (y-1)^(1 - rho(a)) T_con
 
     where r, r_del, r_con are the maximum labels of the object and of the
-    two sub-objects.  On valid schemes this reduces exactly to the three
-    cases above: an atom is a loop iff rho(a) = 0 and an isthmus iff
-    deleting it lowers the maximum label.  So T is a sum of
-    (x-1)^i (y-1)^j over the leaves, with (i, j) the exponents gathered on
-    the way down; ``_leaf_counts`` counts the leaves per (i, j) and the sum
-    is expanded once at the end.
+    two sub-objects, and labels are read relative to the object's base
+    (its minimum's label below a contraction, 0 at the root).  On valid
+    schemes this reduces exactly to the three cases above: an atom is a
+    loop iff its label equals the base and an isthmus iff deleting it
+    lowers the maximum label.  So T is a sum of (x-1)^i (y-1)^j over the
+    leaves, with (i, j) the exponents gathered on the way down;
+    ``_leaf_counts`` counts the leaves per (i, j) and the sum is expanded
+    once at the end.
     """
     return _expand(_leaf_counts(m))
 
 
-def _pivot(m: MatroidScheme, r: int) -> int:
-    """Index of the pivot atom of m, whose largest label is r: the first
-    atom that is neither loop nor isthmus, else the first loop, else the
-    first isthmus."""
-    p = m.poset
-    rho = m.rhos
-    top = sum(1 << k for k, v in enumerate(rho) if v == r)
-    # an atom is an isthmus iff every element of the top label lies above it
-    loop = isthmus = None
-    for a in (k for k, size in enumerate(m.s.ranked.ranks) if size == 1):
-        if rho[a] == 0:
-            if loop is None:
+def _pivot(mask: int, x: int, base: int, top: int, rho: tuple, above: tuple, up: list) -> int:
+    """Index of the pivot of the node on ``mask`` with minimum x and base
+    label ``base``, whose elements of the largest label are ``top``: of
+    its atoms, the covers of x in ``mask`` (``up[x]``) in index order,
+    the first that is neither loop nor isthmus, else the first loop, else
+    the first isthmus.  A loop has the base label; an isthmus lies below
+    every element of ``top``."""
+    loop = isthmus = -1
+    for a in _bits(up[x] & mask):
+        if rho[a] == base:
+            if loop < 0:
                 loop = a
-        elif top & ~p.above[a]:
+        elif top & ~above[a]:
             return a
-        elif isthmus is None:
+        elif isthmus < 0:
             isthmus = a
-    return isthmus if loop is None else loop
+    return isthmus if loop < 0 else loop
 
 
 def _leaf_counts(m: MatroidScheme) -> dict:
     """The number of leaves of the deletion-contraction recursion on m per
     exponent pair (i, j) of (x-1) and (y-1).
 
-    The recursion runs on an explicit stack of child descriptors
-    ``(parent, keep, shift, i, j, r)``: the minor of ``parent`` on the mask
-    ``keep`` with its labels lowered by ``shift`` (rho' = rho - shift),
-    reached with the exponents (i + r - r', j) where r' is its largest
-    label.  The root is m itself (``parent`` None).  A deletion is pushed
-    above the contraction of its node, so the deletion subtree is handled
-    first and the nodes are built in the order of a recursion.  A leaf
-    {e} counts (i + r - rho'(e), j); a two-element child {y < z} counts
-    its leaves {y} and {z}, at (i + r - rho'(y), j) and
-    (i + r - rho'(z), j + 1 - rho'(z)).  Both labels are read: y and z
-    come from the order, not from their indices, and no label is assumed
-    to be 0."""
+    The recursion runs on an explicit stack of nodes ``(mask, x, base, i,
+    j, r)`` over m's indices: the elements ``mask`` with minimum x, whose
+    labels are m's lowered by ``base``, reached with the exponents
+    (i + r - R, j), where r is the parent's largest label of m and R the
+    node's, the highest k with an element of ``mask`` labelled k or more.
+    A deletion is pushed above the contraction of its node, so the
+    deletion subtree is handled first, in the order of a recursion.  A
+    leaf {e} counts (i + r - rho(e), j); a two-element node {x < z} counts
+    its leaves {x} and {z}, at (i + r - rho(x), j) and (i + r - rho(z),
+    j + 1 - (rho(z) - base)).  No label is assumed to be 0: the root's
+    base is 0 whatever its bottom's label."""
+    p = m.poset
+    rho, above = m.rhos, p.above
+    up = [sum(1 << k for k in c) for c in p.covers_up]
+    lt = _less_than(rho)
     counts: dict[tuple[int, int], int] = {}
-    stack = [(None, _full(m.poset), 0, 0, 0, max(m.rhos))]
+    stack = [(_full(p), p.index[m.bottom], 0, 0, 0, max(rho))]
     while stack:
-        parent, keep, shift, i, j, r = stack.pop()
-        src = m if parent is None else parent
-        rest = keep & (keep - 1)  # keep without its lowest bit
+        mask, x, base, i, j, r = stack.pop()
+        rest = mask & (mask - 1)  # mask without its lowest bit
         if not rest & (rest - 1):  # one or two elements: count the leaves
-            rho = src.rhos
-            z = rest.bit_length() - 1
-            y = (keep ^ rest).bit_length() - 1
-            if rest and not src.poset.above[y] >> z & 1:
-                y, z = z, y
-            key = (i + r - rho[y] + shift, j)
+            key = (i + r - rho[x], j)
             counts[key] = counts.get(key, 0) + 1
             if rest:
-                key = (i + r - rho[z] + shift, j + 1 - rho[z] + shift)
+                z = (mask ^ 1 << x).bit_length() - 1
+                key = (i + r - rho[z], j + 1 - rho[z] + base)
                 counts[key] = counts.get(key, 0) + 1
             continue
-        node = m if parent is None else _sub_scheme(parent, keep, shift)
-        rho = node.rhos
-        r_node = max(rho)
+        r_node = r
+        while not mask & ~lt[r_node]:
+            r_node -= 1
         i += r - r_node
-        pivot = _pivot(node, r_node)
-        up = node.poset.above[pivot]
-        stack.append((node, up, rho[pivot], i, j + 1 - rho[pivot], r_node - rho[pivot]))
-        stack.append((node, _full(node.poset) & ~up, 0, i, j, r_node))
+        a = _pivot(mask, x, base, mask & ~lt[r_node], rho, above, up)
+        stack.append((mask & above[a], a, rho[a], i, j + 1 - rho[a] + base, r_node))
+        stack.append((mask & ~above[a], x, base, i, j, r_node))
     return counts
 
 

@@ -1,10 +1,57 @@
 """Referees shared by the Tutte and minor tests: the recursive
-deletion-contraction that the explicit stack of ``tutte._leaf_counts``
-replaced, and the scheme variants both are run on."""
+deletion-contraction on built sub-schemes that the mask stack of
+``tutte._leaf_counts`` replaced, with its pivot rule, a hook that records
+the mask stack's nodes, and the scheme variants both are run on."""
 
-from mscheme import AxiomViolation, build_poset, compute_rank, contract, validate_scheme, verify_simplicial
+import mscheme.tutte
+from mscheme import (
+    AxiomViolation,
+    build_poset,
+    compute_rank,
+    contract,
+    tutte_delcon,
+    validate_scheme,
+    verify_simplicial,
+)
 from mscheme.scheme import _full, _sub_scheme
 from mscheme.tutte import _pivot
+
+
+def scheme_pivot(m, r: int) -> int:
+    """Index of the pivot atom of the built scheme m, whose largest label
+    is r: the first atom that is neither loop nor isthmus, else the first
+    loop, else the first isthmus (``tutte._pivot`` as it was on
+    sub-schemes)."""
+    p = m.poset
+    rho = m.rhos
+    top = sum(1 << k for k, v in enumerate(rho) if v == r)
+    # an atom is an isthmus iff every element of the top label lies above it
+    loop = isthmus = None
+    for a in (k for k, size in enumerate(m.s.ranked.ranks) if size == 1):
+        if rho[a] == 0:
+            if loop is None:
+                loop = a
+        elif top & ~p.above[a]:
+            return a
+        elif isthmus is None:
+            isthmus = a
+    return isthmus if loop is None else loop
+
+
+def delcon_nodes(monkeypatch, m):
+    """``tutte_delcon(m)`` and the nodes of its recursion that need a pivot
+    choice, in the order chosen, as ``(mask, x, base, pivot)`` over m's
+    indices, recorded through ``tutte._pivot``."""
+    nodes = []
+
+    def recording(mask, x, base, *tables):
+        pivot = _pivot(mask, x, base, *tables)
+        nodes.append((mask, x, base, pivot))
+        return pivot
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mscheme.tutte, "_pivot", recording)
+        return tutte_delcon(m), nodes
 
 
 def recursive_leaf_counts(m, built=None) -> dict:
@@ -22,7 +69,7 @@ def recursive_leaf_counts(m, built=None) -> dict:
 def _delcon(m, counts, i, j, built):
     rho = m.rhos
     r = max(rho)
-    pivot = _pivot(m, r)
+    pivot = scheme_pivot(m, r)
     up = m.poset.above[pivot]
     down = _full(m.poset) & ~up
     if down & (down - 1):

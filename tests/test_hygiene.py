@@ -108,11 +108,9 @@ def test_no_assert_statements():
 
 VALIDATING = ("build_poset", "compute_rank", "verify_simplicial", "validate_scheme")
 # (module, top-level definition) -> the validating functions it may call:
-# minors derive their supports (until the Tutte recursion runs on the
-# root's masks) but inherit their ranks, and constructions that no theorem
-# certifies validate what they build
+# minors inherit their ranks and take their supports without re-verifying,
+# and constructions that no theorem certifies validate what they build
 VALIDATING_CALLERS = {
-    ("scheme.py", "_sub_scheme"): {"verify_simplicial"},
     ("scheme.py", "scheme_from_independence"): {"validate_scheme"},
     ("constructions.py", "scheme_from_semimatroid"): {"build_poset", "compute_rank",
                                                       "verify_simplicial", "validate_scheme"},

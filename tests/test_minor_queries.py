@@ -10,7 +10,6 @@ covers, which these replaced.
 
 import random
 
-import mscheme.tutte
 from mscheme import (
     RankedPoset,
     closure,
@@ -21,11 +20,10 @@ from mscheme import (
     localization,
     mobius,
     restrict,
-    tutte_delcon,
+    verify_simplicial,
 )
-from mscheme.poset import _assemble, transitive_reduction
-from mscheme.scheme import _sub_scheme
-from referees import left_class, recursive_leaf_counts, shuffled
+from mscheme.poset import _assemble, _bits, transitive_reduction
+from referees import delcon_nodes, left_class, recursive_leaf_counts, scheme_pivot, shuffled
 
 
 def _assert_ranks_inherited(m, name):
@@ -34,44 +32,63 @@ def _assert_ranks_inherited(m, name):
     assert list(m.s.ranked.rank.items()) == list(want.rank.items()), name
 
 
+def _minors(name, m, rng):
+    """Every deletion, contraction and localization of m, and three seeded
+    restrictions, each with a label."""
+    atoms = m.atoms()
+    for a in atoms:
+        yield f"{name} - {a}", delete(m, a)
+    for x in m.elements:
+        yield f"{name} / {x}", contract(m, x)
+        yield f"{name} loc {x}", localization(m, x)
+    for _ in range(3):
+        kept = [a for a in atoms if rng.random() < 0.5]
+        yield f"{name} | {kept}", restrict(m, kept)
+
+
 def test_minors_inherit_the_ranks_compute_rank_derives(corpus):
     """Every deletion, contraction and localization of every corpus scheme,
     declared in its own order and in a shuffled one, and seeded
     restrictions."""
     rng = random.Random(20260101)
     for name, m in corpus.schemes() + shuffled(corpus, rng):
-        atoms = m.atoms()
-        for a in atoms:
-            _assert_ranks_inherited(delete(m, a), f"{name} - {a}")
-        for x in m.elements:
-            _assert_ranks_inherited(contract(m, x), f"{name} / {x}")
-            _assert_ranks_inherited(localization(m, x), f"{name} loc {x}")
-        for _ in range(3):
-            kept = [a for a in atoms if rng.random() < 0.5]
-            _assert_ranks_inherited(restrict(m, kept), f"{name} | {kept}")
+        for label, minor in _minors(name, m, rng):
+            _assert_ranks_inherited(minor, label)
+
+
+def test_minors_take_the_supports_verify_simplicial_derives(corpus, nonpos):
+    """A minor's supports are its down-sets on its rank-1 elements, taken
+    without re-verifying that it is simplicial; on every deletion,
+    contraction and localization and on seeded restrictions of the corpus
+    schemes, declared in their own order and in shuffled ones, and of the
+    contractions of the two-top fixture that leave the class, they equal
+    the supports ``verify_simplicial`` derives."""
+    rng = random.Random(20260103)
+    for name, m in corpus.schemes() + shuffled(corpus, rng) + left_class(nonpos):
+        for label, minor in _minors(name, m, rng):
+            assert minor.s.support == verify_simplicial(minor.s.ranked).support, label
 
 
 def test_delcon_nodes_inherit_the_ranks_compute_rank_derives(monkeypatch, corpus, nonpos):
-    """The recursion builds exactly the nodes of three or more elements
-    that the recursive transcription builds, in its order, and each has
-    the ranks ``compute_rank`` derives."""
-    nodes = []
-
-    def recording(m, keep, shift=0):
-        nodes.append(_sub_scheme(m, keep, shift))
-        return nodes[-1]
-
-    monkeypatch.setattr(mscheme.tutte, "_sub_scheme", recording)
+    """The recursion makes a pivot choice at the root and at exactly the
+    nodes of three or more elements that the recursive transcription
+    builds, in its order, with the same elements, minimum, labels less
+    the base and pivot; each built node has the ranks ``compute_rank``
+    derives."""
     variants = shuffled(corpus, random.Random(20260102))
     for name, m in corpus.schemes() + variants + left_class(nonpos):
-        del nodes[:]
-        tutte_delcon(m)
+        _, nodes = delcon_nodes(monkeypatch, m)
         built = []
         recursive_leaf_counts(m, built)
-        want = [child.elements for _, _, child in built if len(child.elements) >= 3]
+        want = [m] if len(m.elements) >= 3 else []
+        want += [child for _, _, child in built if len(child.elements) >= 3]
         assert len(nodes) == len(want), name
-        assert [node.elements for node in nodes] == want, name
-        for k, node in enumerate(nodes):
+        p = m.poset
+        for k, ((mask, x, base, pivot), node) in enumerate(zip(nodes, want)):
+            assert p._ids(mask) == node.elements, (name, k)
+            assert p.elements[x] == node.bottom, (name, k)
+            assert tuple(m.rhos[e] - base for e in _bits(mask)) == node.rhos, (name, k)
+            assert p.elements[pivot] == node.elements[scheme_pivot(node, max(node.rhos))], (name, k)
             _assert_ranks_inherited(node, f"{name} node {k}")
 
 

@@ -24,9 +24,9 @@ from mscheme import (
     validate_scheme,
     verify_simplicial,
 )
-from mscheme.scheme import MatroidScheme, _sub_scheme
-from mscheme.tutte import _expand, _leaf_counts, _pivot
-from referees import left_class, recursive_leaf_counts, shuffled
+from mscheme.scheme import MatroidScheme, _full, _sub_scheme
+from mscheme.tutte import _expand, _leaf_counts
+from referees import delcon_nodes, left_class, recursive_leaf_counts, shuffled
 
 
 def poly(s: str) -> BivariatePolynomial:
@@ -226,34 +226,21 @@ def _memo_delcon(m, memo, pivots):
 
 
 def _pivots_of_delcon(monkeypatch, m):
-    """``tutte_delcon(m)`` and its pivots in the order chosen, recorded
-    through ``tutte._pivot``, which every node of three or more elements
-    calls once before its children are pushed.  Every child that is built
-    must be the split at its parent's pivot: the deletion, the ideal of
-    the elements not above it, or the contraction, the filter above it
-    shifted by its label."""
-    import mscheme.tutte
-    pivots = []
-    chosen = {}  # id of a node -> (the node, held so its id is not reused, its pivot)
-
-    def recording(node, r):
-        pivot = _pivot(node, r)
-        pivots.append(node.elements[pivot])
-        chosen[id(node)] = node, pivot
-        return pivot
-
-    def checking(node, keep, shift=0):
-        p = node.poset
-        pivot = chosen[id(node)][1]
+    """``tutte_delcon(m)`` and its pivots as ids in the order chosen,
+    recorded through ``tutte._pivot``, which every node of three or more
+    elements calls once before its children are pushed.  The first node
+    is the whole of m on its bottom with base 0, and every later one must
+    be a split of an earlier node at its pivot: the deletion, the elements
+    not above it on the same minimum and base, or the contraction, the
+    filter above it on the pivot with the pivot's label as base."""
+    got, nodes = delcon_nodes(monkeypatch, m)
+    p = m.poset
+    children = {(_full(p), p.index[m.bottom], 0)}
+    for k, (mask, x, base, pivot) in enumerate(nodes):
+        assert (mask, x, base) in children, k
         up = p.above[pivot]
-        assert (keep, shift) in (((1 << len(p.elements)) - 1 & ~up, 0),
-                                 (up, node.rhos[pivot]))
-        return _sub_scheme(node, keep, shift)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(mscheme.tutte, "_pivot", recording)
-        mp.setattr(mscheme.tutte, "_sub_scheme", checking)
-        return tutte_delcon(m), pivots
+        children |= {(mask & ~up, x, base), (mask & up, pivot, m.rhos[pivot])}
+    return got, [m.elements[pivot] for *_, pivot in nodes]
 
 
 def test_delcon_matches_memoized_transcription(monkeypatch, corpus, nonpos):
@@ -274,22 +261,49 @@ def test_delcon_matches_memoized_transcription(monkeypatch, corpus, nonpos):
 @pytest.mark.parametrize("r, n", [(5, 10), (4, 11)])
 def test_delcon_matches_direct_on_large_uniform_schemes(monkeypatch, r, n):
     """The deletion-contraction referee agrees with direct summation on
-    U(5,10) and U(4,11), 1,024 and 2,048 elements, and builds exactly
-    |S|/2 - 2 sub-schemes: each node below the root is a Boolean lattice,
-    and only those on two or more atoms, of four or more elements, need a
-    pivot choice; the ones on one atom and the leaves are counted."""
-    import mscheme.tutte
+    U(5,10) and U(4,11), 1,024 and 2,048 elements, and makes a pivot
+    choice at exactly |S|/2 - 2 nodes below the root: each of those is a
+    Boolean lattice, and only those on two or more atoms, of four or more
+    elements, need one; the ones on one atom and the leaves are counted."""
     m = scheme_from_matroid(uniform_matroid(r, n))
     assert len(m.elements) == 2 ** n
-    built = []
+    got, nodes = delcon_nodes(monkeypatch, m)
+    assert got == tutte_direct(m)
+    assert nodes[0][0] == _full(m.poset)
+    assert len(nodes) - 1 == len(m.elements) // 2 - 2
 
-    def counting(node, keep, shift=0):
-        built.append(keep)
-        return _sub_scheme(node, keep, shift)
 
-    monkeypatch.setattr(mscheme.tutte, "_sub_scheme", counting)
-    assert tutte_delcon(m) == tutte_direct(m)
-    assert len(built) == len(m.elements) // 2 - 2
+def test_delcon_builds_no_poset(monkeypatch, corpus, nonpos):
+    """No node of the recursion builds a poset: with ``poset._induced``,
+    which every sub-poset goes through, and ``Poset.__init__`` raising,
+    deletion-contraction still agrees with direct summation on the
+    corpus, declared in its own order and in shuffled ones, and on the
+    contractions of the two-top fixture that leave the class."""
+    import mscheme.poset
+    cases = corpus.schemes() + shuffled(corpus, random.Random(20260106)) + left_class(nonpos)
+
+    def refuse(*args):
+        raise AssertionError("the recursion built a poset")
+
+    monkeypatch.setattr(mscheme.poset, "_induced", refuse)
+    monkeypatch.setattr(mscheme.poset.Poset, "__init__", refuse)
+    for name, m in cases:
+        assert tutte_delcon(m) == tutte_direct(m), name
+
+
+def test_delcon_on_4000_parallel_atoms_makes_n_minus_1_pivot_choices(monkeypatch):
+    """A bottom below n = 4,000 atoms of label 1, the rank-1 scheme on n
+    parallel elements: deletion-contraction gives x + 3999, as direct
+    summation does, after exactly n - 1 pivot choices, one per deletion
+    from the whole scheme down to the node of three elements.  Each node
+    is a mask of the root, so the chain costs no sub-scheme per step."""
+    n = 4000
+    ids = ["0"] + [f"a{k}" for k in range(n)]
+    sp = verify_simplicial(compute_rank(build_poset(ids, [("0", a) for a in ids[1:]])))
+    m = validate_scheme(sp, {"0": 0} | dict.fromkeys(ids[1:], 1))
+    got, nodes = delcon_nodes(monkeypatch, m)
+    assert got == tutte_direct(m) == poly("x + 3999")
+    assert len(nodes) == n - 1
 
 
 SCHEME_FIXTURES = ("isth", "cw_l", "cw_r", "nonpos", "dow_triv", "dow_nontriv", "qfix", "qfix2")
