@@ -204,12 +204,12 @@ def cmd_export(args) -> int:
     path = files.resolve_input(args.path)
     try:
         m = files.load_scheme(path)
-        text = files.to_dot(m)
+        text = files.to_dot(m.s.ranked, m.rhos)
     except MalformedInput:
         raise
     except MschemeError:
         rp = files.load_ranked_poset(path)
-        text = files.to_dot(rp)
+        text = files.to_dot(rp, rp.ranks)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -340,9 +340,6 @@ class GroupAction:
     def __call__(self, g, p):
         return self.act[(g, p)]
 
-    def orbit(self, p) -> frozenset:
-        return frozenset(self.act[(g, p)] for g in self.group.elements)
-
     def __repr__(self):
         return f"GroupAction({self.group!r} on {len(self.points)} points)"
 
@@ -422,27 +419,29 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     sp = verify_simplicial(compute_rank(build_poset(names, covers)))
     scheme = validate_scheme(sp, rho_g)
 
-    # m_G and the group-action Tutte polynomial
+    # m_G and the group-action Tutte polynomial: one pass groups the faces
+    # with as many atom orbits as vertices by the positions A of those
+    # orbits, and the sets A are read by size, then lexicographically
     atom_orbits = [nm for nm in names if len(reps[nm]) == 1]
+    at = {nm: k for k, nm in enumerate(atom_orbits)}
+    over: dict[tuple, list] = {}
+    for f in sm.faces:
+        A = tuple(sorted({at[orbit_of[frozenset({v})]] for v in f}))
+        if len(A) == len(f):
+            over.setdefault(A, []).append(f)
     semirank = sm.max_rank()
     m_g = {}
     counts = {}  # (x-1, y-1) exponents -> orbit count
-    for size in range(len(atom_orbits) + 1):
-        for A in itertools.combinations(atom_orbits, size):
-            aset = frozenset(A)
-            matching = [f for f in sm.faces
-                        if len(f) == size
-                        and {orbit_of[frozenset({v})] for v in f} == aset]
-            if not matching:
-                continue
-            orbits_here = {orbit_of[f] for f in matching}
-            ranks = {sm.rank[f] for f in matching}
-            if len(ranks) != 1:
-                raise InvariantBroken(f"rho not constant on central sets over {sorted(aset)}")
-            m_g[aset] = len(orbits_here)
-            rho_a = ranks.pop()
-            key = (semirank - rho_a, size - rho_a)
-            counts[key] = counts.get(key, 0) + len(orbits_here)
+    for A in sorted(over, key=lambda A: (len(A), A)):
+        aset = frozenset(atom_orbits[k] for k in A)
+        orbits_here = {orbit_of[f] for f in over[A]}
+        ranks = {sm.rank[f] for f in over[A]}
+        if len(ranks) != 1:
+            raise InvariantBroken(f"rho not constant on central sets over {sorted(aset)}")
+        m_g[aset] = len(orbits_here)
+        rho_a = ranks.pop()
+        key = (semirank - rho_a, len(A) - rho_a)
+        counts[key] = counts.get(key, 0) + len(orbits_here)
 
     return QuotientResult(scheme, orbit_of, m_g, _expand(counts))
 

@@ -2,8 +2,7 @@
 
 All inputs are human-writable JSON; parse/serialize round-trips are the
 identity on canonical files, and serializing a parsed file canonicalizes
-it.  A top-level "comment" field is preserved on output but otherwise
-ignored.
+it.  A top-level "comment" field is ignored.
 
 Scheme file        {"elements": [{"id": str, "rho": int}], "covers": [[lo, hi]]}
 Poset file         same shape; "rho" holds the rank labels
@@ -17,9 +16,9 @@ Matrix file        {"matrix": [[int]], "names": optional [str]}
 A field shown as int must hold a JSON integer (a float with no fractional
 part, such as 2.0, reads as that integer); a fraction, a bool or a string
 there is MalformedInput, never truncated.  A field shown as [str] must
-hold a JSON array of strings, and a table of names an array of such rows
-of the stated shape; a string there is MalformedInput, never read as the
-list of its characters.
+hold a JSON array of strings, a table of names an array of such rows of
+the stated shape, and any other array of rows a JSON array; a string or
+an object there is MalformedInput, never read as its characters or keys.
 """
 
 from __future__ import annotations
@@ -98,6 +97,14 @@ def _names(value, path, what: str) -> list:
     return value
 
 
+def _rows(value, path, what: str) -> list:
+    """A field the format declares an array of rows: a JSON array.  A
+    string or an object there is MalformedInput, never iterated."""
+    if not isinstance(value, list):
+        raise MalformedInput(f"{path}: {what} {value!r} is not an array")
+    return value
+
+
 def _table(value, path, what: str, rows: int, cols: int) -> list:
     """A ``rows`` x ``cols`` table of names, as a JSON array of rows."""
     if not isinstance(value, list) or len(value) != rows:
@@ -117,7 +124,7 @@ def _require(doc: dict, key: str, path):
 # --- posets and schemes -------------------------------------------------------------
 
 def parse_poset_doc(doc: dict, path="<doc>") -> tuple[Poset, dict]:
-    rows = _require(doc, "elements", path)
+    rows = _rows(_require(doc, "elements", path), path, "elements")
     ids = []
     rho = {}
     try:
@@ -127,7 +134,7 @@ def parse_poset_doc(doc: dict, path="<doc>") -> tuple[Poset, dict]:
             ids.append(row["id"])
             rho[row["id"]] = _int(row["rho"], path, "rho")
         covers = []
-        for cover in _require(doc, "covers", path):
+        for cover in _rows(_require(doc, "covers", path), path, "covers"):
             if not isinstance(cover, list) or len(cover) != 2:
                 raise MalformedInput(f"{path}: cover {cover!r} is not a pair [lo, hi]")
             a, b = cover
@@ -160,22 +167,18 @@ def load_scheme(path) -> MatroidScheme:
     return validate_scheme(sp, rho)
 
 
-def scheme_to_doc(m: MatroidScheme, comment: str | None = None) -> dict:
-    return _poset_doc(m.poset, m.rhos, comment)
+def scheme_to_doc(m: MatroidScheme) -> dict:
+    return _poset_doc(m.poset, m.rhos)
 
 
-def ranked_poset_to_doc(rp: RankedPoset, comment: str | None = None) -> dict:
-    return _poset_doc(rp.poset, rp.ranks, comment)
+def ranked_poset_to_doc(rp: RankedPoset) -> dict:
+    return _poset_doc(rp.poset, rp.ranks)
 
 
-def _poset_doc(p: Poset, labels: tuple, comment: str | None) -> dict:
+def _poset_doc(p: Poset, labels: tuple) -> dict:
     """The scheme/poset document of p, with "rho" of element i ``labels[i]``."""
-    doc = {}
-    if comment:
-        doc["comment"] = comment
-    doc["elements"] = [{"id": e, "rho": k} for e, k in zip(p.elements, labels)]
-    doc["covers"] = [[a, b] for a, b in p.covers]
-    return doc
+    return {"elements": [{"id": e, "rho": k} for e, k in zip(p.elements, labels)],
+            "covers": [[a, b] for a, b in p.covers]}
 
 
 def dump_doc(doc: dict, path) -> None:
@@ -192,7 +195,7 @@ def load_semimatroid(path) -> Semimatroid:
     faces = []
     rank = {}
     try:
-        for row in _require(doc, "faces", path):
+        for row in _rows(_require(doc, "faces", path), path, "faces"):
             members = frozenset(_names(row["members"], path, "members"))
             faces.append(members)
             rank[members] = _int(row["rho"], path, "rho")
@@ -241,7 +244,7 @@ def load_arrangement(path) -> ToricArrangement:
     """Any fault in n or a character, down to a duplicate, is MalformedInput."""
     doc = _load_json(path)
     n = _require(doc, "n", path)
-    rows = _require(doc, "characters", path)
+    rows = _rows(_require(doc, "characters", path), path, "characters")
     try:
         return ToricArrangement(_int(n, path, "n"), [
             Character(tuple(_int(a, path, "alpha entry") for a in row["alpha"]),
@@ -259,9 +262,10 @@ def load_matrix(path) -> tuple[list[list[int]], list | None]:
     """A ragged matrix, or a names list whose length is not the column
     count, is MalformedInput."""
     doc = _load_json(path)
-    matrix = _require(doc, "matrix", path)
+    matrix = _rows(_require(doc, "matrix", path), path, "matrix")
     try:
-        matrix = [[_int(v, path, "matrix entry") for v in row] for row in matrix]
+        matrix = [[_int(v, path, "matrix entry") for v in _rows(row, path, "matrix row")]
+                  for row in matrix]
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: bad matrix ({exc})") from None
     cols = {len(row) for row in matrix}
@@ -280,15 +284,9 @@ def _quoted(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(m_or_rp) -> str:
-    """Hasse diagram as a DOT digraph, nodes labeled "id : rho" and grouped
-    into same-rank layers."""
-    if isinstance(m_or_rp, MatroidScheme):
-        rp = m_or_rp.s.ranked
-        labels = m_or_rp.rhos
-    else:
-        rp = m_or_rp
-        labels = rp.ranks
+def to_dot(rp: RankedPoset, labels: tuple) -> str:
+    """Hasse diagram of rp as a DOT digraph, nodes labeled "id : label"
+    with ``labels[i]`` for element i, and grouped into same-rank layers."""
     names = [_quoted(e) for e in rp.elements]
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
     by_rank: dict[int, list] = {}

@@ -27,8 +27,10 @@ from .errors import AtomCapExceeded, AxiomViolation, InvariantBroken, NotSimple,
 from .poset import (
     Poset,
     RankedPoset,
+    _atoms,
     _bits,
     _certified,
+    _full,
     _union,
     find_isomorphism,
     is_geometric_lattice,
@@ -36,7 +38,6 @@ from .poset import (
 )
 from .scheme import (
     MatroidScheme,
-    _full,
     _joinable,
     closure,
     flats,
@@ -244,8 +245,7 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     rp = gp.ranked
     p = rp.poset
     els = p.elements
-    pairs, covers = _walk(p, sum(1 << i for i, k in enumerate(rp.ranks) if k == 1),
-                          p.index[rp.bottom])
+    pairs, covers = _walk(p, _atoms(rp.ranks), p.index[rp.bottom])
     ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     if len(set(ids)) != len(ids):
         ids = [_escaped_pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]

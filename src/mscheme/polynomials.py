@@ -26,67 +26,85 @@ def _render_term(coeff: int, factors: list[str], first: bool) -> str:
     return f" {sign} {body}"
 
 
-class UnivariatePolynomial:
-    """Polynomial in one variable (``t`` by default) over the integers."""
+class _Polynomial:
+    """The ring of both polynomial classes: ``coeffs`` maps a monomial key
+    to its coefficient.  A subclass names the constant key ``_ZERO`` and
+    adds two keys in ``_key_sum``; it combines with itself and with ints."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[int, int] | None = None, var: str = "t"):
+    def __init__(self, coeffs: dict | None = None):
         self.coeffs = _strip(dict(coeffs or {}))
-        self.var = var
 
     @classmethod
-    def constant(cls, c: int, var: str = "t") -> "UnivariatePolynomial":
-        return cls({0: c}, var)
+    def constant(cls, c: int):
+        return cls({cls._ZERO: c})
 
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, 0) + c
-        return UnivariatePolynomial(out, self.var)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
 
     def __neg__(self):
-        return UnivariatePolynomial({d: -c for d, c in self.coeffs.items()}, self.var)
+        return type(self)({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out: dict[int, int] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return UnivariatePolynomial(out, self.var)
+        key_sum = self._key_sum
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                k = key_sum(k1, k2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return type(self)(out)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = UnivariatePolynomial.constant(1, self.var)
+        result = self.constant(1)
         for _ in range(n):
             result = result * self
         return result
 
-    def _coerce(self, other) -> "UnivariatePolynomial":
-        if isinstance(other, UnivariatePolynomial):
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
             return other
         if isinstance(other, int):
-            return UnivariatePolynomial.constant(other, self.var)
+            return self.constant(other)
         raise TypeError(f"cannot combine polynomial with {type(other).__name__}")
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class UnivariatePolynomial(_Polynomial):
+    """Polynomial in ``t`` over the integers; keys of ``coeffs`` are
+    degrees."""
+
+    __slots__ = ()
+    _ZERO = 0
+
+    @staticmethod
+    def _key_sum(d1: int, d2: int) -> int:
+        return d1 + d2
 
     def __call__(self, value):
         total = 0
         for d, c in self.coeffs.items():
             total += c * value**d
         return total
-
-    def __eq__(self, other):
-        return isinstance(other, UnivariatePolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
         if not self.coeffs:
@@ -95,68 +113,25 @@ class UnivariatePolynomial:
         for d in sorted(self.coeffs, reverse=True):
             factors = []
             if d == 1:
-                factors = [self.var]
+                factors = ["t"]
             elif d > 1:
-                factors = [f"{self.var}^{d}"]
+                factors = [f"t^{d}"]
             parts.append(_render_term(self.coeffs[d], factors, first=not parts))
         return "".join(parts)
 
-    def __repr__(self):
-        return f"UnivariatePolynomial({self})"
 
-
-class BivariatePolynomial:
+class BivariatePolynomial(_Polynomial):
     """Polynomial in ``x`` and ``y`` over the integers.
 
     Keys of ``coeffs`` are ``(x_degree, y_degree)`` pairs.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _ZERO = (0, 0)
 
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        self.coeffs = _strip(dict(coeffs or {}))
-
-    @classmethod
-    def constant(cls, c: int) -> "BivariatePolynomial":
-        return cls({(0, 0): c})
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return BivariatePolynomial(out)
-
-    def __neg__(self):
-        return BivariatePolynomial({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BivariatePolynomial(out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = BivariatePolynomial.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def _coerce(self, other) -> "BivariatePolynomial":
-        if isinstance(other, BivariatePolynomial):
-            return other
-        if isinstance(other, int):
-            return BivariatePolynomial.constant(other)
-        raise TypeError(f"cannot combine polynomial with {type(other).__name__}")
+    @staticmethod
+    def _key_sum(k1: tuple, k2: tuple) -> tuple:
+        return (k1[0] + k2[0], k1[1] + k2[1])
 
     def __call__(self, x_value, y_value):
         total = 0
@@ -164,28 +139,22 @@ class BivariatePolynomial:
             total += c * x_value**i * y_value**j
         return total
 
-    def substitute(self, x_image, y_image, var: str = "t") -> UnivariatePolynomial:
+    def substitute(self, x_image, y_image) -> UnivariatePolynomial:
         """Evaluate at univariate polynomials (or ints), e.g. x -> 1-t, y -> 0."""
-        xs = _powers(x_image, self.x_degree(), var)
-        ys = _powers(y_image, self.y_degree(), var)
+        xs = _powers(x_image, self.x_degree())
+        ys = _powers(y_image, self.y_degree())
         out: dict[int, int] = {}
         for (i, j), c in self.coeffs.items():
             for d1, c1 in xs[i].items():
                 for d2, c2 in ys[j].items():
                     out[d1 + d2] = out.get(d1 + d2, 0) + c * c1 * c2
-        return UnivariatePolynomial(out, var)
+        return UnivariatePolynomial(out)
 
     def x_degree(self) -> int:
         return max((i for i, _ in self.coeffs), default=0)
 
     def y_degree(self) -> int:
         return max((j for _, j in self.coeffs), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, BivariatePolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
         if not self.coeffs:
@@ -206,17 +175,14 @@ class BivariatePolynomial:
             parts.append(_render_term(self.coeffs[(i, j)], factors, first=not parts))
         return "".join(parts)
 
-    def __repr__(self):
-        return f"BivariatePolynomial({self})"
 
-
-def _powers(image, top: int, var: str) -> list:
+def _powers(image, top: int) -> list:
     """Coefficient dicts of image^0 .. image^top, each from the one before."""
     if isinstance(image, int):
-        image = UnivariatePolynomial.constant(image, var)
+        image = UnivariatePolynomial.constant(image)
     out = [{0: 1}]
     for _ in range(top):
-        out.append((UnivariatePolynomial(out[-1], var) * image).coeffs)
+        out.append((UnivariatePolynomial(out[-1]) * image).coeffs)
     return out
 
 

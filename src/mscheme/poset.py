@@ -117,33 +117,23 @@ class Poset:
         return out
 
     def minimal_elements(self) -> tuple:
-        return self._ids(self.minimal_of_mask((1 << len(self.elements)) - 1))
+        return self._ids(self.minimal_of_mask(_full(self)))
 
     def maximal_elements(self) -> tuple:
-        return self._ids(self.maximal_of_mask((1 << len(self.elements)) - 1))
+        return self._ids(self.maximal_of_mask(_full(self)))
 
     def join_mask(self, T) -> int:
         """Bitmask of minimal upper bounds of the element set T."""
-        common = (1 << len(self.elements)) - 1
+        common = _full(self)
         for t in T:
             common &= self.above[self.idx(t)]
         return self.minimal_of_mask(common)
 
     def meet_mask(self, T) -> int:
-        common = (1 << len(self.elements)) - 1
+        common = _full(self)
         for t in T:
             common &= self.below[self.idx(t)]
         return self.maximal_of_mask(common)
-
-    def subposet(self, keep: int) -> "Poset":
-        """Induced subposet on the bitmask ``keep``, kept in declaration
-        order with the parent's covers in the parent's order.  ``keep`` must
-        be convex (an order ideal, a filter or an interval): everything
-        between two kept elements is then kept, so the parent's covers
-        between kept elements are its covers.  The parent's linear
-        extension restricted to ``keep`` is one of the subposet.  See
-        ``_induced``, which builds it from the kept indices."""
-        return _induced(self, list(_bits(keep)))
 
     def __repr__(self):
         return f"Poset({len(self.elements)} elements, {len(self.pairs)} covers)"
@@ -197,6 +187,16 @@ def _union(masks, sel: int) -> int:
     for i in _bits(sel):
         out |= masks[i]
     return out
+
+
+def _full(p: Poset) -> int:
+    """Bitmask of every element of p."""
+    return (1 << len(p.elements)) - 1
+
+
+def _atoms(ranks) -> int:
+    """Bitmask of the elements of rank 1, by element index."""
+    return sum(1 << i for i, k in enumerate(ranks) if k == 1)
 
 
 def _assemble(elements, covers) -> Poset:
@@ -340,10 +340,11 @@ def _ranked(p: Poset, ranks: tuple, bottom) -> "RankedPoset":
 
 
 def _induced(p: Poset, kept: list) -> Poset:
-    """``p.subposet`` on the ascending index list ``kept`` of a convex set:
-    one sweep of p's pairs keeps those with both ends kept and fills the
-    pairs and both cover lists together, and one sweep of p's linear
-    extension keeps its order."""
+    """The sub-poset of p on the ascending index list ``kept`` of a convex
+    set (an ideal, a filter or an interval), whose covers are p's covers
+    between kept elements: one sweep of p's pairs keeps those with both
+    ends kept and fills the pairs and both cover lists together, and one
+    sweep of p's linear extension keeps its order."""
     new = {i: k for k, i in enumerate(kept)}
     get = new.get
     pairs = []
@@ -364,7 +365,7 @@ def _induced(p: Poset, kept: list) -> Poset:
 
 def _convex(rp: "RankedPoset", kept: list) -> "RankedPoset":
     """The sub-poset of rp on the ascending index list ``kept`` of a convex
-    set (see ``Poset.subposet``), ranked from its minimum: the first kept
+    set (see ``_induced``), ranked from its minimum: the first kept
     element of rp's linear extension, whose rank is subtracted from rp's.
     Every cover of the sub-poset is one of rp, so its ranks are inherited,
     not swept.  An empty list has no minimum and raises
@@ -523,7 +524,7 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
     p = rp.poset
     els = p.elements
     rank = rp.ranks
-    atoms = sum(1 << i for i, k in enumerate(rank) if k == 1)
+    atoms = _atoms(rank)
     support = tuple(down & atoms for down in p.below)
     seen = {}  # atom set -> OR of the up-sets of the elements with it
     clash = 0
@@ -583,7 +584,7 @@ def mobius(rp: RankedPoset) -> dict:
 def _top_value(p: Poset, values) -> int:
     """``values[i]`` on every maximal element i of p, or
     ``RankNotConstantOnMax`` with each maximal (id, value)."""
-    tops = list(_bits(p.maximal_of_mask((1 << len(p.elements)) - 1)))
+    tops = list(_bits(p.maximal_of_mask(_full(p))))
     if len({values[i] for i in tops}) != 1:
         raise RankNotConstantOnMax(tuple((p.elements[i], values[i]) for i in tops))
     return values[tops[0]]
@@ -629,19 +630,8 @@ class LatticeCheck:
                 f"witness={self.witness!r})")
 
 
-def is_geometric_lattice(rp) -> LatticeCheck:
-    """True iff the input is a lattice, ranked, semimodular and atomic.
-
-    Accepts a Poset or a RankedPoset; a plain poset is ranked internally so
-    the check can report "not ranked" instead of raising.
-    """
-    if isinstance(rp, Poset):
-        try:
-            rp = compute_rank(rp)
-        except NotBoundedBelow as exc:
-            return LatticeCheck(False, "bounded_below", exc.minima)
-        except NotRanked as exc:
-            return LatticeCheck(False, "ranked", (exc.element,))
+def is_geometric_lattice(rp: RankedPoset) -> LatticeCheck:
+    """True iff the ranked poset is a lattice, semimodular and atomic."""
     p = rp.poset
     els = p.elements
     r = rp.ranks
@@ -656,9 +646,9 @@ def is_geometric_lattice(rp) -> LatticeCheck:
     for i, j, u, m in pairs:
         if r[i] + r[j] < r[u] + r[m]:
             return LatticeCheck(False, "semimodular", (els[i], els[j]))
-    atoms = sum(1 << i for i, k in enumerate(r) if k == 1)
+    atoms = _atoms(r)
     for i, x in enumerate(els):
-        common = (1 << len(els)) - 1
+        common = _full(p)
         for a in _bits(p.below[i] & atoms):
             common &= p.above[a]
         if p.minimal_of_mask(common) != 1 << i:

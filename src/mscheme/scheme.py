@@ -42,9 +42,11 @@ from .poset import (
     RankedPoset,
     SimplicialPoset,
     _adjacency,
+    _atoms,
     _bits,
     _closed,
     _convex,
+    _full,
     _graded,
     _ranked,
     _top_value,
@@ -198,7 +200,7 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
             j = next(_bits(bad))
             meet = p.maximal_of_mask(below[i] & below[j]) & same
             raise AxiomViolation("M4", (x, els[j], els[next(_bits(meet))]))
-    atoms = sum(s for i, s in enumerate(sp.support) if s == 1 << i)  # an atom is its own support
+    atoms = _atoms(sp.ranked.ranks)
     for i, x in enumerate(els):  # M5
         reach = _union(above, atoms & ~below[i] & joinable[i])
         bad = lt[-1] & ~lt[r[i] + 1] & ~reach
@@ -220,15 +222,10 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     Each support is the minor's down-set on its rank-1 elements."""
     kept = list(_bits(keep))
     rp = _convex(m.s.ranked, kept)
-    atoms = sum(1 << i for i, k in enumerate(rp.ranks) if k == 1)
+    atoms = _atoms(rp.ranks)
     rhos = m.rhos
     return MatroidScheme(SimplicialPoset(rp, tuple(down & atoms for down in rp.poset.below)),
                          tuple(rhos[i] - shift for i in kept), _checked=True)
-
-
-def _full(p: Poset) -> int:
-    """Bitmask of every element of p."""
-    return (1 << len(p.elements)) - 1
 
 
 def scheme_rank(m: MatroidScheme) -> int:
@@ -332,7 +329,7 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
         bad = below[j] & ~ind_mask
         if bad:
             raise AxiomViolation("I2", (els[next(_bits(bad))], els[j]))
-    atoms = sum(s for i, s in enumerate(sp.support) if s == 1 << i)
+    atoms = _atoms(sp.ranked.ranks)
     size = [s.bit_count() for s in sp.support]
     lt = _less_than(size)
     joinable = _joinable(p)
@@ -439,7 +436,7 @@ def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
     (the same scheme as deleting the other atoms one by one).  The first
     given id that is not an atom, in the order given, is named."""
     p = m.poset
-    atoms = sum(1 << i for i, k in enumerate(m.s.ranked.ranks) if k == 1)
+    atoms = _atoms(m.s.ranked.ranks)
     kept = 0
     for a in atom_set:
         i = p.index.get(a)

@@ -16,11 +16,10 @@ from math import comb
 
 from .errors import HasLoops, InvariantBroken
 from .polynomials import BivariatePolynomial, UnivariatePolynomial, one_minus_t
-from .poset import _bits, characteristic_polynomial, mobius
+from .poset import _bits, _full, characteristic_polynomial, mobius
 from .scheme import (
     MatroidScheme,
     _closure_map,
-    _full,
     _less_than,
     bases,
     flats,

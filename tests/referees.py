@@ -13,7 +13,8 @@ from mscheme import (
     validate_scheme,
     verify_simplicial,
 )
-from mscheme.scheme import _full, _sub_scheme
+from mscheme.poset import _full
+from mscheme.scheme import _sub_scheme
 from mscheme.tutte import _pivot
 
 

@@ -504,6 +504,31 @@ def test_name_list_fields_refuse_other_shapes(capsys, tmp_path, monkeypatch):
     assert {p.name for p in tmp_path.iterdir()} == {f"doc{k}.json" for k in range(len(cases))}
 
 
+def test_row_array_fields_refuse_other_shapes(capsys, tmp_path, monkeypatch):
+    """A string or an object where a scheme, semimatroid, arrangement or
+    matrix document holds an array of rows, or a matrix holds a row, exits
+    2 and writes nothing; read as no rows it would exit 0 or 1."""
+    monkeypatch.chdir(tmp_path)
+    semi = json.loads(files.fixture_path("semi4.json").read_text())
+    toric = json.loads(files.fixture_path("toric1.json").read_text())
+    cases = []
+    for bad in ("", {}):
+        cases += [(["check", "scheme"], {"elements": bad, "covers": []}),
+                  (["check", "scheme"], {"elements": [{"id": "a", "rho": 0}], "covers": bad}),
+                  (["check", "semimatroid"], dict(semi, faces=bad)),
+                  (["construct", "toric"], dict(toric, characters=bad)),
+                  (["construct", "linear"], {"matrix": bad}),
+                  (["construct", "linear"], {"matrix": [bad]})]
+    for k, (argv, doc) in enumerate(cases):
+        path = tmp_path / f"doc{k}.json"
+        files.dump_doc(doc, path)
+        code = main(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and "input error:" in captured.err, (argv, doc)
+        assert "Traceback" not in captured.err and "verdict" not in captured.out, argv
+    assert {p.name for p in tmp_path.iterdir()} == {f"doc{k}.json" for k in range(len(cases))}
+
+
 def test_construct_option_faults_are_input_errors(capsys, tmp_path, monkeypatch,
                                                  tmp_path_factory):
     monkeypatch.chdir(tmp_path)

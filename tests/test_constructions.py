@@ -9,6 +9,7 @@ from mscheme import (
     AxiomViolation,
     FiniteGroup,
     GroupAction,
+    InvariantBroken,
     MalformedInput,
     Matroid,
     MschemeError,
@@ -35,6 +36,7 @@ from mscheme import (
 )
 from mscheme import files
 from mscheme.constructions import quotient_subset_identities, set_id
+from mscheme.tutte import _expand
 
 from generators import dowling_inputs
 
@@ -216,6 +218,126 @@ def test_non_translative_action_rejected(z2):
                        ("g", "a1"): "a2", ("g", "a2"): "a1"})
     with pytest.raises(NotTranslative):
         quotient_scheme(sm, act)
+
+
+def _m_g_by_subsets(sm, action):
+    """``quotient_scheme``'s m_G and group-action Tutte polynomial as they
+    were computed: the face orbits named after their least member, then
+    every subset A of the atom orbits, by size, each with a scan of all
+    faces for those with one vertex in each orbit of A."""
+    orbit_of, reps = {}, {}
+    for f in sorted(sm.faces, key=lambda f: (len(f), sorted(f))):
+        if f not in orbit_of:
+            members = {frozenset(action(g, v) for v in f) for g in action.group.elements}
+            least = min(members, key=sorted)
+            orbit_of.update(dict.fromkeys(members, f"G·{set_id(least)}"))
+            reps[f"G·{set_id(least)}"] = least
+    atom_orbits = [nm for nm, rep in reps.items() if len(rep) == 1]
+    m_g, counts = {}, {}
+    for size in range(len(atom_orbits) + 1):
+        for A in itertools.combinations(atom_orbits, size):
+            aset = frozenset(A)
+            matching = [f for f in sm.faces
+                        if len(f) == size and {orbit_of[frozenset({v})] for v in f} == aset]
+            if not matching:
+                continue
+            orbits_here = {orbit_of[f] for f in matching}
+            ranks = {sm.rank[f] for f in matching}
+            if len(ranks) != 1:
+                raise InvariantBroken(f"rho not constant on central sets over {sorted(aset)}")
+            m_g[aset] = len(orbits_here)
+            rho_a = ranks.pop()
+            key = (sm.max_rank() - rho_a, size - rho_a)
+            counts[key] = counts.get(key, 0) + len(orbits_here)
+    return orbit_of, m_g, _expand(counts)
+
+
+def _translative_complexes(rng, count):
+    """Seeded semimatroids with a translative action of Z_m (m = 2, 3):
+    g^i moves vertex j of a class of m vertices to j + i and fixes a class
+    of one.  A face takes at most one vertex per class, every pair of its
+    vertices from a G-invariant set of allowed pairs, and its rank counts
+    its vertices outside the rank-0 fixed classes.  Candidates that break
+    a semimatroid axiom are skipped."""
+    out = []
+    while len(out) < count:
+        m = rng.choice((2, 3))
+        k = rng.randint(1, 4)
+        sizes = [rng.choice((1, m, m)) for _ in range(k)]
+        zero = {c for c in range(k) if sizes[c] == 1 and rng.random() < 0.5}
+        verts = [(c, j) for c in range(k) for j in range(sizes[c])]
+
+        def move(i, v):
+            return v[0], (v[1] + i) % sizes[v[0]]
+
+        allowed, seen = set(), set()
+        for u, v in itertools.combinations(verts, 2):
+            if u[0] != v[0] and frozenset((u, v)) not in seen:
+                orbit = {frozenset((move(i, u), move(i, v))) for i in range(m)}
+                seen |= orbit
+                if {u[0], v[0]} & zero or rng.random() < 0.7:
+                    allowed |= orbit
+        name = {v: f"{'abcd'[v[0]]}{v[1]}" for v in verts}
+        rank = {}
+        for size in range(k + 1):
+            for F in itertools.combinations(verts, size):
+                if (len({c for c, _ in F}) == size
+                        and all(frozenset(pair) in allowed for pair in itertools.combinations(F, 2))):
+                    rank[frozenset(name[v] for v in F)] = sum(c not in zero for c, _ in F)
+        try:
+            sm = Semimatroid([name[v] for v in verts], list(rank), rank)
+        except AxiomViolation:
+            continue
+        G = cyclic_group(m)
+        out.append((sm, GroupAction(G, sm.vertices, {(g, name[v]): name[move(i, v)]
+                                                    for i, g in enumerate(G.elements)
+                                                    for v in verts})))
+    return out
+
+
+def test_m_g_matches_the_subset_sweep(z2, monkeypatch):
+    """One pass that groups the faces by their atom orbits gives the m_G
+    items in the order, the group-action Tutte polynomial and the first
+    ``InvariantBroken`` witness of the sweep over every subset of the atom
+    orbits: on the shipped semimatroids under their swap and the trivial
+    action, and on seeded translative complexes, as given and with the
+    ranks of one face orbit raised (with the scheme check switched off, so
+    that the sweep meets the fault)."""
+    import mscheme.constructions
+    cases = []
+    for semi, swap in (("semi4", "z2_swap"), ("semi4c", "z2_swap_c")):
+        sm = files.load_semimatroid(files.fixture_path(f"{semi}.json"))
+        cases += [(sm, files.load_action(files.fixture_path(f"{swap}.json"), z2)),
+                  (sm, trivial_action(z2, sm.vertices))]
+    rng = random.Random(20261019)
+    cases += _translative_complexes(rng, 40)
+    checked = broken = 0
+    for sm, act in cases:
+        res = quotient_scheme(sm, act)
+        orbit_of, m_g, tutte = _m_g_by_subsets(sm, act)
+        assert res.orbit_of == orbit_of
+        assert list(res.m_g.items()) == list(m_g.items()), sm
+        assert res.tutte_action == tutte == tutte_direct(res.scheme), sm
+        checked += 1
+        # raise the ranks of one orbit of faces: faces over the same atom
+        # orbits then disagree where another orbit of faces lies over them
+        target = rng.choice(sorted(set(orbit_of.values())))
+        rank = {f: k + (orbit_of[f] == target) for f, k in sm.rank.items()}
+        bad = Semimatroid.__new__(Semimatroid)
+        bad.vertices, bad.faces, bad.rank = sm.vertices, sm.faces, rank
+        with monkeypatch.context() as mp:
+            mp.setattr(mscheme.constructions, "validate_scheme", lambda sp, rho: None)
+            try:
+                want = _m_g_by_subsets(bad, act)[1:]
+            except InvariantBroken as exc:
+                with pytest.raises(InvariantBroken) as got:
+                    quotient_scheme(bad, act)
+                assert str(got.value) == str(exc)
+                broken += 1
+                continue
+            res = quotient_scheme(bad, act)
+        assert (list(res.m_g.items()), res.tutte_action) == (list(want[0].items()), want[1])
+    assert checked == 44 and broken >= 5, (checked, broken)
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ is an ``assert`` statement, which ``python -O`` strips, or a bare
 only where the input carries no certificate, and no function imports a
 package module that its own module imports at the top, and the CLI
 names no size cap but the atom cap and no function takes a
-``size_cap``.  A subprocess checks that the CLI imports no
-``dataclasses``."""
+``size_cap``, and every public method of a class is read as an attribute
+somewhere.  A subprocess checks that the CLI imports no ``dataclasses``."""
 
 import ast
 import subprocess
@@ -116,7 +116,6 @@ VALIDATING_CALLERS = {
                                                       "verify_simplicial", "validate_scheme"},
     ("constructions.py", "quotient_scheme"): {"build_poset", "compute_rank",
                                               "verify_simplicial", "validate_scheme"},
-    ("poset.py", "is_geometric_lattice"): {"compute_rank"},
 }
 
 
@@ -151,6 +150,25 @@ def test_size_caps_live_in_the_library():
     found = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
              for node in ast.walk(tree) if isinstance(node, ast.arg) and node.arg == "size_cap"]
     assert not found, found
+
+
+def test_public_methods_are_read():
+    """Every public method of a package class is read as an attribute
+    somewhere in the package, its tests or the benchmark harness; a local
+    variable of the same name does not count."""
+    root = Path(__file__).resolve().parent.parent
+    trees = list(MODULES.values()) + [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("tests", "perfbench") for path in sorted((root / folder).glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}: {cls.name}.{fn.name}"
+              for name, tree in MODULES.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+              and fn.name not in read]
+    assert not unread, unread
 
 
 def test_cli_import_loads_no_dataclasses():

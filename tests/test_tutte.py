@@ -24,7 +24,8 @@ from mscheme import (
     validate_scheme,
     verify_simplicial,
 )
-from mscheme.scheme import MatroidScheme, _full, _sub_scheme
+from mscheme.poset import _full
+from mscheme.scheme import MatroidScheme, _sub_scheme
 from mscheme.tutte import _expand, _leaf_counts
 from referees import delcon_nodes, left_class, recursive_leaf_counts, shuffled
 
