@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from . import files
+from . import constructions, files, toric, tutte
 from .errors import AxiomViolation, MalformedInput, MschemeError
 from .geometric import DEFAULT_ATOM_CAP, scheme_from_geometric, validate_geometric
 from .poset import find_isomorphism
@@ -31,7 +31,6 @@ from .scheme import (
     scheme_isomorphism,
     scheme_rank,
 )
-from .tutte import charpoly_identity, tutte_delcon, tutte_direct
 
 
 def _echo(args: argparse.Namespace) -> str:
@@ -76,8 +75,8 @@ def cmd_invariants(args) -> int:
     print(_echo(args))
     lps = sorted(loops(m), key=m.poset.idx)
     iths = sorted(isthmuses(m), key=m.poset.idx)
-    t_direct = tutte_direct(m)
-    t_delcon = tutte_delcon(m)
+    t_direct = tutte.tutte_direct(m)
+    t_delcon = tutte.tutte_delcon(m)
     if t_direct != t_delcon:  # pragma: no cover - equality is a theorem
         print("verdict: INTERNAL DISAGREEMENT between Tutte algorithms")
         return 1
@@ -94,7 +93,7 @@ def cmd_invariants(args) -> int:
     if lps:
         print("characteristic: undefined (scheme has loops)")
     else:
-        print(f"characteristic: {charpoly_identity(m)}")
+        print(f"characteristic: {tutte.charpoly_identity(m)}")
     return 0
 
 
@@ -130,15 +129,6 @@ def _required(value, flag):
 
 
 def cmd_construct(args) -> int:
-    from .constructions import (
-        dowling_poset,
-        linear_matroid,
-        quotient_scheme,
-        scheme_from_matroid,
-        uniform_matroid,
-    )
-    from .toric import layers_poset
-
     print(_echo(args))
     arity = {"uniform": 2, "linear": 1, "toric": 1}.get(args.kind, len(args.args))
     if len(args.args) != arity or (args.kind == "uniform" and not all(
@@ -147,17 +137,18 @@ def cmd_construct(args) -> int:
     poset_doc = None
     if args.kind == "uniform":
         r, n = int(args.args[0]), int(args.args[1])
-        out = scheme_from_matroid(uniform_matroid(r, n))
+        out = constructions.scheme_from_matroid(constructions.uniform_matroid(r, n))
         default = f"constructed_uniform_{r}_{n}.json"
     elif args.kind == "linear":
         matrix, names = files.load_matrix(files.resolve_input(args.args[0]))
-        out = scheme_from_matroid(linear_matroid(matrix, names))
+        out = constructions.scheme_from_matroid(constructions.linear_matroid(matrix, names))
         default = f"constructed_{_stem(args.args[0])}.json"
     elif args.kind == "dowling":
         n = _required(args.n, "-n")
         if not n.isdecimal():
             raise MalformedInput(f"construct dowling: -n must be a ground size, not {n!r}")
-        gp, out = dowling_poset(int(n), _load_action(args), atom_cap=args.cap_atoms)
+        gp, out = constructions.dowling_poset(int(n), _load_action(args),
+                                              atom_cap=args.cap_atoms)
         print(f"geometric certificate: {len(gp.elements)} elements, "
               f"{len(gp.atoms())} atoms, rank {gp.ranked.max_rank()}")
         poset_doc = files.ranked_poset_to_doc(gp.ranked)
@@ -165,13 +156,13 @@ def cmd_construct(args) -> int:
     elif args.kind == "quotient":
         sm = files.load_semimatroid(
             files.resolve_input(_required(args.semimatroid, "--semimatroid")))
-        result = quotient_scheme(sm, _load_action(args))
+        result = constructions.quotient_scheme(sm, _load_action(args))
         out = result.scheme
         print(f"quotient tutte: {result.tutte_action}")
         default = f"constructed_quotient_{_stem(args.semimatroid)}.json"
     else:  # toric
         arr = files.load_arrangement(files.resolve_input(args.args[0]))
-        result = layers_poset(arr, atom_cap=args.cap_atoms)
+        result = toric.layers_poset(arr, atom_cap=args.cap_atoms)
         out = result.scheme
         print(f"geometric certificate: {len(result.geometric.elements)} layers, "
               f"{len(result.geometric.atoms())} atoms, "
@@ -211,8 +202,7 @@ def cmd_export(args) -> int:
         rp = files.load_ranked_poset(path)
         text = files.to_dot(rp, rp.ranks)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        files.write_text(text, args.out)
         print(f"wrote: {args.out}")
     else:
         sys.stdout.write(text)

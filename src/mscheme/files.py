@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from pathlib import Path
 
+from . import constructions, toric
 from .errors import MalformedInput, MschemeError
-from .constructions import FiniteGroup, GroupAction, Semimatroid
 from .poset import Poset, RankedPoset, build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, validate_scheme
-from .toric import Character, ToricArrangement
 
 FIXTURE_ENV = "MSCHEME_FIXTURES"
 _PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
@@ -70,7 +68,7 @@ def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise MalformedInput(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: top level must be an object")
@@ -182,14 +180,22 @@ def _poset_doc(p: Poset, labels: tuple) -> dict:
 
 
 def dump_doc(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_text(json.dumps(doc, indent=1) + "\n", path)
+
+
+def write_text(text: str, path) -> None:
+    """Every file the package writes goes through here: a path that cannot
+    be written is MalformedInput."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc}") from None
 
 
 # --- semimatroids, groups, actions ---------------------------------------------------
 
-def load_semimatroid(path) -> Semimatroid:
+def load_semimatroid(path) -> constructions.Semimatroid:
     doc = _load_json(path)
     vertices = _names(_require(doc, "vertices", path), path, "vertices")
     faces = []
@@ -201,14 +207,14 @@ def load_semimatroid(path) -> Semimatroid:
             rank[members] = _int(row["rho"], path, "rho")
     except (TypeError, KeyError, ValueError) as exc:
         raise MalformedInput(f"{path}: bad face row ({exc})") from None
-    return Semimatroid(vertices, faces, rank)
+    return constructions.Semimatroid(vertices, faces, rank)
 
 
-def load_group(path) -> FiniteGroup:
+def load_group(path) -> constructions.FiniteGroup:
     return _parse_group(_load_json(path), path)
 
 
-def _parse_group(doc, path) -> FiniteGroup:
+def _parse_group(doc, path) -> constructions.FiniteGroup:
     """A group document, from its own file or inline in an action file."""
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: group must be an object")
@@ -217,10 +223,11 @@ def _parse_group(doc, path) -> FiniteGroup:
                    len(elements), len(elements))
     mul = {(g, h): table[i][j]
            for i, g in enumerate(elements) for j, h in enumerate(elements)}
-    return FiniteGroup(elements, mul)
+    return constructions.FiniteGroup(elements, mul)
 
 
-def load_action(path, group: FiniteGroup | None = None) -> GroupAction:
+def load_action(path,
+                group: constructions.FiniteGroup | None = None) -> constructions.GroupAction:
     doc = _load_json(path)
     if group is None:
         if "group" not in doc:
@@ -235,20 +242,22 @@ def load_action(path, group: FiniteGroup | None = None) -> GroupAction:
         import sys
         print("note: 'cofinite' flag ignored (automatic for finite data)",
               file=sys.stderr)
-    return GroupAction(group, points, act)
+    return constructions.GroupAction(group, points, act)
 
 
 # --- arrangements and matrices ---------------------------------------------------------
 
-def load_arrangement(path) -> ToricArrangement:
+def load_arrangement(path) -> toric.ToricArrangement:
     """Any fault in n or a character, down to a duplicate, is MalformedInput."""
+    from fractions import Fraction
+
     doc = _load_json(path)
     n = _require(doc, "n", path)
     rows = _rows(_require(doc, "characters", path), path, "characters")
     try:
-        return ToricArrangement(_int(n, path, "n"), [
-            Character(tuple(_int(a, path, "alpha entry") for a in row["alpha"]),
-                      Fraction(str(row["phase"])))
+        return toric.ToricArrangement(_int(n, path, "n"), [
+            toric.Character(tuple(_int(a, path, "alpha entry") for a in row["alpha"]),
+                            Fraction(str(row["phase"])))
             for row in rows])
     except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"{path}: bad n or character row ({exc})") from None

@@ -15,6 +15,7 @@ import itertools
 from collections import Counter
 from collections.abc import Mapping
 
+from . import polynomials
 from .errors import (
     CycleDetected,
     DuplicateIdentifier,
@@ -27,7 +28,6 @@ from .errors import (
     RankNotConstantOnMax,
     UnknownIdentifier,
 )
-from .polynomials import UnivariatePolynomial
 
 
 class Poset:
@@ -590,7 +590,7 @@ def _top_value(p: Poset, values) -> int:
     return values[tops[0]]
 
 
-def characteristic_polynomial(rp: RankedPoset) -> UnivariatePolynomial:
+def characteristic_polynomial(rp: RankedPoset) -> polynomials.UnivariatePolynomial:
     """Sum of mu(w) * t^(max_rank - rank(w)); requires rank constant on
     maximal elements."""
     top_rank = _top_value(rp.poset, rp.ranks)
@@ -598,7 +598,7 @@ def characteristic_polynomial(rp: RankedPoset) -> UnivariatePolynomial:
     coeffs: dict[int, int] = {}
     for w, k in zip(rp.elements, rp.ranks):
         coeffs[top_rank - k] = coeffs.get(top_rank - k, 0) + mu[w]
-    return UnivariatePolynomial(coeffs)
+    return polynomials.UnivariatePolynomial(coeffs)
 
 
 # --- geometric lattice recognition ---------------------------------------------

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mscheme
 from mscheme import files, scheme_isomorphism
 from mscheme.cli import main
@@ -335,6 +337,29 @@ def test_export_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
         r'  "0" -> "a\"b\\";',
         "}",
     ]
+
+
+@pytest.mark.parametrize("argv", [["transform", "delete", "isth.json", "--atom", "a"],
+                                  ["construct", "toric", "toric1.json"],
+                                  ["export", "dot", "isth.json"]])
+@pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+def test_unwritable_out_is_an_input_error(capsys, tmp_path, monkeypatch, argv, where):
+    """An --out that cannot be written (its directory is missing, or it is
+    a directory) exits 2 naming the path, with no traceback."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "missing" / "out" if where == "missing directory" else tmp_path
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"input error: cannot write {out}: " in err, err
+    assert "Traceback" not in err and not (tmp_path / "missing").exists()
+
+
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code = main(["check", "scheme", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"input error: cannot read {bad}: " in err, err
 
 
 def test_iso_distinguishes_the_partition_fixtures(capsys):

@@ -8,13 +8,18 @@ only where the input carries no certificate, and no function imports a
 package module that its own module imports at the top, and the CLI
 names no size cap but the atom cap and no function takes a
 ``size_cap``, and every public method of a class is read as an attribute
-somewhere.  A subprocess checks that the CLI imports no ``dataclasses``."""
+somewhere.  Subprocesses check that the CLI imports no ``dataclasses``
+and that a command runs the body of no package module it does not use;
+the package's exported names are pinned."""
 
 import ast
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import mscheme
 
@@ -177,3 +182,70 @@ def test_cli_import_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, cwd=SRC.parent).stdout
     assert out.strip() == "[]", out
+
+
+# probe: run the CLI, then list the package modules whose body ran and
+# those still registered but lazy
+LOADS_PROBE = """
+import sys, types
+import mscheme.cli
+mscheme.cli.main(sys.argv[1:])
+modules = {n: m for n, m in sys.modules.items() if n.startswith("mscheme.")}
+print(sorted(n for n, m in modules.items() if type(m) is types.ModuleType))
+print(sorted(n for n, m in modules.items() if type(m) is not types.ModuleType))
+"""
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["check", "scheme", "isth.json"], {"toric", "constructions", "tutte"}),
+    (["invariants", "isth.json"], {"toric", "constructions"}),
+])
+def test_a_command_runs_only_the_modules_it_uses(argv, unused):
+    out = subprocess.run([sys.executable, "-c", LOADS_PROBE, *argv], capture_output=True,
+                         text=True, check=True, cwd=SRC.parent).stdout.splitlines()
+    ran, lazy = (set(ast.literal_eval(line)) for line in out[-2:])
+    unused = {f"mscheme.{name}" for name in unused}
+    assert "mscheme.scheme" in ran and not ran & unused, ran
+    assert unused <= lazy, lazy
+
+
+SURFACE = """
+    AtomCapExceeded AxiomViolation BivariatePolynomial Character CycleDetected
+    DerivedAxiomReport DimensionMismatch DuplicateIdentifier FiniteGroup
+    GeometricPoset GroupAction HasLoops InvariantBroken LatticeCheck Layer
+    LayersResult MalformedInput Matroid MatroidScheme MschemeError NonHasseCover
+    NotALayer NotALoop NotAnAtom NotBelow NotBoundedBelow NotComplexInvariant
+    NotInArrangement NotRankInvariant NotRanked NotSimple NotSimplicial
+    NotTranslative Poset QuotientResult RankNotConstantOnMax RankedPoset Semimatroid
+    SimplicialPoset SizeCapExceeded ToricArrangement UnivariatePolynomial
+    UnknownIdentifier ambient_layer arr_delete arr_localize arr_restrict bases
+    build_poset characteristic_polynomial charpoly_identity check_derived_axioms
+    check_loop_del_contr check_uniqueness circuits closure complement compute_rank
+    constructions contract cyclic_group delete dowling_geometric dowling_poset
+    errors files find_isomorphism flats geometric hnf independence intersect_layer
+    is_geometric_lattice is_simple isthmuses iter_isomorphisms layers_poset
+    linear_matroid localization loops lower_bound_maxima mobius polynomials poset
+    quotient_scheme restrict scheme scheme_from_geometric scheme_from_independence
+    scheme_from_matroid scheme_from_semimatroid scheme_isomorphism scheme_rank
+    simplification snf toric trivial_action tutte tutte_delcon tutte_direct
+    tutte_point_checks uniform_matroid upper_bound_minima validate_geometric
+    validate_independence validate_scheme verify_simplicial verify_thm_arr
+""".split()
+
+
+def test_package_surface_is_unchanged():
+    """The exported names, each resolved from its module, ``import *``,
+    a submodule imported by its dotted name, and an unknown name."""
+    assert sorted(mscheme.__all__) == SURFACE and set(SURFACE) <= set(dir(mscheme))
+    for name in SURFACE:
+        value = getattr(mscheme, name)
+        assert isinstance(value, types.ModuleType) or value.__module__.startswith("mscheme."), name
+    namespace = {}
+    exec("from mscheme import *", namespace)
+    assert set(SURFACE) <= set(namespace)
+    probe = "import mscheme.toric; print(mscheme.toric.layers_poset.__name__)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=SRC.parent).stdout
+    assert out.strip() == "layers_poset", out
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(mscheme, "no_such_name")
