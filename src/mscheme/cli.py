@@ -13,9 +13,8 @@ import os
 import sys
 import time
 
-from . import constructions, files, toric, tutte
-from .errors import AxiomViolation, MalformedInput, MschemeError
-from .geometric import DEFAULT_ATOM_CAP, scheme_from_geometric, validate_geometric
+from . import constructions, files, geometric, toric, tutte
+from .errors import DEFAULT_ATOM_CAP, AxiomViolation, MalformedInput, MschemeError
 from .poset import find_isomorphism
 from .scheme import (
     bases,
@@ -49,7 +48,7 @@ def cmd_check(args) -> int:
                   f"rank {scheme_rank(m)})")
         elif args.kind == "geometric":
             rp = files.load_ranked_poset(path)
-            gp = validate_geometric(rp, atom_cap=args.cap_atoms)
+            gp = geometric.validate_geometric(rp, atom_cap=args.cap_atoms)
             print(f"verdict: geometric poset ({len(gp.elements)} elements)")
         else:
             sm = files.load_semimatroid(path)
@@ -109,7 +108,8 @@ def cmd_transform(args) -> int:
             atoms = _required(args.atoms, "--atoms").split(",")
             out = restrict(m, atoms)
         else:
-            out = scheme_from_geometric(validate_geometric(flats(m), args.cap_atoms))
+            out = geometric.scheme_from_geometric(
+                geometric.validate_geometric(flats(m), args.cap_atoms))
     except MalformedInput:
         raise
     except MschemeError as exc:
@@ -130,7 +130,7 @@ def _required(value, flag):
 
 def cmd_construct(args) -> int:
     print(_echo(args))
-    arity = {"uniform": 2, "linear": 1, "toric": 1}.get(args.kind, len(args.args))
+    arity = {"uniform": 2, "linear": 1, "toric": 1}.get(args.kind, 0)
     if len(args.args) != arity or (args.kind == "uniform" and not all(
             a.removeprefix("-").isdecimal() for a in args.args)):
         raise MalformedInput(f"construct {args.kind}: bad arguments {args.args}")
@@ -174,7 +174,7 @@ def cmd_construct(args) -> int:
     print(f"result: {len(out.elements)} elements, rank {scheme_rank(out)}")
     print(f"wrote: {dest}")
     if poset_doc is not None:
-        poset_dest = str(dest).replace(".json", "") + ".poset.json"
+        poset_dest = dest.removesuffix(".json") + ".poset.json"
         files.dump_doc(poset_doc, poset_dest)
         print(f"wrote: {poset_dest}")
     return 0

@@ -12,6 +12,7 @@ import itertools
 
 from . import geometric
 from .errors import (
+    DEFAULT_ATOM_CAP,
     AxiomViolation,
     InvariantBroken,
     MalformedInput,
@@ -21,12 +22,7 @@ from .errors import (
     NotTranslative,
     SizeCapExceeded,
 )
-from .geometric import (
-    DEFAULT_ATOM_CAP,
-    GeometricPoset,
-    scheme_from_geometric,
-    validate_geometric,
-)
+from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
 from .poset import _bits, _certified, build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
 from .tutte import _expand

@@ -102,6 +102,10 @@ class HasLoops(MschemeError):
 
 # --- guards ---------------------------------------------------------------
 
+# the atom cap of an exhaustive sweep when the caller (``--cap-atoms``) sets none
+DEFAULT_ATOM_CAP = 20
+
+
 class AtomCapExceeded(MschemeError):
     def __init__(self, count, cap):
         self.count = count

@@ -19,6 +19,8 @@ there is MalformedInput, never truncated.  A field shown as [str] must
 hold a JSON array of strings, a table of names an array of such rows of
 the stated shape, and any other array of rows a JSON array; a string or
 an object there is MalformedInput, never read as its characters or keys.
+A [str] field declares names and lists each once, and no face is listed
+twice; a repeat is MalformedInput too.
 """
 
 from __future__ import annotations
@@ -34,17 +36,6 @@ from .scheme import MatroidScheme, validate_scheme
 
 FIXTURE_ENV = "MSCHEME_FIXTURES"
 _PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def fixture_path(name: str) -> Path:
-    """Packaged fixture by file name, honoring the MSCHEME_FIXTURES
-    override."""
-    override = os.environ.get(FIXTURE_ENV)
-    if override:
-        candidate = Path(override) / name
-        if candidate.exists():
-            return candidate
-    return _PACKAGED_FIXTURES / name
 
 
 def resolve_input(path: str) -> Path:
@@ -92,6 +83,17 @@ def _names(value, path, what: str) -> list:
     is MalformedInput, never iterated."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise MalformedInput(f"{path}: {what} {value!r} is not a list of names")
+    return value
+
+
+def _declared(value, path, what: str) -> list:
+    """A field that declares names (``_names``), each at most once: a
+    name listed twice is MalformedInput."""
+    seen = set()
+    for name in _names(value, path, what):
+        if name in seen:
+            raise MalformedInput(f"{path}: {what} lists {name!r} twice")
+        seen.add(name)
     return value
 
 
@@ -197,17 +199,17 @@ def write_text(text: str, path) -> None:
 
 def load_semimatroid(path) -> constructions.Semimatroid:
     doc = _load_json(path)
-    vertices = _names(_require(doc, "vertices", path), path, "vertices")
-    faces = []
+    vertices = _declared(_require(doc, "vertices", path), path, "vertices")
     rank = {}
     try:
         for row in _rows(_require(doc, "faces", path), path, "faces"):
-            members = frozenset(_names(row["members"], path, "members"))
-            faces.append(members)
+            members = frozenset(_declared(row["members"], path, "members"))
+            if members in rank:
+                raise MalformedInput(f"{path}: face {sorted(members)} is listed twice")
             rank[members] = _int(row["rho"], path, "rho")
     except (TypeError, KeyError, ValueError) as exc:
         raise MalformedInput(f"{path}: bad face row ({exc})") from None
-    return constructions.Semimatroid(vertices, faces, rank)
+    return constructions.Semimatroid(vertices, rank.keys(), rank)
 
 
 def load_group(path) -> constructions.FiniteGroup:
@@ -218,7 +220,7 @@ def _parse_group(doc, path) -> constructions.FiniteGroup:
     """A group document, from its own file or inline in an action file."""
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: group must be an object")
-    elements = _names(_require(doc, "elements", path), path, "group elements")
+    elements = _declared(_require(doc, "elements", path), path, "group elements")
     table = _table(_require(doc, "table", path), path, "multiplication table",
                    len(elements), len(elements))
     mul = {(g, h): table[i][j]
@@ -233,7 +235,7 @@ def load_action(path,
         if "group" not in doc:
             raise MalformedInput(f"{path}: no group given inline or alongside")
         group = _parse_group(doc["group"], f"{path} (inline group)")
-    points = _names(_require(doc, "points", path), path, "points")
+    points = _declared(_require(doc, "points", path), path, "points")
     rows = _table(_require(doc, "rows", path), path, "action table",
                   len(group.elements), len(points))
     act = {(g, p): rows[i][j]
@@ -248,7 +250,7 @@ def load_action(path,
 # --- arrangements and matrices ---------------------------------------------------------
 
 def load_arrangement(path) -> toric.ToricArrangement:
-    """Any fault in n or a character, down to a duplicate, is MalformedInput."""
+    """Any fault in n or a character, down to a duplicate or a bad entry, is MalformedInput."""
     from fractions import Fraction
 
     doc = _load_json(path)
@@ -256,8 +258,7 @@ def load_arrangement(path) -> toric.ToricArrangement:
     rows = _rows(_require(doc, "characters", path), path, "characters")
     try:
         return toric.ToricArrangement(_int(n, path, "n"), [
-            toric.Character(tuple(_int(a, path, "alpha entry") for a in row["alpha"]),
-                            Fraction(str(row["phase"])))
+            toric.Character(row["alpha"], Fraction(str(row["phase"])))
             for row in rows])
     except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"{path}: bad n or character row ({exc})") from None
@@ -281,7 +282,7 @@ def load_matrix(path) -> tuple[list[list[int]], list | None]:
     if len(cols) > 1:
         raise MalformedInput(f"{path}: matrix rows differ in length {sorted(cols)}")
     names = doc.get("names")
-    if names is not None and len(_names(names, path, "names")) != max(cols, default=0):
+    if names is not None and len(_declared(names, path, "names")) != max(cols, default=0):
         raise MalformedInput(f"{path}: {len(names)} names for {max(cols, default=0)} columns")
     return matrix, names
 

@@ -23,7 +23,14 @@ import functools
 import itertools
 import operator
 
-from .errors import AtomCapExceeded, AxiomViolation, InvariantBroken, NotSimple, SizeCapExceeded
+from .errors import (
+    DEFAULT_ATOM_CAP,
+    AtomCapExceeded,
+    AxiomViolation,
+    InvariantBroken,
+    NotSimple,
+    SizeCapExceeded,
+)
 from .poset import (
     Poset,
     RankedPoset,
@@ -44,7 +51,6 @@ from .scheme import (
     is_simple,
 )
 
-DEFAULT_ATOM_CAP = 20
 # elements of a scheme built from a geometric poset: its poset keeps an
 # up-set and a down-set bitmask per element, about n^2 / 8 bytes in all
 ELEMENT_CAP = 1 << 16

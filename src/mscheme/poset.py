@@ -43,8 +43,7 @@ class Poset:
     __slots__ = ("elements", "pairs", "order", "index", "above", "below",
                  "covers_up", "covers_dn", "_covers")
 
-    def __init__(self, elements, pairs, order, above, below, covers_up, covers_dn,
-                 covers=None):
+    def __init__(self, elements, pairs, order, above, below, covers_up, covers_dn):
         self.elements = tuple(elements)
         self.pairs = tuple(pairs)
         self.order = tuple(order)
@@ -53,13 +52,13 @@ class Poset:
         self.below = tuple(below)
         self.covers_up = tuple(covers_up)
         self.covers_dn = tuple(covers_dn)
-        self._covers = covers
+        self._covers = None
 
     @property
     def covers(self) -> tuple:
-        """The cover pairs as identifiers: kept from the constructor's
-        input, or formed from ``pairs`` on first read (a sub-poset inside
-        a recursion is never written out, so it never pays for them)."""
+        """The cover pairs as identifiers, formed from ``pairs`` on first
+        read (a sub-poset inside a recursion is never written out, so it
+        never pays for them)."""
         if self._covers is None:
             els = self.elements
             self._covers = tuple((els[i], els[j]) for i, j in self.pairs)
@@ -199,17 +198,6 @@ def _atoms(ranks) -> int:
     return sum(1 << i for i, k in enumerate(ranks) if k == 1)
 
 
-def _assemble(elements, covers) -> Poset:
-    """Build a Poset from Hasse data over known ids; a cycle raises CycleDetected."""
-    index = {e: i for i, e in enumerate(elements)}
-    pairs = [(index[a], index[b]) for a, b in covers]
-    covers_up, covers_dn = _adjacency(len(elements), pairs)
-    order = _topo_order(len(elements), covers_up)
-    if order is None:
-        raise CycleDetected(_find_cycle(elements, covers_up))
-    return _closed(elements, pairs, order, covers_up, covers_dn, tuple(covers))
-
-
 def _adjacency(n, pairs):
     """Upper and lower cover lists per index, in the order of ``pairs``."""
     covers_up = [[] for _ in range(n)]
@@ -220,11 +208,10 @@ def _adjacency(n, pairs):
     return covers_up, covers_dn
 
 
-def _closed(elements, pairs, order, covers_up, covers_dn, covers=None) -> Poset:
+def _closed(elements, pairs, order, covers_up, covers_dn) -> Poset:
     """The Poset of index cover pairs with the linear extension ``order``
-    and the cover lists of ``_adjacency`` (and the id cover pairs, when
-    known): reachability is swept down the order for the up-sets and up it
-    for the down-sets."""
+    and the cover lists of ``_adjacency``: reachability is swept down the
+    order for the up-sets and up it for the down-sets."""
     n = len(elements)
     above = [1 << i for i in range(n)]
     for i in reversed(order):
@@ -235,7 +222,7 @@ def _closed(elements, pairs, order, covers_up, covers_dn, covers=None) -> Poset:
         for j in covers_dn[i]:
             below[i] |= below[j]
     return Poset(elements, pairs, order, above, below,
-                 [tuple(c) for c in covers_up], [tuple(c) for c in covers_dn], covers)
+                 [tuple(c) for c in covers_up], [tuple(c) for c in covers_dn])
 
 
 def _topo_order(n, covers_up):
@@ -300,9 +287,13 @@ def build_poset(elements, covers) -> Poset:
             raise NonHasseCover((a, b), "duplicate cover pair")
         cover_set.add((a, b))
 
-    p = _assemble(elements, covers)
-    for a, b in covers:
-        i, j = index[a], index[b]
+    pairs = [(index[a], index[b]) for a, b in covers]
+    covers_up, covers_dn = _adjacency(len(elements), pairs)
+    order = _topo_order(len(elements), covers_up)
+    if order is None:
+        raise CycleDetected(_find_cycle(elements, covers_up))
+    p = _closed(elements, pairs, order, covers_up, covers_dn)
+    for (a, b), (i, j) in zip(covers, pairs):
         if p.above[i] & p.below[j] & ~(1 << i | 1 << j):
             raise NonHasseCover((a, b))
     return p
@@ -396,17 +387,13 @@ def lower_bound_maxima(p: Poset, T) -> frozenset:
 class RankedPoset:
     """A bounded-below poset with a rank function: rank(bottom) = 0 and every
     cover raises rank by exactly one.  ``ranks[i]`` is the rank of element
-    i; ``rank`` reads it by id.
-
-    Without ``rank`` (an id-keyed mapping) the rank function is derived,
-    with it the given labels are verified; see ``_graded``."""
+    i; ``rank`` reads it by id.  The ranks are derived by ``_graded``."""
 
     __slots__ = ("poset", "ranks", "bottom")
 
-    def __init__(self, poset: Poset, rank: Mapping | None = None):
-        labels = None if rank is None else [rank.get(e) for e in poset.elements]
+    def __init__(self, poset: Poset):
         self.poset = poset
-        self.ranks, self.bottom = _graded(poset, labels)
+        self.ranks, self.bottom = _graded(poset, None)
 
     @property
     def rank(self) -> LabelView:

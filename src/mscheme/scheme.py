@@ -247,19 +247,25 @@ def closure(m: MatroidScheme, x):
 
 
 def _closure_map(m: MatroidScheme) -> list:
-    """Per element index, the index of its closure; computed once per
-    scheme."""
+    """Per element index, the index of its closure; computed once per scheme.
+    A candidate from an upper cover of the same rho (M2 puts one below each
+    element above with that rho) passes when one mask test finds it their
+    maximum; else their maximal elements are listed, naming the first failure."""
     if m._closure is None:
         p = m.poset
         els = m.elements
         r = m.rhos
         lt = _less_than(r)
-        cl = []
+        cl = list(range(len(els)))
+        for i in reversed(p.order):
+            cl[i] = next((cl[j] for j in p.covers_up[i] if r[j] == r[i]), i)
         for i, up in enumerate(p.above):
-            top = p.maximal_of_mask(up & lt[r[i] + 1] & ~lt[r[i]])
-            if top & (top - 1):
-                raise InvariantBroken(f"closure of {els[i]!r} not unique: {p._ids(top)}")
-            cl.append(top.bit_length() - 1)
+            same = up & lt[r[i] + 1] & ~lt[r[i]]
+            if same & ~p.below[cl[i]]:
+                top = p.maximal_of_mask(same)
+                if top & (top - 1):
+                    raise InvariantBroken(f"closure of {els[i]!r} not unique: {p._ids(top)}")
+                cl[i] = top.bit_length() - 1
         m._closure = cl
     return m._closure
 
@@ -415,13 +421,19 @@ def is_simple(m: MatroidScheme) -> bool:
 
 # --- deletion, contraction, restriction ---------------------------------------------
 
+def _atom_index(m: MatroidScheme, a) -> int:
+    """The index of the atom a; any other id raises ``NotAnAtom``."""
+    i = m.poset.index.get(a)
+    if i is None or m.s.ranked.ranks[i] != 1:
+        raise NotAnAtom(f"{a!r} is not an atom")
+    return i
+
+
 def delete(m: MatroidScheme, a) -> MatroidScheme:
     """Scheme on the elements not above the atom a (its rank is one less
     exactly when a is an isthmus)."""
-    if a not in set(m.atoms()):
-        raise NotAnAtom(f"{a!r} is not an atom")
     p = m.poset
-    return _sub_scheme(m, _full(p) & ~p.above[p.idx(a)])
+    return _sub_scheme(m, _full(p) & ~p.above[_atom_index(m, a)])
 
 
 def contract(m: MatroidScheme, x) -> MatroidScheme:
@@ -435,15 +447,11 @@ def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
     """Scheme on the order ideal of elements supported on the given atoms
     (the same scheme as deleting the other atoms one by one).  The first
     given id that is not an atom, in the order given, is named."""
-    p = m.poset
-    atoms = _atoms(m.s.ranked.ranks)
     kept = 0
     for a in atom_set:
-        i = p.index.get(a)
-        if i is None or not atoms >> i & 1:
-            raise NotAnAtom(f"{a!r} is not an atom")
-        kept |= 1 << i
-    return _sub_scheme(m, _full(p) & ~_union(p.above, atoms & ~kept))
+        kept |= 1 << _atom_index(m, a)
+    p = m.poset
+    return _sub_scheme(m, _full(p) & ~_union(p.above, _atoms(m.s.ranked.ranks) & ~kept))
 
 
 def check_loop_del_contr(m: MatroidScheme, a) -> dict:

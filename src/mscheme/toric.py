@@ -34,6 +34,7 @@ from math import gcd, lcm
 from . import geometric
 from .constructions import Matroid, linear_matroid, scheme_from_matroid
 from .errors import (
+    DEFAULT_ATOM_CAP,
     AtomCapExceeded,
     DimensionMismatch,
     InvariantBroken,
@@ -42,9 +43,9 @@ from .errors import (
     NotInArrangement,
     SizeCapExceeded,
 )
-from .geometric import DEFAULT_ATOM_CAP, scheme_from_geometric, validate_geometric
+from .geometric import scheme_from_geometric, validate_geometric
 from .poset import _bits, _certified, _convex, find_isomorphism
-from .scheme import contract, delete, localization, scheme_isomorphism
+from .scheme import _closure_map, contract, delete, localization, scheme_isomorphism
 
 
 # --- integer matrix normal forms --------------------------------------------------
@@ -502,13 +503,8 @@ def layers_poset(arr: ToricArrangement, atom_cap: int = DEFAULT_ATOM_CAP) -> Lay
     gp = validate_geometric(rp, atom_cap)
     scheme = scheme_from_geometric(gp)
 
-    # the scheme's pairs (I, x) come in blocks of x in layer order, and in
-    # each block only the flat (atoms below x, x) has no upper cover of
-    # the same rho: every other misses an atom a below x, and (I + a, x)
-    # covers it
-    sp = scheme.poset
-    r = scheme.rhos
-    flat = [e for e, k, up in zip(sp.elements, r, sp.covers_up) if all(r[j] != k for j in up)]
+    # the scheme's pairs (I, x) come in blocks of x in layer order, one flat (atoms below x, x) each
+    flat = [e for i, (e, c) in enumerate(zip(scheme.elements, _closure_map(scheme))) if c == i]
     return LayersResult(gp, scheme, dict(zip(ids, ordered)), atom_of,
                         dict(zip(ids, flat)))
 

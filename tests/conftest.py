@@ -13,7 +13,7 @@ def fixture_scheme():
 
     def load(name):
         if name not in cache:
-            cache[name] = files.load_scheme(files.fixture_path(f"{name}.json"))
+            cache[name] = files.load_scheme(files.resolve_input(f"{name}.json"))
         return cache[name]
 
     return load
@@ -61,12 +61,12 @@ def qfix2(fixture_scheme):
 
 @pytest.fixture(scope="session")
 def notgeom_poset():
-    return files.load_ranked_poset(files.fixture_path("notgeom.json"))
+    return files.load_ranked_poset(files.resolve_input("notgeom.json"))
 
 
 @pytest.fixture(scope="session")
 def toric1():
-    return files.load_arrangement(files.fixture_path("toric1.json"))
+    return files.load_arrangement(files.resolve_input("toric1.json"))
 
 
 @pytest.fixture(scope="session")

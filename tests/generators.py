@@ -120,7 +120,7 @@ def build_corpus(seed: int = 0) -> Corpus:
 
     for name in ("isth", "cw_l", "cw_r", "nonpos", "qfix", "qfix2",
                  "dow_triv", "dow_nontriv"):
-        corpus.add(name, files.load_scheme(files.fixture_path(f"{name}.json")),
+        corpus.add(name, files.load_scheme(files.resolve_input(f"{name}.json")),
                    "fixture")
 
     for n in range(1, 5):
@@ -143,20 +143,20 @@ def build_corpus(seed: int = 0) -> Corpus:
         _, scheme = dowling_poset(n, act)
         corpus.add(f"dowling_{label}", scheme, "dowling")
 
-    sm4 = files.load_semimatroid(files.fixture_path("semi4.json"))
-    grp = files.load_group(files.fixture_path("z2.json"))
-    act4 = files.load_action(files.fixture_path("z2_swap.json"), grp)
+    sm4 = files.load_semimatroid(files.resolve_input("semi4.json"))
+    grp = files.load_group(files.resolve_input("z2.json"))
+    act4 = files.load_action(files.resolve_input("z2_swap.json"), grp)
     corpus.add("quot_semi4", quotient_scheme(sm4, act4).scheme, "quotient")
     corpus.add("quot_semi4_trivial",
                quotient_scheme(sm4, trivial_action(grp, sm4.vertices)).scheme,
                "quotient")
-    sm4c = files.load_semimatroid(files.fixture_path("semi4c.json"))
-    act4c = files.load_action(files.fixture_path("z2_swap_c.json"), grp)
+    sm4c = files.load_semimatroid(files.resolve_input("semi4c.json"))
+    act4c = files.load_action(files.resolve_input("z2_swap_c.json"), grp)
     corpus.add("quot_semi4c", quotient_scheme(sm4c, act4c).scheme, "quotient")
     corpus.add("semi4_face_poset", scheme_from_semimatroid(sm4), "semimatroid")
 
     corpus.arrangements.append(
-        ("toric1", files.load_arrangement(files.fixture_path("toric1.json"))))
+        ("toric1", files.load_arrangement(files.resolve_input("toric1.json"))))
     for i in range(14):
         n = rng.choice([1, 2, 2, 3])
         count = rng.randint(1, 5 if n > 1 else 3)

@@ -212,9 +212,9 @@ def test_criterion_08_toric_reproduction(toric1, isth):
 
 def test_criterion_09_quotient_identities(qfix2):
     from mscheme.constructions import quotient_subset_identities
-    sm = files.load_semimatroid(files.fixture_path("semi4.json"))
-    grp = files.load_group(files.fixture_path("z2.json"))
-    act = files.load_action(files.fixture_path("z2_swap.json"), grp)
+    sm = files.load_semimatroid(files.resolve_input("semi4.json"))
+    grp = files.load_group(files.resolve_input("z2.json"))
+    act = files.load_action(files.resolve_input("z2_swap.json"), grp)
     res = quotient_scheme(sm, act)
     # T_{G act M} == T_{M/G}
     assert str(res.tutte_action) == "x^2 + 1"

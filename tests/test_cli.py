@@ -57,13 +57,13 @@ def test_check_exit_codes(capsys, tmp_path):
 
     # integer fields are refused, not truncated: a fraction, a bool
     for rho in (1.9, True):
-        doc = json.loads(files.fixture_path("isth.json").read_text())
+        doc = json.loads(files.resolve_input("isth.json").read_text())
         doc["elements"][1]["rho"] = rho
         files.dump_doc(doc, bad)
         code = main(["check", "scheme", str(bad)])
         err = capsys.readouterr().err
         assert code == 2 and "input error:" in err and "not an integer" in err, rho
-    semi = json.loads(files.fixture_path("semi4.json").read_text())
+    semi = json.loads(files.resolve_input("semi4.json").read_text())
     semi["faces"][1]["rho"] = 0.5
     files.dump_doc(semi, bad)
     code = main(["check", "semimatroid", str(bad)])
@@ -83,7 +83,7 @@ def test_check_exit_codes(capsys, tmp_path):
 
 
 def test_check_rejects_scheme_axiom_violation(capsys, tmp_path):
-    doc = files.scheme_to_doc(files.load_scheme(files.fixture_path("cw_r.json")))
+    doc = files.scheme_to_doc(files.load_scheme(files.resolve_input("cw_r.json")))
     doc["elements"][1]["rho"] = 0  # atom "1"
     path = tmp_path / "bad_scheme.json"
     files.dump_doc(doc, path)
@@ -235,7 +235,7 @@ def test_construct_dowling(capsys, tmp_path, monkeypatch):
                         "--group", "z2.json", "--action", "t2_trivial.json")
     assert code == 0 and "result: 31 elements, rank 2" in out
     built = files.load_scheme(tmp_path / "constructed_dowling_2.json")
-    assert built == files.load_scheme(files.fixture_path("dow_triv.json"))
+    assert built == files.load_scheme(files.resolve_input("dow_triv.json"))
 
 
 def test_construct_dowling_caps_the_scheme_elements(capsys, tmp_path, monkeypatch):
@@ -482,7 +482,7 @@ def test_invariants_rejects_non_string_ids(capsys, tmp_path):
 
 def test_inline_group_shape_faults_are_input_errors(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    action = json.loads(files.fixture_path("t2_trivial.json").read_text())
+    action = json.loads(files.resolve_input("t2_trivial.json").read_text())
     for group in ({"elements": ["e", "g"], "table": [["e", "g"]]},
                   {"table": [["e", "g"], ["g", "e"]]}):
         path = tmp_path / "action.json"
@@ -494,13 +494,14 @@ def test_inline_group_shape_faults_are_input_errors(capsys, tmp_path, monkeypatc
 
 def test_name_list_fields_refuse_other_shapes(capsys, tmp_path, monkeypatch):
     """A string, a number or a nested list where an action, group,
-    semimatroid or matrix document holds a list of names, or a matrix's
-    names list of the wrong length, exits 2, never 0 or 1."""
+    semimatroid or matrix document holds a list of names, a matrix's
+    names list of the wrong length, a name listed twice where a document
+    declares names, or a face listed in two rows, exits 2, never 0 or 1."""
     monkeypatch.chdir(tmp_path)
-    action = json.loads(files.fixture_path("t2_trivial.json").read_text())
-    swap = json.loads(files.fixture_path("z2_swap.json").read_text())
-    group = json.loads(files.fixture_path("z2.json").read_text())
-    semi = json.loads(files.fixture_path("semi4.json").read_text())
+    action = json.loads(files.resolve_input("t2_trivial.json").read_text())
+    swap = json.loads(files.resolve_input("z2_swap.json").read_text())
+    group = json.loads(files.resolve_input("z2.json").read_text())
+    semi = json.loads(files.resolve_input("semi4.json").read_text())
     cases = []
     for rows in ([1, 2], "ab", [["e"], "ab"], [[["e"]], [["g"]]]):
         cases.append((["construct", "dowling", "-n", "2", "--group", "z2.json"],
@@ -516,8 +517,21 @@ def test_name_list_fields_refuse_other_shapes(capsys, tmp_path, monkeypatch):
         faces = [dict(semi["faces"][0], members=members)] + semi["faces"][1:]
         cases.append((["check", "semimatroid"], None, dict(semi, faces=faces)))
     cases.append((["check", "semimatroid"], None, dict(semi, vertices="ab")))
-    for names in ("ab", [1, 2], [["a"], "b"], 5, ["a"], ["a", "b", "c"]):
+    for names in ("ab", [1, 2], [["a"], "b"], 5, ["a"], ["a", "b", "c"], ["a", "a"]):
         cases.append((["construct", "linear"], None, {"matrix": [[1, 0], [0, 1]], "names": names}))
+    cases += [
+        (["construct", "dowling", "-n", "2", "--action", "t2_trivial.json"], "--group",
+         {"elements": ["e", "e"], "table": [["e", "e"], ["e", "e"]]}),
+        (["construct", "dowling", "-n", "2", "--group", "z2.json"], "--action",
+         {"points": ["+1", "+1"], "rows": [["+1", "+1"], ["+1", "+1"]]}),
+        (["check", "semimatroid"], None,
+         {"vertices": ["a", "a"], "faces": [{"members": [], "rho": 0},
+                                            {"members": ["a"], "rho": 1}]}),
+        (["check", "semimatroid"], None, dict(semi, faces=[
+            dict(f, members=["a1", "a1"]) if f["members"] == ["a1"] else f
+            for f in semi["faces"]])),
+        (["check", "semimatroid"], None, dict(semi, faces=semi["faces"] + [
+            dict(semi["faces"][-1], members=semi["faces"][-1]["members"][::-1])]))]
     for k, (argv, flag, doc) in enumerate(cases):
         path = tmp_path / f"doc{k}.json"
         files.dump_doc(doc, path)
@@ -534,8 +548,8 @@ def test_row_array_fields_refuse_other_shapes(capsys, tmp_path, monkeypatch):
     matrix document holds an array of rows, or a matrix holds a row, exits
     2 and writes nothing; read as no rows it would exit 0 or 1."""
     monkeypatch.chdir(tmp_path)
-    semi = json.loads(files.fixture_path("semi4.json").read_text())
-    toric = json.loads(files.fixture_path("toric1.json").read_text())
+    semi = json.loads(files.resolve_input("semi4.json").read_text())
+    toric = json.loads(files.resolve_input("toric1.json").read_text())
     cases = []
     for bad in ("", {}):
         cases += [(["check", "scheme"], {"elements": bad, "covers": []}),
@@ -568,7 +582,10 @@ def test_construct_option_faults_are_input_errors(capsys, tmp_path, monkeypatch,
                  ["construct", "dowling", "-n", "abc", *action],
                  ["construct", "dowling", "-n", "-1", *action],
                  ["construct", "dowling", "-n", "2", "--group", "z2.json"],
+                 ["construct", "dowling", "extra", "-n", "2", *action],
                  ["construct", "quotient", "--group", "z2.json", "--action", "z2_swap.json"],
+                 ["construct", "quotient", "extra", "--semimatroid", "semi4.json",
+                  "--group", "z2.json", "--action", "z2_swap.json"],
                  ["construct", "quotient", "--semimatroid", "semi4.json", "--group", "z2.json"],
                  ["--cap-atoms", "-1", "construct", "toric", "toric1.json"],
                  *(["construct", "linear", str(m)] for m in matrices)):
@@ -576,6 +593,28 @@ def test_construct_option_faults_are_input_errors(capsys, tmp_path, monkeypatch,
         err = capsys.readouterr().err
         assert code == 2 and "input error:" in err and "Traceback" not in err, argv
     assert not list(tmp_path.iterdir())
+
+
+def test_construct_poset_file_drops_only_a_trailing_json(capsys, tmp_path, monkeypatch):
+    """The certificate poset is written to the --out path with one trailing
+    ".json" dropped and ".poset.json" added; a ".json" elsewhere in the
+    path is kept."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json.d").mkdir()
+    dowling = ["construct", "dowling", "-n", "2", "--group", "z2.json",
+               "--action", "t2_trivial.json"]
+    for argv, out, poset in ((["construct", "toric", "toric1.json"], "a.json.d/out.json",
+                              "a.json.d/out.poset.json"),
+                             (dowling, "res.jsonl", "res.jsonl.poset.json"),
+                             (dowling, "res.json", "res.poset.json")):
+        code, printed = run_cli(capsys, *argv, "--out", out)
+        assert code == 0 and printed.splitlines()[-2:] == [f"wrote: {out}",
+                                                           f"wrote: {poset}"], argv
+        files.load_scheme(tmp_path / out)
+        files.load_ranked_poset(tmp_path / poset)
+    assert {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()} == {
+        "a.json.d/out.json", "a.json.d/out.poset.json", "res.jsonl",
+        "res.jsonl.poset.json", "res.json", "res.poset.json"}
 
 
 def test_arrangement_faults_are_input_errors(capsys, tmp_path):

@@ -48,12 +48,12 @@ def z2():
 
 @pytest.fixture(scope="module")
 def semi4():
-    return files.load_semimatroid(files.fixture_path("semi4.json"))
+    return files.load_semimatroid(files.resolve_input("semi4.json"))
 
 
 @pytest.fixture(scope="module")
 def swap4(z2, semi4):
-    return files.load_action(files.fixture_path("z2_swap.json"), z2)
+    return files.load_action(files.resolve_input("z2_swap.json"), z2)
 
 
 def test_uniform_matroids():
@@ -203,8 +203,8 @@ def test_quotient_orbit_counting(semi4, swap4):
 
 
 def test_quotient_with_fixed_loop(z2):
-    sm = files.load_semimatroid(files.fixture_path("semi4c.json"))
-    act = files.load_action(files.fixture_path("z2_swap_c.json"), z2)
+    sm = files.load_semimatroid(files.resolve_input("semi4c.json"))
+    act = files.load_action(files.resolve_input("z2_swap_c.json"), z2)
     res = quotient_scheme(sm, act)
     assert loops(res.scheme) == {"G·{c}"}
 
@@ -306,8 +306,8 @@ def test_m_g_matches_the_subset_sweep(z2, monkeypatch):
     import mscheme.constructions
     cases = []
     for semi, swap in (("semi4", "z2_swap"), ("semi4c", "z2_swap_c")):
-        sm = files.load_semimatroid(files.fixture_path(f"{semi}.json"))
-        cases += [(sm, files.load_action(files.fixture_path(f"{swap}.json"), z2)),
+        sm = files.load_semimatroid(files.resolve_input(f"{semi}.json"))
+        cases += [(sm, files.load_action(files.resolve_input(f"{swap}.json"), z2)),
                   (sm, trivial_action(z2, sm.vertices))]
     rng = random.Random(20261019)
     cases += _translative_complexes(rng, 40)
@@ -342,8 +342,8 @@ def test_m_g_matches_the_subset_sweep(z2, monkeypatch):
 
 @pytest.fixture(scope="module")
 def color_actions(z2):
-    triv = files.load_action(files.fixture_path("t2_trivial.json"), z2)
-    nontriv = files.load_action(files.fixture_path("t2_nontrivial.json"), z2)
+    triv = files.load_action(files.resolve_input("t2_trivial.json"), z2)
+    nontriv = files.load_action(files.resolve_input("t2_nontrivial.json"), z2)
     return triv, nontriv
 
 
@@ -499,7 +499,7 @@ def test_semimatroid_corruptions_match_definition_witnesses(semi4):
     of the global definitions."""
     rng = random.Random(20240817)
     seen = set()
-    semi4c = files.load_semimatroid(files.fixture_path("semi4c.json"))
+    semi4c = files.load_semimatroid(files.resolve_input("semi4c.json"))
     for sm in (semi4, semi4c):
         faces = sorted(sm.faces, key=sorted)
         corruptions = [sm.rank] + [_nudged(rng, sm.rank, 2) for _ in range(20)]

@@ -91,13 +91,13 @@ def test_geometric_pair_covers_are_pair_order_covers(corpus):
 def test_quotient_covers_are_orbit_order_covers():
     """The orbit order's covers, and the quotient's Tutte polynomial against
     the group-action Tutte polynomial."""
-    grp = files.load_group(files.fixture_path("z2.json"))
-    sm4 = files.load_semimatroid(files.fixture_path("semi4.json"))
-    sm4c = files.load_semimatroid(files.fixture_path("semi4c.json"))
+    grp = files.load_group(files.resolve_input("z2.json"))
+    sm4 = files.load_semimatroid(files.resolve_input("semi4.json"))
+    sm4c = files.load_semimatroid(files.resolve_input("semi4c.json"))
     cases = [
-        ("semi4_swap", sm4, files.load_action(files.fixture_path("z2_swap.json"), grp)),
+        ("semi4_swap", sm4, files.load_action(files.resolve_input("z2_swap.json"), grp)),
         ("semi4_trivial", sm4, trivial_action(grp, sm4.vertices)),
-        ("semi4c_swap", sm4c, files.load_action(files.fixture_path("z2_swap_c.json"), grp)),
+        ("semi4c_swap", sm4c, files.load_action(files.resolve_input("z2_swap_c.json"), grp)),
     ]
     for name, sm, action in cases:
         result = quotient_scheme(sm, action)

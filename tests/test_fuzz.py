@@ -35,11 +35,11 @@ SCHEMES = ("isth", "cw_l", "cw_r", "nonpos", "qfix", "dow_nontriv")
 def _base_documents():
     """Scheme fixtures, the poset fixture that fails G2, and the flats
     posets of three schemes, which are geometric."""
-    docs = [json.loads(files.fixture_path(f"{name}.json").read_text())
+    docs = [json.loads(files.resolve_input(f"{name}.json").read_text())
             for name in SCHEMES + ("notgeom",)]
     for name in ("cw_l", "nonpos", "dow_nontriv"):
         docs.append(files.ranked_poset_to_doc(
-            flats(files.load_scheme(files.fixture_path(f"{name}.json")))))
+            flats(files.load_scheme(files.resolve_input(f"{name}.json")))))
     return docs
 
 
@@ -164,9 +164,9 @@ OTHER_KINDS = {
 
 
 def _other_base(kind: str, name: str) -> dict:
-    doc = json.loads(files.fixture_path(f"{name}.json").read_text())
+    doc = json.loads(files.resolve_input(f"{name}.json").read_text())
     if kind == "inline_action":
-        doc["group"] = json.loads(files.fixture_path("z2.json").read_text())
+        doc["group"] = json.loads(files.resolve_input("z2.json").read_text())
     return doc
 
 

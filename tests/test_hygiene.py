@@ -197,8 +197,8 @@ print(sorted(n for n, m in modules.items() if type(m) is not types.ModuleType))
 
 
 @pytest.mark.parametrize("argv, unused", [
-    (["check", "scheme", "isth.json"], {"toric", "constructions", "tutte"}),
-    (["invariants", "isth.json"], {"toric", "constructions"}),
+    (["check", "scheme", "isth.json"], {"toric", "constructions", "tutte", "geometric"}),
+    (["invariants", "isth.json"], {"toric", "constructions", "geometric"}),
 ])
 def test_a_command_runs_only_the_modules_it_uses(argv, unused):
     out = subprocess.run([sys.executable, "-c", LOADS_PROBE, *argv], capture_output=True,

@@ -1,17 +1,20 @@
 """Minors and scheme queries against the paths that re-derive.
 
 A minor inherits its ranks and bottom from its parent instead of sweeping
-its covers, the Moebius function sums over down-set masks, and the flats
-poset is built from the cached closure map through ``poset._closed``.  The
-referees are ``compute_rank`` on the minor's poset, and transcriptions of
-the id-based Moebius function and of the flats poset assembled from id
-covers, which these replaced.
+its covers, the Moebius function sums over down-set masks, the closure
+map takes its candidates from upper covers, and the flats poset is built
+from the cached closure map through ``poset._closed``.  The referees are
+``compute_rank`` on the minor's poset, and transcriptions of the id-based
+Moebius function, of the closure map by maximal elements and of the flats
+poset assembled from id covers, which these replaced.
 """
 
 import random
 
 from mscheme import (
-    RankedPoset,
+    InvariantBroken,
+    MatroidScheme,
+    build_poset,
     closure,
     compute_rank,
     contract,
@@ -22,7 +25,8 @@ from mscheme import (
     restrict,
     verify_simplicial,
 )
-from mscheme.poset import _assemble, _bits, transitive_reduction
+from mscheme.poset import _bits, _graded, _ranked, transitive_reduction
+from mscheme.scheme import _closure_map
 from referees import delcon_nodes, left_class, recursive_leaf_counts, scheme_pivot, shuffled
 
 
@@ -105,14 +109,61 @@ def _mobius_by_ids(rp):
     return mu
 
 
+def _closure_by_maxima(m):
+    """The closure map as it was computed: per element, in index order,
+    the maximal elements above it with the same rho, which must be one."""
+    p, r = m.poset, m.rhos
+    out = []
+    for i, up in enumerate(p.above):
+        top = p.maximal_of_mask(up & sum(1 << j for j, k in enumerate(r) if k == r[i]))
+        if top & (top - 1):
+            raise InvariantBroken(f"closure of {m.elements[i]!r} not unique: {p._ids(top)}")
+        out.append(top.bit_length() - 1)
+    return out
+
+
+def _outcome(closure_map, m):
+    """The closure map, or the message of the ``InvariantBroken`` it raises."""
+    try:
+        return list(closure_map(m))
+    except InvariantBroken as exc:
+        return str(exc)
+
+
+def test_closure_map_matches_the_maxima_transcription(corpus, nonpos):
+    """Every corpus scheme of up to 300 elements, also declared in a
+    shuffled order, and the contractions that left the class, each with
+    its labels and with three seeded relabellings that move one label by
+    one and so may break M2: the same closures, or the same error naming
+    the same first element."""
+    rng = random.Random(20261019)
+    variants = shuffled(corpus, random.Random(20260105))
+    changed = raised = 0
+    for name, m in corpus.schemes() + variants + left_class(nonpos):
+        if len(m.elements) > 300:
+            continue
+        labels = [m.rhos]
+        for _ in range(3):
+            i = rng.randrange(len(m.rhos))
+            labels.append(m.rhos[:i] + (max(0, m.rhos[i] + rng.choice((-1, 1))),)
+                          + m.rhos[i + 1:])
+        for rhos in labels:
+            got = _outcome(_closure_map, MatroidScheme(m.s, rhos, _checked=True))
+            want = _outcome(_closure_by_maxima, MatroidScheme(m.s, rhos, _checked=True))
+            assert got == want, (name, rhos)
+            raised += isinstance(want, str)
+            changed += rhos != m.rhos and not isinstance(want, str)
+    assert raised >= 10 and changed >= 10, (raised, changed)
+
+
 def _flats_by_ids(m):
     """The flats poset as it was assembled from id covers."""
     p = m.poset
     els = p.elements
     keep = sum(1 << i for i, e in enumerate(els) if closure(m, e) == e)
     up = [p.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0 for i in range(len(els))]
-    sub = _assemble(p._ids(keep), [(els[i], els[j]) for i, j in transitive_reduction(up)])
-    return RankedPoset(sub, {e: m.rho[e] for e in sub.elements})
+    sub = build_poset(p._ids(keep), [(els[i], els[j]) for i, j in transitive_reduction(up)])
+    return _ranked(sub, *_graded(sub, [m.rho[e] for e in sub.elements]))
 
 
 def test_mask_mobius_matches_id_transcription(corpus):

@@ -42,6 +42,7 @@ from mscheme.poset import (
     _bits,
     _closed,
     _convex,
+    _graded,
     _induced,
     _ranked,
     transitive_reduction,
@@ -563,12 +564,18 @@ def test_subposet_matches_build_poset(corpus):
                     assert compute_rank(sub).rank == compute_rank(want).rank, name
 
 
+def _labelled(p, labels):
+    """The RankedPoset of p with the labels by element index, verified
+    by ``_graded`` in a fresh sweep of p's covers."""
+    return _ranked(p, *_graded(p, labels))
+
+
 def test_interval_matches_the_validating_constructor(corpus):
-    """``interval`` inherits its ranks from the parent; the validating
-    ``RankedPoset`` sweeps them again.  On every pair of elements of the
-    corpus posets and flats of up to 32 elements, both give the same
-    elements, covers, linear extension, ranks and bottom when lo <= hi,
-    and both raise ``NotBoundedBelow`` otherwise."""
+    """``interval`` inherits its ranks from the parent; ``_graded``
+    verifies them again, shifted, on the sub-poset.  On every pair of
+    elements of the corpus posets and flats of up to 32 elements, both
+    give the same elements, covers, linear extension, ranks and bottom
+    when lo <= hi, and both raise ``NotBoundedBelow`` otherwise."""
     checked = refused = 0
     for name, m in corpus.schemes():
         for rp in (m.s.ranked, flats(m)):
@@ -577,16 +584,16 @@ def test_interval_matches_the_validating_constructor(corpus):
                 continue
             for lo, hi in itertools.product(p.elements, repeat=2):
                 mask = p.above[p.idx(lo)] & p.below[p.idx(hi)]
-                shifted = {e: rp.rank[e] - rp.rank[lo] for e in p._ids(mask)}
+                shifted = [rp.rank[e] - rp.rank[lo] for e in p._ids(mask)]
                 if not mask:
                     for build in (lambda: rp.interval(lo, hi),
-                                  lambda: RankedPoset(_induced(p, list(_bits(mask))), shifted)):
+                                  lambda: _labelled(_induced(p, list(_bits(mask))), shifted)):
                         with pytest.raises(NotBoundedBelow):
                             build()
                     refused += 1
                     continue
                 got = rp.interval(lo, hi)
-                want = RankedPoset(_induced(p, list(_bits(mask))), shifted)
+                want = _labelled(_induced(p, list(_bits(mask))), shifted)
                 assert got.elements == want.elements and got.bottom == want.bottom, name
                 assert got.poset.pairs == want.poset.pairs, name
                 assert got.poset.order == want.poset.order, name
