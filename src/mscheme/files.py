@@ -257,9 +257,12 @@ def load_arrangement(path) -> toric.ToricArrangement:
     n = _require(doc, "n", path)
     rows = _rows(_require(doc, "characters", path), path, "characters")
     try:
-        return toric.ToricArrangement(_int(n, path, "n"), [
+        arr = toric.ToricArrangement(_int(n, path, "n"), [
             toric.Character(row["alpha"], Fraction(str(row["phase"])))
             for row in rows])
+        for c in arr.characters:
+            str(c.phase)  # ValueError past the interpreter's int digit limit
+        return arr
     except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"{path}: bad n or character row ({exc})") from None
     except MalformedInput:

@@ -9,11 +9,15 @@ phases its basis rows must take; saturation makes the component connected
 and the canonical form makes equality componentwise.
 
 Intersecting a layer with a hypersurface has two halves.  The lattice half
-depends only on the layer's basis B and the character vector: one Smith
-form per distinct B completes it to a unimodular W, and one Hermite form
-per (B, alpha) gives the saturated lattice and the number g of pieces (see
-``_Cut``); ``_closure`` caches both in each call.  The phase half runs
-on integers over one common denominator and gives reduced (num, den)
+depends only on the layer's basis B (rank r) and the character vector
+alpha, and gives the saturated lattice, its transform and the number g of
+pieces (see ``_Cut``).  On the ambient layer alpha is its own saturation,
+up to sign, so no normal form is taken.  Otherwise one Smith form per
+distinct B completes it to a unimodular W; for r + 1 = n the saturation is
+Z^n and the transform is read off W^-1, and only for 1 <= r <= n - 2 is a
+Hermite form taken per (B, alpha).  No character cuts a point (r = n).
+``_closure`` keeps the cuts of each basis in each call.  The phase half
+runs on integers over one common denominator and gives reduced (num, den)
 pairs; ``_closure`` keys its layers on them and builds Fractions once
 per distinct layer.
 Every exact invariant in this module raises InvariantBroken, so it holds
@@ -231,8 +235,11 @@ class Layer:
         self.n = n
         self.basis = basis
         self.phases = phases
-        rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in basis)
-        self.layer_id = f"[{rows}]|[{','.join(map(str, phases))}]"
+        try:
+            rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in basis)
+            self.layer_id = f"[{rows}]|[{','.join(map(str, phases))}]"
+        except ValueError as exc:  # an int past the interpreter's digit limit
+            raise MschemeError(f"a layer id is too long to write ({exc})") from None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -276,6 +283,10 @@ def ambient_layer(n: int) -> Layer:
     return Layer(n, (), ())
 
 
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+
+
 def _completion(n: int, basis) -> tuple[tuple[int, ...], ...]:
     """The columns of W^-1 for a unimodular W whose first r rows are the
     basis, so that alpha * W^-1 gives alpha's coordinates over W.
@@ -286,7 +297,7 @@ def _completion(n: int, basis) -> tuple[tuple[int, ...], ...]:
     basis."""
     r = len(basis)
     if not r:
-        return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        return _identity(n)
     d, u, v = snf([list(row) for row in basis])
     if any(d[i][i] != 1 for i in range(r)):
         raise InvariantBroken(f"layer basis {basis} is not saturated")
@@ -307,17 +318,15 @@ class _Cut:
     [0, g): the multiplicity g of the arithmetic matroid is the number of
     pieces.  Over the denominator q*g, with Phi, Theta the numerators over
     q, the phases on H are T*[g*Phi; Theta - c[:r]*Phi + k*q], that is
-    ``mix`` * [Phi; Theta] plus k*q times ``shift``, the last column of T."""
+    ``mix`` * [Phi; Theta] plus k*q times ``shift``, the last column of T.
+    ``_cut`` finds H and T, with a Hermite form only where the saturation
+    is not already known; this class keeps what the phase half needs."""
 
     __slots__ = ("sat", "mix", "shift", "g")
 
-    def __init__(self, basis, alpha, c, g):
-        r = len(basis)
-        head = c[:r]
-        beta = [(a - sum(h * row[i] for h, row in zip(head, basis))) // g
-                for i, a in enumerate(alpha)]
-        h, t = hnf([list(row) for row in basis] + [beta])
-        self.sat = tuple(tuple(row) for row in h)
+    def __init__(self, sat, t, head, g):
+        r = len(head)
+        self.sat = sat
         self.mix = [[g * t_i[j] - t_i[r] * head[j] for j in range(r)] + [t_i[r]]
                     for t_i in t]
         self.shift = [t_i[r] for t_i in t]
@@ -352,12 +361,35 @@ def _fractions(phases) -> tuple[Fraction, ...]:
 
 
 def _cut(basis, inverse, alpha) -> _Cut | None:
-    """The cut by character alpha of a layer with this basis and
-    completion ``inverse`` (see ``_completion``), or None when alpha lies
-    in the lattice.  Phases play no part."""
+    """The cut by the primitive character alpha of a layer with this basis
+    and completion ``inverse`` (see ``_completion``), or None when alpha
+    lies in the lattice.  Phases play no part.
+
+    A Hermite form gives H and T (see ``_Cut``) only for 1 <= r <= n - 2.
+    On the ambient layer (r = 0), alpha is primitive, so g = 1 and H is
+    alpha with its first nonzero entry made positive by T = [+-1]; no
+    completion is read.  With r + 1 = n the saturation is Z^n, so H is the
+    identity and T = [B; beta]^-1; as beta is sign(c[r]) times the last
+    row of W, T is W^-1 with its last column multiplied by sign(c[r]).  On
+    a point (r = n) every alpha lies in the lattice."""
+    r = len(basis)
+    if not r:
+        s = 1 if next(a for a in alpha if a) > 0 else -1
+        return _Cut((tuple(s * a for a in alpha),), ((s,),), (), 1)
     c = [sum(a * w for a, w in zip(alpha, col)) for col in inverse]
-    g = gcd(*c[len(basis):])
-    return _Cut(basis, alpha, c, g) if g else None
+    g = gcd(*c[r:])
+    if not g:
+        return None
+    head = c[:r]
+    n = len(alpha)
+    if r + 1 == n:
+        s = 1 if c[r] > 0 else -1
+        t = [[col[i] for col in inverse[:r]] + [s * inverse[r][i]] for i in range(n)]
+        return _Cut(_identity(n), t, head, g)
+    beta = [(a - sum(h * row[i] for h, row in zip(head, basis))) // g
+            for i, a in enumerate(alpha)]
+    h, t = hnf([list(row) for row in basis] + [beta])
+    return _Cut(tuple(tuple(row) for row in h), t, head, g)
 
 
 def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
@@ -429,7 +461,10 @@ def _closure(arr: ToricArrangement):
     """The layers of ``arr``, breadth first from the ambient layer, with the
     intersection steps (layer id, piece id) and each hypersurface's atom
     layer id by canonical key.  Its tables, keyed on the reduced phase
-    pairs of ``_Cut.pieces``, are freed before the poset is built.
+    pairs of ``_Cut.pieces``, are freed before the poset is built.  The
+    first layer met on a basis completes it once and cuts it by every
+    hypersurface; a point (rank n) that a cut makes lies in every
+    character's lattice, so it is listed but neither completed nor cut.
 
     Each layer x is the second component of a pair (I, x) of the simple
     scheme, so more than ``geometric.ELEMENT_CAP`` layers are refused with
@@ -439,8 +474,7 @@ def _closure(arr: ToricArrangement):
     start = ambient_layer(arr.n)
     layers = {(start.basis, ()): start}  # (basis, phase pairs) -> its one Layer
     steps = set()
-    completions = {}  # basis -> _completion, for this call only
-    cuts = {}  # (basis, alpha) -> _cut, for this call only
+    cuts = {}  # basis -> its _cut by each hypersurface, for this call only
     hypersurfaces = [(c.alpha, (c.phase.numerator, c.phase.denominator))
                      for c in arr.characters]
     frontier = [((), start)]
@@ -448,13 +482,11 @@ def _closure(arr: ToricArrangement):
         new = []
         for phases, layer in frontier:
             basis = layer.basis
-            for alpha, t in hypersurfaces:
-                key = (basis, alpha)
-                if key not in cuts:
-                    if basis not in completions:
-                        completions[basis] = _completion(arr.n, basis)
-                    cuts[key] = _cut(basis, completions[basis], alpha)
-                cut = cuts[key]
+            row = cuts.get(basis)
+            if row is None:
+                inverse = _completion(arr.n, basis)
+                row = cuts[basis] = [_cut(basis, inverse, alpha) for alpha, _ in hypersurfaces]
+            for cut, (_, t) in zip(row, hypersurfaces):
                 if cut is None:  # the piece is the layer itself, or nothing
                     continue
                 if cut.g > cap:
@@ -467,13 +499,14 @@ def _closure(arr: ToricArrangement):
                         if len(layers) > cap:
                             raise SizeCapExceeded(len(layers), cap, "layer poset",
                                                   at_least=True)
-                        new.append((cut_phases, piece))
+                        if len(cut.sat) < arr.n:  # no character cuts a point
+                            new.append((cut_phases, piece))
                     steps.add((layer.layer_id, piece.layer_id))
         frontier = new
 
     atom_of = {}
-    for c, (alpha, t) in zip(arr.characters, hypersurfaces):
-        cut = cuts[((), alpha)]  # a primitive alpha cuts the torus in one piece
+    # a primitive alpha cuts the torus in one piece
+    for c, (_, t), cut in zip(arr.characters, hypersurfaces, cuts[()]):
         (phases,) = cut.pieces((t,))
         atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
     return list(layers.values()), steps, atom_of

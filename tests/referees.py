@@ -1,7 +1,11 @@
-"""Referees shared by the Tutte and minor tests: the recursive
+"""Referees shared by the Tutte, minor and toric tests: the recursive
 deletion-contraction on built sub-schemes that the mask stack of
 ``tutte._leaf_counts`` replaced, with its pivot rule, a hook that records
-the mask stack's nodes, and the scheme variants both are run on."""
+the mask stack's nodes, and the scheme variants both are run on; and the
+toric layer closure with one Hermite form per cut."""
+
+from fractions import Fraction
+from math import gcd
 
 import mscheme.tutte
 from mscheme import (
@@ -15,6 +19,7 @@ from mscheme import (
 )
 from mscheme.poset import _full
 from mscheme.scheme import _sub_scheme
+from mscheme.toric import Layer, _Cut, _completion, ambient_layer, hnf
 from mscheme.tutte import _pivot
 
 
@@ -112,3 +117,73 @@ def shuffled(corpus, rng):
         sp = verify_simplicial(compute_rank(build_poset(order, m.poset.covers)))
         out.append((f"{name} shuffled", validate_scheme(sp, m.rho)))
     return out
+
+
+def hermite_cut(basis, inverse, alpha):
+    """``toric._cut`` as it was for every layer rank: the cut by alpha of a
+    layer with this basis and completion, or None when alpha lies in the
+    lattice, with H and T from one Hermite form of [B; beta], beta =
+    (alpha - c[:r]*B)/g."""
+    r = len(basis)
+    c = [sum(a * w for a, w in zip(alpha, col)) for col in inverse]
+    g = gcd(*c[r:])
+    if not g:
+        return None
+    head = c[:r]
+    beta = [(a - sum(h * row[i] for h, row in zip(head, basis))) // g
+            for i, a in enumerate(alpha)]
+    h, t = hnf([list(row) for row in basis] + [beta])
+    return _Cut(tuple(tuple(row) for row in h), t, head, g)
+
+
+def closure_reference(arr, met=None):
+    """``toric._closure`` as it was with one Hermite form per cut and every
+    layer cut, points too, without the caps: the layers in the order met,
+    the steps and the atom layer ids.  The phase half is ``toric._Cut``'s,
+    which ``test_cut_matches_rational_reference`` referees.  ``met`` counts
+    the distinct cuts by the rank r of the layer cut: "r = 0", "r + 1 = n",
+    "hermite" (1 <= r <= n - 2) and "point" (r = n, None), and the cuts
+    with g > 1."""
+    n = arr.n
+    start = ambient_layer(n)
+    layers = {(start.basis, ()): start}
+    steps = set()
+    completions = {}
+    cuts = {}
+    hypersurfaces = [(c.alpha, (c.phase.numerator, c.phase.denominator))
+                     for c in arr.characters]
+    frontier = [((), start)]
+    while frontier:
+        new = []
+        for phases, layer in frontier:
+            basis = layer.basis
+            for alpha, t in hypersurfaces:
+                key = (basis, alpha)
+                if key not in cuts:
+                    if basis not in completions:
+                        completions[basis] = _completion(n, basis)
+                    cuts[key] = cut = hermite_cut(basis, completions[basis], alpha)
+                    if met is not None:
+                        r = len(basis)
+                        kind = ("point" if r == n else "r = 0" if r == 0
+                                else "r + 1 = n" if r + 1 == n else "hermite")
+                        met[kind] = met.get(kind, 0) + 1
+                        if cut is not None and cut.g > 1:
+                            met["g > 1"] = met.get("g > 1", 0) + 1
+                cut = cuts[key]
+                if cut is None:
+                    continue
+                for cut_phases in cut.pieces(phases + (t,)):
+                    piece = layers.get((cut.sat, cut_phases))
+                    if piece is None:
+                        piece = Layer(n, cut.sat, tuple(Fraction(*p) for p in cut_phases))
+                        layers[cut.sat, cut_phases] = piece
+                        new.append((cut_phases, piece))
+                    steps.add((layer.layer_id, piece.layer_id))
+        frontier = new
+    atom_of = {}
+    for c, (alpha, t) in zip(arr.characters, hypersurfaces):
+        cut = cuts[((), alpha)]
+        (phases,) = cut.pieces((t,))
+        atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
+    return list(layers.values()), steps, atom_of

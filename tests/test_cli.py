@@ -299,6 +299,28 @@ def test_construct_toric_refuses_a_multiplicity_past_the_element_cap(capsys, tmp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json"]
 
 
+def test_construct_toric_phase_past_the_int_digit_limit_is_no_traceback(tmp_path):
+    """With Python's int string limit pinned at 4300 digits, a file phase
+    of 1/10^5000 cannot be written: it is an input error (exit 2).  A file
+    phase of 1/10^4299 can, but the cut by (1,10) divides it by g = 10, and
+    the layer it makes is a one-line error (exit 1).  Nothing is written."""
+    cases = (([{"alpha": [1], "phase": "1e-5000"}], 1, 2, "input error: ", ""),
+             ([{"alpha": [1, 0], "phase": "1/1" + "0" * 4299},
+               {"alpha": [1, 10], "phase": "0"}], 2, 1, "", "\nerror: a layer id is too long"))
+    for k, (chars, n, code, err, out) in enumerate(cases):
+        path = tmp_path / f"arr{k}.json"
+        files.dump_doc({"n": n, "characters": chars}, path)
+        run = subprocess.run(
+            [sys.executable, "-m", "mscheme.cli", "construct", "toric", str(path),
+             "--out", str(tmp_path / "o.json")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+            cwd=Path(mscheme.__file__).parents[1])
+        assert run.returncode == code and "Traceback" not in run.stderr, run.stderr
+        assert err in run.stderr and out in run.stdout, (run.stdout, run.stderr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arr0.json", "arr1.json"]
+
+
 def test_construct_quotient(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, "construct", "quotient",

@@ -36,8 +36,9 @@ from mscheme import (
     snf,
     verify_thm_arr,
 )
-from mscheme.toric import _completion, _cut
+from mscheme.toric import _closure, _completion, _cut
 from grid_oracle import _solution_points, check_arrangement
+from referees import closure_reference, hermite_cut
 
 SRC = Path(mscheme.__file__).parents[1]
 
@@ -211,6 +212,8 @@ def test_layers_poset_toric1(toric1, isth):
 def test_layers_poset_edge_cases():
     empty = layers_poset(ToricArrangement(1, []))
     assert len(empty.layers) == 1
+    point = layers_poset(ToricArrangement(0, []))  # the ambient layer is a point
+    assert list(point.layers) == ["[]|[]"] and len(point.scheme.elements) == 1
     parallel = layers_poset(ToricArrangement(2, [
         Character((1, 0), Fraction(0)), Character((1, 0), Fraction(1, 2)),
         Character((0, 1), Fraction(0))]))
@@ -601,3 +604,90 @@ def test_invariant_checks_raise_not_assert():
     run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, timeout=60, cwd=SRC)
     assert run.stdout == "raised\n", run.stderr
+
+
+# --- the closure against one Hermite form per cut --------------------------------------
+
+def _catalogue_arrangements():
+    """The 16 arrangements of the benchmark's toric catalogue, drawn with
+    its seeds: in ranks 2 and 3, two each of 3, 4, 5 and 6 characters with
+    entries in [-2, 2] and phase denominators up to 4."""
+    out = []
+    for rank in (2, 3):
+        rng = random.Random(f"mscheme-perfbench-catalogue-1/toric/{rank}")
+        for count in (3, 3, 4, 4, 5, 5, 6, 6):
+            chars = {}
+            while len(chars) < count:
+                alpha = tuple(rng.randint(-2, 2) for _ in range(rank))
+                if math.gcd(*alpha) == 1:
+                    q = rng.choice((1, 2, 3, 4))
+                    c = Character(alpha, Fraction(rng.randrange(q), q))
+                    chars.setdefault(c.canonical_key(), c)
+            out.append(ToricArrangement(rank, list(chars.values())))
+    return out
+
+
+def _seeded_arrangements(ranks, count):
+    rng = random.Random(20261021)
+    return [_random_arrangement(rng, ranks[k % len(ranks)], rng.randint(1, 5))
+            for k in range(count)]
+
+
+def test_closure_matches_the_hermite_reference():
+    """``_closure`` against the closure with one Hermite form per cut
+    (``referees.closure_reference``): the same layers in the same order,
+    bases and phases included, the same steps and the same atom layer ids,
+    on the catalogue arrangements and on seeded ones in ranks 1 to 4.
+    Every form of the cut is met: on the ambient layer (r = 0), to full
+    rank (r + 1 = n), by a Hermite form (1 <= r <= n - 2), with more than
+    one piece (g > 1), and of a point (None, which ``_closure`` skips)."""
+    met = {}
+    for arr in _catalogue_arrangements() + _seeded_arrangements((1, 2, 3, 4), 240):
+        layers, steps, atom_of = _closure(arr)
+        ref_layers, ref_steps, ref_atom_of = closure_reference(arr, met)
+        assert [(L.basis, L.phases) for L in layers] \
+            == [(L.basis, L.phases) for L in ref_layers], arr.characters
+        assert steps == ref_steps and atom_of == ref_atom_of, arr.characters
+    assert all(met[kind] >= 100 for kind in ("r = 0", "r + 1 = n", "hermite", "g > 1",
+                                              "point")), met
+
+
+def test_circle_cuts_are_one_form():
+    """On the circle the ambient layer has rank n - 1, so the r = 0 and
+    r + 1 = n forms of a cut are one: the point (1) with T = [sign alpha].
+    Points on the circle at several phases match the reference closure."""
+    for alpha in ((1,), (-1,)):
+        inverse = _completion(1, ())
+        cut, ref = _cut((), inverse, alpha), hermite_cut((), inverse, alpha)
+        assert (cut.sat, cut.mix, cut.shift, cut.g) \
+            == (ref.sat, ref.mix, ref.shift, ref.g) == (((1,),), [list(alpha)], list(alpha), 1)
+    arr = ToricArrangement(1, [Character((1,), Fraction(0)), Character((-1,), Fraction(1, 3)),
+                               Character((1,), Fraction(1, 2)), Character((-1,), Fraction(3, 4))])
+    assert _closure(arr) == closure_reference(arr)
+    assert len(layers_poset(arr).layers) == 5
+
+
+def test_closure_takes_no_hermite_form_below_rank_three_and_completes_no_point(monkeypatch):
+    """Below rank 3 every cut is of the ambient layer or to full rank, so
+    every such arrangement closes with ``hnf`` raising; and in any rank no
+    layer of rank n, a point, is completed."""
+    import mscheme.toric
+
+    def unreachable(*args):
+        raise AssertionError("a Hermite form was taken")
+
+    completed = []
+
+    def counting(n, basis):
+        completed.append((n, len(basis)))
+        return _completion(n, basis)
+
+    catalogue = _catalogue_arrangements()
+    monkeypatch.setattr(mscheme.toric, "_completion", counting)
+    with monkeypatch.context() as mp:
+        mp.setattr(mscheme.toric, "hnf", unreachable)
+        low = [arr for arr in catalogue if arr.n <= 2] + _seeded_arrangements((1, 2), 60)
+        assert sum(len(layers_poset(arr).layers) for arr in low) > 400
+    for arr in catalogue + _seeded_arrangements((3, 4), 40):
+        layers_poset(arr)
+    assert len(completed) > 200 and all(r < n for n, r in completed), completed
