@@ -23,7 +23,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
-from .poset import _bits, _certified, build_poset, compute_rank, verify_simplicial
+from .poset import SimplicialPoset, _bits, _certified, build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
 from .tutte import _expand
 
@@ -174,10 +174,10 @@ def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
 
 def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
     """The scheme on the Boolean lattice of the ground set with the matroid
-    rank labels, certified: the subset X has rank |X| and the singletons
-    in X as its atoms, and M1-M5 on a Boolean lattice follow from the rank
-    axioms R1-R3 that ``Matroid`` checked (every pair is joinable, with
-    union and intersection as join and meet)."""
+    rank labels, certified: the subset X has rank |X|, and M1-M5 on a
+    Boolean lattice follow from the rank axioms R1-R3 that ``Matroid``
+    checked (every pair is joinable, with union and intersection as join
+    and meet)."""
     ground = mat.ground
     n = len(ground)
     masks = [sum(1 << i for i in c) for r in range(n + 1)
@@ -187,8 +187,7 @@ def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
     ids = [set_id(X) for X in subsets]
     covers = [(k, pos[X | 1 << e]) for k, X in enumerate(masks)
               for e in range(n) if not X >> e & 1]
-    # the singleton {e} is element 1 + e
-    sp = _certified(ids, covers, [X.bit_count() for X in masks], [X << 1 for X in masks])
+    sp = SimplicialPoset(_certified(ids, covers, [X.bit_count() for X in masks]))
     return MatroidScheme(sp, tuple(mat.rank[X] for X in subsets), _checked=True)
 
 

@@ -34,11 +34,12 @@ from .errors import (
 from .poset import (
     Poset,
     RankedPoset,
+    SimplicialPoset,
     _atoms,
     _bits,
     _certified,
     _full,
-    _union,
+    _levels,
     find_isomorphism,
     is_geometric_lattice,
     iter_isomorphisms,
@@ -104,9 +105,7 @@ def _g1_holds(p: Poset, r: list, joinable: list) -> bool:
     Atomic: x is the join of its atoms iff no lower cover of x has the same
     atoms below it."""
     above, below = p.above, p.below
-    level = [0] * (max(r) + 2)  # level[k]: the elements of rank k
-    for i, k in enumerate(r):
-        level[k] |= 1 << i
+    level = _levels(r)
     tops = p.maximal_of_mask(_full(p))
     for i, partners in enumerate(joinable):
         for j in _bits((partners & ~(above[i] | below[i])) >> (i + 1) << (i + 1)):
@@ -239,8 +238,8 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     atoms and x minimal above I, ordered by containment-and-order, with
     rho(I, x) the rank of x.  The certificate is trusted, not re-checked:
     for a geometric poset the result is a simple scheme whose flats are
-    the input via x -> (atoms below x, x), and its poset is built as
-    certified, with rank |I| and atoms ({a}, a) for a in I.  The pairs and
+    the input via x -> (atoms below x, x), and its poset is built as a
+    certified simplicial poset with rank |I|.  The pairs and
     their covers come from one walk up from (empty, bottom), with no atom
     subset enumerated (see ``_walk``).  More than ``ELEMENT_CAP`` pairs
     are refused with ``SizeCapExceeded`` before any of them is built.
@@ -251,17 +250,11 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     rp = gp.ranked
     p = rp.poset
     els = p.elements
-    pairs, covers = _walk(p, _atoms(rp.ranks), p.index[rp.bottom])
+    pairs, covers = _walk(p, _atoms(rp.ranks), p.order[0])
     ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     if len(set(ids)) != len(ids):
         ids = [_escaped_pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
-
-    single = [0] * len(els)  # poset atom a -> bit of the scheme atom ({a}, a)
-    for k, (I, x) in enumerate(pairs):
-        if I == 1 << x:
-            single[x] = 1 << k
-    sp = _certified(ids, covers, [I.bit_count() for I, _ in pairs],
-                    [_union(single, I) for I, _ in pairs])
+    sp = SimplicialPoset(_certified(ids, covers, [I.bit_count() for I, _ in pairs]))
     return MatroidScheme(sp, tuple(rp.ranks[x] for _, x in pairs), _checked=True)
 
 

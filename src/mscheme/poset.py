@@ -198,6 +198,14 @@ def _atoms(ranks) -> int:
     return sum(1 << i for i, k in enumerate(ranks) if k == 1)
 
 
+def _levels(ranks) -> list:
+    """``level[k]``: bitmask of the i with ``ranks[i] == k``; ``level[-1]`` is empty."""
+    level = [0] * (max(ranks, default=0) + 2)
+    for i, k in enumerate(ranks):
+        level[k] |= 1 << i
+    return level
+
+
 def _adjacency(n, pairs):
     """Upper and lower cover lists per index, in the order of ``pairs``."""
     covers_up = [[] for _ in range(n)]
@@ -299,11 +307,11 @@ def build_poset(elements, covers) -> Poset:
     return p
 
 
-def _certified(elements, pairs, ranks, support=None):
-    """The RankedPoset, or with ``support`` the SimplicialPoset, that a
-    construction certifies: ``pairs`` are its index cover pairs in cover
-    order, ``ranks[i]`` is the rank of element i and ``support[i]`` the
-    bitmask of the atoms below it.
+def _certified(elements, pairs, ranks) -> "RankedPoset":
+    """The RankedPoset that a construction certifies: ``pairs`` are its
+    index cover pairs in cover order and ``ranks[i]`` is the rank of
+    element i.  A construction that certifies a simplicial poset wraps the
+    result in ``SimplicialPoset``.
 
     Nothing is re-derived: no Hasse check, no rank sweep, no simplicial
     pass.  Every cover raises the rank by one, so sorting by rank gives
@@ -318,15 +326,14 @@ def _certified(elements, pairs, ranks, support=None):
             if e in seen:
                 raise DuplicateIdentifier(f"duplicate element id {e!r}")
             seen.add(e)
-    rp = _ranked(p, ranks, p.elements[order[0]])
-    return rp if support is None else SimplicialPoset(rp, tuple(support))
+    return _ranked(p, ranks)
 
 
-def _ranked(p: Poset, ranks: tuple, bottom) -> "RankedPoset":
-    """The RankedPoset of p with the ranks by element index and the bottom
-    that the caller certifies; nothing is checked."""
+def _ranked(p: Poset, ranks: tuple) -> "RankedPoset":
+    """The RankedPoset of p with the ranks by element index that the
+    caller certifies; nothing is checked."""
     rp = RankedPoset.__new__(RankedPoset)
-    rp.poset, rp.ranks, rp.bottom = p, ranks, bottom
+    rp.poset, rp.ranks = p, ranks
     return rp
 
 
@@ -365,9 +372,8 @@ def _convex(rp: "RankedPoset", kept: list) -> "RankedPoset":
         raise NotBoundedBelow(())
     sub = _induced(rp.poset, kept)
     ranks = rp.ranks
-    first = sub.order[0]
-    base = ranks[kept[first]]
-    return _ranked(sub, tuple(ranks[i] - base for i in kept), sub.elements[first])
+    base = ranks[kept[sub.order[0]]]
+    return _ranked(sub, tuple(ranks[i] - base for i in kept))
 
 
 # --- joins and meets as operations ------------------------------------------
@@ -389,11 +395,16 @@ class RankedPoset:
     cover raises rank by exactly one.  ``ranks[i]`` is the rank of element
     i; ``rank`` reads it by id.  The ranks are derived by ``_graded``."""
 
-    __slots__ = ("poset", "ranks", "bottom")
+    __slots__ = ("poset", "ranks")
 
     def __init__(self, poset: Poset):
         self.poset = poset
-        self.ranks, self.bottom = _graded(poset, None)
+        self.ranks = _graded(poset, None)
+
+    @property
+    def bottom(self):
+        """The minimum: the first element of the linear extension."""
+        return self.poset.elements[self.poset.order[0]]
 
     @property
     def rank(self) -> LabelView:
@@ -420,10 +431,10 @@ class RankedPoset:
 
 
 def _graded(poset: Poset, labels: list | None) -> tuple:
-    """(ranks, bottom): the ranks derived, or the ``labels`` by element
-    index verified, in one bottom-up sweep of the covers.  The first cover
-    in sweep order that breaks the rule is reported as two chains from the
-    bottom, each following first-reach parents."""
+    """The ranks derived, or the ``labels`` by element index verified, in
+    one bottom-up sweep of the covers, once the minimum is found unique.
+    The first cover in sweep order that breaks the rule is reported as two
+    chains from the bottom, each following first-reach parents."""
     minima = poset.minimal_elements()
     if len(minima) != 1:
         raise NotBoundedBelow(minima)
@@ -443,7 +454,7 @@ def _graded(poset: Poset, labels: list | None) -> tuple:
             if r[j] != r[i] + 1:
                 raise NotRanked(els[j], _chain(els, parent, j),
                                 _chain(els, parent, i) + (els[j],))
-    return tuple(r), bottom
+    return tuple(r)
 
 
 def _chain(els, parent, i) -> tuple:
@@ -464,14 +475,14 @@ def compute_rank(p: Poset) -> RankedPoset:
 
 class SimplicialPoset:
     """Bounded-below ranked poset whose every down-set is a Boolean lattice
-    on its atoms.  ``support[i]`` is the bitmask of the atoms below element
-    i; the rank of an element equals the number of atoms below it."""
+    on its atoms, so the rank of an element is its number of atoms and only
+    the ranks are kept; where a mask is needed, the atoms below element i
+    are derived as ``below[i] & _atoms(ranks)``."""
 
-    __slots__ = ("ranked", "support")
+    __slots__ = ("ranked",)
 
-    def __init__(self, ranked: RankedPoset, support: tuple):
+    def __init__(self, ranked: RankedPoset):
         self.ranked = ranked
-        self.support = support
 
     @property
     def poset(self) -> Poset:
@@ -489,8 +500,8 @@ class SimplicialPoset:
         return self.ranked.atoms()
 
     def size(self, x) -> int:
-        """Number of atoms below x (the simplicial rank of x)."""
-        return self.support[self.poset.idx(x)].bit_count()
+        """Number of atoms below x: the rank of x."""
+        return self.ranked.ranks[self.poset.idx(x)]
 
     def __repr__(self):
         return f"SimplicialPoset({len(self.elements)} elements, {len(self.atoms())} atoms)"
@@ -507,7 +518,7 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
     down-set exactly where their up-sets meet, so one pass that ORs the
     up-sets seen per atom set marks every such x, in time linear in the
     number of elements.  Elements are checked in declaration order, each
-    against rank, then size, then that mark."""
+    against rank, then size, then that mark; the atom sets are not kept."""
     p = rp.poset
     els = p.elements
     rank = rp.ranks
@@ -527,19 +538,20 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
             raise NotSimplicial(x, f"|down-set| = {down.bit_count()} != 2^{k}")
         if clash >> i & 1:
             raise NotSimplicial(x, "two elements share the same atom set")
-    return SimplicialPoset(rp, support)
+    return SimplicialPoset(rp)
 
 
 def complement(sp: SimplicialPoset, x, a):
     """The unique element of the Boolean down-set of x whose atom set is
-    support(x) minus support(a)."""
+    that of x minus that of a."""
     p = sp.poset
     if not p.leq(a, x):
         raise NotBelow(f"{a!r} is not below {x!r}")
     i = p.idx(x)
-    target = sp.support[i] & ~sp.support[p.idx(a)]
-    for y in _bits(p.below[i]):
-        if sp.support[y] == target:
+    below, atoms = p.below, _atoms(sp.ranked.ranks)
+    target = below[i] & atoms & ~below[p.idx(a)]
+    for y in _bits(below[i]):
+        if below[y] & atoms == target:
             return p.elements[y]
     raise InvariantBroken(f"no complement of {a!r} in down-set of {x!r}")  # pragma: no cover
 

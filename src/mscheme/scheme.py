@@ -5,7 +5,7 @@ restriction, and brute-force checkers for the derived axiom systems.
 A matroid scheme is a finite simplicial poset S with a rank labeling rho
 satisfying:
 
-  M1  0 <= rho(x) <= |x|                     (|x| = number of atoms below x)
+  M1  0 <= rho(x) <= |x|       (|x| = number of atoms below x = rank of x)
   M2  x <= y  implies  rho(x) <= rho(y)
   M3  u in join(x,y) implies rho(x) + rho(y) >= rho(u) + rho(meet(x,y))
   M4  l in meet(x,y) with rho(x) = rho(l) implies join(x,y) nonempty
@@ -19,7 +19,7 @@ poset is a Boolean lattice, and a function on a Boolean lattice that is
 submodular on each diamond is submodular everywhere (Schrijver,
 *Combinatorial Optimization*, Thm 44.1).  Only when a diamond fails does the
 sweep over joinable pairs run, reading their joins and meets from masks of
-the elements with a given number of atoms below, to name the witness.
+the elements of a given size, to name the witness.
 Violations report the first offending tuple in declaration order, checked in
 axiom order M1..M5.
 """
@@ -48,6 +48,7 @@ from .poset import (
     _convex,
     _full,
     _graded,
+    _levels,
     _ranked,
     _top_value,
     _union,
@@ -128,10 +129,7 @@ def _meet_of_joinable(p: Poset, a, b):
 
 def _less_than(values) -> list:
     """``lt[k]``: bitmask of the i with ``values[i] < k``; ``lt[-1]`` has all."""
-    lt = [0] * (max(values, default=0) + 2)
-    for i, v in enumerate(values):
-        lt[v + 1] |= 1 << i
-    return list(itertools.accumulate(lt, int.__or__))
+    return list(itertools.accumulate(_levels(values), int.__or__, initial=0))
 
 
 def _joinable(p: Poset) -> list:
@@ -144,7 +142,7 @@ def _joinable(p: Poset) -> list:
 def _diamonds_hold(p: Poset, r: list, size: list, sized: list) -> bool:
     """True iff r(u) + r(v) >= r(w) + r(l) on every diamond l < u, v < w:
     each pair u, v of lower covers of w, whose meet l is the one element
-    below both with size[w] - 2 atoms."""
+    below both of size size[w] - 2 (``sized[k]``: the elements of size k)."""
     below = p.below
     for w, dn in enumerate(p.covers_dn):
         if len(dn) < 2:
@@ -168,8 +166,7 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
     if None in r:
         raise UnknownIdentifier(f"rho undefined on {els[r.index(None)]!r}")
     above, below = p.above, p.below
-    supp = sp.support
-    size = [k.bit_count() for k in supp]
+    size = sp.ranked.ranks
     for i, x in enumerate(els):  # M1
         if not 0 <= r[i] <= size[i]:
             raise AxiomViolation("M1", (x,), f"rho={r[i]}, |x|={size[i]}")
@@ -179,16 +176,16 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
         if bad:
             raise AxiomViolation("M2", (x, els[next(_bits(bad))]))
     joinable = _joinable(p)
-    # sized[k]: the elements with k atoms below
-    sized = [b & ~a for a, b in itertools.pairwise(_less_than(size))]
+    sized = _levels(size)
     if not _diamonds_hold(p, r, size, sized):
         for i, x in enumerate(els):  # M3, swept only to name the first witness
             for j in _bits(joinable[i] >> (i + 1) << (i + 1)):
-                # in a simplicial poset a joinable pair has one meet, the common
-                # lower bound with |supp[i] & supp[j]| atoms, and its joins are
-                # the common upper bounds with |supp[i] | supp[j]| atoms
-                m = (below[i] & below[j] & sized[(supp[i] & supp[j]).bit_count()]).bit_length() - 1
-                for u in _bits(above[i] & above[j] & sized[(supp[i] | supp[j]).bit_count()]):
+                # in a simplicial poset a joinable pair has one meet m, whose
+                # down-set holds the 2^|m| common lower bounds, and its joins
+                # are the common upper bounds of size |x| + |y| - |m|
+                k = (below[i] & below[j]).bit_count().bit_length() - 1
+                m = (below[i] & below[j] & sized[k]).bit_length() - 1
+                for u in _bits(above[i] & above[j] & sized[size[i] + size[j] - k]):
                     if r[i] + r[j] < r[u] + r[m]:
                         raise AxiomViolation("M3", (x, els[j], els[u], els[m]))
         raise MschemeError("M3 fails on a diamond but on no joinable pair")
@@ -219,12 +216,11 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     is the parent's bottom for an ideal and the element a filter stands
     on.  It is not re-validated against M1-M5, nor re-verified simplicial:
     the operations are theorem-backed and the property tests re-validate.
-    Each support is the minor's down-set on its rank-1 elements."""
+    A convex subset of a simplicial poset is simplicial with the inherited
+    ranks, so nothing else is stored."""
     kept = list(_bits(keep))
-    rp = _convex(m.s.ranked, kept)
-    atoms = _atoms(rp.ranks)
     rhos = m.rhos
-    return MatroidScheme(SimplicialPoset(rp, tuple(down & atoms for down in rp.poset.below)),
+    return MatroidScheme(SimplicialPoset(_convex(m.s.ranked, kept)),
                          tuple(rhos[i] - shift for i in kept), _checked=True)
 
 
@@ -288,16 +284,16 @@ def flats(m: MatroidScheme) -> RankedPoset:
         order = [new[i] for i in p.order if i in new]
         els = p._ids(keep)
         sub = _closed(els, pairs, order, *_adjacency(len(els), pairs))
-        m._flats_cache = _ranked(sub, *_graded(sub, [m.rhos[i] for i in _bits(keep)]))
+        m._flats_cache = _ranked(sub, _graded(sub, [m.rhos[i] for i in _bits(keep)]))
     return m._flats_cache
 
 
 def _independent_mask(m: MatroidScheme) -> int:
-    """Bitmask of the elements x with rho(x) = |x|; computed once per
-    scheme."""
+    """Bitmask of the elements x with rho(x) = |x| = rank(x); computed
+    once per scheme."""
     if m._independent is None:
-        m._independent = sum(1 << i for i, (k, s) in enumerate(zip(m.rhos, m.s.support))
-                             if k == s.bit_count())
+        m._independent = sum(1 << i for i, (k, s) in enumerate(zip(m.rhos, m.s.ranked.ranks))
+                             if k == s)
     return m._independent
 
 
@@ -335,8 +331,8 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
         bad = below[j] & ~ind_mask
         if bad:
             raise AxiomViolation("I2", (els[next(_bits(bad))], els[j]))
-    atoms = _atoms(sp.ranked.ranks)
-    size = [s.bit_count() for s in sp.support]
+    size = sp.ranked.ranks
+    atoms = _atoms(size)
     lt = _less_than(size)
     joinable = _joinable(p)
     for i in _bits(ind_mask):  # I3
@@ -403,20 +399,21 @@ def loops(m: MatroidScheme) -> frozenset:
 
 
 def isthmuses(m: MatroidScheme) -> frozenset:
-    """Atoms below every basis: those in the support of each.  The two
-    other characterizations of an isthmus are checked by
+    """Atoms below every basis: the atoms of the meet of their down-sets.
+    The two other characterizations of an isthmus are checked by
     :func:`check_derived_axioms`."""
     p = m.poset
     common = _full(p)
-    for b in bases(m):
-        common &= m.s.support[p.index[b]]
-    return frozenset(p._ids(common))
+    for b in _bits(p.maximal_of_mask(_independent_mask(m))):
+        common &= p.below[b]
+    return frozenset(p._ids(common & _atoms(m.s.ranked.ranks)))
 
 
 def is_simple(m: MatroidScheme) -> bool:
-    """Every atom is a flat and not a loop."""
-    lps = loops(m)
-    return all(closure(m, a) == a and a not in lps for a in m.atoms())
+    """Every atom is its own closure (a flat) with a nonzero label (not a loop)."""
+    cl = _closure_map(m)
+    rhos = m.rhos
+    return all(cl[a] == a and rhos[a] for a in _bits(_atoms(m.s.ranked.ranks)))
 
 
 # --- deletion, contraction, restriction ---------------------------------------------

@@ -426,8 +426,6 @@ class ToricArrangement:
         chars = []
         seen = set()
         for c in characters:
-            if not isinstance(c, Character):
-                c = Character(tuple(c[0]), Fraction(c[1]))
             if len(c.alpha) != n:
                 raise DimensionMismatch(
                     f"character {c.label} does not live in rank {n}")

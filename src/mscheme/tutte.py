@@ -46,8 +46,8 @@ def tutte_direct(m: MatroidScheme) -> BivariatePolynomial:
     if m._tutte is None:
         rk = scheme_rank(m)
         counts: dict[tuple[int, int], int] = {}
-        for k, s in zip(m.rhos, m.s.support):
-            key = (rk - k, s.bit_count() - k)
+        for k, s in zip(m.rhos, m.s.ranked.ranks):
+            key = (rk - k, s - k)
             counts[key] = counts.get(key, 0) + 1
         m._tutte = _expand(counts)
     return m._tutte
@@ -131,7 +131,7 @@ def _leaf_counts(m: MatroidScheme) -> dict:
     up = [sum(1 << k for k in c) for c in p.covers_up]
     lt = _less_than(rho)
     counts: dict[tuple[int, int], int] = {}
-    stack = [(_full(p), p.index[m.bottom], 0, 0, 0, max(rho))]
+    stack = [(_full(p), p.order[0], 0, 0, 0, max(rho))]
     while stack:
         mask, x, base, i, j, r = stack.pop()
         rest = mask & (mask - 1)  # mask without its lowest bit
@@ -184,8 +184,8 @@ def charpoly_identity(m: MatroidScheme) -> UnivariatePolynomial:
     mu = mobius(fl)
     els = m.elements
     signed = dict.fromkeys(fl.elements, 0)
-    for c, s in zip(_closure_map(m), m.s.support):
-        signed[els[c]] += -1 if s.bit_count() & 1 else 1
+    for c, s in zip(_closure_map(m), m.s.ranked.ranks):
+        signed[els[c]] += -1 if s & 1 else 1
     for w in fl.elements:
         if signed[w] != mu[w]:
             raise InvariantBroken(f"signed closure count at {w!r}: {signed[w]} != mu={mu[w]}")

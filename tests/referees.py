@@ -1,7 +1,9 @@
-"""Referees shared by the Tutte, minor and toric tests: the recursive
-deletion-contraction on built sub-schemes that the mask stack of
+"""Referees shared by the Tutte, minor, poset and toric tests: the
+recursive deletion-contraction on built sub-schemes that the mask stack of
 ``tutte._leaf_counts`` replaced, with its pivot rule, a hook that records
-the mask stack's nodes, and the scheme variants both are run on; and the
+the mask stack's nodes, and the scheme variants both are run on; the atom
+sets of a simplicial poset, which it no longer stores, and the checks that
+its ranks count them and its bottom is its one minimal element; and the
 toric layer closure with one Hermite form per cut."""
 
 from fractions import Fraction
@@ -21,6 +23,30 @@ from mscheme.poset import _full
 from mscheme.scheme import _sub_scheme
 from mscheme.toric import Layer, _Cut, _completion, ambient_layer, hnf
 from mscheme.tutte import _pivot
+
+
+def atom_sets(sp) -> tuple:
+    """Per element index of the simplicial poset sp, the bitmask of the
+    atoms below it: its down-set on the rank-1 elements."""
+    atoms = sum(1 << i for i, k in enumerate(sp.ranked.ranks) if k == 1)
+    return tuple(down & atoms for down in sp.poset.below)
+
+
+def assert_bottom_is_the_minimum(rp, label):
+    """The bottom of the ranked poset rp is its one element with nothing
+    below it, and the first of its linear extension."""
+    p = rp.poset
+    minima = [e for e, down in zip(p.elements, p.below) if down.bit_count() == 1]
+    assert minima == [rp.bottom] == [p.elements[p.order[0]]], label
+
+
+def assert_ranks_count_atoms(sp, label):
+    """Every rank of the simplicial poset sp is the number of atoms below
+    the element, and its bottom is its minimum."""
+    ranks = sp.ranked.ranks
+    assert [s.bit_count() for s in atom_sets(sp)] == list(ranks), label
+    assert_bottom_is_the_minimum(sp.ranked, label)
+    assert sp.bottom == sp.ranked.bottom, label
 
 
 def scheme_pivot(m, r: int) -> int:

@@ -40,6 +40,7 @@ from mscheme.geometric import _escaped_pair_id, pair_id
 from mscheme.poset import _bits
 
 from generators import dowling_inputs
+from referees import atom_sets
 from test_poset import boolean_lattice
 
 
@@ -208,7 +209,7 @@ def _subset_enumeration(gp):
     its referee: every set I of atoms below each x is tested for x
     minimal above I, and the covers of (I, x) are the (I + a, y) with y
     minimal above x and a, sorted.  Returns the ids, the index cover
-    pairs, the atom supports as masks and rho."""
+    pairs, the atom sets as masks and rho."""
     rp = gp.ranked
     p = rp.poset
     els = p.elements
@@ -250,7 +251,7 @@ def _large_dowling_inputs():
 
 
 def test_cover_walk_matches_subset_enumeration(corpus):
-    """The walk gives the pairs, ids, cover pairs, supports and rho of
+    """The walk gives the pairs, ids, cover pairs, atom sets and rho of
     the subset enumeration it replaced, on every corpus flats poset,
     Dowling input and toric layer poset, and on three large Dowling
     posets."""
@@ -261,7 +262,7 @@ def test_cover_walk_matches_subset_enumeration(corpus):
         ids, covers, support, rho = _subset_enumeration(gp)
         assert m.elements == tuple(ids), label
         assert m.poset.pairs == tuple(covers), label
-        assert m.s.support == tuple(support), label
+        assert atom_sets(m.s) == tuple(support), label
         assert m.rho == rho, label
 
 
@@ -277,7 +278,7 @@ def test_scheme_from_geometric_escapes_colliding_pair_ids():
     assert len(set(m.elements)) == len(m.elements) == 16
     assert {"(|0)", "(a\\,b|a\\,b)", "(a\\,b,c|x)", "(a,b\\,c|x)"} <= set(m.elements)
     derived = verify_simplicial(compute_rank(build_poset(m.elements, m.poset.covers)))
-    assert derived.support == m.s.support and derived.ranked.rank == m.s.ranked.rank
+    assert atom_sets(derived) == atom_sets(m.s) and derived.ranked.rank == m.s.ranked.rank
     assert validate_scheme(m.s, m.rho) == m
     assert is_simple(m)
 

@@ -1,12 +1,13 @@
 """Minors and scheme queries against the paths that re-derive.
 
-A minor inherits its ranks and bottom from its parent instead of sweeping
-its covers, the Moebius function sums over down-set masks, the closure
-map takes its candidates from upper covers, and the flats poset is built
-from the cached closure map through ``poset._closed``.  The referees are
-``compute_rank`` on the minor's poset, and transcriptions of the id-based
-Moebius function, of the closure map by maximal elements and of the flats
-poset assembled from id covers, which these replaced.
+A minor inherits its ranks from its parent instead of sweeping its
+covers and stores nothing else, the Moebius function sums over down-set
+masks, the closure map takes its candidates from upper covers, and the
+flats poset is built from the cached closure map through
+``poset._closed``.  The referees are ``compute_rank`` on the minor's
+poset, and transcriptions of the id-based Moebius function, of the
+closure map by maximal elements and of the flats poset assembled from id
+covers, which these replaced.
 """
 
 import random
@@ -27,7 +28,16 @@ from mscheme import (
 )
 from mscheme.poset import _bits, _graded, _ranked, transitive_reduction
 from mscheme.scheme import _closure_map
-from referees import delcon_nodes, left_class, recursive_leaf_counts, scheme_pivot, shuffled
+from referees import (
+    assert_bottom_is_the_minimum,
+    assert_ranks_count_atoms,
+    atom_sets,
+    delcon_nodes,
+    left_class,
+    recursive_leaf_counts,
+    scheme_pivot,
+    shuffled,
+)
 
 
 def _assert_ranks_inherited(m, name):
@@ -61,16 +71,32 @@ def test_minors_inherit_the_ranks_compute_rank_derives(corpus):
 
 
 def test_minors_take_the_supports_verify_simplicial_derives(corpus, nonpos):
-    """A minor's supports are its down-sets on its rank-1 elements, taken
-    without re-verifying that it is simplicial; on every deletion,
-    contraction and localization and on seeded restrictions of the corpus
-    schemes, declared in their own order and in shuffled ones, and of the
-    contractions of the two-top fixture that leave the class, they equal
-    the supports ``verify_simplicial`` derives."""
+    """A simplicial poset stores its ranks only, and a minor takes them
+    without re-verifying that it is simplicial.  On every corpus scheme
+    (the schemes from matroids, semimatroids, quotients, Dowling posets
+    and toric arrangements among them), declared in its own order and in
+    a shuffled one, on the contractions of the two-top fixture that leave
+    the class, and on every deletion, contraction and localization and
+    seeded restrictions of each: ``verify_simplicial`` accepts the poset
+    with the same atom sets, every rank is the number of atoms below its
+    element, and the bottom is the minimum.  The flats poset of each valid
+    scheme and its intervals from the bottom to each maximal element are
+    ranked posets only; their bottom is their minimum."""
     rng = random.Random(20260103)
-    for name, m in corpus.schemes() + shuffled(corpus, rng) + left_class(nonpos):
-        for label, minor in _minors(name, m, rng):
-            assert minor.s.support == verify_simplicial(minor.s.ranked).support, label
+    valid = corpus.schemes() + shuffled(corpus, rng)
+    checked = 0
+    for name, m in valid + left_class(nonpos):
+        for label, minor in [(name, m), *_minors(name, m, rng)]:
+            assert atom_sets(verify_simplicial(minor.s.ranked)) == atom_sets(minor.s), label
+            assert_ranks_count_atoms(minor.s, label)
+            checked += 1
+    assert checked >= 1000, checked
+    for name, m in valid:
+        fl = flats(m)
+        for rp in (fl, m.s.ranked):
+            assert_bottom_is_the_minimum(rp, name)
+            for mx in rp.poset.maximal_elements():
+                assert_bottom_is_the_minimum(rp.interval(rp.bottom, mx), (name, mx))
 
 
 def test_delcon_nodes_inherit_the_ranks_compute_rank_derives(monkeypatch, corpus, nonpos):
@@ -163,7 +189,7 @@ def _flats_by_ids(m):
     keep = sum(1 << i for i, e in enumerate(els) if closure(m, e) == e)
     up = [p.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0 for i in range(len(els))]
     sub = build_poset(p._ids(keep), [(els[i], els[j]) for i, j in transitive_reduction(up)])
-    return _ranked(sub, *_graded(sub, [m.rho[e] for e in sub.elements]))
+    return _ranked(sub, _graded(sub, [m.rho[e] for e in sub.elements]))
 
 
 def test_mask_mobius_matches_id_transcription(corpus):

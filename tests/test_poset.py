@@ -47,7 +47,7 @@ from mscheme.poset import (
     _ranked,
     transitive_reduction,
 )
-from referees import recursive_leaf_counts
+from referees import atom_sets, recursive_leaf_counts
 
 
 def boolean_lattice(n):
@@ -173,14 +173,14 @@ def _simplicial_verdict(verify, rp):
         out = verify(rp)
     except NotSimplicial as exc:
         return type(exc), exc.element, str(exc)
-    return getattr(out, "support", out)
+    return out if isinstance(out, tuple) else atom_sets(out)
 
 
 def _relabelled_rank(rp, x, value):
     """rp with the rank label of x replaced; RankedPoset itself refuses
     labels that break a cover, so the label is set behind its back."""
     bad = object.__new__(RankedPoset)
-    bad.poset, bad.bottom = rp.poset, rp.bottom
+    bad.poset = rp.poset
     i = rp.poset.index[x]
     bad.ranks = rp.ranks[:i] + (value,) + rp.ranks[i + 1:]
     return bad
@@ -567,7 +567,7 @@ def test_subposet_matches_build_poset(corpus):
 def _labelled(p, labels):
     """The RankedPoset of p with the labels by element index, verified
     by ``_graded`` in a fresh sweep of p's covers."""
-    return _ranked(p, *_graded(p, labels))
+    return _ranked(p, _graded(p, labels))
 
 
 def test_interval_matches_the_validating_constructor(corpus):
@@ -621,7 +621,7 @@ def _convex_by_dict(rp, keep):
     sub = _subposet_by_dict(rp.poset, keep)
     ranks = [rp.ranks[i] for i in _bits(keep)]
     base = ranks[sub.order[0]]
-    return _ranked(sub, tuple(k - base for k in ranks), sub.elements[sub.order[0]])
+    return _ranked(sub, tuple(k - base for k in ranks))
 
 
 SUBPOSET_FIELDS = ("elements", "pairs", "order", "above", "below", "covers_up",
