@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import geometric
+from . import geometric, tutte
 from .errors import (
     DEFAULT_ATOM_CAP,
     AxiomViolation,
@@ -25,7 +25,6 @@ from .errors import (
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
 from .poset import SimplicialPoset, _bits, _certified, build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
-from .tutte import _expand
 
 # These two bound quadratic work, not an element table, so they stay apart
 # from ``geometric.ELEMENT_CAP``.  Vertices of a semimatroid: its up to 2^12
@@ -438,7 +437,7 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
         key = (semirank - rho_a, len(A) - rho_a)
         counts[key] = counts.get(key, 0) + len(orbits_here)
 
-    return QuotientResult(scheme, orbit_of, m_g, _expand(counts))
+    return QuotientResult(scheme, orbit_of, m_g, tutte._expand(counts))
 
 
 # --- Dowling posets ------------------------------------------------------------------------

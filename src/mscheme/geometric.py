@@ -38,8 +38,8 @@ from .poset import (
     _atoms,
     _bits,
     _certified,
-    _full,
     _levels,
+    _maxima,
     find_isomorphism,
     is_geometric_lattice,
     iter_isomorphisms,
@@ -106,7 +106,7 @@ def _g1_holds(p: Poset, r: list, joinable: list) -> bool:
     atoms below it."""
     above, below = p.above, p.below
     level = _levels(r)
-    tops = p.maximal_of_mask(_full(p))
+    tops = sum(1 << u for u in _maxima(p))
     for i, partners in enumerate(joinable):
         for j in _bits((partners & ~(above[i] | below[i])) >> (i + 1) << (i + 1)):
             common = above[i] & above[j]
@@ -148,7 +148,7 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
     atom_idx = [i for i, k in enumerate(r) if k == 1]
     if len(atom_idx) > atom_cap:
         raise AtomCapExceeded(len(atom_idx), atom_cap)
-    top_rank = max((r[i] for i in _bits(p.maximal_of_mask(_full(p)))), default=0)
+    top_rank = max((r[i] for i in _maxima(p)), default=0)
     for i, x in enumerate(els):  # G2
         # a set meeting the atoms a with a not<= x and join(a, x) nonempty
         # satisfies G2 for x, so only sets of the other atoms can fail

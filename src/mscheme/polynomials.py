@@ -34,7 +34,7 @@ class _Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
-        self.coeffs = _strip(dict(coeffs or {}))
+        self.coeffs = _strip(coeffs or {})
 
     @classmethod
     def constant(cls, c: int):
@@ -177,9 +177,11 @@ class BivariatePolynomial(_Polynomial):
 
 
 def _powers(image, top: int) -> list:
-    """Coefficient dicts of image^0 .. image^top, each from the one before."""
+    """Coefficient dicts of image^0 .. image^top, each from the one before;
+    an int's powers are taken directly, so a zero image leaves every power
+    past the first empty."""
     if isinstance(image, int):
-        image = UnivariatePolynomial.constant(image)
+        return [_strip({0: image ** k}) for k in range(top + 1)]
     out = [{0: 1}]
     for _ in range(top):
         out.append((UnivariatePolynomial(out[-1]) * image).coeffs)

@@ -116,10 +116,14 @@ class Poset:
         return out
 
     def minimal_elements(self) -> tuple:
-        return self._ids(self.minimal_of_mask(_full(self)))
+        """The elements with no lower cover, in declaration order."""
+        els = self.elements
+        return tuple(els[i] for i, dn in enumerate(self.covers_dn) if not dn)
 
     def maximal_elements(self) -> tuple:
-        return self._ids(self.maximal_of_mask(_full(self)))
+        """The elements with no upper cover (``_maxima``), in declaration order."""
+        els = self.elements
+        return tuple(els[i] for i in _maxima(self))
 
     def join_mask(self, T) -> int:
         """Bitmask of minimal upper bounds of the element set T."""
@@ -191,6 +195,12 @@ def _union(masks, sel: int) -> int:
 def _full(p: Poset) -> int:
     """Bitmask of every element of p."""
     return (1 << len(p.elements)) - 1
+
+
+def _maxima(p: Poset) -> list:
+    """Indices of the maximal elements of p, ascending: in a finite poset
+    an element is maximal iff it has no upper cover."""
+    return [i for i, up in enumerate(p.covers_up) if not up]
 
 
 def _atoms(ranks) -> int:
@@ -558,14 +568,12 @@ def complement(sp: SimplicialPoset, x, a):
 
 # --- Möbius function and characteristic polynomial ----------------------------
 
-def mobius(rp: RankedPoset) -> dict:
-    """mu(bottom) = 1 and sum of mu over each down-set is zero (Stanley,
-    *Enumerative Combinatorics I*, 3.7).  One sweep up the stored linear
-    extension sums mu over the strict down-set mask of each element; the
-    dict lists the elements by rank, then in declaration order."""
-    p = rp.poset
-    els = p.elements
-    mu = [0] * len(els)
+def _mobius(p: Poset) -> list:
+    """mu by element index: mu(bottom) = 1 and the sum of mu over each
+    down-set is zero (Stanley, *Enumerative Combinatorics I*, 3.7).  One
+    sweep up the stored linear extension sums mu over the strict down-set
+    mask of each element."""
+    mu = [0] * len(p.elements)
     for i in p.order:
         down = p.below[i] ^ (1 << i)
         if not down:
@@ -577,27 +585,40 @@ def mobius(rp: RankedPoset) -> dict:
             total += mu[low.bit_length() - 1]
             down ^= low
         mu[i] = -total
+    return mu
+
+
+def mobius(rp: RankedPoset) -> dict:
+    """The Moebius function of ``_mobius`` by id; the dict lists the
+    elements by rank, then in declaration order."""
+    els = rp.elements
+    mu = _mobius(rp.poset)
     return {els[i]: mu[i] for i in sorted(range(len(els)), key=rp.ranks.__getitem__)}
 
 
 def _top_value(p: Poset, values) -> int:
     """``values[i]`` on every maximal element i of p, or
     ``RankNotConstantOnMax`` with each maximal (id, value)."""
-    tops = list(_bits(p.maximal_of_mask(_full(p))))
+    tops = _maxima(p)
     if len({values[i] for i in tops}) != 1:
         raise RankNotConstantOnMax(tuple((p.elements[i], values[i]) for i in tops))
     return values[tops[0]]
 
 
+def _characteristic(rp: RankedPoset, mu: list) -> polynomials.UnivariatePolynomial:
+    """Sum of mu[i] * t^(max_rank - ranks[i]) over the Moebius values
+    ``mu`` by element index; requires rank constant on maximal elements."""
+    top_rank = _top_value(rp.poset, rp.ranks)
+    coeffs: dict[int, int] = {}
+    for m, k in zip(mu, rp.ranks):
+        coeffs[top_rank - k] = coeffs.get(top_rank - k, 0) + m
+    return polynomials.UnivariatePolynomial(coeffs)
+
+
 def characteristic_polynomial(rp: RankedPoset) -> polynomials.UnivariatePolynomial:
     """Sum of mu(w) * t^(max_rank - rank(w)); requires rank constant on
     maximal elements."""
-    top_rank = _top_value(rp.poset, rp.ranks)
-    mu = mobius(rp)
-    coeffs: dict[int, int] = {}
-    for w, k in zip(rp.elements, rp.ranks):
-        coeffs[top_rank - k] = coeffs.get(top_rank - k, 0) + mu[w]
-    return polynomials.UnivariatePolynomial(coeffs)
+    return _characteristic(rp, _mobius(rp.poset))
 
 
 # --- geometric lattice recognition ---------------------------------------------

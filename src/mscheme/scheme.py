@@ -49,6 +49,7 @@ from .poset import (
     _full,
     _graded,
     _levels,
+    _maxima,
     _ranked,
     _top_value,
     _union,
@@ -67,7 +68,7 @@ class MatroidScheme:
     covers, same labels.
     """
 
-    __slots__ = ("s", "rhos", "_closure", "_flats_cache", "_independent", "_tutte")
+    __slots__ = ("s", "rhos", "_closure", "_flats_cache", "_independent", "_bases", "_tutte")
 
     def __init__(self, s: SimplicialPoset, rhos: tuple, *, _checked: bool = False):
         if not _checked:
@@ -77,6 +78,7 @@ class MatroidScheme:
         self._closure = None
         self._flats_cache = None
         self._independent = None
+        self._bases = None
         self._tutte = None
 
     @property
@@ -135,7 +137,7 @@ def _less_than(values) -> list:
 def _joinable(p: Poset) -> list:
     """``joinable[i]``: bitmask of the elements sharing an upper bound with
     element i, the OR of ``below[u]`` over the maximal u in ``above[i]``."""
-    tops = p.maximal_of_mask(_full(p))
+    tops = sum(1 << u for u in _maxima(p))
     return [_union(p.below, up & tops) for up in p.above]
 
 
@@ -297,14 +299,21 @@ def _independent_mask(m: MatroidScheme) -> int:
     return m._independent
 
 
+def _bases_mask(m: MatroidScheme) -> int:
+    """Bitmask of the maximal independent elements; computed once per
+    scheme."""
+    if m._bases is None:
+        m._bases = m.poset.maximal_of_mask(_independent_mask(m))
+    return m._bases
+
+
 def independence(m: MatroidScheme) -> frozenset:
     return frozenset(m.poset._ids(_independent_mask(m)))
 
 
 def bases(m: MatroidScheme) -> frozenset:
     """Maximal independent elements."""
-    p = m.poset
-    return frozenset(p._ids(p.maximal_of_mask(_independent_mask(m))))
+    return frozenset(m.poset._ids(_bases_mask(m)))
 
 
 def circuits(m: MatroidScheme) -> frozenset:
@@ -404,7 +413,7 @@ def isthmuses(m: MatroidScheme) -> frozenset:
     :func:`check_derived_axioms`."""
     p = m.poset
     common = _full(p)
-    for b in _bits(p.maximal_of_mask(_independent_mask(m))):
+    for b in _bits(_bases_mask(m)):
         common &= p.below[b]
     return frozenset(p._ids(common & _atoms(m.s.ranked.ranks)))
 

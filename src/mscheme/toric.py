@@ -35,8 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import geometric
-from .constructions import Matroid, linear_matroid, scheme_from_matroid
+from . import constructions, geometric
 from .errors import (
     DEFAULT_ATOM_CAP,
     AtomCapExceeded,
@@ -583,7 +582,7 @@ def arr_restrict(arr: ToricArrangement, c: Character) -> ToricArrangement:
 
 
 def arr_localize(arr: ToricArrangement, layer: Layer,
-                 result: LayersResult | None = None) -> Matroid:
+                 result: LayersResult | None = None) -> constructions.Matroid:
     """Linear matroid of the character vectors whose hypersurfaces contain
     the layer (for some phase)."""
     if result is None:
@@ -592,7 +591,7 @@ def arr_localize(arr: ToricArrangement, layer: Layer,
         raise NotALayer(f"{layer.layer_id} is not a layer of the arrangement")
     chosen = [c for c in arr.characters if layer.phase_of(c.alpha) == c.phase]
     matrix = [list(col) for col in zip(*[c.alpha for c in chosen])] if chosen else []
-    return linear_matroid(matrix, [c.label for c in chosen])
+    return constructions.linear_matroid(matrix, [c.label for c in chosen])
 
 
 class ThmArrReport:
@@ -646,7 +645,7 @@ def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrR
     if layer.layer_id not in full.layers:
         raise NotALayer(f"{layer.layer_id} is not a layer of the arrangement")
     local_arr = arr_localize(arr, layer, full)
-    local_scheme = scheme_from_matroid(local_arr)
+    local_scheme = constructions.scheme_from_matroid(local_arr)
     layer_el = full.scheme_element_of[layer.layer_id]
     iso_local = scheme_isomorphism(local_scheme, localization(full.scheme, layer_el))
     return ThmArrReport(iso_del, iso_restr, iso_local, direct)

@@ -13,6 +13,7 @@ and that a command runs the body of no package module it does not use;
 the package's exported names are pinned."""
 
 import ast
+import os
 import subprocess
 import sys
 import types
@@ -199,10 +200,14 @@ print(sorted(n for n, m in modules.items() if type(m) is not types.ModuleType))
 @pytest.mark.parametrize("argv, unused", [
     (["check", "scheme", "isth.json"], {"toric", "constructions", "tutte", "geometric"}),
     (["invariants", "isth.json"], {"toric", "constructions", "geometric"}),
+    (["construct", "toric", "toric1.json"], {"constructions", "tutte", "polynomials"}),
+    (["construct", "uniform", "2", "3"], {"toric", "tutte", "polynomials"}),
 ])
-def test_a_command_runs_only_the_modules_it_uses(argv, unused):
+def test_a_command_runs_only_the_modules_it_uses(argv, unused, tmp_path):
+    """Run in a scratch directory, where a construction writes its files."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", LOADS_PROBE, *argv], capture_output=True,
-                         text=True, check=True, cwd=SRC.parent).stdout.splitlines()
+                         text=True, check=True, cwd=tmp_path, env=env).stdout.splitlines()
     ran, lazy = (set(ast.literal_eval(line)) for line in out[-2:])
     unused = {f"mscheme.{name}" for name in unused}
     assert "mscheme.scheme" in ran and not ran & unused, ran

@@ -2,19 +2,24 @@
 
 A minor inherits its ranks from its parent instead of sweeping its
 covers and stores nothing else, the Moebius function sums over down-set
-masks, the closure map takes its candidates from upper covers, and the
+masks, the closure map takes its candidates from upper covers, the
 flats poset is built from the cached closure map through
-``poset._closed``.  The referees are ``compute_rank`` on the minor's
-poset, and transcriptions of the id-based Moebius function, of the
-closure map by maximal elements and of the flats poset assembled from id
-covers, which these replaced.
+``poset._closed``, and a poset's maximal and minimal elements are read
+from its empty cover lists.  The referees are ``compute_rank`` on the
+minor's poset, and transcriptions of the id-based Moebius function, of
+the closure map by maximal elements, of the flats poset assembled from
+id covers and of the whole-poset mask sweep for the extrema, which these
+replaced.
 """
 
 import random
 
+import pytest
+
 from mscheme import (
     InvariantBroken,
     MatroidScheme,
+    RankNotConstantOnMax,
     build_poset,
     closure,
     compute_rank,
@@ -24,9 +29,19 @@ from mscheme import (
     localization,
     mobius,
     restrict,
+    scheme_rank,
     verify_simplicial,
 )
-from mscheme.poset import _bits, _graded, _ranked, transitive_reduction
+from mscheme.poset import (
+    _bits,
+    _full,
+    _graded,
+    _maxima,
+    _mobius,
+    _ranked,
+    characteristic_polynomial,
+    transitive_reduction,
+)
 from mscheme.scheme import _closure_map
 from referees import (
     assert_bottom_is_the_minimum,
@@ -194,10 +209,19 @@ def _flats_by_ids(m):
 
 def test_mask_mobius_matches_id_transcription(corpus):
     """Same values in the same key order on every corpus flats poset and on
-    every corpus scheme's own poset, also declared in a shuffled order."""
+    every corpus scheme's own poset, also declared in a shuffled order; the
+    values by index that ``charpoly_identity`` reads are the same, and the
+    flats' characteristic polynomial is their sum."""
     for name, m in corpus.schemes() + shuffled(corpus, random.Random(20260103)):
-        for rp in (flats(m), m.s.ranked):
-            assert list(mobius(rp).items()) == list(_mobius_by_ids(rp).items()), name
+        fl = flats(m)
+        for rp in (m.s.ranked, fl):
+            want = _mobius_by_ids(rp)
+            assert list(mobius(rp).items()) == list(want.items()), name
+            assert _mobius(rp.poset) == [want[e] for e in rp.elements], name
+        top, chi = scheme_rank(m), characteristic_polynomial(fl).coeffs
+        for k in range(top + 1):  # want is the flats' Moebius function here
+            assert chi.get(top - k, 0) == sum(want[e] for e in fl.elements
+                                              if fl.rank[e] == k), (name, k)
 
 
 def test_flats_match_assembled_transcription(corpus, nonpos):
@@ -216,3 +240,40 @@ def test_flats_match_assembled_transcription(corpus, nonpos):
         assert p.below == q.below, name
         assert list(got.rank.items()) == list(want.rank.items()), name
         assert got.bottom == want.bottom, name
+
+
+def _assert_extrema_from_the_mask_sweep(p, label):
+    full = _full(p)
+    assert _maxima(p) == list(_bits(p.maximal_of_mask(full))), label
+    assert p.maximal_elements() == p._ids(p.maximal_of_mask(full)), label
+    assert p.minimal_elements() == p._ids(p.minimal_of_mask(full)), label
+
+
+def test_extrema_from_cover_lists_match_the_mask_sweep(corpus, nonpos):
+    """The maximal elements read from empty upper-cover lists and the
+    minimal ones from empty lower-cover lists are those the whole-poset
+    mask sweep finds, in the same order, on every corpus scheme (also
+    declared in a shuffled order), its flats poset, each of its minors and
+    the contractions that left the class.  Where a scheme has two or more
+    maxima, raising the label of the last makes ``scheme_rank`` name each
+    maximal (id, label) pair in the order of that sweep."""
+    rng = random.Random(20261020)
+    valid = corpus.schemes() + shuffled(corpus, rng)
+    for name, m in valid:
+        _assert_extrema_from_the_mask_sweep(flats(m).poset, f"flats of {name}")
+    checked = varied = 0
+    for name, m in valid + left_class(nonpos):
+        for label, minor in [(name, m), *_minors(name, m, rng)]:
+            p = minor.poset
+            _assert_extrema_from_the_mask_sweep(p, label)
+            checked += 1
+            tops = list(_bits(p.maximal_of_mask(_full(p))))
+            if len(tops) < 2:
+                continue
+            rhos = list(minor.rhos)
+            rhos[tops[-1]] += 1
+            with pytest.raises(RankNotConstantOnMax) as exc:
+                scheme_rank(MatroidScheme(minor.s, tuple(rhos), _checked=True))
+            assert exc.value.witness == tuple((p.elements[i], rhos[i]) for i in tops), label
+            varied += 1
+    assert checked >= 1000 and varied >= 100, (checked, varied)

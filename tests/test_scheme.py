@@ -39,7 +39,8 @@ from mscheme import (
     compute_rank,
     build_poset,
 )
-from mscheme.scheme import _meet_of_joinable
+from mscheme.poset import Poset, _bits
+from mscheme.scheme import _independent_mask, _meet_of_joinable
 
 
 def make_scheme(elements, covers, rho):
@@ -243,6 +244,31 @@ def test_loops_and_isthmuses(isth, nonpos, loop_scheme):
     assert loops(nonpos) == frozenset()
     # every atom of the two-top rank-3 fixture lies below both bases
     assert isthmuses(nonpos) == {"a1", "a2", "a3"}
+
+
+def test_bases_and_isthmuses_share_one_maximal_independent_mask(monkeypatch, corpus):
+    """On a fresh copy of every corpus scheme, ``bases`` and ``isthmuses``,
+    each read twice, sweep for the maximal independent elements once, and
+    give the maximal independent elements and the atoms below all of
+    them."""
+    sweeps = []
+    sweep = Poset.maximal_of_mask
+
+    def counted(p, mask):
+        sweeps.append(mask)
+        return sweep(p, mask)
+
+    monkeypatch.setattr(Poset, "maximal_of_mask", counted)
+    for name, m in corpus.schemes():
+        fresh = MatroidScheme(m.s, m.rhos, _checked=True)
+        p, ind = fresh.poset, _independent_mask(fresh)
+        want_bases = frozenset(p.elements[i] for i in _bits(ind) if p.above[i] & ind == 1 << i)
+        want_isthmuses = frozenset(a for a in fresh.atoms()
+                                   if all(p.leq(a, b) for b in want_bases))
+        sweeps.clear()
+        got = bases(fresh), isthmuses(fresh), bases(fresh), isthmuses(fresh)
+        assert got == (want_bases, want_isthmuses) * 2, name
+        assert sweeps == [ind], name
 
 
 def test_is_simple(cw_l, cw_r):

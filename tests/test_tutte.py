@@ -15,6 +15,8 @@ from mscheme import (
     compute_rank,
     contract,
     delete,
+    flats,
+    loops,
     scheme_from_matroid,
     scheme_rank,
     tutte_delcon,
@@ -24,7 +26,7 @@ from mscheme import (
     validate_scheme,
     verify_simplicial,
 )
-from mscheme.poset import _full
+from mscheme.poset import _full, _mobius
 from mscheme.scheme import MatroidScheme, _sub_scheme
 from mscheme.tutte import _expand, _leaf_counts
 from referees import delcon_nodes, left_class, recursive_leaf_counts, shuffled
@@ -127,8 +129,15 @@ def test_point_and_charpoly_checks_raise_not_assert(monkeypatch, isth):
             tutte_point_checks(isth)
         with pytest.raises(InvariantBroken, match="chi via Moebius"):
             charpoly_identity(isth)
-    monkeypatch.setattr(mscheme.tutte, "mobius", lambda fl: dict.fromkeys(fl.elements, 0))
-    with pytest.raises(InvariantBroken, match="signed closure count at '0'"):
+
+    def one_flat_off(p):
+        mu = _mobius(p)
+        mu[1] += 1  # the flats a and b share a rank, so chi is unchanged
+        mu[2] -= 1
+        return mu
+
+    monkeypatch.setattr(mscheme.tutte, "_mobius", one_flat_off)
+    with pytest.raises(InvariantBroken, match="signed closure count at 'a': -1 != mu=0"):
         charpoly_identity(isth)
 
 
@@ -164,6 +173,31 @@ def test_tutte_direct_is_summed_once_per_scheme(monkeypatch):
     assert str(charpoly_identity(m)) == "t^2 - 4*t + 3"
     assert tutte_direct(m) is t
     assert len(sums) == 1
+
+
+def test_mobius_is_swept_once_per_charpoly_identity(monkeypatch, corpus):
+    """``charpoly_identity`` sweeps the flats' Moebius function once, for
+    both the Moebius sum and the signed closure counts, on every loopless
+    corpus scheme."""
+    import mscheme.poset
+    import mscheme.tutte
+    sweeps = []
+
+    def counted(p):
+        sweeps.append(p)
+        return _mobius(p)
+
+    for module in (mscheme.poset, mscheme.tutte):
+        monkeypatch.setattr(module, "_mobius", counted)
+    checked = 0
+    for name, m in corpus.schemes():
+        if loops(m):
+            continue
+        sweeps.clear()
+        charpoly_identity(m)
+        assert len(sweeps) == 1 and sweeps[0] is flats(m).poset, name
+        checked += 1
+    assert checked >= 10, checked
 
 
 def test_charpoly_rejects_loops(qfix2):
