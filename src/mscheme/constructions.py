@@ -23,7 +23,8 @@ from .errors import (
     SizeCapExceeded,
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
-from .poset import SimplicialPoset, _bits, _certified, build_poset, compute_rank, verify_simplicial
+from .poset import (SimplicialPoset, _certified, _distinct, build_poset, compute_rank,
+                    verify_simplicial)
 from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
 
 # These two bound quadratic work, not an element table, so they stay apart
@@ -67,21 +68,24 @@ def _rank_steps_hold(table: list) -> bool:
 
 
 class Matroid:
-    """A ground set with a rank function on all subsets, validated against
-    the three rank axioms: bounds (R1), monotonicity (R2) and
-    submodularity (R3).
+    """A ground set of distinct names with a rank function on all subsets,
+    validated against the three rank axioms: bounds (R1), monotonicity (R2)
+    and submodularity (R3).  ``rank`` is keyed by frozensets of names;
+    ``rank_table[X]`` is the same rank of the subset whose bitmask over
+    ground indices is X, filled once here.
 
     R2 and R3 are checked on one-element steps, O(n^2 2^n) work.  Only when
     a step fails do the sweeps over all pairs of subsets run, to name the
-    first witness."""
+    first witness.  A repeated name raises ``DuplicateIdentifier``."""
 
-    __slots__ = ("ground", "rank")
+    __slots__ = ("ground", "rank", "rank_table")
 
     def __init__(self, ground, rank: dict):
         self.ground = tuple(ground)
+        _distinct(self.ground)
         self.rank = {frozenset(k): v for k, v in rank.items()}
         n = len(self.ground)
-        table = [None] * (1 << n)
+        self.rank_table = table = [None] * (1 << n)
         for k in range(n + 1):
             for combo in itertools.combinations(range(n), k):
                 X = frozenset(self.ground[i] for i in combo)
@@ -103,8 +107,7 @@ class Matroid:
         raise MschemeError("R2/R3 fail on a one-element step but on no pair of subsets")
 
     def __repr__(self):
-        full = self.rank[frozenset(self.ground)]
-        return f"Matroid({len(self.ground)} elements, rank {full})"
+        return f"Matroid({len(self.ground)} elements, rank {self.rank_table[-1]})"
 
 
 def _ground_set_cap(n: int) -> None:
@@ -156,7 +159,8 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 
 def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
     """Matroid of the columns of an integer matrix, ranks computed by exact
-    fraction-free elimination."""
+    fraction-free elimination.  Repeated names raise ``DuplicateIdentifier``
+    (from ``Matroid``)."""
     cols = list(zip(*matrix)) if matrix else []
     _ground_set_cap(len(cols))
     if names is None:
@@ -176,18 +180,23 @@ def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
     rank labels, certified: the subset X has rank |X|, and M1-M5 on a
     Boolean lattice follow from the rank axioms R1-R3 that ``Matroid``
     checked (every pair is joinable, with union and intersection as join
-    and meet)."""
+    and meet).
+
+    Subsets are bitmasks over ground indices, by size and then
+    lexicographically: rho is read from ``mat.rank_table``, and each id is
+    ``set_id`` of the subset, its members taken in the ground set's sorted
+    name order, with no set built per subset."""
     ground = mat.ground
     n = len(ground)
     masks = [sum(1 << i for i in c) for r in range(n + 1)
              for c in itertools.combinations(range(n), r)]
     pos = {X: k for k, X in enumerate(masks)}
-    subsets = [frozenset(ground[i] for i in _bits(X)) for X in masks]
-    ids = [set_id(X) for X in subsets]
+    by_name = [(1 << i, ground[i]) for i in sorted(range(n), key=ground.__getitem__)]
+    ids = ["{" + ",".join([e for b, e in by_name if X & b]) + "}" for X in masks]
     covers = [(k, pos[X | 1 << e]) for k, X in enumerate(masks)
               for e in range(n) if not X >> e & 1]
     sp = SimplicialPoset(_certified(ids, covers, [X.bit_count() for X in masks]))
-    return MatroidScheme(sp, tuple(mat.rank[X] for X in subsets), _checked=True)
+    return MatroidScheme(sp, tuple(map(mat.rank_table.__getitem__, masks)), _checked=True)
 
 
 # --- semimatroids -----------------------------------------------------------------
@@ -198,7 +207,8 @@ class Semimatroid:
 
     S2 (monotonicity) and S3 (submodularity where the union is a face) are
     checked on one-element steps between faces.  Only when a step fails do
-    the sweeps over all pairs of faces run, to name the first witness."""
+    the sweeps over all pairs of faces run, to name the first witness.  A
+    repeated vertex raises ``DuplicateIdentifier``."""
 
     __slots__ = ("vertices", "faces", "rank")
 
@@ -206,6 +216,7 @@ class Semimatroid:
         self.vertices = tuple(vertices)
         if len(self.vertices) > SEMIMATROID_VERTEX_CAP:
             raise SizeCapExceeded(len(self.vertices), SEMIMATROID_VERTEX_CAP, "vertex set")
+        _distinct(self.vertices)
         self.faces = frozenset(frozenset(f) for f in faces)
         self.rank = {frozenset(k): v for k, v in rank.items()}
         if frozenset() not in self.faces:
@@ -442,14 +453,6 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
 
 # --- Dowling posets ------------------------------------------------------------------------
 
-def _canonical_coloring(block: tuple, coloring: dict, G: FiniteGroup) -> tuple:
-    """Right-multiply a block coloring so the least block member gets the
-    identity; the result is the unique class representative."""
-    least = min(block)
-    shift = G.inverse[coloring[least]]
-    return tuple(G.mul[(coloring[i], shift)] for i in block)
-
-
 def _block_id(block: tuple, colors: tuple) -> str:
     return "{" + ",".join(f"{i}:{c}" for i, c in zip(block, colors)) + "}"
 
@@ -492,6 +495,9 @@ def dowling_geometric(n: int, action: GroupAction, *,
     through an equivariant map (determined by the image of the identity).
     Each cover removes one block, so the poset is built with that rank
     as given, not derived; ``validate_geometric`` is its certificate.
+    Elements are numbered once, in (rank, id) order, and each cover's upper
+    end is found by its (beta, z) tuple, so an id is written once per
+    element; the pairs come sorted by (id, id), as they always have.
     More than ``DOWLING_SIZE_CAP`` elements are refused with
     ``SizeCapExceeded`` as soon as they are met.
     """
@@ -511,14 +517,8 @@ def dowling_geometric(n: int, action: GroupAction, *,
             rest = tuple(i for i in ground if i not in zset)
             for part in _set_partitions(rest):
                 blocks = sorted(tuple(sorted(b)) for b in part)
-                colorings = []
-                for block in blocks:
-                    free = [G.elements] * (len(block) - 1)
-                    opts = []
-                    for combo in itertools.product(*free):
-                        colors = (G.identity,) + combo
-                        opts.append(colors)
-                    colorings.append(opts)
+                colorings = [[(G.identity,) + c for c in
+                              itertools.product(G.elements, repeat=len(b) - 1)] for b in blocks]
                 for colors in itertools.product(*colorings):
                     beta = tuple(zip(blocks, colors))
                     for zcolors in itertools.product(T, repeat=zsize):
@@ -528,37 +528,33 @@ def dowling_geometric(n: int, action: GroupAction, *,
                             raise SizeCapExceeded(len(elements), cap,
                                                   "partition poset", at_least=True)
 
-    ids = {}
-    for beta, z in elements:
-        ids[(beta, z)] = _element_id(beta, z)
+    ids = {el: _element_id(*el) for el in elements}
     order = sorted(elements, key=lambda el: (n - len(el[0]), ids[el]))
-
-    covers = []
-    for beta, z in order:
-        here = ids[(beta, z)]
-        blocks = list(beta)
-        # merge two blocks with a twist
-        for (i, (ba, ca)), (j, (bb, cb)) in itertools.combinations(
-                enumerate(blocks), 2):
-            rest = [blocks[k] for k in range(len(blocks)) if k not in (i, j)]
+    pos = {el: k for k, el in enumerate(order)}
+    pairs = []
+    # lower ends in id order, and the upper ends of each, all of one rank,
+    # in index order: the pairs come sorted by (id, id)
+    for beta, z in sorted(elements, key=ids.__getitem__):
+        ups = set()
+        # merge two blocks with a twist g: the least member is in the first
+        # block, whose identity color keeps the coloring canonical
+        for (i, (ba, ca)), (j, (bb, cb)) in itertools.combinations(enumerate(beta), 2):
+            rest = beta[:i] + beta[i + 1:j] + beta[j + 1:]
+            merged = tuple(sorted(ba + bb))
             for g in G.elements:
-                merged_block = tuple(sorted(ba + bb))
-                coloring = {p: c for p, c in zip(ba, ca)}
-                coloring.update({p: G.mul[(c, g)] for p, c in zip(bb, cb)})
-                canon = _canonical_coloring(merged_block, coloring, G)
-                new_beta = tuple(sorted(rest + [(merged_block, canon)]))
-                covers.append((here, _element_id(new_beta, z)))
+                coloring = dict(zip(ba, ca))
+                coloring.update({p: G.mul[c, g] for p, c in zip(bb, cb)})
+                block = (merged, tuple(map(coloring.__getitem__, merged)))
+                ups.add(pos[tuple(sorted(rest + (block,))), z])
         # resolve one block through an equivariant map g -> g·t0
-        for i, (blk, colors) in enumerate(blocks):
-            rest = [blocks[k] for k in range(len(blocks)) if k != i]
+        for i, (blk, colors) in enumerate(beta):
             for t0 in T:
                 extra = tuple((p, action(c, t0)) for p, c in zip(blk, colors))
-                new_z = tuple(sorted(z + extra))
-                covers.append((here, _element_id(tuple(sorted(rest)), new_z)))
+                ups.add(pos[beta[:i] + beta[i + 1:], tuple(sorted(z + extra))])
+        here = pos[beta, z]
+        pairs += [(here, u) for u in sorted(ups)]
 
     names = [ids[el] for el in order]
-    pos = {name: k for k, name in enumerate(names)}
-    pairs = [(pos[a], pos[b]) for a, b in sorted(set(covers))]
     rp = _certified(names, pairs, [n - len(beta) for beta, _ in order])
     return validate_geometric(rp, atom_cap)
 

@@ -145,14 +145,14 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
                 raise AxiomViolation("G1", (mx, check.condition, check.witness))
         raise InvariantBroken("G1 fails on the masks but on no maximal interval")
 
-    atom_idx = [i for i, k in enumerate(r) if k == 1]
-    if len(atom_idx) > atom_cap:
-        raise AtomCapExceeded(len(atom_idx), atom_cap)
+    atoms = _atoms(r)
+    if atoms.bit_count() > atom_cap:
+        raise AtomCapExceeded(atoms.bit_count(), atom_cap)
     top_rank = max((r[i] for i in _maxima(p)), default=0)
     for i, x in enumerate(els):  # G2
         # a set meeting the atoms a with a not<= x and join(a, x) nonempty
         # satisfies G2 for x, so only sets of the other atoms can fail
-        bad = [a for a in atom_idx if p.below[i] >> a & 1 or not joinable[i] >> a & 1]
+        bad = list(_bits(atoms & (p.below[i] | ~joinable[i])))
         for size in range(r[i] + 1, min(top_rank, len(bad)) + 1):
             for A in itertools.combinations(bad, size):
                 common = functools.reduce(operator.and_, (p.above[a] for a in A))

@@ -331,12 +331,17 @@ def _certified(elements, pairs, ranks) -> "RankedPoset":
     order = sorted(range(len(elements)), key=ranks.__getitem__)
     p = _closed(elements, pairs, order, *_adjacency(len(elements), pairs))
     if len(p.index) != len(p.elements):
-        seen = set()
-        for e in p.elements:
-            if e in seen:
-                raise DuplicateIdentifier(f"duplicate element id {e!r}")
-            seen.add(e)
+        _distinct(p.elements)
     return _ranked(p, ranks)
+
+
+def _distinct(ids) -> None:
+    """Raise ``DuplicateIdentifier`` on the first id that repeats."""
+    seen = set()
+    for e in ids:
+        if e in seen:
+            raise DuplicateIdentifier(f"duplicate element id {e!r}")
+        seen.add(e)
 
 
 def _ranked(p: Poset, ranks: tuple) -> "RankedPoset":

@@ -13,7 +13,8 @@ satisfying:
       with join(x,a) nonempty
 
 The axioms are checked on the poset's index bitmasks.  M1, M2, M4 and M5
-take one mask per element.  M3 is checked on the diamonds l < u, v < w
+take one mask per element; M4's masks come from one sweep up the lower
+covers.  M3 is checked on the diamonds l < u, v < w
 (two lower covers of w and their meet): every down-set of a simplicial
 poset is a Boolean lattice, and a function on a Boolean lattice that is
 submodular on each diamond is submodular everywhere (Schrijver,
@@ -191,14 +192,25 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
                     if r[i] + r[j] < r[u] + r[m]:
                         raise AxiomViolation("M3", (x, els[j], els[u], els[m]))
         raise MschemeError("M3 fails on a diamond but on no joinable pair")
+    # same_up[x]: the OR of above[l] over the l <= x with rho(l) = rho(x).
+    # By M2, rho is constant on every chain from such an l up to x, so one
+    # sweep up the linear extension reads it from x's lower covers
+    same_up = [0] * len(els)
+    for x in p.order:
+        up, rx = above[x], r[x]
+        for c in p.covers_dn[x]:
+            if r[c] == rx:
+                up |= same_up[c]
+        same_up[x] = up
     for i, x in enumerate(els):  # M4
-        # by M2, one l in `same` below y puts a maximal common lower bound there
-        same = below[i] & lt[r[i] + 1] & ~lt[r[i]]
-        bad = _union(above, same) & ~joinable[i]
+        bad = same_up[i] & ~joinable[i]
         if bad:
+            # by M2, one l in `same` below y puts a maximal common lower bound there
+            same = below[i] & lt[r[i] + 1] & ~lt[r[i]]
             j = next(_bits(bad))
             meet = p.maximal_of_mask(below[i] & below[j]) & same
             raise AxiomViolation("M4", (x, els[j], els[next(_bits(meet))]))
+    del same_up  # freed before M5's masks are built
     atoms = _atoms(sp.ranked.ranks)
     for i, x in enumerate(els):  # M5
         reach = _union(above, atoms & ~below[i] & joinable[i])

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import constructions, geometric
 from .errors import (
@@ -336,12 +337,12 @@ class _Cut:
         phases followed by the character's.  Each phase, given and
         returned, is a reduced pair (num, den) of ints with
         0 <= num < den: pairs hash and compare as tuples, and a caller
-        builds a Fraction only for a layer it keeps."""
-        q = 1
-        for _, d in phases:
-            q = lcm(q, d)
+        builds a Fraction only for a layer it keeps.  q is one ``lcm`` of
+        the given denominators, and each row of ``mix`` is applied to the
+        numerators over q by one ``sum(map(mul, ...))``."""
+        q = lcm(*(d for _, d in phases))
         nums = [n * (q // d) for n, d in phases]
-        base = [sum(a * b for a, b in zip(row, nums)) for row in self.mix]
+        base = [sum(map(mul, row, nums)) for row in self.mix]
         big = q * self.g
         out = []
         for kq in range(0, big, q):
@@ -375,7 +376,7 @@ def _cut(basis, inverse, alpha) -> _Cut | None:
     if not r:
         s = 1 if next(a for a in alpha if a) > 0 else -1
         return _Cut((tuple(s * a for a in alpha),), ((s,),), (), 1)
-    c = [sum(a * w for a, w in zip(alpha, col)) for col in inverse]
+    c = [sum(map(mul, alpha, col)) for col in inverse]
     g = gcd(*c[r:])
     if not g:
         return None
@@ -385,8 +386,7 @@ def _cut(basis, inverse, alpha) -> _Cut | None:
         s = 1 if c[r] > 0 else -1
         t = [[col[i] for col in inverse[:r]] + [s * inverse[r][i]] for i in range(n)]
         return _Cut(_identity(n), t, head, g)
-    beta = [(a - sum(h * row[i] for h, row in zip(head, basis))) // g
-            for i, a in enumerate(alpha)]
+    beta = [(a - sum(map(mul, head, col))) // g for a, col in zip(alpha, zip(*basis))]
     h, t = hnf([list(row) for row in basis] + [beta])
     return _Cut(tuple(tuple(row) for row in h), t, head, g)
 

@@ -3,9 +3,11 @@ recursive deletion-contraction on built sub-schemes that the mask stack of
 ``tutte._leaf_counts`` replaced, with its pivot rule, a hook that records
 the mask stack's nodes, and the scheme variants both are run on; the atom
 sets of a simplicial poset, which it no longer stores, and the checks that
-its ranks count them and its bottom is its one minimal element; and the
-toric layer closure with one Hermite form per cut."""
+its ranks count them and its bottom is its one minimal element; the
+toric layer closure with one Hermite form per cut; M4 with one union of
+up-sets per element; and the Dowling cover loop keyed by element ids."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -19,8 +21,9 @@ from mscheme import (
     validate_scheme,
     verify_simplicial,
 )
-from mscheme.poset import _full
-from mscheme.scheme import _sub_scheme
+from mscheme.constructions import _element_id, _set_partitions
+from mscheme.poset import _bits, _full, _union
+from mscheme.scheme import _joinable, _less_than, _sub_scheme
 from mscheme.toric import Layer, _Cut, _completion, ambient_layer, hnf
 from mscheme.tutte import _pivot
 
@@ -213,3 +216,94 @@ def closure_reference(arr, met=None):
         (phases,) = cut.pieces((t,))
         atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
     return list(layers.values()), steps, atom_of
+
+
+def m4_union_witness(sp, rho):
+    """M4 as ``validate_scheme`` checked it with one ``_union`` per element:
+    the first (x, y, l) with y outside x's joinable set and above some l <=
+    x with rho(l) = rho(x), l a maximal common lower bound, or None when M4
+    holds.  ``rho`` is id-keyed; the caller has seen M1-M3 hold."""
+    p = sp.poset
+    els, above, below = p.elements, p.above, p.below
+    r = tuple(map(rho.get, els))
+    lt = _less_than(r)
+    joinable = _joinable(p)
+    for i, x in enumerate(els):
+        same = below[i] & lt[r[i] + 1] & ~lt[r[i]]
+        bad = _union(above, same) & ~joinable[i]
+        if bad:
+            j = next(_bits(bad))
+            meet = p.maximal_of_mask(below[i] & below[j]) & same
+            return x, els[j], els[next(_bits(meet))]
+    return None
+
+
+def m4_verdict_agrees(sp, rho) -> bool | None:
+    """Assert that ``validate_scheme``'s verdict on the id-keyed labels
+    ``rho`` is the one ``m4_union_witness`` gives: ("M4", its witness)
+    where M4 fails, and no M4 where it holds.  Returns whether M4 failed,
+    or None when M1-M3, checked first, decided the verdict."""
+    try:
+        validate_scheme(sp, rho)
+        got = None
+    except AxiomViolation as exc:
+        got = exc.axiom, exc.witness
+    if got is not None and got[0] in ("M1", "M2", "M3"):
+        return None
+    want = m4_union_witness(sp, rho)
+    if want is None:
+        assert got is None or got[0] == "M5", got
+    else:
+        assert got == ("M4", want), (got, want)
+    return want is not None
+
+
+def dowling_by_ids(n, action):
+    """The element ids and index cover pairs of ``dowling_geometric(n,
+    action)`` as its loops found them by id: the elements enumerated, every
+    cover candidate's upper end written as an id, the id pairs
+    deduplicated and sorted, then mapped to indices of the (rank, id)
+    order, with each merged coloring made canonical by the inverse of its
+    least member's color."""
+    G, T = action.group, action.points
+    ground = tuple(range(1, n + 1))
+    elements = []
+    for zsize in range(n + 1):
+        for zset in itertools.combinations(ground, zsize):
+            rest = tuple(i for i in ground if i not in zset)
+            for part in _set_partitions(rest):
+                blocks = sorted(tuple(sorted(b)) for b in part)
+                colorings = []
+                for block in blocks:
+                    free = [G.elements] * (len(block) - 1)
+                    colorings.append([(G.identity,) + combo
+                                      for combo in itertools.product(*free)])
+                for colors in itertools.product(*colorings):
+                    beta = tuple(zip(blocks, colors))
+                    for zcolors in itertools.product(T, repeat=zsize):
+                        elements.append((beta, tuple(zip(zset, zcolors))))
+    ids = {el: _element_id(*el) for el in elements}
+    order = sorted(elements, key=lambda el: (n - len(el[0]), ids[el]))
+    covers = []
+    for beta, z in order:
+        here = ids[(beta, z)]
+        blocks = list(beta)
+        for (i, (ba, ca)), (j, (bb, cb)) in itertools.combinations(enumerate(blocks), 2):
+            rest = [blocks[k] for k in range(len(blocks)) if k not in (i, j)]
+            for g in G.elements:
+                merged_block = tuple(sorted(ba + bb))
+                coloring = {p: c for p, c in zip(ba, ca)}
+                coloring.update({p: G.mul[(c, g)] for p, c in zip(bb, cb)})
+                shift = G.inverse[coloring[min(merged_block)]]
+                canon = tuple(G.mul[(coloring[q], shift)] for q in merged_block)
+                new_beta = tuple(sorted(rest + [(merged_block, canon)]))
+                covers.append((here, _element_id(new_beta, z)))
+        for i, (blk, colors) in enumerate(blocks):
+            rest = [blocks[k] for k in range(len(blocks)) if k != i]
+            for t0 in T:
+                extra = tuple((p, action(c, t0)) for p, c in zip(blk, colors))
+                new_z = tuple(sorted(z + extra))
+                covers.append((here, _element_id(tuple(sorted(rest)), new_z)))
+    names = [ids[el] for el in order]
+    pos = {name: k for k, name in enumerate(names)}
+    return names, [(pos[a], pos[b]) for a, b in sorted(set(covers))]

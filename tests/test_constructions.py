@@ -7,6 +7,7 @@ import pytest
 
 from mscheme import (
     AxiomViolation,
+    DuplicateIdentifier,
     FiniteGroup,
     GroupAction,
     InvariantBroken,
@@ -39,6 +40,7 @@ from mscheme.constructions import quotient_subset_identities, set_id
 from mscheme.tutte import _expand
 
 from generators import dowling_inputs
+from referees import dowling_by_ids
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +120,70 @@ def test_linear_matroid_dependencies():
     assert m.rank[frozenset({"a", "c"})] == 2
     m2 = linear_matroid([[2, 4]], ["a", "b"])  # parallel columns
     assert m2.rank[frozenset({"a", "b"})] == 1
+
+
+def test_repeated_ground_names_are_refused():
+    """A matroid, a linear matroid or a semimatroid whose names repeat is
+    refused as ``build_poset`` refuses a repeated id, not read as having
+    two elements."""
+    with pytest.raises(DuplicateIdentifier):
+        Matroid(["a", "a"], {frozenset(): 0, frozenset({"a"}): 1})
+    with pytest.raises(DuplicateIdentifier):
+        linear_matroid([[1, 0], [0, 1]], ["a", "a"])
+    faces = [frozenset(), frozenset({"v"})]
+    with pytest.raises(DuplicateIdentifier):
+        Semimatroid(["v", "v"], faces, {f: len(f) for f in faces})
+
+
+def test_scheme_from_matroid_ids_and_ranks_from_the_definition():
+    """Every element of ``scheme_from_matroid`` is ``set_id`` of the names
+    of the atoms below it, labelled with ``mat.rank`` of that set, and the
+    elements come by size, then in order of ground index.  U(2,10) names
+    e10 before e2 by string but after it by index; the linear matroid's
+    names are not in sorted order."""
+    for mat in (uniform_matroid(2, 10), uniform_matroid(3, 5),
+                linear_matroid([[1, 0, 1], [0, 1, 1]], ["b", "a", "c"]),
+                linear_matroid([[1, 2, 0, 1], [0, 0, 1, 1]], ["z", "y", "x", "w"])):
+        m = scheme_from_matroid(mat)
+        assert m.elements == tuple(set_id(c) for r in range(len(mat.ground) + 1)
+                                   for c in itertools.combinations(mat.ground, r))
+        for x in m.elements:
+            members = [a[1:-1] for a in m.poset.down_set(x) if m.size(a) == 1]
+            assert x == set_id(members), x
+            assert m.rho[x] == mat.rank[frozenset(members)], x
+        assert validate_scheme(m.s, m.rho) == m
+
+
+def _dowling_actions():
+    """(label, action) over Z1-Z3: trivial on one to three points, and
+    over Z2 the swap of two points with and without a fixed third, and
+    over Z3 the rotation of three points."""
+    out = []
+    for k in (1, 2, 3):
+        group = cyclic_group(k)
+        for p in (1, 2, 3):
+            out.append((f"Z{k} trivial{p}", trivial_action(group, [f"p{i}" for i in range(p)])))
+    e, g = cyclic_group(2).elements
+    swap = {(e, "p0"): "p0", (e, "p1"): "p1", (g, "p0"): "p1", (g, "p1"): "p0"}
+    out.append(("Z2 swap2", GroupAction(cyclic_group(2), ["p0", "p1"], swap)))
+    out.append(("Z2 swap2fix1", GroupAction(cyclic_group(2), ["p0", "p1", "p2"],
+                                            {**swap, (e, "p2"): "p2", (g, "p2"): "p2"})))
+    z3, pts = cyclic_group(3), ["p0", "p1", "p2"]
+    out.append(("Z3 rot3", GroupAction(z3, pts, {(z3.elements[i], pts[j]): pts[(i + j) % 3]
+                                                for i in range(3) for j in range(3)})))
+    return out
+
+
+def test_dowling_covers_match_the_id_keyed_loop():
+    """``dowling_geometric`` finds each cover by its element tuple; its
+    elements and index cover pairs, in order, are those of the loop that
+    wrote every cover's upper end as an id and sorted the id pairs."""
+    for label, act in _dowling_actions():
+        for n in range(4):
+            gp = dowling_geometric(n, act)
+            names, pairs = dowling_by_ids(n, act)
+            assert gp.elements == tuple(names), (label, n)
+            assert gp.poset.pairs == tuple(pairs), (label, n)
 
 
 def test_semimatroid_face_poset(semi4):

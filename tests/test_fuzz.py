@@ -14,6 +14,10 @@ test is the same on every run and takes a few seconds.
 ``construct`` is also fuzzed on its command line: integer arguments and
 caps that are negative, zero, huge or not integers, ranks above the
 ground size, and unknown kinds.
+
+M4 is fuzzed in process: on the edited documents that read as simplicial
+posets and on the scheme fixtures with random labels, its verdict and
+witness are refereed by the ``_union`` form in ``referees``.
 """
 
 import contextlib
@@ -26,8 +30,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mscheme import files, flats
+from mscheme import MschemeError, compute_rank, files, flats, verify_simplicial
 from mscheme.cli import main
+
+from referees import m4_verdict_agrees
 
 SCHEMES = ("isth", "cw_l", "cw_r", "nonpos", "qfix", "dow_nontriv")
 
@@ -138,6 +144,42 @@ def test_cli_exit_codes_hold_on_generated_documents(workdir, data):
     assert code in (0, 1, 2), (argv, code, out, err)
     assert "Traceback" not in err, (argv, err)
     assert _run(argv)[:2] == (code, out), argv
+
+
+FIXTURE_POSETS = [files.load_scheme(files.resolve_input(f"{name}.json")).s for name in SCHEMES]
+
+
+@st.composite
+def relabelled_fixtures(draw):
+    """A scheme fixture's simplicial poset with labels drawn at random and
+    raised along the covers, so that M1 and M2 hold and M3-M5 are left to
+    chance."""
+    sp = draw(st.sampled_from(FIXTURE_POSETS))
+    p, size = sp.poset, sp.ranked.ranks
+    r = [0] * len(size)
+    for x in p.order:
+        floor = max((r[c] for c in p.covers_dn[x]), default=0)
+        r[x] = max(floor, draw(st.integers(0, size[x])))
+    return sp, dict(zip(p.elements, r))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_m4_by_lower_covers_matches_the_union_form_on_generated_schemes(data):
+    """On every edited fixture document that reads as a simplicial poset,
+    and on the scheme fixtures with random labels that keep M1 and M2,
+    ``validate_scheme`` gives the verdict and M4 witness of one ``_union``
+    of up-sets per element."""
+    if data.draw(st.booleans()):
+        sp, rho = data.draw(relabelled_fixtures())
+    else:
+        try:
+            poset, rho = files.parse_poset_doc(data.draw(edited_fixtures()))
+            sp = verify_simplicial(compute_rank(poset))
+        except MschemeError:
+            return
+    m4_verdict_agrees(sp, rho)
 
 
 # the other document kinds: kind -> (fixtures, command lines with DOC for

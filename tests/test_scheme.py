@@ -42,6 +42,8 @@ from mscheme import (
 from mscheme.poset import Poset, _bits
 from mscheme.scheme import _independent_mask, _meet_of_joinable
 
+from referees import left_class, m4_verdict_agrees, shuffled
+
 
 def make_scheme(elements, covers, rho):
     sp = verify_simplicial(compute_rank(build_poset(elements, covers)))
@@ -521,6 +523,28 @@ def test_validators_match_definition_witnesses(corpus):
                 (name, sorted(ind, key=m.poset.index.get))
             seen.add(expected and expected[0])
     assert {"M1", "M2", "M3", "M4", "M5", "I1", "I2", "I3", "I4"} <= seen, seen
+
+
+def test_m4_by_lower_covers_matches_the_union_form(corpus, nonpos):
+    """M4 read from one sweep up the lower covers gives the verdict and
+    the first witness of one ``_union`` of up-sets per element, on every
+    corpus scheme and a shuffled copy, the contractions of the two-top
+    fixture that break the axioms, and seeded relabellings of each: every
+    truncation min(rho, k), which keeps M1 and M2 and breaks M4 on many
+    schemes with two maximal elements, and rho nudged by +-1 at a few
+    elements."""
+    rng = random.Random(20261020)
+    outcomes = []
+    for name, m in corpus.schemes() + shuffled(corpus, rng) + left_class(nonpos):
+        sp = m.s
+        labellings = [dict(m.rho)]
+        labellings += [{e: min(v, k) for e, v in m.rho.items()} for k in range(max(m.rhos))]
+        for e in rng.sample(m.elements, min(3, len(m.elements))):
+            labellings.append({**m.rho, e: m.rho[e] + rng.choice((-1, 1))})
+        for rho in labellings:
+            outcomes.append(m4_verdict_agrees(sp, rho))
+    assert outcomes.count(True) >= 200 and outcomes.count(False) >= 500, (
+        outcomes.count(True), outcomes.count(False))
 
 
 def diamonds(p):
