@@ -27,14 +27,13 @@ _EXPORTS = {
         UnknownIdentifier""",
     "polynomials": "BivariatePolynomial UnivariatePolynomial",
     "poset": """LatticeCheck Poset RankedPoset SimplicialPoset build_poset
-        characteristic_polynomial complement compute_rank find_isomorphism
-        is_geometric_lattice iter_isomorphisms lower_bound_maxima mobius
-        upper_bound_minima verify_simplicial""",
-    "scheme": """DerivedAxiomReport MatroidScheme bases check_derived_axioms
-        check_loop_del_contr circuits closure contract delete flats independence
-        is_simple isthmuses localization loops restrict scheme_from_independence
-        scheme_isomorphism scheme_rank validate_independence validate_scheme""",
-    "tutte": "charpoly_identity tutte_delcon tutte_direct tutte_point_checks",
+        characteristic_polynomial compute_rank find_isomorphism
+        is_geometric_lattice iter_isomorphisms mobius verify_simplicial""",
+    "scheme": """MatroidScheme bases circuits closure contract delete flats
+        independence is_simple isthmuses localization loops restrict
+        scheme_from_independence scheme_isomorphism scheme_rank
+        validate_independence validate_scheme""",
+    "tutte": "charpoly_identity tutte_delcon tutte_direct",
     "geometric": """GeometricPoset check_uniqueness scheme_from_geometric
         simplification validate_geometric""",
     "constructions": """FiniteGroup GroupAction Matroid QuotientResult Semimatroid

@@ -25,7 +25,7 @@ from .errors import (
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
 from .poset import (SimplicialPoset, _certified, _distinct, build_poset, compute_rank,
                     verify_simplicial)
-from .scheme import MatroidScheme, circuits, flats, independence, validate_scheme
+from .scheme import MatroidScheme, validate_scheme
 
 # These two bound quadratic work, not an element table, so they stay apart
 # from ``geometric.ELEMENT_CAP``.  Vertices of a semimatroid: its up to 2^12
@@ -557,27 +557,3 @@ def dowling_geometric(n: int, action: GroupAction, *,
     names = [ids[el] for el in order]
     rp = _certified(names, pairs, [n - len(beta) for beta, _ in order])
     return validate_geometric(rp, atom_cap)
-
-
-# --- quotient identity helpers (used by tests) -----------------------------------
-
-def quotient_subset_identities(sm: Semimatroid, action: GroupAction,
-                               result: QuotientResult) -> dict:
-    """Compute flats/independents/circuits of the quotient both directly and
-    as orbit images from the original face-poset scheme; returns both sides
-    for each family."""
-    base = scheme_from_semimatroid(sm)
-    fl_base = {result.orbit_of[_members(f)] for f in flats(base).elements}
-    ind_base = {result.orbit_of[_members(f)] for f in independence(base)}
-    cir_base = {result.orbit_of[_members(f)] for f in circuits(base)}
-    q = result.scheme
-    return {
-        "flats": (set(flats(q).elements), fl_base),
-        "independence": (set(independence(q)), ind_base),
-        "circuits": (set(circuits(q)), cir_base),
-    }
-
-
-def _members(face_id: str) -> frozenset:
-    inner = face_id.strip("{}")
-    return frozenset(x for x in inner.split(",") if x)

@@ -19,9 +19,7 @@ from . import polynomials
 from .errors import (
     CycleDetected,
     DuplicateIdentifier,
-    InvariantBroken,
     NonHasseCover,
-    NotBelow,
     NotBoundedBelow,
     NotRanked,
     NotSimplicial,
@@ -131,12 +129,6 @@ class Poset:
         for t in T:
             common &= self.above[self.idx(t)]
         return self.minimal_of_mask(common)
-
-    def meet_mask(self, T) -> int:
-        common = _full(self)
-        for t in T:
-            common &= self.below[self.idx(t)]
-        return self.maximal_of_mask(common)
 
     def __repr__(self):
         return f"Poset({len(self.elements)} elements, {len(self.pairs)} covers)"
@@ -391,18 +383,6 @@ def _convex(rp: "RankedPoset", kept: list) -> "RankedPoset":
     return _ranked(sub, tuple(ranks[i] - base for i in kept))
 
 
-# --- joins and meets as operations ------------------------------------------
-
-def upper_bound_minima(p: Poset, T) -> frozenset:
-    """Minimal upper bounds of T; the whole poset's minima when T is empty."""
-    return frozenset(p._ids(p.join_mask(T)))
-
-
-def lower_bound_maxima(p: Poset, T) -> frozenset:
-    """Maximal lower bounds of T; the whole poset's maxima when T is empty."""
-    return frozenset(p._ids(p.meet_mask(T)))
-
-
 # --- ranked posets -----------------------------------------------------------
 
 class RankedPoset:
@@ -554,21 +534,6 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
         if clash >> i & 1:
             raise NotSimplicial(x, "two elements share the same atom set")
     return SimplicialPoset(rp)
-
-
-def complement(sp: SimplicialPoset, x, a):
-    """The unique element of the Boolean down-set of x whose atom set is
-    that of x minus that of a."""
-    p = sp.poset
-    if not p.leq(a, x):
-        raise NotBelow(f"{a!r} is not below {x!r}")
-    i = p.idx(x)
-    below, atoms = p.below, _atoms(sp.ranked.ranks)
-    target = below[i] & atoms & ~below[p.idx(a)]
-    for y in _bits(below[i]):
-        if below[y] & atoms == target:
-            return p.elements[y]
-    raise InvariantBroken(f"no complement of {a!r} in down-set of {x!r}")  # pragma: no cover
 
 
 # --- Möbius function and characteristic polynomial ----------------------------

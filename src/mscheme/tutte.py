@@ -21,7 +21,6 @@ from .scheme import (
     MatroidScheme,
     _closure_map,
     _less_than,
-    bases,
     flats,
     loops,
     scheme_rank,
@@ -151,19 +150,6 @@ def _leaf_counts(m: MatroidScheme) -> dict:
         stack.append((mask & above[a], a, rho[a], i, j + 1 - rho[a] + base, r_node))
         stack.append((mask & ~above[a], x, base, i, j, r_node))
     return counts
-
-
-def tutte_point_checks(m: MatroidScheme) -> tuple[int, int]:
-    """(T(1,1), T(2,2)), checked equal to the basis count and the element
-    count respectively (``InvariantBroken`` otherwise)."""
-    t = tutte_direct(m)
-    at_11 = t(1, 1)
-    at_22 = t(2, 2)
-    if at_11 != len(bases(m)):
-        raise InvariantBroken(f"T(1,1)={at_11} != |B|={len(bases(m))}")
-    if at_22 != len(m.elements):
-        raise InvariantBroken(f"T(2,2)={at_22} != |S|={len(m.elements)}")
-    return at_11, at_22
 
 
 def charpoly_identity(m: MatroidScheme) -> UnivariatePolynomial:

@@ -1,11 +1,14 @@
-"""Referees shared by the Tutte, minor, poset and toric tests: the
-recursive deletion-contraction on built sub-schemes that the mask stack of
-``tutte._leaf_counts`` replaced, with its pivot rule, a hook that records
-the mask stack's nodes, and the scheme variants both are run on; the atom
+"""Referees shared by the tests: the recursive deletion-contraction on
+built sub-schemes that the mask stack of ``tutte._leaf_counts``
+replaced, with its pivot rule, a hook that records the mask stack's
+nodes, and the scheme variants both are run on; the atom
 sets of a simplicial poset, which it no longer stores, and the checks that
 its ranks count them and its bottom is its one minimal element; the
 toric layer closure with one Hermite form per cut; M4 with one union of
-up-sets per element; and the Dowling cover loop keyed by element ids."""
+up-sets per element; the Dowling cover loop keyed by element ids; the
+minimal upper and maximal lower bound sets by id; the Tutte point checks
+T(1,1) = #bases and T(2,2) = #elements; and a quotient's flats,
+independents and circuits against the orbit images of its base's."""
 
 import itertools
 from fractions import Fraction
@@ -14,10 +17,22 @@ from math import gcd
 import mscheme.tutte
 from mscheme import (
     AxiomViolation,
+    GroupAction,
+    InvariantBroken,
+    MatroidScheme,
+    Poset,
+    QuotientResult,
+    Semimatroid,
+    bases,
     build_poset,
+    circuits,
     compute_rank,
     contract,
+    flats,
+    independence,
+    scheme_from_semimatroid,
     tutte_delcon,
+    tutte_direct,
     validate_scheme,
     verify_simplicial,
 )
@@ -307,3 +322,51 @@ def dowling_by_ids(n, action):
     names = [ids[el] for el in order]
     pos = {name: k for k, name in enumerate(names)}
     return names, [(pos[a], pos[b]) for a, b in sorted(set(covers))]
+
+
+def upper_bound_minima(p: Poset, T) -> frozenset:
+    """Minimal upper bounds of T; the whole poset's minima when T is empty."""
+    return frozenset(p._ids(p.join_mask(T)))
+
+
+def lower_bound_maxima(p: Poset, T) -> frozenset:
+    """Maximal lower bounds of T; the whole poset's maxima when T is empty."""
+    common = _full(p)
+    for t in T:
+        common &= p.below[p.idx(t)]
+    return frozenset(p._ids(p.maximal_of_mask(common)))
+
+
+def tutte_point_checks(m: MatroidScheme) -> tuple[int, int]:
+    """(T(1,1), T(2,2)), checked equal to the basis count and the element
+    count respectively (``InvariantBroken`` otherwise)."""
+    t = tutte_direct(m)
+    at_11 = t(1, 1)
+    at_22 = t(2, 2)
+    if at_11 != len(bases(m)):
+        raise InvariantBroken(f"T(1,1)={at_11} != |B|={len(bases(m))}")
+    if at_22 != len(m.elements):
+        raise InvariantBroken(f"T(2,2)={at_22} != |S|={len(m.elements)}")
+    return at_11, at_22
+
+
+def quotient_subset_identities(sm: Semimatroid, action: GroupAction,
+                               result: QuotientResult) -> dict:
+    """Compute flats/independents/circuits of the quotient both directly and
+    as orbit images from the original face-poset scheme; returns both sides
+    for each family."""
+    base = scheme_from_semimatroid(sm)
+    fl_base = {result.orbit_of[_members(f)] for f in flats(base).elements}
+    ind_base = {result.orbit_of[_members(f)] for f in independence(base)}
+    cir_base = {result.orbit_of[_members(f)] for f in circuits(base)}
+    q = result.scheme
+    return {
+        "flats": (set(flats(q).elements), fl_base),
+        "independence": (set(independence(q)), ind_base),
+        "circuits": (set(circuits(q)), cir_base),
+    }
+
+
+def _members(face_id: str) -> frozenset:
+    inner = face_id.strip("{}")
+    return frozenset(x for x in inner.split(",") if x)

@@ -21,8 +21,6 @@ from mscheme import (
     build_poset,
     characteristic_polynomial,
     charpoly_identity,
-    check_derived_axioms,
-    check_loop_del_contr,
     compute_rank,
     contract,
     delete,
@@ -32,7 +30,6 @@ from mscheme import (
     is_simple,
     layers_poset,
     loops,
-    lower_bound_maxima,
     quotient_scheme,
     scheme_from_geometric,
     scheme_from_independence,
@@ -40,8 +37,6 @@ from mscheme import (
     scheme_rank,
     tutte_delcon,
     tutte_direct,
-    tutte_point_checks,
-    upper_bound_minima,
     validate_geometric,
     validate_scheme,
     verify_simplicial,
@@ -49,7 +44,10 @@ from mscheme import (
 )
 from mscheme import files
 from mscheme.polynomials import BivariatePolynomial, one_minus_t
+from derived_oracle import check_derived_axioms, check_loop_del_contr
 from grid_oracle import check_arrangement
+from referees import (lower_bound_maxima, quotient_subset_identities, tutte_point_checks,
+                      upper_bound_minima)
 
 BIG = 400  # elements; schemes above this are exercised by cheap checks only
 
@@ -211,7 +209,6 @@ def test_criterion_08_toric_reproduction(toric1, isth):
 
 
 def test_criterion_09_quotient_identities(qfix2):
-    from mscheme.constructions import quotient_subset_identities
     sm = files.load_semimatroid(files.resolve_input("semi4.json"))
     grp = files.load_group(files.resolve_input("z2.json"))
     act = files.load_action(files.resolve_input("z2_swap.json"), grp)

@@ -36,11 +36,11 @@ from mscheme import (
     validate_scheme,
 )
 from mscheme import files
-from mscheme.constructions import quotient_subset_identities, set_id
+from mscheme.constructions import set_id
 from mscheme.tutte import _expand
 
 from generators import dowling_inputs
-from referees import dowling_by_ids
+from referees import dowling_by_ids, quotient_subset_identities
 
 
 @pytest.fixture(scope="module")

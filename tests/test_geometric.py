@@ -31,7 +31,6 @@ from mscheme import (
     scheme_isomorphism,
     simplification,
     trivial_action,
-    upper_bound_minima,
     validate_geometric,
     verify_simplicial,
     validate_scheme,
@@ -40,7 +39,7 @@ from mscheme.geometric import _escaped_pair_id, pair_id
 from mscheme.poset import _bits
 
 from generators import dowling_inputs
-from referees import atom_sets
+from referees import atom_sets, upper_bound_minima
 from test_poset import boolean_lattice
 
 

@@ -19,7 +19,6 @@ from mscheme import (
     UnknownIdentifier,
     build_poset,
     characteristic_polynomial,
-    complement,
     compute_rank,
     cyclic_group,
     dowling_poset,
@@ -28,11 +27,9 @@ from mscheme import (
     is_geometric_lattice,
     iter_isomorphisms,
     linear_matroid,
-    lower_bound_maxima,
     mobius,
     scheme_from_matroid,
     uniform_matroid,
-    upper_bound_minima,
     verify_simplicial,
 )
 from mscheme.polynomials import UnivariatePolynomial
@@ -47,7 +44,8 @@ from mscheme.poset import (
     _ranked,
     transitive_reduction,
 )
-from referees import atom_sets, recursive_leaf_counts
+from derived_oracle import complement
+from referees import atom_sets, lower_bound_maxima, recursive_leaf_counts, upper_bound_minima
 
 
 def boolean_lattice(n):

@@ -1,10 +1,15 @@
 """Scheme axioms, closure/flats, independence cryptomorphism, minors."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mscheme
 from mscheme import (
     AxiomViolation,
     InvariantBroken,
@@ -14,8 +19,6 @@ from mscheme import (
     NotAnAtom,
     RankNotConstantOnMax,
     bases,
-    check_derived_axioms,
-    check_loop_del_contr,
     circuits,
     closure,
     contract,
@@ -26,13 +29,11 @@ from mscheme import (
     isthmuses,
     localization,
     loops,
-    lower_bound_maxima,
     restrict,
     scheme_from_independence,
     scheme_rank,
     tutte_delcon,
     tutte_direct,
-    upper_bound_minima,
     validate_independence,
     validate_scheme,
     verify_simplicial,
@@ -40,9 +41,12 @@ from mscheme import (
     build_poset,
 )
 from mscheme.poset import Poset, _bits
-from mscheme.scheme import _independent_mask, _meet_of_joinable
+from mscheme.scheme import _independent_mask
 
-from referees import left_class, m4_verdict_agrees, shuffled
+import derived_oracle
+from derived_oracle import _meet_of_joinable, check_derived_axioms, check_loop_del_contr
+from referees import (left_class, lower_bound_maxima, m4_verdict_agrees, shuffled,
+                      upper_bound_minima)
 
 
 def make_scheme(elements, covers, rho):
@@ -195,6 +199,30 @@ def test_independence_i2_violation(isth):
     with pytest.raises(AxiomViolation) as exc:
         validate_independence(isth.s, {"0", "u"})
     assert exc.value.axiom == "I2"
+
+
+# probe: the message of validate_independence on ids mostly unknown to isth
+UNKNOWN_IDS_PROBE = """
+from mscheme import UnknownIdentifier, files, validate_independence
+m = files.load_scheme(files.resolve_input("isth.json"))
+try:
+    validate_independence(m.s, ["0", "zz", "yy", "xx", "a"])
+except UnknownIdentifier as exc:
+    print(exc)
+"""
+
+
+def test_validate_independence_names_the_first_unknown_id_under_every_hash_seed():
+    """Of the ids given the first unknown one, in the order given, is named,
+    so the message is the same whatever the string hash seed."""
+    outs = set()
+    for seed in "0123":
+        run = subprocess.run([sys.executable, "-c", UNKNOWN_IDS_PROBE], capture_output=True,
+                             text=True, timeout=60, env={**os.environ, "PYTHONHASHSEED": seed},
+                             cwd=Path(mscheme.__file__).parents[1])
+        assert run.returncode == 0, run.stderr
+        outs.add(run.stdout)
+    assert outs == {"unknown element 'zz' in independence set\n"}, outs
 
 
 def test_derived_axioms_pass(isth, cw_l, cw_r, nonpos, qfix, qfix2):
@@ -374,7 +402,6 @@ def test_check_loop_del_contr(loop_scheme, qfix2, isth):
 def test_loop_del_contr_checks_raise_not_assert(monkeypatch, loop_scheme, qfix2):
     """The three checks of check_loop_del_contr are explicit raises, so they
     hold under ``python -O``."""
-    import mscheme.scheme
     relabelled = MatroidScheme(loop_scheme.s, (1, 0), _checked=True)  # "0": 1, "a": 0
     with pytest.raises(InvariantBroken, match="rank preserving"):
         check_loop_del_contr(relabelled, "a")
@@ -384,10 +411,10 @@ def test_loop_del_contr_checks_raise_not_assert(monkeypatch, loop_scheme, qfix2)
     top = max(phi, key=p.idx)
     swapped = {**phi, lp: phi[top], top: phi[lp]}  # still a bijection
     with monkeypatch.context() as mp:
-        mp.setattr(mscheme.scheme, "complement", lambda s, z, a: s.bottom)
+        mp.setattr(derived_oracle, "complement", lambda s, z, a: s.bottom)
         with pytest.raises(InvariantBroken, match="bijection"):
             check_loop_del_contr(qfix2, lp)
-    monkeypatch.setattr(mscheme.scheme, "complement", lambda s, z, a: swapped[z])
+    monkeypatch.setattr(derived_oracle, "complement", lambda s, z, a: swapped[z])
     with pytest.raises(InvariantBroken, match="order iso"):
         check_loop_del_contr(qfix2, lp)
 

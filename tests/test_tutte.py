@@ -21,7 +21,6 @@ from mscheme import (
     scheme_rank,
     tutte_delcon,
     tutte_direct,
-    tutte_point_checks,
     uniform_matroid,
     validate_scheme,
     verify_simplicial,
@@ -29,7 +28,9 @@ from mscheme import (
 from mscheme.poset import _full, _mobius
 from mscheme.scheme import MatroidScheme, _sub_scheme
 from mscheme.tutte import _expand, _leaf_counts
-from referees import delcon_nodes, left_class, recursive_leaf_counts, shuffled
+import referees
+from referees import (delcon_nodes, left_class, recursive_leaf_counts, shuffled,
+                      tutte_point_checks)
 
 
 def poly(s: str) -> BivariatePolynomial:
@@ -119,11 +120,12 @@ def test_point_and_charpoly_checks_raise_not_assert(monkeypatch, isth):
     raises, so they hold under ``python -O``."""
     import mscheme.tutte
     with monkeypatch.context() as mp:
-        mp.setattr(mscheme.tutte, "bases", lambda m: frozenset())
+        mp.setattr(referees, "bases", lambda m: frozenset())
         with pytest.raises(InvariantBroken, match=r"T\(1,1\)=2 != \|B\|=0"):
             tutte_point_checks(isth)
     with monkeypatch.context() as mp:
         # right at (1, 1) and wrong at (2, 2): isth has 2 bases, 5 elements
+        mp.setattr(referees, "tutte_direct", lambda m: BivariatePolynomial.constant(2))
         mp.setattr(mscheme.tutte, "tutte_direct", lambda m: BivariatePolynomial.constant(2))
         with pytest.raises(InvariantBroken, match=r"T\(2,2\)=2 != \|S\|=5"):
             tutte_point_checks(isth)
