@@ -9,6 +9,8 @@ for finite data).
 from __future__ import annotations
 
 import itertools
+from math import gcd
+from types import MappingProxyType
 
 from . import geometric, tutte
 from .errors import (
@@ -23,8 +25,8 @@ from .errors import (
     SizeCapExceeded,
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
-from .poset import (SimplicialPoset, _certified, _distinct, build_poset, compute_rank,
-                    verify_simplicial)
+from .poset import (SimplicialPoset, _bits, _certified, _distinct, build_poset,
+                    compute_rank, verify_simplicial)
 from .scheme import MatroidScheme, validate_scheme
 
 # These two bound quadratic work, not an element table, so they stay apart
@@ -67,44 +69,62 @@ def _rank_steps_hold(table: list) -> bool:
     return True
 
 
+def _subset_masks(n: int) -> list[int]:
+    """The bitmasks of the subsets of n indices, by size, then lexicographically."""
+    bits = [1 << i for i in range(n)]
+    return [sum(c) for r in range(n + 1) for c in itertools.combinations(bits, r)]
+
+
 class Matroid:
     """A ground set of distinct names with a rank function on all subsets,
     validated against the three rank axioms: bounds (R1), monotonicity (R2)
-    and submodularity (R3).  ``rank`` is keyed by frozensets of names;
-    ``rank_table[X]`` is the same rank of the subset whose bitmask over
-    ground indices is X, filled once here.
+    and submodularity (R3).  ``rank_table``, the one stored form, holds the
+    rank of the subset with bitmask X over ground indices at X.  ``rank``
+    is given as that list, or as a mapping keyed by sets of names that is
+    read into it; ``rank`` reads back, made from the table on first read,
+    as a read-only mapping keyed by frozensets of names.
 
-    R2 and R3 are checked on one-element steps, O(n^2 2^n) work.  Only when
-    a step fails do the sweeps over all pairs of subsets run, to name the
-    first witness.  A repeated name raises ``DuplicateIdentifier``."""
+    R1 is one pass over the table and R2, R3 are checked on one-element
+    steps, O(n^2 2^n) work.  Only when a check fails do the sweeps over
+    subsets, by size and then lexicographically, name the first witness.
+    A repeated name raises ``DuplicateIdentifier``."""
 
-    __slots__ = ("ground", "rank", "rank_table")
+    __slots__ = ("ground", "rank_table", "_rank")
 
-    def __init__(self, ground, rank: dict):
-        self.ground = tuple(ground)
-        _distinct(self.ground)
-        self.rank = {frozenset(k): v for k, v in rank.items()}
-        n = len(self.ground)
-        self.rank_table = table = [None] * (1 << n)
-        for k in range(n + 1):
-            for combo in itertools.combinations(range(n), k):
-                X = frozenset(self.ground[i] for i in combo)
-                if X not in self.rank:
-                    raise AxiomViolation("R1", (set_id(X),), "rank undefined")
-                if not 0 <= self.rank[X] <= len(X):
-                    raise AxiomViolation("R1", (set_id(X),))
-                table[sum(1 << i for i in combo)] = self.rank[X]
-        if _rank_steps_hold(table):
+    def __init__(self, ground, rank):
+        self.ground = ground = tuple(ground)
+        _distinct(ground)
+        if not isinstance(rank, list):
+            given = {frozenset(k): v for k, v in rank.items()}
+            rank = [given.get(self._names(X)) for X in range(1 << len(ground))]
+        if len(rank) != 1 << len(ground):
+            raise MalformedInput(f"a rank table of {len(rank)} entries for {len(ground)} names")
+        self.rank_table, self._rank = rank, None
+        bad = [X for X, v in enumerate(rank) if v is None or not 0 <= v <= X.bit_count()]
+        if bad:
+            X = min(bad, key=lambda X: (X.bit_count(), list(_bits(X))))
+            raise AxiomViolation("R1", (set_id(self._names(X)),),
+                                 "rank undefined" if rank[X] is None else "")
+        if _rank_steps_hold(rank):
             return
-        subsets = [frozenset(c) for r in range(n + 1)
-                   for c in itertools.combinations(self.ground, r)]
+        subsets = _subset_masks(len(ground))
         for X, Y in itertools.product(subsets, subsets):
-            if X <= Y and self.rank[X] > self.rank[Y]:
-                raise AxiomViolation("R2", (set_id(X), set_id(Y)))
+            if not X & ~Y and rank[X] > rank[Y]:
+                raise AxiomViolation("R2", (set_id(self._names(X)), set_id(self._names(Y))))
         for X, Y in itertools.combinations(subsets, 2):
-            if self.rank[X] + self.rank[Y] < self.rank[X | Y] + self.rank[X & Y]:
-                raise AxiomViolation("R3", (set_id(X), set_id(Y)))
+            if rank[X] + rank[Y] < rank[X | Y] + rank[X & Y]:
+                raise AxiomViolation("R3", (set_id(self._names(X)), set_id(self._names(Y))))
         raise MschemeError("R2/R3 fail on a one-element step but on no pair of subsets")
+
+    def _names(self, X: int) -> frozenset:
+        return frozenset(e for i, e in enumerate(self.ground) if X >> i & 1)
+
+    @property
+    def rank(self) -> MappingProxyType:
+        if self._rank is None:
+            self._rank = MappingProxyType({self._names(X): self.rank_table[X]
+                                           for X in _subset_masks(len(self.ground))})
+        return self._rank
 
     def __repr__(self):
         return f"Matroid({len(self.ground)} elements, rank {self.rank_table[-1]})"
@@ -120,59 +140,45 @@ def _ground_set_cap(n: int) -> None:
 
 
 def uniform_matroid(r: int, n: int) -> Matroid:
-    """U(r, n) on the ground set e1..en; refuses an n past the ground set
-    cap, then r outside [0, n]."""
+    """U(r, n) on the ground set e1..en, its rank table min(|X|, r) by
+    subset mask; refuses an n past the ground set cap, then r outside
+    [0, n]."""
     _ground_set_cap(n)
     if not 0 <= r <= n:
         raise MalformedInput(f"uniform matroid U({r},{n}) needs 0 <= r <= n")
-    ground = [f"e{i}" for i in range(1, n + 1)]
-    rank = {}
-    for k in range(n + 1):
-        for combo in itertools.combinations(ground, k):
-            rank[frozenset(combo)] = min(k, r)
-    return Matroid(ground, rank)
-
-
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    rows_n, cols_n = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(cols_n):
-        pivot_row = next((i for i in range(r, rows_n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, rows_n):
-            for j in range(c + 1, cols_n):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows_n:
-            break
-    return r
+    return Matroid([f"e{i}" for i in range(1, n + 1)],
+                   [min(X.bit_count(), r) for X in range(1 << n)])
 
 
 def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
-    """Matroid of the columns of an integer matrix, ranks computed by exact
-    fraction-free elimination.  Repeated names raise ``DuplicateIdentifier``
-    (from ``Matroid``)."""
+    """Matroid of the columns of an integer matrix.  Its rank table is
+    filled in one walk up the subset masks: the top column t of X is
+    reduced exactly against integer echelon rows spanning X - t, each
+    divided by its content, and adds one to the rank of X - t, and its
+    residue as a row, when a residue is left.  Repeated names raise
+    ``DuplicateIdentifier`` (from ``Matroid``)."""
     cols = list(zip(*matrix)) if matrix else []
-    _ground_set_cap(len(cols))
+    n = len(cols)
+    _ground_set_cap(n)
     if names is None:
-        names = [f"v{i}" for i in range(len(cols))]
-    if len(names) != len(cols):
+        names = [f"v{i}" for i in range(n)]
+    if len(names) != n:
         raise AxiomViolation("R1", tuple(names), "column/name count mismatch")
-    vec = dict(zip(names, cols))
-    rank = {}
-    for k in range(len(names) + 1):
-        for combo in itertools.combinations(names, k):
-            rank[frozenset(combo)] = _bareiss_rank([list(vec[c]) for c in combo])
-    return Matroid(names, rank)
+    table = [0] * (1 << n)
+    spans = [()] * (1 << n)  # per mask, (pivot, row) pairs spanning its columns
+    for X in range(1, 1 << n):
+        top = X.bit_length() - 1
+        rest, v = X ^ 1 << top, cols[top]
+        for p, row in spans[rest]:
+            if v[p]:
+                a, b = row[p], v[p]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        table[X], spans[X] = table[rest], spans[rest]
+        if any(v):
+            k = gcd(*v)
+            table[X] += 1
+            spans[X] += ((next(i for i, x in enumerate(v) if x), [x // k for x in v]),)
+    return Matroid(names, table)
 
 
 def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
@@ -188,8 +194,7 @@ def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
     name order, with no set built per subset."""
     ground = mat.ground
     n = len(ground)
-    masks = [sum(1 << i for i in c) for r in range(n + 1)
-             for c in itertools.combinations(range(n), r)]
+    masks = _subset_masks(n)
     pos = {X: k for k, X in enumerate(masks)}
     by_name = [(1 << i, ground[i]) for i in sorted(range(n), key=ground.__getitem__)]
     ids = ["{" + ",".join([e for b, e in by_name if X & b]) + "}" for X in masks]

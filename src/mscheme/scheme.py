@@ -365,7 +365,9 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
 def scheme_from_independence(sp: SimplicialPoset, ind) -> MatroidScheme:
     """Validate I1-I4, then build rho(x) = max size of an independent element
     below x and validate the result as a scheme; raises ``InvariantBroken``
-    if its independence poset differs from the input."""
+    if its independence poset differs from the input.  ``ind`` is read
+    once, so an iterator serves as well as a list."""
+    ind = tuple(ind)
     validate_independence(sp, ind)
     ind = set(ind)
     p = sp.poset

@@ -16,10 +16,10 @@ up to sign, so no normal form is taken.  Otherwise one Smith form per
 distinct B completes it to a unimodular W; for r + 1 = n the saturation is
 Z^n and the transform is read off W^-1, and only for 1 <= r <= n - 2 is a
 Hermite form taken per (B, alpha).  No character cuts a point (r = n).
-``_closure`` keeps the cuts of each basis in each call.  The phase half
-runs on integers over one common denominator and gives reduced (num, den)
-pairs; ``_closure`` keys its layers on them and builds Fractions once
-per distinct layer.
+``_closure`` numbers each basis when a cut first makes it and keeps the
+cuts of each basis in each call.  The phase half runs on integers, phases
+being numerators over their least common denominator, so ``_closure``
+keys layers and steps on ints and makes each ``Layer`` after its loop.
 Every exact invariant in this module raises InvariantBroken, so it holds
 under ``python -O``.  Characters and layers are plain slotted classes, so
 importing the module loads no ``dataclasses``.
@@ -224,22 +224,29 @@ class Character:
         return f"Character{self.label}"
 
 
+def _text(values) -> str:
+    """The values with commas between; an int past the interpreter's digit
+    limit is an ``MschemeError``, not a ValueError."""
+    try:
+        return ",".join(map(str, values))
+    except ValueError as exc:
+        raise MschemeError(f"a layer id is too long to write ({exc})") from None
+
+
 class Layer:
     """A saturated sublattice (canonical triangular basis) plus the rational
-    phases of its basis rows; one connected component of an intersection."""
+    phases of its basis rows; one connected component of an intersection.
+    ``rows``, the basis as its id writes it, is written here unless given."""
 
     __slots__ = ("n", "basis", "phases", "layer_id")
 
     def __init__(self, n: int, basis: tuple[tuple[int, ...], ...],
-                 phases: tuple[Fraction, ...]):
+                 phases: tuple[Fraction, ...], rows: str | None = None):
         self.n = n
         self.basis = basis
         self.phases = phases
-        try:
-            rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in basis)
-            self.layer_id = f"[{rows}]|[{','.join(map(str, phases))}]"
-        except ValueError as exc:  # an int past the interpreter's digit limit
-            raise MschemeError(f"a layer id is too long to write ({exc})") from None
+        rows = _text(f"[{_text(row)}]" for row in basis) if rows is None else rows
+        self.layer_id = f"[{rows}]|[{_text(phases)}]"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -332,32 +339,28 @@ class _Cut:
         self.shift = [t_i[r] for t_i in t]
         self.g = g
 
-    def pieces(self, phases) -> list[tuple[tuple[int, int], ...]]:
-        """The phases of every piece, one tuple per k, given the layer's
-        phases followed by the character's.  Each phase, given and
-        returned, is a reduced pair (num, den) of ints with
-        0 <= num < den: pairs hash and compare as tuples, and a caller
-        builds a Fraction only for a layer it keeps.  q is one ``lcm`` of
-        the given denominators, and each row of ``mix`` is applied to the
-        numerators over q by one ``sum(map(mul, ...))``."""
-        q = lcm(*(d for _, d in phases))
-        nums = [n * (q // d) for n, d in phases]
-        base = [sum(map(mul, row, nums)) for row in self.mix]
-        big = q * self.g
+    def pieces(self, q: int, nums, t) -> list[tuple[int, tuple[int, ...]]]:
+        """The phases of every piece, one (Q, numerators) per k, given the
+        layer's as numerators ``nums`` over a common denominator q and the
+        character's as a reduced pair t = (num, den).  Q is the least
+        common denominator and each numerator is in [0, Q), so equal
+        phases give equal tuples of ints.  Over lcm(q, den), each row of
+        ``mix`` meets the layer's numerators in one ``sum(map(mul, ...))``
+        and the character's in its last entry, that of ``shift``."""
+        big = lcm(q, t[1])
+        a, b = big // q, big // t[1] * t[0]
+        base = [a * sum(map(mul, row, nums)) + b * s for row, s in zip(self.mix, self.shift)]
+        if self.g == 1:
+            nums = [x % big for x in base]
+            k = gcd(big, *nums)
+            return [(big // k, tuple([x // k for x in nums]))]
         out = []
-        for kq in range(0, big, q):
-            piece = []
-            for b, s in zip(base, self.shift):
-                num = (b + kq * s) % big
-                k = gcd(num, big)
-                piece.append((num // k, big // k))
-            out.append(tuple(piece))
+        step, big = big, big * self.g
+        for kq in range(0, big, step):
+            nums = [(x + kq * s) % big for x, s in zip(base, self.shift)]
+            k = gcd(big, *nums)
+            out.append((big // k, tuple([x // k for x in nums])))
         return out
-
-
-def _fractions(phases) -> tuple[Fraction, ...]:
-    """The Fractions of reduced (num, den) phase pairs."""
-    return tuple(Fraction(n, d) for n, d in phases)
 
 
 def _cut(basis, inverse, alpha) -> _Cut | None:
@@ -404,8 +407,10 @@ def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
     cut = _cut(layer.basis, _completion(layer.n, layer.basis), c.alpha)
     if cut is None:
         return [layer] if layer.phase_of(c.alpha) == c.phase else []
-    given = tuple((t.numerator, t.denominator) for t in layer.phases + (c.phase,))
-    out = [Layer(layer.n, cut.sat, _fractions(phases)) for phases in cut.pieces(given)]
+    q = lcm(*(t.denominator for t in layer.phases))
+    nums = [t.numerator * (q // t.denominator) for t in layer.phases]
+    out = [Layer(layer.n, cut.sat, tuple(Fraction(x, den) for x in tops))
+           for den, tops in cut.pieces(q, nums, (c.phase.numerator, c.phase.denominator))]
     return sorted(out, key=lambda L: L.layer_id)
 
 
@@ -455,58 +460,64 @@ class LayersResult:
 
 
 def _closure(arr: ToricArrangement):
-    """The layers of ``arr``, breadth first from the ambient layer, with the
-    intersection steps (layer id, piece id) and each hypersurface's atom
-    layer id by canonical key.  Its tables, keyed on the reduced phase
-    pairs of ``_Cut.pieces``, are freed before the poset is built.  The
-    first layer met on a basis completes it once and cuts it by every
-    hypersurface; a point (rank n) that a cut makes lies in every
+    """The layers of ``arr`` in the order met, breadth first from the
+    ambient layer, the steps as pairs of their indices, and each
+    hypersurface's atom layer id by canonical key.  A basis is numbered
+    when a cut first makes it, and a layer is keyed on that number and the
+    (q, numerators) of ``_Cut.pieces``, which a frontier layer keeps for
+    its own cuts.  The first layer met on a basis completes it once and
+    cuts it by every hypersurface; a point (rank n) lies in every
     character's lattice, so it is listed but neither completed nor cut.
+    Each ``Layer`` is made after the loop, each basis written once.
 
     Each layer x is the second component of a pair (I, x) of the simple
     scheme, so more than ``geometric.ELEMENT_CAP`` layers are refused with
     ``SizeCapExceeded`` as soon as they are met, and so is a cut whose g
     pieces, all distinct layers, alone pass it, before any is listed."""
     cap = geometric.ELEMENT_CAP
-    start = ambient_layer(arr.n)
-    layers = {(start.basis, ()): start}  # (basis, phase pairs) -> its one Layer
-    steps = set()
-    cuts = {}  # basis -> its _cut by each hypersurface, for this call only
+    n = arr.n
+    start = ambient_layer(n).basis
+    number = {start: 0}  # each basis met -> its number
+    cuts = {}  # basis number -> (cut, number of its saturation, phase) per cutting hypersurface
     hypersurfaces = [(c.alpha, (c.phase.numerator, c.phase.denominator))
                      for c in arr.characters]
-    frontier = [((), start)]
+    layers = {(0, (1, ())): 0}  # (basis number, (q, numerators)) -> index
+    steps = set()
+    frontier = [(0, 0, start, 1, ())]  # (index, basis number, basis, q, numerators)
     while frontier:
         new = []
-        for phases, layer in frontier:
-            basis = layer.basis
-            row = cuts.get(basis)
+        for here, no, basis, q, nums in frontier:
+            row = cuts.get(no)
             if row is None:
-                inverse = _completion(arr.n, basis)
-                row = cuts[basis] = [_cut(basis, inverse, alpha) for alpha, _ in hypersurfaces]
-            for cut, (_, t) in zip(row, hypersurfaces):
-                if cut is None:  # the piece is the layer itself, or nothing
-                    continue
+                inverse = _completion(n, basis)
+                row = cuts[no] = []
+                for alpha, t in hypersurfaces:
+                    cut = _cut(basis, inverse, alpha)
+                    if cut is not None:  # else the piece is the layer itself, or nothing
+                        row.append((cut, number.setdefault(cut.sat, len(number)), t))
+            for cut, sat, t in row:
                 if cut.g > cap:
                     raise SizeCapExceeded(cut.g, cap, "layer poset", at_least=True)
-                for cut_phases in cut.pieces(phases + (t,)):
-                    piece = layers.get((cut.sat, cut_phases))
-                    if piece is None:
-                        piece = Layer(arr.n, cut.sat, _fractions(cut_phases))
-                        layers[cut.sat, cut_phases] = piece
-                        if len(layers) > cap:
-                            raise SizeCapExceeded(len(layers), cap, "layer poset",
-                                                  at_least=True)
-                        if len(cut.sat) < arr.n:  # no character cuts a point
-                            new.append((cut_phases, piece))
-                    steps.add((layer.layer_id, piece.layer_id))
+                for piece in cut.pieces(q, nums, t):
+                    k = layers.get((sat, piece))
+                    if k is None:
+                        k = layers[sat, piece] = len(layers)
+                        if k >= cap:
+                            raise SizeCapExceeded(k + 1, cap, "layer poset", at_least=True)
+                        if len(cut.sat) < n:  # no character cuts a point
+                            new.append((k, sat, cut.sat, *piece))
+                    steps.add((here, k))
         frontier = new
 
+    bases = list(number)
+    rows = [_text(f"[{_text(row)}]" for row in basis) for basis in bases]
+    found = [Layer(n, bases[sat], tuple(Fraction(x, den) for x in tops), rows[sat])
+             for sat, (den, tops) in layers]
     atom_of = {}
-    # a primitive alpha cuts the torus in one piece
-    for c, (_, t), cut in zip(arr.characters, hypersurfaces, cuts[()]):
-        (phases,) = cut.pieces((t,))
-        atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
-    return list(layers.values()), steps, atom_of
+    # every hypersurface cuts the torus, and a primitive alpha in one piece
+    for c, (cut, sat, t) in zip(arr.characters, cuts[0]):
+        atom_of[c.canonical_key()] = found[layers[sat, cut.pieces(1, (), t)[0]]].layer_id
+    return found, steps, atom_of
 
 
 def layers_poset(arr: ToricArrangement, atom_cap: int = DEFAULT_ATOM_CAP) -> LayersResult:
@@ -526,9 +537,10 @@ def layers_poset(arr: ToricArrangement, atom_cap: int = DEFAULT_ATOM_CAP) -> Lay
     if len(arr.characters) > atom_cap:
         raise AtomCapExceeded(len(arr.characters), atom_cap)
     found, steps, atom_of = _closure(arr)
-    ordered = sorted(found, key=lambda L: (L.rank, L.layer_id))
+    order = sorted(range(len(found)), key=lambda k: (found[k].rank, found[k].layer_id))
+    pos = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
+    ordered = [found[k] for k in order]
     ids = [L.layer_id for L in ordered]
-    pos = {lid: k for k, lid in enumerate(ids)}
     rp = _certified(ids, sorted((pos[a], pos[b]) for a, b in steps), [L.rank for L in ordered])
     gp = validate_geometric(rp, atom_cap)
     scheme = scheme_from_geometric(gp)

@@ -7,8 +7,9 @@ its ranks count them and its bottom is its one minimal element; the
 toric layer closure with one Hermite form per cut; M4 with one union of
 up-sets per element; the Dowling cover loop keyed by element ids; the
 minimal upper and maximal lower bound sets by id; the Tutte point checks
-T(1,1) = #bases and T(2,2) = #elements; and a quotient's flats,
-independents and circuits against the orbit images of its base's."""
+T(1,1) = #bases and T(2,2) = #elements; a quotient's flats,
+independents and circuits against the orbit images of its base's; and
+the rank tables of linear and uniform matroids, one subset at a time."""
 
 import itertools
 from fractions import Fraction
@@ -196,10 +197,10 @@ def closure_reference(arr, met=None):
     cuts = {}
     hypersurfaces = [(c.alpha, (c.phase.numerator, c.phase.denominator))
                      for c in arr.characters]
-    frontier = [((), start)]
+    frontier = [((1, ()), start)]
     while frontier:
         new = []
-        for phases, layer in frontier:
+        for (q, nums), layer in frontier:
             basis = layer.basis
             for alpha, t in hypersurfaces:
                 key = (basis, alpha)
@@ -217,10 +218,11 @@ def closure_reference(arr, met=None):
                 cut = cuts[key]
                 if cut is None:
                     continue
-                for cut_phases in cut.pieces(phases + (t,)):
+                for cut_phases in cut.pieces(q, nums, t):
                     piece = layers.get((cut.sat, cut_phases))
                     if piece is None:
-                        piece = Layer(n, cut.sat, tuple(Fraction(*p) for p in cut_phases))
+                        den, tops = cut_phases
+                        piece = Layer(n, cut.sat, tuple(Fraction(x, den) for x in tops))
                         layers[cut.sat, cut_phases] = piece
                         new.append((cut_phases, piece))
                     steps.add((layer.layer_id, piece.layer_id))
@@ -228,7 +230,7 @@ def closure_reference(arr, met=None):
     atom_of = {}
     for c, (alpha, t) in zip(arr.characters, hypersurfaces):
         cut = cuts[((), alpha)]
-        (phases,) = cut.pieces((t,))
+        (phases,) = cut.pieces(1, (), t)
         atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
     return list(layers.values()), steps, atom_of
 
@@ -322,6 +324,43 @@ def dowling_by_ids(n, action):
     names = [ids[el] for el in order]
     pos = {name: k for k, name in enumerate(names)}
     return names, [(pos[a], pos[b]) for a, b in sorted(set(covers))]
+
+
+def bareiss_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination,
+    as ``constructions.linear_matroid`` took it for each subset."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    rows_n, cols_n = len(m), len(m[0])
+    prev = 1
+    r = 0
+    for c in range(cols_n):
+        pivot_row = next((i for i in range(r, rows_n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        for i in range(r + 1, rows_n):
+            for j in range(c + 1, cols_n):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        if r == rows_n:
+            break
+    return r
+
+
+def linear_rank_table(matrix) -> list:
+    """Per subset bitmask X of the columns of an integer matrix, the
+    Bareiss rank of the columns in X, each subset eliminated afresh."""
+    cols = list(zip(*matrix)) if matrix else []
+    return [bareiss_rank([list(cols[i]) for i in _bits(X)]) for X in range(1 << len(cols))]
+
+
+def uniform_rank_table(r: int, n: int) -> list:
+    """Per subset bitmask X of n elements, min(|X|, r)."""
+    return [min(len(list(_bits(X))), r) for X in range(1 << n)]
 
 
 def upper_bound_minima(p: Poset, T) -> frozenset:

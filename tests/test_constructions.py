@@ -40,7 +40,8 @@ from mscheme.constructions import set_id
 from mscheme.tutte import _expand
 
 from generators import dowling_inputs
-from referees import dowling_by_ids, quotient_subset_identities
+from referees import (dowling_by_ids, linear_rank_table, quotient_subset_identities,
+                      uniform_rank_table)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,89 @@ def test_linear_matroid_dependencies():
     assert m.rank[frozenset({"a", "c"})] == 2
     m2 = linear_matroid([[2, 4]], ["a", "b"])  # parallel columns
     assert m2.rank[frozenset({"a", "b"})] == 1
+
+
+def _seeded_matrices(rng, count):
+    """Integer matrices of 1 to 4 rows and 0 to 9 columns, entries in
+    [-3, 3]; about one in three gets a zero column and a column that is a
+    multiple of another."""
+    out = []
+    for k in range(count):
+        n, rows = k % 10, 1 + k % 4
+        cols = [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(n)]
+        if n >= 3 and k % 3 == 0:
+            i, j, z = rng.sample(range(n), 3)
+            cols[j] = [rng.choice((-2, -1, 2)) * x for x in cols[i]]
+            cols[z] = [0] * rows
+        out.append([list(row) for row in zip(*cols)] if n else [[] for _ in range(rows)])
+    return out
+
+
+def test_rank_tables_match_the_referees():
+    """A linear matroid's rank table, filled along one walk over subset
+    masks, is the Bareiss rank of each subset's columns eliminated afresh,
+    zero and parallel columns included; a uniform matroid's is
+    min(|X|, r)."""
+    rng = random.Random(20261020)
+    zero = parallel = 0
+    for matrix in _seeded_matrices(rng, 160):
+        table = linear_matroid(matrix).rank_table
+        assert table == linear_rank_table(matrix), matrix
+        n = len(matrix[0])
+        singles = [k for k in range(n) if table[1 << k]]
+        zero += len(singles) < n
+        parallel += any(table[1 << i | 1 << j] == 1
+                        for i, j in itertools.combinations(singles, 2))
+    assert zero >= 40 and parallel >= 40, (zero, parallel)
+    for n in range(10):
+        for r in range(n + 1):
+            assert uniform_matroid(r, n).rank_table == uniform_rank_table(r, n), (r, n)
+
+
+def test_matroid_from_a_rank_dict_names_the_same_witnesses():
+    """``Matroid(ground, dict)`` reads the dict into its table and names
+    the first R1 (a subset missing, a rank past its size), R2 or R3
+    witness, by size and then in ground order, as it did on the dict."""
+    F = frozenset
+    cases = [
+        (["a", "b"], {F(): 0, F("a"): 1, F("ab"): 1},
+         "R1 fails on witness ('{b}',): rank undefined"),
+        (["a", "b"], {F(): 0, F("a"): 1, F("b"): 2, F("ab"): 1},
+         "R1 fails on witness ('{b}',)"),
+        (["b", "a"], {F(): 0, F("a"): 1, F("b"): 1, F("ab"): 3},
+         "R1 fails on witness ('{a,b}',)"),
+        (["a", "b"], {F(): 0, F("a"): 1, F("b"): 1, F("ab"): 0},
+         "R2 fails on witness ('{a}', '{a,b}')"),
+        (["a", "b"], {F(): 0, F("a"): 0, F("b"): 0, F("ab"): 1},
+         "R3 fails on witness ('{a}', '{b}')"),
+        (["c", "b", "a"], {F(""): 0, F("a"): 1, F("b"): 1, F("c"): 1, F("ab"): 1, F("ac"): 1,
+                           F("bc"): 1, F("abc"): 2}, "R3 fails on witness ('{b,c}', '{a,c}')"),
+    ]
+    for ground, rank, message in cases:
+        with pytest.raises(AxiomViolation) as exc:
+            Matroid(ground, rank)
+        assert str(exc.value) == message
+
+
+def test_rank_reads_back_as_a_frozenset_mapping():
+    """``rank`` is keyed by frozensets of names, one entry per subset by
+    size and then in ground order, read-only, and a matroid rebuilt from
+    it has the same table.  A table given as a list must have 2^n
+    entries."""
+    for mat in (uniform_matroid(2, 4), linear_matroid([[1, 0, 2], [0, 1, 0]], ["z", "y", "x"])):
+        n = len(mat.ground)
+        assert len(mat.rank) == 2 ** n
+        assert list(mat.rank) == [frozenset(c) for r in range(n + 1)
+                                  for c in itertools.combinations(mat.ground, r)]
+        for X in range(1 << n):
+            names = frozenset(e for i, e in enumerate(mat.ground) if X >> i & 1)
+            assert mat.rank[names] == mat.rank_table[X]
+        assert Matroid(mat.ground, mat.rank).rank_table == mat.rank_table
+        with pytest.raises(TypeError):
+            mat.rank[frozenset()] = 1
+    assert Matroid(["a", "b"], [0, 1, 1, 2]).rank[frozenset("ab")] == 2
+    with pytest.raises(MalformedInput, match="a rank table of 3 entries for 2 names"):
+        Matroid(["a", "b"], [0, 1, 1])
 
 
 def test_repeated_ground_names_are_refused():

@@ -18,6 +18,7 @@ from mscheme import (
     NotALoop,
     NotAnAtom,
     RankNotConstantOnMax,
+    UnknownIdentifier,
     bases,
     circuits,
     closure,
@@ -179,6 +180,16 @@ def test_independence_round_trip(cw_l, cw_r, nonpos, qfix2):
     for m in (cw_l, cw_r, nonpos, qfix2):
         rebuilt = scheme_from_independence(m.s, independence(m))
         assert rebuilt == m
+
+
+def test_independence_read_once(isth, cw_l):
+    """An iterator of ids gives the scheme the list gives, and an unknown
+    id from a generator is still named as unknown."""
+    for m in (isth, cw_l):
+        ind = sorted(independence(m))
+        assert scheme_from_independence(m.s, iter(ind)) == scheme_from_independence(m.s, ind)
+    with pytest.raises(UnknownIdentifier, match="unknown element 'zz'"):
+        scheme_from_independence(isth.s, (x for x in ["0", "zz", "a"]))
 
 
 def test_independence_of_trivial_set(isth):

@@ -483,9 +483,11 @@ def test_cut_matches_rational_reference():
     reference: W has the basis as its first rows and is unimodular, the
     cut is None exactly when alpha lies in the lattice, and otherwise its
     saturated basis is the double-kernel saturation, g is the number of
-    pieces and the pieces are the reference's phases.  The cut takes and
-    gives phases as (num, den) int pairs, each in lowest terms with
-    0 <= num < den."""
+    pieces and the pieces are the reference's phases.  The cut takes the
+    layer's phases as numerators over a common denominator and the
+    character's as a (num, den) pair, and gives each piece's phases as
+    ints (den, numerators) over their least common denominator, each
+    numerator in [0, den)."""
     rng = random.Random(20261019)
     several = in_lattice = 0
     for case in range(900):
@@ -509,12 +511,13 @@ def test_cut_matches_rational_reference():
         assert cut.sat == tuple(tuple(r) for r in sat), (layer, c)
         cmat = [_reference_express(sat, row) for row in gen_rows]
         expected = _reference_solve(cmat, list(layer.phases) + [c.phase])
-        given = [(t.numerator, t.denominator) for t in layer.phases + (c.phase,)]
-        got = cut.pieces(given)
-        assert all(isinstance(num, int) and isinstance(den, int)
-                   and 0 <= num < den and math.gcd(num, den) == 1
-                   for piece in got for num, den in piece), (layer, c, got)
-        got = [tuple(Fraction(num, den) for num, den in piece) for piece in got]
+        q = math.lcm(*(t.denominator for t in layer.phases))
+        nums = [t.numerator * (q // t.denominator) for t in layer.phases]
+        got = cut.pieces(q, nums, (c.phase.numerator, c.phase.denominator))
+        assert all(isinstance(den, int) and all(isinstance(x, int) and 0 <= x < den
+                                                for x in tops)
+                   and math.gcd(den, *tops) == 1 for den, tops in got), (layer, c, got)
+        got = [tuple(Fraction(x, den) for x in tops) for den, tops in got]
         assert cut.g == len(got) and sorted(got) == sorted(expected), (layer, c)
         if cut.g > 1:
             several += 1
@@ -633,6 +636,13 @@ def _seeded_arrangements(ranks, count):
             for k in range(count)]
 
 
+def _closure_by_ids(arr):
+    """``_closure`` with its steps, pairs of layer indices, written as
+    pairs of layer ids, as the reference gives them."""
+    layers, steps, atom_of = _closure(arr)
+    return layers, {(layers[a].layer_id, layers[b].layer_id) for a, b in steps}, atom_of
+
+
 def test_closure_matches_the_hermite_reference():
     """``_closure`` against the closure with one Hermite form per cut
     (``referees.closure_reference``): the same layers in the same order,
@@ -643,7 +653,7 @@ def test_closure_matches_the_hermite_reference():
     one piece (g > 1), and of a point (None, which ``_closure`` skips)."""
     met = {}
     for arr in _catalogue_arrangements() + _seeded_arrangements((1, 2, 3, 4), 240):
-        layers, steps, atom_of = _closure(arr)
+        layers, steps, atom_of = _closure_by_ids(arr)
         ref_layers, ref_steps, ref_atom_of = closure_reference(arr, met)
         assert [(L.basis, L.phases) for L in layers] \
             == [(L.basis, L.phases) for L in ref_layers], arr.characters
@@ -663,7 +673,7 @@ def test_circle_cuts_are_one_form():
             == (ref.sat, ref.mix, ref.shift, ref.g) == (((1,),), [list(alpha)], list(alpha), 1)
     arr = ToricArrangement(1, [Character((1,), Fraction(0)), Character((-1,), Fraction(1, 3)),
                                Character((1,), Fraction(1, 2)), Character((-1,), Fraction(3, 4))])
-    assert _closure(arr) == closure_reference(arr)
+    assert _closure_by_ids(arr) == closure_reference(arr)
     assert len(layers_poset(arr).layers) == 5
 
 
