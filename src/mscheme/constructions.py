@@ -87,11 +87,13 @@ class Matroid:
     R1 is one pass over the table and R2, R3 are checked on one-element
     steps, O(n^2 2^n) work.  Only when a check fails do the sweeps over
     subsets, by size and then lexicographically, name the first witness.
-    A repeated name raises ``DuplicateIdentifier``."""
+    A repeated name raises ``DuplicateIdentifier``.  The tables of
+    ``uniform_matroid`` and ``linear_matroid``, rank functions by theorem
+    (Oxley, *Matroid Theory*, ch. 1), come ``_checked`` and skip R1-R3."""
 
     __slots__ = ("ground", "rank_table", "_rank")
 
-    def __init__(self, ground, rank):
+    def __init__(self, ground, rank, *, _checked: bool = False):
         self.ground = ground = tuple(ground)
         _distinct(ground)
         if not isinstance(rank, list):
@@ -100,6 +102,8 @@ class Matroid:
         if len(rank) != 1 << len(ground):
             raise MalformedInput(f"a rank table of {len(rank)} entries for {len(ground)} names")
         self.rank_table, self._rank = rank, None
+        if _checked:
+            return
         bad = [X for X, v in enumerate(rank) if v is None or not 0 <= v <= X.bit_count()]
         if bad:
             X = min(bad, key=lambda X: (X.bit_count(), list(_bits(X))))
@@ -141,13 +145,13 @@ def _ground_set_cap(n: int) -> None:
 
 def uniform_matroid(r: int, n: int) -> Matroid:
     """U(r, n) on the ground set e1..en, its rank table min(|X|, r) by
-    subset mask; refuses an n past the ground set cap, then r outside
-    [0, n]."""
+    subset mask, certified (see ``Matroid``); refuses an n past the ground
+    set cap, then r outside [0, n]."""
     _ground_set_cap(n)
     if not 0 <= r <= n:
         raise MalformedInput(f"uniform matroid U({r},{n}) needs 0 <= r <= n")
     return Matroid([f"e{i}" for i in range(1, n + 1)],
-                   [min(X.bit_count(), r) for X in range(1 << n)])
+                   [min(X.bit_count(), r) for X in range(1 << n)], _checked=True)
 
 
 def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
@@ -155,8 +159,8 @@ def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
     filled in one walk up the subset masks: the top column t of X is
     reduced exactly against integer echelon rows spanning X - t, each
     divided by its content, and adds one to the rank of X - t, and its
-    residue as a row, when a residue is left.  Repeated names raise
-    ``DuplicateIdentifier`` (from ``Matroid``)."""
+    residue as a row, when a residue is left; ``Matroid`` takes it
+    certified.  Repeated names raise ``DuplicateIdentifier``."""
     cols = list(zip(*matrix)) if matrix else []
     n = len(cols)
     _ground_set_cap(n)
@@ -178,15 +182,15 @@ def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
             k = gcd(*v)
             table[X] += 1
             spans[X] += ((next(i for i, x in enumerate(v) if x), [x // k for x in v]),)
-    return Matroid(names, table)
+    return Matroid(names, table, _checked=True)
 
 
 def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
     """The scheme on the Boolean lattice of the ground set with the matroid
     rank labels, certified: the subset X has rank |X|, and M1-M5 on a
-    Boolean lattice follow from the rank axioms R1-R3 that ``Matroid``
-    checked (every pair is joinable, with union and intersection as join
-    and meet).
+    Boolean lattice follow from the rank axioms R1-R3, checked or certified
+    by ``Matroid`` (every pair is joinable, with union and intersection as
+    join and meet).
 
     Subsets are bitmasks over ground indices, by size and then
     lexicographically: rho is read from ``mat.rank_table``, and each id is

@@ -14,7 +14,8 @@ G1 is checked once on the masks of the whole poset, with no interval
 sub-poset built; the maximal intervals are swept through
 ``is_geometric_lattice`` only when that check fails, to name the first
 witness.  G2 enumerates, for each x, only the atom sets that can fail it:
-sets of the atoms below x or sharing no upper bound with x.
+sets of rank(x) + 1 of the atoms below x or sharing no upper bound with x.
+``scheme_from_geometric`` fills the scheme's closure map from its walk.
 """
 
 from __future__ import annotations
@@ -130,10 +131,19 @@ def _g1_holds(p: Poset, r: list, joinable: list) -> bool:
 def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> GeometricPoset:
     """Check G1 on the masks of the whole poset, sweeping the maximal
     intervals through ``is_geometric_lattice`` only to name the first
-    witness, then G2 by brute force over elements x, the sets of atoms
-    that fail the G2 condition for x (those below x or sharing no upper
-    bound with it) of sizes up to the top rank, and minimal upper bounds.
-    The exponential G2 sweep is refused above ``atom_cap`` atoms."""
+    witness, then G2 by brute force over elements x, the sets A of
+    rank(x) + 1 atoms that fail the G2 condition for x (those below x or
+    sharing no upper bound with it, bad(x)), and the y of rank |A| minimal
+    above A.  The G2 sweep is refused above ``atom_cap`` atoms.
+
+    Once G1 holds, one size decides G2.  Let A in bad(x) fail it, with y
+    minimal above A and rank(x) < rank(y) = |A|.  1. In the geometric
+    lattice [bottom, y] the join of A is y, so A is independent there.
+    2. So is each A' in A, whose join y' there has rank |A'|; an upper
+    bound z <= y' of A' lies in [bottom, y], so z = y': y' is minimal
+    above A' in the whole poset.  3. So every A' of rank(x) + 1 atoms of
+    A, inside bad(x), fails with y'.  The first witness is thus the one a
+    sweep over every size, smallest first, names."""
     p = rp.poset
     els = p.elements
     r = rp.ranks
@@ -149,15 +159,20 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
     if atoms.bit_count() > atom_cap:
         raise AtomCapExceeded(atoms.bit_count(), atom_cap)
     top_rank = max((r[i] for i in _maxima(p)), default=0)
+    above, below, level = p.above, p.below, _levels(r)
     for i, x in enumerate(els):  # G2
         # a set meeting the atoms a with a not<= x and join(a, x) nonempty
         # satisfies G2 for x, so only sets of the other atoms can fail
-        bad = list(_bits(atoms & (p.below[i] | ~joinable[i])))
-        for size in range(r[i] + 1, min(top_rank, len(bad)) + 1):
-            for A in itertools.combinations(bad, size):
-                common = functools.reduce(operator.and_, (p.above[a] for a in A))
-                for y in _bits(p.minimal_of_mask(common)):
-                    if r[y] == size:
+        bad = atoms & (below[i] | ~joinable[i])
+        size = r[i] + 1
+        if size > top_rank or bad.bit_count() < size:
+            continue
+        tops = level[size]
+        for A in itertools.combinations(_bits(bad), size):
+            common = functools.reduce(operator.and_, map(above.__getitem__, A))
+            if common & tops:  # the y of rank |A| minimal above A, in index order
+                for y in _bits(common & tops):
+                    if below[y] & common == 1 << y:
                         raise AxiomViolation("G2", (x, frozenset(els[a] for a in A), els[y]))
     return GeometricPoset(rp, _checked=True)
 
@@ -179,9 +194,11 @@ def _escaped_pair_id(atom_set, x) -> str:
     return pair_id(map(esc, atom_set), esc(x))
 
 
-def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list]:
+def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list, list]:
     """The pairs (I, x) of ``scheme_from_geometric``, as (atom mask, poset
-    index) in element order, and its index cover pairs in cover order.
+    index) in element order, its index cover pairs in cover order, and its
+    closure map: the closure of (I, x) is (atoms below x, x), the last
+    pair of x's block.
 
     The covers of (I, x) are the (I + a, y) with a an atom not in I and y
     minimal above x and a, which is y = x when a <= x and otherwise an
@@ -221,16 +238,17 @@ def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list]:
                 break
             stack.append((I | bit, y))
 
-    pairs = []
+    pairs, closure = [], []
     pos = []  # pos[x]: atom set I -> index of the pair (I, x)
     for x, sets in enumerate(found):
         sets.sort(key=int.bit_count)  # stable: lexicographic within each size
         pos.append({I: len(pairs) + k for k, I in enumerate(sets)})
         pairs += [(I, x) for I in sets]
+        closure += [len(pairs) - 1] * len(sets)
     covers = [(k, pos[y][I | bit])
               for k, (I, x) in enumerate(pairs)
               for y, bit in steps[x] if not I & bit]
-    return pairs, covers
+    return pairs, covers, closure
 
 
 def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
@@ -241,7 +259,8 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     the input via x -> (atoms below x, x), and its poset is built as a
     certified simplicial poset with rank |I|.  The pairs and
     their covers come from one walk up from (empty, bottom), with no atom
-    subset enumerated (see ``_walk``).  More than ``ELEMENT_CAP`` pairs
+    subset enumerated (see ``_walk``), which also gives the scheme's
+    closure map.  More than ``ELEMENT_CAP`` pairs
     are refused with ``SizeCapExceeded`` before any of them is built.
 
     Pairs are named by ``pair_id`` when those names are distinct, and
@@ -250,12 +269,14 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     rp = gp.ranked
     p = rp.poset
     els = p.elements
-    pairs, covers = _walk(p, _atoms(rp.ranks), p.order[0])
+    pairs, covers, closure = _walk(p, _atoms(rp.ranks), p.order[0])
     ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     if len(set(ids)) != len(ids):
         ids = [_escaped_pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     sp = SimplicialPoset(_certified(ids, covers, [I.bit_count() for I, _ in pairs]))
-    return MatroidScheme(sp, tuple(rp.ranks[x] for _, x in pairs), _checked=True)
+    m = MatroidScheme(sp, tuple(rp.ranks[x] for _, x in pairs), _checked=True)
+    m._closure = closure
+    return m
 
 
 def simplification(m: MatroidScheme) -> MatroidScheme:

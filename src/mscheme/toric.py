@@ -19,7 +19,8 @@ Hermite form taken per (B, alpha).  No character cuts a point (r = n).
 ``_closure`` numbers each basis when a cut first makes it and keeps the
 cuts of each basis in each call.  The phase half runs on integers, phases
 being numerators over their least common denominator, so ``_closure``
-keys layers and steps on ints and makes each ``Layer`` after its loop.
+keys layers and steps on ints and makes each ``Layer`` after its loop,
+which keeps those ints and makes no ``Fraction`` until ``phases`` is read.
 Every exact invariant in this module raises InvariantBroken, so it holds
 under ``python -O``.  Characters and layers are plain slotted classes, so
 importing the module loads no ``dataclasses``.
@@ -54,116 +55,103 @@ from .scheme import _closure_map, contract, delete, localization, scheme_isomorp
 
 # --- integer matrix normal forms --------------------------------------------------
 
+def _carrying(matrix: list[list[int]]) -> list[list[int]]:
+    """The rows of the matrix, each followed by its row of the identity, so
+    that one list operation on a row also updates the transform."""
+    n = len(matrix)
+    return [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(matrix)]
+
+
+def _pivot(m, rows, cols):
+    """(i, j) of the first nonzero m[i][j] of least absolute value, rows
+    before columns, or None when all are zero."""
+    at = None
+    for i in rows:
+        for j in cols:
+            a = abs(m[i][j])
+            if a and (at is None or a < least):
+                at, least = (i, j), a
+    return at
+
+
+def _reduce(m, top, c, rows) -> bool:
+    """Subtract from each row i in ``rows`` the multiple of ``top`` that
+    brings m[i][c] into [0, top[c]); True iff one of them is left nonzero."""
+    left = False
+    for i in rows:
+        row = m[i]
+        if row[c]:
+            q = row[c] // top[c]
+            if q:
+                row = m[i] = [a - q * b for a, b in zip(row, top)]
+            left = left or row[c] != 0
+    return left
+
+
 def hnf(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style Hermite normal form H with unimodular U such that U*M = H.
 
     Convention: pivots positive, entries above each pivot reduced into
     [0, pivot); zero rows sink to the bottom.  This fixes file-level
-    canonical forms for lattices.
+    canonical forms for lattices.  Each row carries its row of U, and the
+    pivot is the first row of least absolute value in its column.
     """
-    m = [list(r) for r in matrix]
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    rows = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    m = _carrying(matrix)
     r = 0
     for c in range(cols):
         # euclidean elimination below row r in column c
-        while True:
-            nz = [i for i in range(r, rows) if m[i][c] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(m[i][c]))
-            m[r], m[piv] = m[piv], m[r]
-            u[r], u[piv] = u[piv], u[r]
+        while (at := _pivot(m, range(r, rows), (c,))) is not None:
+            m[r], m[at[0]] = m[at[0]], m[r]
             if m[r][c] < 0:
                 m[r] = [-v for v in m[r]]
-                u[r] = [-v for v in u[r]]
-            done = True
-            for i in range(r + 1, rows):
-                q = m[i][c] // m[r][c]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-                if m[i][c] != 0:
-                    done = False
-            if done:
+            if not _reduce(m, m[r], c, range(r + 1, rows)):
                 break
-        if any(m[i][c] != 0 for i in range(r, rows)):
-            for i in range(r):  # reduce entries above the pivot
-                q = m[i][c] // m[r][c]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+        if m[r][c]:  # a pivot: reduce the entries above it
+            _reduce(m, m[r], c, range(r))
             r += 1
             if r == rows:
                 break
-    return m, u
+    return [row[:cols] for row in m], [row[cols:] for row in m]
 
 
 def snf(matrix: list[list[int]]):
     """Smith normal form D = U*M*V with unimodular U, V and divisibility
-    d1 | d2 | ... along the diagonal.  Returns (D, U, V)."""
-    m = [list(r) for r in matrix]
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
-        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
+    d1 | d2 | ... along the diagonal.  Returns (D, U, V).  Each row carries
+    its row of U; the pivot is the first entry of least absolute value."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    m = _carrying(matrix)
+    v = _carrying([[]] * cols)  # the identity of size cols
     t = 0
-    while t < min(rows, cols):
-        # find a pivot
-        nz = [(i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j] != 0]
-        if not nz:
-            break
-        i0, j0 = min(nz, key=lambda ij: abs(m[ij[0]][ij[1]]))
-        swap_rows(t, i0)
-        swap_cols(t, j0)
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        dirty = False
-        for i in range(t + 1, rows):
-            q = m[i][t] // m[t][t]
-            if q:
-                add_row(t, i, -q)
-            if m[i][t] != 0:
-                dirty = True
+    while t < min(rows, cols) and (at := _pivot(m, range(t, rows), range(t, cols))):
+        i0, j0 = at
+        m[t], m[i0] = m[i0], m[t]
+        if j0 != t:
+            for row in m + v:
+                row[t], row[j0] = row[j0], row[t]
+        top = m[t]
+        if top[t] < 0:
+            top = m[t] = [-x for x in top]
+        p = top[t]
+        dirty = _reduce(m, top, t, range(t + 1, rows))
         for j in range(t + 1, cols):
-            q = m[t][j] // m[t][t]
+            q = top[j] // p
             if q:
-                add_col(t, j, -q)
-            if m[t][j] != 0:
-                dirty = True
+                for row in m + v:
+                    row[j] -= q * row[t]
+            dirty = dirty or top[j] != 0
         if dirty:
             continue
         # divisibility: fold any non-multiple into position t
-        bad = next(((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols)
-                    if m[i][j] % m[t][t] != 0), None)
-        if bad is not None:
-            add_row(bad[0], t, 1)
-            continue
-        t += 1
-    return m, u, v
+        bad = next((i for i in range(t + 1, rows)
+                    if any(x % p for x in m[i][t + 1:cols])), None)
+        if bad is None:
+            t += 1
+        else:
+            m[t] = [a + b for a, b in zip(top, m[bad])]
+    return [row[:cols] for row in m], [row[cols:] for row in m], v
 
 
 # --- characters and layers -----------------------------------------------------------
@@ -233,28 +221,48 @@ def _text(values) -> str:
         raise MschemeError(f"a layer id is too long to write ({exc})") from None
 
 
+def _ratio(x: int, q: int) -> str:
+    """x/q written as its ``Fraction`` would be: lowest terms, and no
+    denominator when it is 1."""
+    g = gcd(x, q)
+    return str(x // g) if g == q else f"{x // g}/{q // g}"
+
+
 class Layer:
     """A saturated sublattice (canonical triangular basis) plus the rational
     phases of its basis rows; one connected component of an intersection.
-    ``rows``, the basis as its id writes it, is written here unless given."""
 
-    __slots__ = ("n", "basis", "phases", "layer_id")
+    The phases are kept as numerators ``nums`` over their least common
+    denominator ``q``, which fix equality, hash and id; ``phases`` makes
+    their ``Fraction``s on first read."""
+
+    __slots__ = ("n", "basis", "q", "nums", "layer_id", "_phases")
 
     def __init__(self, n: int, basis: tuple[tuple[int, ...], ...],
-                 phases: tuple[Fraction, ...], rows: str | None = None):
-        self.n = n
-        self.basis = basis
-        self.phases = phases
+                 phases: tuple[Fraction, ...]):
+        q = lcm(*(t.denominator for t in phases))
+        self._fill(n, basis, q, tuple([t.numerator * (q // t.denominator) for t in phases]))
+        self._phases = phases
+
+    def _fill(self, n, basis, q, nums, rows=None):
+        self.n, self.basis, self.q, self.nums, self._phases = n, basis, q, nums, None
         rows = _text(f"[{_text(row)}]" for row in basis) if rows is None else rows
-        self.layer_id = f"[{rows}]|[{_text(phases)}]"
+        self.layer_id = f"[{rows}]|[{_text(_ratio(x, q) for x in nums)}]"
+
+    @property
+    def phases(self) -> tuple[Fraction, ...]:
+        if self._phases is None:
+            self._phases = tuple(Fraction(x, self.q) for x in self.nums)
+        return self._phases
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.basis, self.phases) == (other.n, other.basis, other.phases)
+        return ((self.n, self.basis, self.q, self.nums)
+                == (other.n, other.basis, other.q, other.nums))
 
     def __hash__(self):
-        return hash((self.n, self.basis, self.phases))
+        return hash((self.n, self.basis, self.q, self.nums))
 
     @property
     def rank(self) -> int:
@@ -279,11 +287,18 @@ class Layer:
         coeffs = self.express(alpha)
         if coeffs is None:
             return None
-        total = sum((c * p for c, p in zip(coeffs, self.phases)), Fraction(0))
-        return _parse_phase(total)
+        return Fraction(sum(map(mul, coeffs, self.nums)) % self.q, self.q)
 
     def __repr__(self):
         return f"Layer({self.layer_id})"
+
+
+def _layer(n: int, basis, q: int, nums: tuple[int, ...], rows: str | None = None) -> Layer:
+    """The layer with these integer phases (see ``Layer``), no ``Fraction``
+    made; ``rows``, the basis as its id writes it, is written unless given."""
+    layer = object.__new__(Layer)
+    layer._fill(n, basis, q, nums, rows)
+    return layer
 
 
 def ambient_layer(n: int) -> Layer:
@@ -407,10 +422,9 @@ def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
     cut = _cut(layer.basis, _completion(layer.n, layer.basis), c.alpha)
     if cut is None:
         return [layer] if layer.phase_of(c.alpha) == c.phase else []
-    q = lcm(*(t.denominator for t in layer.phases))
-    nums = [t.numerator * (q // t.denominator) for t in layer.phases]
-    out = [Layer(layer.n, cut.sat, tuple(Fraction(x, den) for x in tops))
-           for den, tops in cut.pieces(q, nums, (c.phase.numerator, c.phase.denominator))]
+    t = (c.phase.numerator, c.phase.denominator)
+    out = [_layer(layer.n, cut.sat, den, tops)
+           for den, tops in cut.pieces(layer.q, layer.nums, t)]
     return sorted(out, key=lambda L: L.layer_id)
 
 
@@ -511,8 +525,7 @@ def _closure(arr: ToricArrangement):
 
     bases = list(number)
     rows = [_text(f"[{_text(row)}]" for row in basis) for basis in bases]
-    found = [Layer(n, bases[sat], tuple(Fraction(x, den) for x in tops), rows[sat])
-             for sat, (den, tops) in layers]
+    found = [_layer(n, bases[sat], den, tops, rows[sat]) for sat, (den, tops) in layers]
     atom_of = {}
     # every hypersurface cuts the torus, and a primitive alpha in one piece
     for c, (cut, sat, t) in zip(arr.characters, cuts[0]):
@@ -636,12 +649,16 @@ class ThmArrReport:
 def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrReport:
     """Compute both sides of each isomorphism (arrangement-level
     delete/restrict/localize against scheme-level delete/contract/localize)
-    and return the witness bijections."""
+    and return the witness bijections.  A foreign character raises
+    ``NotInArrangement``, then a foreign layer ``NotALayer``, before any
+    minor's poset is built."""
+    rest = arr_delete(arr, c)
     full = layers_poset(arr)
+    local_arr = arr_localize(arr, layer, full)
     atom_layer = full.atom_of[c.canonical_key()]
     atom_el = full.scheme_element_of[atom_layer]
 
-    deleted = layers_poset(arr_delete(arr, c))
+    deleted = layers_poset(rest)
     iso_del = scheme_isomorphism(deleted.scheme, delete(full.scheme, atom_el))
 
     restricted = layers_poset(arr_restrict(arr, c))
@@ -654,9 +671,6 @@ def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrR
         sub = _convex(fp, list(_bits(fp.poset.above[fp.poset.idx(atom_layer)])))
         iso_restr = find_isomorphism(restricted.geometric.ranked, sub)
 
-    if layer.layer_id not in full.layers:
-        raise NotALayer(f"{layer.layer_id} is not a layer of the arrangement")
-    local_arr = arr_localize(arr, layer, full)
     local_scheme = constructions.scheme_from_matroid(local_arr)
     layer_el = full.scheme_element_of[layer.layer_id]
     iso_local = scheme_isomorphism(local_scheme, localization(full.scheme, layer_el))

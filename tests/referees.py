@@ -9,9 +9,13 @@ up-sets per element; the Dowling cover loop keyed by element ids; the
 minimal upper and maximal lower bound sets by id; the Tutte point checks
 T(1,1) = #bases and T(2,2) = #elements; a quotient's flats,
 independents and circuits against the orbit images of its base's; and
-the rank tables of linear and uniform matroids, one subset at a time."""
+the rank tables of linear and uniform matroids, one subset at a time;
+G2 swept over atom sets of every size; and the Hermite and Smith forms
+with separate transform rows and a key function for the pivot."""
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -38,7 +42,7 @@ from mscheme import (
     verify_simplicial,
 )
 from mscheme.constructions import _element_id, _set_partitions
-from mscheme.poset import _bits, _full, _union
+from mscheme.poset import _atoms, _bits, _full, _maxima, _union
 from mscheme.scheme import _joinable, _less_than, _sub_scheme
 from mscheme.toric import Layer, _Cut, _completion, ambient_layer, hnf
 from mscheme.tutte import _pivot
@@ -409,3 +413,132 @@ def quotient_subset_identities(sm: Semimatroid, action: GroupAction,
 def _members(face_id: str) -> frozenset:
     inner = face_id.strip("{}")
     return frozenset(x for x in inner.split(",") if x)
+
+
+def g2_every_size(rp):
+    """The first G2 witness (x, atom set, y) of the ranked poset rp, whose
+    G1 holds, or None: for each x, the sets of atoms below x or sharing no
+    upper bound with it, of every size from rank(x) + 1 to the top rank,
+    smallest first, as ``validate_geometric`` swept them before one size
+    was shown to decide."""
+    p = rp.poset
+    els = p.elements
+    r = rp.ranks
+    joinable = _joinable(p)
+    atoms = _atoms(r)
+    top_rank = max((r[i] for i in _maxima(p)), default=0)
+    for i, x in enumerate(els):
+        bad = list(_bits(atoms & (p.below[i] | ~joinable[i])))
+        for size in range(r[i] + 1, min(top_rank, len(bad)) + 1):
+            for A in itertools.combinations(bad, size):
+                common = functools.reduce(operator.and_, (p.above[a] for a in A))
+                for y in _bits(p.minimal_of_mask(common)):
+                    if r[y] == size:
+                        return x, frozenset(els[a] for a in A), els[y]
+    return None
+
+
+def hnf_reference(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """``toric.hnf`` with U kept apart from M and the pivot row found by a
+    key function: (H, U) with U*M = H."""
+    m = [list(r) for r in matrix]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    r = 0
+    for c in range(cols):
+        while True:
+            nz = [i for i in range(r, rows) if m[i][c] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(m[i][c]))
+            m[r], m[piv] = m[piv], m[r]
+            u[r], u[piv] = u[piv], u[r]
+            if m[r][c] < 0:
+                m[r] = [-v for v in m[r]]
+                u[r] = [-v for v in u[r]]
+            done = True
+            for i in range(r + 1, rows):
+                q = m[i][c] // m[r][c]
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                if m[i][c] != 0:
+                    done = False
+            if done:
+                break
+        if any(m[i][c] != 0 for i in range(r, rows)):
+            for i in range(r):
+                q = m[i][c] // m[r][c]
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+            r += 1
+            if r == rows:
+                break
+    return m, u
+
+
+def snf_reference(matrix: list[list[int]]):
+    """``toric.snf`` with U kept apart from M, row and column operations as
+    helpers and the pivot found by a key function: (D, U, V) with
+    D = U*M*V."""
+    m = [list(r) for r in matrix]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
+        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in m:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        nz = [(i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j] != 0]
+        if not nz:
+            break
+        i0, j0 = min(nz, key=lambda ij: abs(m[ij[0]][ij[1]]))
+        swap_rows(t, i0)
+        swap_cols(t, j0)
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        dirty = False
+        for i in range(t + 1, rows):
+            q = m[i][t] // m[t][t]
+            if q:
+                add_row(t, i, -q)
+            if m[i][t] != 0:
+                dirty = True
+        for j in range(t + 1, cols):
+            q = m[t][j] // m[t][t]
+            if q:
+                add_col(t, j, -q)
+            if m[t][j] != 0:
+                dirty = True
+        if dirty:
+            continue
+        bad = next(((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols)
+                    if m[i][j] % m[t][t] != 0), None)
+        if bad is not None:
+            add_row(bad[0], t, 1)
+            continue
+        t += 1
+    return m, u, v

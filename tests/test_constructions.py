@@ -36,7 +36,7 @@ from mscheme import (
     validate_scheme,
 )
 from mscheme import files
-from mscheme.constructions import set_id
+from mscheme.constructions import _rank_steps_hold, set_id
 from mscheme.tutte import _expand
 
 from generators import dowling_inputs
@@ -139,16 +139,25 @@ def _seeded_matrices(rng, count):
     return out
 
 
+def _rank_axioms_hold(table: list) -> bool:
+    """R1 on every entry of a rank table by subset mask, and R2, R3 on its
+    one-element steps."""
+    return (all(0 <= v <= X.bit_count() for X, v in enumerate(table))
+            and _rank_steps_hold(table))
+
+
 def test_rank_tables_match_the_referees():
     """A linear matroid's rank table, filled along one walk over subset
     masks, is the Bareiss rank of each subset's columns eliminated afresh,
     zero and parallel columns included; a uniform matroid's is
-    min(|X|, r)."""
+    min(|X|, r).  Both constructors skip R1-R3 as certified, and every
+    table they build satisfies them."""
     rng = random.Random(20261020)
     zero = parallel = 0
     for matrix in _seeded_matrices(rng, 160):
         table = linear_matroid(matrix).rank_table
         assert table == linear_rank_table(matrix), matrix
+        assert _rank_axioms_hold(table), matrix
         n = len(matrix[0])
         singles = [k for k in range(n) if table[1 << k]]
         zero += len(singles) < n
@@ -157,7 +166,8 @@ def test_rank_tables_match_the_referees():
     assert zero >= 40 and parallel >= 40, (zero, parallel)
     for n in range(10):
         for r in range(n + 1):
-            assert uniform_matroid(r, n).rank_table == uniform_rank_table(r, n), (r, n)
+            table = uniform_matroid(r, n).rank_table
+            assert table == uniform_rank_table(r, n) and _rank_axioms_hold(table), (r, n)
 
 
 def test_matroid_from_a_rank_dict_names_the_same_witnesses():

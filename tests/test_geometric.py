@@ -27,7 +27,11 @@ from mscheme import (
     is_geometric_lattice,
     is_simple,
     layers_poset,
+    linear_matroid,
+    quotient_scheme,
     scheme_from_geometric,
+    scheme_from_matroid,
+    scheme_from_semimatroid,
     scheme_isomorphism,
     simplification,
     trivial_action,
@@ -35,12 +39,15 @@ from mscheme import (
     verify_simplicial,
     validate_scheme,
 )
+from mscheme import files
 from mscheme.geometric import _escaped_pair_id, pair_id
-from mscheme.poset import _bits
+from mscheme.poset import _atoms, _bits, _maxima
+from mscheme.scheme import _closure_map, _joinable
 
 from generators import dowling_inputs
-from referees import atom_sets, upper_bound_minima
+from referees import atom_sets, g2_every_size, upper_bound_minima
 from test_poset import boolean_lattice
+from test_toric import _catalogue_arrangements
 
 
 def test_flats_of_fixtures_are_geometric(cw_l, cw_r):
@@ -408,3 +415,135 @@ def test_g1_sweep_without_witness_is_an_error(monkeypatch):
     monkeypatch.setattr(mscheme.geometric, "_g1_holds", lambda *args: False)
     with pytest.raises(InvariantBroken):
         validate_geometric(compute_rank(boolean_lattice(3)))
+
+
+def _shipped_fixture_posets():
+    """(label, ranked poset) for every shipped fixture that gives one: the
+    flats of the scheme fixtures and of the schemes built from the matrix,
+    semimatroid and quotient fixtures, the poset fixture, the layers of
+    both arrangements, and the Dowling posets over z2 with both actions
+    for n = 2 and 3."""
+    def load(name):
+        return files.resolve_input(f"{name}.json")
+
+    out = [(name, flats(files.load_scheme(load(name))))
+           for name in ("isth", "cw_l", "cw_r", "nonpos", "qfix", "qfix2", "dow_triv",
+                        "dow_nontriv")]
+    out.append(("notgeom", files.load_ranked_poset(load("notgeom"))))
+    z2 = files.load_group(load("z2"))
+    schemes = [("i2", scheme_from_matroid(linear_matroid(*files.load_matrix(load("i2")))))]
+    for semi, action in (("semi4", "z2_swap"), ("semi4c", "z2_swap_c")):
+        sm = files.load_semimatroid(load(semi))
+        schemes.append((semi, scheme_from_semimatroid(sm)))
+        schemes.append((action, quotient_scheme(sm, files.load_action(load(action), z2)).scheme))
+    out += [(label, flats(m)) for label, m in schemes]
+    for name in ("toric1", "toric3"):
+        out.append((name, layers_poset(files.load_arrangement(load(name))).geometric.ranked))
+    for action in ("t2_trivial", "t2_nontrivial"):
+        act = files.load_action(load(action), z2)
+        out += [(f"{action}_n{n}", dowling_geometric(n, act).ranked) for n in (2, 3)]
+    return out
+
+
+def _dowling_catalogue():
+    """(label, n, action) of the benchmark's Dowling catalogue: for n = 2,
+    Z1, Z2 and Z3 acting trivially on one to three points, Z2 swapping two
+    points with and without a third fixed, and Z3 rotating three points;
+    for n = 3, Z1 on one to three points."""
+    pts = ["p0", "p1", "p2"]
+    out = [(f"z{k}_trivial{p}", 2, trivial_action(cyclic_group(k), pts[:p]))
+           for k in (1, 2, 3) for p in (1, 2, 3)]
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    swap = {"p0": "p1", "p1": "p0", "p2": "p2"}
+    for p in (2, 3):
+        act = {("e", q): q for q in pts[:p]} | {("g", q): swap[q] for q in pts[:p]}
+        out.append((f"swap2_of_{p}", 2, GroupAction(z2, pts[:p], act)))
+    g = z3.elements
+    out.append(("rot3", 2, GroupAction(z3, pts, {(g[i], pts[j]): pts[(i + j) % 3]
+                                                 for i in range(3) for j in range(3)})))
+    out += [(f"n3_trivial{p}", 3, trivial_action(cyclic_group(1), pts[:p])) for p in (1, 2, 3)]
+    return out
+
+
+def _glued_lattices(rng):
+    """Two or three geometric lattices glued at their bottoms and at the
+    atoms they share, declared in shuffled order: the flats of U(r, S) for
+    a set S of 2-5 of seven atoms and 2 <= r <= |S|.  Each maximal interval
+    is one of the lattices, so G1 holds, and G2 mostly fails."""
+    atoms = [f"a{i}" for i in range(7)]
+    els, covers = {"0"}, set()
+    for k in range(rng.randint(2, 3)):
+        S = sorted(rng.sample(atoms, rng.randint(2, 5)))
+        r = rng.randint(2, len(S))
+
+        def name(T):
+            return "0" if not T else T[0] if len(T) == 1 else f"{k}:{'+'.join(T)}"
+
+        top = f"{k}:top"
+        els.add(top)
+        for size in range(r):
+            for T in itertools.combinations(S, size):
+                els.add(name(T))
+                if size + 1 == r:
+                    covers.add((name(T), top))
+                else:
+                    covers |= {(name(T), name(tuple(sorted(T + (a,))))) for a in S if a not in T}
+    els = sorted(els)
+    rng.shuffle(els)
+    return compute_rank(build_poset(els, sorted(covers)))
+
+
+def _more_than_one_size(rp, x) -> bool:
+    """Whether the sizes rank(x) + 1 to the top rank, capped by the number
+    of atoms that can fail G2 for x, are more than one."""
+    p = rp.poset
+    i, r = p.index[x], rp.ranks
+    bad = _atoms(r) & (p.below[i] | ~_joinable(p)[i])
+    return r[i] + 2 <= min(max(r[j] for j in _maxima(p)), bad.bit_count())
+
+
+def test_g2_at_one_size_matches_the_every_size_referee(corpus):
+    """G2 swept at size rank(x) + 1 alone gives the verdict and witness of
+    the sweep over every size (``referees.g2_every_size``): on every corpus
+    flats poset, every shipped fixture, the Dowling and toric catalogues,
+    and on seeded glued lattices, G1-valid, of which at least 200 fail G2
+    and at least 50 for an x where the sizes to sweep are more than one."""
+    fixtures = _shipped_fixture_posets()
+    cases = [(name, flats(m)) for name, m in corpus.schemes()] + fixtures
+    cases += [(label, dowling_geometric(n, act).ranked)
+              for label, n, act in dowling_inputs() + _dowling_catalogue()]
+    cases += [(str(arr.characters), layers_poset(arr).geometric.ranked)
+              for arr in _catalogue_arrangements()]
+    rng = random.Random(20261030)
+    fuzzed = [(f"glued {k}", _glued_lattices(rng)) for k in range(400)]
+    failing = several = 0
+    for label, rp in cases + fuzzed:
+        expected = g2_every_size(rp)
+        outcome = _geometric_outcome(rp)
+        assert outcome == (expected and ("G2", expected)), label
+        if expected and label.startswith("glued"):
+            failing += 1
+            several += _more_than_one_size(rp, expected[0])
+    assert _geometric_outcome(dict(fixtures)["notgeom"])[0] == "G2"
+    assert failing >= 200 and several >= 50, (failing, several)
+
+
+def test_walk_fills_the_closure_map(corpus):
+    """The closure map that ``scheme_from_geometric`` fills from its walk
+    is ``_closure_map`` recomputed with the cache cleared, and
+    ``layers_poset`` names each layer's flat as that map does: on every
+    corpus flats poset, Dowling input and arrangement, the Dowling
+    catalogue and the toric catalogue."""
+    cases = list(_certified_inputs(corpus))
+    cases += [(label, None, scheme_from_geometric(dowling_geometric(n, act)))
+              for label, n, act in _dowling_catalogue()]
+    for label, _, m in cases:
+        filled = m._closure
+        m._closure = None
+        assert filled == _closure_map(m), label
+    for arr in [arr for _, arr in corpus.arrangements] + _catalogue_arrangements():
+        result = layers_poset(arr)
+        m = result.scheme
+        m._closure = None
+        flat = [e for i, (e, c) in enumerate(zip(m.elements, _closure_map(m))) if c == i]
+        assert result.scheme_element_of == dict(zip(result.geometric.elements, flat))

@@ -36,9 +36,9 @@ from mscheme import (
     snf,
     verify_thm_arr,
 )
-from mscheme.toric import _closure, _completion, _cut
+from mscheme.toric import _closure, _completion, _cut, _layer
 from grid_oracle import _solution_points, check_arrangement
-from referees import closure_reference, hermite_cut
+from referees import closure_reference, hermite_cut, hnf_reference, snf_reference
 
 SRC = Path(mscheme.__file__).parents[1]
 
@@ -110,6 +110,32 @@ def test_normal_form_properties(m):
     rows = [r for r in h if any(r)]
     if rows:
         assert hnf(rows)[0] == rows
+
+
+def test_normal_forms_match_the_referees():
+    """``hnf`` and ``snf``, whose rows carry their transform rows, give
+    exactly the (H, U) and (D, U, V) of the referees, which keep the
+    transforms apart, on 5,000 seeded matrices of 1-4 rows, 0-5 columns
+    and entries in [-5, 5], zero rows and zero columns among them; the
+    input is left as it was."""
+    rng = random.Random(20261031)
+    zero_rows = zero_cols = 0
+    for k in range(5000):
+        rows, cols = rng.randint(1, 4), rng.randint(0, 5)
+        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        if k % 3 == 1:
+            m[rng.randrange(rows)] = [0] * cols
+        elif k % 3 == 2 and cols:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        given = [row[:] for row in m]
+        assert hnf(m) == hnf_reference(m), m
+        assert snf(m) == snf_reference(m), m
+        assert m == given
+        zero_rows += any(not any(row) for row in m)
+        zero_cols += any(not any(col) for col in zip(*m))
+    assert zero_rows >= 1000 and zero_cols >= 1000, (zero_rows, zero_cols)
 
 
 def integer_kernel(matrix):
@@ -297,6 +323,38 @@ def test_verify_thm_arr(toric1):
     ambient = result.layers["[]|[]"]
     report2 = verify_thm_arr(toric1, h0, ambient)
     assert report2.localization is not None
+
+
+def test_verify_thm_arr_refuses_a_foreign_character_then_a_foreign_layer(
+        monkeypatch, toric1):
+    """A character that is not a hypersurface of the arrangement raises
+    the ``NotInArrangement`` of ``arr_delete``, with a foreign layer too,
+    before any layer poset is built; a foreign layer with a hypersurface
+    raises ``NotALayer`` once the arrangement's own poset is built, before
+    the deleted and restricted posets are."""
+    import mscheme.toric
+    full = layers_poset(toric1)
+    h0 = Character((1, -1), Fraction(0))
+    foreign = Character((1, 0), Fraction(0))
+    point = full.layers["[[1,0],[0,1]]|[1/2,1/2]"]
+    stray = Layer(2, ((1, 7),), (Fraction(0),))
+    with pytest.raises(NotInArrangement) as deleting:
+        arr_delete(toric1, foreign)
+    built = []
+
+    def counting(arr, *args):
+        built.append(arr)
+        return layers_poset(arr, *args)
+
+    monkeypatch.setattr(mscheme.toric, "layers_poset", counting)
+    for layer in (point, stray):
+        with pytest.raises(NotInArrangement) as err:
+            verify_thm_arr(toric1, foreign, layer)
+        assert str(err.value) == str(deleting.value)
+    assert built == []
+    with pytest.raises(NotALayer, match=r"\[\[1,7\]\]\|\[0\] is not a layer"):
+        verify_thm_arr(toric1, h0, stray)
+    assert built == [toric1]
 
 
 def test_component_count_matches_diagonal_product():
@@ -701,3 +759,35 @@ def test_closure_takes_no_hermite_form_below_rank_three_and_completes_no_point(m
     for arr in catalogue + _seeded_arrangements((3, 4), 40):
         layers_poset(arr)
     assert len(completed) > 200 and all(r < n for n, r in completed), completed
+
+
+def _fraction_id(layer):
+    """A layer's id written from its basis and its phases as ``Fraction``s."""
+    rows = ",".join(f"[{','.join(map(str, row))}]" for row in layer.basis)
+    return f"[{rows}]|[{','.join(map(str, layer.phases))}]"
+
+
+def test_integer_phases_match_the_fraction_form():
+    """A layer made from integer phases, by ``_closure`` or by
+    ``intersect_layer``, has the id, equality, hash and ``phases`` of the
+    same layer made from ``Fraction``s, and its numerators lie in [0, q)
+    over their least common denominator q: on the catalogue arrangements,
+    whose ``_closure`` layers make no ``Fraction`` until ``phases`` is
+    read, and on seeded random layers and their cuts."""
+    pairs = []
+    for arr in _catalogue_arrangements():
+        layers = _closure(arr)[0]
+        assert all(L._phases is None for L in layers)
+        pairs += zip(layers, closure_reference(arr)[0], strict=True)
+    rng = random.Random(20261101)
+    for k in range(300):
+        layer = _random_layer(rng, 2 + k % 3)
+        pairs.append((_layer(layer.n, layer.basis, layer.q, layer.nums), layer))
+        c = _random_character(rng, layer.n)
+        pairs += zip(intersect_layer(layer, c), _reference_intersect(layer, c), strict=True)
+    assert len(pairs) > 1000 and sum(len(R.basis) > 1 for _, R in pairs) > 300
+    for L, R in pairs:
+        assert L.layer_id == R.layer_id == _fraction_id(R), (L, R)
+        assert L == R and hash(L) == hash(R), (L, R)
+        assert L.phases == R.phases and all(0 <= x < L.q for x in L.nums), (L, R)
+        assert L.q == math.lcm(*(t.denominator for t in R.phases)), (L, R)
