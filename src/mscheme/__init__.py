@@ -21,7 +21,7 @@ import sys
 _EXPORTS = {
     "errors": """AtomCapExceeded AxiomViolation CycleDetected DimensionMismatch
         DuplicateIdentifier HasLoops InvariantBroken MalformedInput MschemeError
-        NonHasseCover NotALayer NotALoop NotAnAtom NotBelow NotBoundedBelow
+        NonHasseCover NotALayer NotAnAtom NotBoundedBelow
         NotComplexInvariant NotInArrangement NotRanked NotRankInvariant NotSimple
         NotSimplicial NotTranslative RankNotConstantOnMax SizeCapExceeded
         UnknownIdentifier""",

@@ -25,13 +25,12 @@ from .errors import (
     SizeCapExceeded,
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
-from .poset import (SimplicialPoset, _bits, _certified, _distinct, build_poset,
-                    compute_rank, verify_simplicial)
+from .poset import SimplicialPoset, _bits, _certified, _distinct
 from .scheme import MatroidScheme, validate_scheme
 
 # These two bound quadratic work, not an element table, so they stay apart
 # from ``geometric.ELEMENT_CAP``.  Vertices of a semimatroid: its up to 2^12
-# faces are swept pairwise for S4 and S5.
+# face masks are swept pairwise for S4 and S5.
 SEMIMATROID_VERTEX_CAP = 12
 # Elements of a partition poset: each gets ``_certified`` masks, and G1
 # sweeps its pairs.
@@ -41,6 +40,11 @@ DOWLING_SIZE_CAP = 10_000
 def set_id(members) -> str:
     """Identifier of a finite set: "{a,b}" with sorted members."""
     return "{" + ",".join(sorted(members)) + "}"
+
+
+def _mask_id(names, X: int) -> str:
+    """``set_id`` of the names at the bits of X."""
+    return set_id(names[i] for i in _bits(X))
 
 
 # --- classical matroids -----------------------------------------------------------
@@ -67,6 +71,21 @@ def _rank_steps_hold(table: list) -> bool:
                 if top is not None and gain + table[Z] < top:
                     return False
     return True
+
+
+def _rank_witness(table: list, masks: list, names, axiom: str, family: str):
+    """The sweep run once ``_rank_steps_hold`` fails: raise the first
+    failure of monotonicity (``axiom`` 2), then of submodularity where the
+    union is in the family (``axiom`` 3), over the pairs of ``masks`` in
+    order, named by ``set_id`` of ``names`` at the bits (R2/R3, S2/S3)."""
+    for X, Y in itertools.product(masks, masks):
+        if not X & ~Y and table[X] > table[Y]:
+            raise AxiomViolation(f"{axiom}2", (_mask_id(names, X), _mask_id(names, Y)))
+    for X, Y in itertools.combinations(masks, 2):
+        top = table[X | Y]
+        if top is not None and table[X] + table[Y] < top + table[X & Y]:
+            raise AxiomViolation(f"{axiom}3", (_mask_id(names, X), _mask_id(names, Y)))
+    raise MschemeError(f"{axiom}2/{axiom}3 fail on a one-element step but on no pair of {family}")
 
 
 def _subset_masks(n: int) -> list[int]:
@@ -107,18 +126,10 @@ class Matroid:
         bad = [X for X, v in enumerate(rank) if v is None or not 0 <= v <= X.bit_count()]
         if bad:
             X = min(bad, key=lambda X: (X.bit_count(), list(_bits(X))))
-            raise AxiomViolation("R1", (set_id(self._names(X)),),
+            raise AxiomViolation("R1", (_mask_id(ground, X),),
                                  "rank undefined" if rank[X] is None else "")
-        if _rank_steps_hold(rank):
-            return
-        subsets = _subset_masks(len(ground))
-        for X, Y in itertools.product(subsets, subsets):
-            if not X & ~Y and rank[X] > rank[Y]:
-                raise AxiomViolation("R2", (set_id(self._names(X)), set_id(self._names(Y))))
-        for X, Y in itertools.combinations(subsets, 2):
-            if rank[X] + rank[Y] < rank[X | Y] + rank[X & Y]:
-                raise AxiomViolation("R3", (set_id(self._names(X)), set_id(self._names(Y))))
-        raise MschemeError("R2/R3 fail on a one-element step but on no pair of subsets")
+        if not _rank_steps_hold(rank):
+            _rank_witness(rank, _subset_masks(len(ground)), ground, "R", "subsets")
 
     def _names(self, X: int) -> frozenset:
         return frozenset(e for i, e in enumerate(self.ground) if X >> i & 1)
@@ -185,6 +196,20 @@ def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
     return Matroid(names, table, _checked=True)
 
 
+def _face_poset(masks: list, ids: list) -> SimplicialPoset:
+    """The face poset of a simplicial complex, certified: ``masks`` are its
+    faces as vertex bitmasks, by size and then lexicographically, named by
+    ``ids``.  A face's rank is its size and its down-set is the Boolean
+    lattice of its subsets, so its upper covers are the one-vertex steps
+    X + v, in index order as v rises.  A repeated id raises
+    ``DuplicateIdentifier``."""
+    pos = {X: k for k, X in enumerate(masks)}
+    steps = [1 << v for v in range(max(masks).bit_length())]
+    covers = [(k, j) for k, X in enumerate(masks) for b in steps
+              if not X & b and (j := pos.get(X | b)) is not None]
+    return SimplicialPoset(_certified(ids, covers, [X.bit_count() for X in masks]))
+
+
 def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
     """The scheme on the Boolean lattice of the ground set with the matroid
     rank labels, certified: the subset X has rank |X|, and M1-M5 on a
@@ -193,31 +218,44 @@ def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
     join and meet).
 
     Subsets are bitmasks over ground indices, by size and then
-    lexicographically: rho is read from ``mat.rank_table``, and each id is
-    ``set_id`` of the subset, its members taken in the ground set's sorted
-    name order, with no set built per subset."""
+    lexicographically, and their poset is ``_face_poset``'s: rho is read
+    from ``mat.rank_table``, and each id is ``set_id`` of the subset, its
+    members taken in the ground set's sorted name order, with no set built
+    per subset."""
     ground = mat.ground
     n = len(ground)
     masks = _subset_masks(n)
-    pos = {X: k for k, X in enumerate(masks)}
     by_name = [(1 << i, ground[i]) for i in sorted(range(n), key=ground.__getitem__)]
     ids = ["{" + ",".join([e for b, e in by_name if X & b]) + "}" for X in masks]
-    covers = [(k, pos[X | 1 << e]) for k, X in enumerate(masks)
-              for e in range(n) if not X >> e & 1]
-    sp = SimplicialPoset(_certified(ids, covers, [X.bit_count() for X in masks]))
+    sp = _face_poset(masks, ids)
     return MatroidScheme(sp, tuple(map(mat.rank_table.__getitem__, masks)), _checked=True)
 
 
 # --- semimatroids -----------------------------------------------------------------
 
+def _face_masks(faces, vertices) -> list:
+    """The faces as bitmasks over ``vertices``, in the order given."""
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    return [sum(map(bit.__getitem__, f)) for f in faces]
+
+
+def _sorted_faces(faces) -> list:
+    """Faces by size, then by their sorted members."""
+    return sorted(faces, key=lambda f: (len(f), sorted(f)))
+
+
 class Semimatroid:
     """A finite simplicial complex with a rank function satisfying the five
-    semimatroid axioms, checked at construction.
+    semimatroid axioms (Ardila, *Semimatroids and their Tutte polynomials*,
+    2007), checked at construction; ``rank`` keeps the ranks of faces only.
 
-    S2 (monotonicity) and S3 (submodularity where the union is a face) are
-    checked on one-element steps between faces.  Only when a step fails do
-    the sweeps over all pairs of faces run, to name the first witness.  A
-    repeated vertex raises ``DuplicateIdentifier``."""
+    S2-S5 run on a rank table by vertex mask, None off the complex, and on
+    the face masks by size and then sorted members, the order witnesses
+    are found in.  S2 (monotonicity) and S3 (submodularity where the union
+    is a face) are checked on one-element steps, and swept over pairs of
+    faces only when a step fails.  S4 and S5 sweep the pairs: S5 fails on
+    (X, Y) iff Y misses ext(X), the vertices y outside X with X + y a face.
+    A repeated vertex raises ``DuplicateIdentifier``."""
 
     __slots__ = ("vertices", "faces", "rank")
 
@@ -227,13 +265,13 @@ class Semimatroid:
             raise SizeCapExceeded(len(self.vertices), SEMIMATROID_VERTEX_CAP, "vertex set")
         _distinct(self.vertices)
         self.faces = frozenset(frozenset(f) for f in faces)
-        self.rank = {frozenset(k): v for k, v in rank.items()}
+        self.rank = {frozenset(k): v for k, v in rank.items() if frozenset(k) in self.faces}
         if frozenset() not in self.faces:
             raise AxiomViolation("S1", ("{}",), "empty face missing")
-        faces = sorted(self.faces, key=lambda f: (len(f), sorted(f)))
+        faces = _sorted_faces(self.faces)
         for f in faces:
             for v in sorted(f):
-                if v not in set(self.vertices):
+                if v not in self.vertices:
                     raise AxiomViolation("S1", (set_id(f),), f"unknown vertex {v!r}")
                 if f - {v} not in self.faces:
                     raise AxiomViolation("S1", (set_id(f),), "not closed under subsets")
@@ -245,26 +283,25 @@ class Semimatroid:
         for X in faces:  # S1
             if not 0 <= self.rank[X] <= len(X):
                 raise AxiomViolation("S1", (set_id(X),))
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        table = [None] * (1 << len(self.vertices))
-        for X in faces:
-            table[sum(bit[v] for v in X)] = self.rank[X]
+        names = self.vertices
+        masks = _face_masks(faces, names)
+        table = [None] * (1 << len(names))
+        for X, f in zip(masks, faces):
+            table[X] = self.rank[f]
         if not _rank_steps_hold(table):
-            for X, Y in itertools.product(faces, faces):  # S2
-                if X <= Y and self.rank[X] > self.rank[Y]:
-                    raise AxiomViolation("S2", (set_id(X), set_id(Y)))
-            for X, Y in itertools.combinations(faces, 2):  # S3
-                if X | Y in self.faces:
-                    if self.rank[X] + self.rank[Y] < self.rank[X | Y] + self.rank[X & Y]:
-                        raise AxiomViolation("S3", (set_id(X), set_id(Y)))
-            raise MschemeError("S2/S3 fail on a one-element step but on no pair of faces")
-        for X, Y in itertools.product(faces, faces):  # S4
-            if self.rank[X] == self.rank[X & Y] and X | Y not in self.faces:
-                raise AxiomViolation("S4", (set_id(X), set_id(Y)))
-        for X, Y in itertools.product(faces, faces):  # S5
-            if self.rank[X] < self.rank[Y]:
-                if not any(X | {y} in self.faces for y in Y - X):
-                    raise AxiomViolation("S5", (set_id(X), set_id(Y)))
+            _rank_witness(table, masks, names, "S", "faces")
+        for X in masks:  # S4: r(X) = r(X & Y) forces X | Y to be a face
+            rx = table[X]
+            for Y in masks:
+                if table[X | Y] is None and table[X & Y] == rx:
+                    raise AxiomViolation("S4", (_mask_id(names, X), _mask_id(names, Y)))
+        steps = [1 << v for v in range(len(names))]
+        for X in masks:  # S5: r(X) < r(Y) forces a face X + y with y in Y
+            rx = table[X]
+            ext = sum(b for b in steps if not X & b and table[X | b] is not None)
+            for Y in masks:
+                if table[Y] > rx and not Y & ext:
+                    raise AxiomViolation("S5", (_mask_id(names, X), _mask_id(names, Y)))
 
     def max_rank(self) -> int:
         return max(self.rank.values(), default=0)
@@ -275,13 +312,13 @@ class Semimatroid:
 
 def scheme_from_semimatroid(sm: Semimatroid) -> MatroidScheme:
     """The face poset of the complex (a simplicial meet-semilattice) with
-    the same rank, validated as a scheme."""
-    faces = sorted(sm.faces, key=lambda f: (len(f), sorted(f)))
-    ids = {f: set_id(f) for f in faces}
-    covers = [(ids[f], ids[g]) for f in faces for g in faces
-              if f < g and len(g) == len(f) + 1]
-    sp = verify_simplicial(compute_rank(build_poset([ids[f] for f in faces], covers)))
-    return validate_scheme(sp, {ids[f]: sm.rank[f] for f in faces})
+    the same rank: ``_face_poset`` on masks over the sorted vertices, whose
+    lexicographic order is that of the faces' sorted members.  The labels
+    are validated as a scheme."""
+    faces = _sorted_faces(sm.faces)
+    ids = [set_id(f) for f in faces]
+    sp = _face_poset(_face_masks(faces, sorted(sm.vertices)), ids)
+    return validate_scheme(sp, {i: sm.rank[f] for i, f in zip(ids, faces)})
 
 
 # --- finite groups and actions --------------------------------------------------------
@@ -383,9 +420,18 @@ class QuotientResult:
 def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     """Quotient of a semimatroid by a translative finite-group action.
 
-    The face orbits form a simplicial poset with rho(Gx) = rho(x); the
-    result is validated as a scheme.  m_G(A) counts the orbits of faces
-    whose atom-orbit set is A, and the group-action Tutte polynomial
+    The face orbits, numbered in the order of their least members (by size,
+    then by sorted members) and named after them, form a simplicial poset
+    with rho(Gx) = rho(x), certified as follows.  Take faces f' and f with
+    g·f' a subset of f.  For each a in f', the set {a, g·a} lies in f, so it
+    is a face, and the translative check forces g·a = a.  So the orbits of
+    the subsets of f are distinct and ordered like those subsets: the
+    down-set of G·f is Boolean of rank |f|, and the orbits of the one-vertex
+    steps (f - v, f) are its covers, handed over as index pairs in row-major
+    order.  The labels are validated as a scheme.
+
+    m_G(A) counts the orbits of faces whose atom-orbit set is A, and the
+    group-action Tutte polynomial
     sum over A of m_G(A) (x-1)^(rank - rho(A)) (y-1)^(|A| - rho(A))
     equals the Tutte polynomial of the quotient.  Faces over one atom-orbit
     set A of different rank raise ``InvariantBroken``.
@@ -408,47 +454,35 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
         if frozenset({a, ga}) in sm.faces and ga != a:
             raise NotTranslative(a, g, ga)
 
-    # orbits, named after their lexicographically least member
-    orbit_of = {}
-    orbit_members: dict[str, list] = {}
-    for f in sorted(sm.faces, key=lambda f: (len(f), sorted(f))):
-        if f in orbit_of:
-            continue
-        members = {face_image(g, f) for g in G.elements}
-        least = min(members, key=lambda m: sorted(m))
-        name = f"G·{set_id(least)}"
-        for mem in members:
-            orbit_of[mem] = name
-        orbit_members[name] = sorted(members, key=sorted)
-
-    names = list(orbit_members)
-    reps = {name: orbit_members[name][0] for name in names}
-    rho_g = {name: sm.rank[reps[name]] for name in names}  # rank-invariant, checked above
-
-    # the orbits of the face covers (f - v, f): all faces of an orbit have
-    # one size, so an orbit order step of one vertex is a cover
-    pos = {name: k for k, name in enumerate(names)}
-    covers = sorted({(orbit_of[f - {v}], orbit_of[f]) for f in sm.faces for v in f},
-                    key=lambda c: (pos[c[0]], pos[c[1]]))
-    sp = verify_simplicial(compute_rank(build_poset(names, covers)))
-    scheme = validate_scheme(sp, rho_g)
+    faces = _sorted_faces(sm.faces)
+    orbit = {}  # face -> orbit index
+    reps = []  # the least face of each orbit
+    for f in faces:
+        if f not in orbit:
+            orbit.update(dict.fromkeys({face_image(g, f) for g in G.elements}, len(reps)))
+            reps.append(f)
+    names = [f"G·{set_id(f)}" for f in reps]
+    orbit_of = {f: names[k] for f, k in orbit.items()}
+    covers = sorted({(orbit[f - {v}], orbit[f]) for f in faces for v in f})
+    sp = SimplicialPoset(_certified(names, covers, [len(f) for f in reps]))
+    scheme = validate_scheme(sp, {nm: sm.rank[f] for nm, f in zip(names, reps)})
 
     # m_G and the group-action Tutte polynomial: one pass groups the faces
     # with as many atom orbits as vertices by the positions A of those
     # orbits, and the sets A are read by size, then lexicographically
-    atom_orbits = [nm for nm in names if len(reps[nm]) == 1]
-    at = {nm: k for k, nm in enumerate(atom_orbits)}
+    atom_orbits = [k for k, f in enumerate(reps) if len(f) == 1]
+    at = {k: j for j, k in enumerate(atom_orbits)}
     over: dict[tuple, list] = {}
-    for f in sm.faces:
-        A = tuple(sorted({at[orbit_of[frozenset({v})]] for v in f}))
+    for f in faces:
+        A = tuple(sorted({at[orbit[frozenset({v})]] for v in f}))
         if len(A) == len(f):
             over.setdefault(A, []).append(f)
     semirank = sm.max_rank()
     m_g = {}
     counts = {}  # (x-1, y-1) exponents -> orbit count
     for A in sorted(over, key=lambda A: (len(A), A)):
-        aset = frozenset(atom_orbits[k] for k in A)
-        orbits_here = {orbit_of[f] for f in over[A]}
+        aset = frozenset(names[atom_orbits[j]] for j in A)
+        orbits_here = {orbit[f] for f in over[A]}
         ranks = {sm.rank[f] for f in over[A]}
         if len(ranks) != 1:
             raise InvariantBroken(f"rho not constant on central sets over {sorted(aset)}")

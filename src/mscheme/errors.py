@@ -55,10 +55,6 @@ class NotSimplicial(MschemeError):
         super().__init__(msg)
 
 
-class NotBelow(MschemeError):
-    pass
-
-
 class RankNotConstantOnMax(MschemeError):
     def __init__(self, witness):
         self.witness = tuple(witness)
@@ -83,10 +79,6 @@ class AxiomViolation(MschemeError):
 # --- scheme operations ----------------------------------------------------
 
 class NotAnAtom(MschemeError):
-    pass
-
-
-class NotALoop(MschemeError):
     pass
 
 

@@ -16,8 +16,6 @@ from mscheme import (
     InvariantBroken,
     MatroidScheme,
     MschemeError,
-    NotALoop,
-    NotBelow,
     Poset,
     SimplicialPoset,
     bases,
@@ -28,6 +26,14 @@ from mscheme import (
     loops,
 )
 from mscheme.poset import _atoms, _bits
+
+
+class NotBelow(MschemeError):
+    """``complement`` was asked for an element that is not below x."""
+
+
+class NotALoop(MschemeError):
+    """``check_loop_del_contr`` was given an element that is not a loop."""
 
 
 def complement(sp: SimplicialPoset, x, a):

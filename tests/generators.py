@@ -9,6 +9,7 @@ re-validated and invalid ones are dropped.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from mscheme import (
     Character,
     GroupAction,
     MschemeError,
+    Semimatroid,
     SizeCapExceeded,
     ToricArrangement,
     contract,
@@ -112,6 +114,49 @@ def dowling_inputs() -> list:
         ("d3_colors", 3, trivial_action(z1, two)),
         ("d3_group", 3, trivial_action(z2, one)),
     ]
+
+
+def translative_complexes(rng, count) -> list:
+    """Seeded semimatroids with a translative action of Z_m (m = 2, 3):
+    g^i moves vertex j of a class of m vertices to j + i and fixes a class
+    of one.  A face takes at most one vertex per class, every pair of its
+    vertices from a G-invariant set of allowed pairs, and its rank counts
+    its vertices outside the rank-0 fixed classes.  Candidates that break
+    a semimatroid axiom are skipped.  Returns (semimatroid, action) pairs."""
+    out = []
+    while len(out) < count:
+        m = rng.choice((2, 3))
+        k = rng.randint(1, 4)
+        sizes = [rng.choice((1, m, m)) for _ in range(k)]
+        zero = {c for c in range(k) if sizes[c] == 1 and rng.random() < 0.5}
+        verts = [(c, j) for c in range(k) for j in range(sizes[c])]
+
+        def move(i, v):
+            return v[0], (v[1] + i) % sizes[v[0]]
+
+        allowed, seen = set(), set()
+        for u, v in itertools.combinations(verts, 2):
+            if u[0] != v[0] and frozenset((u, v)) not in seen:
+                orbit = {frozenset((move(i, u), move(i, v))) for i in range(m)}
+                seen |= orbit
+                if {u[0], v[0]} & zero or rng.random() < 0.7:
+                    allowed |= orbit
+        name = {v: f"{'abcd'[v[0]]}{v[1]}" for v in verts}
+        rank = {}
+        for size in range(k + 1):
+            for F in itertools.combinations(verts, size):
+                if (len({c for c, _ in F}) == size
+                        and all(frozenset(pair) in allowed for pair in itertools.combinations(F, 2))):
+                    rank[frozenset(name[v] for v in F)] = sum(c not in zero for c, _ in F)
+        try:
+            sm = Semimatroid([name[v] for v in verts], list(rank), rank)
+        except AxiomViolation:
+            continue
+        G = cyclic_group(m)
+        out.append((sm, GroupAction(G, sm.vertices, {(g, name[v]): name[move(i, v)]
+                                                    for i, g in enumerate(G.elements)
+                                                    for v in verts})))
+    return out
 
 
 def build_corpus(seed: int = 0) -> Corpus:

@@ -3,33 +3,43 @@
 The constructions build their posets with ``poset._certified`` from the
 ranks they already know, with no Hasse check, rank sweep or simplicial
 pass.  The referee is ``build_poset`` -> ``compute_rank`` ->
-``verify_simplicial`` on the same ids and covers: the two must agree on
+``verify_simplicial`` on the same ids and covers (for semimatroid face
+posets and quotient orbit posets, on ids and covers found as they were
+before the constructions certified them): the two must agree on
 the elements, the covers, the reachability masks, the cover lists, the
 rank, the atom sets and the bottom.  Matroid schemes, which no longer run
 ``validate_scheme``, are validated here.
 """
 
+import itertools
 import random
 
 import pytest
 
 from mscheme import (
     DuplicateIdentifier,
+    Semimatroid,
     build_poset,
     compute_rank,
+    cyclic_group,
     dowling_geometric,
+    files,
     layers_poset,
     linear_matroid,
+    quotient_scheme,
     scheme_from_geometric,
     scheme_from_matroid,
+    scheme_from_semimatroid,
+    trivial_action,
     uniform_matroid,
     validate_scheme,
     verify_simplicial,
 )
+from mscheme.constructions import set_id
 from mscheme.geometric import pair_id
 from mscheme.poset import SimplicialPoset, _certified
 
-from generators import dowling_inputs
+from generators import dowling_inputs, translative_complexes
 from referees import atom_sets
 
 
@@ -137,3 +147,74 @@ def test_layer_posets_match_validating_path(corpus):
         assert result.scheme_element_of == want, label
         assert list(result.scheme_element_of) == list(p.elements), label
 
+
+
+def _face_poset_by_pairs(sm):
+    """The face poset by the validating path: the faces by size and then
+    sorted members, named by ``set_id``, with the covers found among all
+    pairs of faces; and its rank labels by id."""
+    faces = sorted(sm.faces, key=lambda f: (len(f), sorted(f)))
+    ids = [set_id(f) for f in faces]
+    covers = [(ids[a], ids[b]) for a, f in enumerate(faces) for b, g in enumerate(faces)
+              if f < g and len(g) == len(f) + 1]
+    return _validated(ids, covers), {i: sm.rank[f] for i, f in zip(ids, faces)}
+
+
+def _orbit_poset_by_names(sm, act):
+    """The orbit poset by the validating path: one orbit per least face, by
+    size and then sorted members, named "G·" and the id of that face, with
+    the orbits of the pairs (f - v, f) as covers in the order of their
+    ends; and its rank labels by id."""
+    faces = sorted(sm.faces, key=lambda f: (len(f), sorted(f)))
+    orbits = []
+    for f in faces:
+        if not any(f in orbit for orbit in orbits):
+            orbits.append({frozenset(act(g, v) for v in f) for g in act.group.elements})
+    names = [f"G·{set_id(min(orbit, key=sorted))}" for orbit in orbits]
+    of = {f: k for k, orbit in enumerate(orbits) for f in orbit}
+    covers = sorted({(of[f - {v}], of[f]) for f in faces for v in f})
+    rp = _validated(names, [(names[a], names[b]) for a, b in covers])
+    return rp, {names[of[f]]: sm.rank[f] for f in faces}
+
+
+def _semimatroids_with_actions():
+    """semi4 and semi4c under their swap and the trivial action, and the
+    seeded translative complexes."""
+    z2 = cyclic_group(2)
+    cases = []
+    for semi, swap in (("semi4", "z2_swap"), ("semi4c", "z2_swap_c")):
+        sm = files.load_semimatroid(files.resolve_input(f"{semi}.json"))
+        cases += [(f"{semi} {swap}", sm,
+                   files.load_action(files.resolve_input(f"{swap}.json"), z2)),
+                  (f"{semi} trivial", sm, trivial_action(z2, sm.vertices))]
+    pairs = translative_complexes(random.Random(20261019), 40)
+    return cases + [(f"translative {k}", sm, act) for k, (sm, act) in enumerate(pairs)]
+
+
+def test_face_and_orbit_posets_match_validating_path():
+    """Semimatroid face posets and quotient orbit posets, with their
+    labels, against the pairs and names found as before they were
+    certified."""
+    for name, sm, act in _semimatroids_with_actions():
+        for m, (want, rho) in ((scheme_from_semimatroid(sm), _face_poset_by_pairs(sm)),
+                               (quotient_scheme(sm, act).scheme, _orbit_poset_by_names(sm, act))):
+            _assert_same(m.s, want, name)
+            assert dict(m.rho) == rho, name
+
+
+def test_colliding_ids_raise_like_build_poset():
+    """The vertex "a,b" and the face {a, b} share the id "{a,b}": both
+    constructions raise ``build_poset``'s ``DuplicateIdentifier``."""
+    vertices = ["a", "b", "a,b"]
+    faces = [frozenset(c) for r in range(4) for c in itertools.combinations(vertices, r)]
+    sm = Semimatroid(vertices, faces, {f: len(f - {"a,b"}) for f in faces})
+    act = trivial_action(cyclic_group(2), vertices)
+    for build, referee in ((lambda: scheme_from_semimatroid(sm), lambda: _face_poset_by_pairs(sm)),
+                           (lambda: quotient_scheme(sm, act),
+                            lambda: _orbit_poset_by_names(sm, act))):
+        with pytest.raises(DuplicateIdentifier) as want:
+            referee()
+        with pytest.raises(DuplicateIdentifier) as got:
+            build()
+        assert str(got.value) == str(want.value)
+    assert str(got.value) == "duplicate element id 'G·{a,b}'"

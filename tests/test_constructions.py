@@ -39,7 +39,7 @@ from mscheme import files
 from mscheme.constructions import _rank_steps_hold, set_id
 from mscheme.tutte import _expand
 
-from generators import dowling_inputs
+from generators import dowling_inputs, translative_complexes
 from referees import (dowling_by_ids, linear_rank_table, quotient_subset_identities,
                       uniform_rank_table)
 
@@ -412,49 +412,6 @@ def _m_g_by_subsets(sm, action):
     return orbit_of, m_g, _expand(counts)
 
 
-def _translative_complexes(rng, count):
-    """Seeded semimatroids with a translative action of Z_m (m = 2, 3):
-    g^i moves vertex j of a class of m vertices to j + i and fixes a class
-    of one.  A face takes at most one vertex per class, every pair of its
-    vertices from a G-invariant set of allowed pairs, and its rank counts
-    its vertices outside the rank-0 fixed classes.  Candidates that break
-    a semimatroid axiom are skipped."""
-    out = []
-    while len(out) < count:
-        m = rng.choice((2, 3))
-        k = rng.randint(1, 4)
-        sizes = [rng.choice((1, m, m)) for _ in range(k)]
-        zero = {c for c in range(k) if sizes[c] == 1 and rng.random() < 0.5}
-        verts = [(c, j) for c in range(k) for j in range(sizes[c])]
-
-        def move(i, v):
-            return v[0], (v[1] + i) % sizes[v[0]]
-
-        allowed, seen = set(), set()
-        for u, v in itertools.combinations(verts, 2):
-            if u[0] != v[0] and frozenset((u, v)) not in seen:
-                orbit = {frozenset((move(i, u), move(i, v))) for i in range(m)}
-                seen |= orbit
-                if {u[0], v[0]} & zero or rng.random() < 0.7:
-                    allowed |= orbit
-        name = {v: f"{'abcd'[v[0]]}{v[1]}" for v in verts}
-        rank = {}
-        for size in range(k + 1):
-            for F in itertools.combinations(verts, size):
-                if (len({c for c, _ in F}) == size
-                        and all(frozenset(pair) in allowed for pair in itertools.combinations(F, 2))):
-                    rank[frozenset(name[v] for v in F)] = sum(c not in zero for c, _ in F)
-        try:
-            sm = Semimatroid([name[v] for v in verts], list(rank), rank)
-        except AxiomViolation:
-            continue
-        G = cyclic_group(m)
-        out.append((sm, GroupAction(G, sm.vertices, {(g, name[v]): name[move(i, v)]
-                                                    for i, g in enumerate(G.elements)
-                                                    for v in verts})))
-    return out
-
-
 def test_m_g_matches_the_subset_sweep(z2, monkeypatch):
     """One pass that groups the faces by their atom orbits gives the m_G
     items in the order, the group-action Tutte polynomial and the first
@@ -470,7 +427,7 @@ def test_m_g_matches_the_subset_sweep(z2, monkeypatch):
         cases += [(sm, files.load_action(files.resolve_input(f"{swap}.json"), z2)),
                   (sm, trivial_action(z2, sm.vertices))]
     rng = random.Random(20261019)
-    cases += _translative_complexes(rng, 40)
+    cases += translative_complexes(rng, 40)
     checked = broken = 0
     for sm, act in cases:
         res = quotient_scheme(sm, act)
@@ -670,6 +627,43 @@ def test_semimatroid_corruptions_match_definition_witnesses(semi4):
             assert _raised(Semimatroid, sm.vertices, sm.faces, rank) == expected, rank
             seen.add(expected and expected[0])
     assert {None, "S1", "S2", "S3"} <= seen, seen
+
+
+def test_semimatroid_axioms_match_definition_witnesses():
+    """Seeded complexes that are not full (the down-closures of a few
+    random faces, every vertex a face) on up to 5 vertices, declared in a
+    shuffled order and ranked by a linear matroid, whose zero and parallel
+    columns give loops and parallel vertices; as given and with one or two
+    ranks moved by +-1.  Semimatroid raises the first (axiom, witness) of
+    the global definitions, and each of S1-S5 and "valid" is met."""
+    rng = random.Random(20261020)
+    seen = {}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        mat = linear_matroid([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
+                              for _ in range(rng.randint(1, 3))])
+        faces = {frozenset(c) for _ in range(rng.randint(1, 3))
+                 for top in [rng.sample(mat.ground, rng.randint(1, n))]
+                 for r in range(len(top) + 1) for c in itertools.combinations(top, r)}
+        faces |= {frozenset({v}) for v in mat.ground}
+        rank = _nudged(rng, {f: mat.rank[f] for f in faces}, rng.choice((0, 0, 1, 2)))
+        expected = first_semimatroid_violation(faces, rank)
+        assert _raised(Semimatroid, rng.sample(mat.ground, n), faces, rank) == expected, rank
+        axiom = expected and expected[0]
+        seen[axiom] = seen.get(axiom, 0) + 1
+    assert set(seen) == {None, "S1", "S2", "S3", "S4", "S5"}, seen
+
+
+def test_semimatroid_keeps_the_ranks_of_its_faces_only(semi4, swap4):
+    """A rank given for a set off the complex is dropped, as ``Matroid``
+    reads only subsets of its ground set: it reaches neither ``max_rank``
+    nor the group-action Tutte polynomial."""
+    top = frozenset({"a1", "a2", "b1", "b2"})
+    sm = Semimatroid(semi4.vertices, semi4.faces, {**semi4.rank, top: 7})
+    assert sm.rank == semi4.rank and sm.max_rank() == 2
+    res = quotient_scheme(sm, swap4)
+    assert str(res.tutte_action) == "x^2 + 1"
+    assert tutte_direct(res.scheme) == res.tutte_action
 
 
 def test_rank_sweeps_without_witness_are_errors(monkeypatch, semi4):

@@ -44,7 +44,7 @@ from mscheme.poset import (
     _ranked,
     transitive_reduction,
 )
-from derived_oracle import complement
+from derived_oracle import NotBelow, complement
 from referees import atom_sets, lower_bound_maxima, recursive_leaf_counts, upper_bound_minima
 
 
@@ -248,7 +248,6 @@ def test_complement(isth):
     assert complement(sp, "u", "a") == "b"
     assert complement(sp, "u", "0") == "u"
     assert complement(sp, "u", "u") == "0"
-    from mscheme import NotBelow
     with pytest.raises(NotBelow):
         complement(sp, "a", "b")
 

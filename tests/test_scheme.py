@@ -15,7 +15,6 @@ from mscheme import (
     InvariantBroken,
     MatroidScheme,
     MschemeError,
-    NotALoop,
     NotAnAtom,
     RankNotConstantOnMax,
     UnknownIdentifier,
@@ -45,7 +44,8 @@ from mscheme.poset import Poset, _bits
 from mscheme.scheme import _independent_mask
 
 import derived_oracle
-from derived_oracle import _meet_of_joinable, check_derived_axioms, check_loop_del_contr
+from derived_oracle import (NotALoop, _meet_of_joinable, check_derived_axioms,
+                            check_loop_del_contr)
 from referees import (left_class, lower_bound_maxima, m4_verdict_agrees, shuffled,
                       upper_bound_minima)
 
