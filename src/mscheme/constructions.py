@@ -440,14 +440,13 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     if set(action.points) != set(sm.vertices):
         raise NotComplexInvariant("action points differ from semimatroid vertices")
 
-    def face_image(g, f):
-        return frozenset(action(g, v) for v in f)
-
-    for g, f in itertools.product(G.elements, sorted(sm.faces, key=sorted)):
-        if face_image(g, f) not in sm.faces:
+    image = {(g, f): frozenset(action(g, v) for v in f)  # g·f, built once
+             for g, f in itertools.product(G.elements, sorted(sm.faces, key=sorted))}
+    for (g, f), gf in image.items():
+        if gf not in sm.faces:
             raise NotComplexInvariant(f"{g}·{set_id(f)} is not a face")
-    for g, f in itertools.product(G.elements, sorted(sm.faces, key=sorted)):
-        if sm.rank[face_image(g, f)] != sm.rank[f]:
+    for (g, f), gf in image.items():
+        if sm.rank[gf] != sm.rank[f]:
             raise NotRankInvariant(f"rank changes along {g}·{set_id(f)}")
     for g, a in itertools.product(G.elements, sorted(sm.vertices)):
         ga = action(g, a)
@@ -459,7 +458,7 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     reps = []  # the least face of each orbit
     for f in faces:
         if f not in orbit:
-            orbit.update(dict.fromkeys({face_image(g, f) for g in G.elements}, len(reps)))
+            orbit.update(dict.fromkeys({image[g, f] for g in G.elements}, len(reps)))
             reps.append(f)
     names = [f"G·{set_id(f)}" for f in reps]
     orbit_of = {f: names[k] for f, k in orbit.items()}

@@ -161,13 +161,6 @@ class LabelView(Mapping):
         return repr(dict(self))
 
 
-def transitive_reduction(up) -> list:
-    """Cover pairs (i, j) of a strict order given by its strict up-set
-    bitmasks ``up``, in row-major order: j covers i iff j is in up[i] and in
-    no up[k] with k in up[i] (Aho, Garey and Ullman, 1972)."""
-    return [(i, j) for i, mask in enumerate(up) for j in _bits(mask & ~_union(up, mask))]
-
-
 def _bits(mask: int):
     """Indices of the set bits of mask, ascending."""
     while mask:

@@ -56,7 +56,6 @@ from .poset import (
     _top_value,
     _union,
     find_isomorphism,
-    transitive_reduction,
 )
 
 
@@ -272,19 +271,26 @@ def _closure_map(m: MatroidScheme) -> list:
 
 def flats(m: MatroidScheme) -> RankedPoset:
     """Subposet of closed elements, ranked by rho and bounded below by the
-    closure of the bottom element.  The closed elements need not be convex,
-    so their covers come from a transitive reduction of the parent's order
-    on them, and the parent's linear extension restricted to them is one of
-    theirs.  The rank check stays: a contraction that left the class may
-    have flats that are not ranked by rho."""
+    closure of the bottom element; the parent's linear extension restricted
+    to them is one of theirs.  The upper covers of a flat x are the distinct
+    closures cl(c) of x's upper covers c in the scheme.  (i) No c has the
+    rho of x, or c <= cl(x) = x; M1-M3 on a Boolean down-set are the matroid
+    rank axioms, so every c has rho(x) + 1.  (ii) For a flat y >= c, a
+    maximal common lower bound l >= c of cl(c) and y has rho(l) = rho(cl(c))
+    by M2, so M4 gives an upper bound u of both; y is a flat of the matroid
+    below u, so cl(c) <= y.  (iii) rho strictly increases along flats, so
+    the cl(c) are pairwise incomparable and no flat lies strictly between
+    any of them and x.  M2, M4 and M1-M3 on down-sets pass to ideals and
+    filters, so this holds on every minor, contractions that fail M5
+    included.  The rank check stays as the guard of this theorem."""
     if m._flats_cache is None:
         p = m.poset
         cl = _closure_map(m)
         keep = sum(1 << i for i, c in enumerate(cl) if c == i)
-        up = [p.above[i] & keep & ~(1 << i) if c == i else 0 for i, c in enumerate(cl)]
         new = {i: k for k, i in enumerate(_bits(keep))}
         # renumbering the kept indices in order keeps the row-major cover order
-        pairs = [(new[i], new[j]) for i, j in transitive_reduction(up)]
+        pairs = [(k, new[j]) for i, k in new.items()
+                 for j in sorted({cl[c] for c in p.covers_up[i]})]
         order = [new[i] for i in p.order if i in new]
         els = p._ids(keep)
         sub = _closed(els, pairs, order, *_adjacency(len(els), pairs))

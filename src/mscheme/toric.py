@@ -419,7 +419,8 @@ def intersect_layer(layer: Layer, c: Character) -> list[Layer]:
     """
     if len(c.alpha) != layer.n:
         raise DimensionMismatch(f"character in rank {len(c.alpha)}, layer in {layer.n}")
-    cut = _cut(layer.basis, _completion(layer.n, layer.basis), c.alpha)
+    basis = layer.basis  # the ambient layer's cut reads no completion
+    cut = _cut(basis, _completion(layer.n, basis) if basis else (), c.alpha)
     if cut is None:
         return [layer] if layer.phase_of(c.alpha) == c.phase else []
     t = (c.phase.numerator, c.phase.denominator)
@@ -481,7 +482,8 @@ def _closure(arr: ToricArrangement):
     (q, numerators) of ``_Cut.pieces``, which a frontier layer keeps for
     its own cuts.  The first layer met on a basis completes it once and
     cuts it by every hypersurface; a point (rank n) lies in every
-    character's lattice, so it is listed but neither completed nor cut.
+    character's lattice, so it is listed but neither completed nor cut, and
+    the ambient layer is cut without a completion (see ``_cut``).
     Each ``Layer`` is made after the loop, each basis written once.
 
     Each layer x is the second component of a pair (I, x) of the simple
@@ -503,7 +505,7 @@ def _closure(arr: ToricArrangement):
         for here, no, basis, q, nums in frontier:
             row = cuts.get(no)
             if row is None:
-                inverse = _completion(n, basis)
+                inverse = _completion(n, basis) if basis else ()
                 row = cuts[no] = []
                 for alpha, t in hypersurfaces:
                     cut = _cut(basis, inverse, alpha)

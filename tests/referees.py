@@ -10,8 +10,10 @@ minimal upper and maximal lower bound sets by id; the Tutte point checks
 T(1,1) = #bases and T(2,2) = #elements; a quotient's flats,
 independents and circuits against the orbit images of its base's; and
 the rank tables of linear and uniform matroids, one subset at a time;
-G2 swept over atom sets of every size; and the Hermite and Smith forms
-with separate transform rows and a key function for the pivot."""
+G2 swept over atom sets of every size; the Hermite and Smith forms
+with separate transform rows and a key function for the pivot; and the
+bitmask transitive reduction, with the flats poset assembled from the
+covers it finds."""
 
 import functools
 import itertools
@@ -31,6 +33,7 @@ from mscheme import (
     bases,
     build_poset,
     circuits,
+    closure,
     compute_rank,
     contract,
     flats,
@@ -42,7 +45,7 @@ from mscheme import (
     verify_simplicial,
 )
 from mscheme.constructions import _element_id, _set_partitions
-from mscheme.poset import _atoms, _bits, _full, _maxima, _union
+from mscheme.poset import _atoms, _bits, _full, _graded, _maxima, _ranked, _union
 from mscheme.scheme import _joinable, _less_than, _sub_scheme
 from mscheme.toric import Layer, _Cut, _completion, ambient_layer, hnf
 from mscheme.tutte import _pivot
@@ -542,3 +545,38 @@ def snf_reference(matrix: list[list[int]]):
             continue
         t += 1
     return m, u, v
+
+
+def transitive_reduction(up) -> list:
+    """Cover pairs (i, j) of a strict order given by its strict up-set
+    bitmasks ``up``, in row-major order: j covers i iff j is in up[i] and in
+    no up[k] with k in up[i] (Aho, Garey and Ullman, 1972)."""
+    return [(i, j) for i, mask in enumerate(up) for j in _bits(mask & ~_union(up, mask))]
+
+
+def flats_by_reduction(m: MatroidScheme):
+    """The flats poset of m assembled from id covers: the transitive
+    reduction of the strict up-sets of the closed elements."""
+    p = m.poset
+    els = p.elements
+    keep = sum(1 << i for i, e in enumerate(els) if closure(m, e) == e)
+    up = [p.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0 for i in range(len(els))]
+    sub = build_poset(p._ids(keep), [(els[i], els[j]) for i, j in transitive_reduction(up)])
+    return _ranked(sub, _graded(sub, [m.rho[e] for e in sub.elements]))
+
+
+def assert_flats_match_the_reduction(m: MatroidScheme, label):
+    """``flats(m)`` has the elements, the cover pairs in the same row-major
+    order, the cover lists, reachability, ranks and bottom of
+    ``flats_by_reduction(m)``."""
+    got, want = flats(m), flats_by_reduction(m)
+    p, q = got.poset, want.poset
+    assert p.elements == q.elements, label
+    assert p.pairs == q.pairs, label
+    assert p.covers == q.covers, label
+    assert p.covers_up == q.covers_up, label
+    assert p.covers_dn == q.covers_dn, label
+    assert p.above == q.above, label
+    assert p.below == q.below, label
+    assert list(got.rank.items()) == list(want.rank.items()), label
+    assert got.bottom == want.bottom, label

@@ -369,6 +369,21 @@ def test_quotient_with_fixed_loop(z2):
     assert loops(res.scheme) == {"G·{c}"}
 
 
+def test_quotient_maps_each_face_once(z2, monkeypatch):
+    """``quotient_scheme`` applies each group element to each vertex of
+    each face once, for one table of face images that the complex check,
+    the rank check and the orbit sweep all read, and once more to each
+    vertex for the translative check."""
+    sm = files.load_semimatroid(files.resolve_input("semi4c.json"))
+    act = files.load_action(files.resolve_input("z2_swap_c.json"), z2)
+    calls = []
+    apply = GroupAction.__call__
+    monkeypatch.setattr(GroupAction, "__call__",
+                        lambda self, g, p: calls.append(g) or apply(self, g, p))
+    quotient_scheme(sm, act)
+    assert len(calls) == len(z2.elements) * (sum(map(len, sm.faces)) + len(sm.vertices))
+
+
 def test_non_translative_action_rejected(z2):
     faces = [frozenset(), frozenset({"a1"}), frozenset({"a2"}),
              frozenset({"a1", "a2"})]

@@ -23,9 +23,8 @@ from mscheme import (
     validate_geometric,
 )
 from mscheme.geometric import pair_id
-from mscheme.poset import transitive_reduction
-
 from generators import dowling_inputs
+from referees import transitive_reduction
 
 
 def _reduced(ids, leq):

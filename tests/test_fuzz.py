@@ -17,7 +17,9 @@ ground size, and unknown kinds.
 
 M4 is fuzzed in process: on the edited documents that read as simplicial
 posets and on the scheme fixtures with random labels, its verdict and
-witness are refereed by the ``_union`` form in ``referees``.
+witness are refereed by the ``_union`` form in ``referees``.  Where those
+inputs are schemes, the flats' covers of each and of its minors are
+refereed by the transitive reduction there.
 """
 
 import contextlib
@@ -30,10 +32,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mscheme import MschemeError, compute_rank, files, flats, verify_simplicial
+from mscheme import (
+    MschemeError,
+    compute_rank,
+    contract,
+    delete,
+    files,
+    flats,
+    localization,
+    validate_scheme,
+    verify_simplicial,
+)
 from mscheme.cli import main
 
-from referees import m4_verdict_agrees
+from referees import assert_flats_match_the_reduction, m4_verdict_agrees
 
 SCHEMES = ("isth", "cw_l", "cw_r", "nonpos", "qfix", "dow_nontriv")
 
@@ -163,6 +175,19 @@ def relabelled_fixtures(draw):
     return sp, dict(zip(p.elements, r))
 
 
+def _generated_simplicial(data):
+    """A scheme fixture's poset with drawn labels, or an edited fixture
+    document that reads as a simplicial poset, with its labels; None when
+    the edited document does not read as one."""
+    if data.draw(st.booleans()):
+        return data.draw(relabelled_fixtures())
+    try:
+        poset, rho = files.parse_poset_doc(data.draw(edited_fixtures()))
+        return verify_simplicial(compute_rank(poset)), rho
+    except MschemeError:
+        return None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -171,15 +196,32 @@ def test_m4_by_lower_covers_matches_the_union_form_on_generated_schemes(data):
     and on the scheme fixtures with random labels that keep M1 and M2,
     ``validate_scheme`` gives the verdict and M4 witness of one ``_union``
     of up-sets per element."""
-    if data.draw(st.booleans()):
-        sp, rho = data.draw(relabelled_fixtures())
-    else:
-        try:
-            poset, rho = files.parse_poset_doc(data.draw(edited_fixtures()))
-            sp = verify_simplicial(compute_rank(poset))
-        except MschemeError:
-            return
-    m4_verdict_agrees(sp, rho)
+    drawn = _generated_simplicial(data)
+    if drawn is not None:
+        m4_verdict_agrees(*drawn)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_flats_covers_match_the_transitive_reduction_on_generated_schemes(data):
+    """On the generated inputs of the M4 test that pass M1-M5, and on a
+    drawn contraction, localization and deletion of each, the flats poset
+    read from the closure map is the one assembled from the transitive
+    reduction of the order on the closed elements."""
+    drawn = _generated_simplicial(data)
+    if drawn is None:
+        return
+    try:
+        m = validate_scheme(*drawn)
+    except MschemeError:
+        return
+    x = data.draw(st.sampled_from(m.elements))
+    minors = [m, contract(m, x), localization(m, x)]
+    if m.atoms():
+        minors.append(delete(m, data.draw(st.sampled_from(m.atoms()))))
+    for minor in minors:
+        assert_flats_match_the_reduction(minor, minor.elements)
 
 
 # the other document kinds: kind -> (fixtures, command lines with DOC for

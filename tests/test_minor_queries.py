@@ -8,8 +8,8 @@ flats poset is built from the cached closure map through
 from its empty cover lists.  The referees are ``compute_rank`` on the
 minor's poset, and transcriptions of the id-based Moebius function, of
 the closure map by maximal elements, of the flats poset assembled from
-id covers and of the whole-poset mask sweep for the extrema, which these
-replaced.
+the id covers of a transitive reduction, and of the whole-poset mask
+sweep for the extrema, which these replaced.
 """
 
 import random
@@ -20,8 +20,6 @@ from mscheme import (
     InvariantBroken,
     MatroidScheme,
     RankNotConstantOnMax,
-    build_poset,
-    closure,
     compute_rank,
     contract,
     delete,
@@ -35,16 +33,14 @@ from mscheme import (
 from mscheme.poset import (
     _bits,
     _full,
-    _graded,
     _maxima,
     _mobius,
-    _ranked,
     characteristic_polynomial,
-    transitive_reduction,
 )
 from mscheme.scheme import _closure_map
 from referees import (
     assert_bottom_is_the_minimum,
+    assert_flats_match_the_reduction,
     assert_ranks_count_atoms,
     atom_sets,
     delcon_nodes,
@@ -197,16 +193,6 @@ def test_closure_map_matches_the_maxima_transcription(corpus, nonpos):
     assert raised >= 10 and changed >= 10, (raised, changed)
 
 
-def _flats_by_ids(m):
-    """The flats poset as it was assembled from id covers."""
-    p = m.poset
-    els = p.elements
-    keep = sum(1 << i for i, e in enumerate(els) if closure(m, e) == e)
-    up = [p.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0 for i in range(len(els))]
-    sub = build_poset(p._ids(keep), [(els[i], els[j]) for i, j in transitive_reduction(up)])
-    return _ranked(sub, _graded(sub, [m.rho[e] for e in sub.elements]))
-
-
 def test_mask_mobius_matches_id_transcription(corpus):
     """Same values in the same key order on every corpus flats poset and on
     every corpus scheme's own poset, also declared in a shuffled order; the
@@ -225,21 +211,16 @@ def test_mask_mobius_matches_id_transcription(corpus):
 
 
 def test_flats_match_assembled_transcription(corpus, nonpos):
-    """Every corpus scheme, also declared in a shuffled order, and the
-    contractions that left the class."""
+    """Every corpus scheme, also declared in a shuffled order, with its
+    contractions and localizations at every element, its deletions at
+    every atom and three seeded restrictions, and the contractions that
+    left the class."""
+    rng = random.Random(20261020)
     variants = shuffled(corpus, random.Random(20260104))
-    for name, m in corpus.schemes() + variants + left_class(nonpos):
-        got, want = flats(m), _flats_by_ids(m)
-        p, q = got.poset, want.poset
-        assert p.elements == q.elements, name
-        assert p.pairs == q.pairs, name
-        assert p.covers == q.covers, name
-        assert p.covers_up == q.covers_up, name
-        assert p.covers_dn == q.covers_dn, name
-        assert p.above == q.above, name
-        assert p.below == q.below, name
-        assert list(got.rank.items()) == list(want.rank.items()), name
-        assert got.bottom == want.bottom, name
+    minors = [minor for name, m in corpus.schemes() for minor in _minors(name, m, rng)]
+    assert len(minors) > 4000, len(minors)
+    for name, m in corpus.schemes() + variants + minors + left_class(nonpos):
+        assert_flats_match_the_reduction(m, name)
 
 
 def _assert_extrema_from_the_mask_sweep(p, label):

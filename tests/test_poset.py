@@ -42,10 +42,15 @@ from mscheme.poset import (
     _graded,
     _induced,
     _ranked,
-    transitive_reduction,
 )
 from derived_oracle import NotBelow, complement
-from referees import atom_sets, lower_bound_maxima, recursive_leaf_counts, upper_bound_minima
+from referees import (
+    atom_sets,
+    lower_bound_maxima,
+    recursive_leaf_counts,
+    transitive_reduction,
+    upper_bound_minima,
+)
 
 
 def boolean_lattice(n):

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -737,8 +738,8 @@ def test_circle_cuts_are_one_form():
 
 def test_closure_takes_no_hermite_form_below_rank_three_and_completes_no_point(monkeypatch):
     """Below rank 3 every cut is of the ambient layer or to full rank, so
-    every such arrangement closes with ``hnf`` raising; and in any rank no
-    layer of rank n, a point, is completed."""
+    every such arrangement closes with ``hnf`` raising; and in any rank
+    neither the ambient layer (rank 0) nor a point (rank n) is completed."""
     import mscheme.toric
 
     def unreachable(*args):
@@ -758,7 +759,26 @@ def test_closure_takes_no_hermite_form_below_rank_three_and_completes_no_point(m
         assert sum(len(layers_poset(arr).layers) for arr in low) > 400
     for arr in catalogue + _seeded_arrangements((3, 4), 40):
         layers_poset(arr)
-    assert len(completed) > 200 and all(r < n for n, r in completed), completed
+    assert len(completed) > 200 and all(0 < r < n for n, r in completed), completed
+
+
+def test_the_ambient_layer_is_cut_without_a_completion():
+    """Neither the closure of an arrangement nor ``intersect_layer`` builds
+    the n x n identity that completes the ambient layer: in rank 3000, that
+    identity alone would take tens of megabytes."""
+    n = 3000
+    alpha = (1,) + (0,) * (n - 1)
+    tracemalloc.start()
+    try:
+        layers_poset(ToricArrangement(n, []))
+        closed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cut = intersect_layer(ambient_layer(n), Character(alpha, Fraction(1, 2)))
+        intersected = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [L.basis for L in cut] == [(alpha,)]
+    assert closed < 1 << 20 and intersected < 1 << 20, (closed, intersected)
 
 
 def _fraction_id(layer):
