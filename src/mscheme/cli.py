@@ -150,8 +150,8 @@ def cmd_construct(args) -> int:
         gp, out = constructions.dowling_poset(int(n), _load_action(args),
                                               atom_cap=args.cap_atoms)
         print(f"geometric certificate: {len(gp.elements)} elements, "
-              f"{len(gp.atoms())} atoms, rank {gp.ranked.max_rank()}")
-        poset_doc = files.ranked_poset_to_doc(gp.ranked)
+              f"{len(gp.atoms())} atoms, rank {gp.max_rank()}")
+        poset_doc = files.ranked_poset_to_doc(gp)
         default = f"constructed_dowling_{args.n}.json"
     elif args.kind == "quotient":
         sm = files.load_semimatroid(
@@ -166,8 +166,8 @@ def cmd_construct(args) -> int:
         out = result.scheme
         print(f"geometric certificate: {len(result.geometric.elements)} layers, "
               f"{len(result.geometric.atoms())} atoms, "
-              f"rank {result.geometric.ranked.max_rank()}")
-        poset_doc = files.ranked_poset_to_doc(result.geometric.ranked)
+              f"rank {result.geometric.max_rank()}")
+        poset_doc = files.ranked_poset_to_doc(result.geometric)
         default = f"constructed_{_stem(args.args[0])}.json"
     dest = args.out or default
     files.dump_doc(files.scheme_to_doc(out), dest)
@@ -195,7 +195,7 @@ def cmd_export(args) -> int:
     path = files.resolve_input(args.path)
     try:
         m = files.load_scheme(path)
-        text = files.to_dot(m.s.ranked, m.rhos)
+        text = files.to_dot(m.s, m.rhos)
     except MalformedInput:
         raise
     except MschemeError:

@@ -25,7 +25,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
-from .poset import SimplicialPoset, _bits, _certified, _distinct
+from .poset import RankedPoset, SimplicialPoset, _bits, _certified, _distinct
 from .scheme import MatroidScheme, validate_scheme
 
 # These two bound quadratic work, not an element table, so they stay apart
@@ -207,7 +207,7 @@ def _face_poset(masks: list, ids: list) -> SimplicialPoset:
     steps = [1 << v for v in range(max(masks).bit_length())]
     covers = [(k, j) for k, X in enumerate(masks) for b in steps
               if not X & b and (j := pos.get(X | b)) is not None]
-    return SimplicialPoset(_certified(ids, covers, [X.bit_count() for X in masks]))
+    return _certified(ids, covers, [X.bit_count() for X in masks], SimplicialPoset)
 
 
 def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
@@ -463,7 +463,7 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     names = [f"G·{set_id(f)}" for f in reps]
     orbit_of = {f: names[k] for f, k in orbit.items()}
     covers = sorted({(orbit[f - {v}], orbit[f]) for f in faces for v in f})
-    sp = SimplicialPoset(_certified(names, covers, [len(f) for f in reps]))
+    sp = _certified(names, covers, [len(f) for f in reps], SimplicialPoset)
     scheme = validate_scheme(sp, {nm: sm.rank[f] for nm, f in zip(names, reps)})
 
     # m_G and the group-action Tutte polynomial: one pass groups the faces
@@ -597,5 +597,5 @@ def dowling_geometric(n: int, action: GroupAction, *,
         pairs += [(here, u) for u in sorted(ups)]
 
     names = [ids[el] for el in order]
-    rp = _certified(names, pairs, [n - len(beta) for beta, _ in order])
+    rp = _certified(names, pairs, [n - len(beta) for beta, _ in order], RankedPoset)
     return validate_geometric(rp, atom_cap)

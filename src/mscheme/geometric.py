@@ -41,14 +41,15 @@ from .poset import (
     _certified,
     _levels,
     _maxima,
+    _ranked,
     find_isomorphism,
     is_geometric_lattice,
     iter_isomorphisms,
 )
 from .scheme import (
     MatroidScheme,
+    _closure_map,
     _joinable,
-    closure,
     flats,
     is_simple,
 )
@@ -58,33 +59,14 @@ from .scheme import (
 ELEMENT_CAP = 1 << 16
 
 
-class GeometricPoset:
-    """A ranked bounded-below poset certified against G1 and G2."""
+class GeometricPoset(RankedPoset):
+    """A ranked bounded-below poset certified against G1 and G2; only
+    ``validate_geometric`` makes one."""
 
-    __slots__ = ("ranked",)
+    __slots__ = ()
 
-    def __init__(self, ranked: RankedPoset, *, _checked: bool = False):
-        if not _checked:
-            raise TypeError("use validate_geometric() to build a GeometricPoset")
-        self.ranked = ranked
-
-    @property
-    def poset(self):
-        return self.ranked.poset
-
-    @property
-    def elements(self):
-        return self.ranked.elements
-
-    @property
-    def rank(self):
-        return self.ranked.rank
-
-    def atoms(self):
-        return self.ranked.atoms()
-
-    def __repr__(self):
-        return f"GeometricPoset({len(self.elements)} elements)"
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use validate_geometric() to build a GeometricPoset")
 
 
 def _g1_holds(p: Poset, r: list, joinable: list) -> bool:
@@ -174,7 +156,7 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
                 for y in _bits(common & tops):
                     if below[y] & common == 1 << y:
                         raise AxiomViolation("G2", (x, frozenset(els[a] for a in A), els[y]))
-    return GeometricPoset(rp, _checked=True)
+    return _ranked(p, r, GeometricPoset)
 
 
 def pair_id(atom_set, x) -> str:
@@ -252,29 +234,30 @@ def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list, list]:
 
 
 def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
-    """The simple scheme whose elements are pairs (I, x) with I a set of
-    atoms and x minimal above I, ordered by containment-and-order, with
-    rho(I, x) the rank of x.  The certificate is trusted, not re-checked:
-    for a geometric poset the result is a simple scheme whose flats are
-    the input via x -> (atoms below x, x), and its poset is built as a
-    certified simplicial poset with rank |I|.  The pairs and
-    their covers come from one walk up from (empty, bottom), with no atom
-    subset enumerated (see ``_walk``), which also gives the scheme's
-    closure map.  More than ``ELEMENT_CAP`` pairs
-    are refused with ``SizeCapExceeded`` before any of them is built.
+    """The simple scheme whose elements are pairs (I, x) with I a set of atoms
+    and x minimal above I, ordered by containment-and-order, with rho(I, x)
+    the rank of x.  Any other type than ``GeometricPoset`` raises
+    ``TypeError``; the certificate is trusted, not re-checked: for a geometric
+    poset the result is a simple scheme whose flats are the input via
+    x -> (atoms below x, x), and its poset is built as a certified simplicial
+    poset with rank |I|.  The pairs and their covers come from one walk up
+    from (empty, bottom), with no atom subset enumerated (see ``_walk``),
+    which also gives the scheme's closure map.  More than ``ELEMENT_CAP`` pairs are
+    refused with ``SizeCapExceeded`` before any of them is built.
 
     Pairs are named by ``pair_id`` when those names are distinct, and
     otherwise all by ``_escaped_pair_id``, which is injective: ids that
     hold "," or "|" can make two plain names agree."""
-    rp = gp.ranked
-    p = rp.poset
+    if not isinstance(gp, GeometricPoset):
+        raise TypeError("scheme_from_geometric takes a GeometricPoset (see validate_geometric)")
+    p = gp.poset
     els = p.elements
-    pairs, covers, closure = _walk(p, _atoms(rp.ranks), p.order[0])
+    pairs, covers, closure = _walk(p, _atoms(gp.ranks), p.order[0])
     ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     if len(set(ids)) != len(ids):
         ids = [_escaped_pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
-    sp = SimplicialPoset(_certified(ids, covers, [I.bit_count() for I, _ in pairs]))
-    m = MatroidScheme(sp, tuple(rp.ranks[x] for _, x in pairs), _checked=True)
+    sp = _certified(ids, covers, [I.bit_count() for I, _ in pairs], SimplicialPoset)
+    m = MatroidScheme(sp, tuple(gp.ranks[x] for _, x in pairs), _checked=True)
     m._closure = closure
     return m
 
@@ -286,33 +269,36 @@ def simplification(m: MatroidScheme) -> MatroidScheme:
 
 def check_uniqueness(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
     """Given two simple schemes, lift an isomorphism of their flats posets
-    to a rho-preserving scheme isomorphism via atoms-below joins; returns
-    the lifted bijection, or None when the flats posets are not isomorphic.
-    """
+    to a rho-preserving scheme isomorphism; returns the lifted bijection,
+    or None when the flats posets are not isomorphic.
+
+    The atoms of a simple scheme are its flats of rho 1, so a flats
+    isomorphism phi maps the atoms below a flat y onto those below phi(y).
+    The lift psi(x) is the one minimal upper bound of the images of x's
+    atoms in the Boolean down-set of phi(cl(x)): the element there with
+    that atom set.  In a valid scheme an element is fixed by its atom mask
+    and its closure, since only one element below the closure has that
+    atom set, so psi is read from one table of m2 keyed by both.  The
+    table misses a psi(x) whose closure is not phi(cl(x)), but then psi
+    is no scheme isomorphism: one is phi on the flats and maps closures
+    to closures.  psi is kept when it is a rho-preserving bijection that
+    maps the covers onto the covers."""
     for m in (m1, m2):
         if not is_simple(m):
             raise NotSimple(f"{m!r} is not simple")
     f1, f2 = flats(m1), flats(m2)
     p1, p2 = m1.poset, m2.poset
+    cl1, atoms1, atoms2 = _closure_map(m1), _atoms(m1.s.ranks), _atoms(m2.s.ranks)
+    element = {(dn & atoms2, c): v for v, (dn, c) in enumerate(zip(p2.below, _closure_map(m2)))}
+    covers2 = set(p2.pairs)
     for phi in iter_isomorphisms(f1, f2):
-        psi = {}
-        ok = True
-        for x in m1.elements:
-            images = [phi[a] for a in m1.atoms() if p1.leq(a, x)]
-            cl_img = phi[closure(m1, x)]
-            candidates = [v for v in p2._ids(p2.join_mask(images))
-                          if p2.leq(v, cl_img)]
-            if len(candidates) != 1:
-                ok = False
-                break
-            psi[x] = candidates[0]
-        if not ok or sorted(psi.values(), key=p2.idx) != list(m2.elements):
-            continue
-        # psi is a bijection here, so it is an order isomorphism iff it
-        # maps the covers onto the covers
-        if (all(m1.rho[x] == m2.rho[psi[x]] for x in m1.elements)
-                and {(psi[a], psi[b]) for a, b in p1.covers} == set(p2.covers)):
-            return psi
+        img = {p1.index[a]: p2.index[b] for a, b in phi.items()}
+        psi = [element.get((sum(1 << img[a] for a in _bits(dn & atoms1)), img[cl1[x]]))
+               for x, dn in enumerate(p1.below)]
+        if (None not in psi and len(set(psi)) == len(psi) == len(p2)
+                and all(k == m2.rhos[v] for k, v in zip(m1.rhos, psi))
+                and {(psi[a], psi[b]) for a, b in p1.pairs} == covers2):
+            return {e: p2.elements[v] for e, v in zip(p1.elements, psi)}
     if find_isomorphism(f1, f2) is None:
         return None
     raise InvariantBroken("flats posets isomorphic but no lift verified")

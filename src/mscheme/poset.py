@@ -302,11 +302,10 @@ def build_poset(elements, covers) -> Poset:
     return p
 
 
-def _certified(elements, pairs, ranks) -> "RankedPoset":
-    """The RankedPoset that a construction certifies: ``pairs`` are its
-    index cover pairs in cover order and ``ranks[i]`` is the rank of
-    element i.  A construction that certifies a simplicial poset wraps the
-    result in ``SimplicialPoset``.
+def _certified(elements, pairs, ranks, cls) -> "RankedPoset":
+    """The ``cls`` (``RankedPoset``, or ``SimplicialPoset`` where a
+    construction certifies one) with index cover pairs ``pairs`` in cover
+    order and ``ranks[i]`` the rank of element i.
 
     Nothing is re-derived: no Hasse check, no rank sweep, no simplicial
     pass.  Every cover raises the rank by one, so sorting by rank gives
@@ -317,7 +316,7 @@ def _certified(elements, pairs, ranks) -> "RankedPoset":
     p = _closed(elements, pairs, order, *_adjacency(len(elements), pairs))
     if len(p.index) != len(p.elements):
         _distinct(p.elements)
-    return _ranked(p, ranks)
+    return _ranked(p, ranks, cls)
 
 
 def _distinct(ids) -> None:
@@ -329,10 +328,11 @@ def _distinct(ids) -> None:
         seen.add(e)
 
 
-def _ranked(p: Poset, ranks: tuple) -> "RankedPoset":
-    """The RankedPoset of p with the ranks by element index that the
-    caller certifies; nothing is checked."""
-    rp = RankedPoset.__new__(RankedPoset)
+def _ranked(p: Poset, ranks: tuple, cls) -> "RankedPoset":
+    """The ``cls`` (``RankedPoset`` or a certified subclass) on p with the
+    ranks by element index that the caller certifies; nothing is checked,
+    and ``__new__`` passes by the subclasses' constructors, which raise."""
+    rp = cls.__new__(cls)
     rp.poset, rp.ranks = p, ranks
     return rp
 
@@ -361,19 +361,20 @@ def _induced(p: Poset, kept: list) -> Poset:
     return _closed([els[i] for i in kept], pairs, order, covers_up, covers_dn)
 
 
-def _convex(rp: "RankedPoset", kept: list) -> "RankedPoset":
+def _convex(rp: "RankedPoset", kept: list, cls) -> "RankedPoset":
     """The sub-poset of rp on the ascending index list ``kept`` of a convex
-    set (see ``_induced``), ranked from its minimum: the first kept
-    element of rp's linear extension, whose rank is subtracted from rp's.
-    Every cover of the sub-poset is one of rp, so its ranks are inherited,
-    not swept.  An empty list has no minimum and raises
+    set (see ``_induced``), built as ``cls``, ranked from its minimum: the
+    first kept element of rp's linear extension, whose rank is subtracted
+    from rp's.  Every cover of the sub-poset is one of rp, so its ranks
+    are inherited, not swept; a convex subset of a simplicial poset is
+    simplicial.  An empty list has no minimum and raises
     ``NotBoundedBelow(())``."""
     if not kept:
         raise NotBoundedBelow(())
     sub = _induced(rp.poset, kept)
     ranks = rp.ranks
     base = ranks[kept[sub.order[0]]]
-    return _ranked(sub, tuple(ranks[i] - base for i in kept))
+    return _ranked(sub, tuple(ranks[i] - base for i in kept), cls)
 
 
 # --- ranked posets -----------------------------------------------------------
@@ -381,7 +382,8 @@ def _convex(rp: "RankedPoset", kept: list) -> "RankedPoset":
 class RankedPoset:
     """A bounded-below poset with a rank function: rank(bottom) = 0 and every
     cover raises rank by exactly one.  ``ranks[i]`` is the rank of element
-    i; ``rank`` reads it by id.  The ranks are derived by ``_graded``."""
+    i; ``rank`` reads it by id.  The ranks are derived by ``_graded``.
+    Its subclasses add a certified property and no data."""
 
     __slots__ = ("poset", "ranks")
 
@@ -412,10 +414,10 @@ class RankedPoset:
         """Closed interval [lo, hi] re-ranked to start at 0; lo not below
         hi raises ``NotBoundedBelow``."""
         p = self.poset
-        return _convex(self, list(_bits(p.above[p.idx(lo)] & p.below[p.idx(hi)])))
+        return _convex(self, list(_bits(p.above[p.idx(lo)] & p.below[p.idx(hi)])), RankedPoset)
 
     def __repr__(self):
-        return f"RankedPoset({len(self.elements)} elements, max rank {self.max_rank()})"
+        return f"{type(self).__name__}({len(self.elements)} elements, max rank {self.max_rank()})"
 
 
 def _graded(poset: Poset, labels: list | None) -> tuple:
@@ -461,38 +463,17 @@ def compute_rank(p: Poset) -> RankedPoset:
 
 # --- simplicial posets --------------------------------------------------------
 
-class SimplicialPoset:
-    """Bounded-below ranked poset whose every down-set is a Boolean lattice
-    on its atoms, so the rank of an element is its number of atoms and only
-    the ranks are kept; where a mask is needed, the atoms below element i
-    are derived as ``below[i] & _atoms(ranks)``."""
+class SimplicialPoset(RankedPoset):
+    """A ranked poset whose every down-set is a Boolean lattice on its
+    atoms, so the rank of an element is its number of atoms, its size |x|;
+    where a mask is needed, the atoms below element i are derived as
+    ``below[i] & _atoms(ranks)``.  Only ``verify_simplicial`` and the
+    certified builders ``_certified`` and ``_convex`` make one."""
 
-    __slots__ = ("ranked",)
+    __slots__ = ()
 
-    def __init__(self, ranked: RankedPoset):
-        self.ranked = ranked
-
-    @property
-    def poset(self) -> Poset:
-        return self.ranked.poset
-
-    @property
-    def elements(self):
-        return self.ranked.poset.elements
-
-    @property
-    def bottom(self):
-        return self.ranked.bottom
-
-    def atoms(self) -> tuple:
-        return self.ranked.atoms()
-
-    def size(self, x) -> int:
-        """Number of atoms below x: the rank of x."""
-        return self.ranked.ranks[self.poset.idx(x)]
-
-    def __repr__(self):
-        return f"SimplicialPoset({len(self.elements)} elements, {len(self.atoms())} atoms)"
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use verify_simplicial() to build a SimplicialPoset")
 
 
 def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
@@ -526,7 +507,7 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
             raise NotSimplicial(x, f"|down-set| = {down.bit_count()} != 2^{k}")
         if clash >> i & 1:
             raise NotSimplicial(x, "two elements share the same atom set")
-    return SimplicialPoset(rp)
+    return _ranked(p, rank, SimplicialPoset)
 
 
 # --- Möbius function and characteristic polynomial ----------------------------

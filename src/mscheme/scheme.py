@@ -60,8 +60,8 @@ from .poset import (
 
 
 class MatroidScheme:
-    """A validated simplicial poset with rank labels: ``rhos[i]`` is the
-    label of element i, and ``rho`` reads it by id.
+    """A validated simplicial poset ``s``, whose rank is the size |x|, with
+    rank labels: ``rhos[i]`` is the label of element i, read by id in ``rho``.
 
     Instances are immutable; use :func:`validate_scheme` to construct one
     from unvalidated data.  Equality is exact: same element order, same
@@ -99,9 +99,6 @@ class MatroidScheme:
 
     def atoms(self) -> tuple:
         return self.s.atoms()
-
-    def size(self, x) -> int:
-        return self.s.size(x)
 
     def serialize_key(self) -> tuple:
         """Exact-form key: the elements, the covers and the labels in
@@ -152,13 +149,15 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
     """Check M1-M5 (M3 on diamonds) on the id-keyed labels ``rho``, read
     once into a tuple by element index; return the scheme or raise the
     first violation in axiom order with a deterministic witness."""
+    if not isinstance(sp, SimplicialPoset):
+        raise TypeError("validate_scheme takes a SimplicialPoset (see verify_simplicial)")
     p = sp.poset
     els = p.elements
     r = tuple(map(rho.get, els))
     if None in r:
         raise UnknownIdentifier(f"rho undefined on {els[r.index(None)]!r}")
     above, below = p.above, p.below
-    size = sp.ranked.ranks
+    size = sp.ranks
     for i, x in enumerate(els):  # M1
         if not 0 <= r[i] <= size[i]:
             raise AxiomViolation("M1", (x,), f"rho={r[i]}, |x|={size[i]}")
@@ -200,7 +199,7 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
             meet = p.maximal_of_mask(below[i] & below[j]) & same
             raise AxiomViolation("M4", (x, els[j], els[next(_bits(meet))]))
     del same_up  # freed before M5's masks are built
-    atoms = _atoms(sp.ranked.ranks)
+    atoms = _atoms(sp.ranks)
     for i, x in enumerate(els):  # M5
         reach = _union(above, atoms & ~below[i] & joinable[i])
         bad = lt[-1] & ~lt[r[i] + 1] & ~reach
@@ -223,7 +222,7 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     ranks, so nothing else is stored."""
     kept = list(_bits(keep))
     rhos = m.rhos
-    return MatroidScheme(SimplicialPoset(_convex(m.s.ranked, kept)),
+    return MatroidScheme(_convex(m.s, kept, SimplicialPoset),
                          tuple(rhos[i] - shift for i in kept), _checked=True)
 
 
@@ -294,7 +293,7 @@ def flats(m: MatroidScheme) -> RankedPoset:
         order = [new[i] for i in p.order if i in new]
         els = p._ids(keep)
         sub = _closed(els, pairs, order, *_adjacency(len(els), pairs))
-        m._flats_cache = _ranked(sub, _graded(sub, [m.rhos[i] for i in _bits(keep)]))
+        m._flats_cache = _ranked(sub, _graded(sub, [m.rhos[i] for i in new]), RankedPoset)
     return m._flats_cache
 
 
@@ -302,7 +301,7 @@ def _independent_mask(m: MatroidScheme) -> int:
     """Bitmask of the elements x with rho(x) = |x| = rank(x); computed
     once per scheme."""
     if m._independent is None:
-        m._independent = sum(1 << i for i, (k, s) in enumerate(zip(m.rhos, m.s.ranked.ranks))
+        m._independent = sum(1 << i for i, (k, s) in enumerate(zip(m.rhos, m.s.ranks))
                              if k == s)
     return m._independent
 
@@ -335,6 +334,8 @@ def circuits(m: MatroidScheme) -> frozenset:
 def validate_independence(sp: SimplicialPoset, ind) -> None:
     """Check I1-I4 exhaustively; raise AxiomViolation on the first failure.
     The first unknown id, in the order given, is named."""
+    if not isinstance(sp, SimplicialPoset):
+        raise TypeError("validate_independence takes a SimplicialPoset (see verify_simplicial)")
     ind = dict.fromkeys(ind)  # a set in the order given
     p = sp.poset
     els = p.elements
@@ -349,7 +350,7 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
         bad = below[j] & ~ind_mask
         if bad:
             raise AxiomViolation("I2", (els[next(_bits(bad))], els[j]))
-    size = sp.ranked.ranks
+    size = sp.ranks
     atoms = _atoms(size)
     lt = _less_than(size)
     joinable = _joinable(p)
@@ -371,15 +372,20 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
 def scheme_from_independence(sp: SimplicialPoset, ind) -> MatroidScheme:
     """Validate I1-I4, then build rho(x) = max size of an independent element
     below x and validate the result as a scheme; raises ``InvariantBroken``
-    if its independence poset differs from the input.  ``ind`` is read
-    once, so an iterator serves as well as a list."""
+    if its independence poset differs from the input.  ``ind`` is read once,
+    so an iterator serves as well as a list.  One sweep up the linear
+    extension gives rho(x) = |x| on an independent x, else the largest rho
+    of its lower covers; I1 and I2 put the bottom in the family."""
     ind = tuple(ind)
     validate_independence(sp, ind)
-    ind = set(ind)
+    ind = frozenset(ind)
     p = sp.poset
-    rho = {x: max(sp.size(z) for z in p.down_set(x) if z in ind) for x in p.elements}
-    m = validate_scheme(sp, rho)
-    if independence(m) != frozenset(ind):
+    r = list(sp.ranks)
+    for x in p.order:
+        if p.elements[x] not in ind:
+            r[x] = max(r[c] for c in p.covers_dn[x])
+    m = validate_scheme(sp, LabelView(p.index, r))
+    if independence(m) != ind:
         raise InvariantBroken("independence poset mismatch")
     return m
 
@@ -389,7 +395,7 @@ def scheme_from_independence(sp: SimplicialPoset, ind) -> MatroidScheme:
 def loops(m: MatroidScheme) -> frozenset:
     """Atoms of rank zero.  The two other characterizations of a loop are
     checked by the oracle in ``tests/derived_oracle.py``."""
-    return frozenset(e for e, k, r in zip(m.elements, m.s.ranked.ranks, m.rhos)
+    return frozenset(e for e, k, r in zip(m.elements, m.s.ranks, m.rhos)
                      if k == 1 and r == 0)
 
 
@@ -401,14 +407,14 @@ def isthmuses(m: MatroidScheme) -> frozenset:
     common = _full(p)
     for b in _bits(_bases_mask(m)):
         common &= p.below[b]
-    return frozenset(p._ids(common & _atoms(m.s.ranked.ranks)))
+    return frozenset(p._ids(common & _atoms(m.s.ranks)))
 
 
 def is_simple(m: MatroidScheme) -> bool:
     """Every atom is its own closure (a flat) with a nonzero label (not a loop)."""
     cl = _closure_map(m)
     rhos = m.rhos
-    return all(cl[a] == a and rhos[a] for a in _bits(_atoms(m.s.ranked.ranks)))
+    return all(cl[a] == a and rhos[a] for a in _bits(_atoms(m.s.ranks)))
 
 
 # --- deletion, contraction, restriction ---------------------------------------------
@@ -416,7 +422,7 @@ def is_simple(m: MatroidScheme) -> bool:
 def _atom_index(m: MatroidScheme, a) -> int:
     """The index of the atom a; any other id raises ``NotAnAtom``."""
     i = m.poset.index.get(a)
-    if i is None or m.s.ranked.ranks[i] != 1:
+    if i is None or m.s.ranks[i] != 1:
         raise NotAnAtom(f"{a!r} is not an atom")
     return i
 
@@ -443,11 +449,11 @@ def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
     for a in atom_set:
         kept |= 1 << _atom_index(m, a)
     p = m.poset
-    return _sub_scheme(m, _full(p) & ~_union(p.above, _atoms(m.s.ranked.ranks) & ~kept))
+    return _sub_scheme(m, _full(p) & ~_union(p.above, _atoms(m.s.ranks) & ~kept))
 
 
 # --- scheme isomorphism -----------------------------------------------------------
 
 def scheme_isomorphism(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
     """rho-preserving simplicial poset isomorphism, or None."""
-    return find_isomorphism(m1.s.ranked, m2.s.ranked, m1.rho, m2.rho)
+    return find_isomorphism(m1.s, m2.s, m1.rho, m2.rho)

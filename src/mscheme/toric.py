@@ -49,7 +49,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .geometric import scheme_from_geometric, validate_geometric
-from .poset import _bits, _certified, _convex, find_isomorphism
+from .poset import RankedPoset, _bits, _certified, _convex, find_isomorphism
 from .scheme import _closure_map, contract, delete, localization, scheme_isomorphism
 
 
@@ -556,7 +556,8 @@ def layers_poset(arr: ToricArrangement, atom_cap: int = DEFAULT_ATOM_CAP) -> Lay
     pos = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
     ordered = [found[k] for k in order]
     ids = [L.layer_id for L in ordered]
-    rp = _certified(ids, sorted((pos[a], pos[b]) for a, b in steps), [L.rank for L in ordered])
+    rp = _certified(ids, sorted((pos[a], pos[b]) for a, b in steps), [L.rank for L in ordered],
+                    RankedPoset)
     gp = validate_geometric(rp, atom_cap)
     scheme = scheme_from_geometric(gp)
 
@@ -669,9 +670,9 @@ def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrR
     direct = iso_restr is not None
     if not direct:
         # layer-poset comparison: sublayers of the hypersurface, re-ranked
-        fp = full.geometric.ranked
-        sub = _convex(fp, list(_bits(fp.poset.above[fp.poset.idx(atom_layer)])))
-        iso_restr = find_isomorphism(restricted.geometric.ranked, sub)
+        fp = full.geometric.poset
+        sub = _convex(full.geometric, list(_bits(fp.above[fp.idx(atom_layer)])), RankedPoset)
+        iso_restr = find_isomorphism(restricted.geometric, sub)
 
     local_scheme = constructions.scheme_from_matroid(local_arr)
     layer_el = full.scheme_element_of[layer.layer_id]

@@ -45,7 +45,7 @@ def tutte_direct(m: MatroidScheme) -> BivariatePolynomial:
     if m._tutte is None:
         rk = scheme_rank(m)
         counts: dict[tuple[int, int], int] = {}
-        for k, s in zip(m.rhos, m.s.ranked.ranks):
+        for k, s in zip(m.rhos, m.s.ranks):
             key = (rk - k, s - k)
             counts[key] = counts.get(key, 0) + 1
         m._tutte = _expand(counts)
@@ -171,7 +171,7 @@ def charpoly_identity(m: MatroidScheme) -> UnivariatePolynomial:
         raise InvariantBroken(f"chi via Moebius {chi_mobius} != chi via Tutte {chi_tutte}")
     cl = _closure_map(m)
     signed = [0] * len(cl)
-    for c, s in zip(cl, m.s.ranked.ranks):
+    for c, s in zip(cl, m.s.ranks):
         signed[c] += -1 if s & 1 else 1
     index = m.poset.index
     for w, mu_w in zip(fl.elements, mu):

@@ -43,7 +43,7 @@ def complement(sp: SimplicialPoset, x, a):
     if not p.leq(a, x):
         raise NotBelow(f"{a!r} is not below {x!r}")
     i = p.idx(x)
-    below, atoms = p.below, _atoms(sp.ranked.ranks)
+    below, atoms = p.below, _atoms(sp.ranks)
     target = below[i] & atoms & ~below[p.idx(a)]
     for y in _bits(below[i]):
         if below[y] & atoms == target:
@@ -206,7 +206,7 @@ def _check_derived(m: MatroidScheme, rep: DerivedAxiomReport) -> None:
                     ok = any(p.leq(z, u) and not p.leq(a, z) for z in cs)
                     rep.record("C3", ok, (x, y, u, a))
     for c in cs:
-        rep.record("C_RANK", m.rho[c] == m.size(c) - 1, (c,))
+        rep.record("C_RANK", m.rho[c] == m.s.rank[c] - 1, (c,))
 
     for x in els:  # rank facts
         for a in atoms:

@@ -38,6 +38,7 @@ from mscheme import (
     contract,
     flats,
     independence,
+    iter_isomorphisms,
     scheme_from_semimatroid,
     tutte_delcon,
     tutte_direct,
@@ -45,7 +46,16 @@ from mscheme import (
     verify_simplicial,
 )
 from mscheme.constructions import _element_id, _set_partitions
-from mscheme.poset import _atoms, _bits, _full, _graded, _maxima, _ranked, _union
+from mscheme.poset import (
+    RankedPoset,
+    _atoms,
+    _bits,
+    _full,
+    _graded,
+    _maxima,
+    _ranked,
+    _union,
+)
 from mscheme.scheme import _joinable, _less_than, _sub_scheme
 from mscheme.toric import Layer, _Cut, _completion, ambient_layer, hnf
 from mscheme.tutte import _pivot
@@ -54,7 +64,7 @@ from mscheme.tutte import _pivot
 def atom_sets(sp) -> tuple:
     """Per element index of the simplicial poset sp, the bitmask of the
     atoms below it: its down-set on the rank-1 elements."""
-    atoms = sum(1 << i for i, k in enumerate(sp.ranked.ranks) if k == 1)
+    atoms = sum(1 << i for i, k in enumerate(sp.ranks) if k == 1)
     return tuple(down & atoms for down in sp.poset.below)
 
 
@@ -69,10 +79,9 @@ def assert_bottom_is_the_minimum(rp, label):
 def assert_ranks_count_atoms(sp, label):
     """Every rank of the simplicial poset sp is the number of atoms below
     the element, and its bottom is its minimum."""
-    ranks = sp.ranked.ranks
+    ranks = sp.ranks
     assert [s.bit_count() for s in atom_sets(sp)] == list(ranks), label
-    assert_bottom_is_the_minimum(sp.ranked, label)
-    assert sp.bottom == sp.ranked.bottom, label
+    assert_bottom_is_the_minimum(sp, label)
 
 
 def scheme_pivot(m, r: int) -> int:
@@ -85,7 +94,7 @@ def scheme_pivot(m, r: int) -> int:
     top = sum(1 << k for k, v in enumerate(rho) if v == r)
     # an atom is an isthmus iff every element of the top label lies above it
     loop = isthmus = None
-    for a in (k for k, size in enumerate(m.s.ranked.ranks) if size == 1):
+    for a in (k for k, size in enumerate(m.s.ranks) if size == 1):
         if rho[a] == 0:
             if loop is None:
                 loop = a
@@ -562,7 +571,7 @@ def flats_by_reduction(m: MatroidScheme):
     keep = sum(1 << i for i, e in enumerate(els) if closure(m, e) == e)
     up = [p.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0 for i in range(len(els))]
     sub = build_poset(p._ids(keep), [(els[i], els[j]) for i, j in transitive_reduction(up)])
-    return _ranked(sub, _graded(sub, [m.rho[e] for e in sub.elements]))
+    return _ranked(sub, _graded(sub, [m.rho[e] for e in sub.elements]), RankedPoset)
 
 
 def assert_flats_match_the_reduction(m: MatroidScheme, label):
@@ -580,3 +589,26 @@ def assert_flats_match_the_reduction(m: MatroidScheme, label):
     assert p.below == q.below, label
     assert list(got.rank.items()) == list(want.rank.items()), label
     assert got.bottom == want.bottom, label
+
+
+def lift_by_atom_joins(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
+    """``geometric.check_uniqueness`` as it was, on ids, for two simple
+    schemes: for each flats isomorphism phi, psi(x) is the one minimal
+    upper bound of the images of x's atoms below phi(cl(x)); the first psi
+    that is a rho- and cover-preserving bijection, or None."""
+    p1, p2 = m1.poset, m2.poset
+    for phi in iter_isomorphisms(flats(m1), flats(m2)):
+        psi = {}
+        for x in m1.elements:
+            images = [phi[a] for a in m1.atoms() if p1.leq(a, x)]
+            cl_img = phi[closure(m1, x)]
+            candidates = [v for v in p2._ids(p2.join_mask(images)) if p2.leq(v, cl_img)]
+            if len(candidates) != 1:
+                break
+            psi[x] = candidates[0]
+        else:
+            if (sorted(psi.values(), key=p2.idx) == list(m2.elements)
+                    and all(m1.rho[x] == m2.rho[psi[x]] for x in m1.elements)
+                    and {(psi[a], psi[b]) for a, b in p1.covers} == set(p2.covers)):
+                return psi
+    return None

@@ -171,7 +171,7 @@ def test_criterion_06_cryptomorphism_round_trips(corpus):
             continue
         gp = validate_geometric(flats(m))
         regrown = scheme_from_geometric(gp)
-        assert find_isomorphism(flats(regrown), gp.ranked) is not None, name
+        assert find_isomorphism(flats(regrown), gp) is not None, name
         if is_simple(m):
             assert scheme_isomorphism(regrown, m) is not None, name
         checked_geometric += 1

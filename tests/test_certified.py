@@ -37,7 +37,7 @@ from mscheme import (
 )
 from mscheme.constructions import set_id
 from mscheme.geometric import pair_id
-from mscheme.poset import SimplicialPoset, _certified
+from mscheme.poset import RankedPoset, SimplicialPoset, _certified
 
 from generators import dowling_inputs, translative_complexes
 from referees import atom_sets
@@ -53,7 +53,6 @@ def _assert_same(got, want, name):
     if isinstance(want, SimplicialPoset):
         assert isinstance(got, SimplicialPoset), name
         assert atom_sets(got) == atom_sets(want), name
-        got, want = got.ranked, want.ranked
     p, q = got.poset, want.poset
     assert p.elements == q.elements, name
     assert p.covers == q.covers, name
@@ -87,18 +86,18 @@ def test_certified_matches_validating_path_on_the_same_data(corpus):
     included."""
     for name, m in corpus.schemes():
         want = _validated(m.elements, m.poset.covers)
-        rank = [want.ranked.rank[e] for e in want.elements]
-        got = SimplicialPoset(_certified(list(want.elements), want.poset.pairs, rank))
+        rank = [want.rank[e] for e in want.elements]
+        got = _certified(list(want.elements), want.poset.pairs, rank, SimplicialPoset)
         _assert_same(got, want, name)
-        _assert_same(_certified(list(want.elements), want.poset.pairs, rank),
-                     want.ranked, name)
+        _assert_same(_certified(list(want.elements), want.poset.pairs, rank, RankedPoset),
+                     _validated(m.elements, m.poset.covers, False), name)
 
 
 def test_certified_refuses_a_repeated_id_like_build_poset():
     with pytest.raises(DuplicateIdentifier) as want:
         build_poset(["0", "a", "a"], [("0", "a")])
     with pytest.raises(DuplicateIdentifier) as got:
-        _certified(["0", "a", "a"], [(0, 1), (0, 2)], [0, 1, 1])
+        _certified(["0", "a", "a"], [(0, 1), (0, 2)], [0, 1, 1], RankedPoset)
     assert str(got.value) == str(want.value)
 
 
@@ -129,7 +128,7 @@ def test_construction_outputs_match_validating_path(corpus):
 def test_dowling_posets_match_validating_path():
     for label, n, act in dowling_inputs():
         gp = dowling_geometric(n, act)
-        _assert_same(gp.ranked, _validated(gp.elements, gp.poset.covers, False), label)
+        _assert_same(gp, _validated(gp.elements, gp.poset.covers, False), label)
         _check_scheme(scheme_from_geometric(gp), label)
 
 
@@ -139,7 +138,7 @@ def test_layer_posets_match_validating_path(corpus):
     for label, arr in corpus.arrangements:
         result = layers_poset(arr)
         gp = result.geometric
-        _assert_same(gp.ranked, _validated(gp.elements, gp.poset.covers, False), label)
+        _assert_same(gp, _validated(gp.elements, gp.poset.covers, False), label)
         _check_scheme(result.scheme, label)
         p = gp.poset
         atoms = gp.atoms()

@@ -111,7 +111,7 @@ def test_matroid_axiom_violations():
 def test_linear_matroid_identity_is_free():
     m = linear_matroid([[1, 0], [0, 1]])
     s = scheme_from_matroid(m)
-    assert all(s.rho[e] == s.size(e) for e in s.elements)
+    assert all(s.rho[e] == s.s.rank[e] for e in s.elements)
     assert scheme_rank(s) == 2
 
 
@@ -242,7 +242,7 @@ def test_scheme_from_matroid_ids_and_ranks_from_the_definition():
         assert m.elements == tuple(set_id(c) for r in range(len(mat.ground) + 1)
                                    for c in itertools.combinations(mat.ground, r))
         for x in m.elements:
-            members = [a[1:-1] for a in m.poset.down_set(x) if m.size(a) == 1]
+            members = [a[1:-1] for a in m.poset.down_set(x) if m.s.rank[a] == 1]
             assert x == set_id(members), x
             assert m.rho[x] == mat.rank[frozenset(members)], x
         assert validate_scheme(m.s, m.rho) == m
@@ -290,7 +290,7 @@ def test_full_boolean_complex_is_free():
     faces = [frozenset(), frozenset({"1"}), frozenset({"2"}), frozenset({"1", "2"})]
     sm = Semimatroid(["1", "2"], faces, {f: len(f) for f in faces})
     s = scheme_from_semimatroid(sm)
-    assert all(s.rho[e] == s.size(e) for e in s.elements)
+    assert all(s.rho[e] == s.s.rank[e] for e in s.elements)
 
 
 def test_semimatroid_s5_violation():
@@ -519,7 +519,7 @@ def test_partition_poset_rank_is_n_minus_block_count():
 def test_partition_poset_closed_intervals_are_geometric_lattices(color_actions):
     for act in color_actions:
         gp, _ = dowling_poset(2, act)
-        rp = gp.ranked
+        rp = gp
         p = rp.poset
         for lo, hi in itertools.product(p.elements, p.elements):
             if p.leq(lo, hi):

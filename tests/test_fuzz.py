@@ -16,7 +16,8 @@ caps that are negative, zero, huge or not integers, ranks above the
 ground size, and unknown kinds.
 
 M4 is fuzzed in process: on the edited documents that read as simplicial
-posets and on the scheme fixtures with random labels, its verdict and
+posets and on the scheme fixtures with random labels or labels from a
+matroid on their atoms, its verdict and
 witness are refereed by the ``_union`` form in ``referees``.  Where those
 inputs are schemes, the flats' covers of each and of its minors are
 refereed by the transitive reduction there.
@@ -39,6 +40,7 @@ from mscheme import (
     delete,
     files,
     flats,
+    linear_matroid,
     localization,
     validate_scheme,
     verify_simplicial,
@@ -167,7 +169,7 @@ def relabelled_fixtures(draw):
     raised along the covers, so that M1 and M2 hold and M3-M5 are left to
     chance."""
     sp = draw(st.sampled_from(FIXTURE_POSETS))
-    p, size = sp.poset, sp.ranked.ranks
+    p, size = sp.poset, sp.ranks
     r = [0] * len(size)
     for x in p.order:
         floor = max((r[c] for c in p.covers_dn[x]), default=0)
@@ -175,12 +177,38 @@ def relabelled_fixtures(draw):
     return sp, dict(zip(p.elements, r))
 
 
+@st.composite
+def matroid_labelled_fixtures(draw):
+    """A scheme fixture's simplicial poset labelled by a matroid rank on
+    its atoms: min(|x|, k) for a drawn k, or the rank of drawn integer
+    vectors, one per atom, in dimension 1 to 3.  The labels are a matroid
+    rank on every Boolean down-set, so M1-M3 hold and only M4 and M5 are
+    left to the poset; far more of these are schemes than of the labels
+    of ``relabelled_fixtures``."""
+    sp = draw(st.sampled_from(FIXTURE_POSETS))
+    p, size = sp.poset, sp.ranks
+    if draw(st.booleans()):
+        k = draw(st.integers(0, max(size)))
+        return sp, dict(zip(p.elements, (min(s, k) for s in size)))
+    atoms = [i for i, s in enumerate(size) if s == 1]
+    dim = draw(st.integers(1, 3))
+    matrix = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(atoms),
+                                    max_size=len(atoms)), min_size=dim, max_size=dim))
+    table = linear_matroid(matrix).rank_table
+    masks = (sum(1 << k for k, a in enumerate(atoms) if down >> a & 1) for down in p.below)
+    return sp, dict(zip(p.elements, map(table.__getitem__, masks)))
+
+
 def _generated_simplicial(data):
-    """A scheme fixture's poset with drawn labels, or an edited fixture
-    document that reads as a simplicial poset, with its labels; None when
-    the edited document does not read as one."""
-    if data.draw(st.booleans()):
+    """A scheme fixture's poset with drawn labels, raised along the covers
+    or from a matroid on its atoms, or an edited fixture document that
+    reads as a simplicial poset, with its labels; None when the edited
+    document does not read as one."""
+    kind = data.draw(st.sampled_from(("relabelled", "matroid", "edited")))
+    if kind == "relabelled":
         return data.draw(relabelled_fixtures())
+    if kind == "matroid":
+        return data.draw(matroid_labelled_fixtures())
     try:
         poset, rho = files.parse_poset_doc(data.draw(edited_fixtures()))
         return verify_simplicial(compute_rank(poset)), rho
@@ -193,7 +221,8 @@ def _generated_simplicial(data):
 @given(data=st.data())
 def test_m4_by_lower_covers_matches_the_union_form_on_generated_schemes(data):
     """On every edited fixture document that reads as a simplicial poset,
-    and on the scheme fixtures with random labels that keep M1 and M2,
+    and on the scheme fixtures with random labels that keep M1 and M2 or
+    with labels from a matroid on their atoms,
     ``validate_scheme`` gives the verdict and M4 witness of one ``_union``
     of up-sets per element."""
     drawn = _generated_simplicial(data)

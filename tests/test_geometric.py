@@ -45,7 +45,7 @@ from mscheme.poset import _atoms, _bits, _maxima
 from mscheme.scheme import _closure_map, _joinable
 
 from generators import dowling_inputs
-from referees import atom_sets, g2_every_size, upper_bound_minima
+from referees import atom_sets, g2_every_size, lift_by_atom_joins, shuffled, upper_bound_minima
 from test_poset import boolean_lattice
 from test_toric import _catalogue_arrangements
 
@@ -90,7 +90,7 @@ def test_scheme_from_geometric_boolean_square():
     gp = validate_geometric(compute_rank(boolean_lattice(2)))
     m = scheme_from_geometric(gp)
     assert len(m.elements) == 4
-    assert all(m.rho[e] == m.size(e) for e in m.elements)
+    assert all(m.rho[e] == m.s.rank[e] for e in m.elements)
 
 
 def test_element_cap_bounds_every_scheme_built_from_a_geometric_poset(
@@ -140,6 +140,25 @@ def test_check_uniqueness(cw_l, dow_triv, dow_nontriv):
     assert ident is not None
 
 
+def test_check_uniqueness_matches_the_lift_by_atom_joins(corpus):
+    """The lift read from the (atom mask, closure) table is the one the
+    minimal upper bounds of the atoms' images give, in the same order: on
+    the simplification of each corpus scheme of up to 400 elements against
+    that of the same scheme declared in a shuffled order, and against the
+    next simplification of the same size, which need not be isomorphic."""
+    rng = random.Random("check-uniqueness")
+    simple = [simplification(m) for name, m in shuffled(corpus, rng) if len(m.elements) <= 400]
+    originals = [simplification(m) for name, m in corpus.schemes() if len(m.elements) <= 400]
+    pairs = list(zip(originals, simple))
+    pairs += [(s, t) for s, t in zip(originals, originals[1:])
+              if len(s.elements) == len(t.elements)]
+    for s, t in pairs:
+        want = lift_by_atom_joins(s, t)
+        got = check_uniqueness(s, t)
+        assert got == want and (got is None or list(got) == list(want)), (s, t)
+    assert sum(lift_by_atom_joins(s, t) is None for s, t in pairs) >= 1
+
+
 def test_check_uniqueness_rejects_a_wrong_lift(monkeypatch, nonpos):
     """Swapping the two tops u, v of ``nonpos`` is a rank-preserving
     bijection of its flats but no isomorphism.  Each element still has
@@ -172,7 +191,7 @@ def test_round_trips(cw_l, cw_r, isth, dow_triv, dow_nontriv, qfix):
         gp = validate_geometric(flats(m))
         rebuilt = scheme_from_geometric(gp)
         # round trip A: flats of the rebuilt scheme match the input poset
-        assert find_isomorphism(flats(rebuilt), gp.ranked) is not None
+        assert find_isomorphism(flats(rebuilt), gp) is not None
         # round trip B: simple schemes are recovered up to isomorphism
         from mscheme import is_simple
         if is_simple(m):
@@ -216,7 +235,7 @@ def _subset_enumeration(gp):
     minimal above I, and the covers of (I, x) are the (I + a, y) with y
     minimal above x and a, sorted.  Returns the ids, the index cover
     pairs, the atom sets as masks and rho."""
-    rp = gp.ranked
+    rp = gp
     p = rp.poset
     els = p.elements
     above, below = p.above, p.below
@@ -284,7 +303,7 @@ def test_scheme_from_geometric_escapes_colliding_pair_ids():
     assert len(set(m.elements)) == len(m.elements) == 16
     assert {"(|0)", "(a\\,b|a\\,b)", "(a\\,b,c|x)", "(a,b\\,c|x)"} <= set(m.elements)
     derived = verify_simplicial(compute_rank(build_poset(m.elements, m.poset.covers)))
-    assert atom_sets(derived) == atom_sets(m.s) and derived.ranked.rank == m.s.ranked.rank
+    assert atom_sets(derived) == atom_sets(m.s) and derived.rank == m.s.rank
     assert validate_scheme(m.s, m.rho) == m
     assert is_simple(m)
 
@@ -438,10 +457,10 @@ def _shipped_fixture_posets():
         schemes.append((action, quotient_scheme(sm, files.load_action(load(action), z2)).scheme))
     out += [(label, flats(m)) for label, m in schemes]
     for name in ("toric1", "toric3"):
-        out.append((name, layers_poset(files.load_arrangement(load(name))).geometric.ranked))
+        out.append((name, layers_poset(files.load_arrangement(load(name))).geometric))
     for action in ("t2_trivial", "t2_nontrivial"):
         act = files.load_action(load(action), z2)
-        out += [(f"{action}_n{n}", dowling_geometric(n, act).ranked) for n in (2, 3)]
+        out += [(f"{action}_n{n}", dowling_geometric(n, act)) for n in (2, 3)]
     return out
 
 
@@ -510,9 +529,9 @@ def test_g2_at_one_size_matches_the_every_size_referee(corpus):
     and at least 50 for an x where the sizes to sweep are more than one."""
     fixtures = _shipped_fixture_posets()
     cases = [(name, flats(m)) for name, m in corpus.schemes()] + fixtures
-    cases += [(label, dowling_geometric(n, act).ranked)
+    cases += [(label, dowling_geometric(n, act))
               for label, n, act in dowling_inputs() + _dowling_catalogue()]
-    cases += [(str(arr.characters), layers_poset(arr).geometric.ranked)
+    cases += [(str(arr.characters), layers_poset(arr).geometric)
               for arr in _catalogue_arrangements()]
     rng = random.Random(20261030)
     fuzzed = [(f"glued {k}", _glued_lattices(rng)) for k in range(400)]

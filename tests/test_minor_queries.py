@@ -53,8 +53,8 @@ from referees import (
 
 def _assert_ranks_inherited(m, name):
     want = compute_rank(m.poset)
-    assert m.s.ranked.bottom == want.bottom, name
-    assert list(m.s.ranked.rank.items()) == list(want.rank.items()), name
+    assert m.s.bottom == want.bottom, name
+    assert list(m.s.rank.items()) == list(want.rank.items()), name
 
 
 def _minors(name, m, rng):
@@ -98,13 +98,13 @@ def test_minors_take_the_supports_verify_simplicial_derives(corpus, nonpos):
     checked = 0
     for name, m in valid + left_class(nonpos):
         for label, minor in [(name, m), *_minors(name, m, rng)]:
-            assert atom_sets(verify_simplicial(minor.s.ranked)) == atom_sets(minor.s), label
+            assert atom_sets(verify_simplicial(minor.s)) == atom_sets(minor.s), label
             assert_ranks_count_atoms(minor.s, label)
             checked += 1
     assert checked >= 1000, checked
     for name, m in valid:
         fl = flats(m)
-        for rp in (fl, m.s.ranked):
+        for rp in (fl, m.s):
             assert_bottom_is_the_minimum(rp, name)
             for mx in rp.poset.maximal_elements():
                 assert_bottom_is_the_minimum(rp.interval(rp.bottom, mx), (name, mx))
@@ -200,7 +200,7 @@ def test_mask_mobius_matches_id_transcription(corpus):
     flats' characteristic polynomial is their sum."""
     for name, m in corpus.schemes() + shuffled(corpus, random.Random(20260103)):
         fl = flats(m)
-        for rp in (m.s.ranked, fl):
+        for rp in (m.s, fl):
             want = _mobius_by_ids(rp)
             assert list(mobius(rp).items()) == list(want.items()), name
             assert _mobius(rp.poset) == [want[e] for e in rp.elements], name

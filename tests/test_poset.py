@@ -10,6 +10,7 @@ import pytest
 from mscheme import (
     CycleDetected,
     DuplicateIdentifier,
+    GeometricPoset,
     GroupAction,
     NonHasseCover,
     NotBoundedBelow,
@@ -28,13 +29,18 @@ from mscheme import (
     iter_isomorphisms,
     linear_matroid,
     mobius,
+    scheme_from_geometric,
+    scheme_from_independence,
     scheme_from_matroid,
     uniform_matroid,
+    validate_independence,
+    validate_scheme,
     verify_simplicial,
 )
 from mscheme.polynomials import UnivariatePolynomial
 from mscheme.poset import (
     RankedPoset,
+    SimplicialPoset,
     _adjacency,
     _bits,
     _closed,
@@ -118,7 +124,7 @@ def test_upper_bound_minima_is_antichain_and_covers_all_bounds(isth, cw_l):
 
 
 def test_compute_rank_isth(isth):
-    assert [isth.s.ranked.rank[e] for e in isth.elements] == [0, 1, 1, 2, 2]
+    assert [isth.s.rank[e] for e in isth.elements] == [0, 1, 1, 2, 2]
 
 
 def test_compute_rank_rejects_unequal_chains():
@@ -141,8 +147,8 @@ def test_compute_rank_rejects_two_minima():
 def test_verify_simplicial_accepts_boolean():
     sp = verify_simplicial(compute_rank(boolean_lattice(3)))
     assert len(sp.atoms()) == 3
-    top = max(sp.elements, key=sp.size)
-    assert sp.size(top) == 3
+    top = max(sp.elements, key=sp.rank.get)
+    assert sp.rank[top] == 3
 
 
 def test_verify_simplicial_rejects_bowtie():
@@ -151,6 +157,33 @@ def test_verify_simplicial_rejects_bowtie():
     with pytest.raises(NotSimplicial) as exc:
         verify_simplicial(rp)
     assert exc.value.element == "u"
+
+
+def test_only_the_checkers_make_a_certified_poset(isth, notgeom_poset):
+    """The poset 0 < a, b, c < t is ranked but not simplicial: t has three
+    atoms and a down-set of five.  Neither certified class has a public
+    constructor, and the functions that trust a certificate refuse a plain
+    ranked poset, so it reaches ``validate_scheme`` only through
+    ``verify_simplicial``, which refuses it at t.  A scheme's simplicial
+    poset is a ranked poset, so the isomorphism search takes it as it is."""
+    rp = compute_rank(build_poset(["0", "a", "b", "c", "t"],
+                                  [("0", x) for x in "abc"] + [(x, "t") for x in "abc"]))
+    for cls in (SimplicialPoset, GeometricPoset):
+        with pytest.raises(TypeError):
+            cls(rp)
+    with pytest.raises(TypeError):
+        validate_scheme(rp, rp.rank)
+    for check in (validate_independence, scheme_from_independence):
+        with pytest.raises(TypeError):
+            check(rp, ["0", "a"])
+    for plain in (rp, notgeom_poset, flats(isth)):
+        with pytest.raises(TypeError):
+            scheme_from_geometric(plain)
+    with pytest.raises(NotSimplicial) as exc:
+        verify_simplicial(rp)
+    assert exc.value.element == "t"
+    assert isinstance(isth.s, RankedPoset)
+    assert find_isomorphism(isth.s, isth.s) == {e: e for e in isth.elements}
 
 
 def _set_verify_simplicial(rp):
@@ -225,7 +258,7 @@ def test_verify_simplicial_matches_down_set_transcription(corpus):
     rng = random.Random("simplicial-referee")
     reasons = Counter()
     for name, m in corpus.schemes():
-        for rp in (m.s.ranked, flats(m)):
+        for rp in (m.s, flats(m)):
             for case in [rp] + _corruptions(rp, rng):
                 got = _simplicial_verdict(verify_simplicial, case)
                 assert got == _simplicial_verdict(_set_verify_simplicial, case), name
@@ -319,7 +352,7 @@ def test_is_geometric_lattice_atomic_failure():
 
 
 def test_find_isomorphism_identity(isth):
-    rp = isth.s.ranked
+    rp = isth.s
     phi = find_isomorphism(rp, rp)
     assert phi is not None
     for e in rp.elements:
@@ -328,14 +361,14 @@ def test_find_isomorphism_identity(isth):
 
 def test_find_isomorphism_distinguishes_sizes(isth):
     from mscheme import contract, delete
-    rp1 = contract(isth, "a").s.ranked
-    rp2 = delete(isth, "a").s.ranked
+    rp1 = contract(isth, "a").s
+    rp2 = delete(isth, "a").s
     assert len(rp1.elements) == 3 and len(rp2.elements) == 2
     assert find_isomorphism(rp1, rp2) is None
 
 
 def test_find_isomorphism_is_symmetric(qfix, isth):
-    a, b = qfix.s.ranked, isth.s.ranked
+    a, b = qfix.s, isth.s
     assert (find_isomorphism(a, b) is None) == (find_isomorphism(b, a) is None)
     assert find_isomorphism(a, b) is not None
 
@@ -343,7 +376,7 @@ def test_find_isomorphism_is_symmetric(qfix, isth):
 def test_find_isomorphism_respects_labels(cw_r, notgeom_poset):
     # same Hasse diagram, different labels: plain search succeeds, the
     # label-respecting search does not
-    rp = cw_r.s.ranked
+    rp = cw_r.s
     assert find_isomorphism(rp, rp, cw_r.rho, notgeom_poset.rank) is None
     assert find_isomorphism(rp, rp, cw_r.rho, cw_r.rho) is not None
 
@@ -447,7 +480,7 @@ def _referee_schemes(corpus):
 def test_isomorphisms_to_relabelled_copies_match_leq_search(corpus):
     rng = random.Random("iso-referee")
     for name, m in _referee_schemes(corpus):
-        rp = m.s.ranked
+        rp = m.s
         q, q_rho = _relabelled(rp, m.rho, rng)
         assert _same_search(rp, q, m.rho, q_rho), name
         fl = flats(m)
@@ -461,7 +494,7 @@ def test_isomorphisms_to_twisted_copies_match_leq_search(corpus):
     rng = random.Random("iso-twist")
     pruned = 0
     for name, m in _referee_schemes(corpus):
-        rp = m.s.ranked
+        rp = m.s
         if len(rp.poset.covers) < 2:
             continue
         for _ in range(16):
@@ -486,8 +519,8 @@ def test_searches_on_large_symmetric_schemes_find_isomorphisms():
                              [0, 2, -2, 2, -1, -2, 0]])
     rng = random.Random("iso-large")
     for m in (dowling_poset(2, rot3)[1], scheme_from_matroid(linear)):
-        q, q_rho = _relabelled(m.s.ranked, m.rho, rng)
-        phi = find_isomorphism(m.s.ranked, q, m.rho, q_rho)
+        q, q_rho = _relabelled(m.s, m.rho, rng)
+        phi = find_isomorphism(m.s, q, m.rho, q_rho)
         assert phi is not None
         assert sorted(phi) == sorted(m.elements)
         assert sorted(phi.values()) == sorted(q.elements)
@@ -498,7 +531,7 @@ def test_searches_on_large_symmetric_schemes_find_isomorphisms():
 
 
 def test_search_is_not_bounded_by_the_recursion_limit():
-    rp = scheme_from_matroid(uniform_matroid(5, 10)).s.ranked
+    rp = scheme_from_matroid(uniform_matroid(5, 10)).s
     assert len(rp.elements) == 1024
     phi = find_isomorphism(rp, rp)
     assert phi is not None and len(phi) == 1024
@@ -569,7 +602,7 @@ def test_subposet_matches_build_poset(corpus):
 def _labelled(p, labels):
     """The RankedPoset of p with the labels by element index, verified
     by ``_graded`` in a fresh sweep of p's covers."""
-    return _ranked(p, _graded(p, labels))
+    return _ranked(p, _graded(p, labels), RankedPoset)
 
 
 def test_interval_matches_the_validating_constructor(corpus):
@@ -580,7 +613,7 @@ def test_interval_matches_the_validating_constructor(corpus):
     when lo <= hi, and both raise ``NotBoundedBelow`` otherwise."""
     checked = refused = 0
     for name, m in corpus.schemes():
-        for rp in (m.s.ranked, flats(m)):
+        for rp in (m.s, flats(m)):
             p = rp.poset
             if len(p) > 32:
                 continue
@@ -623,7 +656,7 @@ def _convex_by_dict(rp, keep):
     sub = _subposet_by_dict(rp.poset, keep)
     ranks = [rp.ranks[i] for i in _bits(keep)]
     base = ranks[sub.order[0]]
-    return _ranked(sub, tuple(k - base for k in ranks))
+    return _ranked(sub, tuple(k - base for k in ranks), RankedPoset)
 
 
 SUBPOSET_FIELDS = ("elements", "pairs", "order", "above", "below", "covers_up",
@@ -655,8 +688,8 @@ def test_one_sweep_subposets_match_the_transcription(corpus):
         recursive_leaf_counts(m, built)
         cases += [(parent, keep) for parent, keep, _ in built]
         for scheme, keep in cases:
-            rp = scheme.s.ranked
-            got, want = _convex(rp, list(_bits(keep))), _convex_by_dict(rp, keep)
+            rp = scheme.s
+            got, want = _convex(rp, list(_bits(keep)), SimplicialPoset), _convex_by_dict(rp, keep)
             sub = _induced(rp.poset, list(_bits(keep)))
             for attr in SUBPOSET_FIELDS:
                 assert getattr(got.poset, attr) == getattr(want.poset, attr), (name, attr)

@@ -136,7 +136,7 @@ def test_localization(isth, nonpos):
     assert at_bottom.elements == ("0",)
     at_b1 = localization(nonpos, "b1")
     assert set(at_b1.elements) == {"0", "a1", "a2", "b1"}
-    assert all(at_b1.rho[e] == at_b1.size(e) for e in at_b1.elements)
+    assert all(at_b1.rho[e] == at_b1.s.rank[e] for e in at_b1.elements)
 
 
 def test_closure(cw_r, nonpos):
@@ -170,10 +170,10 @@ def test_ibc_consistency(cw_l, qfix2, dow_nontriv):
         assert bases(m) == {x for x in ind
                             if not any(y != x and p.leq(x, y) for y in ind)}
         for c in circuits(m):
-            assert m.rho[c] == m.size(c) - 1
+            assert m.rho[c] == m.s.rank[c] - 1
             for y in p.down_set(c):
                 if y != c:
-                    assert m.rho[y] == m.size(y)
+                    assert m.rho[y] == m.s.rank[y]
 
 
 def test_independence_round_trip(cw_l, cw_r, nonpos, qfix2):
@@ -253,7 +253,7 @@ def test_labels_are_read_only_views(isth, notgeom_poset):
     so a validated scheme stays as validated: both Tutte algorithms agree
     and the hash is unchanged after the attempt."""
     before = hash(isth)
-    for view in (isth.rho, isth.s.ranked.rank, notgeom_poset.rank):
+    for view in (isth.rho, isth.s.rank, notgeom_poset.rank):
         with pytest.raises(TypeError):
             view[next(iter(view))] = 1
         with pytest.raises(TypeError):

@@ -106,7 +106,7 @@ def test_degree_bounds(isth, cw_l, nonpos, dow_triv, dow_nontriv):
     for m in (isth, cw_l, nonpos, dow_triv, dow_nontriv):
         t = tutte_direct(m)
         assert t.x_degree() <= scheme_rank(m)
-        assert t.y_degree() <= max(m.size(w) - m.rho[w] for w in m.elements)
+        assert t.y_degree() <= max(m.s.rank[w] - m.rho[w] for w in m.elements)
 
 
 def test_charpoly_identity(isth, dow_triv, dow_nontriv):
