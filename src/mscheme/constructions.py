@@ -9,6 +9,7 @@ for finite data).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from math import gcd
 from types import MappingProxyType
 
@@ -25,7 +26,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
-from .poset import RankedPoset, SimplicialPoset, _bits, _certified, _distinct
+from .poset import RankedPoset, SimplicialPoset, _bits, _certified, _index
 from .scheme import MatroidScheme, validate_scheme
 
 # These two bound quadratic work, not an element table, so they stay apart
@@ -97,10 +98,10 @@ def _subset_masks(n: int) -> list[int]:
 class Matroid:
     """A ground set of distinct names with a rank function on all subsets,
     validated against the three rank axioms: bounds (R1), monotonicity (R2)
-    and submodularity (R3).  ``rank_table``, the one stored form, holds the
-    rank of the subset with bitmask X over ground indices at X.  ``rank``
-    is given as that list, or as a mapping keyed by sets of names that is
-    read into it; ``rank`` reads back, made from the table on first read,
+    and submodularity (R3).  ``rank_table``, the one stored form, a tuple,
+    holds the rank of the subset with bitmask X over ground indices at X.
+    ``rank`` is given as that table (a list or a tuple), or as a mapping
+    keyed by sets of names read into it; ``rank`` reads back, made from the table on first read,
     as a read-only mapping keyed by frozensets of names.
 
     R1 is one pass over the table and R2, R3 are checked on one-element
@@ -114,13 +115,13 @@ class Matroid:
 
     def __init__(self, ground, rank, *, _checked: bool = False):
         self.ground = ground = tuple(ground)
-        _distinct(ground)
-        if not isinstance(rank, list):
+        _index(ground)
+        if not isinstance(rank, (list, tuple)):
             given = {frozenset(k): v for k, v in rank.items()}
             rank = [given.get(self._names(X)) for X in range(1 << len(ground))]
         if len(rank) != 1 << len(ground):
             raise MalformedInput(f"a rank table of {len(rank)} entries for {len(ground)} names")
-        self.rank_table, self._rank = rank, None
+        self.rank_table, self._rank = tuple(rank), None
         if _checked:
             return
         bad = [X for X, v in enumerate(rank) if v is None or not 0 <= v <= X.bit_count()]
@@ -263,7 +264,7 @@ class Semimatroid:
         self.vertices = tuple(vertices)
         if len(self.vertices) > SEMIMATROID_VERTEX_CAP:
             raise SizeCapExceeded(len(self.vertices), SEMIMATROID_VERTEX_CAP, "vertex set")
-        _distinct(self.vertices)
+        _index(self.vertices)
         self.faces = frozenset(frozenset(f) for f in faces)
         self.rank = {frozenset(k): v for k, v in rank.items() if frozenset(k) in self.faces}
         if frozenset() not in self.faces:
@@ -402,19 +403,13 @@ def trivial_action(group: FiniteGroup, points) -> GroupAction:
 
 # --- quotients of semimatroids -----------------------------------------------------------
 
-class QuotientResult:
+class QuotientResult(namedtuple("QuotientResult", "scheme orbit_of m_g tutte_action")):
     """Outcome of a finite-group semimatroid quotient: the quotient scheme,
     the orbit map on faces, the orbit-multiplicity table m_G, and the
     group-action Tutte polynomial, which equals the Tutte polynomial of the
     quotient scheme."""
 
-    __slots__ = ("scheme", "orbit_of", "m_g", "tutte_action")
-
-    def __init__(self, scheme, orbit_of, m_g, tutte_action):
-        self.scheme = scheme
-        self.orbit_of = orbit_of
-        self.m_g = m_g
-        self.tutte_action = tutte_action
+    __slots__ = ()
 
 
 def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:

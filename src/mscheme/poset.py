@@ -12,7 +12,7 @@ deterministic tie-break for all search iteration and reported witnesses.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping
 
 from . import polynomials
@@ -34,18 +34,19 @@ class Poset:
     ``elements`` is the declaration-order tuple of identifiers and ``pairs``
     the tuple of (lower, upper) cover pairs as element indices; ``covers``
     gives them as identifiers, in the same order.  ``order`` is a linear
-    extension (every element after its lower covers).  ``above[i]`` /
-    ``below[i]`` are reflexive reachability bitmasks over element indices.
+    extension (every element after its lower covers).  ``index`` is the id
+    -> index dict of ``_index``.  ``above[i]`` / ``below[i]`` are reflexive
+    reachability bitmasks over element indices.
     """
 
     __slots__ = ("elements", "pairs", "order", "index", "above", "below",
                  "covers_up", "covers_dn", "_covers")
 
-    def __init__(self, elements, pairs, order, above, below, covers_up, covers_dn):
+    def __init__(self, elements, index, pairs, order, above, below, covers_up, covers_dn):
         self.elements = tuple(elements)
         self.pairs = tuple(pairs)
         self.order = tuple(order)
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.index = index
         self.above = tuple(above)
         self.below = tuple(below)
         self.covers_up = tuple(covers_up)
@@ -88,9 +89,6 @@ class Poset:
             mask ^= low
         return tuple(out)
 
-    def down_set(self, e) -> tuple:
-        return self._ids(self.below[self.idx(e)])
-
     def minimal_of_mask(self, mask: int) -> int:
         out = 0
         m = mask
@@ -122,13 +120,6 @@ class Poset:
         """The elements with no upper cover (``_maxima``), in declaration order."""
         els = self.elements
         return tuple(els[i] for i in _maxima(self))
-
-    def join_mask(self, T) -> int:
-        """Bitmask of minimal upper bounds of the element set T."""
-        common = _full(self)
-        for t in T:
-            common &= self.above[self.idx(t)]
-        return self.minimal_of_mask(common)
 
     def __repr__(self):
         return f"Poset({len(self.elements)} elements, {len(self.pairs)} covers)"
@@ -211,10 +202,21 @@ def _adjacency(n, pairs):
     return covers_up, covers_dn
 
 
-def _closed(elements, pairs, order, covers_up, covers_dn) -> Poset:
-    """The Poset of index cover pairs with the linear extension ``order``
-    and the cover lists of ``_adjacency``: reachability is swept down the
-    order for the up-sets and up it for the down-sets."""
+def _index(ids) -> dict:
+    """The id -> position dict of the sequence ``ids``, the one map a
+    poset keeps; the first id that repeats raises ``DuplicateIdentifier``."""
+    index = {}
+    for i, e in enumerate(ids):
+        if index.setdefault(e, i) != i:
+            raise DuplicateIdentifier(f"duplicate element id {e!r}")
+    return index
+
+
+def _closed(elements, index, pairs, order, covers_up, covers_dn) -> Poset:
+    """The Poset on ``elements`` with their ``_index`` dict, the index
+    cover pairs, the linear extension ``order`` and the cover lists of
+    ``_adjacency``: reachability is swept down the order for the up-sets
+    and up it for the down-sets."""
     n = len(elements)
     above = [1 << i for i in range(n)]
     for i in reversed(order):
@@ -224,7 +226,7 @@ def _closed(elements, pairs, order, covers_up, covers_dn) -> Poset:
     for i in order:
         for j in covers_dn[i]:
             below[i] |= below[j]
-    return Poset(elements, pairs, order, above, below,
+    return Poset(elements, index, pairs, order, above, below,
                  [tuple(c) for c in covers_up], [tuple(c) for c in covers_dn])
 
 
@@ -271,34 +273,32 @@ def _find_cycle(elements, covers_up):
 
 
 def build_poset(elements, covers) -> Poset:
-    """Validating constructor: rejects duplicate ids, unknown ids, cycles,
-    and covers implied by transitivity (the Hasse condition)."""
+    """Validating constructor: rejects duplicate ids, then per cover an
+    unknown id, a self-loop or a repeated index pair, then cycles, then the
+    first cover (i, j) implied by transitivity: on an acyclic relation
+    ``above[i] & below[j]`` holds i, j and what lies between them."""
     elements = list(elements)
-    index = {}
-    for i, e in enumerate(elements):
-        if index.setdefault(e, i) != i:
-            raise DuplicateIdentifier(f"duplicate element id {e!r}")
-    covers = [tuple(c) for c in covers]
-    cover_set = set()
+    index = _index(elements)
+    pairs, seen = [], set()
     for a, b in covers:
-        for end in (a, b):
-            if end not in index:
-                raise UnknownIdentifier(f"cover references unknown element {end!r}")
-        if a == b:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            raise UnknownIdentifier(f"cover references unknown element {a if i is None else b!r}")
+        if i == j:
             raise CycleDetected([a, b])
-        if (a, b) in cover_set:
+        if (i, j) in seen:
             raise NonHasseCover((a, b), "duplicate cover pair")
-        cover_set.add((a, b))
+        seen.add((i, j))
+        pairs.append((i, j))
 
-    pairs = [(index[a], index[b]) for a, b in covers]
     covers_up, covers_dn = _adjacency(len(elements), pairs)
     order = _topo_order(len(elements), covers_up)
     if order is None:
         raise CycleDetected(_find_cycle(elements, covers_up))
-    p = _closed(elements, pairs, order, covers_up, covers_dn)
-    for (a, b), (i, j) in zip(covers, pairs):
-        if p.above[i] & p.below[j] & ~(1 << i | 1 << j):
-            raise NonHasseCover((a, b))
+    p = _closed(elements, index, pairs, order, covers_up, covers_dn)
+    for i, j in pairs:
+        if (p.above[i] & p.below[j]).bit_count() > 2:
+            raise NonHasseCover((elements[i], elements[j]))
     return p
 
 
@@ -310,22 +310,12 @@ def _certified(elements, pairs, ranks, cls) -> "RankedPoset":
     Nothing is re-derived: no Hasse check, no rank sweep, no simplicial
     pass.  Every cover raises the rank by one, so sorting by rank gives
     the linear extension.  A repeated id still raises
-    ``DuplicateIdentifier``, as in ``build_poset``."""
+    ``DuplicateIdentifier`` from ``_index``, before any mask is built."""
+    index = _index(elements)
     ranks = tuple(ranks)
     order = sorted(range(len(elements)), key=ranks.__getitem__)
-    p = _closed(elements, pairs, order, *_adjacency(len(elements), pairs))
-    if len(p.index) != len(p.elements):
-        _distinct(p.elements)
+    p = _closed(elements, index, pairs, order, *_adjacency(len(elements), pairs))
     return _ranked(p, ranks, cls)
-
-
-def _distinct(ids) -> None:
-    """Raise ``DuplicateIdentifier`` on the first id that repeats."""
-    seen = set()
-    for e in ids:
-        if e in seen:
-            raise DuplicateIdentifier(f"duplicate element id {e!r}")
-        seen.add(e)
 
 
 def _ranked(p: Poset, ranks: tuple, cls) -> "RankedPoset":
@@ -357,8 +347,8 @@ def _induced(p: Poset, kept: list) -> Poset:
                 covers_up[a].append(b)
                 covers_dn[b].append(a)
     order = [new[i] for i in p.order if i in new]
-    els = p.elements
-    return _closed([els[i] for i in kept], pairs, order, covers_up, covers_dn)
+    els = [p.elements[i] for i in kept]
+    return _closed(els, _index(els), pairs, order, covers_up, covers_dn)
 
 
 def _convex(rp: "RankedPoset", kept: list, cls) -> "RankedPoset":
@@ -567,31 +557,14 @@ def characteristic_polynomial(rp: RankedPoset) -> polynomials.UnivariatePolynomi
 
 # --- geometric lattice recognition ---------------------------------------------
 
-class LatticeCheck:
+class LatticeCheck(namedtuple("LatticeCheck", "ok condition witness", defaults=(None, None))):
     """Outcome of is_geometric_lattice: ok, or the violated condition with a
     witness."""
 
-    __slots__ = ("ok", "condition", "witness")
-
-    def __init__(self, ok: bool, condition: str | None = None, witness: tuple | None = None):
-        self.ok = ok
-        self.condition = condition
-        self.witness = witness
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.condition, self.witness) == (other.ok, other.condition, other.witness)
-
-    def __hash__(self):
-        return hash((self.ok, self.condition, self.witness))
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
-
-    def __repr__(self):
-        return (f"LatticeCheck(ok={self.ok!r}, condition={self.condition!r}, "
-                f"witness={self.witness!r})")
 
 
 def is_geometric_lattice(rp: RankedPoset) -> LatticeCheck:

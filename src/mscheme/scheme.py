@@ -50,6 +50,7 @@ from .poset import (
     _convex,
     _full,
     _graded,
+    _index,
     _levels,
     _maxima,
     _ranked,
@@ -125,7 +126,9 @@ def _joinable(p: Poset) -> list:
     """``joinable[i]``: bitmask of the elements sharing an upper bound with
     element i, the OR of ``below[u]`` over the maximal u in ``above[i]``."""
     tops = sum(1 << u for u in _maxima(p))
-    return [_union(p.below, up & tops) for up in p.above]
+    shared = {}  # one mask per set of maximal elements above (never 0), shared
+    return [shared.get(t) or shared.setdefault(t, _union(p.below, t))
+            for t in (up & tops for up in p.above)]
 
 
 def _diamonds_hold(p: Poset, r: list, size: list, sized: list) -> bool:
@@ -292,7 +295,7 @@ def flats(m: MatroidScheme) -> RankedPoset:
                  for j in sorted({cl[c] for c in p.covers_up[i]})]
         order = [new[i] for i in p.order if i in new]
         els = p._ids(keep)
-        sub = _closed(els, pairs, order, *_adjacency(len(els), pairs))
+        sub = _closed(els, _index(els), pairs, order, *_adjacency(len(els), pairs))
         m._flats_cache = _ranked(sub, _graded(sub, [m.rhos[i] for i in new]), RankedPoset)
     return m._flats_cache
 

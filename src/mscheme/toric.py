@@ -33,6 +33,7 @@ parameterizing over it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -459,19 +460,13 @@ class ToricArrangement:
         return f"ToricArrangement(n={self.n}, {len(self.characters)} characters)"
 
 
-class LayersResult:
+class LayersResult(namedtuple("LayersResult",
+                              "geometric scheme layers atom_of scheme_element_of")):
     """Poset of layers with its certificate and simple scheme, plus the
     dictionaries linking layer ids, Layer values, poset elements and scheme
     elements."""
 
-    __slots__ = ("geometric", "scheme", "layers", "atom_of", "scheme_element_of")
-
-    def __init__(self, geometric, scheme, layers, atom_of, scheme_element_of):
-        self.geometric = geometric
-        self.scheme = scheme
-        self.layers = layers
-        self.atom_of = atom_of
-        self.scheme_element_of = scheme_element_of
+    __slots__ = ()
 
 
 def _closure(arr: ToricArrangement):
@@ -622,7 +617,8 @@ def arr_localize(arr: ToricArrangement, layer: Layer,
     return constructions.linear_matroid(matrix, [c.label for c in chosen])
 
 
-class ThmArrReport:
+class ThmArrReport(namedtuple("ThmArrReport",
+                              "deletion restriction localization restriction_is_direct")):
     """Witness bijections for the three arrangement/scheme compatibilities:
     deletion, restriction-vs-contraction, and localization.
 
@@ -634,14 +630,7 @@ class ThmArrReport:
     chosen one, making the contraction non-simple while the restricted
     arrangement forgets the multiplicity)."""
 
-    __slots__ = ("deletion", "restriction", "localization",
-                 "restriction_is_direct")
-
-    def __init__(self, deletion, restriction, localization_, direct):
-        self.deletion = deletion
-        self.restriction = restriction
-        self.localization = localization_
-        self.restriction_is_direct = direct
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -26,6 +26,7 @@ from mscheme import (
     loops,
 )
 from mscheme.poset import _atoms, _bits
+from referees import join_mask
 
 
 class NotBelow(MschemeError):
@@ -76,7 +77,7 @@ def _isthmus_conditions(m: MatroidScheme, a) -> tuple:
     for x in m.elements:
         if p.leq(a, x):
             continue
-        ups = p._ids(p.join_mask((x, a)))
+        ups = p._ids(join_mask(p, (x, a)))
         if not ups or any(m.rho[u] != m.rho[x] + 1 for u in ups):
             c1 = False
             break
@@ -166,11 +167,11 @@ def _check_derived(m: MatroidScheme, rep: DerivedAxiomReport) -> None:
         rep.record("CL3", cl[cl[x]] == cl[x], (x,))
     for x in els:
         for b in atoms:
-            for u in p._ids(p.join_mask((x, b))):
+            for u in p._ids(join_mask(p, (x, b))):
                 for a in atoms:
                     if p.leq(a, cl[u]) and not p.leq(a, cl[x]):
                         ok = any(p.leq(v, cl[u]) and p.leq(b, cl[v])
-                                 for v in p._ids(p.join_mask((x, a))))
+                                 for v in p._ids(join_mask(p, (x, a))))
                         rep.record("CL4", ok, (x, a, b, u))
 
     bs = sorted(bases(m), key=p.idx)
@@ -184,7 +185,7 @@ def _check_derived(m: MatroidScheme, rep: DerivedAxiomReport) -> None:
                 ok = False
                 for b in atoms:
                     if p.leq(b, y) and not p.leq(b, x):
-                        ups = p._ids(p.join_mask((xa, b)))
+                        ups = p._ids(join_mask(p, (xa, b)))
                         if ups and all(u in set(bs) for u in ups):
                             ok = True
                             break
@@ -196,7 +197,7 @@ def _check_derived(m: MatroidScheme, rep: DerivedAxiomReport) -> None:
         if x != y:
             rep.record("C2", not p.leq(x, y), (x, y))
     for x, y in itertools.combinations(cs, 2):
-        ups = p._ids(p.join_mask((x, y)))
+        ups = p._ids(join_mask(p, (x, y)))
         if not ups:
             continue
         meet = _meet_of_joinable(p, x, y)
@@ -210,10 +211,10 @@ def _check_derived(m: MatroidScheme, rep: DerivedAxiomReport) -> None:
 
     for x in els:  # rank facts
         for a in atoms:
-            for u in p._ids(p.join_mask((x, a))):
+            for u in p._ids(join_mask(p, (x, a))):
                 rep.record("RK1", m.rho[x] <= m.rho[u] <= m.rho[x] + 1, (x, a, u))
     for x, y in itertools.combinations(els, 2):
-        ranks = {m.rho[u] for u in p._ids(p.join_mask((x, y)))}
+        ranks = {m.rho[u] for u in p._ids(join_mask(p, (x, y)))}
         rep.record("RK2", len(ranks) <= 1, (x, y))
     rep.record("RK3", len({m.rho[u] for u in p.maximal_elements()}) == 1)
 
@@ -229,8 +230,8 @@ def _check_derived(m: MatroidScheme, rep: DerivedAxiomReport) -> None:
 
     fp = fl.poset
     for x, y in itertools.combinations(els, 2):  # closure-join lemma
-        for u in fp._ids(fp.join_mask((cl[x], cl[y]))):
-            ok = any(cl[v] == u for v in p._ids(p.join_mask((x, y))))
+        for u in fp._ids(join_mask(fp, (cl[x], cl[y]))):
+            ok = any(cl[v] == u for v in p._ids(join_mask(p, (x, y))))
             rep.record("CLOSURE2", ok, (x, y, u))
 
     for a in atoms:

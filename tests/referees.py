@@ -11,9 +11,11 @@ T(1,1) = #bases and T(2,2) = #elements; a quotient's flats,
 independents and circuits against the orbit images of its base's; and
 the rank tables of linear and uniform matroids, one subset at a time;
 G2 swept over atom sets of every size; the Hermite and Smith forms
-with separate transform rows and a key function for the pivot; and the
+with separate transform rows and a key function for the pivot; the
 bitmask transitive reduction, with the flats poset assembled from the
-covers it finds."""
+covers it finds; ``build_poset`` on string cover pairs with a
+complement mask per cover; and a down-set and the minimal upper bounds
+of a set of elements, by id."""
 
 import functools
 import itertools
@@ -24,12 +26,16 @@ from math import gcd
 import mscheme.tutte
 from mscheme import (
     AxiomViolation,
+    CycleDetected,
+    DuplicateIdentifier,
     GroupAction,
     InvariantBroken,
     MatroidScheme,
+    NonHasseCover,
     Poset,
     QuotientResult,
     Semimatroid,
+    UnknownIdentifier,
     bases,
     build_poset,
     circuits,
@@ -48,12 +54,16 @@ from mscheme import (
 from mscheme.constructions import _element_id, _set_partitions
 from mscheme.poset import (
     RankedPoset,
+    _adjacency,
     _atoms,
     _bits,
+    _closed,
+    _find_cycle,
     _full,
     _graded,
     _maxima,
     _ranked,
+    _topo_order,
     _union,
 )
 from mscheme.scheme import _joinable, _less_than, _sub_scheme
@@ -379,9 +389,56 @@ def uniform_rank_table(r: int, n: int) -> list:
     return [min(len(list(_bits(X))), r) for X in range(1 << n)]
 
 
+def build_poset_by_ids(elements, covers) -> Poset:
+    """``build_poset`` as it was: the covers copied as tuples and kept as a
+    set of id pairs for the duplicate check, mapped to indices in a second
+    pass, and each cover tested for the Hasse condition against the
+    complement of its two endpoints."""
+    elements = list(elements)
+    index = {}
+    for i, e in enumerate(elements):
+        if index.setdefault(e, i) != i:
+            raise DuplicateIdentifier(f"duplicate element id {e!r}")
+    covers = [tuple(c) for c in covers]
+    cover_set = set()
+    for a, b in covers:
+        for end in (a, b):
+            if end not in index:
+                raise UnknownIdentifier(f"cover references unknown element {end!r}")
+        if a == b:
+            raise CycleDetected([a, b])
+        if (a, b) in cover_set:
+            raise NonHasseCover((a, b), "duplicate cover pair")
+        cover_set.add((a, b))
+
+    pairs = [(index[a], index[b]) for a, b in covers]
+    covers_up, covers_dn = _adjacency(len(elements), pairs)
+    order = _topo_order(len(elements), covers_up)
+    if order is None:
+        raise CycleDetected(_find_cycle(elements, covers_up))
+    p = _closed(elements, index, pairs, order, covers_up, covers_dn)
+    for (a, b), (i, j) in zip(covers, pairs):
+        if p.above[i] & p.below[j] & ~(1 << i | 1 << j):
+            raise NonHasseCover((a, b))
+    return p
+
+
+def down_set(p: Poset, e) -> tuple:
+    """The ids of the elements below e, e included, in declaration order."""
+    return p._ids(p.below[p.idx(e)])
+
+
+def join_mask(p: Poset, T) -> int:
+    """Bitmask of the minimal upper bounds of the element set T."""
+    common = _full(p)
+    for t in T:
+        common &= p.above[p.idx(t)]
+    return p.minimal_of_mask(common)
+
+
 def upper_bound_minima(p: Poset, T) -> frozenset:
     """Minimal upper bounds of T; the whole poset's minima when T is empty."""
-    return frozenset(p._ids(p.join_mask(T)))
+    return frozenset(p._ids(join_mask(p, T)))
 
 
 def lower_bound_maxima(p: Poset, T) -> frozenset:
@@ -602,7 +659,7 @@ def lift_by_atom_joins(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
         for x in m1.elements:
             images = [phi[a] for a in m1.atoms() if p1.leq(a, x)]
             cl_img = phi[closure(m1, x)]
-            candidates = [v for v in p2._ids(p2.join_mask(images)) if p2.leq(v, cl_img)]
+            candidates = [v for v in p2._ids(join_mask(p2, images)) if p2.leq(v, cl_img)]
             if len(candidates) != 1:
                 break
             psi[x] = candidates[0]

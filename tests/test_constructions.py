@@ -40,8 +40,8 @@ from mscheme.constructions import _rank_steps_hold, set_id
 from mscheme.tutte import _expand
 
 from generators import dowling_inputs, translative_complexes
-from referees import (dowling_by_ids, linear_rank_table, quotient_subset_identities,
-                      uniform_rank_table)
+from referees import (dowling_by_ids, down_set, linear_rank_table,
+                      quotient_subset_identities, uniform_rank_table)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +156,7 @@ def test_rank_tables_match_the_referees():
     zero = parallel = 0
     for matrix in _seeded_matrices(rng, 160):
         table = linear_matroid(matrix).rank_table
-        assert table == linear_rank_table(matrix), matrix
+        assert table == tuple(linear_rank_table(matrix)), matrix
         assert _rank_axioms_hold(table), matrix
         n = len(matrix[0])
         singles = [k for k in range(n) if table[1 << k]]
@@ -167,7 +167,7 @@ def test_rank_tables_match_the_referees():
     for n in range(10):
         for r in range(n + 1):
             table = uniform_matroid(r, n).rank_table
-            assert table == uniform_rank_table(r, n) and _rank_axioms_hold(table), (r, n)
+            assert table == tuple(uniform_rank_table(r, n)) and _rank_axioms_hold(table), (r, n)
 
 
 def test_matroid_from_a_rank_dict_names_the_same_witnesses():
@@ -216,6 +216,19 @@ def test_rank_reads_back_as_a_frozenset_mapping():
         Matroid(["a", "b"], [0, 1, 1])
 
 
+def test_a_certified_rank_table_cannot_be_edited():
+    """``scheme_from_matroid`` reads a matroid's table without checking
+    it again, so the table is a tuple: an edit raises ``TypeError`` rather
+    than give a scheme whose rho breaks M1.  A table given as a list or a
+    tuple is stored as a tuple."""
+    mat = uniform_matroid(1, 2)
+    with pytest.raises(TypeError):
+        mat.rank_table[3] = 5
+    assert scheme_from_matroid(mat).rhos == (0, 1, 1, 1)
+    for table in ([0, 1, 1, 1], (0, 1, 1, 1)):
+        assert Matroid(mat.ground, table).rank_table == mat.rank_table
+
+
 def test_repeated_ground_names_are_refused():
     """A matroid, a linear matroid or a semimatroid whose names repeat is
     refused as ``build_poset`` refuses a repeated id, not read as having
@@ -242,7 +255,7 @@ def test_scheme_from_matroid_ids_and_ranks_from_the_definition():
         assert m.elements == tuple(set_id(c) for r in range(len(mat.ground) + 1)
                                    for c in itertools.combinations(mat.ground, r))
         for x in m.elements:
-            members = [a[1:-1] for a in m.poset.down_set(x) if m.s.rank[a] == 1]
+            members = [a[1:-1] for a in down_set(m.poset, x) if m.s.rank[a] == 1]
             assert x == set_id(members), x
             assert m.rho[x] == mat.rank[frozenset(members)], x
         assert validate_scheme(m.s, m.rho) == m

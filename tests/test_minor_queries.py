@@ -44,6 +44,7 @@ from referees import (
     assert_ranks_count_atoms,
     atom_sets,
     delcon_nodes,
+    down_set,
     left_class,
     recursive_leaf_counts,
     scheme_pivot,
@@ -142,7 +143,7 @@ def _mobius_by_ids(rp):
         if w == rp.bottom:
             mu[w] = 1
         else:
-            mu[w] = -sum(mu[u] for u in p.down_set(w) if u != w)
+            mu[w] = -sum(mu[u] for u in down_set(p, w) if u != w)
     return mu
 
 

@@ -12,10 +12,14 @@ from mscheme import (
     DuplicateIdentifier,
     GeometricPoset,
     GroupAction,
+    LatticeCheck,
+    LayersResult,
+    MschemeError,
     NonHasseCover,
     NotBoundedBelow,
     NotRanked,
     NotSimplicial,
+    QuotientResult,
     RankNotConstantOnMax,
     UnknownIdentifier,
     build_poset,
@@ -37,21 +41,27 @@ from mscheme import (
     validate_scheme,
     verify_simplicial,
 )
+import mscheme.poset
 from mscheme.polynomials import UnivariatePolynomial
 from mscheme.poset import (
     RankedPoset,
     SimplicialPoset,
     _adjacency,
     _bits,
+    _certified,
     _closed,
     _convex,
     _graded,
+    _index,
     _induced,
     _ranked,
 )
+from mscheme.toric import ThmArrReport
 from derived_oracle import NotBelow, complement
 from referees import (
     atom_sets,
+    build_poset_by_ids,
+    down_set,
     lower_bound_maxima,
     recursive_leaf_counts,
     transitive_reduction,
@@ -99,6 +109,90 @@ def test_build_rejects_transitive_cover():
     with pytest.raises(NonHasseCover) as exc:
         build_poset(["0", "m", "t"], [("0", "m"), ("m", "t"), ("0", "t")])
     assert exc.value.pair == ("0", "t")
+
+
+def _faulty_poset_inputs(rng, count):
+    """``count`` seeded (elements, covers) inputs: the Hasse diagram of a
+    random order on up to 8 ids, declared and listed in shuffled order,
+    with each of six faults planted at a random place with its own
+    chance, so an input may carry several: a repeated id, an unknown
+    endpoint, a self-loop, a repeated cover, a cover reversed along a
+    chain (a cycle) and a cover implied by a chain of two or more."""
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        ids = [f"v{k}" for k in range(n)]  # ids[k] < ids[l] only for k < l
+        less = {(k, l) for k in range(n) for l in range(k + 1, n) if rng.random() < 0.3}
+        for m in range(n):  # Warshall's transitive closure, m the middle element
+            less |= {(k, l) for k in range(m) for l in range(m + 1, n)
+                     if (k, m) in less and (m, l) in less}
+        hasse = [(k, l) for k, l in less
+                 if not any((k, m) in less and (m, l) in less for m in range(n))]
+        chains = sorted(less - set(hasse))
+        covers = [(ids[k], ids[l]) for k, l in sorted(hasse)]
+        elements = ids[:]
+        rng.shuffle(elements)
+        rng.shuffle(covers)
+
+        def plant(cover):
+            covers.insert(rng.randint(0, len(covers)), cover)
+
+        if rng.random() < 0.12:
+            elements.insert(rng.randint(0, n), rng.choice(ids))
+        if rng.random() < 0.08:
+            plant(rng.choice([(rng.choice(ids), "w"), ("w", rng.choice(ids))]))
+        if rng.random() < 0.1:
+            e = rng.choice(ids)
+            plant((e, e))
+        if covers and rng.random() < 0.25:
+            plant(rng.choice(covers))
+        if less and rng.random() < 0.2:
+            k, l = rng.choice(sorted(less))
+            plant((ids[l], ids[k]))
+        if chains and rng.random() < 0.35:
+            k, l = rng.choice(chains)
+            plant((ids[k], ids[l]))
+        if rng.random() < 0.3:
+            covers = [list(c) for c in covers]
+        yield elements, covers
+
+
+def _build_outcome(build, elements, covers):
+    """The error's type and message, or the built poset's fields."""
+    try:
+        p = build(elements, covers)
+    except MschemeError as exc:
+        return type(exc), str(exc)
+    return p.elements, p.pairs, p.order, p.above, p.below, p.covers
+
+
+def test_build_poset_matches_the_id_pair_referee():
+    """``build_poset`` maps each cover to an index pair once, finds
+    repeated covers on those pairs and tests the Hasse condition as a
+    popcount; the referee keeps the string pairs and a complement mask per
+    cover.  On 4,000 seeded inputs with planted faults both raise the same
+    error with the same message, or build the same poset."""
+    seen = Counter()
+    for elements, covers in _faulty_poset_inputs(random.Random(20261020), 4000):
+        got = _build_outcome(build_poset, elements, covers)
+        assert got == _build_outcome(build_poset_by_ids, elements, covers), (elements, covers)
+        if len(got) == 2:
+            seen["duplicate cover" if "duplicate cover" in got[1] else got[0].__name__] += 1
+        else:
+            seen["valid"] += 1
+    for kind in ("DuplicateIdentifier", "UnknownIdentifier", "CycleDetected",
+                 "NonHasseCover", "duplicate cover", "valid"):
+        assert seen[kind] >= 150, seen
+
+
+def test_certified_refuses_a_repeated_id_before_any_mask(monkeypatch):
+    """``_certified`` asks ``_index`` for its map first, so a repeated id
+    is refused before ``_closed`` sweeps a reachability mask."""
+    def refuse(*args):
+        raise AssertionError("_closed ran on a repeated id")
+
+    monkeypatch.setattr(mscheme.poset, "_closed", refuse)
+    with pytest.raises(DuplicateIdentifier, match="duplicate element id 'a'"):
+        _certified(["a", "b", "a"], [(0, 1)], [0, 1, 0], RankedPoset)
 
 
 def test_upper_bound_minima(isth, notgeom_poset):
@@ -294,7 +388,7 @@ def test_complement_is_an_involution(cw_l):
     sp = cw_l.s
     p = sp.poset
     for x in sp.elements:
-        for a in p.down_set(x):
+        for a in down_set(p, x):
             assert complement(sp, x, complement(sp, x, a)) == a
 
 
@@ -313,7 +407,7 @@ def test_mobius_sums_vanish(dow_triv):
     p = fl.poset
     for w in fl.elements:
         if w != fl.bottom:
-            assert sum(mu[u] for u in p.down_set(w)) == 0
+            assert sum(mu[u] for u in down_set(p, w)) == 0
     assert str(characteristic_polynomial(fl)) == "t^2 - 6*t + 8"
 
 
@@ -349,6 +443,36 @@ def test_is_geometric_lattice_atomic_failure():
     chain = compute_rank(build_poset(["0", "a", "t"], [("0", "a"), ("a", "t")]))
     check = is_geometric_lattice(chain)
     assert not check and check.condition == "atomic" and check.witness == ("t",)
+
+
+def test_result_records_keep_their_fields_truth_and_repr():
+    """The four result records are named tuples: built by position, read
+    by field name, and closed to assignment.  ``LatticeCheck`` is true
+    iff ``ok``, equal and hashed by its three fields, and printed with
+    them; ``ThmArrReport.ok`` asks for all three witnesses."""
+    fail = LatticeCheck(False, "atomic", ("t",))
+    assert LatticeCheck(True) and not fail
+    assert fail == LatticeCheck(False, "atomic", ("t",)) != LatticeCheck(False, "lattice", ("t",))
+    assert LatticeCheck(True) == LatticeCheck(True, None, None)
+    assert hash(fail) == hash((False, "atomic", ("t",)))
+    assert repr(fail) == "LatticeCheck(ok=False, condition='atomic', witness=('t',))"
+    assert repr(LatticeCheck(True)) == "LatticeCheck(ok=True, condition=None, witness=None)"
+    records = [(QuotientResult, ("scheme", "orbit_of", "m_g", "tutte_action")),
+               (LayersResult, ("geometric", "scheme", "layers", "atom_of", "scheme_element_of")),
+               (ThmArrReport, ("deletion", "restriction", "localization",
+                               "restriction_is_direct")),
+               (LatticeCheck, ("ok", "condition", "witness"))]
+    for cls, fields in records:
+        record = cls(*range(len(fields)))
+        assert isinstance(record, tuple) and cls._fields == fields
+        assert [getattr(record, f) for f in fields] == list(range(len(fields)))
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], None)
+    assert ThmArrReport({}, {}, {}, False).ok
+    for k in range(3):
+        witnesses = [{}, {}, {}]
+        witnesses[k] = None
+        assert not ThmArrReport(*witnesses, True).ok
 
 
 def test_find_isomorphism_identity(isth):
@@ -646,8 +770,8 @@ def _subposet_by_dict(p, keep):
         new[i] = len(new)
     pairs = [(new[i], new[j]) for i, j in p.pairs if i in new and j in new]
     order = [new[i] for i in p.order if i in new]
-    els = p.elements
-    return _closed([els[i] for i in new], pairs, order, *_adjacency(len(new), pairs))
+    els = [p.elements[i] for i in new]
+    return _closed(els, _index(els), pairs, order, *_adjacency(len(new), pairs))
 
 
 def _convex_by_dict(rp, keep):

@@ -46,8 +46,8 @@ from mscheme.scheme import _independent_mask
 import derived_oracle
 from derived_oracle import (NotALoop, _meet_of_joinable, check_derived_axioms,
                             check_loop_del_contr)
-from referees import (left_class, lower_bound_maxima, m4_verdict_agrees, shuffled,
-                      upper_bound_minima)
+from referees import (down_set, left_class, lower_bound_maxima, m4_verdict_agrees,
+                      shuffled, upper_bound_minima)
 
 
 def make_scheme(elements, covers, rho):
@@ -171,7 +171,7 @@ def test_ibc_consistency(cw_l, qfix2, dow_nontriv):
                             if not any(y != x and p.leq(x, y) for y in ind)}
         for c in circuits(m):
             assert m.rho[c] == m.s.rank[c] - 1
-            for y in p.down_set(c):
+            for y in down_set(p, c):
                 if y != c:
                     assert m.rho[y] == m.s.rank[y]
 
@@ -534,7 +534,7 @@ def _independence_corruptions(rng, m):
     if cs:
         yield ind | {rng.choice(cs)}
     picked = [e for e in m.elements if rng.random() < 0.3]
-    yield {x for e in picked for x in p.down_set(e)}
+    yield {x for e in picked for x in down_set(p, e)}
     yield set(picked)
 
 
