@@ -108,8 +108,7 @@ def cmd_transform(args) -> int:
             atoms = _required(args.atoms, "--atoms").split(",")
             out = restrict(m, atoms)
         else:
-            out = geometric.scheme_from_geometric(
-                geometric.validate_geometric(flats(m), args.cap_atoms))
+            out = geometric.simplification(m, args.cap_atoms)
     except MalformedInput:
         raise
     except MschemeError as exc:

@@ -19,7 +19,6 @@ from .errors import (
     AxiomViolation,
     InvariantBroken,
     MalformedInput,
-    MschemeError,
     NotComplexInvariant,
     NotRankInvariant,
     NotTranslative,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
 from .poset import RankedPoset, SimplicialPoset, _bits, _certified, _index
-from .scheme import MatroidScheme, validate_scheme
+from .scheme import MatroidScheme
 
 # These two bound quadratic work, not an element table, so they stay apart
 # from ``geometric.ELEMENT_CAP``.  Vertices of a semimatroid: its up to 2^12
@@ -86,7 +85,8 @@ def _rank_witness(table: list, masks: list, names, axiom: str, family: str):
         top = table[X | Y]
         if top is not None and table[X] + table[Y] < top + table[X & Y]:
             raise AxiomViolation(f"{axiom}3", (_mask_id(names, X), _mask_id(names, Y)))
-    raise MschemeError(f"{axiom}2/{axiom}3 fail on a one-element step but on no pair of {family}")
+    raise InvariantBroken(
+        f"{axiom}2/{axiom}3 fail on a one-element step but on no pair of {family}")
 
 
 def _subset_masks(n: int) -> list[int]:
@@ -248,7 +248,7 @@ def _sorted_faces(faces) -> list:
 class Semimatroid:
     """A finite simplicial complex with a rank function satisfying the five
     semimatroid axioms (Ardila, *Semimatroids and their Tutte polynomials*,
-    2007), checked at construction; ``rank`` keeps the ranks of faces only.
+    2007), checked at construction; ``rank``, read-only, holds face ranks only.
 
     S2-S5 run on a rank table by vertex mask, None off the complex, and on
     the face masks by size and then sorted members, the order witnesses
@@ -266,7 +266,8 @@ class Semimatroid:
             raise SizeCapExceeded(len(self.vertices), SEMIMATROID_VERTEX_CAP, "vertex set")
         _index(self.vertices)
         self.faces = frozenset(frozenset(f) for f in faces)
-        self.rank = {frozenset(k): v for k, v in rank.items() if frozenset(k) in self.faces}
+        self.rank = MappingProxyType({frozenset(k): v for k, v in rank.items()
+                                      if frozenset(k) in self.faces})
         if frozenset() not in self.faces:
             raise AxiomViolation("S1", ("{}",), "empty face missing")
         faces = _sorted_faces(self.faces)
@@ -315,11 +316,14 @@ def scheme_from_semimatroid(sm: Semimatroid) -> MatroidScheme:
     """The face poset of the complex (a simplicial meet-semilattice) with
     the same rank: ``_face_poset`` on masks over the sorted vertices, whose
     lexicographic order is that of the faces' sorted members.  The labels
-    are validated as a scheme."""
+    are certified by S1-S5, checked by ``Semimatroid``: faces X and Y are
+    joinable iff X | Y is a face, which is then their one join, and X & Y
+    is their meet.  So S1, S2 and S3 are M1, M2 and M3; S4 (r(X) = r(X & Y)
+    forces X | Y to be a face) is M4; and S5 (some y in Y - X with X + y a
+    face) is M5, with the atom {y} not below X."""
     faces = _sorted_faces(sm.faces)
-    ids = [set_id(f) for f in faces]
-    sp = _face_poset(_face_masks(faces, sorted(sm.vertices)), ids)
-    return validate_scheme(sp, {i: sm.rank[f] for i, f in zip(ids, faces)})
+    sp = _face_poset(_face_masks(faces, sorted(sm.vertices)), [set_id(f) for f in faces])
+    return MatroidScheme(sp, tuple(sm.rank[f] for f in faces), _checked=True)
 
 
 # --- finite groups and actions --------------------------------------------------------
@@ -423,7 +427,19 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     the subsets of f are distinct and ordered like those subsets: the
     down-set of G·f is Boolean of rank |f|, and the orbits of the one-vertex
     steps (f - v, f) are its covers, handed over as index pairs in row-major
-    order.  The labels are validated as a scheme.
+    order.
+
+    The labels rho(Gf) = r(f), well defined by rank invariance, are
+    certified by S1-S5 through representatives; M1 is S1.  Gx <= Gy means
+    g·x <= y for some g, so S2 gives M2.  Orbits below a common Gf have
+    representatives x, y inside f, and the Boolean down-set of Gf gives
+    them the join G(x | y) and the meet G(x & y); so S3 gives M3.  A common
+    lower bound Gz with rho(Gz) = rho(Gx) has a representative z inside x
+    and inside some h·y; by S2 r(x & h·y) = r(x), so by S4 x | h·y is a
+    face above both: M4.  If rho(GX) < rho(GY), S5 gives a y in Y - X with
+    X + y a face, and G{y} gives M5: were it below GX, some g·y would lie
+    in X, and {y, g·y}, inside X + y, is a face: by translativity g·y = y,
+    which is not in X.
 
     m_G(A) counts the orbits of faces whose atom-orbit set is A, and the
     group-action Tutte polynomial
@@ -459,7 +475,7 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     orbit_of = {f: names[k] for f, k in orbit.items()}
     covers = sorted({(orbit[f - {v}], orbit[f]) for f in faces for v in f})
     sp = _certified(names, covers, [len(f) for f in reps], SimplicialPoset)
-    scheme = validate_scheme(sp, {nm: sm.rank[f] for nm, f in zip(names, reps)})
+    scheme = MatroidScheme(sp, tuple(sm.rank[f] for f in reps), _checked=True)
 
     # m_G and the group-action Tutte polynomial: one pass groups the faces
     # with as many atom orbits as vertices by the positions A of those

@@ -59,7 +59,7 @@ def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
         raise MalformedInput(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: top level must be an object")

@@ -42,7 +42,6 @@ from .poset import (
     _levels,
     _maxima,
     _ranked,
-    find_isomorphism,
     is_geometric_lattice,
     iter_isomorphisms,
 )
@@ -262,9 +261,10 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     return m
 
 
-def simplification(m: MatroidScheme) -> MatroidScheme:
-    """The unique simple scheme with the same flats poset."""
-    return scheme_from_geometric(validate_geometric(flats(m)))
+def simplification(m: MatroidScheme, atom_cap: int = DEFAULT_ATOM_CAP) -> MatroidScheme:
+    """The unique simple scheme with the same flats poset; the flats' G2
+    sweep is refused above ``atom_cap`` atoms (see ``validate_geometric``)."""
+    return scheme_from_geometric(validate_geometric(flats(m), atom_cap))
 
 
 def check_uniqueness(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
@@ -291,6 +291,7 @@ def check_uniqueness(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
     cl1, atoms1, atoms2 = _closure_map(m1), _atoms(m1.s.ranks), _atoms(m2.s.ranks)
     element = {(dn & atoms2, c): v for v, (dn, c) in enumerate(zip(p2.below, _closure_map(m2)))}
     covers2 = set(p2.pairs)
+    phi = None
     for phi in iter_isomorphisms(f1, f2):
         img = {p1.index[a]: p2.index[b] for a, b in phi.items()}
         psi = [element.get((sum(1 << img[a] for a in _bits(dn & atoms1)), img[cl1[x]]))
@@ -299,6 +300,6 @@ def check_uniqueness(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
                 and all(k == m2.rhos[v] for k, v in zip(m1.rhos, psi))
                 and {(psi[a], psi[b]) for a, b in p1.pairs} == covers2):
             return {e: p2.elements[v] for e, v in zip(p1.elements, psi)}
-    if find_isomorphism(f1, f2) is None:
+    if phi is None:  # the search found no flats isomorphism
         return None
     raise InvariantBroken("flats posets isomorphic but no lift verified")

@@ -34,7 +34,6 @@ import itertools
 from .errors import (
     AxiomViolation,
     InvariantBroken,
-    MschemeError,
     NotAnAtom,
     UnknownIdentifier,
 )
@@ -182,7 +181,7 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
                 for u in _bits(above[i] & above[j] & sized[size[i] + size[j] - k]):
                     if r[i] + r[j] < r[u] + r[m]:
                         raise AxiomViolation("M3", (x, els[j], els[u], els[m]))
-        raise MschemeError("M3 fails on a diamond but on no joinable pair")
+        raise InvariantBroken("M3 fails on a diamond but on no joinable pair")
     # same_up[x]: the OR of above[l] over the l <= x with rho(l) = rho(x).
     # By M2, rho is constant on every chain from such an l up to x, so one
     # sweep up the linear extension reads it from x's lower covers

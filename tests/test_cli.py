@@ -384,6 +384,35 @@ def test_non_utf8_input_is_an_input_error(capsys, tmp_path):
     assert code == 2 and f"input error: cannot read {bad}: " in err, err
 
 
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, monkeypatch):
+    """Arrays nested past the JSON decoder's recursion limit exit 2 with a
+    message, for every command and option that reads a file, and never
+    give a ``RecursionError`` traceback."""
+    monkeypatch.chdir(tmp_path)
+    depth = 100_000  # past the decoder's limit on every supported Python
+    (tmp_path / "nested.json").write_text("[" * depth + "]" * depth)
+    quotient = ["construct", "quotient", "--semimatroid", "semi4.json",
+                "--group", "z2.json", "--action", "z2_swap.json"]
+    dowling = ["construct", "dowling", "-n", "2", "--group", "z2.json",
+               "--action", "t2_trivial.json"]
+    argvs = [["check", kind, "nested.json"] for kind in ("scheme", "geometric", "semimatroid")]
+    argvs += [["invariants", "nested.json"], ["export", "dot", "nested.json"],
+              ["iso", "nested.json", "isth.json"], ["iso", "isth.json", "nested.json"],
+              ["construct", "linear", "nested.json"], ["construct", "toric", "nested.json"]]
+    argvs += [["transform", op, "nested.json", *extra] for op, extra in (
+        ("delete", ["--atom", "a"]), ("contract", ["--element", "a"]),
+        ("restrict", ["--atoms", "a"]), ("simplify", []))]
+    for cmd in (quotient, dowling):
+        argvs += [cmd[:k + 1] + ["nested.json"] + cmd[k + 2:]
+                  for k, arg in enumerate(cmd) if arg.startswith("--")]
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and "input error: cannot read nested.json" in captured.err, argv
+        assert "Traceback" not in captured.err and "verdict" not in captured.out, argv
+    assert [p.name for p in tmp_path.iterdir()] == ["nested.json"]
+
+
 def test_iso_distinguishes_the_partition_fixtures(capsys):
     code, out = run_cli(capsys, "iso", "dow_triv.json", "dow_nontriv.json")
     assert code == 1 and "not isomorphic" in out

@@ -13,7 +13,6 @@ from mscheme import (
     InvariantBroken,
     MalformedInput,
     Matroid,
-    MschemeError,
     NotTranslative,
     Semimatroid,
     SizeCapExceeded,
@@ -229,6 +228,21 @@ def test_a_certified_rank_table_cannot_be_edited():
         assert Matroid(mat.ground, table).rank_table == mat.rank_table
 
 
+def test_a_certified_semimatroid_rank_cannot_be_edited(semi4, swap4):
+    """``scheme_from_semimatroid`` and ``quotient_scheme`` read a
+    semimatroid's ranks without checking them again, so ``rank`` is
+    read-only: an edit raises ``TypeError`` rather than give a scheme whose
+    rho breaks M1."""
+    v = semi4.vertices[0]
+    with pytest.raises(TypeError):
+        semi4.rank[frozenset({v})] = 5
+    assert semi4.rank[frozenset({v})] <= 1
+    m = scheme_from_semimatroid(semi4)
+    assert validate_scheme(m.s, m.rho) == m
+    q = quotient_scheme(semi4, swap4).scheme
+    assert validate_scheme(q.s, q.rho) == q
+
+
 def test_repeated_ground_names_are_refused():
     """A matroid, a linear matroid or a semimatroid whose names repeat is
     refused as ``build_poset`` refuses a repeated id, not read as having
@@ -440,15 +454,15 @@ def _m_g_by_subsets(sm, action):
     return orbit_of, m_g, _expand(counts)
 
 
-def test_m_g_matches_the_subset_sweep(z2, monkeypatch):
+def test_m_g_matches_the_subset_sweep(z2):
     """One pass that groups the faces by their atom orbits gives the m_G
     items in the order, the group-action Tutte polynomial and the first
     ``InvariantBroken`` witness of the sweep over every subset of the atom
     orbits: on the shipped semimatroids under their swap and the trivial
     action, and on seeded translative complexes, as given and with the
-    ranks of one face orbit raised (with the scheme check switched off, so
-    that the sweep meets the fault)."""
-    import mscheme.constructions
+    ranks of one face orbit raised (built past the S1-S5 checks, which the
+    quotient's certified scheme relies on, so that the sweep meets the
+    fault)."""
     cases = []
     for semi, swap in (("semi4", "z2_swap"), ("semi4c", "z2_swap_c")):
         sm = files.load_semimatroid(files.resolve_input(f"{semi}.json"))
@@ -470,17 +484,15 @@ def test_m_g_matches_the_subset_sweep(z2, monkeypatch):
         rank = {f: k + (orbit_of[f] == target) for f, k in sm.rank.items()}
         bad = Semimatroid.__new__(Semimatroid)
         bad.vertices, bad.faces, bad.rank = sm.vertices, sm.faces, rank
-        with monkeypatch.context() as mp:
-            mp.setattr(mscheme.constructions, "validate_scheme", lambda sp, rho: None)
-            try:
-                want = _m_g_by_subsets(bad, act)[1:]
-            except InvariantBroken as exc:
-                with pytest.raises(InvariantBroken) as got:
-                    quotient_scheme(bad, act)
-                assert str(got.value) == str(exc)
-                broken += 1
-                continue
-            res = quotient_scheme(bad, act)
+        try:
+            want = _m_g_by_subsets(bad, act)[1:]
+        except InvariantBroken as exc:
+            with pytest.raises(InvariantBroken) as got:
+                quotient_scheme(bad, act)
+            assert str(got.value) == str(exc)
+            broken += 1
+            continue
+        res = quotient_scheme(bad, act)
         assert (list(res.m_g.items()), res.tutte_action) == (list(want[0].items()), want[1])
     assert checked == 44 and broken >= 5, (checked, broken)
 
@@ -657,15 +669,13 @@ def test_semimatroid_corruptions_match_definition_witnesses(semi4):
     assert {None, "S1", "S2", "S3"} <= seen, seen
 
 
-def test_semimatroid_axioms_match_definition_witnesses():
-    """Seeded complexes that are not full (the down-closures of a few
-    random faces, every vertex a face) on up to 5 vertices, declared in a
-    shuffled order and ranked by a linear matroid, whose zero and parallel
-    columns give loops and parallel vertices; as given and with one or two
-    ranks moved by +-1.  Semimatroid raises the first (axiom, witness) of
-    the global definitions, and each of S1-S5 and "valid" is met."""
+def _seeded_complexes():
+    """400 seeded (vertices, faces, rank): complexes that are not full (the
+    down-closures of a few random faces, every vertex a face) on up to 5
+    vertices, declared in a shuffled order and ranked by a linear matroid,
+    whose zero and parallel columns give loops and parallel vertices; as
+    given and with one or two ranks moved by +-1."""
     rng = random.Random(20261020)
-    seen = {}
     for _ in range(400):
         n = rng.randint(1, 5)
         mat = linear_matroid([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
@@ -675,11 +685,40 @@ def test_semimatroid_axioms_match_definition_witnesses():
                  for r in range(len(top) + 1) for c in itertools.combinations(top, r)}
         faces |= {frozenset({v}) for v in mat.ground}
         rank = _nudged(rng, {f: mat.rank[f] for f in faces}, rng.choice((0, 0, 1, 2)))
+        yield rng.sample(mat.ground, n), faces, rank
+
+
+def test_semimatroid_axioms_match_definition_witnesses():
+    """On ``_seeded_complexes``, Semimatroid raises the first (axiom,
+    witness) of the global definitions, and each of S1-S5 and "valid" is
+    met."""
+    seen = {}
+    for vertices, faces, rank in _seeded_complexes():
         expected = first_semimatroid_violation(faces, rank)
-        assert _raised(Semimatroid, rng.sample(mat.ground, n), faces, rank) == expected, rank
+        assert _raised(Semimatroid, vertices, faces, rank) == expected, rank
         axiom = expected and expected[0]
         seen[axiom] = seen.get(axiom, 0) + 1
     assert set(seen) == {None, "S1", "S2", "S3", "S4", "S5"}, seen
+
+
+def test_semimatroid_schemes_pass_m1_m5_wherever_accepted():
+    """``scheme_from_semimatroid`` hands its labels over unchecked, certified
+    by S1-S5: wherever ``Semimatroid`` accepts, on ``_seeded_complexes``
+    and the shipped semimatroids, the scheme equals the one
+    ``validate_scheme`` returns on its poset and labels."""
+    cases = [(sm.vertices, sm.faces, sm.rank)
+             for sm in map(files.load_semimatroid,
+                           map(files.resolve_input, ("semi4.json", "semi4c.json")))]
+    accepted = 0
+    for vertices, faces, rank in cases + list(_seeded_complexes()):
+        try:
+            sm = Semimatroid(vertices, faces, rank)
+        except AxiomViolation:
+            continue
+        m = scheme_from_semimatroid(sm)
+        assert validate_scheme(m.s, m.rho) == m, rank
+        accepted += 1
+    assert accepted >= 100, accepted
 
 
 def test_semimatroid_keeps_the_ranks_of_its_faces_only(semi4, swap4):
@@ -696,12 +735,11 @@ def test_semimatroid_keeps_the_ranks_of_its_faces_only(semi4, swap4):
 
 def test_rank_sweeps_without_witness_are_errors(monkeypatch, semi4):
     """A one-element step check that fails where the pair sweeps find
-    nothing raises an error, not an assertion."""
+    nothing raises ``InvariantBroken``, not an assertion or a verdict."""
     import mscheme.constructions
     mat = uniform_matroid(2, 4)
     monkeypatch.setattr(mscheme.constructions, "_rank_steps_hold", lambda table: False)
     for make in (lambda: Matroid(mat.ground, mat.rank),
                  lambda: Semimatroid(semi4.vertices, semi4.faces, semi4.rank)):
-        with pytest.raises(MschemeError) as exc:
+        with pytest.raises(InvariantBroken, match="on a one-element step but on no pair"):
             make()
-        assert not isinstance(exc.value, AxiomViolation)

@@ -26,6 +26,7 @@ from mscheme import (
     find_isomorphism,
     is_geometric_lattice,
     is_simple,
+    iter_isomorphisms,
     layers_poset,
     linear_matroid,
     quotient_scheme,
@@ -157,6 +158,24 @@ def test_check_uniqueness_matches_the_lift_by_atom_joins(corpus):
         got = check_uniqueness(s, t)
         assert got == want and (got is None or list(got) == list(want)), (s, t)
     assert sum(lift_by_atom_joins(s, t) is None for s, t in pairs) >= 1
+
+
+def test_check_uniqueness_searches_once_when_not_isomorphic(monkeypatch, dow_triv, dow_nontriv):
+    """On simple schemes whose flats are not isomorphic, the one search
+    ``check_uniqueness`` runs ends empty and the answer is None, with no
+    second search to learn that none was found."""
+    import mscheme.geometric
+    import mscheme.poset
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return iter_isomorphisms(*args, **kwargs)
+
+    for module in (mscheme.geometric, mscheme.poset):
+        monkeypatch.setattr(module, "iter_isomorphisms", counted)
+    assert check_uniqueness(dow_triv, dow_nontriv) is None
+    assert len(searches) == 1, searches
 
 
 def test_check_uniqueness_rejects_a_wrong_lift(monkeypatch, nonpos):

@@ -120,8 +120,6 @@ VALIDATING = ("build_poset", "compute_rank", "verify_simplicial", "validate_sche
 # and constructions that no theorem certifies validate what they build
 VALIDATING_CALLERS = {
     ("scheme.py", "scheme_from_independence"): {"validate_scheme"},
-    ("constructions.py", "scheme_from_semimatroid"): {"validate_scheme"},
-    ("constructions.py", "quotient_scheme"): {"validate_scheme"},
 }
 
 

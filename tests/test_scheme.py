@@ -14,7 +14,6 @@ from mscheme import (
     AxiomViolation,
     InvariantBroken,
     MatroidScheme,
-    MschemeError,
     NotAnAtom,
     RankNotConstantOnMax,
     UnknownIdentifier,
@@ -635,9 +634,9 @@ def test_diamond_corruptions_match_definition_witnesses(corpus):
 
 def test_m3_sweep_without_witness_is_an_error(monkeypatch, cw_l):
     """A diamond check that fails where the pair sweep finds nothing raises
-    an error, not an assertion, so it holds under ``python -O``."""
+    ``InvariantBroken``, not an assertion or a verdict, so it holds under
+    ``python -O``."""
     import mscheme.scheme
     monkeypatch.setattr(mscheme.scheme, "_diamonds_hold", lambda *args: False)
-    with pytest.raises(MschemeError) as exc:
+    with pytest.raises(InvariantBroken, match="M3 fails on a diamond but on no joinable pair"):
         validate_scheme(cw_l.s, cw_l.rho)
-    assert not isinstance(exc.value, AxiomViolation)
