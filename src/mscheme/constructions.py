@@ -328,24 +328,48 @@ def scheme_from_semimatroid(sm: Semimatroid) -> MatroidScheme:
 
 # --- finite groups and actions --------------------------------------------------------
 
+def _associative(elements, mul: dict, identity) -> bool:
+    """Light's test: x(gy) = (xg)y for all x, y and each generator g: each
+    element, in order, that the right products of the identity (if any)
+    and the generators before it miss.  The g that pass are closed under
+    the product, as x((ab)y) = x(a(by)) = (xa)(by) = ((xa)b)y = (x(ab))y,
+    so they are all elements iff the generators are; at most log2(n) in a
+    group, each at least doubling the subgroup of those before it."""
+    gens, seen = [], set() if identity is None else {identity}
+    for g in elements:
+        if g not in seen:
+            gens.append(g)
+            todo = [g, *seen]
+            seen.add(g)
+            while todo:
+                x = todo.pop()
+                todo += (new := {mul[x, h] for h in gens} - seen)
+                seen |= new
+    return all(mul[x, mul[g, y]] == mul[mul[x, g], y]
+               for g in gens for x in elements for y in elements)
+
+
 class FiniteGroup:
-    """Multiplication table over named elements; associativity, identity and
-    inverses are checked."""
+    """Multiplication table over named elements; closure, associativity
+    (by ``_associative``, sweeping every triple only to name the first
+    that fails), identity and inverses are checked."""
 
     __slots__ = ("elements", "mul", "identity", "inverse")
 
     def __init__(self, elements, mul: dict):
         self.elements = tuple(elements)
         self.mul = dict(mul)
+        members = set(self.elements)
         for g, h in itertools.product(self.elements, self.elements):
-            if (g, h) not in self.mul or self.mul[(g, h)] not in set(self.elements):
+            if (g, h) not in self.mul or self.mul[(g, h)] not in members:
                 raise AxiomViolation("group", (g, h), "multiplication not closed")
-        for g, h, k in itertools.product(self.elements, repeat=3):
-            if self.mul[(self.mul[(g, h)], k)] != self.mul[(g, self.mul[(h, k)])]:
-                raise AxiomViolation("group", (g, h, k), "not associative")
         identity = next((e for e in self.elements
                          if all(self.mul[(e, g)] == g and self.mul[(g, e)] == g
                                 for g in self.elements)), None)
+        if not _associative(self.elements, self.mul, identity):
+            for g, h, k in itertools.product(self.elements, repeat=3):
+                if self.mul[(self.mul[(g, h)], k)] != self.mul[(g, self.mul[(h, k)])]:
+                    raise AxiomViolation("group", (g, h, k), "not associative")
         if identity is None:
             raise AxiomViolation("group", (), "no identity element")
         self.identity = identity

@@ -15,7 +15,7 @@ sub-poset built; the maximal intervals are swept through
 ``is_geometric_lattice`` only when that check fails, to name the first
 witness.  G2 enumerates, for each x, only the atom sets that can fail it:
 sets of rank(x) + 1 of the atoms below x or sharing no upper bound with x.
-``scheme_from_geometric`` fills the scheme's closure map from its walk.
+``scheme_from_geometric`` fills the closure map from its breadth-first walk.
 """
 
 from __future__ import annotations
@@ -186,43 +186,47 @@ def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list, list]:
     upper cover of x above a: in the geometric lattice below y the join of
     x with an atom outside it covers x (Stanley, EC1, Prop. 3.3.2).  Every
     pair (I, x) with a the largest atom of I is reached this way from
-    exactly one pair of I - a, its join below x, so a depth-first walk
-    from (empty, bottom) that adds only atoms above those of I meets each
-    pair once, and in lexicographic order of I.  Pairs are numbered by x,
-    then |I|, then that order, and the covers of each pair come out in
-    the order of their upper ends, so no edge is sorted.  The walk's
-    tables are freed when this returns, before the scheme's poset is
-    built.  ``SizeCapExceeded`` is raised as soon as the walk meets more
-    than ``ELEMENT_CAP`` pairs, before any cover is listed."""
-    below = p.below
+    exactly one pair of I - a, its join below x.  So a walk from (empty,
+    bottom) breadth first by |I|, each level the last one extended, in
+    order, by every atom above the largest of each I, meets each pair once
+    and by induction lists each level in lexicographic order of I.  Added
+    to the blocks of their x, the pairs are numbered by x, |I| and that
+    order, and each pair's covers come in the order of their upper ends,
+    so nothing is sorted.  The tables are freed before the scheme's poset
+    is built.  ``SizeCapExceeded`` is raised as soon as the walk meets
+    more than ``ELEMENT_CAP`` pairs, before any cover is listed."""
+    own = [down & atoms for down in p.below]  # own[x]: the atoms below x
     steps = []  # steps[x]: (y, bit of a) for every step (I, x) -> (I + a, y), by y then a
-    grow = []  # grow[x]: the same steps as (bit of a, y), by a then y, descending
+    grow = []  # grow[x]: the same steps by a
     for x, ups in enumerate(p.covers_up):
-        own = below[x] & atoms
-        moves = [(x, 1 << a) for a in _bits(own)]
-        moves += [(y, 1 << a) for y in ups for a in _bits(below[y] & atoms & ~own)]
-        moves.sort()
+        moves = []
+        for y in sorted((x, *ups)):
+            new = own[x] if y == x else own[y] & ~own[x]
+            while new:
+                bit = new & -new
+                moves.append((y, bit))
+                new ^= bit
         steps.append(moves)
-        grow.append(sorted(((bit, y) for y, bit in moves), reverse=True))
+        grow.append(sorted(moves, key=operator.itemgetter(1)))
 
-    found = [[] for _ in below]  # found[x]: the atom sets I of the pairs (I, x), in walk order
-    stack = [(0, bottom)]
-    met, cap = 0, ELEMENT_CAP
-    while stack:
-        I, x = stack.pop()
-        found[x].append(I)
-        met += 1
-        if met > cap:
-            raise SizeCapExceeded(met, cap, "simple scheme", at_least=True)
-        for bit, y in grow[x]:
-            if bit <= I:  # a is at most the largest atom of I
-                break
-            stack.append((I | bit, y))
+    found = [[] for _ in own]  # found[x]: the atom sets I of the pairs (I, x), in walk order
+    level, met, cap = [(0, bottom)], 1, ELEMENT_CAP
+    if met > cap:
+        raise SizeCapExceeded(met, cap, "simple scheme", at_least=True)
+    while level:
+        nxt = []
+        for I, x in level:
+            found[x].append(I)
+            for y, bit in grow[x]:
+                if bit > I:  # a is above the largest atom of I
+                    nxt.append((I | bit, y))
+                    met += 1
+                    if met > cap:
+                        raise SizeCapExceeded(met, cap, "simple scheme", at_least=True)
+        level = nxt
 
-    pairs, closure = [], []
-    pos = []  # pos[x]: atom set I -> index of the pair (I, x)
+    pairs, closure, pos = [], [], []  # pos[x]: atom set I -> index of the pair (I, x)
     for x, sets in enumerate(found):
-        sets.sort(key=int.bit_count)  # stable: lexicographic within each size
         pos.append({I: len(pairs) + k for k, I in enumerate(sets)})
         pairs += [(I, x) for I in sets]
         closure += [len(pairs) - 1] * len(sets)
@@ -240,9 +244,9 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     poset the result is a simple scheme whose flats are the input via
     x -> (atoms below x, x), and its poset is built as a certified simplicial
     poset with rank |I|.  The pairs and their covers come from one walk up
-    from (empty, bottom), with no atom subset enumerated (see ``_walk``),
-    which also gives the scheme's closure map.  More than ``ELEMENT_CAP`` pairs are
-    refused with ``SizeCapExceeded`` before any of them is built.
+    from (empty, bottom), breadth first, with no atom subset enumerated
+    (see ``_walk``), which also gives the scheme's closure map.  More than
+    ``ELEMENT_CAP`` pairs are refused with ``SizeCapExceeded`` before any is built.
 
     Pairs are named by ``pair_id`` when those names are distinct, and
     otherwise all by ``_escaped_pair_id``, which is injective: ids that

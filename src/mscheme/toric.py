@@ -12,15 +12,15 @@ Intersecting a layer with a hypersurface has two halves.  The lattice half
 depends only on the layer's basis B (rank r) and the character vector
 alpha, and gives the saturated lattice, its transform and the number g of
 pieces (see ``_Cut``).  On the ambient layer alpha is its own saturation,
-up to sign, so no normal form is taken.  Otherwise one Smith form per
-distinct B completes it to a unimodular W; for r + 1 = n the saturation is
-Z^n and the transform is read off W^-1, and only for 1 <= r <= n - 2 is a
-Hermite form taken per (B, alpha).  No character cuts a point (r = n).
-``_closure`` numbers each basis when a cut first makes it and keeps the
-cuts of each basis in each call.  The phase half runs on integers, phases
-being numerators over their least common denominator, so ``_closure``
-keys layers and steps on ints and makes each ``Layer`` after its loop,
-which keeps those ints and makes no ``Fraction`` until ``phases`` is read.
+up to sign, so no normal form is taken.  Otherwise one Hermite form of B^T
+per distinct B (Cohen, GTM 138, ch. 2) completes it to a unimodular W; for
+r + 1 = n the saturation is Z^n and the transform is read off W^-1, and
+only for 1 <= r <= n - 2 is a Hermite form taken per (B, alpha).  No
+character cuts a point (r = n).  ``_closure`` numbers each basis when a cut
+first makes it and keeps the cuts of each basis in each call.  The phase
+half runs on integers, phases being numerators over their least common
+denominator, so ``_closure`` keys layers and steps on ints and makes each
+``Layer`` after its loop, which makes no ``Fraction`` until read.
 Every exact invariant in this module raises InvariantBroken, so it holds
 under ``python -O``.  Characters and layers are plain slotted classes, so
 importing the module loads no ``dataclasses``.
@@ -120,7 +120,8 @@ def hnf(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
 def snf(matrix: list[list[int]]):
     """Smith normal form D = U*M*V with unimodular U, V and divisibility
     d1 | d2 | ... along the diagonal.  Returns (D, U, V).  Each row carries
-    its row of U; the pivot is the first entry of least absolute value."""
+    its row of U; the pivot is the first entry of least absolute value.
+    No package code calls it; it is kept for the API and the tests."""
     rows = len(matrix)
     cols = len(matrix[0]) if matrix else 0
     m = _carrying(matrix)
@@ -181,9 +182,7 @@ class Character:
         self.alpha = tuple(_entry(a) for a in alpha)
         if not self.alpha or all(a == 0 for a in self.alpha):
             raise MschemeError("character vector must be nonzero")
-        g = 0
-        for a in self.alpha:
-            g = gcd(g, abs(a))
+        g = gcd(*self.alpha)
         if g != 1:
             raise MschemeError(
                 f"character {self.alpha} is not primitive (content {g}); "
@@ -314,19 +313,17 @@ def _completion(n: int, basis) -> tuple[tuple[int, ...], ...]:
     """The columns of W^-1 for a unimodular W whose first r rows are the
     basis, so that alpha * W^-1 gives alpha's coordinates over W.
 
-    With D = U*B*V, every diagonal entry of D is 1 because the lattice is
-    saturated, so B is U^-1 times the first r rows of V^-1: W is
-    diag(U^-1, I) * V^-1 and W^-1 = V * diag(U, I).  One Smith form per
-    basis."""
+    With U*B^T = H in Hermite form, the rows of B^T span Z^r, so H is I_r
+    above zeros, iff the r x r minors of B are coprime: B is saturated of
+    rank r.  Then B*U^T = [I_r | 0], so W = (U^T)^-1 has B as its first r
+    rows and W^-1 = U^T has the rows of U as columns."""
     r = len(basis)
     if not r:
         return _identity(n)
-    d, u, v = snf([list(row) for row in basis])
-    if any(d[i][i] != 1 for i in range(r)):
+    h, u = hnf([list(col) for col in zip(*basis)])
+    if tuple(map(tuple, h[:r])) != _identity(r):
         raise InvariantBroken(f"layer basis {basis} is not saturated")
-    head = [tuple(sum(v[i][k] * u[k][j] for k in range(r)) for i in range(n))
-            for j in range(r)]
-    return tuple(head) + tuple(tuple(row[j] for row in v) for j in range(r, n))
+    return tuple(map(tuple, u))
 
 
 class _Cut:
@@ -338,21 +335,21 @@ class _Cut:
     saturation of lattice + Z alpha is lattice + Z beta; with T*[B; beta] = H
     in Hermite form, ``sat`` is H.  A point with phases phi on B and theta
     on alpha has phase (theta - c[:r]*phi + k)/g on beta for one k in
-    [0, g): the multiplicity g of the arithmetic matroid is the number of
-    pieces.  Over the denominator q*g, with Phi, Theta the numerators over
-    q, the phases on H are T*[g*Phi; Theta - c[:r]*Phi + k*q], that is
-    ``mix`` * [Phi; Theta] plus k*q times ``shift``, the last column of T.
+    [0, g): the arithmetic multiplicity g (Moci, Trans. AMS 2012) is the
+    number of pieces.  Over q*g, with Phi, Theta the numerators over q,
+    the phases on H are T*[g*Phi; Theta - c[:r]*Phi + k*q], that is ``mix``
+    * [Phi; Theta] plus k*q times ``shift``, the last column of T.
     ``_cut`` finds H and T, with a Hermite form only where the saturation
     is not already known; this class keeps what the phase half needs."""
 
     __slots__ = ("sat", "mix", "shift", "g")
 
-    def __init__(self, sat, t, head, g):
+    def __init__(self, sat, t, head, g, s=1):  # T: the rows t, entry r times s
         r = len(head)
         self.sat = sat
-        self.mix = [[g * t_i[j] - t_i[r] * head[j] for j in range(r)] + [t_i[r]]
-                    for t_i in t]
-        self.shift = [t_i[r] for t_i in t]
+        self.shift = [s * t_i[r] for t_i in t]
+        self.mix = [[g * t_i[j] - x * head[j] for j in range(r)] + [x]
+                    for t_i, x in zip(t, self.shift)]
         self.g = g
 
     def pieces(self, q: int, nums, t) -> list[tuple[int, tuple[int, ...]]]:
@@ -366,10 +363,6 @@ class _Cut:
         big = lcm(q, t[1])
         a, b = big // q, big // t[1] * t[0]
         base = [a * sum(map(mul, row, nums)) + b * s for row, s in zip(self.mix, self.shift)]
-        if self.g == 1:
-            nums = [x % big for x in base]
-            k = gcd(big, *nums)
-            return [(big // k, tuple([x // k for x in nums]))]
         out = []
         step, big = big, big * self.g
         for kq in range(0, big, step):
@@ -379,7 +372,7 @@ class _Cut:
         return out
 
 
-def _cut(basis, inverse, alpha) -> _Cut | None:
+def _cut(basis, inverse, alpha, rows=(), unit=()) -> _Cut | None:
     """The cut by the primitive character alpha of a layer with this basis
     and completion ``inverse`` (see ``_completion``), or None when alpha
     lies in the lattice.  Phases play no part.
@@ -389,8 +382,9 @@ def _cut(basis, inverse, alpha) -> _Cut | None:
     alpha with its first nonzero entry made positive by T = [+-1]; no
     completion is read.  With r + 1 = n the saturation is Z^n, so H is the
     identity and T = [B; beta]^-1; as beta is sign(c[r]) times the last
-    row of W, T is W^-1 with its last column multiplied by sign(c[r]).  On
-    a point (r = n) every alpha lies in the lattice."""
+    row of W, T is W^-1 with its last column multiplied by sign(c[r]):
+    ``rows`` are the rows of W^-1 and ``unit`` the identity of Z^n, each
+    made here if not given.  On a point (r = n) alpha is in the lattice."""
     r = len(basis)
     if not r:
         s = 1 if next(a for a in alpha if a) > 0 else -1
@@ -399,12 +393,10 @@ def _cut(basis, inverse, alpha) -> _Cut | None:
     g = gcd(*c[r:])
     if not g:
         return None
-    head = c[:r]
-    n = len(alpha)
+    head, n = c[:r], len(alpha)
     if r + 1 == n:
-        s = 1 if c[r] > 0 else -1
-        t = [[col[i] for col in inverse[:r]] + [s * inverse[r][i]] for i in range(n)]
-        return _Cut(_identity(n), t, head, g)
+        return _Cut(unit or _identity(n), rows or tuple(zip(*inverse)), head, g,
+                    1 if c[r] > 0 else -1)
     beta = [(a - sum(map(mul, head, col))) // g for a, col in zip(alpha, zip(*basis))]
     h, t = hnf([list(row) for row in basis] + [beta])
     return _Cut(tuple(tuple(row) for row in h), t, head, g)
@@ -478,15 +470,16 @@ def _closure(arr: ToricArrangement):
     its own cuts.  The first layer met on a basis completes it once and
     cuts it by every hypersurface; a point (rank n) lies in every
     character's lattice, so it is listed but neither completed nor cut, and
-    the ambient layer is cut without a completion (see ``_cut``).
+    the ambient layer is cut without a completion (see ``_cut``).  A basis
+    of rank n - 1 keeps the rows of W^-1 for its cuts, whose saturation,
+    the identity of Z^n, is built once.  A piece of g = 1 is taken inline.
     Each ``Layer`` is made after the loop, each basis written once.
 
     Each layer x is the second component of a pair (I, x) of the simple
     scheme, so more than ``geometric.ELEMENT_CAP`` layers are refused with
     ``SizeCapExceeded`` as soon as they are met, and so is a cut whose g
     pieces, all distinct layers, alone pass it, before any is listed."""
-    cap = geometric.ELEMENT_CAP
-    n = arr.n
+    cap, n = geometric.ELEMENT_CAP, arr.n
     start = ambient_layer(n).basis
     number = {start: 0}  # each basis met -> its number
     cuts = {}  # basis number -> (cut, number of its saturation, phase) per cutting hypersurface
@@ -495,21 +488,32 @@ def _closure(arr: ToricArrangement):
     layers = {(0, (1, ())): 0}  # (basis number, (q, numerators)) -> index
     steps = set()
     frontier = [(0, 0, start, 1, ())]  # (index, basis number, basis, q, numerators)
+    unit = ()  # the identity of Z^n, the saturation of every cut to full rank
     while frontier:
         new = []
         for here, no, basis, q, nums in frontier:
             row = cuts.get(no)
             if row is None:
                 inverse = _completion(n, basis) if basis else ()
+                rows = tuple(zip(*inverse)) if len(basis) + 1 == n else ()  # W^-1 by rows
+                unit = unit or (rows and _identity(n))
                 row = cuts[no] = []
                 for alpha, t in hypersurfaces:
-                    cut = _cut(basis, inverse, alpha)
+                    cut = _cut(basis, inverse, alpha, rows, unit)
                     if cut is not None:  # else the piece is the layer itself, or nothing
                         row.append((cut, number.setdefault(cut.sat, len(number)), t))
             for cut, sat, t in row:
                 if cut.g > cap:
                     raise SizeCapExceeded(cut.g, cap, "layer poset", at_least=True)
-                for piece in cut.pieces(q, nums, t):
+                if cut.g == 1:  # the one piece, as ``_Cut.pieces`` takes it
+                    big = lcm(q, t[1])
+                    a, b = big // q, big // t[1] * t[0]
+                    tops = [(a * sum(map(mul, m, nums)) + b * m[-1]) % big for m in cut.mix]
+                    k = gcd(big, *tops)
+                    pieces = ((big // k, tuple([x // k for x in tops])),)
+                else:
+                    pieces = cut.pieces(q, nums, t)
+                for piece in pieces:
                     k = layers.get((sat, piece))
                     if k is None:
                         k = layers[sat, piece] = len(layers)
@@ -523,10 +527,9 @@ def _closure(arr: ToricArrangement):
     bases = list(number)
     rows = [_text(f"[{_text(row)}]" for row in basis) for basis in bases]
     found = [_layer(n, bases[sat], den, tops, rows[sat]) for sat, (den, tops) in layers]
-    atom_of = {}
     # every hypersurface cuts the torus, and a primitive alpha in one piece
-    for c, (cut, sat, t) in zip(arr.characters, cuts[0]):
-        atom_of[c.canonical_key()] = found[layers[sat, cut.pieces(1, (), t)[0]]].layer_id
+    atom_of = {c.canonical_key(): found[layers[sat, cut.pieces(1, (), t)[0]]].layer_id
+               for c, (cut, sat, t) in zip(arr.characters, cuts[0])}
     return found, steps, atom_of
 
 
@@ -588,9 +591,7 @@ def arr_restrict(arr: ToricArrangement, c: Character) -> ToricArrangement:
             continue
         c0, *beta_rest = [sum(a * w for a, w in zip(other.alpha, col)) for col in inverse]
         phase = _parse_phase(other.phase - c0 * c.phase)
-        content = 0
-        for b in beta_rest:
-            content = gcd(content, abs(b))
+        content = gcd(*beta_rest)
         if content == 0:
             # parallel hypersurface: empty intersection with the chosen one
             # (a coincident one would be a duplicate, which is rejected)

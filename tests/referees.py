@@ -4,8 +4,10 @@ replaced, with its pivot rule, a hook that records the mask stack's
 nodes, and the scheme variants both are run on; the atom
 sets of a simplicial poset, which it no longer stores, and the checks that
 its ranks count them and its bottom is its one minimal element; the
-toric layer closure with one Hermite form per cut; M4 with one union of
-up-sets per element; the Dowling cover loop keyed by element ids; the
+toric layer closure with one Hermite form per cut; the depth-first walk
+of the pairs of a geometric poset, sorted by size afterwards; a group
+table's closure and associativity swept over every pair and triple; M4
+with one union of up-sets per element; the Dowling cover loop keyed by element ids; the
 minimal upper and maximal lower bound sets by id; the Tutte point checks
 T(1,1) = #bases and T(2,2) = #elements; a quotient's flats,
 independents and circuits against the orbit images of its base's; and
@@ -23,6 +25,7 @@ import operator
 from fractions import Fraction
 from math import gcd
 
+import mscheme.geometric
 import mscheme.tutte
 from mscheme import (
     AxiomViolation,
@@ -35,6 +38,7 @@ from mscheme import (
     Poset,
     QuotientResult,
     Semimatroid,
+    SizeCapExceeded,
     UnknownIdentifier,
     bases,
     build_poset,
@@ -259,6 +263,63 @@ def closure_reference(arr, met=None):
         (phases,) = cut.pieces(1, (), t)
         atom_of[c.canonical_key()] = layers[cut.sat, phases].layer_id
     return list(layers.values()), steps, atom_of
+
+
+def depth_first_walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list, list]:
+    """``geometric._walk`` as it was, depth first: the pairs (I, x), met
+    in lexicographic order of I and then sorted by |I| within each x, the
+    index cover pairs and the closure map."""
+    below = p.below
+    steps = []
+    grow = []
+    for x, ups in enumerate(p.covers_up):
+        own = below[x] & atoms
+        moves = [(x, 1 << a) for a in _bits(own)]
+        moves += [(y, 1 << a) for y in ups for a in _bits(below[y] & atoms & ~own)]
+        moves.sort()
+        steps.append(moves)
+        grow.append(sorted(((bit, y) for y, bit in moves), reverse=True))
+
+    found = [[] for _ in below]
+    stack = [(0, bottom)]
+    met, cap = 0, mscheme.geometric.ELEMENT_CAP
+    while stack:
+        I, x = stack.pop()
+        found[x].append(I)
+        met += 1
+        if met > cap:
+            raise SizeCapExceeded(met, cap, "simple scheme", at_least=True)
+        for bit, y in grow[x]:
+            if bit <= I:
+                break
+            stack.append((I | bit, y))
+
+    pairs, closure = [], []
+    pos = []
+    for x, sets in enumerate(found):
+        sets.sort(key=int.bit_count)
+        pos.append({I: len(pairs) + k for k, I in enumerate(sets)})
+        pairs += [(I, x) for I in sets]
+        closure += [len(pairs) - 1] * len(sets)
+    covers = [(k, pos[y][I | bit])
+              for k, (I, x) in enumerate(pairs)
+              for y, bit in steps[x] if not I & bit]
+    return pairs, covers, closure
+
+
+def group_table_verdict(elements, mul) -> tuple | None:
+    """The first closure or associativity failure of a multiplication
+    table, as ``FiniteGroup`` names it, by the sweep it made over every
+    pair and then every triple: (witness, detail), or None when the table
+    is closed and associative."""
+    members = set(elements)
+    for g, h in itertools.product(elements, elements):
+        if (g, h) not in mul or mul[(g, h)] not in members:
+            return (g, h), "multiplication not closed"
+    for g, h, k in itertools.product(elements, repeat=3):
+        if mul[(mul[(g, h)], k)] != mul[(g, mul[(h, k)])]:
+            return (g, h, k), "not associative"
+    return None
 
 
 def m4_union_witness(sp, rho):

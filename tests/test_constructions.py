@@ -1,6 +1,7 @@
 """Matroids, semimatroids, groups, quotients, and partition posets."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -39,7 +40,7 @@ from mscheme.constructions import _rank_steps_hold, set_id
 from mscheme.tutte import _expand
 
 from generators import dowling_inputs, translative_complexes
-from referees import (dowling_by_ids, down_set, linear_rank_table,
+from referees import (dowling_by_ids, down_set, group_table_verdict, linear_rank_table,
                       quotient_subset_identities, uniform_rank_table)
 
 
@@ -354,6 +355,136 @@ def test_group_validation():
     with pytest.raises(AxiomViolation):
         FiniteGroup(["e", "g"], {("e", "e"): "e", ("e", "g"): "g",
                                  ("g", "e"): "g", ("g", "g"): "g"})
+
+
+def _seeded_group_tables(rng):
+    """(label, elements, table) for seeded multiplication tables: cyclic
+    groups, products of cyclic groups and permutation groups with their
+    elements relabelled and shuffled; the same tables with one entry
+    changed, one entry dropped or one entry sent outside; random tables
+    on two to four elements; and the constant and left-zero tables, which
+    are associative with no identity."""
+    def permutations(gens):
+        group, todo = set(gens), list(gens)
+        while todo:
+            a = todo.pop()
+            for b in list(group):
+                for c in (tuple(a[i] for i in b), tuple(b[i] for i in a)):
+                    if c not in group:
+                        group.add(c)
+                        todo.append(c)
+        return sorted(group), lambda a, b: tuple(a[i] for i in b)
+
+    bases = []
+    for n in range(1, 13):
+        bases.append((f"Z{n}", list(range(n)), lambda a, b, n=n: (a + b) % n))
+    for m, k in ((2, 2), (2, 3), (3, 3), (2, 4)):
+        els = list(itertools.product(range(m), range(k)))
+        bases.append((f"Z{m}xZ{k}", els,
+                      lambda a, b, m=m, k=k: ((a[0] + b[0]) % m, (a[1] + b[1]) % k)))
+    for label, gens in (("S3", [(1, 0, 2), (1, 2, 0)]), ("D4", [(1, 2, 3, 0), (3, 2, 1, 0)]),
+                        ("S4", [(1, 0, 2, 3), (1, 2, 3, 0)])):
+        bases.append((label, *permutations(gens)))
+    out = []
+    for label, els, op in bases:
+        names = {x: f"g{k}" for k, x in enumerate(rng.sample(els, len(els)))}
+        elements = [names[x] for x in rng.sample(els, len(els))]
+        table = {(names[a], names[b]): names[op(a, b)] for a in els for b in els}
+        out.append((label, elements, table))
+        for kind in ("changed", "dropped", "outside"):
+            bad = dict(table)
+            key = rng.choice(sorted(bad))
+            if kind == "changed":
+                bad[key] = rng.choice([e for e in elements if e != bad[key]] or elements)
+            elif kind == "dropped":
+                del bad[key]
+            else:
+                bad[key] = "stranger"
+            out.append((f"{label} {kind}", elements, bad))
+    for k in range(120):
+        elements = [f"r{i}" for i in range(2 + k % 3)]
+        table = {(a, b): rng.choice(elements) for a in elements for b in elements}
+        out.append((f"random {k}", elements, table))
+    for n in (1, 3, 5):
+        elements = [f"c{i}" for i in range(n)]
+        out.append((f"constant {n}", elements, {(a, b): elements[-1]
+                                                for a in elements for b in elements}))
+        out.append((f"left zero {n}", elements, {(a, b): a for a in elements for b in elements}))
+    return out
+
+
+def test_group_tables_match_the_triple_sweep():
+    """``FiniteGroup`` refuses a table that is not closed or not
+    associative with the verdict and first witness of the sweep over
+    every pair and triple (``referees.group_table_verdict``), though it
+    tests associativity on generators only, and refuses a closed,
+    associative table only for its identity or inverses: on seeded
+    groups, their one-entry corruptions, random tables and tables with no
+    identity."""
+    rng = random.Random(20261122)
+    seen = {"not closed": 0, "not associative": 0, "group": 0, "no identity": 0}
+    for label, elements, table in _seeded_group_tables(rng):
+        verdict = group_table_verdict(elements, table)
+        if verdict is None:
+            try:
+                FiniteGroup(elements, table)
+                seen["group"] += 1
+            except AxiomViolation as exc:
+                assert str(exc).endswith(("no identity element", "no inverse")), label
+                seen["no identity"] += str(exc).endswith("no identity element")
+            continue
+        with pytest.raises(AxiomViolation) as exc:
+            FiniteGroup(elements, table)
+        witness, detail = verdict
+        assert exc.value.witness == witness and str(exc.value).endswith(detail), label
+        seen[detail.replace("multiplication ", "")] += 1
+    assert min(seen.values()) >= 10 and seen["not associative"] >= 100, seen
+
+
+def test_light_test_decides_every_table_on_three_elements():
+    """Light's test, given the table's identity where it has one, gives
+    the triple sweep's associativity verdict on all 3^9 multiplication
+    tables on three elements: 113 are associative, the labelled
+    semigroups of order three."""
+    from mscheme.constructions import _associative
+    elements = ["a", "b", "c"]
+    associative = 0
+    for values in itertools.product(elements, repeat=9):
+        table = dict(zip(itertools.product(elements, elements), values))
+        identity = next((e for e in elements
+                         if all(table[e, g] == g == table[g, e] for g in elements)), None)
+        verdict = group_table_verdict(elements, table) is None
+        assert _associative(elements, table, identity) == verdict, table
+        associative += verdict
+    assert associative == 113
+
+
+class _CountingTable(dict):
+    """A multiplication table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_light_test_reads_n_squared_products_per_generator():
+    """Light's test reads at most 4 n^2 products per generator, plus the
+    closure that picks them, and a group's generators, the identity left
+    out, number at most log2(n): each one at least doubles the subgroup
+    the ones before it give.  A sweep of every triple reads 4 n^3."""
+    from mscheme.constructions import _associative
+    rng = random.Random(20261123)
+    groups = [FiniteGroup(elements, table)
+              for label, elements, table in _seeded_group_tables(rng) if " " not in label]
+    groups += [cyclic_group(n) for n in (50, 150)]
+    assert len(groups) == 21
+    for group in groups:
+        n = len(group)
+        table = _CountingTable(group.mul)
+        assert _associative(group.elements, table, group.identity)
+        assert table.reads <= (4 * n * n + 2 * n) * math.log2(n), (group, table.reads)
 
 
 def test_action_validation(z2):

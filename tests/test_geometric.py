@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import mscheme.geometric
 from mscheme import (
     AtomCapExceeded,
     AxiomViolation,
@@ -41,14 +42,21 @@ from mscheme import (
     validate_scheme,
 )
 from mscheme import files
-from mscheme.geometric import _escaped_pair_id, pair_id
+from mscheme.geometric import _escaped_pair_id, _walk, pair_id
 from mscheme.poset import _atoms, _bits, _maxima
 from mscheme.scheme import _closure_map, _joinable
 
 from generators import dowling_inputs
-from referees import atom_sets, g2_every_size, lift_by_atom_joins, shuffled, upper_bound_minima
+from referees import (
+    atom_sets,
+    depth_first_walk,
+    g2_every_size,
+    lift_by_atom_joins,
+    shuffled,
+    upper_bound_minima,
+)
 from test_poset import boolean_lattice
-from test_toric import _catalogue_arrangements
+from test_toric import _catalogue_arrangements, _seeded_arrangements
 
 
 def test_flats_of_fixtures_are_geometric(cw_l, cw_r):
@@ -308,6 +316,36 @@ def test_cover_walk_matches_subset_enumeration(corpus):
         assert m.poset.pairs == tuple(covers), label
         assert atom_sets(m.s) == tuple(support), label
         assert m.rho == rho, label
+
+
+def test_breadth_first_walk_matches_the_depth_first_referee(corpus, monkeypatch):
+    """The breadth-first ``_walk`` gives the pairs, in order, the cover
+    pairs and the closure map of the depth-first walk it replaced
+    (``referees.depth_first_walk``): on every corpus flats poset, Dowling
+    input and arrangement, the Dowling catalogue, the three large Dowling
+    posets, the toric catalogue and seeded arrangements in ranks 1 to 4.
+    Under a cap below a poset's pair count both refuse it, naming the
+    cap plus one."""
+    gps = [gp for _, gp, _ in _certified_inputs(corpus)]
+    gps += [dowling_geometric(n, act) for _, n, act in _dowling_catalogue()]
+    gps += [gp for _, gp in _large_dowling_inputs()]
+    gps += [layers_poset(arr).geometric
+            for arr in _catalogue_arrangements() + _seeded_arrangements((1, 2, 3, 4), 120)]
+    pairs = 0
+    for gp in gps:
+        args = (gp.poset, _atoms(gp.ranks), gp.poset.order[0])
+        walked = _walk(*args)
+        assert walked == depth_first_walk(*args), gp.elements
+        pairs += len(walked[0])
+    assert len(gps) > 300 and pairs > 9_000, (len(gps), pairs)
+    for gp in gps[-40:]:
+        args = (gp.poset, _atoms(gp.ranks), gp.poset.order[0])
+        cap = len(_walk(*args)[0]) // 2
+        with monkeypatch.context() as mp:
+            mp.setattr(mscheme.geometric, "ELEMENT_CAP", cap)
+            for walk in (_walk, depth_first_walk):
+                with pytest.raises(SizeCapExceeded, match=f"at least {cap + 1} exceeds"):
+                    walk(*args)
 
 
 def test_scheme_from_geometric_escapes_colliding_pair_ids():

@@ -583,21 +583,26 @@ def test_cut_matches_rational_reference():
     assert several >= 50 and in_lattice >= 20, (several, in_lattice)
 
 
-def _reference_restrict(arr, c):
-    """``arr_restrict`` with the completion it used before it shared
+def _rational_completion(alpha):
+    """The completion ``arr_restrict`` used before it shared
     ``_completion``: the HNF transform U of alpha as a column, so that
-    (U^-1)^T has first row alpha, inverted over the rationals."""
-    key = c.canonical_key()
-    _, u = hnf([[a] for a in c.alpha])
+    W = (U^-1)^T, inverted over the rationals, has first row alpha, and
+    the columns of W^-1 are the rows of U."""
+    _, u = hnf([[a] for a in alpha])
     w = [list(col) for col in zip(*_unimodular_inverse(u))]
-    assert w[0] == list(c.alpha)
-    u_t = [list(col) for col in zip(*u)]
+    assert w[0] == list(alpha)
+    return tuple(map(tuple, u))
+
+
+def _reference_restrict(arr, c):
+    """``arr_restrict`` with ``_rational_completion``."""
+    key = c.canonical_key()
+    inverse = _rational_completion(c.alpha)
     chars = {}
     for other in arr.characters:
         if other.canonical_key() == key:
             continue
-        coords = [sum(b * u_t[i][j] for i, b in enumerate(other.alpha))
-                  for j in range(arr.n)]
+        coords = [sum(b * col[i] for i, b in enumerate(other.alpha)) for col in inverse]
         c0, beta_rest = coords[0], coords[1:]
         phase = _frac(other.phase - c0 * c.phase)
         content = math.gcd(*beta_rest)
@@ -628,28 +633,81 @@ def test_arr_restrict_matches_the_rational_completion_up_to_isomorphism(corpus):
     """On every corpus arrangement by each of its characters, and on random
     arrangements by their first, the restriction agrees with the one
     completed by the rational inverse: the same rank and number of
-    characters, and, where the coordinates differ, isomorphic layer posets
-    and schemes.  The isomorphism search runs on at most 12 characters:
-    above that ``layers_poset`` refuses some arrangements by its atom cap.
-    Translates of one arrangement with hundreds of layers are searched too;
-    the search's look-ahead keeps them fast."""
+    characters; the same characters where ``_completion`` gives the
+    rational completion's coordinates, which for a single character it
+    does, both reading the Hermite transform of alpha as a column; and
+    elsewhere isomorphic layer posets and schemes.  The isomorphism search
+    runs on at most 12 characters: above that ``layers_poset`` refuses
+    some arrangements by its atom cap."""
     cases = [(arr, c) for _, arr in corpus.arrangements for c in arr.characters]
     rng = random.Random(20261020)
     while len(cases) < 3000:
         arr = _random_arrangement(rng, rng.randint(2, 4), rng.randint(2, 5))
         if arr.characters:
             cases.append((arr, arr.characters[0]))
-    changed = 0
+    agree = 0
     for arr, c in cases:
         got, expected = arr_restrict(arr, c), _reference_restrict(arr, c)
         assert got.n == expected.n and len(got.characters) == len(expected.characters)
-        if got.characters == expected.characters or len(got.characters) > 12:
-            continue
-        ours, theirs = layers_poset(got), layers_poset(expected)
-        changed += 1
-        assert find_isomorphism(ours.geometric, theirs.geometric), (arr, c)
-        assert scheme_isomorphism(ours.scheme, theirs.scheme), (arr, c)
-    assert changed >= 90, changed
+        if _completion(arr.n, (c.alpha,)) == _rational_completion(c.alpha):
+            agree += 1
+            assert got.characters == expected.characters, (arr, c)
+        elif len(got.characters) <= 12:
+            ours, theirs = layers_poset(got), layers_poset(expected)
+            assert find_isomorphism(ours.geometric, theirs.geometric), (arr, c)
+            assert scheme_isomorphism(ours.scheme, theirs.scheme), (arr, c)
+    assert agree == len(cases), (agree, len(cases))
+
+
+def _random_unimodular(rng, n):
+    """A seeded unimodular n x n matrix: the identity under 3n random row
+    additions, its rows shuffled and their signs drawn."""
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        w[i] = [a + k * b for a, b in zip(w[i], w[j])]
+    rng.shuffle(w)
+    return [[a * sign for a in row] for row, sign in zip(w, rng.choices((-1, 1), k=n))]
+
+
+def test_completion_inverts_a_completion_of_every_saturated_basis():
+    """On seeded saturated bases in ranks 1 to 5, the first r rows of a
+    seeded unimodular matrix, the completion's columns form a unimodular
+    W^-1 that maps each basis row to its unit vector.  The same bases with
+    a row multiplied by 2 or 3 (not saturated), with a row replaced by a
+    combination of the others or by zero, or with a row added past rank r
+    (not of full rank) raise "not saturated"."""
+    rng = random.Random(20261121)
+    refused = {"content": 0, "combination": 0, "zero": 0, "extra row": 0}
+    for case in range(500):
+        n = 1 + case % 5
+        rows = _random_unimodular(rng, n)
+        r = rng.randint(1, n)
+        basis = tuple(map(tuple, rows[:r]))
+        w_inv = [list(row) for row in zip(*_completion(n, basis))]
+        assert abs(_det(w_inv)) == 1, basis
+        assert _matmul([list(row) for row in basis], w_inv) \
+            == [[int(i == j) for j in range(n)] for i in range(r)], basis
+        k = rng.randrange(r)
+        bad = [list(row) for row in basis]
+        kind = list(refused)[case // 5 % 4]
+        if kind == "combination" and r == 1:
+            kind = "extra row"
+        if kind == "content":
+            content = rng.choice((2, 3))
+            bad[k] = [content * a for a in bad[k]]
+        elif kind == "combination":
+            others = [(rng.randint(-2, 2), row) for i, row in enumerate(bad) if i != k]
+            bad[k] = [sum(x * row[j] for x, row in others) for j in range(n)]
+        elif kind == "zero":
+            bad[k] = [0] * n
+        else:
+            bad.append([sum(row[j] for row in bad) for j in range(n)])
+        with pytest.raises(InvariantBroken, match="not saturated"):
+            _completion(n, tuple(map(tuple, bad)))
+        refused[kind] += 1
+    assert min(refused.values()) >= 50, refused
 
 
 def test_invariant_checks_raise_not_assert():
@@ -738,25 +796,37 @@ def test_circle_cuts_are_one_form():
 
 def test_closure_takes_no_hermite_form_below_rank_three_and_completes_no_point(monkeypatch):
     """Below rank 3 every cut is of the ambient layer or to full rank, so
-    every such arrangement closes with ``hnf`` raising; and in any rank
-    neither the ambient layer (rank 0) nor a point (rank n) is completed."""
+    every such arrangement closes with ``hnf`` raising outside
+    ``_completion``, which takes one Hermite form per basis; and in any
+    rank neither the ambient layer (rank 0) nor a point (rank n) is
+    completed."""
     import mscheme.toric
 
-    def unreachable(*args):
-        raise AssertionError("a Hermite form was taken")
-
+    completing = []  # the basis being completed, while ``_completion`` runs
     completed = []
+    hermite = []
 
     def counting(n, basis):
         completed.append((n, len(basis)))
-        return _completion(n, basis)
+        completing.append(basis)
+        try:
+            return _completion(n, basis)
+        finally:
+            completing.pop()
+
+    def only_in_completions(matrix):
+        if not completing:
+            raise AssertionError("a cut took a Hermite form")
+        hermite.append(completing[-1])
+        return hnf(matrix)
 
     catalogue = _catalogue_arrangements()
     monkeypatch.setattr(mscheme.toric, "_completion", counting)
     with monkeypatch.context() as mp:
-        mp.setattr(mscheme.toric, "hnf", unreachable)
+        mp.setattr(mscheme.toric, "hnf", only_in_completions)
         low = [arr for arr in catalogue if arr.n <= 2] + _seeded_arrangements((1, 2), 60)
         assert sum(len(layers_poset(arr).layers) for arr in low) > 400
+    assert len(hermite) == len(completed) > 80, (hermite, completed)
     for arr in catalogue + _seeded_arrangements((3, 4), 40):
         layers_poset(arr)
     assert len(completed) > 200 and all(0 < r < n for n, r in completed), completed
