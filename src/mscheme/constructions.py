@@ -328,13 +328,10 @@ def scheme_from_semimatroid(sm: Semimatroid) -> MatroidScheme:
 
 # --- finite groups and actions --------------------------------------------------------
 
-def _associative(elements, mul: dict, identity) -> bool:
-    """Light's test: x(gy) = (xg)y for all x, y and each generator g: each
-    element, in order, that the right products of the identity (if any)
-    and the generators before it miss.  The g that pass are closed under
-    the product, as x((ab)y) = x(a(by)) = (xa)(by) = ((xa)b)y = (x(ab))y,
-    so they are all elements iff the generators are; at most log2(n) in a
-    group, each at least doubling the subgroup of those before it."""
+def _generators(elements, mul: dict, identity) -> list:
+    """A greedy generating set: each element, in order, that the right
+    products of the identity (if any) and the generators before it miss;
+    at most log2(n) in a group, each doubling the subgroup or more."""
     gens, seen = [], set() if identity is None else {identity}
     for g in elements:
         if g not in seen:
@@ -345,8 +342,17 @@ def _associative(elements, mul: dict, identity) -> bool:
                 x = todo.pop()
                 todo += (new := {mul[x, h] for h in gens} - seen)
                 seen |= new
+    return gens
+
+
+def _associative(elements, mul: dict, identity) -> bool:
+    """Light's test: x(gy) = (xg)y for all x, y and each generator g of
+    ``_generators``.  The g that pass are closed under the product, as
+    x((ab)y) = x(a(by)) = (xa)(by) = ((xa)b)y = (x(ab))y, so they are all
+    elements iff the generators are."""
     return all(mul[x, mul[g, y]] == mul[mul[x, g], y]
-               for g in gens for x in elements for y in elements)
+               for g in _generators(elements, mul, identity)
+               for x in elements for y in elements)
 
 
 class FiniteGroup:
@@ -397,8 +403,11 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 class GroupAction:
-    """Left action of a finite group on a finite point set; identity and
-    compatibility are checked."""
+    """Left action of a finite group on a finite point set.  The identity is
+    checked, and (gh)p = g(hp) for all g, p and each h of ``_generators``:
+    the h that pass are closed under the product, as (g(ab))p = ((ga)b)p =
+    (ga)(bp) = g(a(bp)) = g((ab)p), so all pass.  Only after a failure is
+    every (g, h, p) swept, to name the first."""
 
     __slots__ = ("group", "points", "act")
 
@@ -413,9 +422,12 @@ class GroupAction:
         for p in self.points:
             if self.act[(group.identity, p)] != p:
                 raise AxiomViolation("action", (p,), "identity acts nontrivially")
-        for g, h, p in itertools.product(group.elements, group.elements, self.points):
-            if self.act[(self.group.mul[(g, h)], p)] != self.act[(g, self.act[(h, p)])]:
-                raise AxiomViolation("action", (g, h, p), "not compatible")
+        act, mul, els = self.act, group.mul, group.elements
+        triples = itertools.product(els, _generators(els, mul, group.identity), self.points)
+        if any(act[mul[g, h], p] != act[g, act[h, p]] for g, h, p in triples):
+            for g, h, p in itertools.product(els, els, self.points):
+                if act[mul[g, h], p] != act[g, act[h, p]]:
+                    raise AxiomViolation("action", (g, h, p), "not compatible")
 
     def __call__(self, g, p):
         return self.act[(g, p)]
@@ -571,7 +583,8 @@ def dowling_geometric(n: int, action: GroupAction, *,
     Covers: merging two blocks with a group twist, or resolving one block
     through an equivariant map (determined by the image of the identity).
     Each cover removes one block, so the poset is built with that rank
-    as given, not derived; ``validate_geometric`` is its certificate.
+    as given, not derived.  The action is input: for n >= 2, Z4 acting on
+    two points through Z4 -> Z2 fails G2, so ``validate_geometric`` runs.
     Elements are numbered once, in (rank, id) order, and each cover's upper
     end is found by its (beta, z) tuple, so an id is written once per
     element; the pairs come sorted by (id, id), as they always have.

@@ -63,14 +63,24 @@ class RankNotConstantOnMax(MschemeError):
 
 # --- axiom systems --------------------------------------------------------
 
+def _written(value) -> str:
+    """``repr(value)`` with each nonempty frozenset, in tuples too, written
+    with its members' reprs sorted, so no message depends on the hash seed."""
+    if type(value) is tuple:
+        return f"({', '.join(map(_written, value))}{',' * (len(value) == 1)})"
+    if type(value) is frozenset and value:
+        return f"frozenset({{{', '.join(sorted(map(_written, value)))}}})"
+    return repr(value)
+
+
 class AxiomViolation(MschemeError):
     """A named axiom (M1..M5, I1..I4, B1..B2, C1..C3, CL1..CL4, G1, G2,
-    R1..R3, S1..S5) fails on the given witness tuple."""
+    R1..R3, S1..S5) fails on the given witness tuple, written by ``_written``."""
 
     def __init__(self, axiom, witness, detail=""):
         self.axiom = axiom
         self.witness = witness
-        msg = f"{axiom} fails on witness {witness!r}"
+        msg = f"{axiom} fails on witness {_written(witness)}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

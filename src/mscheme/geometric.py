@@ -10,12 +10,9 @@ A geometric poset is a bounded-below ranked poset in which
 Geometric posets are exactly the flats posets of matroid schemes; each is
 the flats poset of a unique simple scheme, reconstructed here explicitly.
 
-G1 is checked once on the masks of the whole poset, with no interval
-sub-poset built; the maximal intervals are swept through
-``is_geometric_lattice`` only when that check fails, to name the first
-witness.  G2 enumerates, for each x, only the atom sets that can fail it:
-sets of rank(x) + 1 of the atoms below x or sharing no upper bound with x.
-``scheme_from_geometric`` fills the closure map from its breadth-first walk.
+``validate_geometric`` certifies posets read from files, Dowling posets
+and the flats that ``simplification`` takes; ``toric.layers_poset``
+certifies its layer posets by theorem.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ ELEMENT_CAP = 1 << 16
 
 class GeometricPoset(RankedPoset):
     """A ranked bounded-below poset certified against G1 and G2; only
-    ``validate_geometric`` makes one."""
+    ``validate_geometric`` and, in ``layers_poset``, ``_certified`` make one."""
 
     __slots__ = ()
 

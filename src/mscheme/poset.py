@@ -90,26 +90,10 @@ class Poset:
         return tuple(out)
 
     def minimal_of_mask(self, mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if not (self.below[i] & mask & ~low):
-                out |= low
-            m ^= low
-        return out
+        return _extremal(self.below, mask)
 
     def maximal_of_mask(self, mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if not (self.above[i] & mask & ~low):
-                out |= low
-            m ^= low
-        return out
+        return _extremal(self.above, mask)
 
     def minimal_elements(self) -> tuple:
         """The elements with no lower cover, in declaration order."""
@@ -158,6 +142,18 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _extremal(reach, mask: int) -> int:
+    """The bits of mask whose ``reach`` (down-sets for the minimal,
+    up-sets for the maximal) meets mask in themselves alone."""
+    out, m = 0, mask
+    while m:
+        low = m & -m
+        if not reach[low.bit_length() - 1] & mask & ~low:
+            out |= low
+        m ^= low
+    return out
 
 
 def _union(masks, sel: int) -> int:
@@ -303,9 +299,9 @@ def build_poset(elements, covers) -> Poset:
 
 
 def _certified(elements, pairs, ranks, cls) -> "RankedPoset":
-    """The ``cls`` (``RankedPoset``, or ``SimplicialPoset`` where a
-    construction certifies one) with index cover pairs ``pairs`` in cover
-    order and ``ranks[i]`` the rank of element i.
+    """The ``cls`` (``RankedPoset``, or ``SimplicialPoset`` or
+    ``GeometricPoset`` where a construction certifies one) with index cover
+    pairs ``pairs`` in cover order and ``ranks[i]`` the rank of element i.
 
     Nothing is re-derived: no Hasse check, no rank sweep, no simplicial
     pass.  Every cover raises the rank by one, so sorting by rank gives
@@ -379,7 +375,7 @@ class RankedPoset:
 
     def __init__(self, poset: Poset):
         self.poset = poset
-        self.ranks = _graded(poset, None)
+        self.ranks = _graded(poset)
 
     @property
     def bottom(self):
@@ -410,28 +406,23 @@ class RankedPoset:
         return f"{type(self).__name__}({len(self.elements)} elements, max rank {self.max_rank()})"
 
 
-def _graded(poset: Poset, labels: list | None) -> tuple:
-    """The ranks derived, or the ``labels`` by element index verified, in
-    one bottom-up sweep of the covers, once the minimum is found unique.
-    The first cover in sweep order that breaks the rule is reported as two
-    chains from the bottom, each following first-reach parents."""
+def _graded(poset: Poset) -> tuple:
+    """The ranks derived in one bottom-up sweep of the covers, once the
+    minimum is found unique; the first cover in sweep order that breaks
+    the rule is reported as two chains from the bottom, each following
+    first-reach parents."""
     minima = poset.minimal_elements()
     if len(minima) != 1:
         raise NotBoundedBelow(minima)
-    bottom = minima[0]
     els = poset.elements
-    n = len(els)
-    r = [0] * n if labels is None else labels
-    if r[poset.index[bottom]] != 0:
-        raise NotRanked(bottom, (bottom,), (bottom,))
-    parent = [-1] * n
+    r = [0] * len(els)
+    parent = [-1] * len(els)
     for i in poset.order:
         for j in poset.covers_up[i]:
             if parent[j] < 0:
                 parent[j] = i
-                if labels is None:
-                    r[j] = r[i] + 1
-            if r[j] != r[i] + 1:
+                r[j] = r[i] + 1
+            elif r[j] != r[i] + 1:
                 raise NotRanked(els[j], _chain(els, parent, j),
                                 _chain(els, parent, i) + (els[j],))
     return tuple(r)

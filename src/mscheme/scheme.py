@@ -42,17 +42,13 @@ from .poset import (
     Poset,
     RankedPoset,
     SimplicialPoset,
-    _adjacency,
     _atoms,
     _bits,
-    _closed,
+    _certified,
     _convex,
     _full,
-    _graded,
-    _index,
     _levels,
     _maxima,
-    _ranked,
     _top_value,
     _union,
     find_isomorphism,
@@ -272,18 +268,19 @@ def _closure_map(m: MatroidScheme) -> list:
 
 def flats(m: MatroidScheme) -> RankedPoset:
     """Subposet of closed elements, ranked by rho and bounded below by the
-    closure of the bottom element; the parent's linear extension restricted
-    to them is one of theirs.  The upper covers of a flat x are the distinct
-    closures cl(c) of x's upper covers c in the scheme.  (i) No c has the
-    rho of x, or c <= cl(x) = x; M1-M3 on a Boolean down-set are the matroid
-    rank axioms, so every c has rho(x) + 1.  (ii) For a flat y >= c, a
-    maximal common lower bound l >= c of cl(c) and y has rho(l) = rho(cl(c))
-    by M2, so M4 gives an upper bound u of both; y is a flat of the matroid
-    below u, so cl(c) <= y.  (iii) rho strictly increases along flats, so
-    the cl(c) are pairwise incomparable and no flat lies strictly between
-    any of them and x.  M2, M4 and M1-M3 on down-sets pass to ideals and
-    filters, so this holds on every minor, contractions that fail M5
-    included.  The rank check stays as the guard of this theorem."""
+    closure of the bottom element, built by ``_certified``.  The upper
+    covers of a flat x are the distinct closures cl(c) of x's upper covers
+    c in the scheme.  (i) No c has the rho of x, or c <= cl(x) = x; M1-M3
+    on a Boolean down-set are the matroid rank axioms, so every c has
+    rho(x) + 1.  (ii) For a flat y >= c, a maximal common lower bound
+    l >= c of cl(c) and y has rho(l) = rho(cl(c)) by M2, so M4 gives an
+    upper bound u of both; y is a flat of the matroid below u, so
+    cl(c) <= y.  (iii) rho strictly increases along flats, so the cl(c)
+    are pairwise incomparable and no flat lies strictly between any of
+    them and x.  So rho rises by one on each cover, from rho(cl(bottom)) =
+    rho(bottom) = 0 (M1): it is the rank.  M2, M4 and M1-M3 on down-sets
+    pass to ideals and filters, so this holds on every minor, contractions
+    that fail M5 included."""
     if m._flats_cache is None:
         p = m.poset
         cl = _closure_map(m)
@@ -292,10 +289,7 @@ def flats(m: MatroidScheme) -> RankedPoset:
         # renumbering the kept indices in order keeps the row-major cover order
         pairs = [(k, new[j]) for i, k in new.items()
                  for j in sorted({cl[c] for c in p.covers_up[i]})]
-        order = [new[i] for i in p.order if i in new]
-        els = p._ids(keep)
-        sub = _closed(els, _index(els), pairs, order, *_adjacency(len(els), pairs))
-        m._flats_cache = _ranked(sub, _graded(sub, [m.rhos[i] for i in new]), RankedPoset)
+        m._flats_cache = _certified(p._ids(keep), pairs, [m.rhos[i] for i in new], RankedPoset)
     return m._flats_cache
 
 

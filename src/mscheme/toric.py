@@ -8,19 +8,13 @@ integer sublattice in canonical row Hermite normal form together with the
 phases its basis rows must take; saturation makes the component connected
 and the canonical form makes equality componentwise.
 
-Intersecting a layer with a hypersurface has two halves.  The lattice half
-depends only on the layer's basis B (rank r) and the character vector
-alpha, and gives the saturated lattice, its transform and the number g of
-pieces (see ``_Cut``).  On the ambient layer alpha is its own saturation,
-up to sign, so no normal form is taken.  Otherwise one Hermite form of B^T
-per distinct B (Cohen, GTM 138, ch. 2) completes it to a unimodular W; for
-r + 1 = n the saturation is Z^n and the transform is read off W^-1, and
-only for 1 <= r <= n - 2 is a Hermite form taken per (B, alpha).  No
-character cuts a point (r = n).  ``_closure`` numbers each basis when a cut
-first makes it and keeps the cuts of each basis in each call.  The phase
-half runs on integers, phases being numerators over their least common
-denominator, so ``_closure`` keys layers and steps on ints and makes each
-``Layer`` after its loop, which makes no ``Fraction`` until read.
+Intersecting a layer with a hypersurface has two halves.  The lattice
+half depends only on the layer's basis B and the character vector alpha:
+the saturated lattice, its transform and the number g of pieces (``_Cut``
+and ``_cut``), from one Hermite form of B^T per distinct B (``_completion``;
+Cohen, GTM 138, ch. 2).  The phase half (``_Cut.pieces``) runs on integer
+numerators over a least common denominator, so ``_closure`` keys layers
+and steps on ints and makes no ``Fraction``.
 Every exact invariant in this module raises InvariantBroken, so it holds
 under ``python -O``.  Characters and layers are plain slotted classes, so
 importing the module loads no ``dataclasses``.
@@ -49,7 +43,7 @@ from .errors import (
     NotInArrangement,
     SizeCapExceeded,
 )
-from .geometric import scheme_from_geometric, validate_geometric
+from .geometric import GeometricPoset, scheme_from_geometric
 from .poset import RankedPoset, _bits, _certified, _convex, find_isomorphism
 from .scheme import _closure_map, contract, delete, localization, scheme_isomorphism
 
@@ -472,8 +466,8 @@ def _closure(arr: ToricArrangement):
     character's lattice, so it is listed but neither completed nor cut, and
     the ambient layer is cut without a completion (see ``_cut``).  A basis
     of rank n - 1 keeps the rows of W^-1 for its cuts, whose saturation,
-    the identity of Z^n, is built once.  A piece of g = 1 is taken inline.
-    Each ``Layer`` is made after the loop, each basis written once.
+    the identity of Z^n, is built once.  Each ``Layer`` is made after the
+    loop, each basis written once.
 
     Each layer x is the second component of a pair (I, x) of the simple
     scheme, so more than ``geometric.ELEMENT_CAP`` layers are refused with
@@ -505,15 +499,7 @@ def _closure(arr: ToricArrangement):
             for cut, sat, t in row:
                 if cut.g > cap:
                     raise SizeCapExceeded(cut.g, cap, "layer poset", at_least=True)
-                if cut.g == 1:  # the one piece, as ``_Cut.pieces`` takes it
-                    big = lcm(q, t[1])
-                    a, b = big // q, big // t[1] * t[0]
-                    tops = [(a * sum(map(mul, m, nums)) + b * m[-1]) % big for m in cut.mix]
-                    k = gcd(big, *tops)
-                    pieces = ((big // k, tuple([x // k for x in tops])),)
-                else:
-                    pieces = cut.pieces(q, nums, t)
-                for piece in pieces:
+                for piece in cut.pieces(q, nums, t):
                     k = layers.get((sat, piece))
                     if k is None:
                         k = layers[sat, piece] = len(layers)
@@ -540,8 +526,11 @@ def layers_poset(arr: ToricArrangement, atom_cap: int = DEFAULT_ATOM_CAP) -> Lay
     that cut a layer down: layers are saturated, so a piece of L meet H_c
     other than L has rank(L) + 1, and a layer M of rank(L) + 1 inside L is a
     piece of L meet H_c for any H_c that contains M but not L.  So the
-    poset is built with the lattice ranks as given, not derived, and
-    ``validate_geometric`` is its certificate.  ``scheme_element_of``
+    lattice ranks are the rank function, and ``_certified`` builds the
+    ``GeometricPoset`` unchecked.  G1: the layers containing L form the
+    intersection lattice of the central arrangement of the characters
+    whose hypersurfaces contain L, the flats of a linear matroid
+    (``arr_localize``).  G2 is the paper's theorem.  ``scheme_element_of``
     names each layer's flat by its id in the scheme.
 
     The atoms are the hypersurfaces, one connected layer each, so more
@@ -554,9 +543,8 @@ def layers_poset(arr: ToricArrangement, atom_cap: int = DEFAULT_ATOM_CAP) -> Lay
     pos = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
     ordered = [found[k] for k in order]
     ids = [L.layer_id for L in ordered]
-    rp = _certified(ids, sorted((pos[a], pos[b]) for a, b in steps), [L.rank for L in ordered],
-                    RankedPoset)
-    gp = validate_geometric(rp, atom_cap)
+    gp = _certified(ids, sorted((pos[a], pos[b]) for a, b in steps), [L.rank for L in ordered],
+                    GeometricPoset)
     scheme = scheme_from_geometric(gp)
 
     # the scheme's pairs (I, x) come in blocks of x in layer order, one flat (atoms below x, x) each

@@ -6,7 +6,8 @@ sets of a simplicial poset, which it no longer stores, and the checks that
 its ranks count them and its bottom is its one minimal element; the
 toric layer closure with one Hermite form per cut; the depth-first walk
 of the pairs of a geometric poset, sorted by size afterwards; a group
-table's closure and associativity swept over every pair and triple; M4
+table's closure and associativity swept over every pair and triple, and
+an action table's compatibility over every (g, h, p); M4
 with one union of up-sets per element; the Dowling cover loop keyed by element ids; the
 minimal upper and maximal lower bound sets by id; the Tutte point checks
 T(1,1) = #bases and T(2,2) = #elements; a quotient's flats,
@@ -319,6 +320,23 @@ def group_table_verdict(elements, mul) -> tuple | None:
     for g, h, k in itertools.product(elements, repeat=3):
         if mul[(mul[(g, h)], k)] != mul[(g, mul[(h, k)])]:
             return (g, h, k), "not associative"
+    return None
+
+
+def action_table_verdict(group, points, act) -> tuple | None:
+    """The first failure of an action table, as ``GroupAction`` names it,
+    by the sweeps it made over every (g, p), every p, and then every
+    (g, h, p): (witness, detail), or None when the table is an action."""
+    pts = set(points)
+    for g, p in itertools.product(group.elements, points):
+        if (g, p) not in act or act[(g, p)] not in pts:
+            return (g, p), "not a map into the point set"
+    for p in points:
+        if act[(group.identity, p)] != p:
+            return (p,), "identity acts nontrivially"
+    for g, h, p in itertools.product(group.elements, group.elements, points):
+        if act[(group.mul[(g, h)], p)] != act[(g, act[(h, p)])]:
+            return (g, h, p), "not compatible"
     return None
 
 
@@ -689,7 +707,9 @@ def flats_by_reduction(m: MatroidScheme):
     keep = sum(1 << i for i, e in enumerate(els) if closure(m, e) == e)
     up = [p.above[i] & keep & ~(1 << i) if keep >> i & 1 else 0 for i in range(len(els))]
     sub = build_poset(p._ids(keep), [(els[i], els[j]) for i, j in transitive_reduction(up)])
-    return _ranked(sub, _graded(sub, [m.rho[e] for e in sub.elements]), RankedPoset)
+    ranks = _graded(sub)
+    assert ranks == tuple(m.rho[e] for e in sub.elements), "rho is not the flats' rank"
+    return _ranked(sub, ranks, RankedPoset)
 
 
 def assert_flats_match_the_reduction(m: MatroidScheme, label):

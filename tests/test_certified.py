@@ -32,14 +32,15 @@ from mscheme import (
     scheme_from_semimatroid,
     trivial_action,
     uniform_matroid,
+    validate_geometric,
     validate_scheme,
     verify_simplicial,
 )
 from mscheme.constructions import set_id
-from mscheme.geometric import pair_id
+from mscheme.geometric import GeometricPoset, pair_id
 from mscheme.poset import RankedPoset, SimplicialPoset, _certified
 
-from generators import dowling_inputs, translative_complexes
+from generators import _random_arrangement, dowling_inputs, translative_complexes
 from referees import atom_sets
 
 
@@ -145,6 +146,27 @@ def test_layer_posets_match_validating_path(corpus):
         want = {x: pair_id([a for a in atoms if p.leq(a, x)], x) for x in p.elements}
         assert result.scheme_element_of == want, label
         assert list(result.scheme_element_of) == list(p.elements), label
+
+
+def test_layer_posets_pass_g1_and_g2(corpus):
+    """``layers_poset`` builds its ``GeometricPoset`` with no check, on the
+    theorem that layers form a geometric poset; ``validate_geometric``
+    accepts each one with the same elements, covers and ranks: toric1,
+    toric3, the corpus arrangements and 500 seeded arrangements of ranks
+    1 to 4."""
+    arrangements = [arr for _, arr in corpus.arrangements]
+    arrangements += [files.load_arrangement(files.resolve_input(f"toric{k}.json")) for k in (1, 3)]
+    rng = random.Random(20261125)
+    while len(arrangements) < len(corpus.arrangements) + 502:
+        arr = _random_arrangement(rng, rng.randint(1, 4), rng.randint(1, 6))
+        if arr is not None:
+            arrangements.append(arr)
+    for arr in arrangements:
+        gp = layers_poset(arr).geometric
+        checked = validate_geometric(gp)
+        assert isinstance(gp, GeometricPoset), arr
+        assert checked.poset is gp.poset and checked.ranks == gp.ranks, arr
+        assert _validated(gp.elements, gp.poset.covers, False).ranks == gp.ranks, arr
 
 
 

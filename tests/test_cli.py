@@ -267,6 +267,32 @@ def test_construct_dowling_caps_the_scheme_elements(capsys, tmp_path, monkeypatc
     assert code == 0 and "result: 31 elements, rank 2" in out
 
 
+def test_construct_dowling_g2_witness_is_the_same_under_every_hash_seed(tmp_path):
+    """Z4 acting on two points through Z4 -> Z2 fails G2 for n = 2 on a
+    witness holding a set of two atoms; the set is written with sorted
+    members, so stdout is the same whatever the string hash seed (seed 4
+    once wrote the two members the other way round)."""
+    z4 = ["e", "g", "g^2", "g^3"]
+    (tmp_path / "z4.json").write_text(json.dumps(
+        {"elements": z4, "table": [[z4[(i + j) % 4] for j in range(4)] for i in range(4)]}))
+    (tmp_path / "z4_on_2.json").write_text(json.dumps(
+        {"points": ["p0", "p1"], "rows": [["p0", "p1"], ["p1", "p0"]] * 2}))
+    outs = set()
+    for seed in "01234":
+        run = subprocess.run(
+            [sys.executable, "-m", "mscheme.cli", "construct", "dowling", "-n", "2",
+             "--group", "z4.json", "--action", "z4_on_2.json"],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": str(Path(mscheme.__file__).parents[1])})
+        assert run.returncode == 1, run.stderr
+        outs.add(run.stdout)
+    assert len(outs) == 1
+    assert ("error: G2 fails on witness ('[{1:e,2:e}|]', frozenset({'[{1:e,2:g^3}|]', "
+            "'[{1:e,2:g}|]'}), '[|1:p0,2:p1]')\n") in outs.pop()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["z4.json", "z4_on_2.json"]
+
+
 def test_construct_dowling_refuses_large_ground_sets_up_front(capsys, tmp_path,
                                                              monkeypatch):
     """A ground set of n points has at least 2^(n-1) partitions, so an n

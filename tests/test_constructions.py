@@ -40,8 +40,8 @@ from mscheme.constructions import _rank_steps_hold, set_id
 from mscheme.tutte import _expand
 
 from generators import dowling_inputs, translative_complexes
-from referees import (dowling_by_ids, down_set, group_table_verdict, linear_rank_table,
-                      quotient_subset_identities, uniform_rank_table)
+from referees import (action_table_verdict, dowling_by_ids, down_set, group_table_verdict,
+                      linear_rank_table, quotient_subset_identities, uniform_rank_table)
 
 
 @pytest.fixture(scope="module")
@@ -490,6 +490,79 @@ def test_light_test_reads_n_squared_products_per_generator():
 def test_action_validation(z2):
     with pytest.raises(AxiomViolation):
         GroupAction(z2, ["p"], {("e", "p"): "p", ("g", "p"): "q"})
+
+
+def test_action_tables_match_the_triple_sweep():
+    """``GroupAction`` checks compatibility on generators only, yet gives
+    the verdict and first witness of the sweep over every (g, h, p)
+    (``referees.action_table_verdict``): on every table of Z2, Z3 and
+    Z2 x Z2 on one to three points (two for Z2 x Z2) whose identity row
+    is the identity, and on seeded tables with any rows, one entry
+    dropped or one entry sent outside the point set."""
+    v4 = FiniteGroup(["e", "a", "b", "c"],
+                     {(x, y): "eabc"["eabc".index(x) ^ "eabc".index(y)]
+                      for x in "eabc" for y in "eabc"})
+    cases = []
+    for group, most in ((cyclic_group(2), 3), (cyclic_group(3), 3), (v4, 2)):
+        for k in range(1, most + 1):
+            pts = [f"p{j}" for j in range(k)]
+            rest = group.elements[1:]
+            for images in itertools.product(pts, repeat=len(rest) * k):
+                act = {(group.identity, p): p for p in pts}
+                act.update(zip(itertools.product(rest, pts), images))
+                cases.append((group, pts, act))
+    rng = random.Random(20261124)
+    for _ in range(300):
+        group = rng.choice((cyclic_group(2), cyclic_group(3), v4))
+        pts = [f"p{j}" for j in range(rng.randint(1, 3))]
+        act = {(g, p): rng.choice(pts) for g in group.elements for p in pts}
+        kind = rng.randrange(3)
+        if kind:
+            key = rng.choice(sorted(act))
+            if kind == 1:
+                del act[key]
+            else:
+                act[key] = "outside"
+        cases.append((group, pts, act))
+    seen = {}
+    for group, pts, act in cases:
+        verdict = action_table_verdict(group, pts, act)
+        if verdict is None:
+            GroupAction(group, pts, act)
+            seen["action"] = seen.get("action", 0) + 1
+            continue
+        with pytest.raises(AxiomViolation) as exc:
+            GroupAction(group, pts, act)
+        witness, detail = verdict
+        assert exc.value.witness == witness and str(exc.value).endswith(detail), act
+        seen[detail] = seen.get(detail, 0) + 1
+    assert len(seen) == 4 and min(seen.values()) >= 40 and seen["not compatible"] >= 800, seen
+
+
+def _z4_on_two_points():
+    """Z4 acting on two points through Z4 -> Z2: g and g^3 swap them."""
+    z4 = cyclic_group(4)
+    return GroupAction(z4, ["p0", "p1"], {(g, p): ["p0", "p1"][(k + j) % 2]
+                                          for k, g in enumerate(z4.elements)
+                                          for j, p in enumerate(["p0", "p1"])})
+
+
+def test_dowling_of_a_non_faithful_action_fails_g2():
+    """The action is input, so ``dowling_geometric`` keeps its
+    ``validate_geometric``: with Z4 acting on two points through Z4 -> Z2
+    the poset is geometric for n = 1 and fails G2 for n = 2 and 3.  The
+    witness's atom set is written with sorted members."""
+    act = _z4_on_two_points()
+    assert len(dowling_geometric(1, act).elements) == 3
+    for n, x, atoms, y in (
+            (2, "[{1:e,2:e}|]", ("[{1:e,2:g^3}|]", "[{1:e,2:g}|]"), "[|1:p0,2:p1]"),
+            (3, "[{1:e,2:e}+{3:e}|]", ("[{1:e,2:g^3}+{3:e}|]", "[{1:e,2:g}+{3:e}|]"),
+             "[{3:e}|1:p0,2:p1]")):
+        with pytest.raises(AxiomViolation) as exc:
+            dowling_geometric(n, act)
+        assert exc.value.witness == (x, frozenset(atoms), y), n
+        written = f"frozenset({{{', '.join(map(repr, atoms))}}})"
+        assert str(exc.value) == f"G2 fails on witness ({x!r}, {written}, {y!r})", n
 
 
 def test_quotient_two_isthmus(semi4, swap4, isth):

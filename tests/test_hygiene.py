@@ -3,10 +3,11 @@ module imports a name it never uses, every private module-level function
 or class is referenced somewhere in the package, and no internal check
 is an ``assert`` statement, which ``python -O`` strips, or a bare
 ``raise AssertionError``, and the validating path (``build_poset``,
-``compute_rank``, ``verify_simplicial``, ``validate_scheme``) is called
-only where the input carries no certificate, and no function imports a
-package module that its own module imports at the top, and the CLI
-names no size cap but the atom cap and no function takes a
+``compute_rank``, ``verify_simplicial``, ``validate_scheme``,
+``validate_geometric``) is called only where the input carries no
+certificate, and only ``RankedPoset`` derives ranks, and no function
+imports a package module that its own module imports at the top, and
+the CLI names no size cap but the atom cap and no function takes a
 ``size_cap``, and every public method of a class is read as an attribute
 somewhere, and every public top-level definition has a reader outside
 its own body or states the paper to a user.  Subprocesses check that
@@ -114,11 +115,20 @@ def test_no_assert_statements():
     assert not found, found
 
 
-VALIDATING = ("build_poset", "compute_rank", "verify_simplicial", "validate_scheme")
-# (module, top-level definition) -> the validating functions it may call:
-# minors inherit their ranks and take their supports without re-verifying,
-# and constructions that no theorem certifies validate what they build
+VALIDATING = ("build_poset", "compute_rank", "verify_simplicial", "validate_scheme",
+              "validate_geometric")
+# (module, top-level definition) -> the validating functions it may call, and
+# why: minors inherit their ranks and take their supports without
+# re-verifying, toric layer posets and flats are certified by theorem, and
+# only these callers validate what they build
 VALIDATING_CALLERS = {
+    # the group action is input: Z4 acting on two points through Z4 -> Z2
+    # gives a poset that fails G2 for n = 2 and 3
+    ("constructions.py", "dowling_geometric"): {"validate_geometric"},
+    # the scheme is input and may be no scheme: the flats of
+    # contract(nonpos, a1), which fails M5, fail G2
+    ("geometric.py", "simplification"): {"validate_geometric"},
+    # no proof yet that I1-I4 give a rho passing M4 and M5
     ("scheme.py", "scheme_from_independence"): {"validate_scheme"},
 }
 
@@ -126,11 +136,12 @@ VALIDATING_CALLERS = {
 def test_validating_path_only_on_uncertified_input():
     """Constructions hand ``poset._certified`` their own ranks and
     supports; only the allowed callers run the validating path, each only
-    the functions listed for it (``files.py`` as a whole, and the
-    definitions themselves, may call any of them)."""
+    the functions listed for it (``files.py`` and ``cli.py`` as a whole,
+    the file and command-line boundary, and the definitions themselves,
+    may call any of them)."""
     found = []
     for name, tree in MODULES.items():
-        if name == "files.py":
+        if name in ("files.py", "cli.py"):
             continue
         for top in tree.body:
             owner = getattr(top, "name", None)
@@ -143,6 +154,16 @@ def test_validating_path_only_on_uncertified_input():
                     if called in VALIDATING and called not in allowed:
                         found.append(f"{name}:{node.lineno} {owner} calls {called}")
     assert not found, found
+
+
+def test_ranks_are_derived_only_by_the_ranked_poset_constructor():
+    """``_graded`` derives ranks for ``RankedPoset(poset)`` alone; every
+    certified builder, ``flats`` and ``layers_poset`` included, hands its
+    ranks to ``_certified`` and re-derives nothing."""
+    callers = [(name, getattr(top, "name", None)) for name, tree in MODULES.items()
+               for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_graded"]
+    assert callers == [("poset.py", "RankedPoset")], callers
 
 
 def test_size_caps_live_in_the_library():

@@ -724,9 +724,11 @@ def test_subposet_matches_build_poset(corpus):
 
 
 def _labelled(p, labels):
-    """The RankedPoset of p with the labels by element index, verified
-    by ``_graded`` in a fresh sweep of p's covers."""
-    return _ranked(p, _graded(p, labels), RankedPoset)
+    """The RankedPoset of p with the labels by element index, which must
+    be the ranks ``_graded`` derives in a fresh sweep of p's covers."""
+    ranks = _graded(p)
+    assert ranks == tuple(labels), (ranks, labels)
+    return _ranked(p, ranks, RankedPoset)
 
 
 def test_interval_matches_the_validating_constructor(corpus):
