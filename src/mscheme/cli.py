@@ -9,6 +9,7 @@ byte-identical across runs on identical input; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -191,15 +192,15 @@ def _stem(path: str) -> str:
 
 
 def cmd_export(args) -> int:
+    """A scheme's Hasse diagram with its labels, else the poset's with its
+    ranks; the file is read once."""
     path = files.resolve_input(args.path)
+    rp, rho = files.read_poset(path)
     try:
-        m = files.load_scheme(path)
+        m = files.as_scheme(rp, rho)
         text = files.to_dot(m.s, m.rhos)
-    except MalformedInput:
-        raise
     except MschemeError:
-        rp = files.load_ranked_poset(path)
-        text = files.to_dot(rp, rp.ranks)
+        text = files.to_dot(rp, files.as_ranked_poset(rp, rho, path).ranks)
     if args.out:
         files.write_text(text, args.out)
         print(f"wrote: {args.out}")
@@ -208,18 +209,32 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _read(*paths):
+    """Each scheme or poset file read once, in order, when the caller gets
+    to it: (ranked poset, rho labels by id, resolved path)."""
+    for path in map(files.resolve_input, paths):
+        yield (*files.read_poset(path), path)
+
+
 def cmd_iso(args) -> int:
+    """Two schemes are compared as schemes; otherwise both files as ranked
+    posets, each one's rho checked, in order, to be its graded rank.  Each
+    file is read once, the second only after the first is decided, so a
+    fault in reading a file is reported as its own."""
     print(_echo(args))
-    try:
-        m1 = files.load_scheme(files.resolve_input(args.path1))
-        m2 = files.load_scheme(files.resolve_input(args.path2))
-        phi = scheme_isomorphism(m1, m2)
-    except MalformedInput:
-        raise
-    except MschemeError:
-        rp1 = files.load_ranked_poset(files.resolve_input(args.path1))
-        rp2 = files.load_ranked_poset(files.resolve_input(args.path2))
-        phi = find_isomorphism(rp1, rp2)
+    reads = _read(args.path1, args.path2)
+    read, schemes = [], []
+    for rp, rho, path in reads:
+        read.append((rp, rho, path))
+        try:
+            schemes.append(files.as_scheme(rp, rho))
+        except MschemeError:
+            break
+    if len(schemes) == 2:
+        phi = scheme_isomorphism(*schemes)
+    else:  # the second file is read here if the first is no scheme
+        phi = find_isomorphism(*(files.as_ranked_poset(*r)
+                                 for r in itertools.chain(read, reads)))
     if phi is None:
         print("verdict: not isomorphic")
         return 1

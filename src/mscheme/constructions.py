@@ -13,7 +13,7 @@ from collections import namedtuple
 from math import gcd
 from types import MappingProxyType
 
-from . import geometric, tutte
+from . import errors, tutte
 from .errors import (
     DEFAULT_ATOM_CAP,
     AxiomViolation,
@@ -29,7 +29,7 @@ from .poset import RankedPoset, SimplicialPoset, _bits, _certified, _index
 from .scheme import MatroidScheme
 
 # These two bound quadratic work, not an element table, so they stay apart
-# from ``geometric.ELEMENT_CAP``.  Vertices of a semimatroid: its up to 2^12
+# from ``errors.ELEMENT_CAP``.  Vertices of a semimatroid: its up to 2^12
 # face masks are swept pairwise for S4 and S5.
 SEMIMATROID_VERTEX_CAP = 12
 # Elements of a partition poset: each gets ``_certified`` masks, and G1
@@ -149,8 +149,8 @@ class Matroid:
 def _ground_set_cap(n: int) -> None:
     """Refuse a ground set of n elements whose 2^n subsets, every one
     tabulated by the matroid constructors, would pass
-    ``geometric.ELEMENT_CAP``."""
-    cap = geometric.ELEMENT_CAP.bit_length() - 1
+    ``errors.ELEMENT_CAP``."""
+    cap = errors.ELEMENT_CAP.bit_length() - 1
     if n > cap:
         raise SizeCapExceeded(n, cap, "ground set")
 

@@ -106,6 +106,10 @@ class HasLoops(MschemeError):
 
 # the atom cap of an exhaustive sweep when the caller (``--cap-atoms``) sets none
 DEFAULT_ATOM_CAP = 20
+# elements of a poset built from a file or a geometric poset: it keeps an
+# up-set and a down-set bitmask per element, about n^2 / 8 bytes in all;
+# each guard reads it when it runs
+ELEMENT_CAP = 1 << 16
 
 
 class AtomCapExceeded(MschemeError):

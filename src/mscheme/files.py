@@ -29,8 +29,8 @@ import json
 import os
 from pathlib import Path
 
-from . import constructions, toric
-from .errors import MalformedInput, MschemeError
+from . import constructions, errors, toric
+from .errors import MalformedInput, MschemeError, SizeCapExceeded
 from .poset import Poset, RankedPoset, build_poset, compute_rank, verify_simplicial
 from .scheme import MatroidScheme, validate_scheme
 
@@ -124,7 +124,13 @@ def _require(doc: dict, key: str, path):
 # --- posets and schemes -------------------------------------------------------------
 
 def parse_poset_doc(doc: dict, path="<doc>") -> tuple[Poset, dict]:
+    """The poset of a scheme or poset document and its "rho" labels by id.
+    More than ``errors.ELEMENT_CAP`` element rows are refused with
+    ``SizeCapExceeded`` before anything is built: the poset keeps two
+    bitmasks per element, n^2 / 8 bytes in all."""
     rows = _rows(_require(doc, "elements", path), path, "elements")
+    if len(rows) > errors.ELEMENT_CAP:
+        raise SizeCapExceeded(len(rows), errors.ELEMENT_CAP, "poset")
     ids = []
     rho = {}
     try:
@@ -148,23 +154,37 @@ def parse_poset_doc(doc: dict, path="<doc>") -> tuple[Poset, dict]:
     return build_poset(ids, covers), rho
 
 
-def load_ranked_poset(path) -> RankedPoset:
-    """Poset file with rho as the rank labels (verified to be the graded
-    rank function)."""
-    doc = _load_json(path)
-    poset, rho = parse_poset_doc(doc, path)
-    rp = compute_rank(poset)
-    for e, k in zip(poset.elements, rp.ranks):
+def read_poset(path) -> tuple[RankedPoset, dict]:
+    """A scheme or poset file, parsed and ranked once: its ranked poset and
+    its "rho" labels by id.  A command that takes either kind of file
+    reads it here and then decides, by ``as_scheme`` or
+    ``as_ranked_poset``, which kind it is."""
+    poset, rho = parse_poset_doc(_load_json(path), path)
+    return compute_rank(poset), rho
+
+
+def as_ranked_poset(rp: RankedPoset, rho: dict, path) -> RankedPoset:
+    """rp, read from path, once its rho labels are verified to be its
+    graded rank function."""
+    for e, k in zip(rp.elements, rp.ranks):
         if rho[e] != k:
             raise MalformedInput(f"{path}: rho of {e!r} is {rho[e]} but the graded rank is {k}")
     return rp
 
 
+def as_scheme(rp: RankedPoset, rho: dict) -> MatroidScheme:
+    """The scheme of rp labelled by rho, verified simplicial and M1-M5."""
+    return validate_scheme(verify_simplicial(rp), rho)
+
+
+def load_ranked_poset(path) -> RankedPoset:
+    """Poset file with rho as the rank labels (verified to be the graded
+    rank function)."""
+    return as_ranked_poset(*read_poset(path), path)
+
+
 def load_scheme(path) -> MatroidScheme:
-    doc = _load_json(path)
-    poset, rho = parse_poset_doc(doc, path)
-    sp = verify_simplicial(compute_rank(poset))
-    return validate_scheme(sp, rho)
+    return as_scheme(*read_poset(path))
 
 
 def scheme_to_doc(m: MatroidScheme) -> dict:

@@ -21,6 +21,7 @@ import functools
 import itertools
 import operator
 
+from . import errors
 from .errors import (
     DEFAULT_ATOM_CAP,
     AtomCapExceeded,
@@ -49,10 +50,6 @@ from .scheme import (
     flats,
     is_simple,
 )
-
-# elements of a scheme built from a geometric poset: its poset keeps an
-# up-set and a down-set bitmask per element, about n^2 / 8 bytes in all
-ELEMENT_CAP = 1 << 16
 
 
 class GeometricPoset(RankedPoset):
@@ -191,7 +188,7 @@ def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list, list]:
     order, and each pair's covers come in the order of their upper ends,
     so nothing is sorted.  The tables are freed before the scheme's poset
     is built.  ``SizeCapExceeded`` is raised as soon as the walk meets
-    more than ``ELEMENT_CAP`` pairs, before any cover is listed."""
+    more than ``errors.ELEMENT_CAP`` pairs, before any cover is listed."""
     own = [down & atoms for down in p.below]  # own[x]: the atoms below x
     steps = []  # steps[x]: (y, bit of a) for every step (I, x) -> (I + a, y), by y then a
     grow = []  # grow[x]: the same steps by a
@@ -207,7 +204,7 @@ def _walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list, list]:
         grow.append(sorted(moves, key=operator.itemgetter(1)))
 
     found = [[] for _ in own]  # found[x]: the atom sets I of the pairs (I, x), in walk order
-    level, met, cap = [(0, bottom)], 1, ELEMENT_CAP
+    level, met, cap = [(0, bottom)], 1, errors.ELEMENT_CAP
     if met > cap:
         raise SizeCapExceeded(met, cap, "simple scheme", at_least=True)
     while level:
@@ -243,7 +240,7 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     poset with rank |I|.  The pairs and their covers come from one walk up
     from (empty, bottom), breadth first, with no atom subset enumerated
     (see ``_walk``), which also gives the scheme's closure map.  More than
-    ``ELEMENT_CAP`` pairs are refused with ``SizeCapExceeded`` before any is built.
+    ``errors.ELEMENT_CAP`` pairs are refused with ``SizeCapExceeded`` before any is built.
 
     Pairs are named by ``pair_id`` when those names are distinct, and
     otherwise all by ``_escaped_pair_id``, which is injective: ids that

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from . import constructions, geometric
+from . import constructions, errors
 from .errors import (
     DEFAULT_ATOM_CAP,
     AtomCapExceeded,
@@ -470,10 +470,10 @@ def _closure(arr: ToricArrangement):
     loop, each basis written once.
 
     Each layer x is the second component of a pair (I, x) of the simple
-    scheme, so more than ``geometric.ELEMENT_CAP`` layers are refused with
+    scheme, so more than ``errors.ELEMENT_CAP`` layers are refused with
     ``SizeCapExceeded`` as soon as they are met, and so is a cut whose g
     pieces, all distinct layers, alone pass it, before any is listed."""
-    cap, n = geometric.ELEMENT_CAP, arr.n
+    cap, n = errors.ELEMENT_CAP, arr.n
     start = ambient_layer(n).basis
     number = {start: 0}  # each basis met -> its number
     cuts = {}  # basis number -> (cut, number of its saturation, phase) per cutting hypersurface

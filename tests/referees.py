@@ -8,7 +8,8 @@ toric layer closure with one Hermite form per cut; the depth-first walk
 of the pairs of a geometric poset, sorted by size afterwards; a group
 table's closure and associativity swept over every pair and triple, and
 an action table's compatibility over every (g, h, p); M4
-with one union of up-sets per element; the Dowling cover loop keyed by element ids; the
+with one union of up-sets per element; the scheme of an independence
+family validated against M1-M5 and read back; the Dowling cover loop keyed by element ids; the
 minimal upper and maximal lower bound sets by id; the Tutte point checks
 T(1,1) = #bases and T(2,2) = #elements; a quotient's flats,
 independents and circuits against the orbit images of its base's; and
@@ -26,7 +27,7 @@ import operator
 from fractions import Fraction
 from math import gcd
 
-import mscheme.geometric
+import mscheme.errors
 import mscheme.tutte
 from mscheme import (
     AxiomViolation,
@@ -53,11 +54,13 @@ from mscheme import (
     scheme_from_semimatroid,
     tutte_delcon,
     tutte_direct,
+    validate_independence,
     validate_scheme,
     verify_simplicial,
 )
 from mscheme.constructions import _element_id, _set_partitions
 from mscheme.poset import (
+    LabelView,
     RankedPoset,
     _adjacency,
     _atoms,
@@ -283,7 +286,7 @@ def depth_first_walk(p: Poset, atoms: int, bottom: int) -> tuple[list, list, lis
 
     found = [[] for _ in below]
     stack = [(0, bottom)]
-    met, cap = 0, mscheme.geometric.ELEMENT_CAP
+    met, cap = 0, mscheme.errors.ELEMENT_CAP
     while stack:
         I, x = stack.pop()
         found[x].append(I)
@@ -378,6 +381,25 @@ def m4_verdict_agrees(sp, rho) -> bool | None:
     else:
         assert got == ("M4", want), (got, want)
     return want is not None
+
+
+def scheme_from_independence_validated(sp, ind) -> MatroidScheme:
+    """``scheme_from_independence`` as it was before I1-I4 certified it:
+    the same sweep, then M1-M5 validated on the result and its
+    independence family compared with the input (``InvariantBroken``
+    when they differ)."""
+    ind = tuple(ind)
+    validate_independence(sp, ind)
+    ind = frozenset(ind)
+    p = sp.poset
+    r = list(sp.ranks)
+    for x in p.order:
+        if p.elements[x] not in ind:
+            r[x] = max(r[c] for c in p.covers_dn[x])
+    m = validate_scheme(sp, LabelView(p.index, r))
+    if independence(m) != ind:
+        raise InvariantBroken("independence poset mismatch")
+    return m
 
 
 def dowling_by_ids(n, action):

@@ -240,7 +240,7 @@ def test_construct_dowling(capsys, tmp_path, monkeypatch):
 
 def test_construct_dowling_caps_the_scheme_elements(capsys, tmp_path, monkeypatch):
     """The n = 4 Dowling scheme over Z2 with two points has 135,281
-    elements; ``geometric.ELEMENT_CAP`` (2^16) refuses it with exit 1 once
+    elements; ``errors.ELEMENT_CAP`` (2^16) refuses it with exit 1 once
     the pair walk passes the cap, before any mask is built.  The scheme's
     poset builder is stubbed for that run, so a missing cap fails here
     instead of building the scheme.  With the cap set below the 31
@@ -257,12 +257,12 @@ def test_construct_dowling_caps_the_scheme_elements(capsys, tmp_path, monkeypatc
         code, out = run_cli(capsys, "construct", "dowling", "-n", "4", *action)
     assert code == 1
     assert "error: simple scheme size at least 65537 exceeds the configured cap 65536" in out
-    monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", 30)
+    monkeypatch.setattr(mscheme.errors, "ELEMENT_CAP", 30)
     code, out = run_cli(capsys, "construct", "dowling", "-n", "2", *action)
     assert code == 1
     assert "error: simple scheme size at least 31 exceeds the configured cap 30" in out
     assert not list(tmp_path.iterdir())
-    monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", 31)
+    monkeypatch.setattr(mscheme.errors, "ELEMENT_CAP", 31)
     code, out = run_cli(capsys, "construct", "dowling", "-n", "2", *action)
     assert code == 0 and "result: 31 elements, rank 2" in out
 
@@ -442,6 +442,143 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, monkeypatch):
 def test_iso_distinguishes_the_partition_fixtures(capsys):
     code, out = run_cli(capsys, "iso", "dow_triv.json", "dow_nontriv.json")
     assert code == 1 and "not isomorphic" in out
+
+
+# iso ROW COLUMN on the files below, by row (first file) and column (second
+# file): "iso" and "non" are the two verdicts, "cyc" the cycle of cyc.json
+# (exit 1), and a file's name the input error that ends the run (exit 2).
+# isth is a scheme whose rho is its graded rank, dow_triv a scheme whose rho
+# is not, notgeom a ranked poset and no scheme, invalid neither.
+ISO_MATRIX = """
+            isth      dow_triv  notgeom   cyc   invalid   missing
+isth        iso       non       non       cyc   invalid   missing
+dow_triv    non       iso       dow_triv  cyc   dow_triv  missing
+notgeom     non       dow_triv  iso       cyc   invalid   missing
+cyc         cyc       cyc       cyc       cyc   cyc       cyc
+invalid     invalid   invalid   invalid   invalid invalid invalid
+missing     missing   missing   missing   missing missing missing
+"""
+CYCLE = "error: cover relation contains a cycle: a < b < a\n"
+INPUT_ERRORS = {
+    "dow_triv": "dow_triv.json: rho of '([{1:e,2:e}|],[{1:e,2:g}|],[{1:e}|2:+1]|[|1:+1,2:+1])' "
+                "is 2 but the graded rank is 3",
+    "invalid": "invalid.json: rho of 'a' is 2 but the graded rank is 1",
+    "missing": "no such file: missing.json",
+}
+
+
+def _iso_matrix_files(tmp_path, monkeypatch) -> list:
+    """The files of ``ISO_MATRIX`` in tmp_path, made the working directory,
+    so no message names a fixture directory; the parsed paths are listed."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("isth", "dow_triv", "notgeom"):
+        (tmp_path / f"{name}.json").write_bytes(files.resolve_input(f"{name}.json").read_bytes())
+    (tmp_path / "cyc.json").write_text(
+        '{"elements": [{"id": "a", "rho": 0}, {"id": "b", "rho": 1}], '
+        '"covers": [["a", "b"], ["b", "a"]]}')
+    (tmp_path / "invalid.json").write_text(
+        '{"elements": [{"id": "0", "rho": 0}, {"id": "a", "rho": 2}], "covers": [["0", "a"]]}')
+    parsed = []
+
+    def parse(doc, path="<doc>"):
+        parsed.append(str(path))
+        return parse_poset_doc(doc, path)
+
+    parse_poset_doc = files.parse_poset_doc
+    monkeypatch.setattr(files, "parse_poset_doc", parse)
+    return parsed
+
+
+def _run_without_elapsed(capsys, argv) -> tuple:
+    code = main(argv)
+    captured = capsys.readouterr()
+    err = "".join(line for line in captured.err.splitlines(True)
+                  if not line.startswith("elapsed: "))
+    return code, captured.out, err
+
+
+def test_iso_blames_the_file_it_cannot_read(capsys, tmp_path, monkeypatch):
+    """Exit code, stdout and stderr of every pair of ``ISO_MATRIX``.  Each
+    file is parsed at most once, in argument order, so a valid scheme is
+    not read again as a ranked poset when the second file cannot be read:
+    ``iso dow_triv.json cyc.json`` names the cycle, not dow_triv's rho."""
+    parsed = _iso_matrix_files(tmp_path, monkeypatch)
+    rows = [line.split() for line in ISO_MATRIX.strip().splitlines()]
+    for row in rows[1:]:
+        for column, outcome in zip(rows[0], row[1:]):
+            a, b = f"{row[0]}.json", f"{column}.json"
+            parsed.clear()
+            code, out, err = _run_without_elapsed(capsys, ["iso", a, b])
+            echo = f"command: iso cap_atoms=20 path1={a} path2={b}\n"
+            if outcome == "iso":  # the identity, in the order the search places it
+                head, *placed = out.splitlines(True)[1:]
+                out = echo + head + "".join(sorted(placed))
+                ids = sorted(e["id"] for e in json.loads((tmp_path / a).read_text())["elements"])
+                want = (0, echo + "verdict: isomorphic\n"
+                        + "".join(sorted(f"  {e} -> {e}\n" for e in ids)), "")
+            elif outcome == "non":
+                want = (1, echo + "verdict: not isomorphic\n", "")
+            elif outcome == "cyc":
+                want = (1, echo + CYCLE, "")
+            else:
+                want = (2, echo, f"input error: {INPUT_ERRORS[outcome]}\n")
+            assert (code, out, err) == want, (a, b)
+            assert parsed == [a, b][:len(parsed)], (a, b, parsed)
+
+
+def test_export_dot_parses_its_file_once(capsys, tmp_path, monkeypatch):
+    """A scheme is drawn with its labels, a ranked poset with its ranks,
+    and a file that is neither or cannot be read gives its error; the
+    file is parsed once."""
+    parsed = _iso_matrix_files(tmp_path, monkeypatch)
+    isth, dow_triv = (files.load_scheme(f"{name}.json") for name in ("isth", "dow_triv"))
+    notgeom = files.load_ranked_poset("notgeom.json")
+    want = {"isth": (0, files.to_dot(isth.s, isth.rhos), ""),
+            "dow_triv": (0, files.to_dot(dow_triv.s, dow_triv.rhos), ""),
+            "notgeom": (0, files.to_dot(notgeom, notgeom.ranks), ""),
+            "cyc": (1, CYCLE, "")}
+    want.update((name, (2, "", f"input error: {message}\n"))
+                for name, message in INPUT_ERRORS.items() if name != "dow_triv")
+    for name, outcome in want.items():
+        parsed.clear()
+        assert _run_without_elapsed(capsys, ["export", "dot", f"{name}.json"]) == outcome, name
+        assert parsed == [f"{name}.json"][:len(parsed)], (name, parsed)
+
+
+def test_a_file_past_the_element_cap_is_refused_before_its_poset_is_built(
+        capsys, tmp_path, monkeypatch):
+    """A chain of ``errors.ELEMENT_CAP`` + 1 elements exits 1 with
+    ``SizeCapExceeded`` for every command that reads a scheme or poset
+    file, and no poset is built; a chain of exactly the cap is read."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(mscheme.errors, "ELEMENT_CAP", 8)
+
+    def chain(n):
+        return {"elements": [{"id": f"e{i}", "rho": min(i, 1)} for i in range(n)],
+                "covers": [[f"e{i}", f"e{i + 1}"] for i in range(n - 1)]}
+
+    files.dump_doc(chain(9), tmp_path / "long.json")
+    files.dump_doc(chain(8), tmp_path / "cap.json")
+    argvs = [["check", "scheme", "long.json"], ["check", "geometric", "long.json"],
+             ["invariants", "long.json"], ["export", "dot", "long.json"],
+             ["iso", "long.json", "isth.json"], ["iso", "isth.json", "long.json"],
+             ["transform", "simplify", "long.json"]]
+    build_poset = files.build_poset
+
+    def capped(ids, covers):
+        if len(ids) > 8:
+            raise AssertionError("a poset was built past the element cap")
+        return build_poset(ids, covers)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(files, "build_poset", capped)
+        for argv in argvs:
+            code, out, err = _run_without_elapsed(capsys, argv)
+            assert code == 1 and err == "", argv
+            assert out.endswith("error: poset size 9 exceeds the configured cap 8\n"), argv
+    code, out, _ = _run_without_elapsed(capsys, ["check", "scheme", "cap.json"])
+    assert code == 1 and "error: down-set of 'e2' is not a Boolean lattice" in out, out
+    assert [p.name for p in sorted(tmp_path.iterdir())] == ["cap.json", "long.json"]
 
 
 def test_fixture_env_override(tmp_path, monkeypatch, isth):

@@ -73,7 +73,7 @@ def test_uniform_matroid_refuses_rank_outside_ground_size():
 
 def test_matroid_constructors_cap_the_ground_set(monkeypatch):
     """``uniform_matroid`` and ``linear_matroid`` tabulate all 2^n subsets
-    of the ground set, so an n whose 2^n passes ``geometric.ELEMENT_CAP``
+    of the ground set, so an n whose 2^n passes ``errors.ELEMENT_CAP``
     is refused before any subset is listed; the cap is read at call time."""
     import types
 
@@ -90,7 +90,7 @@ def test_matroid_constructors_cap_the_ground_set(monkeypatch):
             with pytest.raises(SizeCapExceeded) as err:
                 build()
             assert str(err.value) == "ground set size 17 exceeds the configured cap 16"
-    monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", 15)
+    monkeypatch.setattr(mscheme.errors, "ELEMENT_CAP", 15)
     assert len(uniform_matroid(1, 3).rank) == 8
     for build in (lambda: uniform_matroid(1, 4), lambda: linear_matroid([[1] * 4])):
         with pytest.raises(SizeCapExceeded) as err:

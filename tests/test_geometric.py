@@ -104,10 +104,10 @@ def test_scheme_from_geometric_boolean_square():
 
 def test_element_cap_bounds_every_scheme_built_from_a_geometric_poset(
         monkeypatch, cw_r, toric1):
-    """With ``geometric.ELEMENT_CAP`` equal to the scheme's size it is
+    """With ``errors.ELEMENT_CAP`` equal to the scheme's size it is
     built; one less is refused, through ``scheme_from_geometric`` and the
     three entry points that build with it."""
-    import mscheme.geometric
+    import mscheme.errors
     gp = validate_geometric(flats(cw_r))
     builds = (lambda: scheme_from_geometric(gp),
               lambda: simplification(cw_r),
@@ -115,9 +115,9 @@ def test_element_cap_bounds_every_scheme_built_from_a_geometric_poset(
               lambda: dowling_poset(2, trivial_action(cyclic_group(2), ["+1", "-1"]))[1])
     for build in builds:
         size = len(build().elements)
-        monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", size)
+        monkeypatch.setattr(mscheme.errors, "ELEMENT_CAP", size)
         assert len(build().elements) == size
-        monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", size - 1)
+        monkeypatch.setattr(mscheme.errors, "ELEMENT_CAP", size - 1)
         with pytest.raises(SizeCapExceeded) as err:
             build()
         assert (err.value.count, err.value.cap) == (size, size - 1)
@@ -342,7 +342,7 @@ def test_breadth_first_walk_matches_the_depth_first_referee(corpus, monkeypatch)
         args = (gp.poset, _atoms(gp.ranks), gp.poset.order[0])
         cap = len(_walk(*args)[0]) // 2
         with monkeypatch.context() as mp:
-            mp.setattr(mscheme.geometric, "ELEMENT_CAP", cap)
+            mp.setattr(mscheme.errors, "ELEMENT_CAP", cap)
             for walk in (_walk, depth_first_walk):
                 with pytest.raises(SizeCapExceeded, match=f"at least {cap + 1} exceeds"):
                     walk(*args)

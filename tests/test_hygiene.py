@@ -119,8 +119,9 @@ VALIDATING = ("build_poset", "compute_rank", "verify_simplicial", "validate_sche
               "validate_geometric")
 # (module, top-level definition) -> the validating functions it may call, and
 # why: minors inherit their ranks and take their supports without
-# re-verifying, toric layer posets and flats are certified by theorem, and
-# only these callers validate what they build
+# re-verifying, toric layer posets, flats and the scheme of an independence
+# family are certified by theorem, and only these callers, whose input
+# comes from outside the program, validate what they build
 VALIDATING_CALLERS = {
     # the group action is input: Z4 acting on two points through Z4 -> Z2
     # gives a poset that fails G2 for n = 2 and 3
@@ -128,8 +129,6 @@ VALIDATING_CALLERS = {
     # the scheme is input and may be no scheme: the flats of
     # contract(nonpos, a1), which fails M5, fail G2
     ("geometric.py", "simplification"): {"validate_geometric"},
-    # no proof yet that I1-I4 give a rho passing M4 and M5
-    ("scheme.py", "scheme_from_independence"): {"validate_scheme"},
 }
 
 

@@ -249,7 +249,7 @@ def test_layers_poset_edge_cases():
 
 def test_closure_caps_the_layers(monkeypatch, toric1):
     """Every layer is the second component of a pair of the simple scheme,
-    so ``_closure`` counts layers against ``geometric.ELEMENT_CAP`` and
+    so ``_closure`` counts layers against ``errors.ELEMENT_CAP`` and
     refuses one past it before the poset or the scheme is built."""
     import mscheme.geometric
     import mscheme.toric
@@ -259,7 +259,7 @@ def test_closure_caps_the_layers(monkeypatch, toric1):
 
     monkeypatch.setattr(mscheme.toric, "_certified", unreachable)
     monkeypatch.setattr(mscheme.geometric, "_walk", unreachable)
-    monkeypatch.setattr(mscheme.geometric, "ELEMENT_CAP", 4)  # toric1 has 5 layers
+    monkeypatch.setattr(mscheme.errors, "ELEMENT_CAP", 4)  # toric1 has 5 layers
     with pytest.raises(SizeCapExceeded) as err:
         layers_poset(toric1)
     assert str(err.value) == "layer poset size at least 5 exceeds the configured cap 4"
