@@ -198,7 +198,7 @@ def cmd_export(args) -> int:
     rp, rho = files.read_poset(path)
     try:
         m = files.as_scheme(rp, rho)
-        text = files.to_dot(m.s, m.rhos)
+        text = files.to_dot(m, m.rhos)
     except MschemeError:
         text = files.to_dot(rp, files.as_ranked_poset(rp, rho, path).ranks)
     if args.out:

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .geometric import GeometricPoset, scheme_from_geometric, validate_geometric
 from .poset import RankedPoset, SimplicialPoset, _bits, _certified, _index
-from .scheme import MatroidScheme
+from .scheme import MatroidScheme, _labelled
 
 # These two bound quadratic work, not an element table, so they stay apart
 # from ``errors.ELEMENT_CAP``.  Vertices of a semimatroid: its up to 2^12
@@ -172,7 +172,10 @@ def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
     reduced exactly against integer echelon rows spanning X - t, each
     divided by its content, and adds one to the rank of X - t, and its
     residue as a row, when a residue is left; ``Matroid`` takes it
-    certified.  Repeated names raise ``DuplicateIdentifier``."""
+    certified.  Rows of different lengths raise ``MalformedInput``, and
+    repeated names ``DuplicateIdentifier``."""
+    if len(lengths := {len(row) for row in matrix}) > 1:
+        raise MalformedInput(f"matrix rows differ in length {sorted(lengths)}")
     cols = list(zip(*matrix)) if matrix else []
     n = len(cols)
     _ground_set_cap(n)
@@ -229,7 +232,7 @@ def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
     by_name = [(1 << i, ground[i]) for i in sorted(range(n), key=ground.__getitem__)]
     ids = ["{" + ",".join([e for b, e in by_name if X & b]) + "}" for X in masks]
     sp = _face_poset(masks, ids)
-    return MatroidScheme(sp, tuple(map(mat.rank_table.__getitem__, masks)), _checked=True)
+    return _labelled(sp, map(mat.rank_table.__getitem__, masks))
 
 
 # --- semimatroids -----------------------------------------------------------------
@@ -323,7 +326,7 @@ def scheme_from_semimatroid(sm: Semimatroid) -> MatroidScheme:
     face) is M5, with the atom {y} not below X."""
     faces = _sorted_faces(sm.faces)
     sp = _face_poset(_face_masks(faces, sorted(sm.vertices)), [set_id(f) for f in faces])
-    return MatroidScheme(sp, tuple(sm.rank[f] for f in faces), _checked=True)
+    return _labelled(sp, [sm.rank[f] for f in faces])
 
 
 # --- finite groups and actions --------------------------------------------------------
@@ -396,6 +399,9 @@ class FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    """Z/n on e, g, g^2, ..., g^(n-1); n < 1 raises ``MalformedInput``."""
+    if n < 1:
+        raise MalformedInput(f"cyclic group Z{n} needs n >= 1")
     names = ["e"] + [f"g{'^' + str(i) if i > 1 else ''}" for i in range(1, n)]
     mul = {(names[i], names[j]): names[(i + j) % n]
            for i in range(n) for j in range(n)}
@@ -511,31 +517,29 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
     orbit_of = {f: names[k] for f, k in orbit.items()}
     covers = sorted({(orbit[f - {v}], orbit[f]) for f in faces for v in f})
     sp = _certified(names, covers, [len(f) for f in reps], SimplicialPoset)
-    scheme = MatroidScheme(sp, tuple(sm.rank[f] for f in reps), _checked=True)
+    scheme = _labelled(sp, [sm.rank[f] for f in reps])
 
-    # m_G and the group-action Tutte polynomial: one pass groups the faces
-    # with as many atom orbits as vertices by the positions A of those
-    # orbits, and the sets A are read by size, then lexicographically
-    atom_orbits = [k for k, f in enumerate(reps) if len(f) == 1]
-    at = {k: j for j, k in enumerate(atom_orbits)}
+    # m_G and the group-action Tutte polynomial: one pass keys each orbit's
+    # representative by the orbits A of its vertices, read by size, then
+    # lexicographically.  A face's vertices lie in distinct orbits: were v and
+    # g·v in f, {v, g·v} would be a face, so g·v = v by translativity; and by
+    # rank invariance every face carries its orbit's rank
+    atom = {v: orbit[frozenset({v})] for v in sm.vertices}
     over: dict[tuple, list] = {}
-    for f in faces:
-        A = tuple(sorted({at[orbit[frozenset({v})]] for v in f}))
-        if len(A) == len(f):
-            over.setdefault(A, []).append(f)
+    for f in reps:
+        over.setdefault(tuple(sorted(atom[v] for v in f)), []).append(sm.rank[f])
     semirank = sm.max_rank()
     m_g = {}
     counts = {}  # (x-1, y-1) exponents -> orbit count
     for A in sorted(over, key=lambda A: (len(A), A)):
-        aset = frozenset(names[atom_orbits[j]] for j in A)
-        orbits_here = {orbit[f] for f in over[A]}
-        ranks = {sm.rank[f] for f in over[A]}
+        aset = frozenset(names[k] for k in A)
+        ranks = set(over[A])
         if len(ranks) != 1:
             raise InvariantBroken(f"rho not constant on central sets over {sorted(aset)}")
-        m_g[aset] = len(orbits_here)
+        m_g[aset] = len(over[A])
         rho_a = ranks.pop()
         key = (semirank - rho_a, len(A) - rho_a)
-        counts[key] = counts.get(key, 0) + len(orbits_here)
+        counts[key] = counts.get(key, 0) + len(over[A])
 
     return QuotientResult(scheme, orbit_of, m_g, tutte._expand(counts))
 

@@ -47,6 +47,7 @@ from .scheme import (
     MatroidScheme,
     _closure_map,
     _joinable,
+    _labelled,
     flats,
     is_simple,
 )
@@ -254,9 +255,7 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     if len(set(ids)) != len(ids):
         ids = [_escaped_pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     sp = _certified(ids, covers, [I.bit_count() for I, _ in pairs], SimplicialPoset)
-    m = MatroidScheme(sp, tuple(gp.ranks[x] for _, x in pairs), _checked=True)
-    m._closure = closure
-    return m
+    return _labelled(sp, [gp.ranks[x] for _, x in pairs], closure)
 
 
 def simplification(m: MatroidScheme, atom_cap: int = DEFAULT_ATOM_CAP) -> MatroidScheme:
@@ -286,7 +285,7 @@ def check_uniqueness(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
             raise NotSimple(f"{m!r} is not simple")
     f1, f2 = flats(m1), flats(m2)
     p1, p2 = m1.poset, m2.poset
-    cl1, atoms1, atoms2 = _closure_map(m1), _atoms(m1.s.ranks), _atoms(m2.s.ranks)
+    cl1, atoms1, atoms2 = _closure_map(m1), _atoms(m1.ranks), _atoms(m2.ranks)
     element = {(dn & atoms2, c): v for v, (dn, c) in enumerate(zip(p2.below, _closure_map(m2)))}
     covers2 = set(p2.pairs)
     phi = None

@@ -56,8 +56,8 @@ class Poset:
     @property
     def covers(self) -> tuple:
         """The cover pairs as identifiers, formed from ``pairs`` on first
-        read (a sub-poset inside a recursion is never written out, so it
-        never pays for them)."""
+        read (a minor or a flats poset that is only queried is never
+        written out, so it never pays for them)."""
         if self._covers is None:
             els = self.elements
             self._covers = tuple((els[i], els[j]) for i, j in self.pairs)
@@ -369,7 +369,8 @@ class RankedPoset:
     """A bounded-below poset with a rank function: rank(bottom) = 0 and every
     cover raises rank by exactly one.  ``ranks[i]`` is the rank of element
     i; ``rank`` reads it by id.  The ranks are derived by ``_graded``.
-    Its subclasses add a certified property and no data."""
+    Its certified subclasses add a property; ``MatroidScheme`` adds its
+    labels too."""
 
     __slots__ = ("poset", "ranks")
 
@@ -449,7 +450,8 @@ class SimplicialPoset(RankedPoset):
     atoms, so the rank of an element is its number of atoms, its size |x|;
     where a mask is needed, the atoms below element i are derived as
     ``below[i] & _atoms(ranks)``.  Only ``verify_simplicial`` and the
-    certified builders ``_certified`` and ``_convex`` make one."""
+    certified builders ``_certified`` and ``_convex`` make one, and
+    ``scheme._labelled`` makes its labelled subclass ``MatroidScheme``."""
 
     __slots__ = ()
 

@@ -49,52 +49,36 @@ from .poset import (
     _full,
     _levels,
     _maxima,
+    _ranked,
     _top_value,
     _union,
     find_isomorphism,
 )
 
 
-class MatroidScheme:
-    """A validated simplicial poset ``s``, whose rank is the size |x|, with
+class MatroidScheme(SimplicialPoset):
+    """A simplicial poset, whose rank ``ranks[i]`` is the size |x|, with
     rank labels: ``rhos[i]`` is the label of element i, read by id in ``rho``.
 
     Instances are immutable; use :func:`validate_scheme` to construct one
-    from unvalidated data.  Equality is exact: same element order, same
-    covers, same labels.
+    from unvalidated data; ``_labelled`` is the one private builder.
+    Equality is exact: same element order, same covers, same labels.
     """
 
-    __slots__ = ("s", "rhos", "_closure", "_flats_cache", "_independent", "_bases", "_tutte")
+    __slots__ = ("rhos", "_closure", "_flats_cache", "_independent", "_bases", "_tutte")
 
-    def __init__(self, s: SimplicialPoset, rhos: tuple, *, _checked: bool = False):
-        if not _checked:
-            raise TypeError("use validate_scheme() to build a MatroidScheme")
-        self.s = s
-        self.rhos = tuple(rhos)
-        self._closure = None
-        self._flats_cache = None
-        self._independent = None
-        self._bases = None
-        self._tutte = None
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use validate_scheme() to build a MatroidScheme")
+
+    @property
+    def s(self) -> "MatroidScheme":
+        """The scheme itself, its own simplicial poset: an alias kept for
+        callers outside the package that pass ``validate_scheme(m.s, m.rho)``."""
+        return self
 
     @property
     def rho(self) -> LabelView:
         return LabelView(self.poset.index, self.rhos)
-
-    @property
-    def poset(self) -> Poset:
-        return self.s.poset
-
-    @property
-    def elements(self):
-        return self.s.elements
-
-    @property
-    def bottom(self):
-        return self.s.bottom
-
-    def atoms(self) -> tuple:
-        return self.s.atoms()
 
     def serialize_key(self) -> tuple:
         """Exact-form key: the elements, the covers and the labels in
@@ -110,6 +94,16 @@ class MatroidScheme:
     def __repr__(self):
         top = max(self.rhos, default=0)
         return f"MatroidScheme({len(self.elements)} elements, max rho {top})"
+
+
+def _labelled(sp: SimplicialPoset, rhos, closure=None) -> MatroidScheme:
+    """The scheme on sp's poset and sizes with the labels ``rhos`` by
+    element index, and the closure map by element index when the caller
+    has one; nothing is checked: every caller certifies M1-M5."""
+    m = _ranked(sp.poset, sp.ranks, MatroidScheme)
+    m.rhos, m._closure = tuple(rhos), closure
+    m._flats_cache = m._independent = m._bases = m._tutte = None
+    return m
 
 
 def _less_than(values) -> list:
@@ -203,7 +197,7 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
         bad = lt[-1] & ~lt[r[i] + 1] & ~reach
         if bad:
             raise AxiomViolation("M5", (x, els[next(_bits(bad))]))
-    return MatroidScheme(sp, r, _checked=True)
+    return _labelled(sp, r)
 
 
 def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
@@ -220,8 +214,7 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
     ranks, so nothing else is stored."""
     kept = list(_bits(keep))
     rhos = m.rhos
-    return MatroidScheme(_convex(m.s, kept, SimplicialPoset),
-                         tuple(rhos[i] - shift for i in kept), _checked=True)
+    return _labelled(_convex(m, kept, SimplicialPoset), [rhos[i] - shift for i in kept])
 
 
 def scheme_rank(m: MatroidScheme) -> int:
@@ -297,7 +290,7 @@ def _independent_mask(m: MatroidScheme) -> int:
     """Bitmask of the elements x with rho(x) = |x| = rank(x); computed
     once per scheme."""
     if m._independent is None:
-        m._independent = sum(1 << i for i, (k, s) in enumerate(zip(m.rhos, m.s.ranks))
+        m._independent = sum(1 << i for i, (k, s) in enumerate(zip(m.rhos, m.ranks))
                              if k == s)
     return m._independent
 
@@ -409,7 +402,7 @@ def scheme_from_independence(sp: SimplicialPoset, ind) -> MatroidScheme:
     for x in p.order:
         if p.elements[x] not in ind:
             r[x] = max(r[c] for c in p.covers_dn[x])
-    return MatroidScheme(sp, tuple(r), _checked=True)
+    return _labelled(sp, r)
 
 
 # --- loops and isthmuses ---------------------------------------------------------
@@ -417,7 +410,7 @@ def scheme_from_independence(sp: SimplicialPoset, ind) -> MatroidScheme:
 def loops(m: MatroidScheme) -> frozenset:
     """Atoms of rank zero.  The two other characterizations of a loop are
     checked by the oracle in ``tests/derived_oracle.py``."""
-    return frozenset(e for e, k, r in zip(m.elements, m.s.ranks, m.rhos)
+    return frozenset(e for e, k, r in zip(m.elements, m.ranks, m.rhos)
                      if k == 1 and r == 0)
 
 
@@ -429,14 +422,14 @@ def isthmuses(m: MatroidScheme) -> frozenset:
     common = _full(p)
     for b in _bits(_bases_mask(m)):
         common &= p.below[b]
-    return frozenset(p._ids(common & _atoms(m.s.ranks)))
+    return frozenset(p._ids(common & _atoms(m.ranks)))
 
 
 def is_simple(m: MatroidScheme) -> bool:
     """Every atom is its own closure (a flat) with a nonzero label (not a loop)."""
     cl = _closure_map(m)
     rhos = m.rhos
-    return all(cl[a] == a and rhos[a] for a in _bits(_atoms(m.s.ranks)))
+    return all(cl[a] == a and rhos[a] for a in _bits(_atoms(m.ranks)))
 
 
 # --- deletion, contraction, restriction ---------------------------------------------
@@ -444,7 +437,7 @@ def is_simple(m: MatroidScheme) -> bool:
 def _atom_index(m: MatroidScheme, a) -> int:
     """The index of the atom a; any other id raises ``NotAnAtom``."""
     i = m.poset.index.get(a)
-    if i is None or m.s.ranks[i] != 1:
+    if i is None or m.ranks[i] != 1:
         raise NotAnAtom(f"{a!r} is not an atom")
     return i
 
@@ -471,11 +464,11 @@ def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
     for a in atom_set:
         kept |= 1 << _atom_index(m, a)
     p = m.poset
-    return _sub_scheme(m, _full(p) & ~_union(p.above, _atoms(m.s.ranks) & ~kept))
+    return _sub_scheme(m, _full(p) & ~_union(p.above, _atoms(m.ranks) & ~kept))
 
 
 # --- scheme isomorphism -----------------------------------------------------------
 
 def scheme_isomorphism(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
     """rho-preserving simplicial poset isomorphism, or None."""
-    return find_isomorphism(m1.s, m2.s, m1.rho, m2.rho)
+    return find_isomorphism(m1, m2, m1.rho, m2.rho)

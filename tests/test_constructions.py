@@ -123,6 +123,15 @@ def test_linear_matroid_dependencies():
     assert m2.rank[frozenset({"a", "b"})] == 1
 
 
+def test_linear_matroid_refuses_a_ragged_matrix():
+    """Rows of different lengths are refused with their lengths, as
+    ``files.load_matrix`` refuses them in a file, not cut to the shortest."""
+    for matrix, lengths in (([[1, 0, 1], [0, 1]], "[2, 3]"), ([[1], [0, 1, 1]], "[1, 3]")):
+        with pytest.raises(MalformedInput) as exc:
+            linear_matroid(matrix)
+        assert str(exc.value) == f"matrix rows differ in length {lengths}"
+
+
 def _seeded_matrices(rng, count):
     """Integer matrices of 1 to 4 rows and 0 to 9 columns, entries in
     [-3, 3]; about one in three gets a zero column and a column that is a
@@ -355,6 +364,13 @@ def test_group_validation():
     with pytest.raises(AxiomViolation):
         FiniteGroup(["e", "g"], {("e", "e"): "e", ("e", "g"): "g",
                                  ("g", "e"): "g", ("g", "g"): "g"})
+
+
+def test_cyclic_group_refuses_an_order_below_one():
+    for n in (0, -1):
+        with pytest.raises(MalformedInput, match=f"cyclic group Z{n} needs n >= 1"):
+            cyclic_group(n)
+    assert cyclic_group(1).elements == ("e",)
 
 
 def _seeded_group_tables(rng):

@@ -2,7 +2,8 @@
 module imports a name it never uses, every private module-level function
 or class is referenced somewhere in the package, and no internal check
 is an ``assert`` statement, which ``python -O`` strips, or a bare
-``raise AssertionError``, and the validating path (``build_poset``,
+``raise AssertionError``, and every scheme comes from ``scheme._labelled``
+alone, and the validating path (``build_poset``,
 ``compute_rank``, ``verify_simplicial``, ``validate_scheme``,
 ``validate_geometric``) is called only where the input carries no
 certificate, and only ``RankedPoset`` derives ranks, and no function
@@ -163,6 +164,29 @@ def test_ranks_are_derived_only_by_the_ranked_poset_constructor():
                for top in tree.body for node in ast.walk(top)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_graded"]
     assert callers == [("poset.py", "RankedPoset")], callers
+
+
+# the one builder of a scheme, and the closure's lazy filler
+CLOSURE_WRITERS = {("scheme.py", "_labelled"), ("scheme.py", "_closure_map")}
+
+
+def test_every_scheme_comes_from_the_one_builder():
+    """No package module calls ``MatroidScheme(...)``, whose constructor
+    raises: ``scheme._labelled`` builds every scheme, with the closure map
+    a construction already holds.  Only it and ``_closure_map``, which
+    fills the map on first read, assign ``_closure``."""
+    found = []
+    for name, tree in MODULES.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "MatroidScheme"):
+                    found.append(f"{name}:{node.lineno} {owner} calls MatroidScheme")
+                if (isinstance(node, ast.Attribute) and node.attr == "_closure"
+                        and isinstance(node.ctx, ast.Store) and (name, owner) not in CLOSURE_WRITERS):
+                    found.append(f"{name}:{node.lineno} {owner} assigns _closure")
+    assert not found, found
 
 
 def test_size_caps_live_in_the_library():

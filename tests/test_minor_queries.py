@@ -18,7 +18,6 @@ import pytest
 
 from mscheme import (
     InvariantBroken,
-    MatroidScheme,
     RankNotConstantOnMax,
     compute_rank,
     contract,
@@ -37,7 +36,7 @@ from mscheme.poset import (
     _mobius,
     characteristic_polynomial,
 )
-from mscheme.scheme import _closure_map
+from mscheme.scheme import _closure_map, _labelled
 from referees import (
     assert_bottom_is_the_minimum,
     assert_flats_match_the_reduction,
@@ -186,8 +185,8 @@ def test_closure_map_matches_the_maxima_transcription(corpus, nonpos):
             labels.append(m.rhos[:i] + (max(0, m.rhos[i] + rng.choice((-1, 1))),)
                           + m.rhos[i + 1:])
         for rhos in labels:
-            got = _outcome(_closure_map, MatroidScheme(m.s, rhos, _checked=True))
-            want = _outcome(_closure_by_maxima, MatroidScheme(m.s, rhos, _checked=True))
+            got = _outcome(_closure_map, _labelled(m, rhos))
+            want = _outcome(_closure_by_maxima, _labelled(m, rhos))
             assert got == want, (name, rhos)
             raised += isinstance(want, str)
             changed += rhos != m.rhos and not isinstance(want, str)
@@ -255,7 +254,7 @@ def test_extrema_from_cover_lists_match_the_mask_sweep(corpus, nonpos):
             rhos = list(minor.rhos)
             rhos[tops[-1]] += 1
             with pytest.raises(RankNotConstantOnMax) as exc:
-                scheme_rank(MatroidScheme(minor.s, tuple(rhos), _checked=True))
+                scheme_rank(_labelled(minor, tuple(rhos)))
             assert exc.value.witness == tuple((p.elements[i], rhos[i]) for i in tops), label
             varied += 1
     assert checked >= 1000 and varied >= 100, (checked, varied)

@@ -14,6 +14,7 @@ from mscheme import (
     GroupAction,
     LatticeCheck,
     LayersResult,
+    MatroidScheme,
     MschemeError,
     NonHasseCover,
     NotBoundedBelow,
@@ -253,13 +254,14 @@ def test_verify_simplicial_rejects_bowtie():
     assert exc.value.element == "u"
 
 
-def test_only_the_checkers_make_a_certified_poset(isth, notgeom_poset):
+def test_only_the_checkers_make_a_certified_poset(isth, notgeom_poset, corpus):
     """The poset 0 < a, b, c < t is ranked but not simplicial: t has three
-    atoms and a down-set of five.  Neither certified class has a public
-    constructor, and the functions that trust a certificate refuse a plain
-    ranked poset, so it reaches ``validate_scheme`` only through
-    ``verify_simplicial``, which refuses it at t.  A scheme's simplicial
-    poset is a ranked poset, so the isomorphism search takes it as it is."""
+    atoms and a down-set of five.  No certified class, the scheme included,
+    has a public constructor, and the functions that trust a certificate
+    refuse a plain ranked poset, so it reaches ``validate_scheme`` only
+    through ``verify_simplicial``, which refuses it at t.  A scheme is its
+    own simplicial poset, a ranked poset, so the isomorphism search takes
+    it as it is, and ``validate_scheme`` takes it back as the same scheme."""
     rp = compute_rank(build_poset(["0", "a", "b", "c", "t"],
                                   [("0", x) for x in "abc"] + [(x, "t") for x in "abc"]))
     for cls in (SimplicialPoset, GeometricPoset):
@@ -276,8 +278,18 @@ def test_only_the_checkers_make_a_certified_poset(isth, notgeom_poset):
     with pytest.raises(NotSimplicial) as exc:
         verify_simplicial(rp)
     assert exc.value.element == "t"
+    for args, kwargs in (((isth, isth.rhos), {}), ((isth.s, isth.rhos), {"_checked": True})):
+        with pytest.raises(TypeError, match="use validate_scheme"):
+            MatroidScheme(*args, **kwargs)
+    assert isinstance(isth, SimplicialPoset) and isth.s is isth
     assert isinstance(isth.s, RankedPoset)
     assert find_isomorphism(isth.s, isth.s) == {e: e for e in isth.elements}
+    checked = 0
+    for name, m in corpus.schemes():
+        if len(m.elements) <= 600:
+            assert validate_scheme(m.s, m.rho) == m, name
+            checked += 1
+    assert checked >= 100, checked
 
 
 def _set_verify_simplicial(rp):

@@ -42,7 +42,7 @@ from mscheme import (
     build_poset,
 )
 from mscheme.poset import Poset, _bits
-from mscheme.scheme import _independent_mask
+from mscheme.scheme import _independent_mask, _labelled
 
 import derived_oracle
 from derived_oracle import (NotALoop, _meet_of_joinable, check_derived_axioms,
@@ -124,7 +124,7 @@ def test_scheme_rank(isth, nonpos, loop_scheme):
 
 
 def test_scheme_rank_refuses_ranks_that_vary_on_max(isth):
-    broken = MatroidScheme(isth.s, _relabelled(isth, "u", 1), _checked=True)
+    broken = _labelled(isth, _relabelled(isth, "u", 1))
     with pytest.raises(RankNotConstantOnMax, match=r"\(\('u', 1\), \('v', 2\)\)"):
         scheme_rank(broken)
 
@@ -278,7 +278,7 @@ def test_derived_axioms_pass(isth, cw_l, cw_r, nonpos, qfix, qfix2):
 
 def test_derived_axioms_catch_corruption(isth):
     """A deliberately corrupted label must produce a failing report."""
-    broken = MatroidScheme(isth.s, _relabelled(isth, "u", 1), _checked=True)
+    broken = _labelled(isth, _relabelled(isth, "u", 1))
     report = check_derived_axioms(broken)
     assert not report.ok
 
@@ -304,7 +304,7 @@ def test_closure_and_meet_checks_raise_not_assert(isth):
     """Where uniqueness fails, closure and the meet of a joinable pair raise
     InvariantBroken, which check_derived_axioms reports as CL_STRUCTURE
     also under ``python -O``."""
-    level = MatroidScheme(isth.s, (0,) * len(isth.elements), _checked=True)
+    level = _labelled(isth, (0,) * len(isth.elements))
     with pytest.raises(InvariantBroken, match="closure of '0' not unique"):
         closure(level, "0")
     assert check_derived_axioms(level).failures()["CL_STRUCTURE"]
@@ -336,7 +336,7 @@ def test_bases_and_isthmuses_share_one_maximal_independent_mask(monkeypatch, cor
 
     monkeypatch.setattr(Poset, "maximal_of_mask", counted)
     for name, m in corpus.schemes():
-        fresh = MatroidScheme(m.s, m.rhos, _checked=True)
+        fresh = _labelled(m, m.rhos)
         p, ind = fresh.poset, _independent_mask(fresh)
         want_bases = frozenset(p.elements[i] for i in _bits(ind) if p.above[i] & ind == 1 << i)
         want_isthmuses = frozenset(a for a in fresh.atoms()
@@ -448,7 +448,7 @@ def test_check_loop_del_contr(loop_scheme, qfix2, isth):
 def test_loop_del_contr_checks_raise_not_assert(monkeypatch, loop_scheme, qfix2):
     """The three checks of check_loop_del_contr are explicit raises, so they
     hold under ``python -O``."""
-    relabelled = MatroidScheme(loop_scheme.s, (1, 0), _checked=True)  # "0": 1, "a": 0
+    relabelled = _labelled(loop_scheme, (1, 0))  # "0": 1, "a": 0
     with pytest.raises(InvariantBroken, match="rank preserving"):
         check_loop_del_contr(relabelled, "a")
     p = qfix2.poset

@@ -26,7 +26,7 @@ from mscheme import (
     verify_simplicial,
 )
 from mscheme.poset import _full, _mobius
-from mscheme.scheme import MatroidScheme, _sub_scheme
+from mscheme.scheme import _labelled, _sub_scheme
 from mscheme.tutte import _expand, _leaf_counts
 import referees
 from referees import (delcon_nodes, left_class, recursive_leaf_counts, shuffled,
@@ -360,7 +360,7 @@ def test_leaf_counts_match_the_recursive_transcription(corpus, nonpos, fixture_s
     uniform = [(f"U({r},{n})", scheme_from_matroid(uniform_matroid(r, n)))
                for r, n in ((5, 10), (4, 11))]
     variants = shuffled(corpus, random.Random(20260105))
-    raised = MatroidScheme(isth.s, (1,) + isth.rhos[1:], _checked=True)
+    raised = _labelled(isth, (1,) + isth.rhos[1:])
     for name, m in (corpus.schemes() + variants + left_class(nonpos) + uniform + fixtures
                     + [("isth with rho(0) = 1", raised)]):
         assert _leaf_counts(m) == recursive_leaf_counts(m), name
