@@ -73,8 +73,8 @@ def _fmt_witness(witness) -> str:
 def cmd_invariants(args) -> int:
     m = files.load_scheme(files.resolve_input(args.path))
     print(_echo(args))
-    lps = sorted(loops(m), key=m.poset.idx)
-    iths = sorted(isthmuses(m), key=m.poset.idx)
+    lps = sorted(loops(m), key=m.idx)
+    iths = sorted(isthmuses(m), key=m.idx)
     t_direct = tutte.tutte_direct(m)
     t_delcon = tutte.tutte_delcon(m)
     if t_direct != t_delcon:  # pragma: no cover - equality is a theorem

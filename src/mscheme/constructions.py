@@ -166,38 +166,49 @@ def uniform_matroid(r: int, n: int) -> Matroid:
                    [min(X.bit_count(), r) for X in range(1 << n)], _checked=True)
 
 
+def _extended(rows: tuple, v) -> tuple:
+    """The integer echelon rows ``rows``, (pivot, row) pairs, with the
+    residue of the vector v appended when one is left, divided by its
+    content and pivoted on its first nonzero entry.  v is reduced exactly
+    against each row in turn; every later row is zero at an earlier pivot,
+    so a cleared entry stays clear."""
+    for p, row in rows:
+        if v[p]:
+            a, b = row[p], v[p]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    if not any(v):
+        return rows
+    k = gcd(*v)
+    return rows + ((next(i for i, x in enumerate(v) if x), [x // k for x in v]),)
+
+
 def linear_matroid(matrix: list[list[int]], names=None) -> Matroid:
-    """Matroid of the columns of an integer matrix.  Its rank table is
-    filled in one walk up the subset masks: the top column t of X is
-    reduced exactly against integer echelon rows spanning X - t, each
-    divided by its content, and adds one to the rank of X - t, and its
-    residue as a row, when a residue is left; ``Matroid`` takes it
-    certified.  Rows of different lengths raise ``MalformedInput``, and
-    repeated names ``DuplicateIdentifier``."""
+    """Matroid of the columns of an integer matrix.  The matrix rows are
+    first reduced by ``_extended`` to an echelon basis of the row space,
+    at most one row per column: row operations keep the column matroid,
+    so the work below does not grow with the row count.  The rank table
+    is then filled in one walk up the subset masks: the rank of X is the
+    number of echelon rows that span its columns, those of X - t extended
+    by its top column t; ``Matroid`` takes it certified.  Rows of
+    different lengths raise ``MalformedInput``, and repeated names
+    ``DuplicateIdentifier``."""
     if len(lengths := {len(row) for row in matrix}) > 1:
         raise MalformedInput(f"matrix rows differ in length {sorted(lengths)}")
-    cols = list(zip(*matrix)) if matrix else []
-    n = len(cols)
+    n = len(matrix[0]) if matrix else 0
     _ground_set_cap(n)
     if names is None:
         names = [f"v{i}" for i in range(n)]
     if len(names) != n:
         raise AxiomViolation("R1", tuple(names), "column/name count mismatch")
-    table = [0] * (1 << n)
-    spans = [()] * (1 << n)  # per mask, (pivot, row) pairs spanning its columns
+    basis = ()
+    for row in matrix:
+        basis = _extended(basis, row)
+    cols = list(zip(*(row for _, row in basis))) or [()] * n  # a zero matrix has n loops
+    spans = [()] * (1 << n)  # per mask, echelon rows spanning its columns
     for X in range(1, 1 << n):
         top = X.bit_length() - 1
-        rest, v = X ^ 1 << top, cols[top]
-        for p, row in spans[rest]:
-            if v[p]:
-                a, b = row[p], v[p]
-                v = [a * x - b * y for x, y in zip(v, row)]
-        table[X], spans[X] = table[rest], spans[rest]
-        if any(v):
-            k = gcd(*v)
-            table[X] += 1
-            spans[X] += ((next(i for i, x in enumerate(v) if x), [x // k for x in v]),)
-    return Matroid(names, table, _checked=True)
+        spans[X] = _extended(spans[X ^ 1 << top], cols[top])
+    return Matroid(names, list(map(len, spans)), _checked=True)
 
 
 def _face_poset(masks: list, ids: list) -> SimplicialPoset:

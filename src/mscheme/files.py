@@ -27,6 +27,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import constructions, errors, toric
@@ -188,11 +191,11 @@ def load_scheme(path) -> MatroidScheme:
 
 
 def scheme_to_doc(m: MatroidScheme) -> dict:
-    return _poset_doc(m.poset, m.rhos)
+    return _poset_doc(m, m.rhos)
 
 
 def ranked_poset_to_doc(rp: RankedPoset) -> dict:
-    return _poset_doc(rp.poset, rp.ranks)
+    return _poset_doc(rp, rp.ranks)
 
 
 def _poset_doc(p: Poset, labels: tuple) -> dict:
@@ -261,7 +264,6 @@ def load_action(path,
     act = {(g, p): rows[i][j]
            for i, g in enumerate(group.elements) for j, p in enumerate(points)}
     if doc.get("cofinite") is not None:
-        import sys
         print("note: 'cofinite' flag ignored (automatic for finite data)",
               file=sys.stderr)
     return constructions.GroupAction(group, points, act)
@@ -269,17 +271,27 @@ def load_action(path,
 
 # --- arrangements and matrices ---------------------------------------------------------
 
+def _phase(value, path) -> Fraction:
+    """A character's phase.  ``Fraction`` builds 10^e in full for a decimal
+    exponent e, so an e past the interpreter's int digit limit in
+    magnitude (none when the limit is 0, or before Python 3.10.7, which
+    has no limit) is refused before it is built."""
+    text = str(value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exponent = re.search(r"e([-+]?\d[\d_]*)\s*\Z", text, re.IGNORECASE)
+    if limit and exponent and abs(int(exponent[1])) > limit:
+        raise MalformedInput(f"{path}: a phase exponent is past the int digit limit {limit}")
+    return Fraction(text)
+
+
 def load_arrangement(path) -> toric.ToricArrangement:
     """Any fault in n or a character, down to a duplicate or a bad entry, is MalformedInput."""
-    from fractions import Fraction
-
     doc = _load_json(path)
     n = _require(doc, "n", path)
     rows = _rows(_require(doc, "characters", path), path, "characters")
     try:
         arr = toric.ToricArrangement(_int(n, path, "n"), [
-            toric.Character(row["alpha"], Fraction(str(row["phase"])))
-            for row in rows])
+            toric.Character(row["alpha"], _phase(row["phase"], path)) for row in rows])
         for c in arr.characters:
             str(c.phase)  # ValueError past the interpreter's int digit limit
         return arr
@@ -329,7 +341,7 @@ def to_dot(rp: RankedPoset, labels: tuple) -> str:
         lines.append(f"  {{ rank=same; {' '.join(by_rank[r])} }}")
     for e, name, k in zip(rp.elements, names, labels):
         lines.append(f"  {name} [label={_quoted(f'{e} : {k}')}];")
-    for i, j in rp.poset.pairs:
+    for i, j in rp.pairs:
         lines.append(f"  {names[i]} -> {names[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -120,12 +120,11 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
     above A' in the whole poset.  3. So every A' of rank(x) + 1 atoms of
     A, inside bad(x), fails with y'.  The first witness is thus the one a
     sweep over every size, smallest first, names."""
-    p = rp.poset
-    els = p.elements
+    els = rp.elements
     r = rp.ranks
-    joinable = _joinable(p)
-    if not _g1_holds(p, r, joinable):
-        for mx in p.maximal_elements():  # G1, swept only to name the first witness
+    joinable = _joinable(rp)
+    if not _g1_holds(rp, r, joinable):
+        for mx in rp.maximal_elements():  # G1, swept only to name the first witness
             check = is_geometric_lattice(rp.interval(rp.bottom, mx))
             if not check:
                 raise AxiomViolation("G1", (mx, check.condition, check.witness))
@@ -134,8 +133,8 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
     atoms = _atoms(r)
     if atoms.bit_count() > atom_cap:
         raise AtomCapExceeded(atoms.bit_count(), atom_cap)
-    top_rank = max((r[i] for i in _maxima(p)), default=0)
-    above, below, level = p.above, p.below, _levels(r)
+    top_rank = max((r[i] for i in _maxima(rp)), default=0)
+    above, below, level = rp.above, rp.below, _levels(r)
     for i, x in enumerate(els):  # G2
         # a set meeting the atoms a with a not<= x and join(a, x) nonempty
         # satisfies G2 for x, so only sets of the other atoms can fail
@@ -150,7 +149,7 @@ def validate_geometric(rp: RankedPoset, atom_cap: int = DEFAULT_ATOM_CAP) -> Geo
                 for y in _bits(common & tops):
                     if below[y] & common == 1 << y:
                         raise AxiomViolation("G2", (x, frozenset(els[a] for a in A), els[y]))
-    return _ranked(p, r, GeometricPoset)
+    return _ranked(rp, r, GeometricPoset)
 
 
 def pair_id(atom_set, x) -> str:
@@ -248,9 +247,8 @@ def scheme_from_geometric(gp: GeometricPoset) -> MatroidScheme:
     hold "," or "|" can make two plain names agree."""
     if not isinstance(gp, GeometricPoset):
         raise TypeError("scheme_from_geometric takes a GeometricPoset (see validate_geometric)")
-    p = gp.poset
-    els = p.elements
-    pairs, covers, closure = _walk(p, _atoms(gp.ranks), p.order[0])
+    els = gp.elements
+    pairs, covers, closure = _walk(gp, _atoms(gp.ranks), gp.order[0])
     ids = [pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
     if len(set(ids)) != len(ids):
         ids = [_escaped_pair_id([els[a] for a in _bits(I)], els[x]) for I, x in pairs]
@@ -284,19 +282,18 @@ def check_uniqueness(m1: MatroidScheme, m2: MatroidScheme) -> dict | None:
         if not is_simple(m):
             raise NotSimple(f"{m!r} is not simple")
     f1, f2 = flats(m1), flats(m2)
-    p1, p2 = m1.poset, m2.poset
     cl1, atoms1, atoms2 = _closure_map(m1), _atoms(m1.ranks), _atoms(m2.ranks)
-    element = {(dn & atoms2, c): v for v, (dn, c) in enumerate(zip(p2.below, _closure_map(m2)))}
-    covers2 = set(p2.pairs)
+    element = {(dn & atoms2, c): v for v, (dn, c) in enumerate(zip(m2.below, _closure_map(m2)))}
+    covers2 = set(m2.pairs)
     phi = None
     for phi in iter_isomorphisms(f1, f2):
-        img = {p1.index[a]: p2.index[b] for a, b in phi.items()}
+        img = {m1.index[a]: m2.index[b] for a, b in phi.items()}
         psi = [element.get((sum(1 << img[a] for a in _bits(dn & atoms1)), img[cl1[x]]))
-               for x, dn in enumerate(p1.below)]
-        if (None not in psi and len(set(psi)) == len(psi) == len(p2)
+               for x, dn in enumerate(m1.below)]
+        if (None not in psi and len(set(psi)) == len(psi) == len(m2)
                 and all(k == m2.rhos[v] for k, v in zip(m1.rhos, psi))
-                and {(psi[a], psi[b]) for a, b in p1.pairs} == covers2):
-            return {e: p2.elements[v] for e, v in zip(p1.elements, psi)}
+                and {(psi[a], psi[b]) for a, b in m1.pairs} == covers2):
+            return {e: m2.elements[v] for e, v in zip(m1.elements, psi)}
     if phi is None:  # the search found no flats isomorphism
         return None
     raise InvariantBroken("flats posets isomorphic but no lift verified")

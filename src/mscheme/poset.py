@@ -314,13 +314,21 @@ def _certified(elements, pairs, ranks, cls) -> "RankedPoset":
     return _ranked(p, ranks, cls)
 
 
-def _ranked(p: Poset, ranks: tuple, cls) -> "RankedPoset":
-    """The ``cls`` (``RankedPoset`` or a certified subclass) on p with the
-    ranks by element index that the caller certifies; nothing is checked,
-    and ``__new__`` passes by the subclasses' constructors, which raise."""
-    rp = cls.__new__(cls)
-    rp.poset, rp.ranks = p, ranks
+def _share(rp: "RankedPoset", p: Poset, ranks: tuple) -> "RankedPoset":
+    """rp, given p's tables (the slots of ``Poset``), shared by reference
+    and never copied, and the ranks by element index."""
+    for name in Poset.__slots__:
+        setattr(rp, name, getattr(p, name))
+    rp.ranks = ranks
     return rp
+
+
+def _ranked(p: Poset, ranks: tuple, cls) -> "RankedPoset":
+    """The ``cls`` (``RankedPoset`` or a certified subclass) on p's tables
+    (``_share``) with the ranks that the caller certifies; nothing is
+    checked, and ``__new__`` passes by the subclasses' constructors,
+    which raise."""
+    return _share(cls.__new__(cls), p, ranks)
 
 
 def _induced(p: Poset, kept: list) -> Poset:
@@ -357,7 +365,7 @@ def _convex(rp: "RankedPoset", kept: list, cls) -> "RankedPoset":
     ``NotBoundedBelow(())``."""
     if not kept:
         raise NotBoundedBelow(())
-    sub = _induced(rp.poset, kept)
+    sub = _induced(rp, kept)
     ranks = rp.ranks
     base = ranks[kept[sub.order[0]]]
     return _ranked(sub, tuple(ranks[i] - base for i in kept), cls)
@@ -365,31 +373,32 @@ def _convex(rp: "RankedPoset", kept: list, cls) -> "RankedPoset":
 
 # --- ranked posets -----------------------------------------------------------
 
-class RankedPoset:
+class RankedPoset(Poset):
     """A bounded-below poset with a rank function: rank(bottom) = 0 and every
-    cover raises rank by exactly one.  ``ranks[i]`` is the rank of element
-    i; ``rank`` reads it by id.  The ranks are derived by ``_graded``.
-    Its certified subclasses add a property; ``MatroidScheme`` adds its
-    labels too."""
+    cover raises rank by exactly one.  It is a ``Poset`` whose tables are
+    those of the poset it was built on, shared, not copied (``_share``).
+    ``ranks[i]`` is the rank of element i; ``rank`` reads it by id.  The
+    ranks are derived by ``_graded``.  Its certified subclasses add a
+    property; ``MatroidScheme`` adds its labels too."""
 
-    __slots__ = ("poset", "ranks")
+    __slots__ = ("ranks",)
 
     def __init__(self, poset: Poset):
-        self.poset = poset
-        self.ranks = _graded(poset)
+        _share(self, poset, _graded(poset))
+
+    @property
+    def poset(self) -> "RankedPoset":
+        """Itself, its own poset: an alias kept for callers outside the package."""
+        return self
 
     @property
     def bottom(self):
         """The minimum: the first element of the linear extension."""
-        return self.poset.elements[self.poset.order[0]]
+        return self.elements[self.order[0]]
 
     @property
     def rank(self) -> LabelView:
-        return LabelView(self.poset.index, self.ranks)
-
-    @property
-    def elements(self):
-        return self.poset.elements
+        return LabelView(self.index, self.ranks)
 
     def atoms(self) -> tuple:
         return tuple(e for e, k in zip(self.elements, self.ranks) if k == 1)
@@ -400,8 +409,8 @@ class RankedPoset:
     def interval(self, lo, hi) -> "RankedPoset":
         """Closed interval [lo, hi] re-ranked to start at 0; lo not below
         hi raises ``NotBoundedBelow``."""
-        p = self.poset
-        return _convex(self, list(_bits(p.above[p.idx(lo)] & p.below[p.idx(hi)])), RankedPoset)
+        a, b = self.idx(lo), self.idx(hi)
+        return _convex(self, list(_bits(self.above[a] & self.below[b])), RankedPoset)
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self.elements)} elements, max rank {self.max_rank()})"
@@ -449,9 +458,9 @@ class SimplicialPoset(RankedPoset):
     """A ranked poset whose every down-set is a Boolean lattice on its
     atoms, so the rank of an element is its number of atoms, its size |x|;
     where a mask is needed, the atoms below element i are derived as
-    ``below[i] & _atoms(ranks)``.  Only ``verify_simplicial`` and the
-    certified builders ``_certified`` and ``_convex`` make one, and
-    ``scheme._labelled`` makes its labelled subclass ``MatroidScheme``."""
+    ``below[i] & _atoms(ranks)``.  Only ``verify_simplicial``, ``_certified``
+    and ``_convex`` make one, by ``_ranked`` on the tables they checked or
+    built; ``scheme._labelled`` makes its labelled subclass the same way."""
 
     __slots__ = ()
 
@@ -471,18 +480,17 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
     up-sets seen per atom set marks every such x, in time linear in the
     number of elements.  Elements are checked in declaration order, each
     against rank, then size, then that mark; the atom sets are not kept."""
-    p = rp.poset
-    els = p.elements
+    els = rp.elements
     rank = rp.ranks
     atoms = _atoms(rank)
-    support = tuple(down & atoms for down in p.below)
+    support = tuple(down & atoms for down in rp.below)
     seen = {}  # atom set -> OR of the up-sets of the elements with it
     clash = 0
-    for s, up in zip(support, p.above):
+    for s, up in zip(support, rp.above):
         prev = seen.get(s, 0)
         clash |= up & prev
         seen[s] = prev | up
-    for i, (x, down) in enumerate(zip(els, p.below)):
+    for i, (x, down) in enumerate(zip(els, rp.below)):
         k = support[i].bit_count()
         if rank[i] != k:
             raise NotSimplicial(x, f"rank {rank[i]} != {k} atoms below")
@@ -490,7 +498,7 @@ def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:
             raise NotSimplicial(x, f"|down-set| = {down.bit_count()} != 2^{k}")
         if clash >> i & 1:
             raise NotSimplicial(x, "two elements share the same atom set")
-    return _ranked(p, rank, SimplicialPoset)
+    return _ranked(rp, rank, SimplicialPoset)
 
 
 # --- Möbius function and characteristic polynomial ----------------------------
@@ -519,7 +527,7 @@ def mobius(rp: RankedPoset) -> dict:
     """The Moebius function of ``_mobius`` by id; the dict lists the
     elements by rank, then in declaration order."""
     els = rp.elements
-    mu = _mobius(rp.poset)
+    mu = _mobius(rp)
     return {els[i]: mu[i] for i in sorted(range(len(els)), key=rp.ranks.__getitem__)}
 
 
@@ -535,7 +543,7 @@ def _top_value(p: Poset, values) -> int:
 def _characteristic(rp: RankedPoset, mu: list) -> polynomials.UnivariatePolynomial:
     """Sum of mu[i] * t^(max_rank - ranks[i]) over the Moebius values
     ``mu`` by element index; requires rank constant on maximal elements."""
-    top_rank = _top_value(rp.poset, rp.ranks)
+    top_rank = _top_value(rp, rp.ranks)
     coeffs: dict[int, int] = {}
     for m, k in zip(mu, rp.ranks):
         coeffs[top_rank - k] = coeffs.get(top_rank - k, 0) + m
@@ -545,7 +553,7 @@ def _characteristic(rp: RankedPoset, mu: list) -> polynomials.UnivariatePolynomi
 def characteristic_polynomial(rp: RankedPoset) -> polynomials.UnivariatePolynomial:
     """Sum of mu(w) * t^(max_rank - rank(w)); requires rank constant on
     maximal elements."""
-    return _characteristic(rp, _mobius(rp.poset))
+    return _characteristic(rp, _mobius(rp))
 
 
 # --- geometric lattice recognition ---------------------------------------------
@@ -562,13 +570,12 @@ class LatticeCheck(namedtuple("LatticeCheck", "ok condition witness", defaults=(
 
 def is_geometric_lattice(rp: RankedPoset) -> LatticeCheck:
     """True iff the ranked poset is a lattice, semimodular and atomic."""
-    p = rp.poset
-    els = p.elements
+    els = rp.elements
     r = rp.ranks
     pairs = []  # (i, j, join, meet) as indices
     for i, j in itertools.combinations(range(len(els)), 2):
-        join = p.minimal_of_mask(p.above[i] & p.above[j])
-        meet = p.maximal_of_mask(p.below[i] & p.below[j])
+        join = rp.minimal_of_mask(rp.above[i] & rp.above[j])
+        meet = rp.maximal_of_mask(rp.below[i] & rp.below[j])
         for kind, m in (("join", join), ("meet", meet)):
             if m.bit_count() != 1:
                 return LatticeCheck(False, "lattice", (els[i], els[j], kind))
@@ -578,10 +585,10 @@ def is_geometric_lattice(rp: RankedPoset) -> LatticeCheck:
             return LatticeCheck(False, "semimodular", (els[i], els[j]))
     atoms = _atoms(r)
     for i, x in enumerate(els):
-        common = _full(p)
-        for a in _bits(p.below[i] & atoms):
-            common &= p.above[a]
-        if p.minimal_of_mask(common) != 1 << i:
+        common = _full(rp)
+        for a in _bits(rp.below[i] & atoms):
+            common &= rp.above[a]
+        if rp.minimal_of_mask(common) != 1 << i:
             return LatticeCheck(False, "atomic", (x,))
     return LatticeCheck(True)
 
@@ -613,9 +620,8 @@ def iter_isomorphisms(p: RankedPoset, q: RankedPoset,
     Only dead branches are cut, so the isomorphisms and their order do not
     change.  The search keeps its own stack, so deep posets do not meet
     the recursion limit."""
-    pp, qq = p.poset, q.poset
-    n = len(pp)
-    if n != len(qq):
+    n = len(p)
+    if n != len(q):
         return
     p_sig, q_sig = _signatures(p, p_labels), _signatures(q, q_labels)
     if Counter(p_sig) != Counter(q_sig):
@@ -624,8 +630,8 @@ def iter_isomorphisms(p: RankedPoset, q: RankedPoset,
     for f, s in enumerate(q_sig):
         q_class[s] = q_class.get(s, 0) | 1 << f
 
-    p_els, q_els, p_dn = pp.elements, qq.elements, pp.covers_dn
-    q_up = [sum(1 << f for f in c) for c in qq.covers_up]
+    p_els, q_els, p_dn = p.elements, q.elements, p.covers_dn
+    q_up = [sum(1 << f for f in c) for c in q.covers_up]
     order = sorted(range(n), key=p.ranks.__getitem__)
     phi = [-1] * n
     depth = sorted(range(n), key=order.__getitem__)  # the inverse of order
@@ -667,11 +673,10 @@ def iter_isomorphisms(p: RankedPoset, q: RankedPoset,
 def _signatures(rp: RankedPoset, labels: Mapping | None) -> list:
     """Per index: (rank, label, lower covers, upper covers, down-set size,
     up-set size)."""
-    p = rp.poset
     labels = labels or {}
     return [(k, labels.get(e), len(dn), len(up), below.bit_count(), above.bit_count())
             for e, k, dn, up, below, above
-            in zip(p.elements, rp.ranks, p.covers_dn, p.covers_up, p.below, p.above)]
+            in zip(rp.elements, rp.ranks, rp.covers_dn, rp.covers_up, rp.below, rp.above)]
 
 
 def find_isomorphism(p: RankedPoset, q: RankedPoset,

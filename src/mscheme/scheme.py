@@ -78,12 +78,12 @@ class MatroidScheme(SimplicialPoset):
 
     @property
     def rho(self) -> LabelView:
-        return LabelView(self.poset.index, self.rhos)
+        return LabelView(self.index, self.rhos)
 
     def serialize_key(self) -> tuple:
         """Exact-form key: the elements, the covers and the labels in
         declaration order, the data ``==`` compares; ``hash`` reads it."""
-        return self.elements, self.poset.covers, self.rhos
+        return self.elements, self.covers, self.rhos
 
     def __eq__(self, other):
         return isinstance(other, MatroidScheme) and self.serialize_key() == other.serialize_key()
@@ -97,10 +97,10 @@ class MatroidScheme(SimplicialPoset):
 
 
 def _labelled(sp: SimplicialPoset, rhos, closure=None) -> MatroidScheme:
-    """The scheme on sp's poset and sizes with the labels ``rhos`` by
+    """The scheme on sp's tables and sizes with the labels ``rhos`` by
     element index, and the closure map by element index when the caller
     has one; nothing is checked: every caller certifies M1-M5."""
-    m = _ranked(sp.poset, sp.ranks, MatroidScheme)
+    m = _ranked(sp, sp.ranks, MatroidScheme)
     m.rhos, m._closure = tuple(rhos), closure
     m._flats_cache = m._independent = m._bases = m._tutte = None
     return m
@@ -143,12 +143,11 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
     first violation in axiom order with a deterministic witness."""
     if not isinstance(sp, SimplicialPoset):
         raise TypeError("validate_scheme takes a SimplicialPoset (see verify_simplicial)")
-    p = sp.poset
-    els = p.elements
+    els = sp.elements
     r = tuple(map(rho.get, els))
     if None in r:
         raise UnknownIdentifier(f"rho undefined on {els[r.index(None)]!r}")
-    above, below = p.above, p.below
+    above, below = sp.above, sp.below
     size = sp.ranks
     for i, x in enumerate(els):  # M1
         if not 0 <= r[i] <= size[i]:
@@ -158,9 +157,9 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
         bad = above[i] & lt[r[i]]
         if bad:
             raise AxiomViolation("M2", (x, els[next(_bits(bad))]))
-    joinable = _joinable(p)
+    joinable = _joinable(sp)
     sized = _levels(size)
-    if not _diamonds_hold(p, r, size, sized):
+    if not _diamonds_hold(sp, r, size, sized):
         for i, x in enumerate(els):  # M3, swept only to name the first witness
             for j in _bits(joinable[i] >> (i + 1) << (i + 1)):
                 # in a simplicial poset a joinable pair has one meet m, whose
@@ -176,9 +175,9 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
     # By M2, rho is constant on every chain from such an l up to x, so one
     # sweep up the linear extension reads it from x's lower covers
     same_up = [0] * len(els)
-    for x in p.order:
+    for x in sp.order:
         up, rx = above[x], r[x]
-        for c in p.covers_dn[x]:
+        for c in sp.covers_dn[x]:
             if r[c] == rx:
                 up |= same_up[c]
         same_up[x] = up
@@ -188,7 +187,7 @@ def validate_scheme(sp: SimplicialPoset, rho) -> MatroidScheme:
             # by M2, one l in `same` below y puts a maximal common lower bound there
             same = below[i] & lt[r[i] + 1] & ~lt[r[i]]
             j = next(_bits(bad))
-            meet = p.maximal_of_mask(below[i] & below[j]) & same
+            meet = sp.maximal_of_mask(below[i] & below[j]) & same
             raise AxiomViolation("M4", (x, els[j], els[next(_bits(meet))]))
     del same_up  # freed before M5's masks are built
     atoms = _atoms(sp.ranks)
@@ -219,20 +218,18 @@ def _sub_scheme(m: MatroidScheme, keep: int, shift: int = 0) -> MatroidScheme:
 
 def scheme_rank(m: MatroidScheme) -> int:
     """rho of any maximal element; ``RankNotConstantOnMax`` if it varies."""
-    return _top_value(m.poset, m.rhos)
+    return _top_value(m, m.rhos)
 
 
 def localization(m: MatroidScheme, x) -> MatroidScheme:
     """The matroid on the Boolean down-set of x with the restricted labels."""
-    p = m.poset
-    return _sub_scheme(m, p.below[p.idx(x)])
+    return _sub_scheme(m, m.below[m.idx(x)])
 
 
 def closure(m: MatroidScheme, x):
     """The unique maximal element above x with the same rho (a theorem for
     valid schemes; ``InvariantBroken`` otherwise)."""
-    p = m.poset
-    return p.elements[_closure_map(m)[p.idx(x)]]
+    return m.elements[_closure_map(m)[m.idx(x)]]
 
 
 def _closure_map(m: MatroidScheme) -> list:
@@ -241,19 +238,18 @@ def _closure_map(m: MatroidScheme) -> list:
     element above with that rho) passes when one mask test finds it their
     maximum; else their maximal elements are listed, naming the first failure."""
     if m._closure is None:
-        p = m.poset
         els = m.elements
         r = m.rhos
         lt = _less_than(r)
         cl = list(range(len(els)))
-        for i in reversed(p.order):
-            cl[i] = next((cl[j] for j in p.covers_up[i] if r[j] == r[i]), i)
-        for i, up in enumerate(p.above):
+        for i in reversed(m.order):
+            cl[i] = next((cl[j] for j in m.covers_up[i] if r[j] == r[i]), i)
+        for i, up in enumerate(m.above):
             same = up & lt[r[i] + 1] & ~lt[r[i]]
-            if same & ~p.below[cl[i]]:
-                top = p.maximal_of_mask(same)
+            if same & ~m.below[cl[i]]:
+                top = m.maximal_of_mask(same)
                 if top & (top - 1):
-                    raise InvariantBroken(f"closure of {els[i]!r} not unique: {p._ids(top)}")
+                    raise InvariantBroken(f"closure of {els[i]!r} not unique: {m._ids(top)}")
                 cl[i] = top.bit_length() - 1
         m._closure = cl
     return m._closure
@@ -275,14 +271,13 @@ def flats(m: MatroidScheme) -> RankedPoset:
     pass to ideals and filters, so this holds on every minor, contractions
     that fail M5 included."""
     if m._flats_cache is None:
-        p = m.poset
         cl = _closure_map(m)
         keep = sum(1 << i for i, c in enumerate(cl) if c == i)
         new = {i: k for k, i in enumerate(_bits(keep))}
         # renumbering the kept indices in order keeps the row-major cover order
         pairs = [(k, new[j]) for i, k in new.items()
-                 for j in sorted({cl[c] for c in p.covers_up[i]})]
-        m._flats_cache = _certified(p._ids(keep), pairs, [m.rhos[i] for i in new], RankedPoset)
+                 for j in sorted({cl[c] for c in m.covers_up[i]})]
+        m._flats_cache = _certified(m._ids(keep), pairs, [m.rhos[i] for i in new], RankedPoset)
     return m._flats_cache
 
 
@@ -299,23 +294,22 @@ def _bases_mask(m: MatroidScheme) -> int:
     """Bitmask of the maximal independent elements; computed once per
     scheme."""
     if m._bases is None:
-        m._bases = m.poset.maximal_of_mask(_independent_mask(m))
+        m._bases = m.maximal_of_mask(_independent_mask(m))
     return m._bases
 
 
 def independence(m: MatroidScheme) -> frozenset:
-    return frozenset(m.poset._ids(_independent_mask(m)))
+    return frozenset(m._ids(_independent_mask(m)))
 
 
 def bases(m: MatroidScheme) -> frozenset:
     """Maximal independent elements."""
-    return frozenset(m.poset._ids(_bases_mask(m)))
+    return frozenset(m._ids(_bases_mask(m)))
 
 
 def circuits(m: MatroidScheme) -> frozenset:
     """Minimal dependent elements."""
-    p = m.poset
-    return frozenset(p._ids(p.minimal_of_mask(_full(p) & ~_independent_mask(m))))
+    return frozenset(m._ids(m.minimal_of_mask(_full(m) & ~_independent_mask(m))))
 
 
 # --- independence cryptomorphism ------------------------------------------------
@@ -326,15 +320,14 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
     if not isinstance(sp, SimplicialPoset):
         raise TypeError("validate_independence takes a SimplicialPoset (see verify_simplicial)")
     ind = dict.fromkeys(ind)  # a set in the order given
-    p = sp.poset
-    els = p.elements
+    els = sp.elements
     for x in ind:
-        if x not in p.index:
+        if x not in sp.index:
             raise UnknownIdentifier(f"unknown element {x!r} in independence set")
     if not ind:
         raise AxiomViolation("I1", ())
-    above, below = p.above, p.below
-    ind_mask = sum(1 << p.index[x] for x in ind)
+    above, below = sp.above, sp.below
+    ind_mask = sum(1 << sp.index[x] for x in ind)
     for j in _bits(ind_mask):  # I2
         bad = below[j] & ~ind_mask
         if bad:
@@ -342,16 +335,16 @@ def validate_independence(sp: SimplicialPoset, ind) -> None:
     size = sp.ranks
     atoms = _atoms(size)
     lt = _less_than(size)
-    joinable = _joinable(p)
+    joinable = _joinable(sp)
     for i in _bits(ind_mask):  # I3
         # the atoms a not below x whose (nonempty) join with x is independent
         inside = sum(1 << a for a in _bits(atoms & ~below[i] & joinable[i])
-                     if not p.minimal_of_mask(above[i] & above[a]) & ~ind_mask)
+                     if not sp.minimal_of_mask(above[i] & above[a]) & ~ind_mask)
         bad = ind_mask & ~lt[size[i] + 1] & ~_union(above, inside)
         if bad:
             raise AxiomViolation("I3", (els[i], els[next(_bits(bad))]))
     for i, x in enumerate(els):  # I4
-        tops = p.maximal_of_mask(below[i] & ind_mask)
+        tops = sp.maximal_of_mask(below[i] & ind_mask)
         bad = _union(above, tops) & ~joinable[i]
         if bad:
             j = next(_bits(bad))
@@ -397,11 +390,10 @@ def scheme_from_independence(sp: SimplicialPoset, ind) -> MatroidScheme:
     ind = tuple(ind)
     validate_independence(sp, ind)
     ind = frozenset(ind)
-    p = sp.poset
     r = list(sp.ranks)
-    for x in p.order:
-        if p.elements[x] not in ind:
-            r[x] = max(r[c] for c in p.covers_dn[x])
+    for x in sp.order:
+        if sp.elements[x] not in ind:
+            r[x] = max(r[c] for c in sp.covers_dn[x])
     return _labelled(sp, r)
 
 
@@ -418,11 +410,10 @@ def isthmuses(m: MatroidScheme) -> frozenset:
     """Atoms below every basis: the atoms of the meet of their down-sets.
     The two other characterizations of an isthmus are checked by the
     oracle in ``tests/derived_oracle.py``."""
-    p = m.poset
-    common = _full(p)
+    common = _full(m)
     for b in _bits(_bases_mask(m)):
-        common &= p.below[b]
-    return frozenset(p._ids(common & _atoms(m.ranks)))
+        common &= m.below[b]
+    return frozenset(m._ids(common & _atoms(m.ranks)))
 
 
 def is_simple(m: MatroidScheme) -> bool:
@@ -436,7 +427,7 @@ def is_simple(m: MatroidScheme) -> bool:
 
 def _atom_index(m: MatroidScheme, a) -> int:
     """The index of the atom a; any other id raises ``NotAnAtom``."""
-    i = m.poset.index.get(a)
+    i = m.index.get(a)
     if i is None or m.ranks[i] != 1:
         raise NotAnAtom(f"{a!r} is not an atom")
     return i
@@ -445,15 +436,14 @@ def _atom_index(m: MatroidScheme, a) -> int:
 def delete(m: MatroidScheme, a) -> MatroidScheme:
     """Scheme on the elements not above the atom a (its rank is one less
     exactly when a is an isthmus)."""
-    p = m.poset
-    return _sub_scheme(m, _full(p) & ~p.above[_atom_index(m, a)])
+    return _sub_scheme(m, _full(m) & ~m.above[_atom_index(m, a)])
 
 
 def contract(m: MatroidScheme, x) -> MatroidScheme:
     """Scheme on the up-set of x, re-rooted at x, with rho shifted down by
     rho(x); original identifiers are kept."""
-    i = m.poset.idx(x)
-    return _sub_scheme(m, m.poset.above[i], m.rhos[i])
+    i = m.idx(x)
+    return _sub_scheme(m, m.above[i], m.rhos[i])
 
 
 def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
@@ -463,8 +453,7 @@ def restrict(m: MatroidScheme, atom_set) -> MatroidScheme:
     kept = 0
     for a in atom_set:
         kept |= 1 << _atom_index(m, a)
-    p = m.poset
-    return _sub_scheme(m, _full(p) & ~_union(p.above, _atoms(m.ranks) & ~kept))
+    return _sub_scheme(m, _full(m) & ~_union(m.above, _atoms(m.ranks) & ~kept))
 
 
 # --- scheme isomorphism -----------------------------------------------------------

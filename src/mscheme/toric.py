@@ -648,8 +648,8 @@ def verify_thm_arr(arr: ToricArrangement, c: Character, layer: Layer) -> ThmArrR
     direct = iso_restr is not None
     if not direct:
         # layer-poset comparison: sublayers of the hypersurface, re-ranked
-        fp = full.geometric.poset
-        sub = _convex(full.geometric, list(_bits(fp.above[fp.idx(atom_layer)])), RankedPoset)
+        gp = full.geometric
+        sub = _convex(gp, list(_bits(gp.above[gp.idx(atom_layer)])), RankedPoset)
         iso_restr = find_isomorphism(restricted.geometric, sub)
 
     local_scheme = constructions.scheme_from_matroid(local_arr)

@@ -125,12 +125,11 @@ def _leaf_counts(m: MatroidScheme) -> dict:
     its leaves {x} and {z}, at (i + r - rho(x), j) and (i + r - rho(z),
     j + 1 - (rho(z) - base)).  No label is assumed to be 0: the root's
     base is 0 whatever its bottom's label."""
-    p = m.poset
-    rho, above = m.rhos, p.above
-    up = [sum(1 << k for k in c) for c in p.covers_up]
+    rho, above = m.rhos, m.above
+    up = [sum(1 << k for k in c) for c in m.covers_up]
     lt = _less_than(rho)
     counts: dict[tuple[int, int], int] = {}
-    stack = [(_full(p), p.order[0], 0, 0, 0, max(rho))]
+    stack = [(_full(m), m.order[0], 0, 0, 0, max(rho))]
     while stack:
         mask, x, base, i, j, r = stack.pop()
         rest = mask & (mask - 1)  # mask without its lowest bit
@@ -158,11 +157,11 @@ def charpoly_identity(m: MatroidScheme) -> UnivariatePolynomial:
     Moebius values must match the signed count of elements closing to each
     flat (``InvariantBroken`` otherwise).  The flats' Moebius function is
     swept once, by index, for both checks.  Requires a loopless scheme."""
-    lps = sorted(loops(m), key=m.poset.idx)
+    lps = sorted(loops(m), key=m.idx)
     if lps:
         raise HasLoops(lps)
     fl = flats(m)
-    mu = _mobius(fl.poset)
+    mu = _mobius(fl)
     chi_mobius = _characteristic(fl, mu)
     rk = scheme_rank(m)
     t = tutte_direct(m)
@@ -173,7 +172,7 @@ def charpoly_identity(m: MatroidScheme) -> UnivariatePolynomial:
     signed = [0] * len(cl)
     for c, s in zip(cl, m.ranks):
         signed[c] += -1 if s & 1 else 1
-    index = m.poset.index
+    index = m.index
     for w, mu_w in zip(fl.elements, mu):
         count = signed[index[w]]
         if count != mu_w:

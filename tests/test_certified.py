@@ -165,7 +165,7 @@ def test_layer_posets_pass_g1_and_g2(corpus):
         gp = layers_poset(arr).geometric
         checked = validate_geometric(gp)
         assert isinstance(gp, GeometricPoset), arr
-        assert checked.poset is gp.poset and checked.ranks == gp.ranks, arr
+        assert checked.above is gp.above and checked.ranks == gp.ranks, arr
         assert _validated(gp.elements, gp.poset.covers, False).ranks == gp.ranks, arr
 
 

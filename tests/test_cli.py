@@ -347,6 +347,24 @@ def test_construct_toric_phase_past_the_int_digit_limit_is_no_traceback(tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["arr0.json", "arr1.json"]
 
 
+def test_construct_toric_phase_exponent_past_the_int_digit_limit_is_refused_first(tmp_path):
+    """A phase of 1e100000000 is a 70-byte file, but ``Fraction`` would build
+    10^100000000 in full.  Its exponent passes the int digit limit, so it is
+    an input error (exit 2) before any number is built, well inside the
+    timeout, and nothing is written."""
+    path = tmp_path / "far.json"
+    files.dump_doc({"n": 1, "characters": [{"alpha": [1], "phase": "1e100000000"}]}, path)
+    run = subprocess.run(
+        [sys.executable, "-m", "mscheme.cli", "construct", "toric", str(path),
+         "--out", str(tmp_path / "o.json")],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+        cwd=Path(mscheme.__file__).parents[1])
+    assert run.returncode == 2 and "Traceback" not in run.stderr, run.stderr
+    assert "input error: " in run.stderr and "exponent" in run.stderr, run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json"]
+
+
 def test_construct_quotient(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, "construct", "quotient",

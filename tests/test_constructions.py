@@ -40,6 +40,7 @@ from mscheme.constructions import _rank_steps_hold, set_id
 from mscheme.tutte import _expand
 
 from generators import dowling_inputs, translative_complexes
+from grid_oracle import _rational_rank
 from referees import (action_table_verdict, dowling_by_ids, down_set, group_table_verdict,
                       linear_rank_table, quotient_subset_identities, uniform_rank_table)
 
@@ -177,6 +178,27 @@ def test_rank_tables_match_the_referees():
         for r in range(n + 1):
             table = uniform_matroid(r, n).rank_table
             assert table == tuple(uniform_rank_table(r, n)) and _rank_axioms_hold(table), (r, n)
+
+
+def test_a_tall_matrix_ranks_every_subset_of_its_columns():
+    """``linear_matroid`` reduces many more rows than columns to an echelon
+    basis of the row space before its subset walk; every subset still gets
+    the rank of its columns eliminated over the rationals, on a full-rank,
+    a rank-deficient, a random and a zero matrix alike.  The first rows
+    are zero, so no leading square block holds the rank."""
+    rng = random.Random(20261022)
+    full = [[0] * 6] * 8 + [[(i * (j + 1) ** 2 + i // (j + 1)) % 13 - 6 for j in range(6)]
+                            for i in range(40)]
+    deficient = [[a, b, a + 2 * b, 0, c, -3 * c] for a, b, c, *_ in full]
+    noisy = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(6)] for _ in range(48)]
+    zero = [[0] * 5 for _ in range(48)]
+    for matrix, rank in ((full, 6), (deficient, 3), (noisy, None), (zero, 0)):
+        n = len(matrix[0])
+        table = linear_matroid(matrix).rank_table
+        assert len(table) == 1 << n and rank in (None, table[-1]), table[-1]
+        for X in range(1 << n):
+            cols = [j for j in range(n) if X >> j & 1]
+            assert table[X] == _rational_rank([[row[j] for j in cols] for row in matrix]), X
 
 
 def test_matroid_from_a_rank_dict_names_the_same_witnesses():

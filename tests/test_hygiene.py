@@ -3,8 +3,9 @@ module imports a name it never uses, every private module-level function
 or class is referenced somewhere in the package, and no internal check
 is an ``assert`` statement, which ``python -O`` strips, or a bare
 ``raise AssertionError``, and every scheme comes from ``scheme._labelled``
-alone, and the validating path (``build_poset``,
-``compute_rank``, ``verify_simplicial``, ``validate_scheme``,
+alone, and no module reads the ``poset`` or ``s`` alias, and the
+validating path (``build_poset``, ``compute_rank``,
+``verify_simplicial``, ``validate_scheme``,
 ``validate_geometric``) is called only where the input carries no
 certificate, and only ``RankedPoset`` derives ranks, and no function
 imports a package module that its own module imports at the top, and
@@ -186,6 +187,18 @@ def test_every_scheme_comes_from_the_one_builder():
                 if (isinstance(node, ast.Attribute) and node.attr == "_closure"
                         and isinstance(node.ctx, ast.Store) and (name, owner) not in CLOSURE_WRITERS):
                     found.append(f"{name}:{node.lineno} {owner} assigns _closure")
+    assert not found, found
+
+
+def test_no_module_reads_the_outside_aliases():
+    """A ranked poset is its own poset and a scheme its own simplicial
+    poset, so no package module loads an attribute named ``poset`` or
+    ``s``: those properties return the object itself and are kept only
+    for callers outside the package."""
+    found = [f"{name}:{node.lineno} .{node.attr}" for name, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("poset", "s")
+             and isinstance(node.ctx, ast.Load)]
     assert not found, found
 
 

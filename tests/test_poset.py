@@ -20,6 +20,7 @@ from mscheme import (
     NotBoundedBelow,
     NotRanked,
     NotSimplicial,
+    Poset,
     QuotientResult,
     RankNotConstantOnMax,
     UnknownIdentifier,
@@ -38,6 +39,7 @@ from mscheme import (
     scheme_from_independence,
     scheme_from_matroid,
     uniform_matroid,
+    validate_geometric,
     validate_independence,
     validate_scheme,
     verify_simplicial,
@@ -261,9 +263,16 @@ def test_only_the_checkers_make_a_certified_poset(isth, notgeom_poset, corpus):
     refuse a plain ranked poset, so it reaches ``validate_scheme`` only
     through ``verify_simplicial``, which refuses it at t.  A scheme is its
     own simplicial poset, a ranked poset, so the isomorphism search takes
-    it as it is, and ``validate_scheme`` takes it back as the same scheme."""
-    rp = compute_rank(build_poset(["0", "a", "b", "c", "t"],
-                                  [("0", x) for x in "abc"] + [(x, "t") for x in "abc"]))
+    it as it is, and ``validate_scheme`` takes it back as the same scheme.
+    A ranked poset is a poset too: it shares the tables of the poset it
+    was ranked on, keeps only its ranks besides, and ``poset`` is itself."""
+    p = build_poset(["0", "a", "b", "c", "t"],
+                    [("0", x) for x in "abc"] + [(x, "t") for x in "abc"])
+    rp = compute_rank(p)
+    assert rp.above is p.above and rp.index is p.index
+    assert RankedPoset.__slots__ == ("ranks",)
+    for x in (isth, flats(isth), validate_geometric(flats(isth))):
+        assert isinstance(x, Poset) and x.poset is x, x
     for cls in (SimplicialPoset, GeometricPoset):
         with pytest.raises(TypeError):
             cls(rp)
@@ -321,11 +330,8 @@ def _simplicial_verdict(verify, rp):
 def _relabelled_rank(rp, x, value):
     """rp with the rank label of x replaced; RankedPoset itself refuses
     labels that break a cover, so the label is set behind its back."""
-    bad = object.__new__(RankedPoset)
-    bad.poset = rp.poset
-    i = rp.poset.index[x]
-    bad.ranks = rp.ranks[:i] + (value,) + rp.ranks[i + 1:]
-    return bad
+    i = rp.index[x]
+    return _ranked(rp, rp.ranks[:i] + (value,) + rp.ranks[i + 1:], RankedPoset)
 
 
 def _corruptions(rp, rng):
