@@ -128,15 +128,24 @@ def _required(value, flag):
     return value
 
 
+def _int(numeral: str, message: str) -> int:
+    """``int(numeral)``, or ``MalformedInput(message)`` past the int digit limit."""
+    try:
+        return int(numeral)
+    except ValueError:
+        raise MalformedInput(message) from None
+
+
 def cmd_construct(args) -> int:
     print(_echo(args))
     arity = {"uniform": 2, "linear": 1, "toric": 1}.get(args.kind, 0)
+    bad = f"construct {args.kind}: bad arguments {args.args}"
     if len(args.args) != arity or (args.kind == "uniform" and not all(
             a.removeprefix("-").isdecimal() for a in args.args)):
-        raise MalformedInput(f"construct {args.kind}: bad arguments {args.args}")
+        raise MalformedInput(bad)
     poset_doc = None
     if args.kind == "uniform":
-        r, n = int(args.args[0]), int(args.args[1])
+        r, n = (_int(a, bad) for a in args.args)
         out = constructions.scheme_from_matroid(constructions.uniform_matroid(r, n))
         default = f"constructed_uniform_{r}_{n}.json"
     elif args.kind == "linear":
@@ -145,9 +154,10 @@ def cmd_construct(args) -> int:
         default = f"constructed_{_stem(args.args[0])}.json"
     elif args.kind == "dowling":
         n = _required(args.n, "-n")
+        size = f"construct dowling: -n must be a ground size, not {n!r}"
         if not n.isdecimal():
-            raise MalformedInput(f"construct dowling: -n must be a ground size, not {n!r}")
-        gp, out = constructions.dowling_poset(int(n), _load_action(args),
+            raise MalformedInput(size)
+        gp, out = constructions.dowling_poset(_int(n, size), _load_action(args),
                                               atom_cap=args.cap_atoms)
         print(f"geometric certificate: {len(gp.elements)} elements, "
               f"{len(gp.atoms())} atoms, rank {gp.max_rank()}")

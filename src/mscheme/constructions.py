@@ -47,6 +47,23 @@ def _mask_id(names, X: int) -> str:
     return set_id(names[i] for i in _bits(X))
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "{": "\\{", "}": "\\}"})
+
+
+def _set_ids(masks, names) -> list:
+    """``set_id`` of the names at the bits of each mask, with no set built
+    per mask; when two agree (names holding "," can make them), every id
+    has "\\", ",", "{" and "}" escaped inside each name, so the unescaped
+    "," splits the names and distinct masks get distinct ids."""
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    for shown in (names, [e.translate(_ESCAPES) for e in names]):
+        steps = [(1 << i, shown[i]) for i in by_name]
+        ids = ["{" + ",".join([e for b, e in steps if X & b]) + "}" for X in masks]
+        if len(set(ids)) == len(ids):
+            break
+    return ids
+
+
 # --- classical matroids -----------------------------------------------------------
 
 def _rank_steps_hold(table: list) -> bool:
@@ -234,15 +251,9 @@ def scheme_from_matroid(mat: Matroid) -> MatroidScheme:
 
     Subsets are bitmasks over ground indices, by size and then
     lexicographically, and their poset is ``_face_poset``'s: rho is read
-    from ``mat.rank_table``, and each id is ``set_id`` of the subset, its
-    members taken in the ground set's sorted name order, with no set built
-    per subset."""
-    ground = mat.ground
-    n = len(ground)
-    masks = _subset_masks(n)
-    by_name = [(1 << i, ground[i]) for i in sorted(range(n), key=ground.__getitem__)]
-    ids = ["{" + ",".join([e for b, e in by_name if X & b]) + "}" for X in masks]
-    sp = _face_poset(masks, ids)
+    from ``mat.rank_table``, and the ids are ``_set_ids``'."""
+    masks = _subset_masks(len(mat.ground))
+    sp = _face_poset(masks, _set_ids(masks, mat.ground))
     return _labelled(sp, map(mat.rank_table.__getitem__, masks))
 
 
@@ -336,7 +347,9 @@ def scheme_from_semimatroid(sm: Semimatroid) -> MatroidScheme:
     forces X | Y to be a face) is M4; and S5 (some y in Y - X with X + y a
     face) is M5, with the atom {y} not below X."""
     faces = _sorted_faces(sm.faces)
-    sp = _face_poset(_face_masks(faces, sorted(sm.vertices)), [set_id(f) for f in faces])
+    vertices = sorted(sm.vertices)
+    masks = _face_masks(faces, vertices)
+    sp = _face_poset(masks, _set_ids(masks, vertices))
     return _labelled(sp, [sm.rank[f] for f in faces])
 
 
@@ -524,7 +537,7 @@ def quotient_scheme(sm: Semimatroid, action: GroupAction) -> QuotientResult:
         if f not in orbit:
             orbit.update(dict.fromkeys({image[g, f] for g in G.elements}, len(reps)))
             reps.append(f)
-    names = [f"G·{set_id(f)}" for f in reps]
+    names = ["G·" + i for i in _set_ids(_face_masks(reps, sm.vertices), sm.vertices)]
     orbit_of = {f: names[k] for f, k in orbit.items()}
     covers = sorted({(orbit[f - {v}], orbit[f]) for f in faces for v in f})
     sp = _certified(names, covers, [len(f) for f in reps], SimplicialPoset)

@@ -58,9 +58,7 @@ class GeometricPoset(RankedPoset):
     ``validate_geometric`` and, in ``layers_poset``, ``_certified`` make one."""
 
     __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("use validate_geometric() to build a GeometricPoset")
+    builder = "validate_geometric"
 
 
 def _g1_holds(p: Poset, r: list, joinable: list) -> bool:

@@ -36,22 +36,16 @@ class Poset:
     gives them as identifiers, in the same order.  ``order`` is a linear
     extension (every element after its lower covers).  ``index`` is the id
     -> index dict of ``_index``.  ``above[i]`` / ``below[i]`` are reflexive
-    reachability bitmasks over element indices.
+    reachability bitmasks over element indices.  Calling the class raises
+    ``TypeError`` naming its ``builder``: ``_closed`` builds each object.
     """
 
     __slots__ = ("elements", "pairs", "order", "index", "above", "below",
                  "covers_up", "covers_dn", "_covers")
+    builder = "build_poset"
 
-    def __init__(self, elements, index, pairs, order, above, below, covers_up, covers_dn):
-        self.elements = tuple(elements)
-        self.pairs = tuple(pairs)
-        self.order = tuple(order)
-        self.index = index
-        self.above = tuple(above)
-        self.below = tuple(below)
-        self.covers_up = tuple(covers_up)
-        self.covers_dn = tuple(covers_dn)
-        self._covers = None
+    def __init__(self, *args, **kwargs):
+        raise TypeError(f"use {self.builder}() to build a {type(self).__name__}")
 
     @property
     def covers(self) -> tuple:
@@ -208,11 +202,11 @@ def _index(ids) -> dict:
     return index
 
 
-def _closed(elements, index, pairs, order, covers_up, covers_dn) -> Poset:
-    """The Poset on ``elements`` with their ``_index`` dict, the index
-    cover pairs, the linear extension ``order`` and the cover lists of
-    ``_adjacency``: reachability is swept down the order for the up-sets
-    and up it for the down-sets."""
+def _closed(cls, elements, index, pairs, order, covers_up, covers_dn) -> Poset:
+    """The one table builder: a new ``cls`` (a ranked caller sets its ranks)
+    on ``elements`` with their ``_index`` dict, the index cover pairs, the
+    linear extension ``order`` and the cover lists of ``_adjacency``;
+    reachability is swept down the order for up-sets and up it for down-sets."""
     n = len(elements)
     above = [1 << i for i in range(n)]
     for i in reversed(order):
@@ -222,8 +216,11 @@ def _closed(elements, index, pairs, order, covers_up, covers_dn) -> Poset:
     for i in order:
         for j in covers_dn[i]:
             below[i] |= below[j]
-    return Poset(elements, index, pairs, order, above, below,
-                 [tuple(c) for c in covers_up], [tuple(c) for c in covers_dn])
+    p = cls.__new__(cls)
+    p.elements, p.index, p.pairs, p.order = tuple(elements), index, tuple(pairs), tuple(order)
+    p.above, p.below, p._covers = tuple(above), tuple(below), None
+    p.covers_up, p.covers_dn = tuple(map(tuple, covers_up)), tuple(map(tuple, covers_dn))
+    return p
 
 
 def _topo_order(n, covers_up):
@@ -291,7 +288,7 @@ def build_poset(elements, covers) -> Poset:
     order = _topo_order(len(elements), covers_up)
     if order is None:
         raise CycleDetected(_find_cycle(elements, covers_up))
-    p = _closed(elements, index, pairs, order, covers_up, covers_dn)
+    p = _closed(Poset, elements, index, pairs, order, covers_up, covers_dn)
     for i, j in pairs:
         if (p.above[i] & p.below[j]).bit_count() > 2:
             raise NonHasseCover((elements[i], elements[j]))
@@ -301,7 +298,8 @@ def build_poset(elements, covers) -> Poset:
 def _certified(elements, pairs, ranks, cls) -> "RankedPoset":
     """The ``cls`` (``RankedPoset``, or ``SimplicialPoset`` or
     ``GeometricPoset`` where a construction certifies one) with index cover
-    pairs ``pairs`` in cover order and ``ranks[i]`` the rank of element i.
+    pairs ``pairs`` in cover order and ``ranks[i]`` the rank of element i,
+    built once by ``_closed`` as that class.
 
     Nothing is re-derived: no Hasse check, no rank sweep, no simplicial
     pass.  Every cover raises the rank by one, so sorting by rank gives
@@ -310,39 +308,41 @@ def _certified(elements, pairs, ranks, cls) -> "RankedPoset":
     index = _index(elements)
     ranks = tuple(ranks)
     order = sorted(range(len(elements)), key=ranks.__getitem__)
-    p = _closed(elements, index, pairs, order, *_adjacency(len(elements), pairs))
-    return _ranked(p, ranks, cls)
+    rp = _closed(cls, elements, index, pairs, order, *_adjacency(len(elements), pairs))
+    rp.ranks = ranks
+    return rp
 
 
-def _share(rp: "RankedPoset", p: Poset, ranks: tuple) -> "RankedPoset":
-    """rp, given p's tables (the slots of ``Poset``), shared by reference
-    and never copied, and the ranks by element index."""
+def _ranked(p: Poset, ranks: tuple, cls) -> "RankedPoset":
+    """The one re-class: a new ``cls`` on the tables (the slots of ``Poset``)
+    of a p that a validator checked, shared by reference and never copied,
+    with the ranks that the caller certifies; nothing is checked here."""
+    rp = cls.__new__(cls)
     for name in Poset.__slots__:
         setattr(rp, name, getattr(p, name))
     rp.ranks = ranks
     return rp
 
 
-def _ranked(p: Poset, ranks: tuple, cls) -> "RankedPoset":
-    """The ``cls`` (``RankedPoset`` or a certified subclass) on p's tables
-    (``_share``) with the ranks that the caller certifies; nothing is
-    checked, and ``__new__`` passes by the subclasses' constructors,
-    which raise."""
-    return _share(cls.__new__(cls), p, ranks)
-
-
-def _induced(p: Poset, kept: list) -> Poset:
-    """The sub-poset of p on the ascending index list ``kept`` of a convex
-    set (an ideal, a filter or an interval), whose covers are p's covers
-    between kept elements: one sweep of p's pairs keeps those with both
-    ends kept and fills the pairs and both cover lists together, and one
-    sweep of p's linear extension keeps its order."""
+def _convex(rp: "RankedPoset", kept: list, cls) -> "RankedPoset":
+    """The sub-poset of rp on the ascending index list ``kept`` of a convex
+    set (an ideal, a filter or an interval), built once by ``_closed`` as
+    ``cls``.  Its covers are rp's covers between kept elements: one sweep
+    of rp's pairs keeps those with both ends kept and fills the pairs and
+    both cover lists together, and one sweep of rp's linear extension
+    keeps its order.  It is ranked from its minimum, the first kept
+    element of that order, whose rank is subtracted from rp's.  Every
+    cover of the sub-poset is one of rp, so its ranks are inherited, not
+    swept; a convex subset of a simplicial poset is simplicial.  An empty
+    list has no minimum and raises ``NotBoundedBelow(())``."""
+    if not kept:
+        raise NotBoundedBelow(())
     new = {i: k for k, i in enumerate(kept)}
     get = new.get
     pairs = []
     covers_up = [[] for _ in kept]
     covers_dn = [[] for _ in kept]
-    for i, j in p.pairs:
+    for i, j in rp.pairs:
         a = get(i)
         if a is not None:
             b = get(j)
@@ -350,41 +350,27 @@ def _induced(p: Poset, kept: list) -> Poset:
                 pairs.append((a, b))
                 covers_up[a].append(b)
                 covers_dn[b].append(a)
-    order = [new[i] for i in p.order if i in new]
-    els = [p.elements[i] for i in kept]
-    return _closed(els, _index(els), pairs, order, covers_up, covers_dn)
-
-
-def _convex(rp: "RankedPoset", kept: list, cls) -> "RankedPoset":
-    """The sub-poset of rp on the ascending index list ``kept`` of a convex
-    set (see ``_induced``), built as ``cls``, ranked from its minimum: the
-    first kept element of rp's linear extension, whose rank is subtracted
-    from rp's.  Every cover of the sub-poset is one of rp, so its ranks
-    are inherited, not swept; a convex subset of a simplicial poset is
-    simplicial.  An empty list has no minimum and raises
-    ``NotBoundedBelow(())``."""
-    if not kept:
-        raise NotBoundedBelow(())
-    sub = _induced(rp, kept)
+    order = [new[i] for i in rp.order if i in new]
+    els = [rp.elements[i] for i in kept]
+    sub = _closed(cls, els, _index(els), pairs, order, covers_up, covers_dn)
     ranks = rp.ranks
-    base = ranks[kept[sub.order[0]]]
-    return _ranked(sub, tuple(ranks[i] - base for i in kept), cls)
+    base = ranks[kept[order[0]]]
+    sub.ranks = tuple(ranks[i] - base for i in kept)
+    return sub
 
 
 # --- ranked posets -----------------------------------------------------------
 
 class RankedPoset(Poset):
     """A bounded-below poset with a rank function: rank(bottom) = 0 and every
-    cover raises rank by exactly one.  It is a ``Poset`` whose tables are
-    those of the poset it was built on, shared, not copied (``_share``).
-    ``ranks[i]`` is the rank of element i; ``rank`` reads it by id.  The
-    ranks are derived by ``_graded``.  Its certified subclasses add a
-    property; ``MatroidScheme`` adds its labels too."""
+    cover raises rank by exactly one.  It is a ``Poset`` with one more
+    slot: ``ranks[i]``, the rank of element i, read by id in ``rank``.
+    ``compute_rank`` derives them and re-classes the poset it checked; the
+    certified builders build one by ``_closed``.  Its certified subclasses
+    add a property; ``MatroidScheme`` adds its labels too."""
 
     __slots__ = ("ranks",)
-
-    def __init__(self, poset: Poset):
-        _share(self, poset, _graded(poset))
+    builder = "compute_rank"
 
     @property
     def poset(self) -> "RankedPoset":
@@ -449,7 +435,7 @@ def _chain(els, parent, i) -> tuple:
 
 def compute_rank(p: Poset) -> RankedPoset:
     """Verify unique minimum and gradedness; derive the rank function."""
-    return RankedPoset(p)
+    return _ranked(p, _graded(p), RankedPoset)
 
 
 # --- simplicial posets --------------------------------------------------------
@@ -458,14 +444,12 @@ class SimplicialPoset(RankedPoset):
     """A ranked poset whose every down-set is a Boolean lattice on its
     atoms, so the rank of an element is its number of atoms, its size |x|;
     where a mask is needed, the atoms below element i are derived as
-    ``below[i] & _atoms(ranks)``.  Only ``verify_simplicial``, ``_certified``
-    and ``_convex`` make one, by ``_ranked`` on the tables they checked or
-    built; ``scheme._labelled`` makes its labelled subclass the same way."""
+    ``below[i] & _atoms(ranks)``.  ``verify_simplicial`` re-classes the
+    ranked poset it checked, ``_certified`` and ``_convex`` build one, and
+    ``scheme._labelled`` re-classes one into its labelled subclass."""
 
     __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("use verify_simplicial() to build a SimplicialPoset")
+    builder = "verify_simplicial"
 
 
 def verify_simplicial(rp: RankedPoset) -> SimplicialPoset:

@@ -66,9 +66,7 @@ class MatroidScheme(SimplicialPoset):
     """
 
     __slots__ = ("rhos", "_closure", "_flats_cache", "_independent", "_bases", "_tutte")
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("use validate_scheme() to build a MatroidScheme")
+    builder = "validate_scheme"
 
     @property
     def s(self) -> "MatroidScheme":

@@ -65,6 +65,35 @@ class Corpus:
         return len(self.entries)
 
 
+def small_posets(n: int):
+    """Every poset with a bottom on the ids "0", ..., str(n - 1), as
+    (elements, covers), at least once: element 0 is the bottom and each
+    element j > 0 picks a nonempty antichain of lower covers among the
+    elements before it (number any such poset along a linear extension);
+    isomorphic copies come out more than once.  The members of an
+    antichain are incomparable, so no cover is implied.  Stdlib only: the
+    order is kept as down-set bitmasks."""
+    ids = [str(i) for i in range(n)]
+
+    def grow(below, covers):
+        j = len(below)
+        if j == n:
+            yield ids, covers
+            return
+        for size in range(1, j + 1):
+            for lower in itertools.combinations(range(j), size):
+                mask = sum(1 << a for a in lower)
+                if any(below[a] & mask & ~(1 << a) for a in lower):
+                    continue  # not an antichain
+                down = 1 << j
+                for a in lower:
+                    down |= below[a]
+                yield from grow(below + [down], covers + [(ids[a], ids[j]) for a in lower])
+
+    if n:
+        yield from grow([1], [])
+
+
 def _is_valid(m) -> bool:
     try:
         validate_scheme(m.s, m.rho)

@@ -517,7 +517,7 @@ def build_poset_by_ids(elements, covers) -> Poset:
     order = _topo_order(len(elements), covers_up)
     if order is None:
         raise CycleDetected(_find_cycle(elements, covers_up))
-    p = _closed(elements, index, pairs, order, covers_up, covers_dn)
+    p = _closed(Poset, elements, index, pairs, order, covers_up, covers_dn)
     for (a, b), (i, j) in zip(covers, pairs):
         if p.above[i] & p.below[j] & ~(1 << i | 1 << j):
             raise NonHasseCover((a, b))

@@ -225,11 +225,13 @@ def test_face_and_orbit_posets_match_validating_path():
 
 
 def test_colliding_ids_raise_like_build_poset():
-    """The vertex "a,b" and the face {a, b} share the id "{a,b}": both
-    constructions raise ``build_poset``'s ``DuplicateIdentifier``."""
-    vertices = ["a", "b", "a,b"]
+    """The face {""} of the vertex "" and the empty face share the id "{}",
+    escaped or not (a vertex "a,b" no longer collides with the face
+    {a, b}: the ids are then escaped): both constructions raise
+    ``build_poset``'s ``DuplicateIdentifier``."""
+    vertices = ["a", "b", ""]
     faces = [frozenset(c) for r in range(4) for c in itertools.combinations(vertices, r)]
-    sm = Semimatroid(vertices, faces, {f: len(f - {"a,b"}) for f in faces})
+    sm = Semimatroid(vertices, faces, {f: len(f - {""}) for f in faces})
     act = trivial_action(cyclic_group(2), vertices)
     for build, referee in ((lambda: scheme_from_semimatroid(sm), lambda: _face_poset_by_pairs(sm)),
                            (lambda: quotient_scheme(sm, act),
@@ -239,4 +241,4 @@ def test_colliding_ids_raise_like_build_poset():
         with pytest.raises(DuplicateIdentifier) as got:
             build()
         assert str(got.value) == str(want.value)
-    assert str(got.value) == "duplicate element id 'G·{a,b}'"
+    assert str(got.value) == "duplicate element id 'G·{}'"

@@ -365,6 +365,26 @@ def test_construct_toric_phase_exponent_past_the_int_digit_limit_is_refused_firs
     assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json"]
 
 
+def test_construct_number_past_the_int_digit_limit_is_an_input_error(tmp_path):
+    """With the int string limit pinned at 4300 digits, a ground size of
+    5,000 nines cannot be read: ``construct uniform`` and ``construct
+    dowling`` refuse it as an input error (exit 2) with the message of any
+    other malformed argument, print no traceback and write nothing."""
+    nines = "9" * 5000
+    cases = ((["uniform", "2", nines], "construct uniform: bad arguments ['2', '999"),
+             (["dowling", "-n", nines, "--group", "z2.json", "--action", "t2_trivial.json"],
+              "construct dowling: -n must be a ground size, not '999"))
+    for argv, message in cases:
+        run = subprocess.run(
+            [sys.executable, "-m", "mscheme.cli", "construct", *argv],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300",
+                 "PYTHONPATH": str(Path(mscheme.__file__).parents[1])})
+        assert run.returncode == 2 and "Traceback" not in run.stderr, run.stderr
+        assert f"input error: {message}" in run.stderr, run.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_construct_quotient(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, "construct", "quotient",

@@ -36,6 +36,7 @@ from mscheme import (
     validate_scheme,
 )
 from mscheme import files
+from mscheme.cli import main
 from mscheme.constructions import _rank_steps_hold, set_id
 from mscheme.tutte import _expand
 
@@ -122,6 +123,32 @@ def test_linear_matroid_dependencies():
     assert m.rank[frozenset({"a", "c"})] == 2
     m2 = linear_matroid([[2, 4]], ["a", "b"])  # parallel columns
     assert m2.rank[frozenset({"a", "b"})] == 1
+
+
+def test_names_holding_commas_get_escaped_set_ids(tmp_path, monkeypatch, capsys):
+    """Plain set ids of the names "a,b", "a" and "b" collide: {"a,b"} and
+    {"a", "b"} both read "{a,b}".  So every id of such a scheme is written
+    with the "," inside a name escaped, and the free matroid, the full
+    complex and its quotient by a trivial action are each a scheme of 8
+    distinct ids; ``construct linear`` writes the matroid's, which load
+    back as the same scheme, and names that cannot collide keep the plain
+    ids."""
+    names = ["a,b", "a", "b"]
+    faces = [frozenset(f) for k in range(4) for f in itertools.combinations(names, k)]
+    sm = Semimatroid(names, faces, {f: len(f) for f in faces})
+    m = scheme_from_matroid(linear_matroid([[1, 0, 1], [0, 1, 1]], names))
+    schemes = (m, scheme_from_semimatroid(sm),
+               quotient_scheme(sm, trivial_action(cyclic_group(2), names)).scheme)
+    for x in schemes:
+        assert len(x.elements) == len(set(x.elements)) == 8, x.elements
+    assert {"{a,b}", "{a\\,b}", "{a,a\\,b,b}"} <= set(m.elements)
+    assert "G·{a\\,b}" in schemes[2].elements
+    assert scheme_from_matroid(uniform_matroid(1, 2)).elements == ("{}", "{e1}", "{e2}", "{e1,e2}")
+    monkeypatch.chdir(tmp_path)
+    files.dump_doc({"matrix": [[1, 0, 1], [0, 1, 1]], "names": names}, "commas.json")
+    assert main(["construct", "linear", "commas.json", "--out", "out.json"]) == 0
+    assert "result: 8 elements, rank 2" in capsys.readouterr().out
+    assert files.load_scheme("out.json") == m
 
 
 def test_linear_matroid_refuses_a_ragged_matrix():

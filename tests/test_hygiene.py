@@ -7,7 +7,8 @@ alone, and no module reads the ``poset`` or ``s`` alias, and the
 validating path (``build_poset``, ``compute_rank``,
 ``verify_simplicial``, ``validate_scheme``,
 ``validate_geometric``) is called only where the input carries no
-certificate, and only ``RankedPoset`` derives ranks, and no function
+certificate, and only ``compute_rank`` derives ranks, and only
+``poset._closed`` and ``poset._ranked`` make a poset object, and no function
 imports a package module that its own module imports at the top, and
 the CLI names no size cap but the atom cap and no function takes a
 ``size_cap``, and every public method of a class is read as an attribute
@@ -158,13 +159,35 @@ def test_validating_path_only_on_uncertified_input():
 
 
 def test_ranks_are_derived_only_by_the_ranked_poset_constructor():
-    """``_graded`` derives ranks for ``RankedPoset(poset)`` alone; every
+    """``_graded`` derives ranks for ``compute_rank`` alone; every
     certified builder, ``flats`` and ``layers_poset`` included, hands its
     ranks to ``_certified`` and re-derives nothing."""
     callers = [(name, getattr(top, "name", None)) for name, tree in MODULES.items()
                for top in tree.body for node in ast.walk(top)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_graded"]
-    assert callers == [("poset.py", "RankedPoset")], callers
+    assert callers == [("poset.py", "compute_rank")], callers
+
+
+# the one table builder, the one re-class, and the builder of a toric layer
+NEW_CALLERS = {("poset.py", "_closed"), ("poset.py", "_ranked"), ("toric.py", "_layer")}
+POSET_CLASSES = {"Poset", "RankedPoset", "SimplicialPoset", "GeometricPoset", "MatroidScheme"}
+
+
+def test_every_poset_is_built_once_as_its_class():
+    """``__new__`` is called only by ``poset._closed``, which builds the
+    tables of a new object as its class, by ``poset._ranked``, which
+    re-classes a poset a validator checked, and by ``toric._layer``; of
+    the five poset classes only ``Poset`` defines ``__init__``, which
+    raises, so no constructor builds."""
+    callers = {(name, getattr(top, "name", None)) for name, tree in MODULES.items()
+               for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__"}
+    assert callers == NEW_CALLERS, callers
+    classes = {cls.name: {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+               for tree in MODULES.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name in POSET_CLASSES}
+    assert set(classes) == POSET_CLASSES, classes
+    assert [c for c, methods in classes.items() if "__init__" in methods] == ["Poset"], classes
 
 
 # the one builder of a scheme, and the closure's lazy filler

@@ -56,10 +56,9 @@ from mscheme.poset import (
     _convex,
     _graded,
     _index,
-    _induced,
     _ranked,
 )
-from mscheme.toric import ThmArrReport
+from mscheme.toric import ThmArrReport, layers_poset
 from derived_oracle import NotBelow, complement
 from referees import (
     atom_sets,
@@ -256,7 +255,8 @@ def test_verify_simplicial_rejects_bowtie():
     assert exc.value.element == "u"
 
 
-def test_only_the_checkers_make_a_certified_poset(isth, notgeom_poset, corpus):
+def test_only_the_checkers_make_a_certified_poset(isth, notgeom_poset, corpus, toric1,
+                                                  monkeypatch):
     """The poset 0 < a, b, c < t is ranked but not simplicial: t has three
     atoms and a down-set of five.  No certified class, the scheme included,
     has a public constructor, and the functions that trust a certificate
@@ -265,7 +265,11 @@ def test_only_the_checkers_make_a_certified_poset(isth, notgeom_poset, corpus):
     own simplicial poset, a ranked poset, so the isomorphism search takes
     it as it is, and ``validate_scheme`` takes it back as the same scheme.
     A ranked poset is a poset too: it shares the tables of the poset it
-    was ranked on, keeps only its ranks besides, and ``poset`` is itself."""
+    was ranked on, keeps only its ranks besides, and ``poset`` is itself.
+    No constructor builds, the plain ones included: each names its
+    builder.  ``_certified`` and ``_convex`` build their class at once,
+    so with ``_ranked``, the re-class, raising, flats, intervals and the
+    toric layer poset are still built."""
     p = build_poset(["0", "a", "b", "c", "t"],
                     [("0", x) for x in "abc"] + [(x, "t") for x in "abc"])
     rp = compute_rank(p)
@@ -276,6 +280,23 @@ def test_only_the_checkers_make_a_certified_poset(isth, notgeom_poset, corpus):
     for cls in (SimplicialPoset, GeometricPoset):
         with pytest.raises(TypeError):
             cls(rp)
+    with pytest.raises(TypeError, match=r"^use build_poset\(\) to build a Poset$"):
+        Poset()
+    with pytest.raises(TypeError, match=r"^use compute_rank\(\) to build a RankedPoset$"):
+        RankedPoset(p)
+    for cls in (RankedPoset, SimplicialPoset, GeometricPoset):
+        assert type(_certified(["0", "a"], [(0, 1)], [0, 1], cls)) is cls
+        assert type(_convex(isth, list(_bits(isth.below[-1])), cls)) is cls
+    fresh = scheme_from_matroid(uniform_matroid(2, 3))
+
+    def refuse(*args):
+        raise AssertionError("a certified builder re-classed")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mscheme.poset, "_ranked", refuse)
+        assert flats(fresh).ranks == (0, 1, 1, 1, 2)
+        assert rp.interval("a", "t").elements == ("a", "t")
+        assert len(layers_poset(toric1).geometric.elements) > 1
     with pytest.raises(TypeError):
         validate_scheme(rp, rp.rank)
     for check in (validate_independence, scheme_from_independence):
@@ -721,14 +742,16 @@ def _convex_sets(p, rng):
 
 
 def test_subposet_matches_build_poset(corpus):
-    """``_induced`` sweeps the parent's linear extension; ``build_poset`` of
+    """``_convex`` sweeps the parent's linear extension; ``build_poset`` of
     the same ids and covers sorts its own.  Reachability, covers, cover
-    lists and derived ranks must agree on the corpus posets and flats."""
+    lists and derived ranks must agree on the corpus posets and flats.
+    An empty mask has no minimum, which ``_convex`` refuses (see
+    ``test_interval_matches_the_validating_constructor``)."""
     rng = random.Random("subposet-referee")
     for name, m in corpus.schemes():
         for p in (m.poset, flats(m).poset):
-            for keep in _convex_sets(p, rng):
-                sub = _induced(p, list(_bits(keep)))
+            for keep in filter(None, _convex_sets(p, rng)):
+                sub = _convex(p, list(_bits(keep)), RankedPoset)
                 ids = [e for i, e in enumerate(p.elements) if keep >> i & 1]
                 kept = set(ids)
                 covers = [(a, b) for a, b in p.covers if a in kept and b in kept]
@@ -737,8 +760,7 @@ def test_subposet_matches_build_poset(corpus):
                 assert sub.covers == want.covers, name
                 for attr in ("above", "below", "covers_up", "covers_dn"):
                     assert getattr(sub, attr) == getattr(want, attr), (name, attr)
-                if len(sub.minimal_elements()) == 1:
-                    assert compute_rank(sub).rank == compute_rank(want).rank, name
+                assert sub.ranks == compute_rank(want).ranks, name
 
 
 def _labelled(p, labels):
@@ -766,13 +788,13 @@ def test_interval_matches_the_validating_constructor(corpus):
                 shifted = [rp.rank[e] - rp.rank[lo] for e in p._ids(mask)]
                 if not mask:
                     for build in (lambda: rp.interval(lo, hi),
-                                  lambda: _labelled(_induced(p, list(_bits(mask))), shifted)):
+                                  lambda: _labelled(_subposet_by_dict(p, mask), shifted)):
                         with pytest.raises(NotBoundedBelow):
                             build()
                     refused += 1
                     continue
                 got = rp.interval(lo, hi)
-                want = _labelled(_induced(p, list(_bits(mask))), shifted)
+                want = _labelled(_subposet_by_dict(p, mask), shifted)
                 assert got.elements == want.elements and got.bottom == want.bottom, name
                 assert got.poset.pairs == want.poset.pairs, name
                 assert got.poset.order == want.poset.order, name
@@ -782,16 +804,16 @@ def test_interval_matches_the_validating_constructor(corpus):
 
 
 def _subposet_by_dict(p, keep):
-    """``_induced`` as it was, on a mask: the kept bits listed into a dict, the
-    parent's pairs filtered by it, and the cover lists built in a second
-    sweep of the kept pairs."""
+    """The sub-poset sweep of ``_convex`` as it was, on a mask: the kept
+    bits listed into a dict, the parent's pairs filtered by it, and the
+    cover lists built in a second sweep of the kept pairs."""
     new = {}
     for i in _bits(keep):
         new[i] = len(new)
     pairs = [(new[i], new[j]) for i, j in p.pairs if i in new and j in new]
     order = [new[i] for i in p.order if i in new]
     els = [p.elements[i] for i in new]
-    return _closed(els, _index(els), pairs, order, *_adjacency(len(new), pairs))
+    return _closed(Poset, els, _index(els), pairs, order, *_adjacency(len(new), pairs))
 
 
 def _convex_by_dict(rp, keep):
@@ -808,7 +830,7 @@ SUBPOSET_FIELDS = ("elements", "pairs", "order", "above", "below", "covers_up",
 
 
 def test_one_sweep_subposets_match_the_transcription(corpus):
-    """``_induced`` and ``_convex`` list the kept bits once and fill the
+    """``_convex`` lists the kept bits once and fills the
     pairs and both cover lists in one sweep of the parent's pairs; the
     transcription filters and sweeps again.  Every field, the ranks and
     the bottom must agree on each corpus scheme's principal ideals,
@@ -834,10 +856,8 @@ def test_one_sweep_subposets_match_the_transcription(corpus):
         for scheme, keep in cases:
             rp = scheme.s
             got, want = _convex(rp, list(_bits(keep)), SimplicialPoset), _convex_by_dict(rp, keep)
-            sub = _induced(rp.poset, list(_bits(keep)))
             for attr in SUBPOSET_FIELDS:
                 assert getattr(got.poset, attr) == getattr(want.poset, attr), (name, attr)
-                assert getattr(sub, attr) == getattr(want.poset, attr), (name, attr)
             assert got.ranks == want.ranks and got.bottom == want.bottom, name
             checked += 1
     assert checked >= 10000, checked

@@ -47,6 +47,7 @@ from mscheme.scheme import _independent_mask, _labelled
 import derived_oracle
 from derived_oracle import (NotALoop, _meet_of_joinable, check_derived_axioms,
                             check_loop_del_contr)
+from generators import small_posets
 from referees import (down_set, left_class, lower_bound_maxima, m4_verdict_agrees,
                       scheme_from_independence_validated, shuffled, upper_bound_minima)
 
@@ -596,6 +597,35 @@ def test_validators_match_definition_witnesses(corpus):
                 (name, sorted(ind, key=m.poset.index.get))
             seen.add(expected and expected[0])
     assert {"M1", "M2", "M3", "M4", "M5", "I1", "I2", "I3", "I4"} <= seen, seen
+
+
+def test_every_labelling_of_every_small_simplicial_poset():
+    """Bounded-exhaustive floor (the small-scope hypothesis): on every
+    simplicial poset among the posets with a bottom on up to 7 elements,
+    every labelling with 0 <= rho(x) <= |x| + 1 (up to 6 elements) or
+    <= |x| (7 elements) makes ``validate_scheme`` raise the first
+    (axiom, witness) of the definitions, or nothing where they find none.
+    The counts at 6 and 7 elements pin the enumeration."""
+    counts = {}
+    for n in range(1, 8):
+        extra = n < 7  # rho may pass |x| by one, so that M1 fails too
+        seen = Counter()
+        for elements, covers in small_posets(n):
+            try:
+                sp = verify_simplicial(compute_rank(build_poset(elements, covers)))
+            except MschemeError:
+                continue
+            seen["posets"] += 1
+            for values in itertools.product(*(range(k + 1 + extra) for k in sp.ranks)):
+                rho = dict(zip(elements, values))
+                expected = first_violation(sp, rho)
+                assert _raised(validate_scheme, sp, rho) == expected, (covers, values)
+                seen[expected and expected[0]] += 1
+        counts[n] = seen
+    assert counts[7]["posets"] == 135 and counts[7][None] == 66, counts[7]
+    assert sum(counts[7].values()) - 135 == 21460, counts[7]
+    assert sum(counts[6].values()) - counts[6]["posets"] == 19350, counts[6]
+    assert {"M2", "M3", "M4", "M5"} <= set(counts[7]) and "M1" in counts[6], counts
 
 
 def test_m4_by_lower_covers_matches_the_union_form(corpus, nonpos):

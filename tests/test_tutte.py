@@ -311,19 +311,18 @@ def test_delcon_matches_direct_on_large_uniform_schemes(monkeypatch, r, n):
 
 
 def test_delcon_builds_no_poset(monkeypatch, corpus, nonpos):
-    """No node of the recursion builds a poset: with ``poset._induced``,
-    which every sub-poset goes through, and ``Poset.__init__`` raising,
-    deletion-contraction still agrees with direct summation on the
-    corpus, declared in its own order and in shuffled ones, and on the
-    contractions of the two-top fixture that leave the class."""
+    """No node of the recursion builds a poset: with ``poset._closed``, the
+    one table builder, raising, deletion-contraction still agrees with
+    direct summation on the corpus, declared in its own order and in
+    shuffled ones, and on the contractions of the two-top fixture that
+    leave the class."""
     import mscheme.poset
     cases = corpus.schemes() + shuffled(corpus, random.Random(20260106)) + left_class(nonpos)
 
     def refuse(*args):
         raise AssertionError("the recursion built a poset")
 
-    monkeypatch.setattr(mscheme.poset, "_induced", refuse)
-    monkeypatch.setattr(mscheme.poset.Poset, "__init__", refuse)
+    monkeypatch.setattr(mscheme.poset, "_closed", refuse)
     for name, m in cases:
         assert tutte_delcon(m) == tutte_direct(m), name
 
